@@ -135,7 +135,8 @@ fn refcount_creator_handoff_vs_truncation() {
         let cam = Camera::new();
         let g = vcas_ebr::pin();
         let a = vcas_ebr::Owned::new(Node::new()).into_shared(&g);
-        let ptr = Arc::new(VersionedPtr::from_shared_managed(a, &cam));
+        let ptr =
+            Arc::new(VersionedPtr::from_shared_managed(a, &cam).expect("a fresh node is live"));
         // The initial version now holds a counted reference; hand off the creator's.
         vcas_core::release_node_ref(a, &cam, &g);
 

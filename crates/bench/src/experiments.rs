@@ -272,10 +272,13 @@ pub(crate) fn timed_query_qps(
     let start = std::time::Instant::now();
     let mut queries = 0u64;
     let mut anchor = 1u64;
-    while start.elapsed() < window {
+    loop {
         anchor = anchor % key_range + 1;
         std::hint::black_box(run_hash_query(map, kind, anchor, key_range));
         queries += 1;
+        if start.elapsed() >= window {
+            break;
+        }
     }
     queries as f64 / start.elapsed().as_secs_f64()
 }

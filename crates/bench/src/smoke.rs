@@ -209,7 +209,7 @@ pub fn run_smoke(cfg: &SmokeConfig) -> Vec<SmokeRow> {
         let start = std::time::Instant::now();
         let mut queries = 0u64;
         let mut anchor = 1u64;
-        while start.elapsed() < window {
+        loop {
             anchor = anchor % cfg.size + 1;
             if range256 {
                 let out = run_query(&skiplist, QueryKind::Range256, anchor, cfg.size);
@@ -227,6 +227,9 @@ pub fn run_smoke(cfg: &SmokeConfig) -> Vec<SmokeRow> {
                 assert_eq!(n, expected, "{id}: succ16 after {anchor} observed a wrong count");
             }
             queries += 1;
+            if start.elapsed() >= window {
+                break;
+            }
         }
         let qps = queries as f64 / start.elapsed().as_secs_f64();
         rows.push(SmokeRow::throughput(id.to_string(), qps / 1e6));
@@ -247,7 +250,7 @@ pub fn run_smoke(cfg: &SmokeConfig) -> Vec<SmokeRow> {
             let start = std::time::Instant::now();
             let mut queries = 0u64;
             let mut anchor = 1u64;
-            while start.elapsed() < window {
+            loop {
                 anchor = anchor % cfg.size + 1;
                 let expected = (cfg.size - anchor).min(16) as usize;
                 let n = if streaming {
@@ -259,6 +262,9 @@ pub fn run_smoke(cfg: &SmokeConfig) -> Vec<SmokeRow> {
                 };
                 assert_eq!(n, expected, "{id}: succ16 after {anchor} observed a wrong count");
                 queries += 1;
+                if start.elapsed() >= window {
+                    break;
+                }
             }
             mechanism_qps[slot] = queries as f64 / start.elapsed().as_secs_f64();
             rows.push(SmokeRow::throughput(id.to_string(), mechanism_qps[slot] / 1e6));
@@ -296,7 +302,7 @@ pub fn run_smoke(cfg: &SmokeConfig) -> Vec<SmokeRow> {
         let start = std::time::Instant::now();
         let mut queries = 0u64;
         let mut anchor = 1u64;
-        while start.elapsed() < window {
+        loop {
             anchor = anchor % cfg.size + 1;
             if reused {
                 std::hint::black_box(run_query(
@@ -317,6 +323,9 @@ pub fn run_smoke(cfg: &SmokeConfig) -> Vec<SmokeRow> {
                 }
             }
             queries += VIEW_BATCH as u64;
+            if start.elapsed() >= window {
+                break;
+            }
         }
         let qps = queries as f64 / start.elapsed().as_secs_f64();
         rows.push(SmokeRow::throughput(id.to_string(), qps / 1e6));

@@ -51,16 +51,20 @@ pub struct VersionedCas<T: VersionValue> {
 /// Per-value lifecycle callbacks attached to a versioned CAS object (monomorphized plain
 /// function pointers, so a hooked cell costs two words over an unhooked one).
 ///
-/// The contract: `acquire(v)` is called exactly once for every version node created with
-/// value `v` (before the node is published), and `release(v, camera, guard)` exactly once
-/// when that version node is destroyed — by truncation, by elision of a displaced head, by
-/// a failed publication, or by the cell's destructor. Releases triggered by truncation or
+/// The contract: `acquire(v)` is called once for every version node about to be created
+/// with value `v` (before the node is published). It may *refuse* by returning `false` —
+/// the value names something that can no longer be referenced — and then no version node
+/// is created: the construction or vCAS fails and `release` is never called for it.
+/// After an accepted `acquire`, `release(v, camera, guard)` is called exactly once when
+/// that version node is destroyed — by truncation, by elision of a displaced head, by a
+/// failed publication, or by the cell's destructor. Releases triggered by truncation or
 /// elision run under the calling thread's guard, so a release that frees memory must defer
 /// through the guard (epoch-based reclamation), never free immediately.
 #[derive(Clone, Copy)]
 pub(crate) struct ValueHook<T> {
-    /// Called when a version node holding the value is created (pre-publication).
-    pub(crate) acquire: fn(T),
+    /// Called when a version node holding the value is about to be created
+    /// (pre-publication); `false` refuses the value.
+    pub(crate) acquire: fn(T) -> bool,
     /// Called when a version node holding the value is destroyed.
     pub(crate) release: fn(T, &Arc<Camera>, &Guard),
 }
@@ -132,15 +136,16 @@ fn elide_match(new_ts: u64, displaced_ts: u64) -> bool {
 impl<T: VersionValue> VersionedCas<T> {
     /// Creates a versioned CAS object holding `initial`, associated with `camera`.
     pub fn new(initial: T, camera: &Arc<Camera>) -> Self {
-        Self::with_hook(initial, camera, None)
+        Self::build(initial, camera, None)
     }
 
     /// Creates a versioned CAS object with a value lifecycle hook (see [`ValueHook`]).
-    /// `hook.acquire` is invoked for `initial` before this returns.
-    pub(crate) fn with_hook(initial: T, camera: &Arc<Camera>, hook: Option<ValueHook<T>>) -> Self {
-        if let Some(h) = hook {
-            (h.acquire)(initial);
-        }
+    /// `hook.acquire` is invoked for `initial` first; `None` when it refuses the value.
+    pub(crate) fn with_hook(initial: T, camera: &Arc<Camera>, hook: ValueHook<T>) -> Option<Self> {
+        (hook.acquire)(initial).then(|| Self::build(initial, camera, Some(hook)))
+    }
+
+    fn build(initial: T, camera: &Arc<Camera>, hook: Option<ValueHook<T>>) -> Self {
         let node = vpool::alloc(VNode::initial(initial.into_word()));
         // Stamp the initial version immediately (constructor runs before any concurrent
         // access, so a plain store of the current timestamp is the paper's initTS).
@@ -193,7 +198,9 @@ impl<T: VersionValue> VersionedCas<T> {
     }
 
     /// `vCAS(old, new)`: if the current value equals `old`, replace it with `new` and return
-    /// `true`; otherwise return `false`. Constant time.
+    /// `true`; otherwise return `false`. Constant time. A cell with a value lifecycle hook
+    /// also returns `false`, changing nothing, when the hook refuses `new` (a managed
+    /// pointer cell refuses a retired node; see [`crate::VersionReferenced`]).
     ///
     /// When the successful publication is stamped with the **same** timestamp as the head
     /// it displaced — i.e. the camera has not advanced since the previous update — the
@@ -215,9 +222,12 @@ impl<T: VersionValue> VersionedCas<T> {
             return true;
         }
         // Acquire before the node can become visible, so a concurrent truncation that
-        // destroys the (published) node always finds the reference already counted.
+        // destroys the (published) node always finds the reference already counted. A
+        // refused value fails the vCAS before anything was allocated or published.
         if let Some(h) = self.hook {
-            (h.acquire)(new);
+            if !(h.acquire)(new) {
+                return false;
+            }
         }
         let new_node = vpool::alloc(VNode::new(new.into_word(), head)).into_shared(guard);
         match self.head.compare_exchange(

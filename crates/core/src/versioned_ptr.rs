@@ -34,19 +34,28 @@ use crate::versioned::{ValueHook, VersionedCas};
 ///   reference with [`release_node_ref`]; on a failed publication it still owns the node
 ///   and frees it directly, exactly as an unversioned structure would.
 ///
-/// When the counter hits zero no retained version references the node and no thread can
-/// republish it (pointers are only ever re-CASed from *current* head versions, whose
-/// references are counted), so it is retired to epoch-based reclamation and counted into
-/// [`Camera::nodes_retired`]. Destroying the node drops its own cells, releasing the
-/// references *they* held — reclamation cascades through exactly the nodes that became
-/// unreachable, however they became so.
+/// When the counter hits zero no retained version references the node, so it is retired
+/// to epoch-based reclamation and counted into [`Camera::nodes_retired`]. Destroying the
+/// node drops its own cells, releasing the references *they* held — reclamation cascades
+/// through exactly the nodes that became unreachable, however they became so.
+///
+/// **Zero is final.** A thread may still hold a pointer to a node whose counter has
+/// reached zero: a pointer read from a head version under a guard stays *dereferenceable*
+/// for the guard's lifetime, but that version can be displaced and then truncated or
+/// elided before the thread republishes the pointer, dropping the node's last reference.
+/// A managed cell therefore never increments a zero counter: the reference a new version
+/// would take is refused, and the vCAS ([`VersionedPtr::compare_exchange`]) or cell
+/// construction ([`VersionedPtr::from_shared_managed`]) that wanted it fails. Callers
+/// treat that failure like any lost CAS — the pointer they read is stale — and search
+/// again. So the node is retired exactly once and never re-linked after retirement.
 ///
 /// # Safety
 ///
 /// Implementors promise that `version_refs` returns a counter used exclusively by this
 /// protocol, and that pointer words read from **snapshot** (non-head) versions are never
-/// republished into a CAS — republication must always derive from a current read whose
-/// version-held reference is still counted (true of head-version reads under a guard).
+/// republished into a CAS — republication must always derive from a current (head-version)
+/// read under a guard, which keeps the node allocated, though not necessarily referenced,
+/// until the guard drops.
 pub unsafe trait VersionReferenced: Sized + Send + Sync + 'static {
     /// The node's version-held reference counter.
     fn version_refs(&self) -> &AtomicU64;
@@ -67,23 +76,34 @@ pub fn release_node_ref<N: VersionReferenced>(
     if n.version_refs().fetch_sub(1, Ordering::Release) == 1 {
         fence(Ordering::Acquire);
         camera.note_nodes_retired(1);
-        // SAFETY: the counter hit zero: no retained version references the node and no
-        // thread can republish it, so it is retired exactly once.
+        // SAFETY: the counter hit zero: no retained version references the node, and a
+        // zero counter is never incremented again (`acquire_word` refuses it), so no
+        // thread can republish the node and it is retired exactly once.
         unsafe { guard.defer_destroy(node) };
     }
 }
 
-/// `ValueHook::acquire` for a managed pointer cell: counts the new version's reference.
-fn acquire_word<N: VersionReferenced>(word: usize) {
-    // SAFETY: `word` came from a live `Shared` the caller's guard protects.
+/// `ValueHook::acquire` for a managed pointer cell: counts the new version's reference,
+/// refusing (`false`) a node whose counter already reached zero — it is retired, and
+/// reviving it would retire it a second time (see [`VersionReferenced`]). Null needs no
+/// reference.
+fn acquire_word<N: VersionReferenced>(word: usize) -> bool {
+    // SAFETY: `word` came from a `Shared` the caller's guard protects.
     let shared = unsafe { Shared::<'_, N>::from_data(word) }.with_tag(0);
-    // SAFETY: the hook runs pre-publication under the caller's guard; the target is live.
-    if let Some(n) = unsafe { shared.as_ref() } {
-        // ORDERING: refcount-acquire — incrementing from a state where the counter is
-        // already known non-zero (the caller holds a counted reference); only the
-        // decrement-to-zero path needs ordering (release + acquire fence there).
-        n.version_refs().fetch_add(1, Ordering::Relaxed);
+    // SAFETY: the hook runs pre-publication under the caller's guard, so the target is
+    // still allocated even if its counter has reached zero (retirement defers the free).
+    let Some(n) = (unsafe { shared.as_ref() }) else { return true };
+    let refs = n.version_refs();
+    // ORDERING: refcount-acquire — increment-if-nonzero; see the ledger row.
+    let mut cur = refs.load(Ordering::Relaxed);
+    while cur != 0 {
+        // ORDERING: refcount-acquire — as above.
+        match refs.compare_exchange(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return true,
+            Err(actual) => cur = actual,
+        }
     }
+    false
 }
 
 /// `ValueHook::release` for a managed pointer cell: drops the destroyed version's
@@ -129,16 +149,18 @@ impl<N: 'static> VersionedPtr<N> {
     /// (see [`VersionReferenced`]), acquired before the version is published and released
     /// when it is destroyed — by truncation, failed publication, or the cell's drop. The
     /// caller must hold an EBR guard (the initial reference is counted against `initial`,
-    /// which the guard keeps alive).
-    pub fn from_shared_managed(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Self
+    /// which the guard keeps allocated).
+    ///
+    /// Returns `None` when `initial`'s counter has already reached zero: the node is
+    /// retired and must not be referenced again, so the caller's read is stale and it
+    /// must search again. A null or freshly allocated (unpublished) `initial` never fails.
+    pub fn from_shared_managed(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Option<Self>
     where
         N: VersionReferenced,
     {
         let hook = ValueHook { acquire: acquire_word::<N>, release: release_word::<N> };
-        VersionedPtr {
-            inner: VersionedCas::with_hook(initial.into_data(), camera, Some(hook)),
-            _marker: PhantomData,
-        }
+        let inner = VersionedCas::with_hook(initial.into_data(), camera, hook)?;
+        Some(VersionedPtr { inner, _marker: PhantomData })
     }
 
     /// `vRead`: the current tagged pointer. Constant time.
@@ -170,6 +192,8 @@ impl<N: 'static> VersionedPtr<N> {
     }
 
     /// `vCAS`: atomically replaces `current` with `new` if the object still holds `current`.
+    /// A managed cell ([`VersionedPtr::from_shared_managed`]) also fails, changing nothing,
+    /// when `new` is a retired node (counter at zero; see [`VersionReferenced`]).
     pub fn compare_exchange(
         &self,
         current: Shared<'_, N>,
@@ -269,6 +293,53 @@ mod tests {
         assert_eq!(loaded.as_raw(), node.as_raw());
         // SAFETY: unmanaged cell — the test owns the node and frees it once.
         unsafe { drop(node.into_owned()) };
+    }
+
+    /// A minimal managed node for the refcount tests.
+    struct Counted {
+        refs: AtomicU64,
+    }
+
+    // SAFETY: `refs` is used only by the version-reference protocol, and the test never
+    // republishes a pointer read from a snapshot version.
+    unsafe impl VersionReferenced for Counted {
+        fn version_refs(&self) -> &AtomicU64 {
+            &self.refs
+        }
+    }
+
+    #[test]
+    fn retired_node_is_never_republished() {
+        let cam = Camera::new();
+        let g = pin();
+        let a = Owned::new(Counted { refs: AtomicU64::new(1) }).into_shared(&g);
+        let b = Owned::new(Counted { refs: AtomicU64::new(1) }).into_shared(&g);
+        let p = VersionedPtr::from_shared_managed(a, &cam).expect("a fresh node is live");
+        release_node_ref(a, &cam, &g);
+        // Replace `a`, then truncate its version: its counter reaches zero and it is
+        // retired, while `g` keeps it allocated — the state a thread holding a stale
+        // head-version read is in.
+        cam.take_snapshot();
+        assert!(p.compare_exchange(a, b, &g));
+        release_node_ref(b, &cam, &g);
+        p.collect_before(cam.min_active(), &g);
+        // SAFETY: `g` pins the epoch, so the retired node is not yet freed.
+        let a_refs = || unsafe { a.deref() }.refs.load(Ordering::SeqCst);
+        assert_eq!(a_refs(), 0);
+        assert_eq!(cam.nodes_retired(), 1);
+
+        assert!(!p.compare_exchange(b, a, &g), "a vCAS must not republish a retired node");
+        assert_eq!(p.load(&g), b);
+        assert!(
+            VersionedPtr::from_shared_managed(a, &cam).is_none(),
+            "a new cell must not reference a retired node"
+        );
+        assert_eq!(a_refs(), 0, "a refused reference leaves the counter at zero");
+        assert_eq!(cam.nodes_retired(), 1, "the retired node is counted exactly once");
+
+        // Dropping the cell releases the last reference to `b`.
+        drop(p);
+        assert_eq!(cam.nodes_retired(), 2);
     }
 
     #[test]

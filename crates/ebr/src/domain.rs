@@ -12,12 +12,19 @@ use crate::local;
 /// queue and attempts an epoch advance + collection.
 pub(crate) const LOCAL_BAG_THRESHOLD: usize = 64;
 
-/// Per-thread announcement of pinned state.
+/// Per-thread announcement of pinned state, plus the thread's deferral tally.
 ///
 /// `state` packs `(epoch << 2) | flags` where bit 0 = pinned (active) and bit 1 = defunct
 /// (the owning thread has exited and this slot should be dropped from the registry).
+///
+/// `deferred` counts the destructors the owning thread has deferred into this domain over
+/// its lifetime, whether they still sit in its unflushed local bag or not. Only the owner
+/// writes it (a plain store, no shared read-modify-write on the `defer` path); the
+/// registry folds it into [`Domain`] when the slot is dropped, so [`Domain::drain`] can
+/// count work that is invisible in the global queue.
 pub(crate) struct Participant {
     state: AtomicU64,
+    deferred: AtomicU64,
 }
 
 const FLAG_ACTIVE: u64 = 0b01;
@@ -25,7 +32,16 @@ const FLAG_DEFUNCT: u64 = 0b10;
 
 impl Participant {
     pub(crate) fn new() -> Self {
-        Participant { state: AtomicU64::new(0) }
+        Participant { state: AtomicU64::new(0), deferred: AtomicU64::new(0) }
+    }
+
+    /// Counts one destructor deferred by the owning thread (owner-only single writer).
+    pub(crate) fn note_deferred(&self) {
+        // ORDERING: own-announcement — only the owning thread stores to its tally, so
+        // reading its own last store needs no synchronization. The `Release` store pairs
+        // with the `Acquire` reads in `Domain::deferred_total` (see `Domain::drain`).
+        let n = self.deferred.load(Ordering::Relaxed);
+        self.deferred.store(n + 1, Ordering::Release);
     }
 
     /// Announce that the owning thread is pinned at `epoch`.
@@ -57,9 +73,9 @@ impl Participant {
 pub struct DomainStats {
     /// Current global epoch.
     pub epoch: u64,
-    /// Deferred destructors handed to the domain over its lifetime.
+    /// Deferred destructors handed to the domain's global queue over its lifetime.
     pub deferred: u64,
-    /// Deferred destructors that have been executed.
+    /// Deferred destructors that have run to completion.
     pub collected: u64,
     /// Deferred destructors still waiting in the global queue.
     pub pending: usize,
@@ -78,7 +94,11 @@ pub struct Domain {
     global_epoch: AtomicU64,
     participants: Mutex<Vec<Arc<Participant>>>,
     garbage: Mutex<Vec<(u64, Deferred)>>,
+    /// Deferral tallies of participants already dropped from the registry; changed only
+    /// under the `participants` lock.
+    retired_deferred: AtomicU64,
     deferred_count: AtomicU64,
+    /// Destructors that have finished running (incremented after each batch completes).
     collected_count: AtomicU64,
     advance_count: AtomicU64,
 }
@@ -94,6 +114,7 @@ impl Domain {
             global_epoch: AtomicU64::new(1),
             participants: Mutex::new(Vec::new()),
             garbage: Mutex::new(Vec::new()),
+            retired_deferred: AtomicU64::new(0),
             deferred_count: AtomicU64::new(0),
             collected_count: AtomicU64::new(0),
             advance_count: AtomicU64::new(0),
@@ -138,6 +159,10 @@ impl Domain {
         participants.retain(|p| {
             let (e, active, defunct) = p.snapshot();
             if defunct && !active {
+                // The owner has exited: its tally is final. Fold it in under the lock so
+                // `deferred_total` never sees it twice or not at all.
+                let n = p.deferred.load(Ordering::Acquire);
+                self.retired_deferred.fetch_add(n, Ordering::SeqCst);
                 return false;
             }
             if active && e != epoch {
@@ -181,12 +206,37 @@ impl Domain {
             ready
         };
         if !ready.is_empty() {
-            // ORDERING: diag-counter — statistics only, never drives reclamation decisions.
-            self.collected_count.fetch_add(ready.len() as u64, Ordering::Relaxed);
+            let n = ready.len() as u64;
             for d in ready {
                 d.call();
             }
+            // Counted only once the batch has run: a destructor still executing here (and
+            // whatever it defers) must keep `drain` from reporting 0. `Release` orders the
+            // destructors' own deferrals before the count (see `Domain::drain`).
+            self.collected_count.fetch_add(n, Ordering::Release);
         }
+    }
+
+    /// Destructors deferred into this domain by any thread, flushed or not: the live
+    /// participants' tallies plus those folded in from dropped participants.
+    fn deferred_total(&self) -> u64 {
+        let participants = self.participants.lock();
+        let live: u64 = participants.iter().map(|p| p.deferred.load(Ordering::Acquire)).sum();
+        live + self.retired_deferred.load(Ordering::SeqCst)
+    }
+
+    /// Deferred destructors that have not finished running, wherever they are: in some
+    /// thread's unflushed local bag, in the global queue, or executing inside another
+    /// thread's `collect`.
+    ///
+    /// The completed count is read *before* the deferral tallies. Every destructor counted
+    /// complete was deferred — and every deferral its body made was tallied — before its
+    /// batch's `Release` increment, which the `Acquire` read here synchronizes with; so
+    /// the later tally reads include all of them and the difference never under-counts.
+    fn outstanding(&self) -> usize {
+        let completed = self.collected_count.load(Ordering::Acquire);
+        let deferred = self.deferred_total();
+        deferred.saturating_sub(completed) as usize
     }
 
     /// Flush the calling thread's local bag and aggressively advance + collect.
@@ -198,9 +248,19 @@ impl Domain {
         }
     }
 
-    /// Repeatedly flushes, advances, and collects until the garbage queue is empty or no
-    /// progress can be made (another thread holds a stale pin). Returns the number of
-    /// deferred destructors still pending (0 = fully drained).
+    /// Repeatedly flushes, advances, and collects until every deferred destructor has run
+    /// or no progress can be made. Returns the number of deferred destructors that have
+    /// not finished running.
+    ///
+    /// The count covers every destructor deferred into this domain by *any* thread: those
+    /// in the global queue, those still in another thread's unflushed local bag, and those
+    /// another thread's collection has taken from the queue but not finished running. A
+    /// return of **0 means exactly that every destructor deferred into this domain before
+    /// the final check — including any work those destructors deferred in turn — has run
+    /// to completion.** A non-zero return means work is outstanding that this call cannot
+    /// finish: a stale pin blocks the epoch, another thread holds deferrals in its local
+    /// bag (it flushes them when its bag fills, on [`Domain::flush`], or when it exits),
+    /// or another thread is still running a destructor.
     ///
     /// Unlike [`Domain::flush`], this follows *cascades*: a deferred destructor that itself
     /// defers more work (e.g. reference-counted data nodes retiring their children) is
@@ -213,10 +273,7 @@ impl Domain {
         let mut last_collected = self.collected_count.load(Ordering::Relaxed);
         loop {
             local::flush(self);
-            let pending = self.garbage.lock().len();
-            if pending == 0 {
-                // The local bag was just flushed into the (empty) queue, so nothing —
-                // including work deferred by destructors of the previous round — remains.
+            if self.outstanding() == 0 {
                 return 0;
             }
             self.try_advance();
@@ -228,7 +285,7 @@ impl Domain {
                 // Neither of the two advances unblocked anything: a stale pin elsewhere.
                 stalled_rounds += 1;
                 if stalled_rounds >= 3 {
-                    return self.garbage.lock().len();
+                    return self.outstanding();
                 }
             } else {
                 stalled_rounds = 0;
@@ -243,8 +300,7 @@ impl Domain {
             epoch: self.global_epoch.load(Ordering::SeqCst),
             // ORDERING: diag-counter — statistics only, never drives reclamation decisions.
             deferred: self.deferred_count.load(Ordering::Relaxed),
-            // ORDERING: diag-counter — statistics only, never drives reclamation decisions.
-            collected: self.collected_count.load(Ordering::Relaxed),
+            collected: self.collected_count.load(Ordering::Acquire),
             pending: self.garbage.lock().len(),
             participants: self.participants.lock().len(),
         }
@@ -310,6 +366,60 @@ mod tests {
         assert_eq!(s.deferred, 2);
         assert_eq!(s.collected, 2);
         assert_eq!(s.pending, 0);
+    }
+
+    #[test]
+    fn drain_counts_another_threads_unflushed_bag() {
+        const HELD: usize = 3;
+        const _: () = assert!(HELD < LOCAL_BAG_THRESHOLD, "the items must stay in the local bag");
+        let d = Arc::new(Domain::new());
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let d2 = d.clone();
+        let holder = std::thread::spawn(move || {
+            {
+                let g = d2.pin();
+                for _ in 0..HELD {
+                    g.defer(|| {});
+                }
+            }
+            held_tx.send(()).unwrap();
+            // Exiting drops the thread's local handle, which flushes the bag.
+            exit_rx.recv().unwrap();
+        });
+        held_rx.recv().unwrap();
+        assert_eq!(d.drain(), HELD, "deferrals in another thread's bag are outstanding");
+        exit_tx.send(()).unwrap();
+        holder.join().unwrap();
+        assert_eq!(d.drain(), 0, "the exited thread's bag was flushed and collected");
+        let s = d.stats();
+        assert_eq!(s.collected, HELD as u64);
+    }
+
+    #[test]
+    fn drain_waits_for_a_destructor_running_in_another_threads_collect() {
+        let d = Arc::new(Domain::new());
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (finish_tx, finish_rx) = std::sync::mpsc::channel::<()>();
+        let d2 = d.clone();
+        let collector = std::thread::spawn(move || {
+            {
+                let g = d2.pin();
+                g.defer(move || {
+                    started_tx.send(()).unwrap();
+                    finish_rx.recv().unwrap();
+                });
+            }
+            // Two epoch advances make the item eligible; this thread's `collect` runs it
+            // and blocks inside the destructor until the main thread lets it finish.
+            d2.flush();
+        });
+        started_rx.recv().unwrap();
+        assert_eq!(d.stats().pending, 0, "the destructor has left the global queue");
+        assert_eq!(d.drain(), 1, "a destructor still running is outstanding");
+        finish_tx.send(()).unwrap();
+        collector.join().unwrap();
+        assert_eq!(d.drain(), 0);
     }
 
     #[test]

@@ -84,11 +84,14 @@ pub fn flush() {
 }
 
 /// Drives the default domain's deferred work — including cascades, where one destructor
-/// defers another — until the queue is empty or a stale pin elsewhere blocks progress.
-/// Returns the number of destructors still pending (0 = fully drained).
+/// defers another — until all of it has run or no progress can be made. Returns the number
+/// of deferred destructors that have not finished running, counted across every thread:
+/// 0 means every destructor deferred into the default domain before the final check
+/// (and everything it deferred in turn) has run to completion.
 ///
-/// Call at quiescent points only (see [`Domain::drain`]); with readers active this can
-/// legitimately return non-zero.
+/// Call at quiescent points only (see [`Domain::drain`]); while other threads are pinned,
+/// hold deferrals in their local bags, or run destructors, this legitimately returns
+/// non-zero.
 pub fn drain() -> usize {
     default_domain().drain()
 }

@@ -50,6 +50,7 @@ impl LocalInner {
     }
 
     pub(crate) fn defer(&self, d: Deferred) {
+        self.participant.note_deferred();
         let epoch = self.domain.global_epoch();
         let should_flush = {
             let mut bag = self.bag.borrow_mut();

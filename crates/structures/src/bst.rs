@@ -77,7 +77,9 @@ struct Node {
 
 /// SAFETY: `refs` is touched only by the version-reference protocol, and the tree only
 /// republishes pointers obtained from current (head-version) reads under a guard —
-/// snapshot reads are never fed back into a CAS.
+/// snapshot reads are never fed back into a CAS. Such a pointer may be retired (counter at
+/// zero) by the time it is republished; the managed cell then refuses it and the CAS
+/// fails. New nodes' cells only ever point at fresh, unpublished nodes.
 unsafe impl VersionReferenced for Node {
     fn version_refs(&self) -> &AtomicU64 {
         &self.refs
@@ -115,12 +117,15 @@ enum ChildPtr {
 }
 
 impl ChildPtr {
+    /// A child cell pointing at `init`, which must be a freshly allocated, unpublished
+    /// node (so its reference counter is still the creator's 1, never zero).
     fn new(mode: &Mode, init: Shared<'_, Node>) -> ChildPtr {
         match mode {
             Mode::Plain => ChildPtr::Plain(Atomic::from_shared(init)),
-            Mode::Versioned(camera) => {
-                ChildPtr::Versioned(VersionedPtr::from_shared_managed(init, camera))
-            }
+            Mode::Versioned(camera) => ChildPtr::Versioned(
+                VersionedPtr::from_shared_managed(init, camera)
+                    .expect("a fresh node holds its creator reference"),
+            ),
         }
     }
 
@@ -323,10 +328,15 @@ impl Nbbst {
             }
             let p_ref = unsafe { s.p.deref() };
 
-            // Build the replacement subtree: a new leaf for `key`, an internal node whose
-            // other child is the existing leaf `l` (reused, not copied).
+            // Build the replacement subtree: a new leaf for `key`, and an internal node
+            // whose other child is a fresh copy of the found leaf `l` — EFRB's
+            // `newSibling`. Reusing `l` itself would let the parent's child return to `l`
+            // after a later remove of `key`, and a late helper's `CAS-Child(p, l,
+            // new_internal)` would then re-link this (by then removed and retired) subtree.
             let new_leaf = Owned::new(Node::leaf(key, value)).into_shared(&guard);
-            let (lc, rc) = if key < l_ref.key { (new_leaf, s.l) } else { (s.l, new_leaf) };
+            let new_sibling = Owned::new(Node::leaf(l_ref.key, l_ref.value)).into_shared(&guard);
+            let (lc, rc) =
+                if key < l_ref.key { (new_leaf, new_sibling) } else { (new_sibling, new_leaf) };
             let new_internal = Owned::new(Node::internal(
                 key.max(l_ref.key),
                 ChildPtr::new(&self.mode, lc),
@@ -334,7 +344,7 @@ impl Nbbst {
             ))
             .into_shared(&guard);
             if let Mode::Versioned(camera) = &self.mode {
-                camera.note_nodes_created(2);
+                camera.note_nodes_created(3);
             }
 
             let op = Owned::new(Info {
@@ -365,26 +375,30 @@ impl Nbbst {
                 }
                 self.help_insert(op, &guard);
                 if let Mode::Versioned(camera) = &self.mode {
-                    // Both new nodes are now published (the child CAS — ours or a
+                    // All three new nodes are now published (the child CAS — ours or a
                     // helper's — put `new_internal` in `p`'s cell, and `new_internal`'s
-                    // own cell holds `new_leaf`): hand off their creator references.
+                    // own cells hold the two leaves): hand off their creator references.
                     release_node_ref(new_internal, camera, &guard);
                     release_node_ref(new_leaf, camera, &guard);
+                    release_node_ref(new_sibling, camera, &guard);
                 }
                 self.after_update(&guard);
                 return true;
             } else {
                 // Our descriptor and subtree were never published; reclaim them
                 // immediately. Order matters in versioned mode: dropping `new_internal`
-                // releases the counted reference its cell held on `new_leaf` (back to the
-                // creator reference we free next) and on the still-live `s.l`.
+                // releases the counted references its cells held on the two leaves (back
+                // to the creator references we free next).
                 if let Mode::Versioned(camera) = &self.mode {
-                    camera.note_nodes_dropped(2);
+                    camera.note_nodes_dropped(3);
                 }
+                // SAFETY: the iflag CAS failed, so `op` and the three nodes were never
+                // reachable by another thread; this thread owns each and frees it once.
                 unsafe {
                     drop(op.into_owned());
                     drop(new_internal.into_owned());
                     drop(new_leaf.into_owned());
+                    drop(new_sibling.into_owned());
                 }
                 let cur = p_ref.update.load(Ordering::SeqCst, &guard);
                 self.help(cur, &guard);
@@ -488,13 +502,25 @@ impl Nbbst {
         self.cas_child(p, l, new_internal, guard);
         // iunflag: release the parent.
         let p_ref = unsafe { p.deref() };
-        let _ = p_ref.update.compare_exchange(
-            op.with_tag(IFLAG),
-            op.with_tag(CLEAN),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-            guard,
-        );
+        let unflagged = p_ref
+            .update
+            .compare_exchange(
+                op.with_tag(IFLAG),
+                op.with_tag(CLEAN),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+                guard,
+            )
+            .is_ok();
+        if unflagged && self.mode.reclaim_unlinked() {
+            // SAFETY: while `p` is flagged only this operation's child CAS can change its
+            // child, so once any helper's CAS attempt returned, `l` is unlinked for good
+            // (its copy took its place, and nothing re-links it). The unique winner of the
+            // iunflag retires it — after which no thread can newly read `op` as a pending
+            // insert, so every thread that may still compare against `l` is pinned.
+            // Versioned mode retires `l` through its counter instead.
+            unsafe { guard.defer_destroy(l) };
+        }
     }
 
     fn help_delete(&self, op: Shared<'_, Info>, guard: &Guard) -> bool {
@@ -559,22 +585,29 @@ impl Nbbst {
         let right = p_ref.child(1).load(guard);
         let other = if right == l { p_ref.child(0).load(guard) } else { right };
 
-        if self.cas_child(gp, p, other, guard) && self.mode.reclaim_unlinked() {
-            // The winner of the splice is the unique retirer of the two unlinked nodes.
+        self.cas_child(gp, p, other, guard);
+        // dunflag: release the grandparent.
+        let gp_ref = unsafe { gp.deref() };
+        let unflagged = gp_ref
+            .update
+            .compare_exchange(
+                op.with_tag(DFLAG),
+                op.with_tag(CLEAN),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+                guard,
+            )
+            .is_ok();
+        if unflagged && self.mode.reclaim_unlinked() {
+            // SAFETY: as in `help_insert` — once any helper's splice attempt returned,
+            // `p` and `l` are unlinked, and the unique winner of the dunflag retires them
+            // after which no thread can newly read `op` as a pending delete; threads that
+            // still reach them (through the tree, or `op` in an update word) are pinned.
             unsafe {
                 guard.defer_destroy(p);
                 guard.defer_destroy(l);
             }
         }
-        // dunflag: release the grandparent.
-        let gp_ref = unsafe { gp.deref() };
-        let _ = gp_ref.update.compare_exchange(
-            op.with_tag(DFLAG),
-            op.with_tag(CLEAN),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-            guard,
-        );
     }
 
     /// The paper's `CAS-Child(parent, old, new)`.
@@ -1477,6 +1510,39 @@ mod tests {
             assert_eq!(all, view.scan());
             let succ: Vec<_> = MapSnapshotView::successors_iter(&view, 10).take(4).collect();
             assert_eq!(succ, view.successors(10, 4));
+        }
+    }
+
+    /// A helper that replays an insert's child CAS after the inserted key was removed
+    /// must not re-link the removed subtree: the insert's new internal node holds a
+    /// *copy* of the old leaf (EFRB's `newSibling`), so the parent never points at the
+    /// old leaf again and the replayed `CAS-Child(p, l, new_internal)` fails.
+    #[test]
+    fn late_insert_helper_cannot_relink_a_removed_key() {
+        for tree in both_modes() {
+            for k in [10, 20, 30] {
+                assert!(tree.insert(k, k));
+            }
+            let len = tree.len();
+            // Held throughout, so the descriptor and every node it names stay allocated.
+            let guard = pin();
+            assert!(tree.insert(25, 25));
+            // The insert's descriptor stays, clean-tagged, in the update word of the
+            // parent whose child it replaced: the new leaf's grandparent.
+            let s = tree.search(25, &guard);
+            assert_eq!(s.gpupdate.tag(), CLEAN);
+            let op = s.gpupdate.with_tag(0);
+            // SAFETY: `guard` was pinned before the insert published `op`.
+            let info = unsafe { op.deref() };
+            assert_eq!(info.p, s.gp.into_data());
+            assert_eq!(info.new_internal, s.p.into_data());
+
+            assert!(tree.remove(25));
+            tree.help_insert(op, &guard);
+
+            assert!(!tree.contains(25), "{}: a late helper re-linked a removed key", tree.label);
+            assert_eq!(tree.len(), len, "{}", tree.label);
+            assert_eq!(tree.scan(), vec![(10, 10), (20, 20), (30, 30)], "{}", tree.label);
         }
     }
 

@@ -42,7 +42,9 @@ impl Node {
 
 /// SAFETY: `refs` is touched only by the version-reference protocol, and the list only
 /// republishes pointers obtained from current (head-version) reads under a guard — snapshot
-/// reads are never fed back into a CAS.
+/// reads are never fed back into a CAS. Such a pointer may be retired (counter at zero) by
+/// the time it is republished; the managed cell then refuses it, failing the CAS or the
+/// new node's cell construction, and the operation searches again.
 unsafe impl VersionReferenced for Node {
     fn version_refs(&self) -> &AtomicU64 {
         &self.refs
@@ -55,13 +57,16 @@ enum NextPtr {
 }
 
 impl NextPtr {
-    fn new(mode: &Mode, init: Shared<'_, Node>) -> NextPtr {
-        match mode {
+    /// A next cell pointing at `init`; `None` when `init` is a retired node (versioned
+    /// mode: its counter reached zero after the caller read it), which the caller must
+    /// treat as a stale read.
+    fn new(mode: &Mode, init: Shared<'_, Node>) -> Option<NextPtr> {
+        Some(match mode {
             Mode::Plain => NextPtr::Plain(Atomic::from_shared(init)),
             Mode::Versioned(camera) => {
-                NextPtr::Versioned(VersionedPtr::from_shared_managed(init, camera))
+                NextPtr::Versioned(VersionedPtr::from_shared_managed(init, camera)?)
             }
-        }
+        })
     }
 
     fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, Node> {
@@ -139,7 +144,7 @@ pub struct HarrisList {
 
 impl HarrisList {
     fn with_mode(mode: Mode, label: &'static str) -> HarrisList {
-        let head = Node::new(0, 0, NextPtr::new(&mode, Shared::null()));
+        let head = Node::new(0, 0, NextPtr::new(&mode, Shared::null()).expect("null is live"));
         if let Mode::Versioned(camera) = &mode {
             // The sentinel keeps its creator reference (it is never held by a version
             // node) and is freed directly by the destructor.
@@ -234,8 +239,9 @@ impl HarrisList {
             if !curr.is_null() && unsafe { curr.deref() }.key == key {
                 return false;
             }
-            let new = Owned::new(Node::new(key, value, NextPtr::new(&self.mode, curr)))
-                .into_shared(&guard);
+            // `curr` may have been unlinked and retired since `search` read it.
+            let Some(next) = NextPtr::new(&self.mode, curr) else { continue };
+            let new = Owned::new(Node::new(key, value, next)).into_shared(&guard);
             if let Mode::Versioned(camera) = &self.mode {
                 camera.note_nodes_created(1);
             }

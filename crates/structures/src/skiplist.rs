@@ -66,7 +66,9 @@ struct Node {
 
 /// SAFETY: `refs` is touched only by the version-reference protocol, and the list only
 /// republishes pointers obtained from current (head-version) reads under a guard —
-/// snapshot reads are never fed back into a CAS.
+/// snapshot reads are never fed back into a CAS. Such a pointer may be retired (counter at
+/// zero) by the time it is republished; the managed cell then refuses it, failing the CAS
+/// or the tower's cell construction, and the operation searches again.
 unsafe impl VersionReferenced for Node {
     fn version_refs(&self) -> &AtomicU64 {
         &self.refs
@@ -94,7 +96,10 @@ impl VcasSkipList {
     pub fn new_versioned(camera: &Arc<Camera>) -> VcasSkipList {
         let camera = camera.clone();
         let tower = (0..MAX_HEIGHT)
-            .map(|_| VersionedPtr::<Node>::from_shared_managed(Shared::null(), &camera))
+            .map(|_| {
+                VersionedPtr::<Node>::from_shared_managed(Shared::null(), &camera)
+                    .expect("null is live")
+            })
             .collect();
         let head = Node { key: 0, value: 0, tower, refs: AtomicU64::new(1) };
         // The head sentinel keeps its creator reference (no version node ever points at
@@ -211,9 +216,15 @@ impl VcasSkipList {
                 return false;
             }
             let height = self.random_height();
-            let tower = (0..height)
+            // A successor found by `find` may have been unlinked and retired since; then
+            // the tower cannot reference it (the cells built so far are dropped, releasing
+            // their references) and the search starts over.
+            let Some(tower) = (0..height)
                 .map(|lvl| VersionedPtr::from_shared_managed(succs[lvl], &self.camera))
-                .collect();
+                .collect()
+            else {
+                continue;
+            };
             let node =
                 Owned::new(Node { key, value, tower, refs: AtomicU64::new(1) }).into_shared(&guard);
             self.camera.note_nodes_created(1);
@@ -254,14 +265,17 @@ impl VcasSkipList {
                     return; // concurrently removed: stop linking
                 }
                 let succ = succs[lvl];
-                // Point our own cell at the current successor before splicing in.
-                if own != succ && !node_ref.tower[lvl].compare_exchange(own, succ, guard) {
-                    continue;
-                }
-                if unsafe { preds[lvl].deref() }.tower[lvl].compare_exchange(succ, node, guard) {
+                // Point our own cell at the current successor before splicing in, then
+                // splice. Either CAS fails when its cell moved, and also when it would
+                // reference a retired node (the successor, or our own node once it has
+                // been removed and its last version truncated).
+                let own_ok = own == succ || node_ref.tower[lvl].compare_exchange(own, succ, guard);
+                if own_ok
+                    && unsafe { preds[lvl].deref() }.tower[lvl].compare_exchange(succ, node, guard)
+                {
                     break;
                 }
-                // Predecessor moved (or got marked): re-locate and retry this level.
+                // Re-locate and retry this level.
                 if !self.find(key, preds, succs, guard) || succs[0] != node {
                     return; // removed (or replaced by a new node with our key)
                 }

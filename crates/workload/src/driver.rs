@@ -86,6 +86,19 @@ fn drain_ebr_settled() -> usize {
     vcas_ebr::drain()
 }
 
+/// A closed-loop worker's main loop: runs `op` until `stop` is raised. The flag is checked
+/// *after* each call, so every worker completes at least one operation — a timed window
+/// that closes before a worker is first scheduled (a short window on a loaded host) still
+/// measures work instead of reporting zero throughput.
+fn until_stopped(stop: &AtomicBool, mut op: impl FnMut()) {
+    loop {
+        op();
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+    }
+}
+
 /// Joins a worker, converting a worker panic into one that names the spec's seed so the
 /// failing run can be reproduced.
 fn join_worker<T>(handle: std::thread::JoinHandle<T>, spec: &WorkloadSpec) -> T {
@@ -112,7 +125,7 @@ pub fn run_mixed(map: Arc<dyn AtomicRangeMap>, spec: &WorkloadSpec) -> Throughpu
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(spec.seed + t as u64);
             let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            until_stopped(&stop, || {
                 let key = spec.skew.sample(&mut rng, key_range);
                 let dice = rng.gen_range(0..100u32);
                 if dice < spec.mix.insert {
@@ -126,7 +139,7 @@ pub fn run_mixed(map: Arc<dyn AtomicRangeMap>, spec: &WorkloadSpec) -> Throughpu
                     std::hint::black_box(map.contains(key));
                 }
                 ops += 1;
-            }
+            });
             total_ops.fetch_add(ops, Ordering::Relaxed);
         }));
     }
@@ -166,7 +179,7 @@ pub fn run_hashmap(
             let mut rng = StdRng::seed_from_u64(spec.seed + t as u64);
             let mut keys = vec![0 as Key; batch];
             let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            until_stopped(&stop, || {
                 let key = spec.skew.sample(&mut rng, key_range);
                 let dice = rng.gen_range(0..100u32);
                 if dice < spec.mix.insert {
@@ -183,7 +196,7 @@ pub fn run_hashmap(
                     std::hint::black_box(map.get(key));
                 }
                 ops += 1;
-            }
+            });
             total_ops.fetch_add(ops, Ordering::Relaxed);
         }));
     }
@@ -223,7 +236,7 @@ pub fn run_dedicated(
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            until_stopped(&stop, || {
                 let key = skew.sample(&mut rng, key_range);
                 if rng.gen_bool(0.5) {
                     map.insert(key, key);
@@ -231,7 +244,7 @@ pub fn run_dedicated(
                     map.remove(key);
                 }
                 ops += 1;
-            }
+            });
             update_ops.fetch_add(ops, Ordering::Relaxed);
         }));
     }
@@ -244,11 +257,11 @@ pub fn run_dedicated(
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            until_stopped(&stop, || {
                 let lo: Key = rng.gen_range(1..=key_range.saturating_sub(range_size).max(1));
                 std::hint::black_box(map.range(lo, lo + range_size));
                 ops += 1;
-            }
+            });
             rq_ops.fetch_add(ops, Ordering::Relaxed);
         }));
     }
@@ -331,7 +344,7 @@ pub fn run_composed(
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            until_stopped(&stop, || {
                 let key = skew.sample(&mut rng, key_range);
                 let target_tree = rng.gen_bool(0.5);
                 let insert = rng.gen_bool(0.5);
@@ -342,7 +355,7 @@ pub fn run_composed(
                     (false, false) => drop(map.remove(key)),
                 }
                 ops += 1;
-            }
+            });
             update_ops.fetch_add(ops, Ordering::Relaxed);
         }));
     }
@@ -356,7 +369,7 @@ pub fn run_composed(
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let (mut ops, mut snaps) = (0u64, 0u64);
-            while !stop.load(Ordering::Relaxed) {
+            until_stopped(&stop, || {
                 let anchor = rng.gen_range(1..=key_range);
                 let snap = group.snapshot();
                 let tree_view = snap.view_of(tree_idx);
@@ -379,7 +392,7 @@ pub fn run_composed(
                 }
                 ops += (scenario.queries_per_view + scenario.cross_per_snapshot) as u64;
                 snaps += 1;
-            }
+            });
             query_ops.fetch_add(ops, Ordering::Relaxed);
             snapshots.fetch_add(snaps, Ordering::Relaxed);
         }));
@@ -491,7 +504,7 @@ pub fn run_reclaim(spec: &WorkloadSpec, scenario: &ReclaimScenario) -> ReclaimRe
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            until_stopped(&stop, || {
                 let key = skew.sample(&mut rng, key_range);
                 if rng.gen_bool(0.5) {
                     tree.insert(key, key);
@@ -499,7 +512,7 @@ pub fn run_reclaim(spec: &WorkloadSpec, scenario: &ReclaimScenario) -> ReclaimRe
                     tree.remove(key);
                 }
                 ops += 1;
-            }
+            });
             total_ops.fetch_add(ops, Ordering::Relaxed);
         }));
     }
@@ -695,7 +708,7 @@ pub fn run_skiplist(spec: &WorkloadSpec, scenario: &SkipListScenario) -> SkipLis
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ops = 0u64;
             let (mut rqs, mut keys, mut scans) = (0u64, 0u64, 0u64);
-            while !stop.load(Ordering::Relaxed) {
+            until_stopped(&stop, || {
                 ops += 1;
                 if scenario.scan_every > 0 && ops % scenario.scan_every == 0 {
                     // Scan-while-update: a full streaming iteration over a fresh view,
@@ -711,7 +724,7 @@ pub fn run_skiplist(spec: &WorkloadSpec, scenario: &SkipListScenario) -> SkipLis
                         keys += 1;
                     }
                     scans += 1;
-                    continue;
+                    return;
                 }
                 let key = skew.sample(&mut rng, key_range);
                 let pct = rng.gen_range(0..100u32);
@@ -735,7 +748,7 @@ pub fn run_skiplist(spec: &WorkloadSpec, scenario: &SkipListScenario) -> SkipLis
                 } else {
                     let _ = list.get(key);
                 }
-            }
+            });
             total_ops.fetch_add(ops, Ordering::Relaxed);
             range_queries.fetch_add(rqs, Ordering::Relaxed);
             range_keys.fetch_add(keys, Ordering::Relaxed);
@@ -923,7 +936,7 @@ pub fn run_timetravel(spec: &WorkloadSpec, scenario: &TimeTravelScenario) -> Tim
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            until_stopped(&stop, || {
                 let key = skew.sample(&mut rng, key_range);
                 if rng.gen_bool(0.5) {
                     tree.insert(key, key);
@@ -931,7 +944,7 @@ pub fn run_timetravel(spec: &WorkloadSpec, scenario: &TimeTravelScenario) -> Tim
                     tree.remove(key);
                 }
                 ops += 1;
-            }
+            });
             total_ops.fetch_add(ops, Ordering::Relaxed);
         }));
     }

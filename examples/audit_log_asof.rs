@@ -38,7 +38,7 @@ fn main() {
     camera.register_collectible(&balances);
     camera.register_collectible(&tx_counts);
     camera.register_collectible(&register);
-    let _collector = ReclaimPolicy::Background { interval_ms: 2, budget: 512 }.install(&camera);
+    let collector = ReclaimPolicy::Background { interval_ms: 2, budget: 512 }.install(&camera);
 
     let mut group: StructureGroup = StructureGroup::new(camera.clone());
     let bal_idx = group.register(balances.clone() as Arc<dyn SnapshotSource>).unwrap();
@@ -130,6 +130,9 @@ fn main() {
     // sweep, the old instants are genuinely gone — as-of refuses rather than guesses.
     let day0_ts = first.timestamp();
     drop(day_anchors);
+    // Stop the background collector first: a pass it has in flight makes the sweep's
+    // passes skip (see `Camera::collect_to_quiescence`).
+    drop(collector);
     let guard = vcas_repro::ebr::pin();
     let sweep = camera.collect_to_quiescence(1 << 20, 64, &guard);
     assert!(sweep.completed_cycle, "reclamation must reach quiescence");
