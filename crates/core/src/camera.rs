@@ -447,8 +447,12 @@ impl Camera {
         self.reclaim.set_amortized(every_n_updates, budget);
     }
 
-    pub(crate) fn note_versions_created(&self, n: u64) {
-        self.reclaim.note_created(n);
+    pub(crate) fn note_initial_version(&self) {
+        self.reclaim.note_initial();
+    }
+
+    pub(crate) fn note_version_pushed(&self) {
+        self.reclaim.note_pushed();
     }
 
     pub(crate) fn note_versions_retired(&self, n: u64) {

@@ -230,6 +230,11 @@ struct Registry {
     /// most once per registry-sized run of slices).
     until_refresh: usize,
     next_id: u64,
+    /// The zero-debt gate: the [`ReclaimState::pushed`] count read before the last debt
+    /// refresh that measured zero debt on every member. While every cached debt is 0 and
+    /// the count still equals this, no version list can have grown, so slices are
+    /// skipped outright. `None` until such a refresh; `register` clears it.
+    quiet_at: Option<u64>,
 }
 
 impl Registry {
@@ -257,8 +262,13 @@ pub(crate) struct ReclaimState {
     /// Serializes collection passes (concurrent passes would just contend on the same
     /// per-cell truncation flags; one at a time keeps the amortized cost predictable).
     collecting: AtomicBool,
-    /// Version nodes ever created on this camera (initial versions + successful CASes).
-    created: AtomicU64,
+    /// Initial version nodes created on this camera (one per new cell).
+    initial: AtomicU64,
+    /// Versions pushed onto an existing list: successful CASes whose displaced head was
+    /// not elided. The only event that lengthens a version list, so the zero-debt gate in
+    /// [`ReclaimState::next_member`] watches it. `initial + pushed` is
+    /// [`Camera::versions_created`].
+    pushed: AtomicU64,
     /// Version nodes retired through truncation on this camera.
     retired: AtomicU64,
     /// Version nodes freed when their cell was destroyed (unlinked node reclaimed, failed
@@ -282,13 +292,19 @@ pub(crate) struct ReclaimState {
 impl ReclaimState {
     pub(crate) fn new() -> ReclaimState {
         ReclaimState {
-            registry: Mutex::new(Registry { entries: Vec::new(), until_refresh: 0, next_id: 0 }),
+            registry: Mutex::new(Registry {
+                entries: Vec::new(),
+                until_refresh: 0,
+                next_id: 0,
+                quiet_at: None,
+            }),
             cursor: AtomicUsize::new(0),
             ticks: AtomicU64::new(0),
             every_n: AtomicU64::new(0),
             budget: AtomicUsize::new(0),
             collecting: AtomicBool::new(false),
-            created: AtomicU64::new(0),
+            initial: AtomicU64::new(0),
+            pushed: AtomicU64::new(0),
             retired: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             elided: AtomicU64::new(0),
@@ -328,9 +344,25 @@ impl ReclaimState {
         self.nodes_dropped.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn note_created(&self, n: u64) {
+    pub(crate) fn note_initial(&self) {
         // ORDERING: diag-counter — as above.
-        self.created.fetch_add(n, Ordering::Relaxed);
+        self.initial.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one non-elided publication. Called after the publishing CAS, so the
+    /// `Release` increment carries the new version to any refresh whose `Acquire` read
+    /// of [`ReclaimState::pushed`] counts it (see `push-gate` in
+    /// `docs/memory_orderings.md`).
+    pub(crate) fn note_pushed(&self) {
+        // ORDERING: push-gate — `Release` after publication.
+        self.pushed.fetch_add(1, Ordering::Release);
+    }
+
+    /// The push count the zero-debt gate compares; `Acquire` pairs with
+    /// [`ReclaimState::note_pushed`].
+    fn pushed(&self) -> u64 {
+        // ORDERING: push-gate — `Acquire`, pairing with `note_pushed`.
+        self.pushed.load(Ordering::Acquire)
     }
 
     pub(crate) fn note_retired(&self, n: u64) {
@@ -345,7 +377,9 @@ impl ReclaimState {
 
     pub(crate) fn created(&self) -> u64 {
         // ORDERING: diag-counter — as above.
-        self.created.load(Ordering::Relaxed)
+        let initial = self.initial.load(Ordering::Relaxed);
+        // ORDERING: diag-counter — as above.
+        initial + self.pushed.load(Ordering::Relaxed)
     }
 
     pub(crate) fn retired(&self) -> u64 {
@@ -381,11 +415,12 @@ impl ReclaimState {
         registry.prune();
         let id = registry.next_id;
         registry.next_id += 1;
-        // A fresh structure has no debt yet; clearing the refresh throttle lets the next
-        // all-caches-dry slice re-measure immediately so the newcomer is weighed in.
-        // (Cached debts only ever decay — see `note_slice_result` — so the gate reopens.)
+        // A fresh structure has no debt yet; clearing the refresh throttle and the
+        // zero-debt gate lets the next all-caches-dry slice re-measure immediately so the
+        // newcomer is weighed in. (Cached debts only ever decay — see `note_slice_result`.)
         registry.entries.push(RegEntry { id, member, debt: 0 });
         registry.until_refresh = 0;
+        registry.quiet_at = None;
     }
 
     pub(crate) fn registered_count(&self) -> usize {
@@ -411,29 +446,46 @@ impl ReclaimState {
     /// turns. When every cache is dry, debts are refreshed from
     /// [`Collectible::version_stats`] — at most once per registry-sized run of slices,
     /// with plain round-robin serving the slices in between.
+    ///
+    /// Returns `None` — no walk, no slice — while the zero-debt gate is closed: the last
+    /// refresh measured zero debt everywhere and no version has been pushed since. Only a
+    /// push lengthens a version list (new cells start with one version), so a structure
+    /// measured at one version per cell stays there until the push count moves.
     fn next_member(&self, guard: &Guard) -> Option<(Arc<dyn Collectible>, u64)> {
+        // Read before any walk: a push counted here is visible to the walk below.
+        let pushed = self.pushed();
         // Decide whether a refresh is due under the lock, but run the `version_stats`
         // walks (O(cells) per structure) outside it: a refresh must not block
         // register()/members() — and with them a concurrently sweeping collector — for
         // a whole-registry scan. Passes are serialized by `collecting`, so no second
         // refresh can interleave.
-        let refresh_targets: Option<Vec<(u64, Weak<dyn Collectible>)>> = {
+        let (next_id, refresh_targets) = {
             let mut registry = self.registry.lock();
             registry.prune();
             if registry.entries.is_empty() {
                 return None;
             }
-            if registry.entries.iter().all(|e| e.debt == 0) {
+            let targets = if registry.entries.iter().all(|e| e.debt == 0) {
+                if registry.quiet_at == Some(pushed) {
+                    return None;
+                }
                 if registry.until_refresh == 0 {
                     registry.until_refresh = registry.entries.len();
-                    Some(registry.entries.iter().map(|e| (e.id, e.member.clone())).collect())
+                    Some(
+                        registry
+                            .entries
+                            .iter()
+                            .map(|e| (e.id, e.member.clone()))
+                            .collect::<Vec<_>>(),
+                    )
                 } else {
                     registry.until_refresh -= 1;
                     None
                 }
             } else {
                 None
-            }
+            };
+            (registry.next_id, targets)
         };
         if let Some(targets) = refresh_targets {
             let debts: Vec<(u64, u64)> = targets
@@ -450,6 +502,12 @@ impl ReclaimState {
                 if let Some(entry) = registry.entries.iter_mut().find(|e| e.id == id) {
                     entry.debt = debt;
                 }
+            }
+            // Close the gate only if nobody registered during the walk (an unmeasured
+            // newcomer must get its own refresh).
+            if registry.next_id == next_id && registry.entries.iter().all(|e| e.debt == 0) {
+                registry.quiet_at = Some(pushed);
+                return None;
             }
         }
         let registry = self.registry.lock();
@@ -726,6 +784,115 @@ mod tests {
             }
             stats
         }
+    }
+
+    /// Wraps [`Cells`] and counts the registry's calls into it: `version_stats` walks
+    /// and `collect_bounded` passes.
+    struct Counted {
+        cells: Cells,
+        walks: AtomicUsize,
+        passes: AtomicUsize,
+    }
+
+    impl Counted {
+        fn new(camera: &Arc<Camera>, n: usize) -> Counted {
+            Counted {
+                cells: Cells::new(camera, n),
+                walks: AtomicUsize::new(0),
+                passes: AtomicUsize::new(0),
+            }
+        }
+
+        fn walks(&self) -> usize {
+            self.walks.load(Ordering::SeqCst)
+        }
+
+        fn passes(&self) -> usize {
+            self.passes.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Collectible for Counted {
+        fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
+            self.passes.fetch_add(1, Ordering::SeqCst);
+            self.cells.collect_bounded(min_active, budget, guard)
+        }
+
+        fn version_stats(&self, guard: &Guard) -> VersionStats {
+            self.walks.fetch_add(1, Ordering::SeqCst);
+            self.cells.version_stats(guard)
+        }
+    }
+
+    /// A camera with `Amortized { every_n_updates: 1 }` installed and one registered
+    /// [`Counted`] member of `n` cells, nothing ever pushed.
+    fn quiet_camera(n: usize) -> (Arc<Camera>, Arc<Counted>) {
+        let camera = Camera::new();
+        let member = Arc::new(Counted::new(&camera, n));
+        camera.register_collectible(&member);
+        ReclaimPolicy::Amortized { every_n_updates: 1, budget: 64 }.install(&camera);
+        (camera, member)
+    }
+
+    /// With no version ever pushed, one refresh measures zero debt and closes the gate:
+    /// later slices neither re-walk the structure nor run a bounded pass over it.
+    #[test]
+    fn a_debt_free_structure_is_walked_at_most_once() {
+        let (camera, member) = quiet_camera(8);
+        let guard = pin();
+        for _ in 0..10_000 {
+            camera.reclaim_tick(&guard);
+        }
+        assert!(
+            member.walks() <= 1,
+            "{} version_stats walks over a quiet structure",
+            member.walks()
+        );
+        assert_eq!(member.passes(), 0, "bounded passes over a structure measured debt-free");
+    }
+
+    /// A push after a quiet refresh reopens the gate: the next slices re-measure, find
+    /// the debt and retire it.
+    #[test]
+    fn a_push_after_a_quiet_refresh_reopens_the_gate() {
+        let (camera, member) = quiet_camera(4);
+        let guard = pin();
+        for _ in 0..16 {
+            camera.reclaim_tick(&guard);
+        }
+        assert_eq!(member.walks(), 1, "the gate must be closed before the push");
+        let cell = &member.cells.cells[0];
+        let pinned = camera.pin_snapshot();
+        let cur = cell.read(&guard);
+        assert!(cell.compare_and_swap(cur, cur + 1, &guard));
+        assert_eq!(cell.version_count(&guard), 2, "the push must lengthen the list");
+        drop(pinned);
+        for _ in 0..16 {
+            camera.reclaim_tick(&guard);
+        }
+        assert!(camera.versions_retired() > 0, "the pushed debt was never retired");
+        let stats = member.cells.version_stats(&guard);
+        assert!(stats.max_versions_per_cell <= 2, "lists must be truncated, got {stats:?}");
+    }
+
+    /// Registering a member reopens the gate even though nothing was pushed: the
+    /// newcomer has never been measured.
+    #[test]
+    fn registering_a_member_reopens_the_gate() {
+        let (camera, first) = quiet_camera(4);
+        let guard = pin();
+        for _ in 0..16 {
+            camera.reclaim_tick(&guard);
+        }
+        assert_eq!(first.walks(), 1, "the gate must be closed before the registration");
+        let created = camera.versions_created();
+        let second = Arc::new(Counted::new(&camera, 4));
+        camera.register_collectible(&second);
+        for _ in 0..16 {
+            camera.reclaim_tick(&guard);
+        }
+        assert!(second.walks() >= 1, "the newcomer was never measured");
+        assert_eq!(camera.versions_created(), created + 4, "only initial versions were added");
     }
 
     #[test]

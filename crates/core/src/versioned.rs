@@ -150,7 +150,7 @@ impl<T: VersionValue> VersionedCas<T> {
         // Stamp the initial version immediately (constructor runs before any concurrent
         // access, so a plain store of the current timestamp is the paper's initTS).
         node.as_ref().ts.store(camera.current_timestamp(), Ordering::SeqCst);
-        camera.note_versions_created(1);
+        camera.note_initial_version();
         VersionedCas {
             head: Atomic::from_owned(node),
             camera: camera.clone(),
@@ -242,7 +242,7 @@ impl<T: VersionValue> VersionedCas<T> {
                 let new_ref = unsafe { new_node.deref() };
                 let new_ts = self.init_ts(new_ref);
                 if !self.elide_cas(new_node, new_ts, head, displaced_ts, guard) {
-                    self.camera.note_versions_created(1);
+                    self.camera.note_version_pushed();
                 }
                 true
             }

@@ -59,13 +59,6 @@ impl PtrCell {
             PtrCell::Versioned(v) => v.compare_exchange(current, new, guard),
         }
     }
-
-    fn all_versions<'g>(&self, guard: &'g Guard) -> Vec<Shared<'g, Node>> {
-        match self {
-            PtrCell::Plain(a) => vec![a.load(Ordering::SeqCst, guard)],
-            PtrCell::Versioned(v) => v.all_versions(guard),
-        }
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -90,6 +83,11 @@ impl Mode {
 pub struct MsQueue {
     head: PtrCell,
     tail: PtrCell,
+    /// The construction dummy. A node's `next` is set once, so every node ever enqueued
+    /// lies on one `next` chain from here; versioned mode never frees a dequeued node, so
+    /// `Drop` frees that whole chain. (Plain mode defers each dequeued dummy instead and
+    /// never reads this.)
+    first: Atomic<Node>,
     mode: Mode,
     label: &'static str,
 }
@@ -100,7 +98,13 @@ impl MsQueue {
         // The queue always contains a dummy node; head points at it, tail at the last node.
         let dummy = Owned::new(Node { value: 0, next: PtrCell::new(&mode, Shared::null()) })
             .into_shared(&guard);
-        MsQueue { head: PtrCell::new(&mode, dummy), tail: PtrCell::new(&mode, dummy), mode, label }
+        MsQueue {
+            head: PtrCell::new(&mode, dummy),
+            tail: PtrCell::new(&mode, dummy),
+            first: Atomic::from_shared(dummy),
+            mode,
+            label,
+        }
     }
 
     /// The original, unversioned queue.
@@ -271,26 +275,20 @@ impl MsQueue {
 impl Drop for MsQueue {
     fn drop(&mut self) {
         let guard = pin();
-        let mut visited = std::collections::HashSet::new();
-        let mut stack = Vec::new();
-        stack.extend(self.head.all_versions(&guard));
-        stack.extend(self.tail.all_versions(&guard));
-        while let Some(node) = stack.pop() {
-            if node.is_null() || !visited.insert(node.as_raw() as usize) {
-                continue;
-            }
-            // SAFETY: `&mut self` in `drop` means no concurrent access; every node
-            // reachable through some retained version is still allocated (the queue
-            // never frees a node while a version references it).
-            let n = unsafe { node.deref() };
-            stack.extend(n.next.all_versions(&guard));
-        }
-        // SAFETY: `visited` deduplicates by address, so each reachable node is freed
-        // exactly once, and exclusive access means no reader can hold any of them.
-        unsafe {
-            for raw in visited {
-                drop(Box::from_raw(raw as *mut Node));
-            }
+        // Versioned mode frees every node ever enqueued, from `first` (elision has
+        // unlinked the head versions naming dequeued dummies, so `head` no longer reaches
+        // them). Plain mode deferred each dequeued dummy; only the chain from `head` is left.
+        let mut curr = if self.mode.reclaim_unlinked() {
+            self.head.load(&guard)
+        } else {
+            self.first.load(Ordering::SeqCst, &guard)
+        };
+        while !curr.is_null() {
+            // SAFETY: `&mut self` in `drop` means no concurrent access; every node on the
+            // chain is still allocated (versioned mode frees nodes only here, plain mode
+            // only the dummies before `head`) and appears on it exactly once.
+            let node = unsafe { Box::from_raw(curr.as_raw()) };
+            curr = node.next.load(&guard);
         }
     }
 }
@@ -298,6 +296,42 @@ impl Drop for MsQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Values carrying this bit are counted by [`TAGGED_DROPS`] when their node is freed;
+    /// no other test enqueues them, so concurrent tests cannot disturb the count.
+    const TAG: u64 = 1 << 63;
+
+    thread_local! {
+        static TAGGED_DROPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Drop for Node {
+        fn drop(&mut self) {
+            if self.value & TAG != 0 {
+                TAGGED_DROPS.with(|n| n.set(n.get() + 1));
+            }
+        }
+    }
+
+    /// Versioned mode frees no node while the queue lives, so dropping the queue must free
+    /// every node ever enqueued, dequeued or not.
+    #[test]
+    fn versioned_drop_frees_every_node() {
+        let drops = || TAGGED_DROPS.with(|n| n.get());
+        let q = MsQueue::new_versioned_default();
+        for i in 0..100u64 {
+            q.enqueue(TAG | i);
+            if i % 3 == 0 {
+                q.camera().unwrap().take_snapshot();
+            }
+        }
+        for _ in 0..60 {
+            q.dequeue();
+        }
+        assert_eq!(drops(), 0, "versioned mode freed a node while the queue lived");
+        drop(q);
+        assert_eq!(drops(), 100, "every enqueued node is freed exactly once");
+    }
 
     fn both_modes() -> Vec<MsQueue> {
         vec![MsQueue::new_plain(), MsQueue::new_versioned_default()]
