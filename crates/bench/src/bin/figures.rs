@@ -1,62 +1,26 @@
 //! Regenerates the data series behind the paper's figures and tables.
 //!
-//! Usage:
-//!
-//! * `cargo run -p vcas-bench --release --bin figures -- <experiment> [more...]` where
-//!   `<experiment>` is `fig2a`..`fig2m`, `fig3`, `hashmap`, `table1`, `ablation`, or `all`.
-//! * `cargo run -p vcas-bench --release --bin figures -- --quick [--out PATH]` runs the
-//!   seconds-long single-threaded bench smoke and writes a JSON report (default
-//!   `BENCH_smoke.json`); this is what CI's `bench-smoke` job archives per PR.
+//! Usage: `cargo run -p vcas-bench --release --bin figures -- <experiment> [more...]`,
+//! where `<experiment>` is an id from `vcas_bench::EXPERIMENTS` or `all`. Every id is
+//! checked before the first experiment starts.
 
-use vcas_bench::{run_experiment, run_quick, ExperimentConfig, SmokeConfig};
+use vcas_bench::{experiment_ids, is_experiment, run_experiment, ExperimentConfig};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: figures <fig2a..fig2m|fig3|hashmap|table1|ablation|all> [more experiments...]\n\
-         \x20      figures --quick [--out BENCH_smoke.json]"
-    );
+    eprintln!("usage: figures <{}> [more experiments...]", experiment_ids());
     std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut experiments = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(path) => out = Some(std::path::PathBuf::from(path)),
-                None => {
-                    eprintln!("--out requires a path");
-                    usage();
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag '{flag}'");
-                usage();
-            }
-            exp => experiments.push(exp.to_string()),
-        }
+    let experiments: Vec<String> = std::env::args().skip(1).collect();
+    if experiments.is_empty() {
+        usage();
     }
-
-    if quick {
-        if !experiments.is_empty() {
-            eprintln!("--quick runs a fixed scenario set; drop {experiments:?}");
+    for id in &experiments {
+        if !is_experiment(id) {
+            eprintln!("unknown experiment '{id}'");
             usage();
         }
-        let out = out.unwrap_or_else(|| std::path::PathBuf::from("BENCH_smoke.json"));
-        if let Err(e) = run_quick(&SmokeConfig::default(), &out) {
-            eprintln!("bench smoke failed to write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-        return;
-    }
-    if out.is_some() {
-        eprintln!("--out only applies to --quick (experiments print TSV to stdout)");
-        usage();
     }
 
     let cfg = ExperimentConfig::default();
@@ -64,9 +28,6 @@ fn main() {
         "# config: duration={}ms small={} large={} threads={:?}",
         cfg.duration_ms, cfg.small_size, cfg.large_size, cfg.threads
     );
-    if experiments.is_empty() {
-        usage();
-    }
     for id in &experiments {
         run_experiment(id, &cfg);
     }

@@ -139,7 +139,7 @@ fn fig2i(cfg: &ExperimentConfig) {
     }
     // The balanced comparator (chromatic tree / VcasCT) is descoped in this reproduction;
     // contrast with a uniform-random insert-only run on the same structure instead, which
-    // shows what balance would buy (see EXPERIMENTS.md).
+    // shows what balance would buy (see docs/benchmarking.md).
     let map: Arc<dyn AtomicRangeMap> = Arc::new(Nbbst::new_versioned(&Camera::new()));
     let mut spec = WorkloadSpec::new(threads, keys, Mix { insert: 100, delete: 0, range: 0 });
     spec.duration_ms = cfg.duration_ms;
@@ -247,11 +247,11 @@ fn fig3(cfg: &ExperimentConfig) {
     println!();
 }
 
-/// Names of the hash-map contenders (shared with the bench smoke mode).
-pub(crate) const HASHMAP_CONTENDERS: [&str; 3] = ["VcasHashMap", "HashMap(plain)", "LockHashMap"];
+/// Names of the hash-map contenders.
+const HASHMAP_CONTENDERS: [&str; 3] = ["VcasHashMap", "HashMap(plain)", "LockHashMap"];
 
 /// Builds a fresh hash-map contender by name, sized to `buckets` buckets.
-pub(crate) fn fresh_hashmap(name: &str, buckets: usize) -> Arc<dyn SnapshotMap> {
+fn fresh_hashmap(name: &str, buckets: usize) -> Arc<dyn SnapshotMap> {
     match name {
         "VcasHashMap" => Arc::new(VcasHashMap::new_versioned(&Camera::new(), buckets)),
         "HashMap(plain)" => Arc::new(VcasHashMap::new_plain(buckets)),
@@ -261,9 +261,8 @@ pub(crate) fn fresh_hashmap(name: &str, buckets: usize) -> Arc<dyn SnapshotMap> 
 }
 
 /// Times `kind` against `map` for `window`, cycling the anchor through the 1-based key
-/// universe `[1, key_range]`; returns queries per second. Shared by the `hashmap`
-/// experiment and the bench smoke so the two report the same measurement.
-pub(crate) fn timed_query_qps(
+/// universe `[1, key_range]`; returns queries per second.
+fn timed_query_qps(
     map: &dyn SnapshotMap,
     kind: HashQueryKind,
     key_range: u64,
@@ -502,56 +501,62 @@ fn ablation(cfg: &ExperimentConfig) {
     println!();
 }
 
-/// Runs one experiment by id (`fig2a` … `fig3`, `table1`, `ablation`, or `all`).
+/// An experiment: its id and the function that runs it and prints its TSV rows.
+pub type Experiment = (&'static str, fn(&ExperimentConfig));
+
+/// Every experiment [`run_experiment`] dispatches, by id, in the order `all` runs them.
+/// The `figures` usage text is printed from this list too, so what it advertises is what
+/// runs. The paper's Fig. 2l has no counterpart here.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig2a", |cfg| {
+        scalability(cfg, "fig2a lookup-heavy small", cfg.small_size, Mix::lookup_heavy(), 0)
+    }),
+    ("fig2b", |cfg| {
+        scalability(cfg, "fig2b update-heavy small", cfg.small_size, Mix::update_heavy(), 0)
+    }),
+    ("fig2c", |cfg| {
+        let mix = Mix::update_heavy_with_rq();
+        scalability(cfg, "fig2c update-heavy+rq small", cfg.small_size, mix, 1024)
+    }),
+    ("fig2d", |cfg| {
+        scalability(cfg, "fig2d lookup-heavy large", cfg.large_size, Mix::lookup_heavy(), 0)
+    }),
+    ("fig2e", |cfg| {
+        scalability(cfg, "fig2e update-heavy large", cfg.large_size, Mix::update_heavy(), 0)
+    }),
+    ("fig2f", |cfg| {
+        let mix = Mix::update_heavy_with_rq();
+        scalability(cfg, "fig2f update-heavy+rq large", cfg.large_size, mix, 1024)
+    }),
+    ("fig2g", |cfg| rqsize_sweep(cfg, "fig2g", &["VcasBST", "DcBST", "LockBST"], true)),
+    ("fig2h", |cfg| rqsize_sweep(cfg, "fig2h", &["VcasBST", "DcBST", "LockBST"], false)),
+    ("fig2i", fig2i),
+    ("fig2j", |cfg| rqsize_sweep(cfg, "fig2j [C++ counterpart]", &["VcasBST", "DcBST"], true)),
+    ("fig2k", |cfg| rqsize_sweep(cfg, "fig2k [C++ counterpart]", &["VcasBST", "DcBST"], false)),
+    ("fig2m", fig2m),
+    ("fig3", fig3),
+    ("hashmap", hashmap_experiment),
+    ("table1", table1),
+    ("ablation", ablation),
+];
+
+/// The accepted experiment ids, `|`-separated: every id in [`EXPERIMENTS`], then `all`.
+pub fn experiment_ids() -> String {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).chain(["all"]).collect();
+    ids.join("|")
+}
+
+/// Whether `id` is an experiment id from [`EXPERIMENTS`] or `all`.
+pub fn is_experiment(id: &str) -> bool {
+    id == "all" || EXPERIMENTS.iter().any(|&(name, _)| name == id)
+}
+
+/// Runs one experiment by id, or every one for `all`. An id that fails [`is_experiment`]
+/// runs nothing.
 pub fn run_experiment(id: &str, cfg: &ExperimentConfig) {
-    match id {
-        "fig2a" => {
-            scalability(cfg, "fig2a lookup-heavy small", cfg.small_size, Mix::lookup_heavy(), 0)
-        }
-        "fig2b" => {
-            scalability(cfg, "fig2b update-heavy small", cfg.small_size, Mix::update_heavy(), 0)
-        }
-        "fig2c" => scalability(
-            cfg,
-            "fig2c update-heavy+rq small",
-            cfg.small_size,
-            Mix::update_heavy_with_rq(),
-            1024,
-        ),
-        "fig2d" => {
-            scalability(cfg, "fig2d lookup-heavy large", cfg.large_size, Mix::lookup_heavy(), 0)
-        }
-        "fig2e" => {
-            scalability(cfg, "fig2e update-heavy large", cfg.large_size, Mix::update_heavy(), 0)
-        }
-        "fig2f" => scalability(
-            cfg,
-            "fig2f update-heavy+rq large",
-            cfg.large_size,
-            Mix::update_heavy_with_rq(),
-            1024,
-        ),
-        "fig2g" => rqsize_sweep(cfg, "fig2g", &["VcasBST", "DcBST", "LockBST"], true),
-        "fig2h" => rqsize_sweep(cfg, "fig2h", &["VcasBST", "DcBST", "LockBST"], false),
-        "fig2i" => fig2i(cfg),
-        "fig2j" => rqsize_sweep(cfg, "fig2j [C++ counterpart]", &["VcasBST", "DcBST"], true),
-        "fig2k" => rqsize_sweep(cfg, "fig2k [C++ counterpart]", &["VcasBST", "DcBST"], false),
-        "fig2m" => fig2m(cfg),
-        "fig3" => fig3(cfg),
-        "hashmap" => hashmap_experiment(cfg),
-        "table1" => table1(cfg),
-        "ablation" => ablation(cfg),
-        "all" => {
-            for id in [
-                "fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig2f", "fig2g", "fig2h", "fig2i",
-                "fig2j", "fig2k", "fig2m", "fig3", "hashmap", "table1", "ablation",
-            ] {
-                run_experiment(id, cfg);
-            }
-        }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            std::process::exit(2);
+    for &(name, run) in EXPERIMENTS {
+        if id == "all" || id == name {
+            run(cfg);
         }
     }
 }
@@ -566,6 +571,18 @@ mod tests {
         assert!(cfg.duration_ms > 0);
         assert!(cfg.small_size < cfg.large_size);
         assert!(!cfg.threads.is_empty());
+    }
+
+    #[test]
+    fn experiment_ids_are_unique_and_listed() {
+        let ids: std::collections::HashSet<_> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids.len(), EXPERIMENTS.len(), "duplicate experiment id");
+        assert!(!ids.contains("all"), "`all` is not an experiment of its own");
+        let usage = experiment_ids();
+        let listed: Vec<&str> = usage.split('|').collect();
+        assert_eq!(listed.len(), EXPERIMENTS.len() + 1);
+        assert!(listed.iter().all(|id| is_experiment(id)));
+        assert!(!is_experiment("fig2l"));
     }
 
     #[test]

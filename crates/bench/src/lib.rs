@@ -1,26 +1,18 @@
-//! # vcas-bench — benchmark harness regenerating the paper's tables and figures
+//! # vcas-bench — the paper's figure and table experiments
 //!
-//! Three entry points:
-//!
-//! * `cargo run -p vcas-bench --release --bin figures -- <experiment>` — regenerates the data
-//!   series behind every figure and table of the paper's evaluation (§7), plus the
-//!   `hashmap` scenario added by this reproduction. `<experiment>` is one of
-//!   `fig2a`–`fig2m`, `fig3`, `fig2i`, `hashmap`, `table1`, `ablation`, or `all`. Output is
-//!   TSV on stdout; EXPERIMENTS.md records a reference run and compares it with the paper.
-//! * `cargo run -p vcas-bench --release --bin figures -- --quick [--out BENCH_smoke.json]`
-//!   — the seconds-long, single-threaded smoke pass ([`smoke`]) CI runs on every PR,
-//!   archiving `BENCH_smoke.json` as the per-PR perf trajectory (see
-//!   `docs/benchmarking.md`).
-//! * `cargo bench -p vcas-bench` — Criterion micro-benchmarks backing the constant-time /
-//!   proportional-time claims of §3 (`benches/micro.rs`), the §5 indirection ablation and
-//!   the hash-map versioning ablation (`benches/ablation.rs`), and per-structure operation
-//!   costs (`benches/structures.rs`).
+//! `cargo run -p vcas-bench --release --bin figures -- <experiment>` regenerates the data
+//! series behind the figures and tables of the paper's evaluation (§7), plus the `hashmap`
+//! scenario added by this reproduction. `<experiment>` is an id from [`EXPERIMENTS`]
+//! (`fig2a`–`fig2k`, `fig2m`, `fig3`, `hashmap`, `table1`, `ablation`) or `all`. Output is
+//! TSV on stdout. These are the multi-thread and plain-vs-versioned runs; the repository
+//! benchmark with an oracle and regression bounds is `perfbench/` (see
+//! `docs/benchmarking.md`, which maps every measurement to where it lives).
 //!
 //! Environment variables understood by the `figures` binary (all optional):
 //!
 //! * `VCAS_BENCH_MS` — timed window per data point in milliseconds (default 200).
-//! * `VCAS_BENCH_SMALL` — "100K-key" structure size (default 20 000 on this container).
-//! * `VCAS_BENCH_LARGE` — "100M-key" structure size (default 200 000 on this container).
+//! * `VCAS_BENCH_SMALL` — "100K-key" structure size (default 20 000).
+//! * `VCAS_BENCH_LARGE` — "100M-key" structure size (default 200 000).
 //! * `VCAS_BENCH_THREADS` — comma-separated thread counts for the scalability figures
 //!   (default `1,2,4,8`).
 
@@ -30,7 +22,7 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod experiments;
-pub mod smoke;
 
-pub use experiments::{run_experiment, ExperimentConfig};
-pub use smoke::{run_quick, shuffled_keys, SmokeConfig, SmokeRow};
+pub use experiments::{
+    experiment_ids, is_experiment, run_experiment, ExperimentConfig, EXPERIMENTS,
+};

@@ -1204,6 +1204,33 @@ mod tests {
     }
 
     #[test]
+    fn single_thread_update_heavy_run_elides_on_every_versioned_structure() {
+        use vcas_core::Camera;
+        use vcas_structures::{HarrisList, VcasSkipList};
+        let (bst, list, skip) = (Camera::new(), Camera::new(), Camera::new());
+        let runs: [(&str, Arc<dyn AtomicRangeMap>, &Arc<Camera>); 3] = [
+            ("VcasBST", Arc::new(Nbbst::new_versioned(&bst)), &bst),
+            ("VcasList", Arc::new(HarrisList::new_versioned(&list)), &list),
+            ("VcasSkipList", Arc::new(VcasSkipList::new_versioned(&skip)), &skip),
+        ];
+        for (name, map, camera) in runs {
+            let mut spec = WorkloadSpec::new(1, 2_000, Mix::update_heavy());
+            spec.duration_ms = 60;
+            run_mixed(map, &spec);
+            // One thread and no snapshots: the whole window runs at one timestamp, so
+            // same-timestamp displacement is the common case. Gate contention, the only
+            // legitimate reason to skip elision, needs a second thread.
+            if camera.elision_enabled() {
+                assert!(
+                    camera.versions_elided() > 0,
+                    "{name}: elision rate is zero over an update-heavy window (seed={:#x})",
+                    spec.seed
+                );
+            }
+        }
+    }
+
+    #[test]
     fn dedicated_run_reports_both_sides() {
         let mut spec = WorkloadSpec::new(2, 200, Mix::update_heavy());
         spec.duration_ms = 50;
@@ -1339,6 +1366,18 @@ mod tests {
             assert!(
                 r.live_versions_after_quiescence >= r.live_nodes_after_quiescence / 2,
                 "{policy:?}: implausible live accounting: {r:?}"
+            );
+            // The tree never outgrows its key universe, so the leaf-oriented tree holds at
+            // most 2·key_range + 3 nodes: more live nodes would mean truncation leaked data
+            // nodes. (`run_reclaim` checks the exact count against the surviving tree;
+            // this is the key-universe ceiling.)
+            let node_ceiling = 2 * spec.key_range() + 3;
+            assert!(
+                r.live_nodes_after_quiescence <= node_ceiling,
+                "{policy:?}: live nodes unbounded after quiescence: {} > {node_ceiling} \
+                 (seed={:#x})",
+                r.live_nodes_after_quiescence,
+                spec.seed
             );
         }
     }

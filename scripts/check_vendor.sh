@@ -12,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SHIMS=(rand parking_lot criterion proptest)
+SHIMS=(rand parking_lot proptest)
 
 echo "==> vendored shims build standalone"
 scratch="$(mktemp -d)"
