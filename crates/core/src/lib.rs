@@ -89,8 +89,10 @@ pub use group::{CameraAttached, CameraGroup, GroupRegisterError, GroupSnapshot};
 pub use reclaim::{CollectStats, Collectible, Collector, ReclaimPolicy, VersionStats};
 pub use retention::{Anchor, RetentionError, RetentionPolicy, Timestamp};
 pub use snapshot::{PinnedSnapshot, SnapshotHandle};
-pub use versioned::VersionedCas;
-pub use versioned_ptr::{release_node_ref, VersionReferenced, VersionedPtr};
+pub use versioned::{ValueHook, VersionedCas};
+pub use versioned_ptr::{
+    acquire_node_ref, release_node_ref, Managed, ManagedPtr, VersionReferenced, VersionedPtr,
+};
 pub use vnode::VersionValue;
 
 /// The placeholder timestamp stored in a freshly created version node before `initTS` stamps

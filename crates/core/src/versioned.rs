@@ -1,5 +1,6 @@
 //! The versioned CAS object (paper §3.1, Algorithm 1).
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::sync::{AtomicBool, Ordering};
@@ -35,21 +36,23 @@ use crate::TBD;
 /// `T` must implement [`VersionValue`]: values are small words (integers, packed pointers)
 /// stored in non-generic, poolable nodes. For versioned *pointers* to data-structure nodes
 /// use the typed wrapper [`crate::VersionedPtr`].
-pub struct VersionedCas<T: VersionValue> {
+pub struct VersionedCas<T: VersionValue, H: ValueHook<T> = ()> {
     head: Atomic<VNode>,
     camera: Arc<Camera>,
     /// Serializes version-list restructuring: truncation cuts, dead same-timestamp
     /// unlinks, and the elision unlink (never touched by reads or by the publication CAS).
     truncating: AtomicBool,
-    /// Optional value lifecycle hook: invoked once per version node holding a value
-    /// (acquire at creation, release at destruction). This is how
-    /// [`crate::VersionedPtr::from_shared_managed`] threads data-node reference counting
-    /// through the version list — see [`ValueHook`].
-    hook: Option<ValueHook<T>>,
+    /// The value lifecycle hook, a type only: invoked once per version node holding a
+    /// value (acquire at creation, release at destruction). This is how managed pointer
+    /// cells ([`crate::Managed`]) thread data-node reference counting through the version
+    /// list — see [`ValueHook`].
+    _hook: PhantomData<fn(T) -> H>,
 }
 
-/// Per-value lifecycle callbacks attached to a versioned CAS object (monomorphized plain
-/// function pointers, so a hooked cell costs two words over an unhooked one).
+/// Per-value lifecycle callbacks of a versioned CAS object, chosen at compile time: the
+/// hook is the cell's second type parameter, so it occupies no space in the cell (a
+/// hooked cell is the same three words as an unhooked one) and its calls are static, not
+/// through function pointers. `()` is the no-op hook of unmanaged cells.
 ///
 /// The contract: `acquire(v)` is called once for every version node about to be created
 /// with value `v` (before the node is published). It may *refuse* by returning `false` —
@@ -60,21 +63,34 @@ pub struct VersionedCas<T: VersionValue> {
 /// failed publication, or by the cell's destructor. Releases triggered by truncation or
 /// elision run under the calling thread's guard, so a release that frees memory must defer
 /// through the guard (epoch-based reclamation), never free immediately.
-#[derive(Clone, Copy)]
-pub(crate) struct ValueHook<T> {
+pub trait ValueHook<T>: 'static {
+    /// `false` only for a hook whose callbacks do nothing; the cell's destructor then
+    /// skips pinning the guard it would release values under.
+    const ACTIVE: bool = true;
     /// Called when a version node holding the value is about to be created
     /// (pre-publication); `false` refuses the value.
-    pub(crate) acquire: fn(T) -> bool,
+    fn acquire(value: T) -> bool;
     /// Called when a version node holding the value is destroyed.
-    pub(crate) release: fn(T, &Arc<Camera>, &Guard),
+    fn release(value: T, camera: &Arc<Camera>, guard: &Guard);
+}
+
+/// The no-op hook of unmanaged cells: accepts every value, releases nothing.
+impl<T> ValueHook<T> for () {
+    const ACTIVE: bool = false;
+    #[inline]
+    fn acquire(_: T) -> bool {
+        true
+    }
+    #[inline]
+    fn release(_: T, _: &Arc<Camera>, _: &Guard) {}
 }
 
 // SAFETY: the cell owns its version list; all shared access goes through atomics and
 // epoch guards, so it may move between threads (`VersionValue` requires `Send + Sync`).
-unsafe impl<T: VersionValue> Send for VersionedCas<T> {}
+unsafe impl<T: VersionValue, H: ValueHook<T>> Send for VersionedCas<T, H> {}
 // SAFETY: reads, CASes, truncation and elision are all safe for concurrent callers (list
-// restructuring is self-serializing via `truncating`); `&VersionedCas<T>` is shareable.
-unsafe impl<T: VersionValue> Sync for VersionedCas<T> {}
+// restructuring is self-serializing via `truncating`); `&VersionedCas<T, H>` is shareable.
+unsafe impl<T: VersionValue, H: ValueHook<T>> Sync for VersionedCas<T, H> {}
 
 /// Success ordering of the publication CAS in [`VersionedCas::compare_and_swap`].
 ///
@@ -136,16 +152,19 @@ fn elide_match(new_ts: u64, displaced_ts: u64) -> bool {
 impl<T: VersionValue> VersionedCas<T> {
     /// Creates a versioned CAS object holding `initial`, associated with `camera`.
     pub fn new(initial: T, camera: &Arc<Camera>) -> Self {
-        Self::build(initial, camera, None)
+        Self::build(initial, camera)
+    }
+}
+
+impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
+    /// Creates a versioned CAS object whose values go through the hook `H` (see
+    /// [`ValueHook`]). `H::acquire` is invoked for `initial` first; `None` when it refuses
+    /// the value.
+    pub(crate) fn with_hook(initial: T, camera: &Arc<Camera>) -> Option<Self> {
+        H::acquire(initial).then(|| Self::build(initial, camera))
     }
 
-    /// Creates a versioned CAS object with a value lifecycle hook (see [`ValueHook`]).
-    /// `hook.acquire` is invoked for `initial` first; `None` when it refuses the value.
-    pub(crate) fn with_hook(initial: T, camera: &Arc<Camera>, hook: ValueHook<T>) -> Option<Self> {
-        (hook.acquire)(initial).then(|| Self::build(initial, camera, Some(hook)))
-    }
-
-    fn build(initial: T, camera: &Arc<Camera>, hook: Option<ValueHook<T>>) -> Self {
+    fn build(initial: T, camera: &Arc<Camera>) -> Self {
         let node = vpool::alloc(VNode::initial(initial.into_word()));
         // Stamp the initial version immediately (constructor runs before any concurrent
         // access, so a plain store of the current timestamp is the paper's initTS).
@@ -155,15 +174,7 @@ impl<T: VersionValue> VersionedCas<T> {
             head: Atomic::from_owned(node),
             camera: camera.clone(),
             truncating: AtomicBool::new(false),
-            hook,
-        }
-    }
-
-    /// Invokes the release hook (if any) for a value whose version node is being destroyed.
-    #[inline]
-    fn release_value(&self, val: T, guard: &Guard) {
-        if let Some(h) = self.hook {
-            (h.release)(val, &self.camera, guard);
+            _hook: PhantomData,
         }
     }
 
@@ -224,10 +235,8 @@ impl<T: VersionValue> VersionedCas<T> {
         // Acquire before the node can become visible, so a concurrent truncation that
         // destroys the (published) node always finds the reference already counted. A
         // refused value fails the vCAS before anything was allocated or published.
-        if let Some(h) = self.hook {
-            if !(h.acquire)(new) {
-                return false;
-            }
+        if !H::acquire(new) {
+            return false;
         }
         let new_node = vpool::alloc(VNode::new(new.into_word(), head)).into_shared(guard);
         match self.head.compare_exchange(
@@ -250,7 +259,7 @@ impl<T: VersionValue> VersionedCas<T> {
                 // SAFETY: the CAS failed, so the node was never published and this thread
                 // still owns it exclusively; recycle immediately (Algorithm 1 line 50).
                 unsafe { vpool::recycle(err.new.as_raw()) };
-                self.release_value(new, guard);
+                H::release(new, &self.camera, guard);
                 // Help the vCAS that beat us stamp its node before we report failure.
                 let current = self.head.load(Ordering::SeqCst, guard);
                 // SAFETY: the head pointer is never null and `guard` pins the epoch.
@@ -331,7 +340,7 @@ impl<T: VersionValue> VersionedCas<T> {
         if elide {
             // SAFETY: as above — unlinked under the gate, epoch-protected.
             let displaced_ref = unsafe { displaced.deref() };
-            self.release_value(T::from_word(displaced_ref.word), guard);
+            H::release(T::from_word(displaced_ref.word), &self.camera, guard);
             let raw = displaced.as_raw();
             // SAFETY: the node was unlinked while we held the gate, so it is retired
             // exactly once; deferring through the guard returns it to the pool only
@@ -491,7 +500,7 @@ impl<T: VersionValue> VersionedCas<T> {
                     // SAFETY: the detached suffix stays epoch-protected under `guard`.
                     while let Some(n) = unsafe { cur.as_ref() } {
                         let after = n.nextv.load(Ordering::SeqCst, guard);
-                        self.release_value(T::from_word(n.word), guard);
+                        H::release(T::from_word(n.word), &self.camera, guard);
                         let raw = cur.as_raw();
                         // SAFETY: the suffix was detached above, so no new reader can reach
                         // `cur`; each suffix node is retired exactly once, and the deferred
@@ -513,7 +522,7 @@ impl<T: VersionValue> VersionedCas<T> {
                 // too), so unlink it in place and keep examining `node`'s new successor.
                 let after = older.nextv.load(Ordering::SeqCst, guard);
                 node.nextv.store(after, Ordering::SeqCst);
-                self.release_value(T::from_word(older.word), guard);
+                H::release(T::from_word(older.word), &self.camera, guard);
                 let raw = next.as_raw();
                 // SAFETY: `older` was just unlinked and restructuring is serialized, so it
                 // is retired exactly once; in-flight readers are epoch-protected, and the
@@ -532,7 +541,7 @@ impl<T: VersionValue> VersionedCas<T> {
     }
 }
 
-impl<T: VersionValue> Drop for VersionedCas<T> {
+impl<T: VersionValue, H: ValueHook<T>> Drop for VersionedCas<T, H> {
     fn drop(&mut self) {
         // Exclusive access: walk the version list and recycle every node. The freed
         // versions count toward the camera's dropped total — without this, every cell
@@ -544,7 +553,7 @@ impl<T: VersionValue> Drop for VersionedCas<T> {
         // references it was keeping, retiring any child node whose count hits zero. The
         // releases defer through a fresh guard (this destructor may itself be running as
         // deferred work; guards nest).
-        let guard = if self.hook.is_some() { Some(vcas_ebr::pin()) } else { None };
+        let guard = H::ACTIVE.then(vcas_ebr::pin);
         let mut freed = 0u64;
         // SAFETY: `&mut self` in `drop` means no concurrent access; the list is walked and
         // recycled exactly once.
@@ -556,8 +565,8 @@ impl<T: VersionValue> Drop for VersionedCas<T> {
                 let node = cur.deref();
                 // ORDERING: drop-exclusive — see the load above.
                 let next = node.nextv.load_unprotected(Ordering::Relaxed);
-                if let (Some(h), Some(g)) = (&self.hook, &guard) {
-                    (h.release)(T::from_word(node.word), &self.camera, g);
+                if let Some(g) = &guard {
+                    H::release(T::from_word(node.word), &self.camera, g);
                 }
                 vpool::recycle(cur.as_raw());
                 freed += 1;
@@ -570,7 +579,7 @@ impl<T: VersionValue> Drop for VersionedCas<T> {
     }
 }
 
-impl<T: VersionValue + std::fmt::Debug> std::fmt::Debug for VersionedCas<T> {
+impl<T: VersionValue + std::fmt::Debug, H: ValueHook<T>> std::fmt::Debug for VersionedCas<T, H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let guard = vcas_ebr::pin();
         f.debug_struct("VersionedCas")

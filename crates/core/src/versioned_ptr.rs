@@ -29,7 +29,8 @@ use crate::versioned::{ValueHook, VersionedCas};
 /// * nodes are allocated with the counter at **1** (the creator reference);
 /// * every version node created with a (tag-stripped, non-null) pointer to the node adds a
 ///   reference before publication and drops it when the version node is destroyed
-///   (managed cells — [`VersionedPtr::from_shared_managed`] — do this automatically);
+///   (managed cells — [`ManagedPtr`], or a structure's own [`ValueHook`] — do this
+///   automatically);
 /// * after *successfully publishing* a new node, the creating thread drops the creator
 ///   reference with [`release_node_ref`]; on a failed publication it still owns the node
 ///   and frees it directly, exactly as an unversioned structure would.
@@ -44,8 +45,9 @@ use crate::versioned::{ValueHook, VersionedCas};
 /// for the guard's lifetime, but that version can be displaced and then truncated or
 /// elided before the thread republishes the pointer, dropping the node's last reference.
 /// A managed cell therefore never increments a zero counter: the reference a new version
-/// would take is refused, and the vCAS ([`VersionedPtr::compare_exchange`]) or cell
-/// construction ([`VersionedPtr::from_shared_managed`]) that wanted it fails. Callers
+/// would take is refused ([`acquire_node_ref`]), and the vCAS
+/// ([`VersionedPtr::compare_exchange`]) or cell construction
+/// ([`ManagedPtr::from_shared_managed`]) that wanted it fails. Callers
 /// treat that failure like any lost CAS — the pointer they read is stale — and search
 /// again. So the node is retired exactly once and never re-linked after retirement.
 ///
@@ -77,22 +79,21 @@ pub fn release_node_ref<N: VersionReferenced>(
         fence(Ordering::Acquire);
         camera.note_nodes_retired(1);
         // SAFETY: the counter hit zero: no retained version references the node, and a
-        // zero counter is never incremented again (`acquire_word` refuses it), so no
+        // zero counter is never incremented again (`acquire_node_ref` refuses it), so no
         // thread can republish the node and it is retired exactly once.
         unsafe { guard.defer_destroy(node) };
     }
 }
 
-/// `ValueHook::acquire` for a managed pointer cell: counts the new version's reference,
+/// Takes one version-held reference to `node` for a version node about to be created,
 /// refusing (`false`) a node whose counter already reached zero — it is retired, and
-/// reviving it would retire it a second time (see [`VersionReferenced`]). Null needs no
-/// reference.
-fn acquire_word<N: VersionReferenced>(word: usize) -> bool {
-    // SAFETY: `word` came from a `Shared` the caller's guard protects.
-    let shared = unsafe { Shared::<'_, N>::from_data(word) }.with_tag(0);
+/// reviving it would retire it a second time (see [`VersionReferenced`]). Tag bits are
+/// stripped; null needs no reference. This is the acquire step of a managed cell's
+/// [`ValueHook`]; the caller must hold the guard that protects `node`.
+pub fn acquire_node_ref<N: VersionReferenced>(node: Shared<'_, N>) -> bool {
     // SAFETY: the hook runs pre-publication under the caller's guard, so the target is
     // still allocated even if its counter has reached zero (retirement defers the free).
-    let Some(n) = (unsafe { shared.as_ref() }) else { return true };
+    let Some(n) = (unsafe { node.with_tag(0).as_ref() }) else { return true };
     let refs = n.version_refs();
     // ORDERING: refcount-acquire — increment-if-nonzero; see the ledger row.
     let mut cur = refs.load(Ordering::Relaxed);
@@ -106,25 +107,44 @@ fn acquire_word<N: VersionReferenced>(word: usize) -> bool {
     false
 }
 
-/// `ValueHook::release` for a managed pointer cell: drops the destroyed version's
-/// reference, retiring the node when it was the last.
-fn release_word<N: VersionReferenced>(word: usize, camera: &Arc<Camera>, guard: &Guard) {
-    // SAFETY: the version node being destroyed held a counted reference, so the word still
-    // denotes a live (epoch-protected) node or null.
-    release_node_ref(unsafe { Shared::<'_, N>::from_data(word) }, camera, guard);
+/// The value hook of a managed pointer cell ([`ManagedPtr`]): every retained version
+/// holds one counted reference to the `N` its pointer word targets (see
+/// [`VersionReferenced`]). A structure whose cells point at more than one node type
+/// supplies its own hook that dispatches to [`acquire_node_ref`] / [`release_node_ref`]
+/// with the right type.
+pub struct Managed<N>(PhantomData<fn() -> N>);
+
+impl<N: VersionReferenced> ValueHook<usize> for Managed<N> {
+    #[inline]
+    fn acquire(word: usize) -> bool {
+        // SAFETY: `word` came from a `Shared<N>` the caller's guard protects.
+        acquire_node_ref(unsafe { Shared::<'_, N>::from_data(word) })
+    }
+
+    #[inline]
+    fn release(word: usize, camera: &Arc<Camera>, guard: &Guard) {
+        // SAFETY: the version node being destroyed held a counted reference, so the word
+        // still denotes a live (epoch-protected) node or null.
+        release_node_ref(unsafe { Shared::<'_, N>::from_data(word) }, camera, guard);
+    }
 }
 
-/// A versioned CAS object holding a (possibly tagged, possibly null) pointer to `N`.
-pub struct VersionedPtr<N> {
-    inner: VersionedCas<usize>,
+/// A versioned pointer cell with data-node reference counting (see [`Managed`]).
+pub type ManagedPtr<N> = VersionedPtr<N, Managed<N>>;
+
+/// A versioned CAS object holding a (possibly tagged, possibly null) pointer to `N`. The
+/// hook `H` ([`ValueHook`]) sees every version's pointer word: `()` for an unmanaged
+/// cell, [`Managed`] for a reference-counted one. Either way the cell is three words.
+pub struct VersionedPtr<N, H: ValueHook<usize> = ()> {
+    inner: VersionedCas<usize, H>,
     _marker: PhantomData<*mut N>,
 }
 
 // SAFETY: the `PhantomData<*mut N>` only tracks variance; the cell itself is an atomic
 // word (see `VersionedCas`), safe to move across threads when `N: Send + Sync`.
-unsafe impl<N: Send + Sync> Send for VersionedPtr<N> {}
+unsafe impl<N: Send + Sync, H: ValueHook<usize>> Send for VersionedPtr<N, H> {}
 // SAFETY: shared access goes through the inner `VersionedCas`, which is `Sync`.
-unsafe impl<N: Send + Sync> Sync for VersionedPtr<N> {}
+unsafe impl<N: Send + Sync, H: ValueHook<usize>> Sync for VersionedPtr<N, H> {}
 
 impl<N: 'static> VersionedPtr<N> {
     /// Creates a versioned pointer initialized to null.
@@ -143,7 +163,9 @@ impl<N: 'static> VersionedPtr<N> {
     pub fn from_shared(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Self {
         VersionedPtr { inner: VersionedCas::new(initial.into_data(), camera), _marker: PhantomData }
     }
+}
 
+impl<N: VersionReferenced> ManagedPtr<N> {
     /// Like [`VersionedPtr::from_shared`], but with data-node reference counting: every
     /// retained version of this cell holds one counted reference to the node it points at
     /// (see [`VersionReferenced`]), acquired before the version is published and released
@@ -154,12 +176,16 @@ impl<N: 'static> VersionedPtr<N> {
     /// Returns `None` when `initial`'s counter has already reached zero: the node is
     /// retired and must not be referenced again, so the caller's read is stale and it
     /// must search again. A null or freshly allocated (unpublished) `initial` never fails.
-    pub fn from_shared_managed(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Option<Self>
-    where
-        N: VersionReferenced,
-    {
-        let hook = ValueHook { acquire: acquire_word::<N>, release: release_word::<N> };
-        let inner = VersionedCas::with_hook(initial.into_data(), camera, hook)?;
+    pub fn from_shared_managed(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Option<Self> {
+        Self::with_hook(initial, camera)
+    }
+}
+
+impl<N: 'static, H: ValueHook<usize>> VersionedPtr<N, H> {
+    /// Creates a cell holding `initial` whose versions go through the hook `H`;
+    /// `None` when `H::acquire` refuses `initial` (see [`ValueHook`]).
+    pub fn with_hook(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Option<Self> {
+        let inner = VersionedCas::with_hook(initial.into_data(), camera)?;
         Some(VersionedPtr { inner, _marker: PhantomData })
     }
 
@@ -192,8 +218,8 @@ impl<N: 'static> VersionedPtr<N> {
     }
 
     /// `vCAS`: atomically replaces `current` with `new` if the object still holds `current`.
-    /// A managed cell ([`VersionedPtr::from_shared_managed`]) also fails, changing nothing,
-    /// when `new` is a retired node (counter at zero; see [`VersionReferenced`]).
+    /// A managed cell ([`ManagedPtr`]) also fails, changing nothing, when `new` is a
+    /// retired node (counter at zero; see [`VersionReferenced`]).
     pub fn compare_exchange(
         &self,
         current: Shared<'_, N>,
@@ -231,7 +257,7 @@ impl<N: 'static> VersionedPtr<N> {
     }
 }
 
-impl<N: 'static> std::fmt::Debug for VersionedPtr<N> {
+impl<N: 'static, H: ValueHook<usize>> std::fmt::Debug for VersionedPtr<N, H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let guard = vcas_ebr::pin();
         f.debug_struct("VersionedPtr")
@@ -340,6 +366,15 @@ mod tests {
         // Dropping the cell releases the last reference to `b`.
         drop(p);
         assert_eq!(cam.nodes_retired(), 2);
+    }
+
+    /// The hook is a type, not a field: a managed cell is head, camera and gate — three
+    /// words, the same as an unmanaged one.
+    #[test]
+    fn managed_cell_is_three_words() {
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<ManagedPtr<Counted>>(), 3 * word);
+        assert_eq!(std::mem::size_of::<VersionedPtr<u64>>(), 3 * word);
     }
 
     #[test]

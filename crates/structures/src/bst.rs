@@ -17,14 +17,20 @@
 //! property (§4) that makes the set's abstract state a function of the child pointers and
 //! therefore snapshot-able by versioning only those pointers (the `update` words stay
 //! unversioned — the paper's first optimization in §5).
+//!
+//! As in EFRB, leaves and internal nodes are separate types: a `Leaf` is a key and a value
+//! (24 bytes), an `Internal` a routing key, the `update` word and two child cells. A child
+//! pointer word marks a leaf in its low tag bit (`LEAF`), so a traversal knows a node's
+//! type before touching it.
 
+use std::ops::Deref;
 use std::sync::Arc;
 use vcas_core::sync::{AtomicU64, Ordering};
 
 use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
 use vcas_core::{
-    release_node_ref, Camera, CameraAttached, PinnedSnapshot, RetentionError, SnapshotHandle,
-    VersionReferenced, VersionedPtr,
+    acquire_node_ref, release_node_ref, Camera, CameraAttached, PinnedSnapshot, RetentionError,
+    SnapshotHandle, ValueHook, VersionReferenced, VersionedPtr,
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
@@ -45,6 +51,10 @@ const IFLAG: usize = 1;
 const DFLAG: usize = 2;
 const MARK: usize = 3;
 
+/// Tag bit of a child pointer word that points at a [`Leaf`] (an untagged word points at
+/// an [`Internal`]). Nodes are 8-aligned, so the bit is free.
+const LEAF: usize = 1;
+
 /// Operation descriptor used for helping (the paper's `Info` records).
 #[repr(align(8))]
 struct Info {
@@ -52,7 +62,7 @@ struct Info {
     gp: usize,
     /// Parent of the leaf being inserted at / removed.
     p: usize,
-    /// The leaf found by the search.
+    /// The leaf found by the search (a [`NodePtr`] word, leaf-tagged).
     l: usize,
     /// The replacement internal node (inserts only).
     new_internal: usize,
@@ -60,19 +70,48 @@ struct Info {
     pupdate: usize,
 }
 
-/// Tree node. Leaves have `children == None`.
-struct Node {
-    key: Key,
-    value: Value,
-    children: Option<[ChildPtr; 2]>,
-    update: Atomic<Info>,
+/// The prefix both node types start with. Both are `#[repr(C)]` with `Head` first, so a
+/// pointer to either node is a valid pointer to its `Head`: the version-reference counter
+/// sits at the same offset in both, and a traversal reads the key without knowing the type.
+#[repr(C)]
+struct Head {
     /// Version-held reference count (versioned mode): one reference per retained version
     /// pointing at this node, plus the creator reference until publication. Unused (and
-    /// left at 1) in plain mode. The `update` word is deliberately *not* owned by this
-    /// protocol: descriptors are shared between update words (a delete's `Info` sits in
-    /// both the grandparent and the marked parent) and are retired when an update word
-    /// replaces them — a retiring node must never free its descriptor.
+    /// left at 1) in plain mode. An internal node's `update` word is deliberately *not*
+    /// owned by this protocol: descriptors are shared between update words (a delete's
+    /// `Info` sits in both the grandparent and the marked parent) and are retired when an
+    /// update word replaces them — a retiring node must never free its descriptor.
     refs: AtomicU64,
+    key: Key,
+}
+
+/// A leaf: one key (a user key or a sentinel) and its value.
+#[repr(C)]
+struct Leaf {
+    head: Head,
+    value: Value,
+}
+
+/// An internal node: a routing key, the EFRB `update` word and the two child cells.
+#[repr(C)]
+struct Internal {
+    head: Head,
+    update: Atomic<Info>,
+    children: [ChildPtr; 2],
+}
+
+impl Deref for Leaf {
+    type Target = Head;
+    fn deref(&self) -> &Head {
+        &self.head
+    }
+}
+
+impl Deref for Internal {
+    type Target = Head;
+    fn deref(&self) -> &Head {
+        &self.head
+    }
 }
 
 /// SAFETY: `refs` is touched only by the version-reference protocol, and the tree only
@@ -80,89 +119,185 @@ struct Node {
 /// snapshot reads are never fed back into a CAS. Such a pointer may be retired (counter at
 /// zero) by the time it is republished; the managed cell then refuses it and the CAS
 /// fails. New nodes' cells only ever point at fresh, unpublished nodes.
-unsafe impl VersionReferenced for Node {
+unsafe impl VersionReferenced for Leaf {
     fn version_refs(&self) -> &AtomicU64 {
-        &self.refs
+        &self.head.refs
     }
 }
 
-impl Node {
-    fn leaf(key: Key, value: Value) -> Node {
-        Node { key, value, children: None, update: Atomic::null(), refs: AtomicU64::new(1) }
+/// SAFETY: as for [`Leaf`]: `refs` belongs to the version-reference protocol alone, and
+/// only head-version reads are republished.
+unsafe impl VersionReferenced for Internal {
+    fn version_refs(&self) -> &AtomicU64 {
+        &self.head.refs
     }
+}
 
-    fn internal(key: Key, left: ChildPtr, right: ChildPtr) -> Node {
-        Node {
-            key,
-            value: 0,
-            children: Some([left, right]),
+impl Leaf {
+    fn new(key: Key, value: Value) -> Leaf {
+        Leaf { head: Head { refs: AtomicU64::new(1), key }, value }
+    }
+}
+
+impl Internal {
+    fn new(key: Key, left: ChildPtr, right: ChildPtr) -> Internal {
+        Internal {
+            head: Head { refs: AtomicU64::new(1), key },
             update: Atomic::null(),
-            refs: AtomicU64::new(1),
+            children: [left, right],
         }
     }
 
-    fn is_leaf(&self) -> bool {
-        self.children.is_none()
+    fn child(&self, dir: usize) -> &ChildPtr {
+        &self.children[dir]
+    }
+}
+
+/// A child pointer word: an [`Internal`], or a [`Leaf`] when tagged [`LEAF`]. Equality
+/// compares the whole word; a node's tag never changes, so that is pointer equality.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct NodePtr<'g>(Shared<'g, Head>);
+
+/// A dereferenced [`NodePtr`], by node type.
+enum NodeRef<'g> {
+    Leaf(&'g Leaf),
+    Internal(&'g Internal),
+}
+
+impl<'g> NodePtr<'g> {
+    fn from_leaf(leaf: Shared<'g, Leaf>) -> NodePtr<'g> {
+        // SAFETY: a `Leaf` starts with its `Head` (`#[repr(C)]`), so the untagged word is a
+        // valid `Head` pointer with the same alignment; the guard lifetime carries over.
+        NodePtr(unsafe { Shared::from_data(leaf.with_tag(0).into_data()) }.with_tag(LEAF))
     }
 
-    fn child(&self, dir: usize) -> &ChildPtr {
-        &self.children.as_ref().expect("child() on a leaf")[dir]
+    fn from_internal(node: Shared<'g, Internal>) -> NodePtr<'g> {
+        // SAFETY: as in `from_leaf`, for an `Internal`; the word stays untagged.
+        NodePtr(unsafe { Shared::from_data(node.with_tag(0).into_data()) })
+    }
+
+    /// Rebuilds a pointer from a descriptor word.
+    ///
+    /// # Safety
+    /// `word` must come from [`NodePtr::into_data`], and the node it names (if any) must be
+    /// protected by the guard of `'g`.
+    unsafe fn from_data(word: usize) -> NodePtr<'g> {
+        NodePtr(Shared::from_data(word))
+    }
+
+    fn into_data(self) -> usize {
+        self.0.into_data()
+    }
+
+    fn is_leaf(self) -> bool {
+        self.0.tag() & LEAF != 0
+    }
+
+    /// The typed leaf pointer (meaningful only when [`NodePtr::is_leaf`]).
+    fn leaf(self) -> Shared<'g, Leaf> {
+        // SAFETY: the untagged word is the address the leaf was allocated at (`from_leaf`).
+        unsafe { Shared::from_data(self.0.with_tag(0).into_data()) }
+    }
+
+    /// The typed internal-node pointer (meaningful only when not [`NodePtr::is_leaf`]).
+    fn internal(self) -> Shared<'g, Internal> {
+        // SAFETY: an untagged word is the address the internal node was allocated at.
+        unsafe { Shared::from_data(self.0.into_data()) }
+    }
+
+    /// Dereferences the node as its own type, chosen by the leaf tag.
+    ///
+    /// # Safety
+    /// The pointer must be non-null and loaded under the guard of `'g` — from a child cell,
+    /// the root, or a descriptor that guard protects — so the node is not yet freed.
+    unsafe fn get(self) -> NodeRef<'g> {
+        if self.is_leaf() {
+            NodeRef::Leaf(self.leaf().deref())
+        } else {
+            NodeRef::Internal(self.internal().deref())
+        }
+    }
+
+    /// The key of either node type.
+    ///
+    /// # Safety
+    /// As for [`NodePtr::get`].
+    unsafe fn key(self) -> Key {
+        self.0.deref().key
+    }
+}
+
+/// The value hook of the tree's versioned child cells: version-held reference counting
+/// ([`VersionReferenced`]) over both node types. The leaf tag of the full pointer word
+/// picks the type, so a node whose last reference goes is retired — and later freed — with
+/// its own layout.
+struct ChildRefs;
+
+impl ValueHook<usize> for ChildRefs {
+    #[inline]
+    fn acquire(word: usize) -> bool {
+        // SAFETY: every value of a child cell is a `NodePtr` word, acquired under the
+        // caller's guard.
+        let node = unsafe { NodePtr::from_data(word) };
+        if node.is_leaf() {
+            acquire_node_ref(node.leaf())
+        } else {
+            acquire_node_ref(node.internal())
+        }
+    }
+
+    #[inline]
+    fn release(word: usize, camera: &Arc<Camera>, guard: &Guard) {
+        // SAFETY: the version node being destroyed held a counted reference, so the word
+        // still names a live node, which `guard` protects.
+        let node = unsafe { NodePtr::from_data(word) };
+        if node.is_leaf() {
+            release_node_ref(node.leaf(), camera, guard);
+        } else {
+            release_node_ref(node.internal(), camera, guard);
+        }
     }
 }
 
 /// A child pointer in either plain-CAS or versioned-CAS mode.
 enum ChildPtr {
-    Plain(Atomic<Node>),
-    Versioned(VersionedPtr<Node>),
+    Plain(Atomic<Head>),
+    Versioned(VersionedPtr<Head, ChildRefs>),
 }
 
 impl ChildPtr {
     /// A child cell pointing at `init`, which must be a freshly allocated, unpublished
     /// node (so its reference counter is still the creator's 1, never zero).
-    fn new(mode: &Mode, init: Shared<'_, Node>) -> ChildPtr {
+    fn new(mode: &Mode, init: NodePtr<'_>) -> ChildPtr {
         match mode {
-            Mode::Plain => ChildPtr::Plain(Atomic::from_shared(init)),
+            Mode::Plain => ChildPtr::Plain(Atomic::from_shared(init.0)),
             Mode::Versioned(camera) => ChildPtr::Versioned(
-                VersionedPtr::from_shared_managed(init, camera)
+                VersionedPtr::with_hook(init.0, camera)
                     .expect("a fresh node holds its creator reference"),
             ),
         }
     }
 
-    fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, Node> {
-        match self {
+    fn load<'g>(&self, guard: &'g Guard) -> NodePtr<'g> {
+        NodePtr(match self {
             ChildPtr::Plain(a) => a.load(Ordering::SeqCst, guard),
             ChildPtr::Versioned(v) => v.load(guard),
-        }
+        })
     }
 
-    fn load_view<'g>(&self, view: View, guard: &'g Guard) -> Shared<'g, Node> {
+    fn load_view<'g>(&self, view: View, guard: &'g Guard) -> NodePtr<'g> {
         match (self, view) {
-            (ChildPtr::Versioned(v), View::Snapshot(h)) => v.load_snapshot(h, guard),
+            (ChildPtr::Versioned(v), View::Snapshot(h)) => NodePtr(v.load_snapshot(h, guard)),
             _ => self.load(guard),
         }
     }
 
-    fn compare_exchange(
-        &self,
-        current: Shared<'_, Node>,
-        new: Shared<'_, Node>,
-        guard: &Guard,
-    ) -> bool {
+    fn compare_exchange(&self, current: NodePtr<'_>, new: NodePtr<'_>, guard: &Guard) -> bool {
         match self {
-            ChildPtr::Plain(a) => {
-                a.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst, guard).is_ok()
-            }
-            ChildPtr::Versioned(v) => v.compare_exchange(current, new, guard),
-        }
-    }
-
-    /// Every node pointer retained by this child (one entry in plain mode, the whole version
-    /// list in versioned mode). Used by the destructor.
-    fn all_versions<'g>(&self, guard: &'g Guard) -> Vec<Shared<'g, Node>> {
-        match self {
-            ChildPtr::Plain(a) => vec![a.load(Ordering::SeqCst, guard)],
-            ChildPtr::Versioned(v) => v.all_versions(guard),
+            ChildPtr::Plain(a) => a
+                .compare_exchange(current.0, new.0, Ordering::SeqCst, Ordering::SeqCst, guard)
+                .is_ok(),
+            ChildPtr::Versioned(v) => v.compare_exchange(current.0, new.0, guard),
         }
     }
 
@@ -197,7 +332,7 @@ impl Mode {
 
 /// The non-blocking binary search tree (see module docs).
 pub struct Nbbst {
-    root: Atomic<Node>,
+    root: Atomic<Internal>,
     mode: Mode,
     updates: AtomicU64,
     /// Resume key for incremental version-list collection ([`Collectible`]): subtrees whose
@@ -209,10 +344,13 @@ pub struct Nbbst {
 impl Nbbst {
     fn with_mode(mode: Mode, label: &'static str) -> Nbbst {
         let guard = pin();
-        let left_leaf = Owned::new(Node::leaf(INF1, 0)).into_shared(&guard);
-        let right_leaf = Owned::new(Node::leaf(INF2, 0)).into_shared(&guard);
-        let root =
-            Node::internal(INF2, ChildPtr::new(&mode, left_leaf), ChildPtr::new(&mode, right_leaf));
+        let left_leaf = Owned::new(Leaf::new(INF1, 0)).into_shared(&guard);
+        let right_leaf = Owned::new(Leaf::new(INF2, 0)).into_shared(&guard);
+        let root = Internal::new(
+            INF2,
+            ChildPtr::new(&mode, NodePtr::from_leaf(left_leaf)),
+            ChildPtr::new(&mode, NodePtr::from_leaf(right_leaf)),
+        );
         if let Mode::Versioned(camera) = &mode {
             camera.note_nodes_created(3);
             // The dummy leaves are published (the root's child cells hold counted
@@ -278,6 +416,11 @@ impl Nbbst {
         }
     }
 
+    /// The root, as a child pointer word (it is never a leaf and never null).
+    fn root<'g>(&self, guard: &'g Guard) -> NodePtr<'g> {
+        NodePtr::from_internal(self.root.load(Ordering::SeqCst, guard))
+    }
+
     // ----- search ---------------------------------------------------------------------
 
     #[inline]
@@ -288,22 +431,19 @@ impl Nbbst {
     /// The paper's `Search(k)`: walks from the root to a leaf, remembering the last two
     /// internal nodes and their update words.
     fn search<'g>(&self, key: Key, guard: &'g Guard) -> SearchResult<'g> {
-        let root = self.root.load(Ordering::SeqCst, guard);
         let mut gp = Shared::null();
         let mut gpupdate = Shared::null();
         let mut p = Shared::null();
         let mut pupdate = Shared::null();
-        let mut l = root;
-        loop {
-            let l_ref = unsafe { l.deref() };
-            if l_ref.is_leaf() {
-                break;
-            }
+        let mut l = self.root(guard);
+        // SAFETY: every pointer on the walk was loaded under `guard` from the root or a
+        // child cell (never null: the root has two children and so does every internal).
+        while let NodeRef::Internal(n) = unsafe { l.get() } {
             gp = p;
             gpupdate = pupdate;
-            p = l;
-            pupdate = l_ref.update.load(Ordering::SeqCst, guard);
-            l = l_ref.child(Self::dir_for(key, l_ref.key)).load(guard);
+            p = l.internal();
+            pupdate = n.update.load(Ordering::SeqCst, guard);
+            l = n.child(Self::dir_for(key, n.key)).load(guard);
         }
         SearchResult { gp, p, gpupdate, pupdate, l }
     }
@@ -318,7 +458,8 @@ impl Nbbst {
         loop {
             crate::backoff(&mut attempts);
             let s = self.search(key, &guard);
-            let l_ref = unsafe { s.l.deref() };
+            // SAFETY: the search ends at a leaf it loaded under `guard`.
+            let l_ref = unsafe { s.l.leaf().deref() };
             if l_ref.key == key {
                 return false;
             }
@@ -326,6 +467,8 @@ impl Nbbst {
                 self.help(s.pupdate, &guard);
                 continue;
             }
+            // SAFETY: a search that reached a leaf passed the root, so `p` is a non-null
+            // internal node loaded under `guard`.
             let p_ref = unsafe { s.p.deref() };
 
             // Build the replacement subtree: a new leaf for `key`, and an internal node
@@ -333,14 +476,14 @@ impl Nbbst {
             // `newSibling`. Reusing `l` itself would let the parent's child return to `l`
             // after a later remove of `key`, and a late helper's `CAS-Child(p, l,
             // new_internal)` would then re-link this (by then removed and retired) subtree.
-            let new_leaf = Owned::new(Node::leaf(key, value)).into_shared(&guard);
-            let new_sibling = Owned::new(Node::leaf(l_ref.key, l_ref.value)).into_shared(&guard);
+            let new_leaf = Owned::new(Leaf::new(key, value)).into_shared(&guard);
+            let new_sibling = Owned::new(Leaf::new(l_ref.key, l_ref.value)).into_shared(&guard);
             let (lc, rc) =
                 if key < l_ref.key { (new_leaf, new_sibling) } else { (new_sibling, new_leaf) };
-            let new_internal = Owned::new(Node::internal(
+            let new_internal = Owned::new(Internal::new(
                 key.max(l_ref.key),
-                ChildPtr::new(&self.mode, lc),
-                ChildPtr::new(&self.mode, rc),
+                ChildPtr::new(&self.mode, NodePtr::from_leaf(lc)),
+                ChildPtr::new(&self.mode, NodePtr::from_leaf(rc)),
             ))
             .into_shared(&guard);
             if let Mode::Versioned(camera) = &self.mode {
@@ -371,6 +514,9 @@ impl Nbbst {
                 // The previous (clean, completed) descriptor is no longer reachable from
                 // this node; we won the CAS, so we are the unique thread retiring it.
                 if !s.pupdate.is_null() {
+                    // SAFETY: the iflag CAS replaced the descriptor, so new readers cannot
+                    // reach it through `p`; a clean descriptor sits in no other update word,
+                    // and only the CAS winner retires it, exactly once.
                     unsafe { guard.defer_destroy(s.pupdate.with_tag(0)) };
                 }
                 self.help_insert(op, &guard);
@@ -393,7 +539,8 @@ impl Nbbst {
                     camera.note_nodes_dropped(3);
                 }
                 // SAFETY: the iflag CAS failed, so `op` and the three nodes were never
-                // reachable by another thread; this thread owns each and frees it once.
+                // reachable by another thread; this thread owns each and frees it once,
+                // each with its own type.
                 unsafe {
                     drop(op.into_owned());
                     drop(new_internal.into_owned());
@@ -413,7 +560,8 @@ impl Nbbst {
         loop {
             crate::backoff(&mut attempts);
             let s = self.search(key, &guard);
-            let l_ref = unsafe { s.l.deref() };
+            // SAFETY: the search ends at a leaf it loaded under `guard`.
+            let l_ref = unsafe { s.l.leaf().deref() };
             if l_ref.key != key {
                 return false;
             }
@@ -425,6 +573,9 @@ impl Nbbst {
                 self.help(s.pupdate, &guard);
                 continue;
             }
+            // SAFETY: a user key's leaf sits at depth >= 2 (the root's left child is an
+            // internal node once any key exists), so `gp` is a non-null internal node
+            // loaded under `guard`.
             let gp_ref = unsafe { s.gp.deref() };
 
             let op = Owned::new(Info {
@@ -449,6 +600,8 @@ impl Nbbst {
                 .is_ok()
             {
                 if !s.gpupdate.is_null() {
+                    // SAFETY: as for the iflag CAS in `insert`: the winner of the dflag CAS
+                    // is the unique thread retiring the clean descriptor it replaced.
                     unsafe { guard.defer_destroy(s.gpupdate.with_tag(0)) };
                 }
                 if self.help_delete(op, &guard) {
@@ -456,6 +609,8 @@ impl Nbbst {
                     return true;
                 }
             } else {
+                // SAFETY: the dflag CAS failed, so `op` was never published; this thread
+                // owns it and frees it once.
                 unsafe { drop(op.into_owned()) };
                 let cur = gp_ref.update.load(Ordering::SeqCst, &guard);
                 self.help(cur, &guard);
@@ -471,13 +626,13 @@ impl Nbbst {
     /// Returns the value associated with `key`, if present.
     pub fn get(&self, key: Key) -> Option<Value> {
         let guard = pin();
-        let mut node = self.root.load(Ordering::SeqCst, &guard);
+        let mut node = self.root(&guard);
         loop {
-            let n = unsafe { node.deref() };
-            if n.is_leaf() {
-                return (n.key == key).then_some(n.value);
+            // SAFETY: loaded under `guard` from the root or a child cell; never null.
+            match unsafe { node.get() } {
+                NodeRef::Leaf(leaf) => return (leaf.key == key).then_some(leaf.value),
+                NodeRef::Internal(n) => node = n.child(Self::dir_for(key, n.key)).load(&guard),
             }
-            node = n.child(Self::dir_for(key, n.key)).load(&guard);
         }
     }
 
@@ -495,12 +650,21 @@ impl Nbbst {
     }
 
     fn help_insert(&self, op: Shared<'_, Info>, guard: &Guard) {
+        // SAFETY: `op` was read from an update word (or created by us) under `guard`, and
+        // descriptors are retired only through EBR, so it is still allocated.
         let info = unsafe { op.deref() };
-        let p: Shared<'_, Node> = unsafe { Shared::from_data(info.p) };
-        let l: Shared<'_, Node> = unsafe { Shared::from_data(info.l) };
-        let new_internal: Shared<'_, Node> = unsafe { Shared::from_data(info.new_internal) };
+        // SAFETY: the descriptor's words were packed from pointers of these types; the
+        // nodes they name are protected by `guard` as long as `op` is.
+        let (p, l, new_internal) = unsafe {
+            (
+                Shared::<'_, Internal>::from_data(info.p),
+                NodePtr::from_data(info.l),
+                NodePtr::from_data(info.new_internal),
+            )
+        };
         self.cas_child(p, l, new_internal, guard);
         // iunflag: release the parent.
+        // SAFETY: `p` is the non-null parent named by the descriptor, protected as above.
         let p_ref = unsafe { p.deref() };
         let unflagged = p_ref
             .update
@@ -519,15 +683,22 @@ impl Nbbst {
             // iunflag retires it — after which no thread can newly read `op` as a pending
             // insert, so every thread that may still compare against `l` is pinned.
             // Versioned mode retires `l` through its counter instead.
-            unsafe { guard.defer_destroy(l) };
+            unsafe { guard.defer_destroy(l.leaf()) };
         }
     }
 
     fn help_delete(&self, op: Shared<'_, Info>, guard: &Guard) -> bool {
+        // SAFETY: as in `help_insert`: `op` and the nodes it names are protected by `guard`.
         let info = unsafe { op.deref() };
-        let p: Shared<'_, Node> = unsafe { Shared::from_data(info.p) };
-        let pupdate: Shared<'_, Info> = unsafe { Shared::from_data(info.pupdate) };
-        let gp: Shared<'_, Node> = unsafe { Shared::from_data(info.gp) };
+        // SAFETY: the descriptor's words were packed from pointers of these types.
+        let (p, pupdate, gp) = unsafe {
+            (
+                Shared::<'_, Internal>::from_data(info.p),
+                Shared::<'_, Info>::from_data(info.pupdate),
+                Shared::<'_, Internal>::from_data(info.gp),
+            )
+        };
+        // SAFETY: a delete descriptor names a non-null parent, protected as above.
         let p_ref = unsafe { p.deref() };
 
         // mark CAS on the parent.
@@ -542,6 +713,8 @@ impl Nbbst {
             Ok(_) => {
                 // We installed the mark, replacing `pupdate`; retire the old descriptor.
                 if !pupdate.is_null() {
+                    // SAFETY: the mark CAS replaced `pupdate` in the parent's update word,
+                    // its only home; the CAS winner retires it exactly once.
                     unsafe { guard.defer_destroy(pupdate.with_tag(0)) };
                 }
                 self.help_marked(op, guard);
@@ -560,6 +733,8 @@ impl Nbbst {
                 } else {
                     // Someone else got in the way: help them, then back out of the dflag.
                     self.help(err.current, guard);
+                    // SAFETY: a delete descriptor names a non-null grandparent, protected
+                    // by `guard` as above.
                     let gp_ref = unsafe { gp.deref() };
                     let _ = gp_ref.update.compare_exchange(
                         op.with_tag(DFLAG),
@@ -575,18 +750,26 @@ impl Nbbst {
     }
 
     fn help_marked(&self, op: Shared<'_, Info>, guard: &Guard) {
+        // SAFETY: as in `help_insert`: `op` and the nodes it names are protected by `guard`.
         let info = unsafe { op.deref() };
-        let gp: Shared<'_, Node> = unsafe { Shared::from_data(info.gp) };
-        let p: Shared<'_, Node> = unsafe { Shared::from_data(info.p) };
-        let l: Shared<'_, Node> = unsafe { Shared::from_data(info.l) };
+        // SAFETY: the descriptor's words were packed from pointers of these types.
+        let (gp, p, l) = unsafe {
+            (
+                Shared::<'_, Internal>::from_data(info.gp),
+                Shared::<'_, Internal>::from_data(info.p),
+                NodePtr::from_data(info.l),
+            )
+        };
+        // SAFETY: a delete descriptor names a non-null parent, protected as above.
         let p_ref = unsafe { p.deref() };
 
         // The sibling of the removed leaf replaces the parent.
         let right = p_ref.child(1).load(guard);
         let other = if right == l { p_ref.child(0).load(guard) } else { right };
 
-        self.cas_child(gp, p, other, guard);
+        self.cas_child(gp, NodePtr::from_internal(p), other, guard);
         // dunflag: release the grandparent.
+        // SAFETY: a delete descriptor names a non-null grandparent, protected as above.
         let gp_ref = unsafe { gp.deref() };
         let unflagged = gp_ref
             .update
@@ -605,7 +788,7 @@ impl Nbbst {
             // still reach them (through the tree, or `op` in an update word) are pinned.
             unsafe {
                 guard.defer_destroy(p);
-                guard.defer_destroy(l);
+                guard.defer_destroy(l.leaf());
             }
         }
     }
@@ -613,14 +796,15 @@ impl Nbbst {
     /// The paper's `CAS-Child(parent, old, new)`.
     fn cas_child(
         &self,
-        parent: Shared<'_, Node>,
-        old: Shared<'_, Node>,
-        new: Shared<'_, Node>,
+        parent: Shared<'_, Internal>,
+        old: NodePtr<'_>,
+        new: NodePtr<'_>,
         guard: &Guard,
     ) -> bool {
-        let parent_ref = unsafe { parent.deref() };
-        let new_ref = unsafe { new.deref() };
-        let dir = Self::dir_for(new_ref.key, parent_ref.key);
+        // SAFETY: `parent` and `new` come from a descriptor or a child cell read under
+        // `guard` (see the callers), so both are non-null and still allocated.
+        let (parent_ref, new_key) = unsafe { (parent.deref(), new.key()) };
+        let dir = Self::dir_for(new_key, parent_ref.key);
         parent_ref.child(dir).compare_exchange(old, new, guard)
     }
 
@@ -736,15 +920,13 @@ impl Nbbst {
         let min_active = camera.retention_floor();
         let guard = pin();
         let mut retired = 0;
-        let mut stack = vec![self.root.load(Ordering::SeqCst, &guard)];
+        let mut stack = vec![self.root(&guard)];
         while let Some(node) = stack.pop() {
-            let n = unsafe { node.deref() };
-            if n.is_leaf() {
-                continue;
-            }
-            for dir in 0..2 {
-                retired += n.child(dir).collect_before(min_active, &guard);
-                stack.push(n.child(dir).load(&guard));
+            // SAFETY: loaded under `guard` from the root or a child cell; never null.
+            let NodeRef::Internal(n) = (unsafe { node.get() }) else { continue };
+            for child in &n.children {
+                retired += child.collect_before(min_active, &guard);
+                stack.push(child.load(&guard));
             }
         }
         retired
@@ -762,8 +944,8 @@ impl Nbbst {
 impl Collectible for Nbbst {
     fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
         enum Step<'g> {
-            Expand(Shared<'g, Node>),
-            Visit(Shared<'g, Node>),
+            Expand(NodePtr<'g>),
+            Visit(&'g Internal),
         }
         let mut stats = CollectStats::default();
         if !self.is_versioned() {
@@ -774,14 +956,12 @@ impl Collectible for Nbbst {
         // bounded pass resumes; truncation synchronizes inside the cells.
         let start = self.reclaim_cursor.load(Ordering::Relaxed);
         let budget = budget.max(1);
-        let mut stack = vec![Step::Expand(self.root.load(Ordering::SeqCst, guard))];
+        let mut stack = vec![Step::Expand(self.root(guard))];
         while let Some(step) = stack.pop() {
             match step {
                 Step::Expand(node) => {
-                    let n = unsafe { node.deref() };
-                    if n.is_leaf() {
-                        continue;
-                    }
+                    // SAFETY: loaded under `guard` from the root or a child cell; never null.
+                    let NodeRef::Internal(n) = (unsafe { node.get() }) else { continue };
                     // In-order: left subtree, the node itself, right subtree. The left
                     // subtree holds keys < n.key only; skip it when the cursor says a
                     // previous pass already swept past those keys. Nodes below the cursor
@@ -790,14 +970,13 @@ impl Collectible for Nbbst {
                     // already covered and stall the cursor.
                     stack.push(Step::Expand(n.child(1).load(guard)));
                     if n.key >= start {
-                        stack.push(Step::Visit(node));
+                        stack.push(Step::Visit(n));
                     }
                     if start < n.key {
                         stack.push(Step::Expand(n.child(0).load(guard)));
                     }
                 }
-                Step::Visit(node) => {
-                    let n = unsafe { node.deref() };
+                Step::Visit(n) => {
                     if stats.cells_visited >= budget {
                         // ORDERING: progress-heuristic — as above.
                         self.reclaim_cursor.store(n.key, Ordering::Relaxed);
@@ -806,8 +985,8 @@ impl Collectible for Nbbst {
                     // Both child cells count against the budget (one "cell" means the same
                     // thing here as in the list and hash-map impls); a visit may overshoot
                     // the budget by one cell.
-                    for dir in 0..2 {
-                        stats.versions_retired += n.child(dir).collect_before(min_active, guard);
+                    for child in &n.children {
+                        stats.versions_retired += child.collect_before(min_active, guard);
                         stats.cells_visited += 1;
                     }
                 }
@@ -821,14 +1000,11 @@ impl Collectible for Nbbst {
 
     fn version_stats(&self, guard: &Guard) -> VersionStats {
         let mut stats = VersionStats::default();
-        let mut stack = vec![self.root.load(Ordering::SeqCst, guard)];
+        let mut stack = vec![self.root(guard)];
         while let Some(node) = stack.pop() {
-            let n = unsafe { node.deref() };
-            if n.is_leaf() {
-                continue;
-            }
-            for dir in 0..2 {
-                let child = n.child(dir);
+            // SAFETY: loaded under `guard` from the root or a child cell; never null.
+            let NodeRef::Internal(n) = (unsafe { node.get() }) else { continue };
+            for child in &n.children {
                 if let ChildPtr::Versioned(v) = child {
                     stats.record_cell(v.version_count(guard));
                 }
@@ -856,18 +1032,22 @@ impl NbbstView<'_> {
     /// returns `false`. Returns `false` iff the walk was aborted by `f`.
     fn walk(
         &self,
-        node: Shared<'_, Node>,
+        node: NodePtr<'_>,
         lo: Key,
         hi: Key,
         f: &mut dyn FnMut(Key, Value) -> bool,
     ) -> bool {
-        let n = unsafe { node.deref() };
-        if n.is_leaf() {
-            if n.key >= lo && n.key <= hi && n.key <= MAX_KEY {
-                return f(n.key, n.value);
+        // SAFETY: loaded under `self.guard` from the root or a child cell's view; never
+        // null, and a pinned view's versions outlive the guard-protected walk.
+        let n = match unsafe { node.get() } {
+            NodeRef::Leaf(leaf) => {
+                if leaf.key >= lo && leaf.key <= hi && leaf.key <= MAX_KEY {
+                    return f(leaf.key, leaf.value);
+                }
+                return true;
             }
-            return true;
-        }
+            NodeRef::Internal(n) => n,
+        };
         if lo < n.key && !self.walk(n.child(0).load_view(self.view, &self.guard), lo, hi, f) {
             return false;
         }
@@ -878,19 +1058,20 @@ impl NbbstView<'_> {
     }
 
     fn walk_range(&self, lo: Key, hi: Key, f: &mut dyn FnMut(Key, Value) -> bool) {
-        let root = self.tree.root.load(Ordering::SeqCst, &self.guard);
-        self.walk(root, lo, hi, f);
+        self.walk(self.tree.root(&self.guard), lo, hi, f);
     }
 
     /// The value associated with `key` in this view.
     pub fn get(&self, key: Key) -> Option<Value> {
-        let mut node = self.tree.root.load(Ordering::SeqCst, &self.guard);
+        let mut node = self.tree.root(&self.guard);
         loop {
-            let n = unsafe { node.deref() };
-            if n.is_leaf() {
-                return (n.key == key).then_some(n.value);
+            // SAFETY: loaded under `self.guard` from the root or a child cell's view.
+            match unsafe { node.get() } {
+                NodeRef::Leaf(leaf) => return (leaf.key == key).then_some(leaf.value),
+                NodeRef::Internal(n) => {
+                    node = n.child(Nbbst::dir_for(key, n.key)).load_view(self.view, &self.guard)
+                }
             }
-            node = n.child(Nbbst::dir_for(key, n.key)).load_view(self.view, &self.guard);
         }
     }
 
@@ -965,17 +1146,14 @@ impl NbbstView<'_> {
 
     /// Height of the tree in this view (number of internal levels).
     pub fn height(&self) -> usize {
-        fn depth(view: &NbbstView<'_>, node: Shared<'_, Node>) -> usize {
-            let n = unsafe { node.deref() };
-            if n.is_leaf() {
-                return 0;
-            }
+        fn depth(view: &NbbstView<'_>, node: NodePtr<'_>) -> usize {
+            // SAFETY: loaded under `view.guard` from the root or a child cell's view.
+            let NodeRef::Internal(n) = (unsafe { node.get() }) else { return 0 };
             let left = depth(view, n.child(0).load_view(view.view, &view.guard));
             let right = depth(view, n.child(1).load_view(view.view, &view.guard));
             1 + left.max(right)
         }
-        let root = self.tree.root.load(Ordering::SeqCst, &self.guard);
-        depth(self, root)
+        depth(self, self.tree.root(&self.guard))
     }
 
     /// The snapshot timestamp this view reads at (`None` for a current-state view).
@@ -994,7 +1172,7 @@ struct NbbstRangeIter<'v, 'a> {
     view: &'v NbbstView<'a>,
     /// In-order continuation: internal nodes whose right subtree is still pending, with
     /// the next leaf to visit on top.
-    stack: Vec<Shared<'v, Node>>,
+    stack: Vec<NodePtr<'v>>,
     lo: Key,
     hi: Key,
 }
@@ -1002,22 +1180,21 @@ struct NbbstRangeIter<'v, 'a> {
 impl<'v, 'a> NbbstRangeIter<'v, 'a> {
     fn new(view: &'v NbbstView<'a>, lo: Key, hi: Key) -> NbbstRangeIter<'v, 'a> {
         let mut it = NbbstRangeIter { view, stack: Vec::new(), lo, hi: hi.min(MAX_KEY) };
-        let root = view.tree.root.load(Ordering::SeqCst, &view.guard);
-        it.push_left(root);
+        it.push_left(view.tree.root(&view.guard));
         it
     }
 
     /// Descends toward the first in-range leaf under `node`, stacking the internal nodes
     /// whose right subtrees remain to be visited. Left subtrees entirely below `lo` are
     /// skipped (leaf-oriented tree: left keys `< node.key <=` right keys).
-    fn push_left(&mut self, mut node: Shared<'v, Node>) {
+    fn push_left(&mut self, mut node: NodePtr<'v>) {
         let view = self.view;
         loop {
-            let n = unsafe { node.deref() };
-            if n.is_leaf() {
+            // SAFETY: loaded under `view.guard` from the root or a child cell's view.
+            let NodeRef::Internal(n) = (unsafe { node.get() }) else {
                 self.stack.push(node);
                 return;
-            }
+            };
             if self.lo < n.key {
                 self.stack.push(node);
                 node = n.child(0).load_view(view.view, &view.guard);
@@ -1034,18 +1211,22 @@ impl Iterator for NbbstRangeIter<'_, '_> {
     fn next(&mut self) -> Option<(Key, Value)> {
         let view = self.view;
         while let Some(node) = self.stack.pop() {
-            let n = unsafe { node.deref() };
-            if n.is_leaf() {
-                if n.key > self.hi {
-                    // In-order: every remaining key (dummy leaves included) is larger.
-                    self.stack.clear();
-                    return None;
+            // SAFETY: stacked by `push_left`, which loaded it under `view.guard`.
+            match unsafe { node.get() } {
+                NodeRef::Leaf(leaf) => {
+                    if leaf.key > self.hi {
+                        // In-order: every remaining key (dummy leaves included) is larger.
+                        self.stack.clear();
+                        return None;
+                    }
+                    if leaf.key >= self.lo {
+                        return Some((leaf.key, leaf.value));
+                    }
                 }
-                if n.key >= self.lo {
-                    return Some((n.key, n.value));
+                NodeRef::Internal(n) if self.hi >= n.key => {
+                    self.push_left(n.child(1).load_view(view.view, &view.guard));
                 }
-            } else if self.hi >= n.key {
-                self.push_left(n.child(1).load_view(view.view, &view.guard));
+                NodeRef::Internal(_) => {}
             }
         }
         None
@@ -1107,81 +1288,76 @@ impl SnapshotSource for Nbbst {
 }
 
 struct SearchResult<'g> {
-    gp: Shared<'g, Node>,
-    p: Shared<'g, Node>,
+    gp: Shared<'g, Internal>,
+    p: Shared<'g, Internal>,
     gpupdate: Shared<'g, Info>,
     pupdate: Shared<'g, Info>,
-    l: Shared<'g, Node>,
+    l: NodePtr<'g>,
 }
 
 impl Drop for Nbbst {
     fn drop(&mut self) {
-        // Exclusive access. First, over the *current* tree only, collect the operation
-        // descriptors currently installed in update words. (Descriptors that were replaced
-        // have already been handed to epoch-based reclamation; descriptors installed in
-        // unlinked, marked nodes are the same objects as the ones reachable here or
-        // already retired, so reading update words of old-version nodes would
+        // Exclusive access. Walk the *current* tree only, collecting its nodes and the
+        // operation descriptors currently installed in update words. (Descriptors that were
+        // replaced have already been handed to epoch-based reclamation; descriptors
+        // installed in unlinked, marked nodes are the same objects as the ones reachable
+        // here or already retired, so reading update words of old-version nodes would
         // double-free.) Nodes retiring through the version-reference protocol never touch
         // their descriptors for the same reason.
         let guard = pin();
-        let root = self.root.load(Ordering::SeqCst, &guard);
-
+        let root = self.root(&guard);
         let mut info_ptrs = std::collections::HashSet::new();
+        let mut nodes = std::collections::HashSet::new();
         let mut stack = vec![root];
-        let mut seen = std::collections::HashSet::new();
         while let Some(node) = stack.pop() {
-            if node.is_null() || !seen.insert(node.as_raw() as usize) {
+            if !nodes.insert(node.into_data()) {
                 continue;
             }
-            let n = unsafe { node.deref() };
-            if n.children.is_some() {
+            // SAFETY: loaded under `guard` from the root or a child cell, and nothing is
+            // freed before the walk ends.
+            if let NodeRef::Internal(n) = unsafe { node.get() } {
                 let u = n.update.load(Ordering::SeqCst, &guard);
                 if !u.is_null() {
                     info_ptrs.insert(u.with_tag(0).as_raw() as usize);
                 }
-                stack.push(n.child(0).load(&guard));
-                stack.push(n.child(1).load(&guard));
+                stack.extend(n.children.iter().map(|c| c.load(&guard)));
             }
         }
 
-        // Then free the nodes.
         match &self.mode {
             // Versioned: every node but the root is owned by the version-reference
             // protocol — freeing the root drops its cells, releasing the references they
             // held, and reclamation cascades through every node of every retained version
-            // (deferred through EBR; `vcas_ebr::drain` at a quiescent point settles the
-            // counters). Only the root, which no version node ever pointed at, is freed —
-            // and counted — here.
+            // (deferred through EBR, each node freed as its own type by `ChildRefs`;
+            // `vcas_ebr::drain` at a quiescent point settles the counters). Only the root,
+            // which no version node ever pointed at, is freed — and counted — here.
             Mode::Versioned(camera) => {
                 camera.note_nodes_dropped(1);
-                unsafe { drop(Box::from_raw(root.as_raw())) };
+                // SAFETY: `&mut self` — the root was allocated by `Atomic::new`, is
+                // referenced by no version node, and is freed exactly once, here.
+                drop(unsafe { root.internal().into_owned() });
             }
             // Plain: unlinked nodes were retired to EBR when unlinked; free what the
-            // current tree still reaches.
+            // current tree still reaches, each as its own type.
             Mode::Plain => {
-                let mut visited_nodes = std::collections::HashSet::new();
-                let mut stack = vec![root];
-                while let Some(node) = stack.pop() {
-                    if node.is_null() || !visited_nodes.insert(node.as_raw() as usize) {
-                        continue;
-                    }
-                    let n = unsafe { node.deref() };
-                    if let Some(children) = &n.children {
-                        for child in children {
-                            for version in child.all_versions(&guard) {
-                                stack.push(version);
-                            }
+                for word in nodes {
+                    // SAFETY: `word` came from `into_data` during the walk above.
+                    let node = unsafe { NodePtr::from_data(word) };
+                    // SAFETY: `&mut self`: every node the current tree reaches is owned by
+                    // the tree alone, visited once (the set), and freed exactly once here.
+                    unsafe {
+                        if node.is_leaf() {
+                            drop(node.leaf().into_owned());
+                        } else {
+                            drop(node.internal().into_owned());
                         }
-                    }
-                }
-                unsafe {
-                    for raw in visited_nodes {
-                        drop(Box::from_raw(raw as *mut Node));
                     }
                 }
             }
         }
 
+        // SAFETY: `&mut self` — each descriptor still installed in the current tree is
+        // reachable from no retired update word (see above) and is freed exactly once.
         unsafe {
             for raw in info_ptrs {
                 drop(Box::from_raw(raw as *mut Info));
@@ -1544,6 +1720,25 @@ mod tests {
             assert_eq!(tree.len(), len, "{}", tree.label);
             assert_eq!(tree.scan(), vec![(10, 10), (20, 20), (30, 30)], "{}", tree.label);
         }
+    }
+
+    /// Layout budget: a field added to either node type fails here, not only in the
+    /// benchmark's byte census. A leaf is key, value and counter; an internal node adds
+    /// the `update` word and two three-word child cells instead of the value.
+    #[test]
+    fn node_layouts_stay_within_budget() {
+        use std::mem::size_of;
+        assert!(size_of::<Leaf>() <= 24, "Leaf is {} B", size_of::<Leaf>());
+        assert!(size_of::<Internal>() <= 72, "Internal is {} B", size_of::<Internal>());
+        // The shared prefix sits at offset 0 of both types (what `NodePtr` casts rely on).
+        let leaf = Leaf::new(1, 2);
+        assert_eq!(std::ptr::addr_of!(leaf.head).cast::<u8>(), std::ptr::addr_of!(leaf).cast());
+        let internal =
+            Internal::new(3, ChildPtr::Plain(Atomic::null()), ChildPtr::Plain(Atomic::null()));
+        assert_eq!(
+            std::ptr::addr_of!(internal.head).cast::<u8>(),
+            std::ptr::addr_of!(internal).cast()
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@ use vcas_core::sync::{AtomicU64, Ordering};
 
 use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
 use vcas_core::{
-    release_node_ref, Camera, CameraAttached, PinnedSnapshot, RetentionError, SnapshotHandle,
-    VersionReferenced, VersionedPtr,
+    release_node_ref, Camera, CameraAttached, ManagedPtr, PinnedSnapshot, RetentionError,
+    SnapshotHandle, VersionReferenced,
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
@@ -53,7 +53,7 @@ unsafe impl VersionReferenced for Node {
 
 enum NextPtr {
     Plain(Atomic<Node>),
-    Versioned(VersionedPtr<Node>),
+    Versioned(ManagedPtr<Node>),
 }
 
 impl NextPtr {
@@ -64,7 +64,7 @@ impl NextPtr {
         Some(match mode {
             Mode::Plain => NextPtr::Plain(Atomic::from_shared(init)),
             Mode::Versioned(camera) => {
-                NextPtr::Versioned(VersionedPtr::from_shared_managed(init, camera)?)
+                NextPtr::Versioned(ManagedPtr::from_shared_managed(init, camera)?)
             }
         })
     }
@@ -909,6 +909,12 @@ mod tests {
 
     fn both_modes() -> Vec<HarrisList> {
         vec![HarrisList::new_plain(), HarrisList::new_versioned_default()]
+    }
+
+    /// Layout budget: key, value, counter and one three-word managed cell.
+    #[test]
+    fn node_layout_stays_within_budget() {
+        assert!(std::mem::size_of::<Node>() <= 48, "Node is {} B", std::mem::size_of::<Node>());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Shavit): every node carries a *tower* of next-pointers, a node is logically deleted by
 //! tagging its next-pointers with a mark bit (top-down, the **level-0 mark is the
 //! linearization point**), and traversals physically snip marked nodes as they pass. The
-//! vCAS twist is the paper's §4 recipe: every tower cell is a [`VersionedPtr`] on one
+//! vCAS twist is the paper's §4 recipe: every tower cell is a versioned [`ManagedPtr`] on one
 //! shared [`Camera`], so the whole structure is snapshot-able in constant time and a
 //! pinned view answers arbitrarily many ordered queries — `range`, `successors`,
 //! `find_if`, full scans — **in `O(log n + k)`** by descending the tower inside the
@@ -13,7 +13,7 @@
 //!
 //! Reclamation follows PR 5's node-conservation protocol exactly (see
 //! [`VersionReferenced`]): tower cells are created with
-//! [`VersionedPtr::from_shared_managed`], so every retained version holds a counted
+//! [`ManagedPtr::from_shared_managed`], so every retained version holds a counted
 //! reference to the node it points at; unlink CASes never free nodes directly — a node is
 //! retired when the last version referencing it is truncated. The list registers as a
 //! [`Collectible`] with a bounded, resumable level-0 cursor.
@@ -37,8 +37,8 @@ use vcas_core::sync::{AtomicU64, Ordering};
 
 use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
 use vcas_core::{
-    release_node_ref, Camera, CameraAttached, PinnedSnapshot, RetentionError, SnapshotHandle,
-    VersionReferenced, VersionedPtr,
+    release_node_ref, Camera, CameraAttached, ManagedPtr, PinnedSnapshot, RetentionError,
+    SnapshotHandle, VersionReferenced,
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
@@ -58,7 +58,7 @@ pub const MAX_HEIGHT: usize = 20;
 struct Node {
     key: Key,
     value: Value,
-    tower: Vec<VersionedPtr<Node>>,
+    tower: Vec<ManagedPtr<Node>>,
     /// Version-held reference count: one reference per retained version (in any cell)
     /// pointing at this node, plus the creator reference until publication.
     refs: AtomicU64,
@@ -97,8 +97,7 @@ impl VcasSkipList {
         let camera = camera.clone();
         let tower = (0..MAX_HEIGHT)
             .map(|_| {
-                VersionedPtr::<Node>::from_shared_managed(Shared::null(), &camera)
-                    .expect("null is live")
+                ManagedPtr::from_shared_managed(Shared::null(), &camera).expect("null is live")
             })
             .collect();
         let head = Node { key: 0, value: 0, tower, refs: AtomicU64::new(1) };
@@ -220,7 +219,7 @@ impl VcasSkipList {
             // the tower cannot reference it (the cells built so far are dropped, releasing
             // their references) and the search starts over.
             let Some(tower) = (0..height)
-                .map(|lvl| VersionedPtr::from_shared_managed(succs[lvl], &self.camera))
+                .map(|lvl| ManagedPtr::from_shared_managed(succs[lvl], &self.camera))
                 .collect()
             else {
                 continue;
