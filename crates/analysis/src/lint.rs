@@ -17,6 +17,7 @@ const ZERO_ALLOWLIST_PREFIXES: &[&str] =
 const PROTOCOL_FILES: &[&str] = &[
     "crates/core/src/versioned.rs",
     "crates/core/src/versioned_ptr.rs",
+    "crates/core/src/cell.rs",
     "crates/core/src/camera.rs",
     "crates/core/src/reclaim.rs",
     "crates/structures/src/bst.rs",

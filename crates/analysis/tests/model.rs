@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use vcas_core::sync::Ordering;
-use vcas_core::{Camera, VersionedCas, VersionedPtr};
+use vcas_core::{Camera, ManagedPtr, VersionedCas};
 use vcas_sync::model::{self, Config};
 
 /// Initializes process-wide singletons (EBR default domain, model panic hook) on the
@@ -135,8 +135,7 @@ fn refcount_creator_handoff_vs_truncation() {
         let cam = Camera::new();
         let g = vcas_ebr::pin();
         let a = vcas_ebr::Owned::new(Node::new()).into_shared(&g);
-        let ptr =
-            Arc::new(VersionedPtr::from_shared_managed(a, &cam).expect("a fresh node is live"));
+        let ptr = Arc::new(ManagedPtr::with_hook(a, &cam).expect("a fresh node is live"));
         // The initial version now holds a counted reference; hand off the creator's.
         vcas_core::release_node_ref(a, &cam, &g);
 

@@ -10,8 +10,10 @@
 //!     cargo test -p vcas-analysis --test model_structures -- --test-threads=1
 //! ```
 //!
-//! Each scenario drives two racing operations of a versioned structure through the
-//! narrowest window of its protocol — the cell both operations must CAS:
+//! Each scenario drives two racing operations of a structure through the narrowest window
+//! of its protocol — the cell both operations must CAS. The list and BST scenarios run
+//! once per pointer-cell mode (`Plain` and `Versioned` are separate monomorphizations with
+//! separate reclamation paths):
 //!
 //! * Harris list: `remove`'s logical-delete mark and `insert`'s publish both target the
 //!   same predecessor's `next` word;
@@ -34,7 +36,7 @@
 
 use std::sync::Arc;
 
-use vcas_core::{Camera, VersionedCas};
+use vcas_core::{Camera, Mode, VersionedCas};
 use vcas_structures::{HarrisList, Nbbst, VcasSkipList};
 
 use vcas_sync::model::{self, Config, Report};
@@ -117,12 +119,12 @@ fn check_elide_neutral(name: &str, report: Report) {
 
 /// Harris list: a concurrent mark (logical delete of key 2) vs. insert (of key 3) at
 /// the same predecessor — both CAS node 2's `next` word. In every interleaving both
-/// operations succeed, key 3 survives, and key 2 is gone.
-#[test]
-fn list_mark_vs_insert_same_predecessor() {
+/// operations succeed, key 3 survives, and key 2 is gone. Run once per mode: the plain
+/// list retires the unlinked node at the unlink CAS, the versioned one through its counter.
+fn list_mark_vs_insert<M: Mode>(name: &str, make: fn() -> HarrisList<M>) {
     prewarm();
-    let report = model::explore(cfg(), || {
-        let list = Arc::new(HarrisList::new_versioned_default());
+    let report = model::explore(cfg(), move || {
+        let list = Arc::new(make());
         // Single-threaded prologue (not interleaved): the node whose `next` word the
         // racing operations contend on.
         assert!(list.insert(2, 20));
@@ -137,17 +139,28 @@ fn list_mark_vs_insert_same_predecessor() {
         assert_eq!(list.get(3), Some(30), "insert(3) was lost by the racing remove");
         assert_eq!(list.get(2), None, "remove(2) reported success but 2 is reachable");
     });
-    check("list_mark_vs_insert_same_predecessor", report);
+    check(name, report);
+}
+
+#[test]
+fn list_mark_vs_insert_same_predecessor() {
+    list_mark_vs_insert("list_mark_vs_insert_same_predecessor", HarrisList::new_versioned_default);
+}
+
+#[test]
+fn list_mark_vs_insert_same_predecessor_plain() {
+    list_mark_vs_insert("list_mark_vs_insert_same_predecessor_plain", HarrisList::new_plain);
 }
 
 /// EFRB BST: `remove(1)`'s dflag/mark races `insert(2)`'s iflag on the same internal
 /// node's `update` word, exercising the flag/mark/unflag helping protocol with a
-/// competing helper. In every interleaving both operations succeed.
-#[test]
-fn bst_insert_delete_helping_dance() {
+/// competing helper. In every interleaving both operations succeed. Run once per mode:
+/// the plain tree retires unlinked nodes at the iunflag/dunflag winner, the versioned one
+/// through their counters.
+fn bst_helping_dance<M: Mode>(name: &str, make: fn() -> Nbbst<M>) {
     prewarm();
-    let report = model::explore(cfg(), || {
-        let tree = Arc::new(Nbbst::new_versioned_default());
+    let report = model::explore(cfg(), move || {
+        let tree = Arc::new(make());
         // Single-threaded prologue: the leaf both racers' flag words hang over.
         assert!(tree.insert(1, 10));
         let remover = {
@@ -161,7 +174,17 @@ fn bst_insert_delete_helping_dance() {
         assert_eq!(tree.get(2), Some(20), "insert(2) was spliced out by the racing remove");
         assert_eq!(tree.get(1), None, "remove(1) reported success but 1 is reachable");
     });
-    check("bst_insert_delete_helping_dance", report);
+    check(name, report);
+}
+
+#[test]
+fn bst_insert_delete_helping_dance() {
+    bst_helping_dance("bst_insert_delete_helping_dance", Nbbst::new_versioned_default);
+}
+
+#[test]
+fn bst_insert_delete_helping_dance_plain() {
+    bst_helping_dance("bst_insert_delete_helping_dance_plain", Nbbst::new_plain);
 }
 
 /// Skip list: `insert(3)`'s level-0 publish races `remove(2)`'s level-0 mark on the

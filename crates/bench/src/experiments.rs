@@ -181,11 +181,11 @@ fn fig3(cfg: &ExperimentConfig) {
     for kind in QueryKind::all() {
         for &updaters in &update_threads_options {
             for atomic in [true, false] {
-                let tree = Arc::new(if atomic {
-                    Nbbst::new_versioned(&Camera::new())
+                let tree: Arc<dyn AtomicRangeMap> = if atomic {
+                    Arc::new(Nbbst::new_versioned(&Camera::new()))
                 } else {
-                    Nbbst::new_plain()
-                });
+                    Arc::new(Nbbst::new_plain())
+                };
                 let spec = WorkloadSpec::new(1, size, Mix::update_heavy());
                 vcas_workload::driver::prefill(tree.as_ref(), &spec);
                 let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));

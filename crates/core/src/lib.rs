@@ -24,6 +24,9 @@
 //! * [`VersionedPtr`] — a typed wrapper that versions *pointers* to nodes of a lock-free data
 //!   structure (the way the paper's data-structure applications use vCAS), including tag-bit
 //!   support for Harris-style marking.
+//! * [`Mode`] — the one seam between a structure and its snapshot capability: a structure
+//!   generic over `M: Mode` keeps its pointers in `M::Cell` cells, one-word atomics for
+//!   [`Plain`] and [`VersionedPtr`]s for [`Versioned`] (see [`cell`]).
 //! * [`PinnedSnapshot`] and per-camera snapshot registries, so version lists can be truncated
 //!   ([`VersionedCas::collect_before`]) once no pinned snapshot can still need old versions.
 //! * [`reclaim`] — the *automatic* reclamation subsystem: structures register as
@@ -73,6 +76,7 @@
 pub use vcas_sync as sync;
 
 pub mod camera;
+pub mod cell;
 pub mod direct;
 pub mod group;
 pub mod reclaim;
@@ -84,6 +88,7 @@ pub mod vnode;
 pub(crate) mod vpool;
 
 pub use camera::Camera;
+pub use cell::{Mode, Plain, PointerCell, Versioned};
 pub use direct::{DirectVersionedPtr, VersionInfo, VersionedNode};
 pub use group::{CameraAttached, CameraGroup, GroupRegisterError, GroupSnapshot};
 pub use reclaim::{CollectStats, Collectible, Collector, ReclaimPolicy, VersionStats};

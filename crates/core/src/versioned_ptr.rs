@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::sync::{fence, AtomicU64, Ordering};
 
-use vcas_ebr::{Guard, Owned, Shared};
+use vcas_ebr::{Guard, Shared};
 
 use crate::camera::Camera;
 use crate::snapshot::SnapshotHandle;
@@ -47,7 +47,7 @@ use crate::versioned::{ValueHook, VersionedCas};
 /// A managed cell therefore never increments a zero counter: the reference a new version
 /// would take is refused ([`acquire_node_ref`]), and the vCAS
 /// ([`VersionedPtr::compare_exchange`]) or cell construction
-/// ([`ManagedPtr::from_shared_managed`]) that wanted it fails. Callers
+/// ([`VersionedPtr::with_hook`]) that wanted it fails. Callers
 /// treat that failure like any lost CAS — the pointer they read is stale — and search
 /// again. So the node is retired exactly once and never re-linked after retirement.
 ///
@@ -152,38 +152,24 @@ impl<N: 'static> VersionedPtr<N> {
         VersionedPtr { inner: VersionedCas::new(0usize, camera), _marker: PhantomData }
     }
 
-    /// Creates a versioned pointer initialized to a freshly allocated node.
-    pub fn new(initial: Owned<N>, camera: &Arc<Camera>) -> Self {
-        let guard = vcas_ebr::pin();
-        let shared = initial.into_shared(&guard);
-        Self::from_shared(shared, camera)
-    }
-
     /// Creates a versioned pointer initialized to an existing shared pointer.
     pub fn from_shared(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Self {
         VersionedPtr { inner: VersionedCas::new(initial.into_data(), camera), _marker: PhantomData }
     }
 }
 
-impl<N: VersionReferenced> ManagedPtr<N> {
-    /// Like [`VersionedPtr::from_shared`], but with data-node reference counting: every
-    /// retained version of this cell holds one counted reference to the node it points at
-    /// (see [`VersionReferenced`]), acquired before the version is published and released
-    /// when it is destroyed — by truncation, failed publication, or the cell's drop. The
-    /// caller must hold an EBR guard (the initial reference is counted against `initial`,
-    /// which the guard keeps allocated).
-    ///
-    /// Returns `None` when `initial`'s counter has already reached zero: the node is
-    /// retired and must not be referenced again, so the caller's read is stale and it
-    /// must search again. A null or freshly allocated (unpublished) `initial` never fails.
-    pub fn from_shared_managed(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Option<Self> {
-        Self::with_hook(initial, camera)
-    }
-}
-
 impl<N: 'static, H: ValueHook<usize>> VersionedPtr<N, H> {
     /// Creates a cell holding `initial` whose versions go through the hook `H`;
     /// `None` when `H::acquire` refuses `initial` (see [`ValueHook`]).
+    ///
+    /// For a managed cell ([`ManagedPtr`]) every retained version holds one counted
+    /// reference to the node it points at (see [`VersionReferenced`]), acquired before the
+    /// version is published and released when it is destroyed — by truncation, failed
+    /// publication, or the cell's drop. The caller must hold an EBR guard (the initial
+    /// reference is counted against `initial`, which the guard keeps allocated). `None`
+    /// then means `initial`'s counter already reached zero: the node is retired, so the
+    /// caller's read is stale and it must search again. A null or freshly allocated
+    /// (unpublished) `initial` never fails.
     pub fn with_hook(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Option<Self> {
         let inner = VersionedCas::with_hook(initial.into_data(), camera)?;
         Some(VersionedPtr { inner, _marker: PhantomData })
@@ -244,17 +230,6 @@ impl<N: 'static, H: ValueHook<usize>> VersionedPtr<N, H> {
     pub fn camera(&self) -> &Arc<Camera> {
         self.inner.camera()
     }
-
-    /// Every pointer word still retained in the version list (newest first). Used by
-    /// data-structure destructors to find nodes reachable only through old versions.
-    pub fn all_versions<'g>(&self, guard: &'g Guard) -> Vec<Shared<'g, N>> {
-        self.inner
-            .versions(guard)
-            .into_iter()
-            // SAFETY: every retained word was produced by `Shared::into_data` on this cell.
-            .map(|(_, data)| unsafe { Shared::from_data(data) })
-            .collect()
-    }
 }
 
 impl<N: 'static, H: ValueHook<usize>> std::fmt::Debug for VersionedPtr<N, H> {
@@ -270,7 +245,7 @@ impl<N: 'static, H: ValueHook<usize>> std::fmt::Debug for VersionedPtr<N, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcas_ebr::pin;
+    use vcas_ebr::{pin, Owned};
 
     #[test]
     fn null_pointer_roundtrip() {
@@ -340,7 +315,7 @@ mod tests {
         let g = pin();
         let a = Owned::new(Counted { refs: AtomicU64::new(1) }).into_shared(&g);
         let b = Owned::new(Counted { refs: AtomicU64::new(1) }).into_shared(&g);
-        let p = VersionedPtr::from_shared_managed(a, &cam).expect("a fresh node is live");
+        let p = ManagedPtr::with_hook(a, &cam).expect("a fresh node is live");
         release_node_ref(a, &cam, &g);
         // Replace `a`, then truncate its version: its counter reaches zero and it is
         // retired, while `g` keeps it allocated — the state a thread holding a stale
@@ -357,7 +332,7 @@ mod tests {
         assert!(!p.compare_exchange(b, a, &g), "a vCAS must not republish a retired node");
         assert_eq!(p.load(&g), b);
         assert!(
-            VersionedPtr::from_shared_managed(a, &cam).is_none(),
+            ManagedPtr::with_hook(a, &cam).is_none(),
             "a new cell must not reference a retired node"
         );
         assert_eq!(a_refs(), 0, "a refused reference leaves the counter at zero");
@@ -375,30 +350,5 @@ mod tests {
         let word = std::mem::size_of::<usize>();
         assert_eq!(std::mem::size_of::<ManagedPtr<Counted>>(), 3 * word);
         assert_eq!(std::mem::size_of::<VersionedPtr<u64>>(), 3 * word);
-    }
-
-    #[test]
-    fn all_versions_lists_history_newest_first() {
-        let cam = Camera::new();
-        let g = pin();
-        let a = Owned::new(1u64).into_shared(&g);
-        let b = Owned::new(2u64).into_shared(&g);
-        let c = Owned::new(3u64).into_shared(&g);
-        let p: VersionedPtr<u64> = VersionedPtr::from_shared(a, &cam);
-        cam.take_snapshot();
-        assert!(p.compare_exchange(a, b, &g));
-        cam.take_snapshot();
-        assert!(p.compare_exchange(b, c, &g));
-
-        let versions = p.all_versions(&g);
-        // SAFETY: a, b, c stay alive until the explicit drops below.
-        let vals: Vec<u64> = versions.iter().map(|s| unsafe { *s.deref() }).collect();
-        assert_eq!(vals, vec![3, 2, 1]);
-        // SAFETY: unmanaged cell — the test owns all three nodes and frees each once.
-        unsafe {
-            drop(a.into_owned());
-            drop(b.into_owned());
-            drop(c.into_owned());
-        }
     }
 }

@@ -14,15 +14,16 @@
 //! * [`LockBst`] — **coarse read/write locking**: updates share a readers lock, range queries
 //!   take the writer lock. This mirrors the "no range-query scalability, fine without range
 //!   queries" shape of lock-based snapshot trees such as SnapTree.
-//! * The **non-atomic** baseline used as the normalizer in Fig. 3 is
-//!   [`crate::bst::Nbbst::range_query_non_atomic`] and friends on the plain tree.
+//! * The **non-atomic** baseline used as the normalizer in Fig. 3 is the plain tree
+//!   itself, `Nbbst<Plain>`: its [`crate::bst::Nbbst::view`] reads the current state, so
+//!   its range queries are plain traversals.
 
 use std::collections::HashMap as StdHashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use vcas_core::{Camera, CameraAttached, RetentionError};
+use vcas_core::{Camera, CameraAttached, Plain, RetentionError};
 
 use crate::bst::Nbbst;
 use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
@@ -30,7 +31,7 @@ use crate::view::{BestEffortView, MapSnapshotView, SnapshotSource};
 
 /// Double-collect (validate and retry) range queries on the plain NBBST.
 pub struct DcBst {
-    inner: Nbbst,
+    inner: Nbbst<Plain>,
     /// Give up after this many failed validations and return the last collection (keeps the
     /// harness live under extreme contention; the paper's comparators simply keep retrying).
     max_retries: usize,
@@ -86,21 +87,21 @@ impl ConcurrentMap for DcBst {
 
 impl AtomicRangeMap for DcBst {
     fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        self.double_collect(|| self.inner.range_query_non_atomic(lo, hi))
+        self.double_collect(|| self.inner.view().range(lo, hi))
     }
     fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        self.double_collect(|| self.inner.successors_non_atomic(key, count))
+        self.double_collect(|| self.inner.view().successors(key, count))
     }
     fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
         if lo >= hi {
             return None;
         }
-        self.double_collect(|| self.inner.range_query_non_atomic(lo, hi - 1))
+        self.double_collect(|| self.inner.view().range(lo, hi - 1))
             .into_iter()
             .find(|(k, _)| pred(*k))
     }
     fn multi_search(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        self.double_collect(|| self.inner.multi_search_non_atomic(keys))
+        self.double_collect(|| self.inner.view().multi_get(keys))
     }
 }
 
@@ -125,7 +126,7 @@ impl SnapshotSource for DcBst {
 
 /// Coarse reader-writer locking: updates share the lock, range queries are exclusive.
 pub struct LockBst {
-    inner: Nbbst,
+    inner: Nbbst<Plain>,
     lock: RwLock<()>,
 }
 
@@ -167,22 +168,22 @@ impl ConcurrentMap for LockBst {
 impl AtomicRangeMap for LockBst {
     fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
         let _exclusive = self.lock.write();
-        self.inner.range_query_non_atomic(lo, hi)
+        self.inner.view().range(lo, hi)
     }
     fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
         let _exclusive = self.lock.write();
-        self.inner.successors_non_atomic(key, count)
+        self.inner.view().successors(key, count)
     }
     fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
         if lo >= hi {
             return None;
         }
         let _exclusive = self.lock.write();
-        self.inner.range_query_non_atomic(lo, hi - 1).into_iter().find(|(k, _)| pred(*k))
+        self.inner.view().range(lo, hi - 1).into_iter().find(|(k, _)| pred(*k))
     }
     fn multi_search(&self, keys: &[Key]) -> Vec<Option<Value>> {
         let _exclusive = self.lock.write();
-        self.inner.multi_search_non_atomic(keys)
+        self.inner.view().multi_get(keys)
     }
 }
 

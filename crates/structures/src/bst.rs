@@ -1,13 +1,15 @@
 //! The non-blocking binary search tree of Ellen, Fatourou, Ruppert and van Breugel (PODC
-//! 2010) — the unbalanced tree used throughout the paper's evaluation — in two modes:
+//! 2010) — the unbalanced tree used throughout the paper's evaluation — generic over the
+//! pointer-cell [`Mode`]:
 //!
-//! * **plain** ([`Nbbst::new_plain`]): child pointers are ordinary CAS objects; this is the
-//!   original data structure (`BST` in the paper's figures). Unlinked nodes are reclaimed
-//!   through epoch-based reclamation.
-//! * **versioned** ([`Nbbst::new_versioned`]): child pointers are versioned CAS objects
-//!   associated with one camera (`VcasBST` in the paper). Taking a snapshot is constant time
-//!   and multi-point queries (range, successors, find-if, multi-search, height, scan) run
-//!   atomically on the snapshot while updates proceed concurrently.
+//! * **plain** (`Nbbst<Plain>`, [`Nbbst::new_plain`]): child pointers are one-word CAS
+//!   objects; this is the original data structure (`BST` in the paper's figures). Unlinked
+//!   nodes are reclaimed through epoch-based reclamation.
+//! * **versioned** (`Nbbst<Versioned>`, the default, [`Nbbst::new_versioned`]): child
+//!   pointers are versioned CAS objects associated with one camera (`VcasBST` in the
+//!   paper). Taking a snapshot is constant time and multi-point queries (range,
+//!   successors, find-if, multi-search, height, scan) run atomically on the snapshot while
+//!   updates proceed concurrently.
 //!
 //! The tree is leaf-oriented: internal nodes route searches, leaves hold the keys. Updates
 //! coordinate through per-node `update` words that pack a state tag (clean / insert-flag /
@@ -23,14 +25,15 @@
 //! pointer word marks a leaf in its low tag bit (`LEAF`), so a traversal knows a node's
 //! type before touching it.
 
+use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Arc;
 use vcas_core::sync::{AtomicU64, Ordering};
 
 use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
 use vcas_core::{
-    acquire_node_ref, release_node_ref, Camera, CameraAttached, PinnedSnapshot, RetentionError,
-    SnapshotHandle, ValueHook, VersionReferenced, VersionedPtr,
+    acquire_node_ref, release_node_ref, Camera, CameraAttached, Mode, PinnedSnapshot, Plain,
+    PointerCell, RetentionError, SnapshotHandle, ValueHook, VersionReferenced, Versioned,
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
@@ -50,6 +53,12 @@ const CLEAN: usize = 0;
 const IFLAG: usize = 1;
 const DFLAG: usize = 2;
 const MARK: usize = 3;
+
+/// The child a search for `key` follows out of an internal node keyed `node_key`.
+#[inline]
+fn dir_for(key: Key, node_key: Key) -> usize {
+    usize::from(key >= node_key)
+}
 
 /// Tag bit of a child pointer word that points at a [`Leaf`] (an untagged word points at
 /// an [`Internal`]). Nodes are 8-aligned, so the bit is free.
@@ -94,11 +103,15 @@ struct Leaf {
 
 /// An internal node: a routing key, the EFRB `update` word and the two child cells.
 #[repr(C)]
-struct Internal {
+struct Internal<M: Mode> {
     head: Head,
     update: Atomic<Info>,
-    children: [ChildPtr; 2],
+    children: [ChildCell<M>; 2],
 }
+
+/// A child cell: one word in plain mode, a versioned cell counting references to either
+/// node type ([`ChildRefs`]) in versioned mode.
+type ChildCell<M> = <M as Mode>::Cell<Head, ChildRefs<M>>;
 
 impl Deref for Leaf {
     type Target = Head;
@@ -107,7 +120,7 @@ impl Deref for Leaf {
     }
 }
 
-impl Deref for Internal {
+impl<M: Mode> Deref for Internal<M> {
     type Target = Head;
     fn deref(&self) -> &Head {
         &self.head
@@ -127,7 +140,7 @@ unsafe impl VersionReferenced for Leaf {
 
 /// SAFETY: as for [`Leaf`]: `refs` belongs to the version-reference protocol alone, and
 /// only head-version reads are republished.
-unsafe impl VersionReferenced for Internal {
+unsafe impl<M: Mode> VersionReferenced for Internal<M> {
     fn version_refs(&self) -> &AtomicU64 {
         &self.head.refs
     }
@@ -139,17 +152,33 @@ impl Leaf {
     }
 }
 
-impl Internal {
-    fn new(key: Key, left: ChildPtr, right: ChildPtr) -> Internal {
+impl<M: Mode> Internal<M> {
+    /// An internal node over two children, which must be freshly allocated, unpublished
+    /// nodes (so their reference counters are still the creators' 1, never zero).
+    fn new(mode: &M, key: Key, left: NodePtr<'_>, right: NodePtr<'_>) -> Internal<M> {
+        let cell = |child: NodePtr<'_>| {
+            mode.cell(child.0).expect("a fresh node holds its creator reference")
+        };
         Internal {
             head: Head { refs: AtomicU64::new(1), key },
             update: Atomic::null(),
-            children: [left, right],
+            children: [cell(left), cell(right)],
         }
     }
 
-    fn child(&self, dir: usize) -> &ChildPtr {
-        &self.children[dir]
+    /// The current child in direction `dir`.
+    fn child<'g>(&self, dir: usize, guard: &'g Guard) -> NodePtr<'g> {
+        NodePtr(self.children[dir].load(guard))
+    }
+
+    /// The child in direction `dir` as of `at` (the current one when `at` is `None`).
+    fn child_at<'g>(
+        &self,
+        dir: usize,
+        at: Option<SnapshotHandle>,
+        guard: &'g Guard,
+    ) -> NodePtr<'g> {
+        NodePtr(self.children[dir].load_at(at, guard))
     }
 }
 
@@ -159,9 +188,9 @@ impl Internal {
 struct NodePtr<'g>(Shared<'g, Head>);
 
 /// A dereferenced [`NodePtr`], by node type.
-enum NodeRef<'g> {
+enum NodeRef<'g, M: Mode> {
     Leaf(&'g Leaf),
-    Internal(&'g Internal),
+    Internal(&'g Internal<M>),
 }
 
 impl<'g> NodePtr<'g> {
@@ -171,7 +200,7 @@ impl<'g> NodePtr<'g> {
         NodePtr(unsafe { Shared::from_data(leaf.with_tag(0).into_data()) }.with_tag(LEAF))
     }
 
-    fn from_internal(node: Shared<'g, Internal>) -> NodePtr<'g> {
+    fn from_internal<M: Mode>(node: Shared<'g, Internal<M>>) -> NodePtr<'g> {
         // SAFETY: as in `from_leaf`, for an `Internal`; the word stays untagged.
         NodePtr(unsafe { Shared::from_data(node.with_tag(0).into_data()) })
     }
@@ -200,7 +229,7 @@ impl<'g> NodePtr<'g> {
     }
 
     /// The typed internal-node pointer (meaningful only when not [`NodePtr::is_leaf`]).
-    fn internal(self) -> Shared<'g, Internal> {
+    fn internal<M: Mode>(self) -> Shared<'g, Internal<M>> {
         // SAFETY: an untagged word is the address the internal node was allocated at.
         unsafe { Shared::from_data(self.0.into_data()) }
     }
@@ -209,8 +238,9 @@ impl<'g> NodePtr<'g> {
     ///
     /// # Safety
     /// The pointer must be non-null and loaded under the guard of `'g` — from a child cell,
-    /// the root, or a descriptor that guard protects — so the node is not yet freed.
-    unsafe fn get(self) -> NodeRef<'g> {
+    /// the root, or a descriptor that guard protects — so the node is not yet freed, and
+    /// it must belong to a tree of mode `M`.
+    unsafe fn get<M: Mode>(self) -> NodeRef<'g, M> {
         if self.is_leaf() {
             NodeRef::Leaf(self.leaf().deref())
         } else {
@@ -230,10 +260,10 @@ impl<'g> NodePtr<'g> {
 /// The value hook of the tree's versioned child cells: version-held reference counting
 /// ([`VersionReferenced`]) over both node types. The leaf tag of the full pointer word
 /// picks the type, so a node whose last reference goes is retired — and later freed — with
-/// its own layout.
-struct ChildRefs;
+/// its own layout. Plain cells ignore the hook.
+struct ChildRefs<M>(PhantomData<fn() -> M>);
 
-impl ValueHook<usize> for ChildRefs {
+impl<M: Mode> ValueHook<usize> for ChildRefs<M> {
     #[inline]
     fn acquire(word: usize) -> bool {
         // SAFETY: every value of a child cell is a `NodePtr` word, acquired under the
@@ -242,7 +272,7 @@ impl ValueHook<usize> for ChildRefs {
         if node.is_leaf() {
             acquire_node_ref(node.leaf())
         } else {
-            acquire_node_ref(node.internal())
+            acquire_node_ref(node.internal::<M>())
         }
     }
 
@@ -254,86 +284,16 @@ impl ValueHook<usize> for ChildRefs {
         if node.is_leaf() {
             release_node_ref(node.leaf(), camera, guard);
         } else {
-            release_node_ref(node.internal(), camera, guard);
+            release_node_ref(node.internal::<M>(), camera, guard);
         }
     }
 }
 
-/// A child pointer in either plain-CAS or versioned-CAS mode.
-enum ChildPtr {
-    Plain(Atomic<Head>),
-    Versioned(VersionedPtr<Head, ChildRefs>),
-}
-
-impl ChildPtr {
-    /// A child cell pointing at `init`, which must be a freshly allocated, unpublished
-    /// node (so its reference counter is still the creator's 1, never zero).
-    fn new(mode: &Mode, init: NodePtr<'_>) -> ChildPtr {
-        match mode {
-            Mode::Plain => ChildPtr::Plain(Atomic::from_shared(init.0)),
-            Mode::Versioned(camera) => ChildPtr::Versioned(
-                VersionedPtr::with_hook(init.0, camera)
-                    .expect("a fresh node holds its creator reference"),
-            ),
-        }
-    }
-
-    fn load<'g>(&self, guard: &'g Guard) -> NodePtr<'g> {
-        NodePtr(match self {
-            ChildPtr::Plain(a) => a.load(Ordering::SeqCst, guard),
-            ChildPtr::Versioned(v) => v.load(guard),
-        })
-    }
-
-    fn load_view<'g>(&self, view: View, guard: &'g Guard) -> NodePtr<'g> {
-        match (self, view) {
-            (ChildPtr::Versioned(v), View::Snapshot(h)) => NodePtr(v.load_snapshot(h, guard)),
-            _ => self.load(guard),
-        }
-    }
-
-    fn compare_exchange(&self, current: NodePtr<'_>, new: NodePtr<'_>, guard: &Guard) -> bool {
-        match self {
-            ChildPtr::Plain(a) => a
-                .compare_exchange(current.0, new.0, Ordering::SeqCst, Ordering::SeqCst, guard)
-                .is_ok(),
-            ChildPtr::Versioned(v) => v.compare_exchange(current.0, new.0, guard),
-        }
-    }
-
-    fn collect_before(&self, min_active: u64, guard: &Guard) -> usize {
-        match self {
-            ChildPtr::Plain(_) => 0,
-            ChildPtr::Versioned(v) => v.collect_before(min_active, guard),
-        }
-    }
-}
-
-/// Which state of the tree a read-only traversal observes.
-#[derive(Clone, Copy)]
-enum View {
-    /// The current state (non-atomic across multiple pointers).
-    Current,
-    /// The state captured by a snapshot handle (atomic).
-    Snapshot(SnapshotHandle),
-}
-
-#[derive(Clone)]
-enum Mode {
-    Plain,
-    Versioned(Arc<Camera>),
-}
-
-impl Mode {
-    fn reclaim_unlinked(&self) -> bool {
-        matches!(self, Mode::Plain)
-    }
-}
-
-/// The non-blocking binary search tree (see module docs).
-pub struct Nbbst {
-    root: Atomic<Internal>,
-    mode: Mode,
+/// The non-blocking binary search tree (see module docs), `VcasBST` unless `M` is
+/// [`Plain`].
+pub struct Nbbst<M: Mode = Versioned> {
+    root: Atomic<Internal<M>>,
+    mode: M,
     updates: AtomicU64,
     /// Resume key for incremental version-list collection ([`Collectible`]): subtrees whose
     /// keys all fall below it were covered by the previous bounded pass.
@@ -341,17 +301,38 @@ pub struct Nbbst {
     label: &'static str,
 }
 
+impl Nbbst<Plain> {
+    /// Creates the original (unversioned) tree — `BST` in the paper's figures.
+    pub fn new_plain() -> Nbbst<Plain> {
+        Self::with_mode(Plain)
+    }
+}
+
 impl Nbbst {
-    fn with_mode(mode: Mode, label: &'static str) -> Nbbst {
+    /// Creates the snapshot-capable tree (`VcasBST`): every child pointer is a versioned CAS
+    /// object associated with `camera`.
+    pub fn new_versioned(camera: &Arc<Camera>) -> Nbbst {
+        Self::with_mode(Versioned::new(camera))
+    }
+
+    /// Creates a snapshot-capable tree with its own private camera.
+    pub fn new_versioned_default() -> Nbbst {
+        Self::new_versioned(&Camera::new())
+    }
+}
+
+impl<M: Mode> Nbbst<M> {
+    fn with_mode(mode: M) -> Nbbst<M> {
         let guard = pin();
         let left_leaf = Owned::new(Leaf::new(INF1, 0)).into_shared(&guard);
         let right_leaf = Owned::new(Leaf::new(INF2, 0)).into_shared(&guard);
         let root = Internal::new(
+            &mode,
             INF2,
-            ChildPtr::new(&mode, NodePtr::from_leaf(left_leaf)),
-            ChildPtr::new(&mode, NodePtr::from_leaf(right_leaf)),
+            NodePtr::from_leaf(left_leaf),
+            NodePtr::from_leaf(right_leaf),
         );
-        if let Mode::Versioned(camera) = &mode {
+        if let Some(camera) = mode.camera() {
             camera.note_nodes_created(3);
             // The dummy leaves are published (the root's child cells hold counted
             // references to them), so their creator references are handed off here. The
@@ -365,37 +346,13 @@ impl Nbbst {
             mode,
             updates: AtomicU64::new(0),
             reclaim_cursor: AtomicU64::new(0),
-            label,
+            label: if M::VERSIONED { "VcasBST" } else { "BST" },
         }
-    }
-
-    /// Creates the original (unversioned) tree — `BST` in the paper's figures.
-    pub fn new_plain() -> Nbbst {
-        Self::with_mode(Mode::Plain, "BST")
-    }
-
-    /// Creates the snapshot-capable tree (`VcasBST`): every child pointer is a versioned CAS
-    /// object associated with `camera`.
-    pub fn new_versioned(camera: &Arc<Camera>) -> Nbbst {
-        Self::with_mode(Mode::Versioned(camera.clone()), "VcasBST")
-    }
-
-    /// Creates a snapshot-capable tree with its own private camera.
-    pub fn new_versioned_default() -> Nbbst {
-        Self::new_versioned(&Camera::new())
     }
 
     /// The camera associated with a versioned tree (`None` for a plain tree).
     pub fn camera(&self) -> Option<&Arc<Camera>> {
-        match &self.mode {
-            Mode::Plain => None,
-            Mode::Versioned(c) => Some(c),
-        }
-    }
-
-    /// Is this the versioned (`VcasBST`) variant?
-    pub fn is_versioned(&self) -> bool {
-        matches!(self.mode, Mode::Versioned(_))
+        self.mode.camera()
     }
 
     /// Number of successful updates (inserts + removes) applied so far.
@@ -411,7 +368,7 @@ impl Nbbst {
     fn after_update(&self, guard: &Guard) {
         // ORDERING: diag-counter — monitoring only.
         self.updates.fetch_add(1, Ordering::Relaxed);
-        if let Mode::Versioned(camera) = &self.mode {
+        if let Some(camera) = self.mode.camera() {
             camera.reclaim_tick(guard);
         }
     }
@@ -423,14 +380,9 @@ impl Nbbst {
 
     // ----- search ---------------------------------------------------------------------
 
-    #[inline]
-    fn dir_for(key: Key, node_key: Key) -> usize {
-        usize::from(key >= node_key)
-    }
-
     /// The paper's `Search(k)`: walks from the root to a leaf, remembering the last two
     /// internal nodes and their update words.
-    fn search<'g>(&self, key: Key, guard: &'g Guard) -> SearchResult<'g> {
+    fn search<'g>(&self, key: Key, guard: &'g Guard) -> SearchResult<'g, M> {
         let mut gp = Shared::null();
         let mut gpupdate = Shared::null();
         let mut p = Shared::null();
@@ -438,12 +390,12 @@ impl Nbbst {
         let mut l = self.root(guard);
         // SAFETY: every pointer on the walk was loaded under `guard` from the root or a
         // child cell (never null: the root has two children and so does every internal).
-        while let NodeRef::Internal(n) = unsafe { l.get() } {
+        while let NodeRef::Internal(n) = unsafe { l.get::<M>() } {
             gp = p;
             gpupdate = pupdate;
             p = l.internal();
             pupdate = n.update.load(Ordering::SeqCst, guard);
-            l = n.child(Self::dir_for(key, n.key)).load(guard);
+            l = n.child(dir_for(key, n.key), guard);
         }
         SearchResult { gp, p, gpupdate, pupdate, l }
     }
@@ -481,12 +433,13 @@ impl Nbbst {
             let (lc, rc) =
                 if key < l_ref.key { (new_leaf, new_sibling) } else { (new_sibling, new_leaf) };
             let new_internal = Owned::new(Internal::new(
+                &self.mode,
                 key.max(l_ref.key),
-                ChildPtr::new(&self.mode, NodePtr::from_leaf(lc)),
-                ChildPtr::new(&self.mode, NodePtr::from_leaf(rc)),
+                NodePtr::from_leaf(lc),
+                NodePtr::from_leaf(rc),
             ))
             .into_shared(&guard);
-            if let Mode::Versioned(camera) = &self.mode {
+            if let Some(camera) = self.mode.camera() {
                 camera.note_nodes_created(3);
             }
 
@@ -520,7 +473,7 @@ impl Nbbst {
                     unsafe { guard.defer_destroy(s.pupdate.with_tag(0)) };
                 }
                 self.help_insert(op, &guard);
-                if let Mode::Versioned(camera) = &self.mode {
+                if let Some(camera) = self.mode.camera() {
                     // All three new nodes are now published (the child CAS — ours or a
                     // helper's — put `new_internal` in `p`'s cell, and `new_internal`'s
                     // own cells hold the two leaves): hand off their creator references.
@@ -535,7 +488,7 @@ impl Nbbst {
                 // immediately. Order matters in versioned mode: dropping `new_internal`
                 // releases the counted references its cells held on the two leaves (back
                 // to the creator references we free next).
-                if let Mode::Versioned(camera) = &self.mode {
+                if let Some(camera) = self.mode.camera() {
                     camera.note_nodes_dropped(3);
                 }
                 // SAFETY: the iflag CAS failed, so `op` and the three nodes were never
@@ -629,9 +582,9 @@ impl Nbbst {
         let mut node = self.root(&guard);
         loop {
             // SAFETY: loaded under `guard` from the root or a child cell; never null.
-            match unsafe { node.get() } {
+            match unsafe { node.get::<M>() } {
                 NodeRef::Leaf(leaf) => return (leaf.key == key).then_some(leaf.value),
-                NodeRef::Internal(n) => node = n.child(Self::dir_for(key, n.key)).load(&guard),
+                NodeRef::Internal(n) => node = n.child(dir_for(key, n.key), &guard),
             }
         }
     }
@@ -657,7 +610,7 @@ impl Nbbst {
         // nodes they name are protected by `guard` as long as `op` is.
         let (p, l, new_internal) = unsafe {
             (
-                Shared::<'_, Internal>::from_data(info.p),
+                Shared::<'_, Internal<M>>::from_data(info.p),
                 NodePtr::from_data(info.l),
                 NodePtr::from_data(info.new_internal),
             )
@@ -676,7 +629,7 @@ impl Nbbst {
                 guard,
             )
             .is_ok();
-        if unflagged && self.mode.reclaim_unlinked() {
+        if unflagged && !M::VERSIONED {
             // SAFETY: while `p` is flagged only this operation's child CAS can change its
             // child, so once any helper's CAS attempt returned, `l` is unlinked for good
             // (its copy took its place, and nothing re-links it). The unique winner of the
@@ -693,9 +646,9 @@ impl Nbbst {
         // SAFETY: the descriptor's words were packed from pointers of these types.
         let (p, pupdate, gp) = unsafe {
             (
-                Shared::<'_, Internal>::from_data(info.p),
+                Shared::<'_, Internal<M>>::from_data(info.p),
                 Shared::<'_, Info>::from_data(info.pupdate),
-                Shared::<'_, Internal>::from_data(info.gp),
+                Shared::<'_, Internal<M>>::from_data(info.gp),
             )
         };
         // SAFETY: a delete descriptor names a non-null parent, protected as above.
@@ -755,8 +708,8 @@ impl Nbbst {
         // SAFETY: the descriptor's words were packed from pointers of these types.
         let (gp, p, l) = unsafe {
             (
-                Shared::<'_, Internal>::from_data(info.gp),
-                Shared::<'_, Internal>::from_data(info.p),
+                Shared::<'_, Internal<M>>::from_data(info.gp),
+                Shared::<'_, Internal<M>>::from_data(info.p),
                 NodePtr::from_data(info.l),
             )
         };
@@ -764,8 +717,8 @@ impl Nbbst {
         let p_ref = unsafe { p.deref() };
 
         // The sibling of the removed leaf replaces the parent.
-        let right = p_ref.child(1).load(guard);
-        let other = if right == l { p_ref.child(0).load(guard) } else { right };
+        let right = p_ref.child(1, guard);
+        let other = if right == l { p_ref.child(0, guard) } else { right };
 
         self.cas_child(gp, NodePtr::from_internal(p), other, guard);
         // dunflag: release the grandparent.
@@ -781,7 +734,7 @@ impl Nbbst {
                 guard,
             )
             .is_ok();
-        if unflagged && self.mode.reclaim_unlinked() {
+        if unflagged && !M::VERSIONED {
             // SAFETY: as in `help_insert` — once any helper's splice attempt returned,
             // `p` and `l` are unlinked, and the unique winner of the dunflag retires them
             // after which no thread can newly read `op` as a pending delete; threads that
@@ -796,7 +749,7 @@ impl Nbbst {
     /// The paper's `CAS-Child(parent, old, new)`.
     fn cas_child(
         &self,
-        parent: Shared<'_, Internal>,
+        parent: Shared<'_, Internal<M>>,
         old: NodePtr<'_>,
         new: NodePtr<'_>,
         guard: &Guard,
@@ -804,8 +757,8 @@ impl Nbbst {
         // SAFETY: `parent` and `new` come from a descriptor or a child cell read under
         // `guard` (see the callers), so both are non-null and still allocated.
         let (parent_ref, new_key) = unsafe { (parent.deref(), new.key()) };
-        let dir = Self::dir_for(new_key, parent_ref.key);
-        parent_ref.child(dir).compare_exchange(old, new, guard)
+        let dir = dir_for(new_key, parent_ref.key);
+        parent_ref.children[dir].compare_exchange(old.0, new.0, guard)
     }
 
     // ----- multi-point queries ----------------------------------------------------------
@@ -816,15 +769,8 @@ impl Nbbst {
 
     /// Opens a pinned snapshot view of the tree's state right now (the primary multi-point
     /// query surface; see [`crate::view`]). In plain mode the view reads current state.
-    pub fn view(&self) -> NbbstView<'_> {
-        match &self.mode {
-            Mode::Plain => self.current_view(),
-            Mode::Versioned(camera) => {
-                let pinned = camera.pin_snapshot();
-                let view = View::Snapshot(pinned.handle());
-                NbbstView { tree: self, _pin: Some(pinned), view, guard: pin() }
-            }
-        }
+    pub fn view(&self) -> NbbstView<'_, M> {
+        NbbstView::new(self, self.mode.pin_snapshot())
     }
 
     /// Opens a view of the tree **as of** timestamp `ts` — any retained timestamp, not
@@ -833,21 +779,8 @@ impl Nbbst {
     /// while writers run and reclamation truncates other history. Fails if `ts` is below
     /// the retention watermark, in the future, or if the tree is in plain (history-less)
     /// mode; see [`vcas_core::RetentionError`].
-    pub fn view_at(&self, ts: u64) -> Result<NbbstView<'_>, RetentionError> {
-        match &self.mode {
-            Mode::Plain => Err(RetentionError::Unsupported),
-            Mode::Versioned(camera) => {
-                let pinned = camera.pin_snapshot_at(ts)?;
-                let view = View::Snapshot(pinned.handle());
-                Ok(NbbstView { tree: self, _pin: Some(pinned), view, guard: pin() })
-            }
-        }
-    }
-
-    /// A view of the current state, deliberately ignoring snapshots (the paper's
-    /// non-atomic baseline).
-    fn current_view(&self) -> NbbstView<'_> {
-        NbbstView { tree: self, _pin: None, view: View::Current, guard: pin() }
+    pub fn view_at(&self, ts: u64) -> Result<NbbstView<'_, M>, RetentionError> {
+        Ok(NbbstView::new(self, Some(self.mode.pin_snapshot_at(ts)?)))
     }
 
     /// Atomic range query (versioned mode); non-atomic traversal in plain mode.
@@ -855,20 +788,9 @@ impl Nbbst {
         self.view().range(lo, hi)
     }
 
-    /// Range query that deliberately ignores snapshots (the paper's non-atomic baseline),
-    /// available in both modes.
-    pub fn range_query_non_atomic(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        self.current_view().range(lo, hi)
-    }
-
     /// Atomic `succ(k, c)`: the first `c` keys greater than `key` (Table 2).
     pub fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
         self.view().successors(key, count)
-    }
-
-    /// Non-atomic `succ(k, c)` baseline.
-    pub fn successors_non_atomic(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        self.current_view().successors(key, count)
     }
 
     /// Atomic `findif`: first key in `[lo, hi)` satisfying `pred` (Table 2).
@@ -879,11 +801,6 @@ impl Nbbst {
     /// Atomic `multisearch`: looks up every key against one snapshot (Table 2).
     pub fn multi_search(&self, keys: &[Key]) -> Vec<Option<Value>> {
         self.view().multi_get(keys)
-    }
-
-    /// Non-atomic multisearch baseline: independent lookups.
-    pub fn multi_search_non_atomic(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        keys.iter().map(|&k| self.get(k)).collect()
     }
 
     /// Atomic structural query: the height of the tree (number of internal levels).
@@ -913,20 +830,17 @@ impl Nbbst {
     /// [`Collectible::collect_bounded`] instead (register the tree with
     /// [`Camera::register_collectible`] and install a [`vcas_core::ReclaimPolicy`]).
     pub fn collect_versions(&self) -> usize {
-        let camera = match &self.mode {
-            Mode::Plain => return 0,
-            Mode::Versioned(c) => c.clone(),
-        };
+        let Some(camera) = self.mode.camera() else { return 0 };
         let min_active = camera.retention_floor();
         let guard = pin();
         let mut retired = 0;
         let mut stack = vec![self.root(&guard)];
         while let Some(node) = stack.pop() {
             // SAFETY: loaded under `guard` from the root or a child cell; never null.
-            let NodeRef::Internal(n) = (unsafe { node.get() }) else { continue };
+            let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { continue };
             for child in &n.children {
                 retired += child.collect_before(min_active, &guard);
-                stack.push(child.load(&guard));
+                stack.push(NodePtr(child.load(&guard)));
             }
         }
         retired
@@ -941,14 +855,14 @@ impl Nbbst {
 /// or above the cursor are revisited across passes (their re-truncation is cheap — the
 /// lists are already short), which keeps the resume state one key instead of a traversal
 /// stack over a mutating tree.
-impl Collectible for Nbbst {
+impl<M: Mode> Collectible for Nbbst<M> {
     fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
-        enum Step<'g> {
+        enum Step<'g, M: Mode> {
             Expand(NodePtr<'g>),
-            Visit(&'g Internal),
+            Visit(&'g Internal<M>),
         }
         let mut stats = CollectStats::default();
-        if !self.is_versioned() {
+        if !M::VERSIONED {
             stats.completed_cycle = true;
             return stats;
         }
@@ -961,19 +875,19 @@ impl Collectible for Nbbst {
             match step {
                 Step::Expand(node) => {
                     // SAFETY: loaded under `guard` from the root or a child cell; never null.
-                    let NodeRef::Internal(n) = (unsafe { node.get() }) else { continue };
+                    let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { continue };
                     // In-order: left subtree, the node itself, right subtree. The left
                     // subtree holds keys < n.key only; skip it when the cursor says a
                     // previous pass already swept past those keys. Nodes below the cursor
                     // are likewise only routed through, never re-visited — counting them
                     // against the budget would let a pass burn its whole budget on ground
                     // already covered and stall the cursor.
-                    stack.push(Step::Expand(n.child(1).load(guard)));
+                    stack.push(Step::Expand(n.child(1, guard)));
                     if n.key >= start {
                         stack.push(Step::Visit(n));
                     }
                     if start < n.key {
-                        stack.push(Step::Expand(n.child(0).load(guard)));
+                        stack.push(Step::Expand(n.child(0, guard)));
                     }
                 }
                 Step::Visit(n) => {
@@ -1003,12 +917,10 @@ impl Collectible for Nbbst {
         let mut stack = vec![self.root(guard)];
         while let Some(node) = stack.pop() {
             // SAFETY: loaded under `guard` from the root or a child cell; never null.
-            let NodeRef::Internal(n) = (unsafe { node.get() }) else { continue };
+            let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { continue };
             for child in &n.children {
-                if let ChildPtr::Versioned(v) = child {
-                    stats.record_cell(v.version_count(guard));
-                }
-                stack.push(child.load(guard));
+                stats.record_cell(child.version_count(guard));
+                stack.push(NodePtr(child.load(guard)));
             }
         }
         stats
@@ -1018,16 +930,22 @@ impl Collectible for Nbbst {
 /// A snapshot view of an [`Nbbst`]: every query on one view observes the same timestamp
 /// (see [`Nbbst::view`] / [`Nbbst::view_at`]). Holds the snapshot pin (when pinned) and a
 /// single EBR guard for its whole lifetime, so a batch of queries pays for both once.
-pub struct NbbstView<'a> {
-    tree: &'a Nbbst,
+pub struct NbbstView<'a, M: Mode = Versioned> {
+    tree: &'a Nbbst<M>,
     /// Keeps the snapshot registered with the camera so version-list truncation cannot
     /// reclaim versions this view may read.
     _pin: Option<PinnedSnapshot>,
-    view: View,
+    /// The snapshot the view reads at (`None`: the current state, in plain mode).
+    handle: Option<SnapshotHandle>,
     guard: Guard,
 }
 
-impl NbbstView<'_> {
+impl<'a, M: Mode> NbbstView<'a, M> {
+    fn new(tree: &'a Nbbst<M>, pinned: Option<PinnedSnapshot>) -> NbbstView<'a, M> {
+        let handle = pinned.as_ref().map(PinnedSnapshot::handle);
+        NbbstView { tree, _pin: pinned, handle, guard: pin() }
+    }
+
     /// In-order walk over every leaf with a user key in `[lo, hi]`, calling `f` until it
     /// returns `false`. Returns `false` iff the walk was aborted by `f`.
     fn walk(
@@ -1039,7 +957,7 @@ impl NbbstView<'_> {
     ) -> bool {
         // SAFETY: loaded under `self.guard` from the root or a child cell's view; never
         // null, and a pinned view's versions outlive the guard-protected walk.
-        let n = match unsafe { node.get() } {
+        let n = match unsafe { node.get::<M>() } {
             NodeRef::Leaf(leaf) => {
                 if leaf.key >= lo && leaf.key <= hi && leaf.key <= MAX_KEY {
                     return f(leaf.key, leaf.value);
@@ -1048,11 +966,11 @@ impl NbbstView<'_> {
             }
             NodeRef::Internal(n) => n,
         };
-        if lo < n.key && !self.walk(n.child(0).load_view(self.view, &self.guard), lo, hi, f) {
+        if lo < n.key && !self.walk(n.child_at(0, self.handle, &self.guard), lo, hi, f) {
             return false;
         }
         if hi >= n.key {
-            return self.walk(n.child(1).load_view(self.view, &self.guard), lo, hi, f);
+            return self.walk(n.child_at(1, self.handle, &self.guard), lo, hi, f);
         }
         true
     }
@@ -1066,10 +984,10 @@ impl NbbstView<'_> {
         let mut node = self.tree.root(&self.guard);
         loop {
             // SAFETY: loaded under `self.guard` from the root or a child cell's view.
-            match unsafe { node.get() } {
+            match unsafe { node.get::<M>() } {
                 NodeRef::Leaf(leaf) => return (leaf.key == key).then_some(leaf.value),
                 NodeRef::Internal(n) => {
-                    node = n.child(Nbbst::dir_for(key, n.key)).load_view(self.view, &self.guard)
+                    node = n.child_at(dir_for(key, n.key), self.handle, &self.guard)
                 }
             }
         }
@@ -1146,11 +1064,11 @@ impl NbbstView<'_> {
 
     /// Height of the tree in this view (number of internal levels).
     pub fn height(&self) -> usize {
-        fn depth(view: &NbbstView<'_>, node: NodePtr<'_>) -> usize {
+        fn depth<M: Mode>(view: &NbbstView<'_, M>, node: NodePtr<'_>) -> usize {
             // SAFETY: loaded under `view.guard` from the root or a child cell's view.
-            let NodeRef::Internal(n) = (unsafe { node.get() }) else { return 0 };
-            let left = depth(view, n.child(0).load_view(view.view, &view.guard));
-            let right = depth(view, n.child(1).load_view(view.view, &view.guard));
+            let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { return 0 };
+            let left = depth(view, n.child_at(0, view.handle, &view.guard));
+            let right = depth(view, n.child_at(1, view.handle, &view.guard));
             1 + left.max(right)
         }
         depth(self, self.tree.root(&self.guard))
@@ -1158,18 +1076,15 @@ impl NbbstView<'_> {
 
     /// The snapshot timestamp this view reads at (`None` for a current-state view).
     pub fn timestamp(&self) -> Option<SnapshotHandle> {
-        match self.view {
-            View::Current => None,
-            View::Snapshot(h) => Some(h),
-        }
+        self.handle
     }
 }
 
 /// Streaming in-order iterator over an [`NbbstView`]: an explicit descent stack replaces
 /// the recursive walk so leaves can be yielded lazily — `O(log n)` to position, one
 /// root-to-leaf continuation per yielded pair, nothing materialized.
-struct NbbstRangeIter<'v, 'a> {
-    view: &'v NbbstView<'a>,
+struct NbbstRangeIter<'v, 'a, M: Mode> {
+    view: &'v NbbstView<'a, M>,
     /// In-order continuation: internal nodes whose right subtree is still pending, with
     /// the next leaf to visit on top.
     stack: Vec<NodePtr<'v>>,
@@ -1177,8 +1092,8 @@ struct NbbstRangeIter<'v, 'a> {
     hi: Key,
 }
 
-impl<'v, 'a> NbbstRangeIter<'v, 'a> {
-    fn new(view: &'v NbbstView<'a>, lo: Key, hi: Key) -> NbbstRangeIter<'v, 'a> {
+impl<'v, 'a, M: Mode> NbbstRangeIter<'v, 'a, M> {
+    fn new(view: &'v NbbstView<'a, M>, lo: Key, hi: Key) -> NbbstRangeIter<'v, 'a, M> {
         let mut it = NbbstRangeIter { view, stack: Vec::new(), lo, hi: hi.min(MAX_KEY) };
         it.push_left(view.tree.root(&view.guard));
         it
@@ -1191,28 +1106,28 @@ impl<'v, 'a> NbbstRangeIter<'v, 'a> {
         let view = self.view;
         loop {
             // SAFETY: loaded under `view.guard` from the root or a child cell's view.
-            let NodeRef::Internal(n) = (unsafe { node.get() }) else {
+            let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else {
                 self.stack.push(node);
                 return;
             };
             if self.lo < n.key {
                 self.stack.push(node);
-                node = n.child(0).load_view(view.view, &view.guard);
+                node = n.child_at(0, view.handle, &view.guard);
             } else {
-                node = n.child(1).load_view(view.view, &view.guard);
+                node = n.child_at(1, view.handle, &view.guard);
             }
         }
     }
 }
 
-impl Iterator for NbbstRangeIter<'_, '_> {
+impl<M: Mode> Iterator for NbbstRangeIter<'_, '_, M> {
     type Item = (Key, Value);
 
     fn next(&mut self) -> Option<(Key, Value)> {
         let view = self.view;
         while let Some(node) = self.stack.pop() {
             // SAFETY: stacked by `push_left`, which loaded it under `view.guard`.
-            match unsafe { node.get() } {
+            match unsafe { node.get::<M>() } {
                 NodeRef::Leaf(leaf) => {
                     if leaf.key > self.hi {
                         // In-order: every remaining key (dummy leaves included) is larger.
@@ -1224,7 +1139,7 @@ impl Iterator for NbbstRangeIter<'_, '_> {
                     }
                 }
                 NodeRef::Internal(n) if self.hi >= n.key => {
-                    self.push_left(n.child(1).load_view(view.view, &view.guard));
+                    self.push_left(n.child_at(1, view.handle, &view.guard));
                 }
                 NodeRef::Internal(_) => {}
             }
@@ -1233,7 +1148,7 @@ impl Iterator for NbbstRangeIter<'_, '_> {
     }
 }
 
-impl MapSnapshotView for NbbstView<'_> {
+impl<M: Mode> MapSnapshotView for NbbstView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
         NbbstView::get(self, key)
     }
@@ -1272,13 +1187,13 @@ impl MapSnapshotView for NbbstView<'_> {
     }
 }
 
-impl CameraAttached for Nbbst {
+impl<M: Mode> CameraAttached for Nbbst<M> {
     fn attached_camera(&self) -> Option<&Arc<Camera>> {
         self.camera()
     }
 }
 
-impl SnapshotSource for Nbbst {
+impl<M: Mode> SnapshotSource for Nbbst<M> {
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(self.view())
     }
@@ -1287,15 +1202,15 @@ impl SnapshotSource for Nbbst {
     }
 }
 
-struct SearchResult<'g> {
-    gp: Shared<'g, Internal>,
-    p: Shared<'g, Internal>,
+struct SearchResult<'g, M: Mode> {
+    gp: Shared<'g, Internal<M>>,
+    p: Shared<'g, Internal<M>>,
     gpupdate: Shared<'g, Info>,
     pupdate: Shared<'g, Info>,
     l: NodePtr<'g>,
 }
 
-impl Drop for Nbbst {
+impl<M: Mode> Drop for Nbbst<M> {
     fn drop(&mut self) {
         // Exclusive access. Walk the *current* tree only, collecting its nodes and the
         // operation descriptors currently installed in update words. (Descriptors that were
@@ -1315,42 +1230,39 @@ impl Drop for Nbbst {
             }
             // SAFETY: loaded under `guard` from the root or a child cell, and nothing is
             // freed before the walk ends.
-            if let NodeRef::Internal(n) = unsafe { node.get() } {
+            if let NodeRef::Internal(n) = unsafe { node.get::<M>() } {
                 let u = n.update.load(Ordering::SeqCst, &guard);
                 if !u.is_null() {
                     info_ptrs.insert(u.with_tag(0).as_raw() as usize);
                 }
-                stack.extend(n.children.iter().map(|c| c.load(&guard)));
+                stack.extend(n.children.iter().map(|c| NodePtr(c.load(&guard))));
             }
         }
 
-        match &self.mode {
+        if let Some(camera) = self.mode.camera() {
             // Versioned: every node but the root is owned by the version-reference
             // protocol — freeing the root drops its cells, releasing the references they
             // held, and reclamation cascades through every node of every retained version
             // (deferred through EBR, each node freed as its own type by `ChildRefs`;
             // `vcas_ebr::drain` at a quiescent point settles the counters). Only the root,
             // which no version node ever pointed at, is freed — and counted — here.
-            Mode::Versioned(camera) => {
-                camera.note_nodes_dropped(1);
-                // SAFETY: `&mut self` — the root was allocated by `Atomic::new`, is
-                // referenced by no version node, and is freed exactly once, here.
-                drop(unsafe { root.internal().into_owned() });
-            }
+            camera.note_nodes_dropped(1);
+            // SAFETY: `&mut self` — the root was allocated by `Atomic::new`, is
+            // referenced by no version node, and is freed exactly once, here.
+            drop(unsafe { root.internal::<M>().into_owned() });
+        } else {
             // Plain: unlinked nodes were retired to EBR when unlinked; free what the
             // current tree still reaches, each as its own type.
-            Mode::Plain => {
-                for word in nodes {
-                    // SAFETY: `word` came from `into_data` during the walk above.
-                    let node = unsafe { NodePtr::from_data(word) };
-                    // SAFETY: `&mut self`: every node the current tree reaches is owned by
-                    // the tree alone, visited once (the set), and freed exactly once here.
-                    unsafe {
-                        if node.is_leaf() {
-                            drop(node.leaf().into_owned());
-                        } else {
-                            drop(node.internal().into_owned());
-                        }
+            for word in nodes {
+                // SAFETY: `word` came from `into_data` during the walk above.
+                let node = unsafe { NodePtr::from_data(word) };
+                // SAFETY: `&mut self`: every node the current tree reaches is owned by
+                // the tree alone, visited once (the set), and freed exactly once here.
+                unsafe {
+                    if node.is_leaf() {
+                        drop(node.leaf().into_owned());
+                    } else {
+                        drop(node.internal::<M>().into_owned());
                     }
                 }
             }
@@ -1366,7 +1278,7 @@ impl Drop for Nbbst {
     }
 }
 
-impl ConcurrentMap for Nbbst {
+impl<M: Mode> ConcurrentMap for Nbbst<M> {
     fn insert(&self, key: Key, value: Value) -> bool {
         Nbbst::insert(self, key, value)
     }
@@ -1385,20 +1297,24 @@ impl ConcurrentMap for Nbbst {
 }
 
 /// All multi-point queries come from the trait's view-based defaults.
-impl AtomicRangeMap for Nbbst {}
+impl<M: Mode> AtomicRangeMap for Nbbst<M> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    fn both_modes() -> Vec<Nbbst> {
-        vec![Nbbst::new_plain(), Nbbst::new_versioned_default()]
+    fn plain() -> Nbbst<Plain> {
+        Nbbst::new_plain()
+    }
+
+    fn versioned() -> Nbbst {
+        Nbbst::new_versioned_default()
     }
 
     #[test]
     fn insert_contains_remove_sequential() {
-        for tree in both_modes() {
+        for_both_modes!(|tree| {
             assert!(tree.insert(5, 50));
             assert!(tree.insert(3, 30));
             assert!(tree.insert(8, 80));
@@ -1410,12 +1326,12 @@ mod tests {
             assert!(!tree.remove(3), "double remove must fail");
             assert!(!tree.contains(3));
             assert_eq!(tree.scan(), vec![(5, 50), (8, 80)]);
-        }
+        });
     }
 
     #[test]
     fn empty_tree_queries() {
-        for tree in both_modes() {
+        for_both_modes!(|tree| {
             assert!(tree.is_empty());
             assert_eq!(tree.scan(), vec![]);
             assert_eq!(tree.get(1), None);
@@ -1423,14 +1339,14 @@ mod tests {
             assert_eq!(tree.range_query(0, 100), vec![]);
             assert_eq!(tree.successors(0, 3), vec![]);
             assert_eq!(tree.multi_search(&[1, 2, 3]), vec![None, None, None]);
-        }
+        });
     }
 
     #[test]
     fn matches_btreeset_on_random_ops() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        for tree in both_modes() {
+        for_both_modes!(|tree| {
             let mut model = BTreeSet::new();
             for _ in 0..4000 {
                 let k = rng.gen_range(0..200u64);
@@ -1443,12 +1359,12 @@ mod tests {
             let scanned: Vec<Key> = tree.scan().iter().map(|(k, _)| *k).collect();
             let expected: Vec<Key> = model.iter().copied().collect();
             assert_eq!(scanned, expected);
-        }
+        });
     }
 
     #[test]
     fn range_and_successors_and_multisearch() {
-        for tree in both_modes() {
+        for_both_modes!(|tree| {
             for k in (0..100u64).step_by(2) {
                 tree.insert(k, k + 1);
             }
@@ -1460,7 +1376,7 @@ mod tests {
             assert_eq!(tree.find_if(0, 100, &|k| k % 14 == 0 && k > 0), Some((14, 15)));
             assert_eq!(tree.multi_search(&[4, 5, 6]), vec![Some(5), None, Some(7)]);
             assert!(tree.height() >= 1);
-        }
+        });
     }
 
     #[test]
@@ -1497,7 +1413,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_partitioned_keys() {
-        for tree in both_modes() {
+        for_both_modes!(|tree| {
             let tree = Arc::new(tree);
             let mut handles = Vec::new();
             for t in 0..4u64 {
@@ -1517,7 +1433,7 @@ mod tests {
                     assert!(tree.contains(k), "missing key {k}");
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -1525,7 +1441,7 @@ mod tests {
         // Threads fight over a small key space; afterwards every key's membership must agree
         // with a replay of which operation "won" (we only check structural invariants: scan
         // is sorted, no duplicates, contains() agrees with scan()).
-        for tree in both_modes() {
+        for_both_modes!(|tree| {
             let tree = Arc::new(tree);
             let mut handles = Vec::new();
             for t in 0..4u64 {
@@ -1555,7 +1471,7 @@ mod tests {
             for k in 0..64u64 {
                 assert_eq!(tree.contains(k), keys.contains(&k));
             }
-        }
+        });
     }
 
     #[test]
@@ -1675,7 +1591,7 @@ mod tests {
 
     #[test]
     fn streaming_range_iter_matches_the_recursive_walk() {
-        for tree in both_modes() {
+        for_both_modes!(|tree| {
             for k in (0..200u64).step_by(3) {
                 tree.insert(k, k + 1);
             }
@@ -1686,7 +1602,7 @@ mod tests {
             assert_eq!(all, view.scan());
             let succ: Vec<_> = MapSnapshotView::successors_iter(&view, 10).take(4).collect();
             assert_eq!(succ, view.successors(10, 4));
-        }
+        });
     }
 
     /// A helper that replays an insert's child CAS after the inserted key was removed
@@ -1695,7 +1611,7 @@ mod tests {
     /// old leaf again and the replayed `CAS-Child(p, l, new_internal)` fails.
     #[test]
     fn late_insert_helper_cannot_relink_a_removed_key() {
-        for tree in both_modes() {
+        for_both_modes!(|tree| {
             for k in [10, 20, 30] {
                 assert!(tree.insert(k, k));
             }
@@ -1719,22 +1635,26 @@ mod tests {
             assert!(!tree.contains(25), "{}: a late helper re-linked a removed key", tree.label);
             assert_eq!(tree.len(), len, "{}", tree.label);
             assert_eq!(tree.scan(), vec![(10, 10), (20, 20), (30, 30)], "{}", tree.label);
-        }
+        });
     }
 
     /// Layout budget: a field added to either node type fails here, not only in the
     /// benchmark's byte census. A leaf is key, value and counter; an internal node adds
-    /// the `update` word and two three-word child cells instead of the value.
+    /// the `update` word and two child cells instead of the value — three words each when
+    /// versioned, one word each when plain.
     #[test]
     fn node_layouts_stay_within_budget() {
         use std::mem::size_of;
         assert!(size_of::<Leaf>() <= 24, "Leaf is {} B", size_of::<Leaf>());
-        assert!(size_of::<Internal>() <= 72, "Internal is {} B", size_of::<Internal>());
+        let versioned = size_of::<Internal<Versioned>>();
+        assert!(versioned <= 72, "Internal<Versioned> is {versioned} B");
+        let plain = size_of::<Internal<Plain>>();
+        assert!(plain <= 40, "Internal<Plain> is {plain} B");
         // The shared prefix sits at offset 0 of both types (what `NodePtr` casts rely on).
         let leaf = Leaf::new(1, 2);
         assert_eq!(std::ptr::addr_of!(leaf.head).cast::<u8>(), std::ptr::addr_of!(leaf).cast());
-        let internal =
-            Internal::new(3, ChildPtr::Plain(Atomic::null()), ChildPtr::Plain(Atomic::null()));
+        let null = NodePtr(Shared::null());
+        let internal = Internal::new(&Plain, 3, null, null);
         assert_eq!(
             std::ptr::addr_of!(internal.head).cast::<u8>(),
             std::ptr::addr_of!(internal).cast()
@@ -1745,7 +1665,5 @@ mod tests {
     fn plain_mode_has_no_camera_and_versioned_does() {
         assert!(Nbbst::new_plain().camera().is_none());
         assert!(Nbbst::new_versioned_default().camera().is_some());
-        assert!(!Nbbst::new_plain().is_versioned());
-        assert!(Nbbst::new_versioned_default().is_versioned());
     }
 }

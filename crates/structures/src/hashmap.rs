@@ -1,4 +1,6 @@
-//! A lock-free open-bucket hash table with constant-time snapshots.
+//! A lock-free open-bucket hash table with constant-time snapshots, generic over the
+//! pointer-cell [`Mode`]: `VcasHashMap<Versioned>` (the default) is the snapshot-capable
+//! table, `VcasHashMap<Plain>` ([`VcasHashMap::new_plain`]) its unversioned twin.
 //!
 //! The table is a fixed, power-of-two array of buckets; each bucket is a
 //! [`HarrisList`] holding the keys that hash to it. In versioned mode every bucket's
@@ -19,7 +21,9 @@ use std::sync::Arc;
 use vcas_core::sync::{AtomicUsize, Ordering};
 
 use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
-use vcas_core::{Camera, CameraAttached, PinnedSnapshot, RetentionError, SnapshotHandle};
+use vcas_core::{
+    Camera, CameraAttached, Mode, PinnedSnapshot, Plain, RetentionError, SnapshotHandle, Versioned,
+};
 use vcas_ebr::{pin, Guard};
 
 use crate::list::HarrisList;
@@ -29,54 +33,32 @@ use crate::view::{MapSnapshotView, SnapshotSource};
 /// Fibonacci multiplicative hashing constant (2^64 / phi), the usual odd multiplier.
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-enum MapMode {
-    /// Unversioned buckets: point ops only; multi-point reads are *non-atomic* (the
-    /// weakly-consistent baseline, analogous to `range_query_non_atomic` on the BST).
-    Plain,
-    /// vCAS-versioned buckets sharing this camera: multi-point reads are atomic.
-    Versioned(Arc<Camera>),
-}
-
-/// Lock-free open-bucket hash map, in plain and versioned (snapshot-capable) modes
-/// (see module docs).
-pub struct VcasHashMap {
+/// Lock-free open-bucket hash map (see module docs). Versioned buckets share the table's
+/// camera, so multi-point reads are atomic; plain buckets make them *non-atomic* (the
+/// weakly-consistent baseline, like the plain tree's views).
+pub struct VcasHashMap<M: Mode = Versioned> {
     /// Power-of-two bucket array; `mask == buckets.len() - 1`.
-    buckets: Box<[HarrisList]>,
+    buckets: Box<[HarrisList<M>]>,
     mask: u64,
-    mode: MapMode,
+    mode: M,
     /// Resume bucket for incremental version-list collection ([`Collectible`]).
     reclaim_bucket: AtomicUsize,
     label: &'static str,
 }
 
-impl VcasHashMap {
-    fn with_mode(mode: MapMode, buckets: usize, label: &'static str) -> VcasHashMap {
-        let n = buckets.max(1).next_power_of_two();
-        let buckets: Box<[HarrisList]> = (0..n)
-            .map(|_| match &mode {
-                MapMode::Plain => HarrisList::new_plain(),
-                MapMode::Versioned(camera) => HarrisList::new_versioned(camera),
-            })
-            .collect();
-        VcasHashMap {
-            buckets,
-            mask: (n - 1) as u64,
-            mode,
-            reclaim_bucket: AtomicUsize::new(0),
-            label,
-        }
-    }
-
+impl VcasHashMap<Plain> {
     /// The unversioned table (`HashMap` in benchmark output): lock-free point ops, but
     /// `multi_get` / `snapshot_iter` are non-atomic. Rounds `buckets` up to a power of two.
-    pub fn new_plain(buckets: usize) -> VcasHashMap {
-        Self::with_mode(MapMode::Plain, buckets, "HashMap")
+    pub fn new_plain(buckets: usize) -> VcasHashMap<Plain> {
+        Self::with_mode(Plain, buckets)
     }
+}
 
+impl VcasHashMap {
     /// The snapshot-capable table (`VcasHashMap`): bucket pointers are versioned CAS
     /// objects registered with `camera`. Rounds `buckets` up to a power of two.
     pub fn new_versioned(camera: &Arc<Camera>, buckets: usize) -> VcasHashMap {
-        Self::with_mode(MapMode::Versioned(camera.clone()), buckets, "VcasHashMap")
+        Self::with_mode(Versioned::new(camera), buckets)
     }
 
     /// A snapshot-capable table with a private camera and a default bucket count (256).
@@ -90,13 +72,24 @@ impl VcasHashMap {
         let lf = if load_factor > 0.0 { load_factor } else { 1.0 };
         (((capacity as f64 / lf).ceil() as usize).max(1)).next_power_of_two()
     }
+}
+
+impl<M: Mode> VcasHashMap<M> {
+    fn with_mode(mode: M, buckets: usize) -> VcasHashMap<M> {
+        let n = buckets.max(1).next_power_of_two();
+        let buckets = (0..n).map(|_| HarrisList::with_mode(mode.clone())).collect();
+        VcasHashMap {
+            buckets,
+            mask: (n - 1) as u64,
+            mode,
+            reclaim_bucket: AtomicUsize::new(0),
+            label: if M::VERSIONED { "VcasHashMap" } else { "HashMap" },
+        }
+    }
 
     /// The camera associated with a versioned table.
     pub fn camera(&self) -> Option<&Arc<Camera>> {
-        match &self.mode {
-            MapMode::Plain => None,
-            MapMode::Versioned(c) => Some(c),
-        }
+        self.mode.camera()
     }
 
     /// Number of buckets (always a power of two).
@@ -104,18 +97,10 @@ impl VcasHashMap {
         self.buckets.len()
     }
 
-    fn bucket_of(&self, key: Key) -> &HarrisList {
+    fn bucket_of(&self, key: Key) -> &HarrisList<M> {
         // Multiplicative hash, taking high bits so nearby keys spread across buckets.
         let h = key.wrapping_mul(HASH_MUL);
         &self.buckets[((h >> 32) & self.mask) as usize]
-    }
-
-    /// One *pinned* snapshot covering every bucket, or `None` in plain mode.
-    fn pin_for_query(&self) -> Option<PinnedSnapshot> {
-        match &self.mode {
-            MapMode::Plain => None,
-            MapMode::Versioned(camera) => Some(camera.pin_snapshot()),
-        }
     }
 
     // ----- point operations --------------------------------------------------------------
@@ -149,25 +134,16 @@ impl VcasHashMap {
     /// Opens a pinned snapshot view of the whole table's state right now (the primary
     /// multi-point query surface; see [`crate::view`]). In plain mode the view reads
     /// current state.
-    pub fn view(&self) -> VcasHashMapView<'_> {
-        let pinned = self.pin_for_query();
-        let handle = pinned.as_ref().map(|p| p.handle());
-        VcasHashMapView { map: self, _pin: pinned, handle, guard: pin() }
+    pub fn view(&self) -> VcasHashMapView<'_, M> {
+        VcasHashMapView::new(self, self.mode.pin_snapshot())
     }
 
     /// Opens a view of the whole table **as of** timestamp `ts` — any retained
     /// timestamp. The view pins `ts` ([`vcas_core::Camera::pin_snapshot_at`]), so it
     /// stays exact until dropped. Fails if `ts` is below the retention watermark, in the
     /// future, or if the table is in plain (history-less) mode.
-    pub fn view_at(&self, ts: u64) -> Result<VcasHashMapView<'_>, RetentionError> {
-        match &self.mode {
-            MapMode::Plain => Err(RetentionError::Unsupported),
-            MapMode::Versioned(camera) => {
-                let pinned = camera.pin_snapshot_at(ts)?;
-                let handle = Some(pinned.handle());
-                Ok(VcasHashMapView { map: self, _pin: Some(pinned), handle, guard: pin() })
-            }
-        }
+    pub fn view_at(&self, ts: u64) -> Result<VcasHashMapView<'_, M>, RetentionError> {
+        Ok(VcasHashMapView::new(self, Some(self.mode.pin_snapshot_at(ts)?)))
     }
 
     /// Looks up every key in `keys` against one snapshot: in versioned mode all lookups
@@ -182,9 +158,9 @@ impl VcasHashMap {
     /// materialized lazily, one at a time, so memory stays proportional to the largest
     /// bucket. The snapshot is pinned for the iterator's lifetime. Non-atomic in plain
     /// mode.
-    pub fn snapshot_iter(&self) -> SnapshotIter<'_> {
-        let pinned = self.pin_for_query();
-        let handle = pinned.as_ref().map(|p| p.handle());
+    pub fn snapshot_iter(&self) -> SnapshotIter<'_, M> {
+        let pinned = self.mode.pin_snapshot();
+        let handle = pinned.as_ref().map(PinnedSnapshot::handle);
         SnapshotIter {
             map: self,
             _pin: pinned,
@@ -217,8 +193,8 @@ impl VcasHashMap {
 /// Lazy per-bucket iterator returned by [`VcasHashMap::snapshot_iter`]; all buckets are
 /// read at the one snapshot handle (pinned for the iterator's lifetime) taken when the
 /// iterator was created.
-pub struct SnapshotIter<'a> {
-    map: &'a VcasHashMap,
+pub struct SnapshotIter<'a, M: Mode = Versioned> {
+    map: &'a VcasHashMap<M>,
     /// Keeps the snapshot registered with the camera while the iterator is alive.
     _pin: Option<PinnedSnapshot>,
     handle: Option<SnapshotHandle>,
@@ -227,7 +203,7 @@ pub struct SnapshotIter<'a> {
     current: std::vec::IntoIter<(Key, Value)>,
 }
 
-impl Iterator for SnapshotIter<'_> {
+impl<M: Mode> Iterator for SnapshotIter<'_, M> {
     type Item = (Key, Value);
 
     fn next(&mut self) -> Option<(Key, Value)> {
@@ -245,8 +221,8 @@ impl Iterator for SnapshotIter<'_> {
 /// A snapshot view of a [`VcasHashMap`]: every query on one view observes the same
 /// timestamp across *all* buckets (see [`VcasHashMap::view`] / [`VcasHashMap::view_at`]).
 /// Holds the snapshot pin (when pinned) and one EBR guard for its whole lifetime.
-pub struct VcasHashMapView<'a> {
-    map: &'a VcasHashMap,
+pub struct VcasHashMapView<'a, M: Mode = Versioned> {
+    map: &'a VcasHashMap<M>,
     /// Keeps the snapshot registered with the camera so version-list truncation cannot
     /// reclaim versions this view may read.
     _pin: Option<PinnedSnapshot>,
@@ -254,7 +230,12 @@ pub struct VcasHashMapView<'a> {
     guard: Guard,
 }
 
-impl VcasHashMapView<'_> {
+impl<'a, M: Mode> VcasHashMapView<'a, M> {
+    fn new(map: &'a VcasHashMap<M>, pinned: Option<PinnedSnapshot>) -> VcasHashMapView<'a, M> {
+        let handle = pinned.as_ref().map(PinnedSnapshot::handle);
+        VcasHashMapView { map, _pin: pinned, handle, guard: pin() }
+    }
+
     /// The value associated with `key` in this view.
     pub fn get(&self, key: Key) -> Option<Value> {
         self.map.bucket_of(key).get_at(self.handle, key, &self.guard)
@@ -293,7 +274,7 @@ impl VcasHashMapView<'_> {
     }
 }
 
-impl MapSnapshotView for VcasHashMapView<'_> {
+impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
         VcasHashMapView::get(self, key)
     }
@@ -325,10 +306,10 @@ impl MapSnapshotView for VcasHashMapView<'_> {
 /// version lists retires nodes whose last reference went (counted into the shared
 /// camera's `nodes_retired`), and dropping the table drops the buckets, whose cascades
 /// free every remaining node — see the node-conservation test in `tests/node_reclaim.rs`.
-impl Collectible for VcasHashMap {
+impl<M: Mode> Collectible for VcasHashMap<M> {
     fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
         let mut stats = CollectStats::default();
-        if matches!(self.mode, MapMode::Plain) {
+        if !M::VERSIONED {
             stats.completed_cycle = true;
             return stats;
         }
@@ -375,13 +356,13 @@ impl Collectible for VcasHashMap {
     }
 }
 
-impl CameraAttached for VcasHashMap {
+impl<M: Mode> CameraAttached for VcasHashMap<M> {
     fn attached_camera(&self) -> Option<&Arc<Camera>> {
         self.camera()
     }
 }
 
-impl SnapshotSource for VcasHashMap {
+impl<M: Mode> SnapshotSource for VcasHashMap<M> {
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(self.view())
     }
@@ -390,7 +371,7 @@ impl SnapshotSource for VcasHashMap {
     }
 }
 
-impl ConcurrentMap for VcasHashMap {
+impl<M: Mode> ConcurrentMap for VcasHashMap<M> {
     fn insert(&self, key: Key, value: Value) -> bool {
         VcasHashMap::insert(self, key, value)
     }
@@ -410,7 +391,7 @@ impl ConcurrentMap for VcasHashMap {
 
 /// `multi_get` and `snapshot_len` come from the trait's view-based defaults; only the
 /// lazy per-bucket iterator is structure-specific.
-impl SnapshotMap for VcasHashMap {
+impl<M: Mode> SnapshotMap for VcasHashMap<M> {
     fn snapshot_iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
         Box::new(VcasHashMap::snapshot_iter(self))
     }
@@ -420,15 +401,19 @@ impl SnapshotMap for VcasHashMap {
 /// generic workload driver and query harness can drive the hash map, and they are atomic
 /// in versioned mode because each call's view reads one snapshot. All methods are the
 /// trait's view-based defaults (the view's sort-based ordered queries).
-impl AtomicRangeMap for VcasHashMap {}
+impl<M: Mode> AtomicRangeMap for VcasHashMap<M> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap as StdHashMap;
 
-    fn both_modes() -> Vec<VcasHashMap> {
-        vec![VcasHashMap::new_plain(8), VcasHashMap::new_versioned(&Camera::new(), 8)]
+    fn plain() -> VcasHashMap<Plain> {
+        VcasHashMap::new_plain(8)
+    }
+
+    fn versioned() -> VcasHashMap {
+        VcasHashMap::new_versioned(&Camera::new(), 8)
     }
 
     #[test]
@@ -443,7 +428,7 @@ mod tests {
 
     #[test]
     fn sequential_map_semantics() {
-        for map in both_modes() {
+        for_both_modes!(|map| {
             assert!(map.is_empty());
             assert!(map.insert(3, 30));
             assert!(map.insert(1, 10));
@@ -454,14 +439,14 @@ mod tests {
             assert_eq!(map.get(3), None);
             assert_eq!(map.len(), 1);
             assert_eq!(map.snapshot_scan(), vec![(1, 10)]);
-        }
+        });
     }
 
     #[test]
     fn matches_model_on_random_ops() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for map in both_modes() {
+        for_both_modes!(|map| {
             let mut model = StdHashMap::new();
             for _ in 0..3000 {
                 let k = rng.gen_range(0..200u64);
@@ -479,12 +464,12 @@ mod tests {
             let mut expected: Vec<(Key, Value)> = model.into_iter().collect();
             expected.sort_unstable_by_key(|(k, _)| *k);
             assert_eq!(map.snapshot_scan(), expected);
-        }
+        });
     }
 
     #[test]
     fn multi_get_matches_individual_gets_sequentially() {
-        for map in both_modes() {
+        for_both_modes!(|map| {
             for k in (0..100u64).step_by(2) {
                 map.insert(k, k * 3);
             }
@@ -492,7 +477,7 @@ mod tests {
             let batched = map.multi_get(&keys);
             let individual: Vec<Option<Value>> = keys.iter().map(|&k| map.get(k)).collect();
             assert_eq!(batched, individual);
-        }
+        });
     }
 
     #[test]
@@ -580,7 +565,7 @@ mod tests {
 
     #[test]
     fn range_interface_works_despite_hashing() {
-        for map in both_modes() {
+        for_both_modes!(|map| {
             for k in 0..64u64 {
                 map.insert(k, k + 1);
             }
@@ -589,6 +574,6 @@ mod tests {
             assert_eq!(map.find_if(0, 64, &|k| k % 37 == 0 && k > 0), Some((37, 38)));
             assert_eq!(map.multi_search(&[5, 500]), vec![Some(6), None]);
             assert_eq!(map.find_if(5, 5, &|_| true), None);
-        }
+        });
     }
 }

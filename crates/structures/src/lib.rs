@@ -45,6 +45,10 @@
 //!   maintenance is retention-driven eviction ([`cache::QueryCache::maintain`]). See
 //!   `docs/time_travel.md`.
 //!
+//! The two modes of the tree, list, queue and hash map are one type parameter,
+//! [`vcas_core::Mode`]: `Nbbst<Plain>` keeps its pointers in one-word atomics,
+//! `Nbbst<Versioned>` (the default, so plain `Nbbst` names it) in versioned CAS objects.
+//!
 //! All ordered structures implement [`traits::ConcurrentMap`] (point operations) and, where
 //! supported, [`traits::AtomicRangeMap`] (atomic multi-point queries), which is what the
 //! workload harness in `vcas-workload` drives; unordered structures expose their atomic
@@ -58,6 +62,23 @@
 // cannot escalate these legacy sites; the allowlist ratchet in `crates/analysis` is what
 // forbids growth. vcas-core / vcas-ebr / vcas-sync / vcas-analysis set this to `deny`.
 #![warn(clippy::undocumented_unsafe_blocks)]
+
+/// Test helper: runs `$body` with `$x` bound first to `plain()`, then to `versioned()` —
+/// constructors the calling test module defines. The two structures are different types,
+/// so the body is compiled once per mode.
+#[cfg(test)]
+macro_rules! for_both_modes {
+    (|$x:ident| $body:block) => {{
+        {
+            let $x = plain();
+            $body
+        }
+        {
+            let $x = versioned();
+            $body
+        }
+    }};
+}
 
 pub mod baselines;
 pub mod bst;

@@ -1,5 +1,7 @@
-//! Harris's lock-free sorted linked list (§4 "Sorted Linked List"), in plain and versioned
-//! modes.
+//! Harris's lock-free sorted linked list (§4 "Sorted Linked List"), generic over the
+//! pointer-cell [`Mode`]: `HarrisList<Plain>` ([`HarrisList::new_plain`]) is the original
+//! list, `HarrisList<Versioned>` (the default, [`HarrisList::new_versioned`]) the
+//! snapshot-capable `VcasList`.
 //!
 //! The mutable state of the list is the `next` pointer of each node, which also carries the
 //! deletion mark in its low tag bit; deletes are linearized when the mark is set. Versioning
@@ -13,8 +15,8 @@ use vcas_core::sync::{AtomicU64, Ordering};
 
 use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
 use vcas_core::{
-    release_node_ref, Camera, CameraAttached, ManagedPtr, PinnedSnapshot, RetentionError,
-    SnapshotHandle, VersionReferenced,
+    release_node_ref, Camera, CameraAttached, Managed, Mode, PinnedSnapshot, Plain, PointerCell,
+    RetentionError, SnapshotHandle, VersionReferenced, Versioned,
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
@@ -24,18 +26,22 @@ use crate::view::{MapSnapshotView, SnapshotSource};
 /// Deletion mark stored in the low bit of a node's next pointer.
 const MARK: usize = 1;
 
-struct Node {
+struct Node<M: Mode> {
     key: Key,
     value: Value,
-    next: NextPtr,
+    next: NextCell<M>,
     /// Version-held reference count (versioned mode): one reference per retained version
     /// pointing at this node, plus the creator reference until publication. Unused (and
     /// left at 1) in plain mode, where unlinked nodes go straight to EBR.
     refs: AtomicU64,
 }
 
-impl Node {
-    fn new(key: Key, value: Value, next: NextPtr) -> Node {
+/// A next cell: one word in plain mode, a managed (reference-counting) versioned cell in
+/// versioned mode.
+type NextCell<M> = <M as Mode>::Cell<Node<M>, Managed<Node<M>>>;
+
+impl<M: Mode> Node<M> {
+    fn new(key: Key, value: Value, next: NextCell<M>) -> Node<M> {
         Node { key, value, next, refs: AtomicU64::new(1) }
     }
 }
@@ -45,96 +51,17 @@ impl Node {
 /// reads are never fed back into a CAS. Such a pointer may be retired (counter at zero) by
 /// the time it is republished; the managed cell then refuses it, failing the CAS or the
 /// new node's cell construction, and the operation searches again.
-unsafe impl VersionReferenced for Node {
+unsafe impl<M: Mode> VersionReferenced for Node<M> {
     fn version_refs(&self) -> &AtomicU64 {
         &self.refs
     }
 }
 
-enum NextPtr {
-    Plain(Atomic<Node>),
-    Versioned(ManagedPtr<Node>),
-}
-
-impl NextPtr {
-    /// A next cell pointing at `init`; `None` when `init` is a retired node (versioned
-    /// mode: its counter reached zero after the caller read it), which the caller must
-    /// treat as a stale read.
-    fn new(mode: &Mode, init: Shared<'_, Node>) -> Option<NextPtr> {
-        Some(match mode {
-            Mode::Plain => NextPtr::Plain(Atomic::from_shared(init)),
-            Mode::Versioned(camera) => {
-                NextPtr::Versioned(ManagedPtr::from_shared_managed(init, camera)?)
-            }
-        })
-    }
-
-    fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, Node> {
-        match self {
-            NextPtr::Plain(a) => a.load(Ordering::SeqCst, guard),
-            NextPtr::Versioned(v) => v.load(guard),
-        }
-    }
-
-    fn load_view<'g>(&self, view: View, guard: &'g Guard) -> Shared<'g, Node> {
-        match (self, view) {
-            (NextPtr::Versioned(v), View::Snapshot(h)) => v.load_snapshot(h, guard),
-            _ => self.load(guard),
-        }
-    }
-
-    fn compare_exchange(
-        &self,
-        current: Shared<'_, Node>,
-        new: Shared<'_, Node>,
-        guard: &Guard,
-    ) -> bool {
-        match self {
-            NextPtr::Plain(a) => {
-                a.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst, guard).is_ok()
-            }
-            NextPtr::Versioned(v) => v.compare_exchange(current, new, guard),
-        }
-    }
-
-    fn all_versions<'g>(&self, guard: &'g Guard) -> Vec<Shared<'g, Node>> {
-        match self {
-            NextPtr::Plain(a) => vec![a.load(Ordering::SeqCst, guard)],
-            NextPtr::Versioned(v) => v.all_versions(guard),
-        }
-    }
-
-    fn collect_before(&self, min_active: u64, guard: &Guard) -> usize {
-        match self {
-            NextPtr::Plain(_) => 0,
-            NextPtr::Versioned(v) => v.collect_before(min_active, guard),
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum View {
-    Current,
-    Snapshot(SnapshotHandle),
-}
-
-#[derive(Clone)]
-enum Mode {
-    Plain,
-    Versioned(Arc<Camera>),
-}
-
-impl Mode {
-    fn reclaim_unlinked(&self) -> bool {
-        matches!(self, Mode::Plain)
-    }
-}
-
-/// Harris's sorted linked list (see module docs).
-pub struct HarrisList {
+/// Harris's sorted linked list (see module docs), `VcasList` unless `M` is [`Plain`].
+pub struct HarrisList<M: Mode = Versioned> {
     /// Sentinel head node; its key is never examined.
-    head: Atomic<Node>,
-    mode: Mode,
+    head: Atomic<Node<M>>,
+    mode: M,
     /// Resume point for incremental version-list collection ([`Collectible`]), stored as
     /// *resume key + 1* so that the value 0 unambiguously means "fresh sweep, include the
     /// head sentinel" even though 0 is a legal user key.
@@ -142,38 +69,41 @@ pub struct HarrisList {
     label: &'static str,
 }
 
-impl HarrisList {
-    fn with_mode(mode: Mode, label: &'static str) -> HarrisList {
-        let head = Node::new(0, 0, NextPtr::new(&mode, Shared::null()).expect("null is live"));
-        if let Mode::Versioned(camera) = &mode {
-            // The sentinel keeps its creator reference (it is never held by a version
-            // node) and is freed directly by the destructor.
-            camera.note_nodes_created(1);
-        }
-        HarrisList { head: Atomic::new(head), mode, reclaim_cursor: AtomicU64::new(0), label }
-    }
-
+impl HarrisList<Plain> {
     /// The original, unversioned list.
-    pub fn new_plain() -> HarrisList {
-        Self::with_mode(Mode::Plain, "HarrisList")
+    pub fn new_plain() -> HarrisList<Plain> {
+        Self::with_mode(Plain)
     }
+}
 
+impl HarrisList {
     /// The snapshot-capable list (`VcasList`): next pointers are versioned CAS objects.
     pub fn new_versioned(camera: &Arc<Camera>) -> HarrisList {
-        Self::with_mode(Mode::Versioned(camera.clone()), "VcasList")
+        Self::with_mode(Versioned::new(camera))
     }
 
     /// A snapshot-capable list with a private camera.
     pub fn new_versioned_default() -> HarrisList {
         Self::new_versioned(&Camera::new())
     }
+}
+
+impl<M: Mode> HarrisList<M> {
+    /// An empty list of mode `mode` (also how [`crate::VcasHashMap`] builds its buckets).
+    pub(crate) fn with_mode(mode: M) -> HarrisList<M> {
+        let head = Node::new(0, 0, mode.cell(Shared::null()).expect("null is live"));
+        if let Some(camera) = mode.camera() {
+            // The sentinel keeps its creator reference (it is never held by a version
+            // node) and is freed directly by the destructor.
+            camera.note_nodes_created(1);
+        }
+        let label = if M::VERSIONED { "VcasList" } else { "HarrisList" };
+        HarrisList { head: Atomic::new(head), mode, reclaim_cursor: AtomicU64::new(0), label }
+    }
 
     /// The camera associated with a versioned list.
     pub fn camera(&self) -> Option<&Arc<Camera>> {
-        match &self.mode {
-            Mode::Plain => None,
-            Mode::Versioned(c) => Some(c),
-        }
+        self.mode.camera()
     }
 
     /// Amortized reclamation hook, called after each successful update (a no-op unless an
@@ -181,14 +111,14 @@ impl HarrisList {
     /// the hash map too: its buckets are `HarrisList`s sharing the table's camera.
     #[inline]
     fn after_update(&self, guard: &Guard) {
-        if let Mode::Versioned(camera) = &self.mode {
+        if let Some(camera) = self.mode.camera() {
             camera.reclaim_tick(guard);
         }
     }
 
     /// Finds the first unmarked node with key `>= key` and its predecessor, unlinking any
     /// marked nodes encountered on the way (Harris/Michael search).
-    fn search<'g>(&self, key: Key, guard: &'g Guard) -> (Shared<'g, Node>, Shared<'g, Node>) {
+    fn search<'g>(&self, key: Key, guard: &'g Guard) -> (Shared<'g, Node<M>>, Shared<'g, Node<M>>) {
         'retry: loop {
             let head = self.head.load(Ordering::SeqCst, guard);
             let mut pred = head;
@@ -211,7 +141,7 @@ impl HarrisList {
                     if !pred_ref.next.compare_exchange(curr, succ.with_tag(0), guard) {
                         continue 'retry;
                     }
-                    if self.mode.reclaim_unlinked() {
+                    if !M::VERSIONED {
                         // SAFETY: we won the unlink CAS, so this thread is the unique
                         // retirer of `curr`; readers that still see it are pinned.
                         unsafe { guard.defer_destroy(curr) };
@@ -240,16 +170,16 @@ impl HarrisList {
                 return false;
             }
             // `curr` may have been unlinked and retired since `search` read it.
-            let Some(next) = NextPtr::new(&self.mode, curr) else { continue };
+            let Some(next) = self.mode.cell(curr) else { continue };
             let new = Owned::new(Node::new(key, value, next)).into_shared(&guard);
-            if let Mode::Versioned(camera) = &self.mode {
+            if let Some(camera) = self.mode.camera() {
                 camera.note_nodes_created(1);
             }
             // SAFETY: `pred` was returned by `search` under `guard` (head sentinel or a
             // live-at-read node); the pin keeps it allocated.
             let pred_ref = unsafe { pred.deref() };
             if pred_ref.next.compare_exchange(curr, new, &guard) {
-                if let Mode::Versioned(camera) = &self.mode {
+                if let Some(camera) = self.mode.camera() {
                     // Published: `pred`'s new head version holds a counted reference, so
                     // the creator reference is handed off (see [`VersionReferenced`]).
                     release_node_ref(new, camera, &guard);
@@ -259,7 +189,7 @@ impl HarrisList {
             }
             // Not published: free and retry. (In versioned mode the node's cell still
             // holds a counted reference to `curr`; dropping the node releases it.)
-            if let Mode::Versioned(camera) = &self.mode {
+            if let Some(camera) = self.mode.camera() {
                 camera.note_nodes_dropped(1);
             }
             // SAFETY: the publish CAS failed, so `new` was never shared — this thread
@@ -304,9 +234,7 @@ impl HarrisList {
             // SAFETY: `pred` was returned by `search` under `guard`; the pin keeps it
             // allocated.
             let pred_ref = unsafe { pred.deref() };
-            if pred_ref.next.compare_exchange(curr, succ.with_tag(0), &guard)
-                && self.mode.reclaim_unlinked()
-            {
+            if pred_ref.next.compare_exchange(curr, succ.with_tag(0), &guard) && !M::VERSIONED {
                 // SAFETY: we marked `curr` and won the unlink CAS, so this thread is its
                 // unique retirer; readers that still see it are pinned.
                 unsafe { guard.defer_destroy(curr) };
@@ -346,47 +274,34 @@ impl HarrisList {
 
     /// Opens a pinned snapshot view of the list's state right now (the primary multi-point
     /// query surface; see [`crate::view`]). In plain mode the view reads current state.
-    pub fn view(&self) -> HarrisListView<'_> {
-        match &self.mode {
-            Mode::Plain => self.current_view(),
-            Mode::Versioned(camera) => {
-                let pinned = camera.pin_snapshot();
-                let view = View::Snapshot(pinned.handle());
-                HarrisListView { list: self, _pin: Some(pinned), view, guard: pin() }
-            }
-        }
+    pub fn view(&self) -> HarrisListView<'_, M> {
+        HarrisListView::new(self, self.mode.pin_snapshot())
     }
 
     /// Opens a view of the list **as of** timestamp `ts` — any retained timestamp. The
     /// view pins `ts` ([`vcas_core::Camera::pin_snapshot_at`]), so it stays exact until
     /// dropped. Fails if `ts` is below the retention watermark, in the future, or if the
     /// list is in plain (history-less) mode.
-    pub fn view_at(&self, ts: u64) -> Result<HarrisListView<'_>, RetentionError> {
-        match &self.mode {
-            Mode::Plain => Err(RetentionError::Unsupported),
-            Mode::Versioned(camera) => {
-                let pinned = camera.pin_snapshot_at(ts)?;
-                let view = View::Snapshot(pinned.handle());
-                Ok(HarrisListView { list: self, _pin: Some(pinned), view, guard: pin() })
-            }
-        }
+    pub fn view_at(&self, ts: u64) -> Result<HarrisListView<'_, M>, RetentionError> {
+        Ok(HarrisListView::new(self, Some(self.mode.pin_snapshot_at(ts)?)))
     }
 
-    fn current_view(&self) -> HarrisListView<'_> {
-        HarrisListView { list: self, _pin: None, view: View::Current, guard: pin() }
-    }
-
-    /// Walks the list in the given view, calling `f` for every unmarked (live) node, stopping
-    /// when `f` returns `false`.
-    fn walk(&self, view: View, guard: &Guard, mut f: impl FnMut(Key, Value) -> bool) {
+    /// Walks the list as of `at` (the current state when `None`), calling `f` for every
+    /// unmarked (live) node, stopping when `f` returns `false`.
+    fn walk(
+        &self,
+        at: Option<SnapshotHandle>,
+        guard: &Guard,
+        mut f: impl FnMut(Key, Value) -> bool,
+    ) {
         let head = self.head.load(Ordering::SeqCst, guard);
         // SAFETY: the head sentinel is never null; `guard` pins the epoch.
-        let mut curr = unsafe { head.deref() }.next.load_view(view, guard).with_tag(0);
+        let mut curr = unsafe { head.deref() }.next.load_at(at, guard).with_tag(0);
         // SAFETY: `curr` came from a (possibly historical) next version read under
         // `guard`; snapshot pins keep the versions' nodes retained, and the EBR pin
         // keeps retired ones allocated.
         while let Some(node) = unsafe { curr.as_ref() } {
-            let next = node.next.load_view(view, guard);
+            let next = node.next.load_at(at, guard);
             if next.tag() != MARK && !f(node.key, node.value) {
                 return;
             }
@@ -430,7 +345,7 @@ impl HarrisList {
         guard: &Guard,
     ) -> Vec<(Key, Value)> {
         let mut out = Vec::new();
-        self.walk(Self::handle_view(handle), guard, |k, v| {
+        self.walk(handle, guard, |k, v| {
             out.push((k, v));
             true
         });
@@ -445,7 +360,7 @@ impl HarrisList {
         guard: &Guard,
     ) -> Option<Value> {
         let mut out = None;
-        self.walk(Self::handle_view(handle), guard, |k, v| {
+        self.walk(handle, guard, |k, v| {
             if k >= key {
                 if k == key {
                     out = Some(v);
@@ -460,18 +375,11 @@ impl HarrisList {
     /// Counts the live keys as of `handle` without materializing them.
     pub(crate) fn count_at(&self, handle: Option<SnapshotHandle>, guard: &Guard) -> usize {
         let mut n = 0usize;
-        self.walk(Self::handle_view(handle), guard, |_, _| {
+        self.walk(handle, guard, |_, _| {
             n += 1;
             true
         });
         n
-    }
-
-    fn handle_view(handle: Option<SnapshotHandle>) -> View {
-        match handle {
-            Some(h) => View::Snapshot(h),
-            None => View::Current,
-        }
     }
 
     /// Atomic full scan of the list.
@@ -502,7 +410,7 @@ impl HarrisList {
         guard: &Guard,
     ) -> CollectStats {
         let mut stats = CollectStats::default();
-        if matches!(self.mode, Mode::Plain) {
+        if !M::VERSIONED {
             stats.completed_cycle = true;
             return stats;
         }
@@ -554,9 +462,7 @@ impl HarrisList {
         // SAFETY: the walk only follows next cells read under `guard` starting at the
         // never-null sentinel; the pin keeps every visited node allocated.
         while let Some(node) = unsafe { curr.with_tag(0).as_ref() } {
-            if let NextPtr::Versioned(v) = &node.next {
-                stats.record_cell(v.version_count(guard));
-            }
+            stats.record_cell(node.next.version_count(guard));
             curr = node.next.load(guard).with_tag(0);
         }
         stats
@@ -566,7 +472,7 @@ impl HarrisList {
 /// Incremental version-list collection for a standalone list. (Bucket lists inside a
 /// [`crate::VcasHashMap`] are not registered individually — the map registers itself and
 /// spreads the budget across buckets.)
-impl Collectible for HarrisList {
+impl<M: Mode> Collectible for HarrisList<M> {
     fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
         self.collect_cells_bounded(min_active, budget, guard)
     }
@@ -579,33 +485,29 @@ impl Collectible for HarrisList {
 /// A snapshot view of a [`HarrisList`]: every query on one view observes the same
 /// timestamp (see [`HarrisList::view`] / [`HarrisList::view_at`]). Holds the snapshot pin
 /// (when pinned) and one EBR guard for its whole lifetime.
-pub struct HarrisListView<'a> {
-    list: &'a HarrisList,
+pub struct HarrisListView<'a, M: Mode = Versioned> {
+    list: &'a HarrisList<M>,
     /// Keeps the snapshot registered with the camera so version-list truncation cannot
     /// reclaim versions this view may read.
     _pin: Option<PinnedSnapshot>,
-    view: View,
+    /// The snapshot the view reads at (`None`: the current state, in plain mode).
+    handle: Option<SnapshotHandle>,
     guard: Guard,
 }
 
-impl HarrisListView<'_> {
+impl<'a, M: Mode> HarrisListView<'a, M> {
+    fn new(list: &'a HarrisList<M>, pinned: Option<PinnedSnapshot>) -> HarrisListView<'a, M> {
+        let handle = pinned.as_ref().map(PinnedSnapshot::handle);
+        HarrisListView { list, _pin: pinned, handle, guard: pin() }
+    }
+
     fn walk(&self, f: impl FnMut(Key, Value) -> bool) {
-        self.list.walk(self.view, &self.guard, f);
+        self.list.walk(self.handle, &self.guard, f);
     }
 
     /// The value associated with `key` in this view.
     pub fn get(&self, key: Key) -> Option<Value> {
-        let mut out = None;
-        self.walk(|k, v| {
-            if k >= key {
-                if k == key {
-                    out = Some(v);
-                }
-                return false;
-            }
-            true
-        });
-        out
+        self.list.get_at(self.handle, key, &self.guard)
     }
 
     /// Every `(key, value)` pair with `lo <= key <= hi`, ascending.
@@ -686,22 +588,12 @@ impl HarrisListView<'_> {
 
     /// Full scan of the view, ascending.
     pub fn scan(&self) -> Vec<(Key, Value)> {
-        let mut out = Vec::new();
-        self.walk(|k, v| {
-            out.push((k, v));
-            true
-        });
-        out
+        self.list.collect_at(self.handle, &self.guard)
     }
 
     /// Number of keys in this view (counting walk; nothing is materialized).
     pub fn len(&self) -> usize {
-        let mut n = 0usize;
-        self.walk(|_, _| {
-            n += 1;
-            true
-        });
-        n
+        self.list.count_at(self.handle, &self.guard)
     }
 
     /// Does this view contain no keys?
@@ -716,10 +608,7 @@ impl HarrisListView<'_> {
 
     /// The snapshot timestamp this view reads at (`None` for a current-state view).
     pub fn timestamp(&self) -> Option<SnapshotHandle> {
-        match self.view {
-            View::Current => None,
-            View::Snapshot(h) => Some(h),
-        }
+        self.handle
     }
 }
 
@@ -727,19 +616,19 @@ impl HarrisListView<'_> {
 /// or current) list, one pointer chase per yielded pair. A list has no index, so
 /// positioning at `lo` is `O(position)` — but early-stopping consumers (`find_if`,
 /// `successors().take(c)`) never touch the tail, unlike the collect-everything walk.
-struct ListRangeIter<'v, 'a> {
-    view: &'v HarrisListView<'a>,
+struct ListRangeIter<'v, 'a, M: Mode> {
+    view: &'v HarrisListView<'a, M>,
     /// The next node to yield: always live in the view with key in range, or null.
-    curr: Shared<'v, Node>,
+    curr: Shared<'v, Node<M>>,
     hi: Key,
 }
 
-impl<'v, 'a> ListRangeIter<'v, 'a> {
-    fn new(view: &'v HarrisListView<'a>, lo: Key, hi: Key) -> ListRangeIter<'v, 'a> {
+impl<'v, 'a, M: Mode> ListRangeIter<'v, 'a, M> {
+    fn new(view: &'v HarrisListView<'a, M>, lo: Key, hi: Key) -> ListRangeIter<'v, 'a, M> {
         let head = view.list.head.load(Ordering::SeqCst, &view.guard);
         // SAFETY: the head sentinel is never null; the view's guard pins the epoch for
         // the iterator's whole lifetime.
-        let first = unsafe { head.deref() }.next.load_view(view.view, &view.guard).with_tag(0);
+        let first = unsafe { head.deref() }.next.load_at(view.handle, &view.guard).with_tag(0);
         let mut it = ListRangeIter { view, curr: first, hi };
         it.skip_to_live_geq(lo);
         it
@@ -752,7 +641,7 @@ impl<'v, 'a> ListRangeIter<'v, 'a> {
         // SAFETY: `curr` was read from a next cell (or version) under the view's guard,
         // whose pin — and snapshot pin, when historical — outlives the iterator.
         while let Some(node) = unsafe { self.curr.as_ref() } {
-            let next = node.next.load_view(view.view, &view.guard);
+            let next = node.next.load_at(view.handle, &view.guard);
             if next.tag() != MARK && node.key >= lo {
                 return;
             }
@@ -761,7 +650,7 @@ impl<'v, 'a> ListRangeIter<'v, 'a> {
     }
 }
 
-impl Iterator for ListRangeIter<'_, '_> {
+impl<M: Mode> Iterator for ListRangeIter<'_, '_, M> {
     type Item = (Key, Value);
 
     fn next(&mut self) -> Option<(Key, Value)> {
@@ -773,13 +662,13 @@ impl Iterator for ListRangeIter<'_, '_> {
             return None;
         }
         let item = (node.key, node.value);
-        self.curr = node.next.load_view(view.view, &view.guard).with_tag(0);
+        self.curr = node.next.load_at(view.handle, &view.guard).with_tag(0);
         self.skip_to_live_geq(0);
         Some(item)
     }
 }
 
-impl MapSnapshotView for HarrisListView<'_> {
+impl<M: Mode> MapSnapshotView for HarrisListView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
         HarrisListView::get(self, key)
     }
@@ -818,13 +707,13 @@ impl MapSnapshotView for HarrisListView<'_> {
     }
 }
 
-impl CameraAttached for HarrisList {
+impl<M: Mode> CameraAttached for HarrisList<M> {
     fn attached_camera(&self) -> Option<&Arc<Camera>> {
         self.camera()
     }
 }
 
-impl SnapshotSource for HarrisList {
+impl<M: Mode> SnapshotSource for HarrisList<M> {
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(self.view())
     }
@@ -833,55 +722,38 @@ impl SnapshotSource for HarrisList {
     }
 }
 
-impl Drop for HarrisList {
+impl<M: Mode> Drop for HarrisList<M> {
     fn drop(&mut self) {
         let guard = pin();
         let head = self.head.load(Ordering::SeqCst, &guard);
-        match &self.mode {
+        if let Some(camera) = self.mode.camera() {
             // Versioned: every non-sentinel node is owned by the version-reference
             // protocol — freeing the sentinel drops its cell, which releases the
             // references it held, and reclamation cascades through exactly the nodes that
             // thereby become unreferenced (deferred through EBR; `vcas_ebr::drain` at a
             // quiescent point settles the counters). Only the sentinel, which no version
             // node ever pointed at, is freed — and counted — here.
-            Mode::Versioned(camera) => {
-                camera.note_nodes_dropped(1);
-                // SAFETY: `&mut self` in Drop is exclusive; the sentinel was allocated
-                // by `Owned::new`/`Atomic::new` in the constructor, is never held by any
-                // version node, and is freed exactly here.
-                unsafe { drop(Box::from_raw(head.with_tag(0).as_raw())) };
-            }
-            // Plain: unlinked nodes were retired to EBR when unlinked; free what the
-            // current list still reaches.
-            Mode::Plain => {
-                let mut visited = std::collections::HashSet::new();
-                let mut stack = vec![head];
-                while let Some(node) = stack.pop() {
-                    if node.is_null() || !visited.insert(node.with_tag(0).as_raw() as usize) {
-                        continue;
-                    }
-                    // SAFETY: `&mut self` in Drop is exclusive, so every node the walk
-                    // reaches is still allocated (unlinked ones were retired to EBR, not
-                    // freed, and `visited` deduplicates).
-                    let n = unsafe { node.with_tag(0).deref() };
-                    for v in n.next.all_versions(&guard) {
-                        stack.push(v.with_tag(0));
-                    }
-                }
-                // SAFETY: each raw pointer was collected exactly once (`visited` is a
-                // set), every node was allocated via `Owned`/`Box`, and no concurrent
-                // accessor exists during Drop.
-                unsafe {
-                    for raw in visited {
-                        drop(Box::from_raw(raw as *mut Node));
-                    }
-                }
+            camera.note_nodes_dropped(1);
+            // SAFETY: `&mut self` in Drop is exclusive; the sentinel was allocated
+            // by `Owned::new`/`Atomic::new` in the constructor, is never held by any
+            // version node, and is freed exactly here.
+            unsafe { drop(Box::from_raw(head.with_tag(0).as_raw())) };
+        } else {
+            // Plain: unlinked nodes were retired to EBR when unlinked; free the chain the
+            // current list still reaches, sentinel first.
+            let mut curr = head;
+            while !curr.is_null() {
+                // SAFETY: `&mut self` in Drop is exclusive, so every node on the chain is
+                // still allocated (unlinked ones were retired to EBR, not freed), was
+                // allocated via `Owned`/`Box`, and appears on the chain exactly once.
+                let node = unsafe { Box::from_raw(curr.with_tag(0).as_raw()) };
+                curr = node.next.load(&guard);
             }
         }
     }
 }
 
-impl ConcurrentMap for HarrisList {
+impl<M: Mode> ConcurrentMap for HarrisList<M> {
     fn insert(&self, key: Key, value: Value) -> bool {
         HarrisList::insert(self, key, value)
     }
@@ -900,26 +772,34 @@ impl ConcurrentMap for HarrisList {
 }
 
 /// All multi-point queries come from the trait's view-based defaults.
-impl AtomicRangeMap for HarrisList {}
+impl<M: Mode> AtomicRangeMap for HarrisList<M> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    fn both_modes() -> Vec<HarrisList> {
-        vec![HarrisList::new_plain(), HarrisList::new_versioned_default()]
+    fn plain() -> HarrisList<Plain> {
+        HarrisList::new_plain()
     }
 
-    /// Layout budget: key, value, counter and one three-word managed cell.
+    fn versioned() -> HarrisList {
+        HarrisList::new_versioned_default()
+    }
+
+    /// Layout budget: key, value, counter and one next cell — a three-word managed cell
+    /// when versioned, one word when plain.
     #[test]
     fn node_layout_stays_within_budget() {
-        assert!(std::mem::size_of::<Node>() <= 48, "Node is {} B", std::mem::size_of::<Node>());
+        let versioned = std::mem::size_of::<Node<Versioned>>();
+        assert!(versioned <= 48, "Node<Versioned> is {versioned} B");
+        let plain = std::mem::size_of::<Node<Plain>>();
+        assert!(plain <= 32, "Node<Plain> is {plain} B");
     }
 
     #[test]
     fn sequential_set_semantics() {
-        for list in both_modes() {
+        for_both_modes!(|list| {
             assert!(list.is_empty());
             assert!(list.insert(3, 30));
             assert!(list.insert(1, 10));
@@ -931,12 +811,12 @@ mod tests {
             assert_eq!(list.get(2), None);
             assert_eq!(list.get(3), Some(30));
             assert_eq!(list.scan(), vec![(1, 10), (3, 30)]);
-        }
+        });
     }
 
     #[test]
     fn queries_match_contents() {
-        for list in both_modes() {
+        for_both_modes!(|list| {
             for k in (0..60u64).step_by(3) {
                 list.insert(k, k * 2);
             }
@@ -946,14 +826,14 @@ mod tests {
             assert_eq!(list.ith(2), Some((6, 12)));
             assert_eq!(list.ith(1000), None);
             assert_eq!(list.successors(10, 2), vec![(12, 24), (15, 30)]);
-        }
+        });
     }
 
     #[test]
     fn matches_model_on_random_ops() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for list in both_modes() {
+        for_both_modes!(|list| {
             let mut model = BTreeSet::new();
             for _ in 0..2000 {
                 let k = rng.gen_range(0..100u64);
@@ -965,12 +845,12 @@ mod tests {
             }
             let scanned: Vec<Key> = list.scan().iter().map(|(k, _)| *k).collect();
             assert_eq!(scanned, model.iter().copied().collect::<Vec<_>>());
-        }
+        });
     }
 
     #[test]
     fn concurrent_inserts_and_removes_are_consistent() {
-        for list in both_modes() {
+        for_both_modes!(|list| {
             let list = Arc::new(list);
             let mut handles = Vec::new();
             for t in 0..4u64 {
@@ -999,7 +879,7 @@ mod tests {
             for k in 0..48u64 {
                 assert_eq!(list.contains(k), scan.contains(&k));
             }
-        }
+        });
     }
 
     #[test]

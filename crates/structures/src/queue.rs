@@ -1,4 +1,7 @@
-//! The Michael–Scott queue (§4 "FIFO Queue", Appendix E), in plain and versioned modes.
+//! The Michael–Scott queue (§4 "FIFO Queue", Appendix E), generic over the pointer-cell
+//! [`Mode`]: `MsQueue<Plain>` ([`MsQueue::new_plain`]) is the original queue,
+//! `MsQueue<Versioned>` (the default, [`MsQueue::new_versioned`]) the snapshot-capable
+//! `VcasQueue`.
 //!
 //! The mutable state is the `head` pointer, the `tail` pointer, and each node's `next`
 //! pointer. Versioning those three kinds of pointers lets a snapshot capture the whole queue
@@ -9,125 +12,76 @@ use std::sync::Arc;
 
 use vcas_core::sync::Ordering;
 
-use vcas_core::{Camera, SnapshotHandle, VersionedPtr};
+use vcas_core::{Camera, Mode, Plain, PointerCell, SnapshotHandle, Versioned};
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
 use crate::traits::Value;
 
-struct Node {
+struct Node<M: Mode> {
     value: Value,
-    next: PtrCell,
+    next: QueueCell<M>,
 }
 
-enum PtrCell {
-    Plain(Atomic<Node>),
-    Versioned(VersionedPtr<Node>),
+/// The queue's cells carry no value hook: versioned mode frees nodes only when the queue
+/// drops.
+type QueueCell<M> = <M as Mode>::Cell<Node<M>, ()>;
+
+/// A cell holding `init`; an unhooked cell never refuses a pointer.
+fn cell<M: Mode>(mode: &M, init: Shared<'_, Node<M>>) -> QueueCell<M> {
+    mode.cell(init).expect("an unhooked cell accepts every pointer")
 }
 
-impl PtrCell {
-    fn new(mode: &Mode, init: Shared<'_, Node>) -> PtrCell {
-        match mode {
-            Mode::Plain => PtrCell::Plain(Atomic::from_shared(init)),
-            Mode::Versioned(camera) => PtrCell::Versioned(VersionedPtr::from_shared(init, camera)),
-        }
-    }
-
-    fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, Node> {
-        match self {
-            PtrCell::Plain(a) => a.load(Ordering::SeqCst, guard),
-            PtrCell::Versioned(v) => v.load(guard),
-        }
-    }
-
-    fn load_view<'g>(&self, view: View, guard: &'g Guard) -> Shared<'g, Node> {
-        match (self, view) {
-            (PtrCell::Versioned(v), View::Snapshot(h)) => v.load_snapshot(h, guard),
-            _ => self.load(guard),
-        }
-    }
-
-    fn compare_exchange(
-        &self,
-        current: Shared<'_, Node>,
-        new: Shared<'_, Node>,
-        guard: &Guard,
-    ) -> bool {
-        match self {
-            PtrCell::Plain(a) => {
-                a.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst, guard).is_ok()
-            }
-            PtrCell::Versioned(v) => v.compare_exchange(current, new, guard),
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum View {
-    Current,
-    Snapshot(SnapshotHandle),
-}
-
-#[derive(Clone)]
-enum Mode {
-    Plain,
-    Versioned(Arc<Camera>),
-}
-
-impl Mode {
-    fn reclaim_unlinked(&self) -> bool {
-        matches!(self, Mode::Plain)
-    }
-}
-
-/// The Michael–Scott concurrent FIFO queue (see module docs).
-pub struct MsQueue {
-    head: PtrCell,
-    tail: PtrCell,
+/// The Michael–Scott concurrent FIFO queue (see module docs), `VcasQueue` unless `M` is
+/// [`Plain`].
+pub struct MsQueue<M: Mode = Versioned> {
+    head: QueueCell<M>,
+    tail: QueueCell<M>,
     /// The construction dummy. A node's `next` is set once, so every node ever enqueued
     /// lies on one `next` chain from here; versioned mode never frees a dequeued node, so
     /// `Drop` frees that whole chain. (Plain mode defers each dequeued dummy instead and
     /// never reads this.)
-    first: Atomic<Node>,
-    mode: Mode,
+    first: Atomic<Node<M>>,
+    mode: M,
     label: &'static str,
 }
 
-impl MsQueue {
-    fn with_mode(mode: Mode, label: &'static str) -> MsQueue {
-        let guard = pin();
-        // The queue always contains a dummy node; head points at it, tail at the last node.
-        let dummy = Owned::new(Node { value: 0, next: PtrCell::new(&mode, Shared::null()) })
-            .into_shared(&guard);
-        MsQueue {
-            head: PtrCell::new(&mode, dummy),
-            tail: PtrCell::new(&mode, dummy),
-            first: Atomic::from_shared(dummy),
-            mode,
-            label,
-        }
-    }
-
+impl MsQueue<Plain> {
     /// The original, unversioned queue.
-    pub fn new_plain() -> MsQueue {
-        Self::with_mode(Mode::Plain, "MSQueue")
+    pub fn new_plain() -> MsQueue<Plain> {
+        Self::with_mode(Plain)
     }
+}
 
+impl MsQueue {
     /// The snapshot-capable queue (`VcasQueue`).
     pub fn new_versioned(camera: &Arc<Camera>) -> MsQueue {
-        Self::with_mode(Mode::Versioned(camera.clone()), "VcasQueue")
+        Self::with_mode(Versioned::new(camera))
     }
 
     /// A snapshot-capable queue with a private camera.
     pub fn new_versioned_default() -> MsQueue {
         Self::new_versioned(&Camera::new())
     }
+}
+
+impl<M: Mode> MsQueue<M> {
+    fn with_mode(mode: M) -> MsQueue<M> {
+        let guard = pin();
+        // The queue always contains a dummy node; head points at it, tail at the last node.
+        let dummy =
+            Owned::new(Node { value: 0, next: cell(&mode, Shared::null()) }).into_shared(&guard);
+        MsQueue {
+            head: cell(&mode, dummy),
+            tail: cell(&mode, dummy),
+            first: Atomic::from_shared(dummy),
+            label: if M::VERSIONED { "VcasQueue" } else { "MSQueue" },
+            mode,
+        }
+    }
 
     /// The camera associated with a versioned queue.
     pub fn camera(&self) -> Option<&Arc<Camera>> {
-        match &self.mode {
-            Mode::Plain => None,
-            Mode::Versioned(c) => Some(c),
-        }
+        self.mode.camera()
     }
 
     /// Short name used in benchmark output.
@@ -138,8 +92,8 @@ impl MsQueue {
     /// Appends `value` at the tail of the queue.
     pub fn enqueue(&self, value: Value) {
         let guard = pin();
-        let new = Owned::new(Node { value, next: PtrCell::new(&self.mode, Shared::null()) })
-            .into_shared(&guard);
+        let new =
+            Owned::new(Node { value, next: cell(&self.mode, Shared::null()) }).into_shared(&guard);
         let mut attempts = 0u32;
         loop {
             let tail = self.tail.load(&guard);
@@ -187,7 +141,7 @@ impl MsQueue {
             let next_ref = unsafe { next.deref() };
             let value = next_ref.value;
             if self.head.compare_exchange(head, next, &guard) {
-                if self.mode.reclaim_unlinked() {
+                if !M::VERSIONED {
                     // SAFETY: the CAS unlinked the old dummy exactly once (plain mode
                     // never re-links it); in-flight readers are epoch-protected.
                     unsafe { guard.defer_destroy(head) };
@@ -201,44 +155,42 @@ impl MsQueue {
 
     // ----- snapshot queries --------------------------------------------------------------
 
-    fn view_for_query(&self) -> View {
-        match &self.mode {
-            Mode::Plain => View::Current,
-            Mode::Versioned(camera) => View::Snapshot(camera.take_snapshot()),
-        }
+    /// The snapshot a query reads at (`None`: the current state, in plain mode).
+    fn view_for_query(&self) -> Option<SnapshotHandle> {
+        self.mode.camera().map(|camera| camera.take_snapshot())
     }
 
-    fn collect_view(&self, view: View, guard: &Guard) -> Vec<Value> {
+    fn collect_view(&self, at: Option<SnapshotHandle>, guard: &Guard) -> Vec<Value> {
         // Elements are the nodes after the dummy pointed to by head, in order.
-        let head = self.head.load_view(view, guard);
+        let head = self.head.load_at(at, guard);
         let mut out = Vec::new();
         // SAFETY: every retained head version is non-null (a dummy or former dummy), and
         // versioned mode never frees unlinked nodes while their versions are retained.
-        let mut curr = unsafe { head.deref() }.next.load_view(view, guard);
+        let mut curr = unsafe { head.deref() }.next.load_at(at, guard);
         // SAFETY: snapshot links resolve to nodes kept alive by their version references
         // (or, in plain mode, by `guard`'s epoch protection).
         while let Some(node) = unsafe { curr.as_ref() } {
             out.push(node.value);
-            curr = node.next.load_view(view, guard);
+            curr = node.next.load_at(at, guard);
         }
         out
     }
 
     /// Atomic scan: every element currently in the queue, oldest first.
     pub fn scan(&self) -> Vec<Value> {
-        let view = self.view_for_query();
+        let at = self.view_for_query();
         let guard = pin();
-        self.collect_view(view, &guard)
+        self.collect_view(at, &guard)
     }
 
     /// Atomic i-th element query (0 = oldest). Time O(i + c) with c concurrent dequeues.
     pub fn ith(&self, i: usize) -> Option<Value> {
-        let view = self.view_for_query();
+        let at = self.view_for_query();
         let guard = pin();
-        let head = self.head.load_view(view, &guard);
+        let head = self.head.load_at(at, &guard);
         // SAFETY: as in `collect_view` — retained head versions are non-null and their
         // nodes outlive the versions pointing at them.
-        let mut curr = unsafe { head.deref() }.next.load_view(view, &guard);
+        let mut curr = unsafe { head.deref() }.next.load_at(at, &guard);
         let mut index = 0usize;
         // SAFETY: as in `collect_view`'s walk.
         while let Some(node) = unsafe { curr.as_ref() } {
@@ -246,24 +198,24 @@ impl MsQueue {
                 return Some(node.value);
             }
             index += 1;
-            curr = node.next.load_view(view, &guard);
+            curr = node.next.load_at(at, &guard);
         }
         None
     }
 
     /// Atomic query returning both end points of the queue `(oldest, newest)`.
     pub fn peek_end_points(&self) -> (Option<Value>, Option<Value>) {
-        let view = self.view_for_query();
+        let at = self.view_for_query();
         let guard = pin();
-        let elements = self.collect_view(view, &guard);
+        let elements = self.collect_view(at, &guard);
         (elements.first().copied(), elements.last().copied())
     }
 
     /// Atomic length query.
     pub fn len(&self) -> usize {
-        let view = self.view_for_query();
+        let at = self.view_for_query();
         let guard = pin();
-        self.collect_view(view, &guard).len()
+        self.collect_view(at, &guard).len()
     }
 
     /// Is the queue empty (atomically)?
@@ -272,13 +224,13 @@ impl MsQueue {
     }
 }
 
-impl Drop for MsQueue {
+impl<M: Mode> Drop for MsQueue<M> {
     fn drop(&mut self) {
         let guard = pin();
         // Versioned mode frees every node ever enqueued, from `first` (elision has
         // unlinked the head versions naming dequeued dummies, so `head` no longer reaches
         // them). Plain mode deferred each dequeued dummy; only the chain from `head` is left.
-        let mut curr = if self.mode.reclaim_unlinked() {
+        let mut curr = if !M::VERSIONED {
             self.head.load(&guard)
         } else {
             self.first.load(Ordering::SeqCst, &guard)
@@ -305,7 +257,7 @@ mod tests {
         static TAGGED_DROPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
-    impl Drop for Node {
+    impl<M: Mode> Drop for Node<M> {
         fn drop(&mut self) {
             if self.value & TAG != 0 {
                 TAGGED_DROPS.with(|n| n.set(n.get() + 1));
@@ -333,13 +285,17 @@ mod tests {
         assert_eq!(drops(), 100, "every enqueued node is freed exactly once");
     }
 
-    fn both_modes() -> Vec<MsQueue> {
-        vec![MsQueue::new_plain(), MsQueue::new_versioned_default()]
+    fn plain() -> MsQueue<Plain> {
+        MsQueue::new_plain()
+    }
+
+    fn versioned() -> MsQueue {
+        MsQueue::new_versioned_default()
     }
 
     #[test]
     fn fifo_order_sequential() {
-        for q in both_modes() {
+        for_both_modes!(|q| {
             assert!(q.is_empty());
             assert_eq!(q.dequeue(), None);
             for i in 0..10u64 {
@@ -356,12 +312,12 @@ mod tests {
             }
             assert_eq!(q.dequeue(), None);
             assert_eq!(q.peek_end_points(), (None, None));
-        }
+        });
     }
 
     #[test]
     fn concurrent_producers_consumers_preserve_multiset() {
-        for q in both_modes() {
+        for_both_modes!(|q| {
             let q = Arc::new(q);
             let produced: u64 = 4 * 2000;
             let consumed = Arc::new(vcas_core::sync::AtomicU64::new(0));
@@ -401,7 +357,7 @@ mod tests {
             // ORDERING: diag-counter — as above.
             assert_eq!(sum.load(Ordering::Relaxed), (0..produced).sum::<u64>());
             assert!(q.is_empty());
-        }
+        });
     }
 
     #[test]

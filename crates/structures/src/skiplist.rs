@@ -13,7 +13,7 @@
 //!
 //! Reclamation follows PR 5's node-conservation protocol exactly (see
 //! [`VersionReferenced`]): tower cells are created with
-//! [`ManagedPtr::from_shared_managed`], so every retained version holds a counted
+//! [`ManagedPtr::with_hook`], so every retained version holds a counted
 //! reference to the node it points at; unlink CASes never free nodes directly — a node is
 //! retired when the last version referencing it is truncated. The list registers as a
 //! [`Collectible`] with a bounded, resumable level-0 cursor.
@@ -96,9 +96,7 @@ impl VcasSkipList {
     pub fn new_versioned(camera: &Arc<Camera>) -> VcasSkipList {
         let camera = camera.clone();
         let tower = (0..MAX_HEIGHT)
-            .map(|_| {
-                ManagedPtr::from_shared_managed(Shared::null(), &camera).expect("null is live")
-            })
+            .map(|_| ManagedPtr::with_hook(Shared::null(), &camera).expect("null is live"))
             .collect();
         let head = Node { key: 0, value: 0, tower, refs: AtomicU64::new(1) };
         // The head sentinel keeps its creator reference (no version node ever points at
@@ -218,9 +216,8 @@ impl VcasSkipList {
             // A successor found by `find` may have been unlinked and retired since; then
             // the tower cannot reference it (the cells built so far are dropped, releasing
             // their references) and the search starts over.
-            let Some(tower) = (0..height)
-                .map(|lvl| ManagedPtr::from_shared_managed(succs[lvl], &self.camera))
-                .collect()
+            let Some(tower) =
+                (0..height).map(|lvl| ManagedPtr::with_hook(succs[lvl], &self.camera)).collect()
             else {
                 continue;
             };

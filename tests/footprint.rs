@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vcas_repro::core::{Camera, ReclaimPolicy};
+use vcas_repro::core::{Camera, Mode, ReclaimPolicy};
 use vcas_repro::structures::Nbbst;
 
 /// Counts the requested bytes each thread has allocated and not yet freed.
@@ -52,14 +52,16 @@ const LOG_KEYS: u32 = 14;
 const KEYS: u64 = 1 << LOG_KEYS;
 
 /// Requested bytes per key that a versioned tree may hold after the prefill: 164.5 B/key
-/// measured on x86-64 Linux (plain tree: 116.3), plus under 5% headroom. Per key that is
-/// a 24 B leaf, a 72 B internal node, two 24 B version nodes and a share of descriptors.
+/// measured on x86-64 Linux (plain tree: 84.3, ratio 1.95), plus under 5% headroom. Per
+/// key that is a 24 B leaf, a 72 B internal node, two 24 B version nodes and a share of
+/// descriptors; the plain tree's internal node is 40 B (one-word child cells).
 const VERSIONED_BUDGET: f64 = 172.0;
 
-/// Live bytes per key left by building a tree with `make` and prefilling `KEYS` keys.
+/// Live bytes per key left by building a tree of either mode with `make` and prefilling
+/// `KEYS` keys.
 /// Keys go in bit-reversed order, which builds a balanced tree (the EFRB tree does not
 /// rebalance; an ascending prefill would make it a list).
-fn bytes_per_key(make: impl FnOnce(&std::sync::Arc<Camera>) -> Nbbst) -> f64 {
+fn bytes_per_key<M: Mode>(make: impl FnOnce(&std::sync::Arc<Camera>) -> Nbbst<M>) -> f64 {
     // Settle the frees an earlier tree's drop deferred, so none lands in this window.
     assert_eq!(vcas_repro::ebr::drain(), 0, "a quiescent process drains completely");
     let base = LIVE.with(Cell::get);

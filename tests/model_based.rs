@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 
-use vcas_repro::core::{Camera, VersionedCas};
+use vcas_repro::core::{Camera, Mode, VersionedCas};
 use vcas_repro::ebr::pin;
 use vcas_repro::structures::{HarrisList, MsQueue, Nbbst};
 
@@ -69,7 +69,7 @@ trait MapUnderTest {
     fn scan(&self) -> Vec<(u64, u64)>;
 }
 
-impl MapUnderTest for Nbbst {
+impl<M: Mode> MapUnderTest for Nbbst<M> {
     fn insert(&self, k: u64, v: u64) -> bool {
         Nbbst::insert(self, k, v)
     }
@@ -87,7 +87,7 @@ impl MapUnderTest for Nbbst {
     }
 }
 
-impl MapUnderTest for HarrisList {
+impl<M: Mode> MapUnderTest for HarrisList<M> {
     fn insert(&self, k: u64, v: u64) -> bool {
         HarrisList::insert(self, k, v)
     }
