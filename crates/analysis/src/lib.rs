@@ -6,12 +6,9 @@
 //! `docs/memory_orderings.md`. This crate is a self-contained (no external parser —
 //! the build environment is offline) line/token-level scanner enforcing:
 //!
-//! 1. **SAFETY ratchet** — every `unsafe` token is documented by a `SAFETY:` (or
-//!    rustdoc `# Safety`) comment on the same line or in the comment block immediately
-//!    above. `vcas-core`, `vcas-ebr`, `vcas-sync` and `vcas-analysis` must be fully
-//!    documented; remaining sites elsewhere are pinned file-by-file in
-//!    `crates/analysis/unsafe_allowlist.txt`, whose counts must match *exactly* — a
-//!    fixed site forces the allowlist down, a new site fails the build.
+//! 1. **SAFETY arguments** — every `unsafe` token in every crate is documented by a
+//!    `SAFETY:` (or rustdoc `# Safety`) comment on the same line or in the comment block
+//!    immediately above. There is no allowlist: an undocumented site fails the lint.
 //! 2. **ORDERING ledger** — every `Ordering::Relaxed` in the protocol-critical modules
 //!    (`vcas-core::{versioned, versioned_ptr, camera, reclaim}` and all of `vcas-ebr`)
 //!    carries an `// ORDERING: <label>` justification whose label appears (backticked)
@@ -21,7 +18,7 @@
 //!    `--cfg vcas_model` checker's interception is complete.
 //!
 //! Run as `cargo run -p vcas-analysis -- lint`; also executed by the integration test
-//! `tests/lint_clean.rs`, so plain `cargo test` enforces the ratchet too.
+//! `tests/lint_clean.rs`, so plain `cargo test` enforces the rules too.
 
 #![warn(missing_docs)]
 

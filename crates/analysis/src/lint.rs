@@ -5,14 +5,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// The allowlist total may never reach the pre-ratchet baseline again (the workspace had
-/// 198 undocumented `unsafe` sites when the ratchet was introduced).
-pub const ALLOWLIST_CEILING: usize = 197;
-
-/// Crates that must have **zero** undocumented `unsafe` (no allowlist entries).
-const ZERO_ALLOWLIST_PREFIXES: &[&str] =
-    &["crates/core/", "crates/ebr/", "crates/sync/", "crates/analysis/"];
-
 /// Files in which every `Ordering::Relaxed` must carry an `// ORDERING:` justification.
 const PROTOCOL_FILES: &[&str] = &[
     "crates/core/src/versioned.rs",
@@ -38,7 +30,7 @@ const FACADE_EXEMPT_FILES: &[&str] = &["crates/structures/src/baselines.rs"];
 const FORBIDDEN_IMPORTS: &[&str] = &["std::sync::atomic", "core::sync::atomic", "parking_lot"];
 
 /// Lint rule identifiers, used to group findings in reports.
-pub const RULES: &[&str] = &["safety-ratchet", "ordering-ledger", "facade", "scan"];
+pub const RULES: &[&str] = &["safety", "ordering-ledger", "facade", "scan"];
 
 /// A single lint finding, tagged with the rule that produced it.
 #[derive(Debug, Clone)]
@@ -56,12 +48,6 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// Total `unsafe` occurrences found (documented or not).
     pub unsafe_sites: usize,
-    /// Undocumented sites covered by the allowlist.
-    pub allowlisted: usize,
-    /// Sum of all allowlist entries.
-    pub allowlist_total: usize,
-    /// The ratchet ceiling ([`ALLOWLIST_CEILING`]).
-    pub allowlist_ceiling: usize,
     /// `Ordering::Relaxed` occurrences in protocol files.
     pub relaxed_sites: usize,
     /// Distinct `// ORDERING:` labels encountered, sorted.
@@ -92,16 +78,6 @@ impl LintReport {
         let _ = writeln!(s, "  \"ok\": {},", self.ok());
         let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(s, "  \"unsafe_sites\": {},", self.unsafe_sites);
-        let _ = writeln!(s, "  \"allowlisted\": {},", self.allowlisted);
-        let _ = writeln!(s, "  \"allowlist\": {{");
-        let _ = writeln!(s, "    \"total\": {},", self.allowlist_total);
-        let _ = writeln!(s, "    \"ceiling\": {},", self.allowlist_ceiling);
-        let _ = writeln!(
-            s,
-            "    \"headroom\": {}",
-            self.allowlist_ceiling.saturating_sub(self.allowlist_total)
-        );
-        let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"relaxed_sites\": {},", self.relaxed_sites);
         let labels: Vec<String> =
             self.labels_used.iter().map(|l| format!("\"{}\"", json_escape(l))).collect();
@@ -157,16 +133,7 @@ pub fn run(root: &Path) -> Result<String, String> {
         let mut s = String::new();
         let _ = writeln!(s, "vcas-analysis lint: OK");
         let _ = writeln!(s, "  files scanned:        {}", report.files_scanned);
-        let _ = writeln!(
-            s,
-            "  unsafe sites:         {} ({} allowlisted, rest documented)",
-            report.unsafe_sites, report.allowlisted
-        );
-        let _ = writeln!(
-            s,
-            "  allowlist total:      {} (ceiling {})",
-            report.allowlist_total, report.allowlist_ceiling
-        );
+        let _ = writeln!(s, "  unsafe sites:         {} (all documented)", report.unsafe_sites);
         let _ = writeln!(s, "  relaxed sites:        {} (all ledgered)", report.relaxed_sites);
         let _ = write!(s, "  ordering labels used: {}", report.labels_used.len());
         Ok(s)
@@ -180,17 +147,15 @@ pub fn run(root: &Path) -> Result<String, String> {
 }
 
 /// Runs all rules against the workspace at `root` and returns the structured report.
-/// `Err` only for environmental problems (wrong root, unreadable allowlist).
+/// `Err` only for environmental problems (a root with no sources).
 pub fn analyze(root: &Path) -> Result<LintReport, String> {
     let files = collect_files(root);
     if files.is_empty() {
         return Err(format!("no .rs files found under {} — wrong --root?", root.display()));
     }
-    let allowlist = load_allowlist(root)?;
     let ledger = std::fs::read_to_string(root.join("docs/memory_orderings.md")).ok();
 
     let mut findings: Vec<Finding> = Vec::new();
-    let mut undocumented: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     let mut unsafe_sites = 0usize;
     let mut relaxed_sites = 0usize;
     let mut labels_used: BTreeSet<String> = BTreeSet::new();
@@ -205,7 +170,7 @@ pub fn analyze(root: &Path) -> Result<LintReport, String> {
         };
         let lines = classify(&source);
 
-        // Rule 1: unsafe sites must be documented (or allowlisted).
+        // Rule 1: every unsafe site must be documented.
         for (i, line) in lines.iter().enumerate() {
             let n = count_word(&line.code, "unsafe");
             if n == 0 {
@@ -213,10 +178,14 @@ pub fn analyze(root: &Path) -> Result<LintReport, String> {
             }
             unsafe_sites += n;
             if !documented(&lines, i, &["SAFETY:", "# Safety"]) {
-                undocumented
-                    .entry(rel.clone())
-                    .or_default()
-                    .extend(std::iter::repeat(i + 1).take(n));
+                findings.push(Finding {
+                    rule: "safety",
+                    message: format!(
+                        "{rel}:{}: `unsafe` without a `// SAFETY:` argument (same line or \
+                         comment block above)",
+                        i + 1
+                    ),
+                });
             }
         }
 
@@ -289,75 +258,9 @@ pub fn analyze(root: &Path) -> Result<LintReport, String> {
         }
     }
 
-    // Reconcile undocumented counts with the allowlist (exact match = ratchet).
-    let mut allowlisted_total = 0usize;
-    let mut seen: BTreeSet<&String> = BTreeSet::new();
-    for (rel, sites) in &undocumented {
-        seen.insert(rel);
-        if ZERO_ALLOWLIST_PREFIXES.iter().any(|p| rel.starts_with(p)) {
-            findings.push(Finding {
-                rule: "safety-ratchet",
-                message: format!(
-                    "{rel}: {} undocumented `unsafe` site(s) at line(s) {:?} — this crate \
-                     requires a `// SAFETY:` comment on every one (no allowlist)",
-                    sites.len(),
-                    sites
-                ),
-            });
-            continue;
-        }
-        let allowed = allowlist.get(rel).copied().unwrap_or(0);
-        allowlisted_total += sites.len().min(allowed);
-        match sites.len().cmp(&allowed) {
-            std::cmp::Ordering::Greater => findings.push(Finding {
-                rule: "safety-ratchet",
-                message: format!(
-                    "{rel}: {} undocumented `unsafe` site(s), allowlist permits {} — document \
-                     the new site(s) (lines {:?}) rather than growing the allowlist",
-                    sites.len(),
-                    allowed,
-                    sites
-                ),
-            }),
-            std::cmp::Ordering::Less => findings.push(Finding {
-                rule: "safety-ratchet",
-                message: format!(
-                    "{rel}: only {} undocumented `unsafe` site(s) remain but the allowlist still \
-                     says {} — ratchet crates/analysis/unsafe_allowlist.txt down",
-                    sites.len(),
-                    allowed
-                ),
-            }),
-            std::cmp::Ordering::Equal => {}
-        }
-    }
-    for (rel, &allowed) in &allowlist {
-        if allowed > 0 && !seen.contains(rel) {
-            findings.push(Finding {
-                rule: "safety-ratchet",
-                message: format!(
-                    "{rel}: allowlist still records {allowed} undocumented `unsafe` site(s) but \
-                     the file has none — ratchet crates/analysis/unsafe_allowlist.txt down"
-                ),
-            });
-        }
-    }
-    let allowlist_total: usize = allowlist.values().sum();
-    if allowlist_total > ALLOWLIST_CEILING {
-        findings.push(Finding {
-            rule: "safety-ratchet",
-            message: format!(
-                "allowlist total {allowlist_total} exceeds the ratchet ceiling {ALLOWLIST_CEILING}"
-            ),
-        });
-    }
-
     Ok(LintReport {
         files_scanned: files.len(),
         unsafe_sites,
-        allowlisted: allowlisted_total,
-        allowlist_total,
-        allowlist_ceiling: ALLOWLIST_CEILING,
         relaxed_sites,
         labels_used: labels_used.into_iter().collect(),
         findings,
@@ -425,28 +328,6 @@ fn extract_label(comment: &str) -> Option<String> {
     } else {
         Some(token)
     }
-}
-
-fn load_allowlist(root: &Path) -> Result<BTreeMap<String, usize>, String> {
-    let path = root.join("crates/analysis/unsafe_allowlist.txt");
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut map = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (file, count) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("allowlist line {}: expected `<path> <count>`", lineno + 1))?;
-        let count: usize = count
-            .trim()
-            .parse()
-            .map_err(|_| format!("allowlist line {}: bad count `{count}`", lineno + 1))?;
-        map.insert(file.trim().to_string(), count);
-    }
-    Ok(map)
 }
 
 /// All workspace `.rs` files in scope, as `/`-separated paths relative to `root`.

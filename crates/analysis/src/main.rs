@@ -1,7 +1,7 @@
 //! CLI entry point: `cargo run -p vcas-analysis -- lint [--root <path>] [--json]`.
 //!
 //! `--json` prints the structured [`vcas_analysis::lint::LintReport`] (per-rule finding
-//! counts, allowlist total/ceiling/headroom, full finding list) to stdout; the exit code
+//! counts, `unsafe` and relaxed-site totals, full finding list) to stdout; the exit code
 //! still reflects pass/fail, so CI can upload the report as an artifact either way.
 
 use std::process::ExitCode;

@@ -4,7 +4,9 @@ use std::sync::Arc;
 
 use vcas_core::Camera;
 use vcas_ebr::pin;
-use vcas_structures::queries::{run_hash_query, run_query, HashQueryKind, QueryKind};
+use vcas_structures::queries::{
+    run_hash_query_on_view, run_query_on_view, HashQueryKind, QueryKind,
+};
 use vcas_structures::traits::{AtomicRangeMap, SnapshotMap};
 use vcas_structures::{
     DcBst, HarrisList, LockBst, LockHashMap, MsQueue, Nbbst, VcasHashMap, VcasSkipList,
@@ -219,7 +221,8 @@ fn fig3(cfg: &ExperimentConfig) {
                         let mut rng = rand::rngs::StdRng::seed_from_u64(900 + t as u64);
                         while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                             let start = rng.gen_range(1..=key_range);
-                            std::hint::black_box(run_query(tree.as_ref(), kind, start, key_range));
+                            let view = tree.snapshot_view();
+                            std::hint::black_box(run_query_on_view(&*view, kind, start, key_range));
                             queries_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
                     }));
@@ -273,7 +276,12 @@ fn timed_query_qps(
     let mut anchor = 1u64;
     loop {
         anchor = anchor % key_range + 1;
-        std::hint::black_box(run_hash_query(map, kind, anchor, key_range));
+        std::hint::black_box(run_hash_query_on_view(
+            &*map.snapshot_view(),
+            kind,
+            anchor,
+            key_range,
+        ));
         queries += 1;
         if start.elapsed() >= window {
             break;
@@ -383,7 +391,7 @@ fn table1(cfg: &ExperimentConfig) {
         let start = std::time::Instant::now();
         let reps = 100;
         for _ in 0..reps {
-            std::hint::black_box(list.range_query(2000, 2000 + span));
+            std::hint::black_box(list.range(2000, 2000 + span));
         }
         println!(
             "VcasList\trange\t{span}\t{:.2}",
@@ -400,7 +408,7 @@ fn table1(cfg: &ExperimentConfig) {
         let start = std::time::Instant::now();
         let reps = 100;
         for _ in 0..reps {
-            std::hint::black_box(tree.range_query(500_000, 500_000 + span));
+            std::hint::black_box(tree.range(500_000, 500_000 + span));
         }
         println!(
             "VcasBST\trange\t{span}\t{:.2}",
@@ -412,7 +420,7 @@ fn table1(cfg: &ExperimentConfig) {
         let start = std::time::Instant::now();
         let reps = 200;
         for _ in 0..reps {
-            std::hint::black_box(tree.multi_search(&keys));
+            std::hint::black_box(tree.multi_get(&keys));
         }
         println!(
             "VcasBST\tmultisearch\t{batch}\t{:.2}",
@@ -463,6 +471,9 @@ fn ablation(cfg: &ExperimentConfig) {
         let read_rate = reads as f64 / start.elapsed().as_secs_f64();
         println!("indirect(VersionedCas)\t{cas_rate:.0}\t{read_rate:.0}");
         for n in nodes.drain(..) {
+            // SAFETY: every node was allocated by `Owned::new` above and is freed once,
+            // here. Nothing reads it afterwards: the unmanaged cell's versions keep its
+            // address as a plain word and never dereference it, not even on drop.
             unsafe { drop(n.into_owned()) };
         }
     }
@@ -495,6 +506,8 @@ fn ablation(cfg: &ExperimentConfig) {
         let read_rate = reads as f64 / start.elapsed().as_secs_f64();
         println!("direct(recorded-once)\t{cas_rate:.0}\t{read_rate:.0}");
         for n in nodes {
+            // SAFETY: as above — allocated by `Owned::new`, freed once here, and the
+            // direct cell (which has no destructor) never dereferences it again.
             unsafe { drop(n.into_owned()) };
         }
     }

@@ -17,9 +17,6 @@
 //!   (default `1,2,4,8`).
 
 #![warn(missing_docs)]
-// See crates/structures/src/lib.rs: surfaced locally, capped by --force-warn in CI,
-// growth forbidden by the crates/analysis allowlist ratchet.
-#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod experiments;
 

@@ -23,11 +23,11 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use vcas_core::{Camera, CameraAttached, Plain, RetentionError};
+use vcas_core::{Camera, CameraAttached, Plain, RetentionError, SnapshotHandle};
 
 use crate::bst::Nbbst;
 use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
-use crate::view::{BestEffortView, MapSnapshotView, SnapshotSource};
+use crate::view::{sorted_range, MapSnapshotView, SnapshotSource};
 
 /// Double-collect (validate and retry) range queries on the plain NBBST.
 pub struct DcBst {
@@ -85,23 +85,30 @@ impl ConcurrentMap for DcBst {
     }
 }
 
-impl AtomicRangeMap for DcBst {
-    fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        self.double_collect(|| self.inner.view().range(lo, hi))
+/// Multi-point queries come from the trait defaults over the view (`DcBstView`).
+impl SnapshotMap for DcBst {}
+impl AtomicRangeMap for DcBst {}
+
+/// The best-effort view of a [`DcBst`]: each batched read is one validated double
+/// collect over the plain tree, but two calls may observe different states.
+struct DcBstView<'a>(&'a DcBst);
+
+impl MapSnapshotView for DcBstView<'_> {
+    fn get(&self, key: Key) -> Option<Value> {
+        ConcurrentMap::get(self.0, key)
     }
+    fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
+        Box::new(self.0.double_collect(|| self.0.inner.view().range(lo, hi)).into_iter())
+    }
+    fn timestamp(&self) -> Option<SnapshotHandle> {
+        None
+    }
+    /// One validated collect of `count` pairs, not of the whole tail.
     fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        self.double_collect(|| self.inner.view().successors(key, count))
+        self.0.double_collect(|| self.0.inner.view().successors(key, count))
     }
-    fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        if lo >= hi {
-            return None;
-        }
-        self.double_collect(|| self.inner.view().range(lo, hi - 1))
-            .into_iter()
-            .find(|(k, _)| pred(*k))
-    }
-    fn multi_search(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        self.double_collect(|| self.inner.view().multi_get(keys))
+    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
+        self.0.double_collect(|| self.0.inner.view().multi_get(keys))
     }
 }
 
@@ -117,7 +124,7 @@ impl CameraAttached for DcBst {
 /// state).
 impl SnapshotSource for DcBst {
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
-        Box::new(BestEffortView::new(self))
+        Box::new(DcBstView(self))
     }
     fn view_at(&self, _ts: u64) -> Result<Box<dyn MapSnapshotView + '_>, RetentionError> {
         Err(RetentionError::Unsupported)
@@ -165,25 +172,33 @@ impl ConcurrentMap for LockBst {
     }
 }
 
-impl AtomicRangeMap for LockBst {
-    fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        let _exclusive = self.lock.write();
-        self.inner.view().range(lo, hi)
+/// Multi-point queries come from the trait defaults over the view (`LockBstView`).
+impl SnapshotMap for LockBst {}
+impl AtomicRangeMap for LockBst {}
+
+/// The best-effort view of a [`LockBst`]: each batched read holds the lock exclusively,
+/// but two calls may observe different states.
+struct LockBstView<'a>(&'a LockBst);
+
+impl MapSnapshotView for LockBstView<'_> {
+    fn get(&self, key: Key) -> Option<Value> {
+        ConcurrentMap::get(self.0, key)
     }
+    fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
+        let _exclusive = self.0.lock.write();
+        Box::new(self.0.inner.view().range(lo, hi).into_iter())
+    }
+    fn timestamp(&self) -> Option<SnapshotHandle> {
+        None
+    }
+    /// One locked collect of `count` pairs, not of the whole tail.
     fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        let _exclusive = self.lock.write();
-        self.inner.view().successors(key, count)
+        let _exclusive = self.0.lock.write();
+        self.0.inner.view().successors(key, count)
     }
-    fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        if lo >= hi {
-            return None;
-        }
-        let _exclusive = self.lock.write();
-        self.inner.view().range(lo, hi - 1).into_iter().find(|(k, _)| pred(*k))
-    }
-    fn multi_search(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        let _exclusive = self.lock.write();
-        self.inner.view().multi_get(keys)
+    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
+        let _exclusive = self.0.lock.write();
+        self.0.inner.view().multi_get(keys)
     }
 }
 
@@ -197,7 +212,7 @@ impl CameraAttached for LockBst {
 /// observe different states. `view_at` is honestly unsupported — no history is kept.
 impl SnapshotSource for LockBst {
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
-        Box::new(BestEffortView::new(self))
+        Box::new(LockBstView(self))
     }
     fn view_at(&self, _ts: u64) -> Result<Box<dyn MapSnapshotView + '_>, RetentionError> {
         Err(RetentionError::Unsupported)
@@ -263,60 +278,41 @@ impl CameraAttached for LockHashMap {
 /// no history is kept.
 impl SnapshotSource for LockHashMap {
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
-        Box::new(BestEffortView::new(self))
+        Box::new(LockHashMapView(self))
     }
     fn view_at(&self, _ts: u64) -> Result<Box<dyn MapSnapshotView + '_>, RetentionError> {
         Err(RetentionError::Unsupported)
     }
 }
 
-impl SnapshotMap for LockHashMap {
-    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        let inner = self.inner.read();
-        keys.iter().map(|k| inner.get(k).copied()).collect()
+/// Multi-point queries come from the trait defaults over the view (`LockHashMapView`).
+impl SnapshotMap for LockHashMap {}
+impl AtomicRangeMap for LockHashMap {}
+
+/// The best-effort view of a [`LockHashMap`]: each call reads under the read lock.
+struct LockHashMapView<'a>(&'a LockHashMap);
+
+impl MapSnapshotView for LockHashMapView<'_> {
+    fn get(&self, key: Key) -> Option<Value> {
+        ConcurrentMap::get(self.0, key)
     }
-    fn snapshot_iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        // Copy out under the read lock; the copy *is* the snapshot.
-        let pairs: Vec<(Key, Value)> = self.inner.read().iter().map(|(&k, &v)| (k, v)).collect();
+    fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
+        sorted_range(self.0.inner.read().iter().map(|(&k, &v)| (k, v)), lo, hi)
+    }
+    fn timestamp(&self) -> Option<SnapshotHandle> {
+        None
+    }
+    /// Copies the table out under one read lock, unsorted; the copy *is* the snapshot.
+    fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
+        let pairs: Vec<(Key, Value)> = self.0.inner.read().iter().map(|(&k, &v)| (k, v)).collect();
         Box::new(pairs.into_iter())
     }
-    fn snapshot_len(&self) -> usize {
-        self.inner.read().len()
+    fn len(&self) -> usize {
+        self.0.inner.read().len()
     }
-}
-
-impl AtomicRangeMap for LockHashMap {
-    fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        let mut out: Vec<(Key, Value)> = self
-            .inner
-            .read()
-            .iter()
-            .filter(|(k, _)| (lo..=hi).contains(*k))
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out
-    }
-    fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        let mut out: Vec<(Key, Value)> =
-            self.inner.read().iter().filter(|(k, _)| **k > key).map(|(&k, &v)| (k, v)).collect();
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out.truncate(count);
-        out
-    }
-    fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        if lo >= hi {
-            return None;
-        }
-        self.inner
-            .read()
-            .iter()
-            .filter(|(k, _)| (lo..hi).contains(*k) && pred(**k))
-            .map(|(&k, &v)| (k, v))
-            .min_by_key(|(k, _)| *k)
-    }
-    fn multi_search(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        self.multi_get(keys)
+    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
+        let inner = self.0.inner.read();
+        keys.iter().map(|k| inner.get(k).copied()).collect()
     }
 }
 
@@ -332,7 +328,7 @@ mod tests {
         assert_eq!(map.range(10, 12), vec![(10, 11), (11, 12), (12, 13)]);
         assert_eq!(map.successors(97, 5), vec![(98, 99), (99, 100)]);
         assert_eq!(map.find_if(0, 100, &|k| k % 37 == 0 && k > 0), Some((37, 38)));
-        assert_eq!(map.multi_search(&[5, 500]), vec![Some(6), None]);
+        assert_eq!(map.multi_get(&[5, 500]), vec![Some(6), None]);
         assert!(map.remove(10));
         assert!(!map.contains(10));
     }
@@ -359,8 +355,9 @@ mod tests {
             map.insert(k, k * 10);
         }
         assert_eq!(map.multi_get(&[0, 9, 10]), vec![Some(0), Some(90), None]);
-        assert_eq!(map.snapshot_len(), 10);
-        let mut scanned: Vec<Key> = map.snapshot_iter().map(|(k, _)| k).collect();
+        let view = map.snapshot_view();
+        assert_eq!(view.len(), 10);
+        let mut scanned: Vec<Key> = view.iter().map(|(k, _)| k).collect();
         scanned.sort_unstable();
         assert_eq!(scanned, (0..10u64).collect::<Vec<_>>());
     }

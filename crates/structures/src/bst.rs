@@ -37,7 +37,7 @@ use vcas_core::{
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
-use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, Value};
+use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
 use crate::view::{MapSnapshotView, SnapshotSource};
 
 /// Sentinel key of the root's left dummy leaf: larger than every user key.
@@ -298,7 +298,6 @@ pub struct Nbbst<M: Mode = Versioned> {
     /// Resume key for incremental version-list collection ([`Collectible`]): subtrees whose
     /// keys all fall below it were covered by the previous bounded pass.
     reclaim_cursor: AtomicU64,
-    label: &'static str,
 }
 
 impl Nbbst<Plain> {
@@ -346,7 +345,6 @@ impl<M: Mode> Nbbst<M> {
             mode,
             updates: AtomicU64::new(0),
             reclaim_cursor: AtomicU64::new(0),
-            label: if M::VERSIONED { "VcasBST" } else { "BST" },
         }
     }
 
@@ -508,6 +506,9 @@ impl<M: Mode> Nbbst<M> {
 
     /// Removes `key`; returns `false` if not present.
     pub fn remove(&self, key: Key) -> bool {
+        if key > MAX_KEY {
+            return false; // a sentinel, never a user key
+        }
         let guard = pin();
         let mut attempts = 0u32;
         loop {
@@ -578,6 +579,9 @@ impl<M: Mode> Nbbst<M> {
 
     /// Returns the value associated with `key`, if present.
     pub fn get(&self, key: Key) -> Option<Value> {
+        if key > MAX_KEY {
+            return None; // a sentinel, never a user key
+        }
         let guard = pin();
         let mut node = self.root(&guard);
         loop {
@@ -763,9 +767,8 @@ impl<M: Mode> Nbbst<M> {
 
     // ----- multi-point queries ----------------------------------------------------------
     //
-    // Every multi-point query runs against an [`NbbstView`]: one snapshot, one EBR pin,
-    // arbitrarily many reads. The methods below are batch-of-one conveniences that open a
-    // view and delegate; callers composing several queries should open the view themselves.
+    // Every multi-point query runs against an [`NbbstView`] through the
+    // [`MapSnapshotView`] trait: one snapshot, one EBR pin, arbitrarily many reads.
 
     /// Opens a pinned snapshot view of the tree's state right now (the primary multi-point
     /// query surface; see [`crate::view`]). In plain mode the view reads current state.
@@ -783,44 +786,30 @@ impl<M: Mode> Nbbst<M> {
         Ok(NbbstView::new(self, Some(self.mode.pin_snapshot_at(ts)?)))
     }
 
-    /// Atomic range query (versioned mode); non-atomic traversal in plain mode.
-    pub fn range_query(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        self.view().range(lo, hi)
-    }
-
-    /// Atomic `succ(k, c)`: the first `c` keys greater than `key` (Table 2).
-    pub fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        self.view().successors(key, count)
-    }
-
-    /// Atomic `findif`: first key in `[lo, hi)` satisfying `pred` (Table 2).
-    pub fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        self.view().find_if(lo, hi, pred)
-    }
-
-    /// Atomic `multisearch`: looks up every key against one snapshot (Table 2).
+    /// Atomic `multisearch` (Table 2). Kept for the repository benchmark, which calls it
+    /// by this name: a forwarder to [`MapSnapshotView::multi_get`].
     pub fn multi_search(&self, keys: &[Key]) -> Vec<Option<Value>> {
         self.view().multi_get(keys)
     }
 
-    /// Atomic structural query: the height of the tree (number of internal levels).
-    pub fn height(&self) -> usize {
-        self.view().height()
-    }
-
-    /// Atomic full scan of the set (every key/value pair), in ascending key order.
+    /// Atomic full scan, ascending. Kept for the repository benchmark, which calls it by
+    /// this name: a forwarder to [`MapSnapshotView::range`].
     pub fn scan(&self) -> Vec<(Key, Value)> {
-        self.range_query(0, MAX_KEY)
+        self.view().range(0, MAX_KEY)
     }
 
-    /// Number of keys currently stored (counted on one snapshot in versioned mode).
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// Is the set empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Atomic structural query: the height of the tree (number of internal levels) on
+    /// one snapshot.
+    pub fn height(&self) -> usize {
+        fn depth<M: Mode>(view: &NbbstView<'_, M>, node: NodePtr<'_>) -> usize {
+            // SAFETY: loaded under `view.guard` from the root or a child cell's view.
+            let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { return 0 };
+            let left = depth(view, n.child_at(0, view.handle, &view.guard));
+            let right = depth(view, n.child_at(1, view.handle, &view.guard));
+            1 + left.max(right)
+        }
+        let view = self.view();
+        depth(&view, self.root(&view.guard))
     }
 
     /// Truncates version lists of every child pointer reachable in the current tree,
@@ -946,143 +935,17 @@ impl<'a, M: Mode> NbbstView<'a, M> {
         NbbstView { tree, _pin: pinned, handle, guard: pin() }
     }
 
-    /// In-order walk over every leaf with a user key in `[lo, hi]`, calling `f` until it
-    /// returns `false`. Returns `false` iff the walk was aborted by `f`.
-    fn walk(
-        &self,
-        node: NodePtr<'_>,
-        lo: Key,
-        hi: Key,
-        f: &mut dyn FnMut(Key, Value) -> bool,
-    ) -> bool {
-        // SAFETY: loaded under `self.guard` from the root or a child cell's view; never
-        // null, and a pinned view's versions outlive the guard-protected walk.
-        let n = match unsafe { node.get::<M>() } {
-            NodeRef::Leaf(leaf) => {
-                if leaf.key >= lo && leaf.key <= hi && leaf.key <= MAX_KEY {
-                    return f(leaf.key, leaf.value);
-                }
-                return true;
-            }
-            NodeRef::Internal(n) => n,
-        };
-        if lo < n.key && !self.walk(n.child_at(0, self.handle, &self.guard), lo, hi, f) {
-            return false;
-        }
-        if hi >= n.key {
-            return self.walk(n.child_at(1, self.handle, &self.guard), lo, hi, f);
-        }
-        true
-    }
-
-    fn walk_range(&self, lo: Key, hi: Key, f: &mut dyn FnMut(Key, Value) -> bool) {
-        self.walk(self.tree.root(&self.guard), lo, hi, f);
-    }
-
-    /// The value associated with `key` in this view.
-    pub fn get(&self, key: Key) -> Option<Value> {
-        let mut node = self.tree.root(&self.guard);
-        loop {
-            // SAFETY: loaded under `self.guard` from the root or a child cell's view.
-            match unsafe { node.get::<M>() } {
-                NodeRef::Leaf(leaf) => return (leaf.key == key).then_some(leaf.value),
-                NodeRef::Internal(n) => {
-                    node = n.child_at(dir_for(key, n.key), self.handle, &self.guard)
-                }
-            }
-        }
-    }
-
-    /// Every `(key, value)` pair with `lo <= key <= hi`, ascending.
+    /// Every `(key, value)` pair with `lo <= key <= hi`, ascending. Kept for the
+    /// repository benchmark, which calls it without the trait in scope: a forwarder to
+    /// [`MapSnapshotView::range`].
     pub fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        let mut out = Vec::new();
-        self.walk_range(lo, hi, &mut |k, v| {
-            out.push((k, v));
-            true
-        });
-        out
-    }
-
-    /// The first `count` pairs with key strictly greater than `key`, ascending.
-    pub fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        let mut out = Vec::new();
-        if count == 0 {
-            return out;
-        }
-        self.walk_range(key.saturating_add(1), MAX_KEY, &mut |k, v| {
-            out.push((k, v));
-            out.len() < count
-        });
-        out
-    }
-
-    /// The first pair in `[lo, hi)` (key order) whose key satisfies `pred`.
-    pub fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        if hi == 0 || lo >= hi {
-            return None;
-        }
-        let mut out = None;
-        self.walk_range(lo, hi - 1, &mut |k, v| {
-            if pred(k) {
-                out = Some((k, v));
-                return false;
-            }
-            true
-        });
-        out
-    }
-
-    /// Looks up every key in `keys` against this view.
-    pub fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        keys.iter().map(|&k| self.get(k)).collect()
-    }
-
-    /// Full scan of the view, ascending.
-    pub fn scan(&self) -> Vec<(Key, Value)> {
-        self.range(0, MAX_KEY)
-    }
-
-    /// Number of keys in this view (counting walk; nothing is materialized).
-    pub fn len(&self) -> usize {
-        let mut n = 0usize;
-        self.walk_range(0, MAX_KEY, &mut |_, _| {
-            n += 1;
-            true
-        });
-        n
-    }
-
-    /// Does this view contain no keys?
-    pub fn is_empty(&self) -> bool {
-        let mut any = false;
-        self.walk_range(0, MAX_KEY, &mut |_, _| {
-            any = true;
-            false
-        });
-        !any
-    }
-
-    /// Height of the tree in this view (number of internal levels).
-    pub fn height(&self) -> usize {
-        fn depth<M: Mode>(view: &NbbstView<'_, M>, node: NodePtr<'_>) -> usize {
-            // SAFETY: loaded under `view.guard` from the root or a child cell's view.
-            let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { return 0 };
-            let left = depth(view, n.child_at(0, view.handle, &view.guard));
-            let right = depth(view, n.child_at(1, view.handle, &view.guard));
-            1 + left.max(right)
-        }
-        depth(self, self.tree.root(&self.guard))
-    }
-
-    /// The snapshot timestamp this view reads at (`None` for a current-state view).
-    pub fn timestamp(&self) -> Option<SnapshotHandle> {
-        self.handle
+        MapSnapshotView::range(self, lo, hi)
     }
 }
 
-/// Streaming in-order iterator over an [`NbbstView`]: an explicit descent stack replaces
-/// the recursive walk so leaves can be yielded lazily — `O(log n)` to position, one
-/// root-to-leaf continuation per yielded pair, nothing materialized.
+/// The view's one ordered cursor: an in-order descent stack yielding leaves lazily —
+/// `O(log n)` to position, one root-to-leaf continuation per yielded pair, nothing
+/// materialized.
 struct NbbstRangeIter<'v, 'a, M: Mode> {
     view: &'v NbbstView<'a, M>,
     /// In-order continuation: internal nodes whose right subtree is still pending, with
@@ -1150,40 +1013,25 @@ impl<M: Mode> Iterator for NbbstRangeIter<'_, '_, M> {
 
 impl<M: Mode> MapSnapshotView for NbbstView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
-        NbbstView::get(self, key)
-    }
-    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        NbbstView::multi_get(self, keys)
-    }
-    fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(NbbstRangeIter::new(self, 0, MAX_KEY))
-    }
-    fn len(&self) -> usize {
-        NbbstView::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        NbbstView::is_empty(self)
-    }
-    fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        NbbstView::range(self, lo, hi)
+        if key > MAX_KEY {
+            return None; // a sentinel, never a user key
+        }
+        let mut node = self.tree.root(&self.guard);
+        loop {
+            // SAFETY: loaded under `self.guard` from the root or a child cell's view.
+            match unsafe { node.get::<M>() } {
+                NodeRef::Leaf(leaf) => return (leaf.key == key).then_some(leaf.value),
+                NodeRef::Internal(n) => {
+                    node = n.child_at(dir_for(key, n.key), self.handle, &self.guard)
+                }
+            }
+        }
     }
     fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
         Box::new(NbbstRangeIter::new(self, lo, hi))
     }
-    fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        NbbstView::successors(self, key, count)
-    }
-    fn successors_iter(&self, key: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        if key >= MAX_KEY {
-            return Box::new(std::iter::empty());
-        }
-        Box::new(NbbstRangeIter::new(self, key + 1, MAX_KEY))
-    }
-    fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        NbbstView::find_if(self, lo, hi, pred)
-    }
     fn timestamp(&self) -> Option<SnapshotHandle> {
-        NbbstView::timestamp(self)
+        self.handle
     }
 }
 
@@ -1292,11 +1140,16 @@ impl<M: Mode> ConcurrentMap for Nbbst<M> {
         Nbbst::get(self, key)
     }
     fn name(&self) -> &'static str {
-        self.label
+        if M::VERSIONED {
+            "VcasBST"
+        } else {
+            "BST"
+        }
     }
 }
 
 /// All multi-point queries come from the trait's view-based defaults.
+impl<M: Mode> SnapshotMap for Nbbst<M> {}
 impl<M: Mode> AtomicRangeMap for Nbbst<M> {}
 
 #[cfg(test)]
@@ -1332,13 +1185,13 @@ mod tests {
     #[test]
     fn empty_tree_queries() {
         for_both_modes!(|tree| {
-            assert!(tree.is_empty());
+            assert!(tree.view().is_empty());
             assert_eq!(tree.scan(), vec![]);
             assert_eq!(tree.get(1), None);
             assert!(!tree.remove(1));
-            assert_eq!(tree.range_query(0, 100), vec![]);
+            assert_eq!(tree.range(0, 100), vec![]);
             assert_eq!(tree.successors(0, 3), vec![]);
-            assert_eq!(tree.multi_search(&[1, 2, 3]), vec![None, None, None]);
+            assert_eq!(tree.multi_get(&[1, 2, 3]), vec![None, None, None]);
         });
     }
 
@@ -1369,12 +1222,12 @@ mod tests {
                 tree.insert(k, k + 1);
             }
             assert_eq!(
-                tree.range_query(10, 20),
+                tree.range(10, 20),
                 vec![(10, 11), (12, 13), (14, 15), (16, 17), (18, 19), (20, 21)]
             );
             assert_eq!(tree.successors(13, 3), vec![(14, 15), (16, 17), (18, 19)]);
             assert_eq!(tree.find_if(0, 100, &|k| k % 14 == 0 && k > 0), Some((14, 15)));
-            assert_eq!(tree.multi_search(&[4, 5, 6]), vec![Some(5), None, Some(7)]);
+            assert_eq!(tree.multi_get(&[4, 5, 6]), vec![Some(5), None, Some(7)]);
             assert!(tree.height() >= 1);
         });
     }
@@ -1396,7 +1249,7 @@ mod tests {
         }
         // An as-of view at the old timestamp must still see the original 50 keys.
         let view = tree.view_at(handle.raw()).unwrap();
-        let keys: Vec<Key> = view.scan().iter().map(|(k, _)| *k).collect();
+        let keys: Vec<Key> = view.iter().collect::<Vec<_>>().iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (0..50u64).collect::<Vec<_>>());
         assert_eq!(view.timestamp(), Some(handle));
         assert_eq!(view.len(), 50);
@@ -1427,7 +1280,7 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            assert_eq!(tree.len(), 2000);
+            assert_eq!(tree.view().len(), 2000);
             for t in 0..4u64 {
                 for k in (t * 1000)..(t * 1000 + 500) {
                     assert!(tree.contains(k), "missing key {k}");
@@ -1491,7 +1344,7 @@ mod tests {
             let tree = tree.clone();
             std::thread::spawn(move || {
                 for _ in 0..300 {
-                    let snap = tree.range_query(0, MAX_KEY);
+                    let snap = tree.range(0, MAX_KEY);
                     let keys: Vec<Key> = snap.iter().map(|(k, _)| *k).collect();
                     let expected: Vec<Key> = (0..keys.len() as u64).collect();
                     assert_eq!(keys, expected, "atomic range query must see a prefix");
@@ -1500,7 +1353,7 @@ mod tests {
         };
         writer.join().unwrap();
         reader.join().unwrap();
-        assert_eq!(tree.len(), 3000);
+        assert_eq!(tree.view().len(), 3000);
     }
 
     #[test]
@@ -1519,7 +1372,7 @@ mod tests {
         }
         let retired = tree.collect_versions();
         assert!(retired > 0, "expected some versions to be reclaimed, got {retired}");
-        assert!(tree.is_empty());
+        assert!(tree.view().is_empty());
     }
 
     #[test]
@@ -1558,7 +1411,7 @@ mod tests {
         assert!(retired > 0);
         let after = Collectible::version_stats(&tree, &guard);
         assert_eq!(after.max_versions_per_cell, 1, "no pins: one version per cell remains");
-        assert_eq!(tree.len(), 100, "collection must not change the abstract state");
+        assert_eq!(tree.view().len(), 100, "collection must not change the abstract state");
     }
 
     #[test]
@@ -1590,18 +1443,24 @@ mod tests {
     }
 
     #[test]
-    fn streaming_range_iter_matches_the_recursive_walk() {
+    fn range_iter_matches_a_btreemap_model() {
         for_both_modes!(|tree| {
-            for k in (0..200u64).step_by(3) {
-                tree.insert(k, k + 1);
+            let model: std::collections::BTreeMap<Key, Value> =
+                (0..200u64).step_by(3).map(|k| (k, k + 1)).collect();
+            for (&k, &v) in &model {
+                tree.insert(k, v);
             }
             let view = tree.view();
-            let streamed: Vec<_> = MapSnapshotView::range_iter(&view, 30, 90).collect();
-            assert_eq!(streamed, view.range(30, 90));
-            let all: Vec<_> = MapSnapshotView::iter(&view).collect();
-            assert_eq!(all, view.scan());
-            let succ: Vec<_> = MapSnapshotView::successors_iter(&view, 10).take(4).collect();
-            assert_eq!(succ, view.successors(10, 4));
+            let expect = |lo: Key, hi: Key| -> Vec<(Key, Value)> {
+                model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect()
+            };
+            assert_eq!(view.range_iter(30, 90).collect::<Vec<_>>(), expect(30, 90));
+            assert_eq!(view.iter().collect::<Vec<_>>(), expect(0, MAX_KEY));
+            assert_eq!(view.successors(10, 4), expect(11, 21));
+            assert_eq!(view.range(91, 90), vec![]);
+            assert_eq!(view.successors(MAX_KEY, 4), vec![]);
+            assert_eq!(view.get(MAX_KEY + 1), None, "sentinel leaves are not keys");
+            assert_eq!(view.get(Key::MAX), None, "sentinel leaves are not keys");
         });
     }
 
@@ -1615,7 +1474,7 @@ mod tests {
             for k in [10, 20, 30] {
                 assert!(tree.insert(k, k));
             }
-            let len = tree.len();
+            let len = tree.view().len();
             // Held throughout, so the descriptor and every node it names stay allocated.
             let guard = pin();
             assert!(tree.insert(25, 25));
@@ -1632,9 +1491,18 @@ mod tests {
             assert!(tree.remove(25));
             tree.help_insert(op, &guard);
 
-            assert!(!tree.contains(25), "{}: a late helper re-linked a removed key", tree.label);
-            assert_eq!(tree.len(), len, "{}", tree.label);
-            assert_eq!(tree.scan(), vec![(10, 10), (20, 20), (30, 30)], "{}", tree.label);
+            assert!(
+                !tree.contains(25),
+                "{}: a late helper re-linked a removed key",
+                ConcurrentMap::name(&tree)
+            );
+            assert_eq!(tree.view().len(), len, "{}", ConcurrentMap::name(&tree));
+            assert_eq!(
+                tree.scan(),
+                vec![(10, 10), (20, 20), (30, 30)],
+                "{}",
+                ConcurrentMap::name(&tree)
+            );
         });
     }
 

@@ -107,6 +107,9 @@ mod tests {
         fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
             Box::new(self.0.iter().copied())
         }
+        fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
+            crate::view::sorted_range(self.iter(), lo, hi)
+        }
         fn timestamp(&self) -> Option<SnapshotHandle> {
             None
         }

@@ -6,7 +6,7 @@
 //! [`HarrisList`] holding the keys that hash to it. In versioned mode every bucket's
 //! `next` pointers are vCAS objects and **all buckets share one camera**, so a
 //! multi-point query takes a *single* [`Camera::take_snapshot`] and reads every bucket
-//! at that handle: [`VcasHashMap::multi_get`] and [`VcasHashMap::snapshot_iter`] observe
+//! at that handle: a [`VcasHashMapView`] (and so [`VcasHashMap::multi_get`]) observes
 //! one timestamp across the whole table, exactly as the paper's recipe prescribes
 //! (version the pointers whose values determine the abstract state, then snapshot the
 //! camera they are registered with).
@@ -28,7 +28,7 @@ use vcas_ebr::{pin, Guard};
 
 use crate::list::HarrisList;
 use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
-use crate::view::{MapSnapshotView, SnapshotSource};
+use crate::view::{sorted_range, MapSnapshotView, SnapshotSource};
 
 /// Fibonacci multiplicative hashing constant (2^64 / phi), the usual odd multiplier.
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -43,12 +43,12 @@ pub struct VcasHashMap<M: Mode = Versioned> {
     mode: M,
     /// Resume bucket for incremental version-list collection ([`Collectible`]).
     reclaim_bucket: AtomicUsize,
-    label: &'static str,
 }
 
 impl VcasHashMap<Plain> {
     /// The unversioned table (`HashMap` in benchmark output): lock-free point ops, but
-    /// `multi_get` / `snapshot_iter` are non-atomic. Rounds `buckets` up to a power of two.
+    /// its views read the current state, so multi-point reads are non-atomic. Rounds
+    /// `buckets` up to a power of two.
     pub fn new_plain(buckets: usize) -> VcasHashMap<Plain> {
         Self::with_mode(Plain, buckets)
     }
@@ -78,13 +78,7 @@ impl<M: Mode> VcasHashMap<M> {
     fn with_mode(mode: M, buckets: usize) -> VcasHashMap<M> {
         let n = buckets.max(1).next_power_of_two();
         let buckets = (0..n).map(|_| HarrisList::with_mode(mode.clone())).collect();
-        VcasHashMap {
-            buckets,
-            mask: (n - 1) as u64,
-            mode,
-            reclaim_bucket: AtomicUsize::new(0),
-            label: if M::VERSIONED { "VcasHashMap" } else { "HashMap" },
-        }
+        VcasHashMap { buckets, mask: (n - 1) as u64, mode, reclaim_bucket: AtomicUsize::new(0) }
     }
 
     /// The camera associated with a versioned table.
@@ -127,9 +121,9 @@ impl<M: Mode> VcasHashMap<M> {
 
     // ----- snapshot queries --------------------------------------------------------------
     //
-    // Every multi-point query runs against a [`VcasHashMapView`]: one snapshot of the
-    // shared camera covers the whole bucket array, and one EBR pin serves the whole
-    // batch. The methods below are batch-of-one conveniences.
+    // Every multi-point query runs against a [`VcasHashMapView`] through the
+    // [`MapSnapshotView`] trait: one snapshot of the shared camera covers the whole
+    // bucket array, and one EBR pin serves the whole batch.
 
     /// Opens a pinned snapshot view of the whole table's state right now (the primary
     /// multi-point query surface; see [`crate::view`]). In plain mode the view reads
@@ -146,75 +140,18 @@ impl<M: Mode> VcasHashMap<M> {
         Ok(VcasHashMapView::new(self, Some(self.mode.pin_snapshot_at(ts)?)))
     }
 
-    /// Looks up every key in `keys` against one snapshot: in versioned mode all lookups
-    /// observe the single timestamp taken at the start of the call (non-atomic in plain
-    /// mode, where each lookup reads the current state).
+    /// Looks up every key in `keys` against one snapshot. Kept for the repository
+    /// benchmark, which calls it by this name: a forwarder to
+    /// [`MapSnapshotView::multi_get`].
     pub fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
         self.view().multi_get(keys)
     }
 
-    /// Iterates over every `(key, value)` pair live at a single snapshot timestamp
-    /// (bucket order, key order within a bucket — not global key order). Buckets are
-    /// materialized lazily, one at a time, so memory stays proportional to the largest
-    /// bucket. The snapshot is pinned for the iterator's lifetime. Non-atomic in plain
-    /// mode.
-    pub fn snapshot_iter(&self) -> SnapshotIter<'_, M> {
-        let pinned = self.mode.pin_snapshot();
-        let handle = pinned.as_ref().map(PinnedSnapshot::handle);
-        SnapshotIter {
-            map: self,
-            _pin: pinned,
-            handle,
-            guard: pin(),
-            next_bucket: 0,
-            current: Vec::new().into_iter(),
-        }
-    }
-
-    /// Every live `(key, value)` pair at a single snapshot timestamp, sorted by key.
+    /// Every live `(key, value)` pair at a single snapshot timestamp, sorted by key. Kept
+    /// for the repository benchmark, which calls it by this name: a forwarder to
+    /// [`MapSnapshotView::range`].
     pub fn snapshot_scan(&self) -> Vec<(Key, Value)> {
-        let mut out: Vec<(Key, Value)> = self.snapshot_iter().collect();
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Number of live keys (at a single timestamp in versioned mode). Counts bucket by
-    /// bucket on one view; nothing is materialized.
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// Is the map empty?
-    pub fn is_empty(&self) -> bool {
-        self.view().is_empty()
-    }
-}
-
-/// Lazy per-bucket iterator returned by [`VcasHashMap::snapshot_iter`]; all buckets are
-/// read at the one snapshot handle (pinned for the iterator's lifetime) taken when the
-/// iterator was created.
-pub struct SnapshotIter<'a, M: Mode = Versioned> {
-    map: &'a VcasHashMap<M>,
-    /// Keeps the snapshot registered with the camera while the iterator is alive.
-    _pin: Option<PinnedSnapshot>,
-    handle: Option<SnapshotHandle>,
-    guard: Guard,
-    next_bucket: usize,
-    current: std::vec::IntoIter<(Key, Value)>,
-}
-
-impl<M: Mode> Iterator for SnapshotIter<'_, M> {
-    type Item = (Key, Value);
-
-    fn next(&mut self) -> Option<(Key, Value)> {
-        loop {
-            if let Some(pair) = self.current.next() {
-                return Some(pair);
-            }
-            let bucket = self.map.buckets.get(self.next_bucket)?;
-            self.next_bucket += 1;
-            self.current = bucket.collect_at(self.handle, &self.guard).into_iter();
-        }
+        self.view().range(0, Key::MAX)
     }
 }
 
@@ -235,65 +172,25 @@ impl<'a, M: Mode> VcasHashMapView<'a, M> {
         let handle = pinned.as_ref().map(PinnedSnapshot::handle);
         VcasHashMapView { map, _pin: pinned, handle, guard: pin() }
     }
-
-    /// The value associated with `key` in this view.
-    pub fn get(&self, key: Key) -> Option<Value> {
-        self.map.bucket_of(key).get_at(self.handle, key, &self.guard)
-    }
-
-    /// Looks up every key in `keys` against this view.
-    pub fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        keys.iter().map(|&k| self.get(k)).collect()
-    }
-
-    /// Iterates this view's pairs lazily, bucket by bucket (unspecified global order).
-    pub fn iter(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
-        SnapshotIter {
-            map: self.map,
-            _pin: None,
-            handle: self.handle,
-            guard: pin(),
-            next_bucket: 0,
-            current: Vec::new().into_iter(),
-        }
-    }
-
-    /// Number of keys in this view (per-bucket counting walks; nothing is materialized).
-    pub fn len(&self) -> usize {
-        self.map.buckets.iter().map(|b| b.count_at(self.handle, &self.guard)).sum()
-    }
-
-    /// Does this view contain no keys?
-    pub fn is_empty(&self) -> bool {
-        self.map.buckets.iter().all(|b| b.count_at(self.handle, &self.guard) == 0)
-    }
-
-    /// The snapshot timestamp this view reads at (`None` for a plain-mode view).
-    pub fn timestamp(&self) -> Option<SnapshotHandle> {
-        self.handle
-    }
 }
 
 impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
-        VcasHashMapView::get(self, key)
+        let bucket = self.map.bucket_of(key);
+        bucket.cursor(self.handle, &self.guard, key, key).next().map(|(_, v)| v)
     }
-    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        VcasHashMapView::multi_get(self, keys)
+    /// "Ordered query on a hash map" is definitionally a full scan and a sort.
+    fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
+        sorted_range(self.iter(), lo, hi)
     }
-    fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(VcasHashMapView::iter(self))
-    }
-    fn len(&self) -> usize {
-        VcasHashMapView::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        VcasHashMapView::is_empty(self)
-    }
-    // range / successors / find_if use the trait's sort-based defaults: "ordered query on
-    // a hash map" is definitionally a full scan.
     fn timestamp(&self) -> Option<SnapshotHandle> {
-        VcasHashMapView::timestamp(self)
+        self.handle
+    }
+    /// Streams the buckets in order (key order within a bucket, not globally), each
+    /// through the list cursor on this view's handle and guard: nothing is materialized.
+    fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
+        let (handle, guard) = (self.handle, &self.guard);
+        Box::new(self.map.buckets.iter().flat_map(move |b| b.cursor(handle, guard, 0, Key::MAX)))
     }
 }
 
@@ -385,17 +282,16 @@ impl<M: Mode> ConcurrentMap for VcasHashMap<M> {
         VcasHashMap::get(self, key)
     }
     fn name(&self) -> &'static str {
-        self.label
+        if M::VERSIONED {
+            "VcasHashMap"
+        } else {
+            "HashMap"
+        }
     }
 }
 
-/// `multi_get` and `snapshot_len` come from the trait's view-based defaults; only the
-/// lazy per-bucket iterator is structure-specific.
-impl<M: Mode> SnapshotMap for VcasHashMap<M> {
-    fn snapshot_iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(VcasHashMap::snapshot_iter(self))
-    }
-}
+/// `multi_get` comes from the trait's view-based default.
+impl<M: Mode> SnapshotMap for VcasHashMap<M> {}
 
 /// Ordered queries on a hash map scan the whole table (O(buckets + n)); they exist so the
 /// generic workload driver and query harness can drive the hash map, and they are atomic
@@ -429,7 +325,7 @@ mod tests {
     #[test]
     fn sequential_map_semantics() {
         for_both_modes!(|map| {
-            assert!(map.is_empty());
+            assert!(map.view().is_empty());
             assert!(map.insert(3, 30));
             assert!(map.insert(1, 10));
             assert!(!map.insert(3, 99), "duplicate insert must fail and keep the old value");
@@ -437,7 +333,7 @@ mod tests {
             assert!(map.remove(3));
             assert!(!map.remove(3));
             assert_eq!(map.get(3), None);
-            assert_eq!(map.len(), 1);
+            assert_eq!(map.view().len(), 1);
             assert_eq!(map.snapshot_scan(), vec![(1, 10)]);
         });
     }
@@ -492,13 +388,13 @@ mod tests {
             })
         };
         for _ in 0..100 {
-            let mut keys: Vec<Key> = map.snapshot_iter().map(|(k, _)| k).collect();
+            let mut keys: Vec<Key> = map.view().iter().map(|(k, _)| k).collect();
             keys.sort_unstable();
             let expected: Vec<Key> = (0..keys.len() as u64).collect();
             assert_eq!(keys, expected, "snapshot must observe a gap-free insertion prefix");
         }
         writer.join().unwrap();
-        assert_eq!(map.len(), 1500);
+        assert_eq!(map.view().len(), 1500);
     }
 
     #[test]
@@ -535,7 +431,7 @@ mod tests {
         assert!(passes > 1, "budget 16 across 16 churned buckets must need several slices");
         let after = Collectible::version_stats(&map, &guard);
         assert_eq!(after.max_versions_per_cell, 1, "no pins: one version per cell remains");
-        assert_eq!(map.len(), 200, "collection must not change the abstract state");
+        assert_eq!(map.view().len(), 200, "collection must not change the abstract state");
         assert_eq!(map.get(7), Some(14));
     }
 
@@ -572,7 +468,7 @@ mod tests {
             assert_eq!(map.range(10, 12), vec![(10, 11), (11, 12), (12, 13)]);
             assert_eq!(map.successors(61, 5), vec![(62, 63), (63, 64)]);
             assert_eq!(map.find_if(0, 64, &|k| k % 37 == 0 && k > 0), Some((37, 38)));
-            assert_eq!(map.multi_search(&[5, 500]), vec![Some(6), None]);
+            assert_eq!(map.multi_get(&[5, 500]), vec![Some(6), None]);
             assert_eq!(map.find_if(5, 5, &|_| true), None);
         });
     }

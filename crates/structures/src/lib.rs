@@ -9,7 +9,7 @@
 //!   figures) and *versioned* (`VcasBST`), where every child pointer is a versioned CAS
 //!   object so that arbitrary multi-point queries run atomically on a snapshot.
 //! * [`list::HarrisList`] — Harris's lock-free sorted linked list, plain and versioned, with
-//!   atomic range queries, multi-searches and i-th element queries.
+//!   atomic multi-point queries on its snapshot views.
 //! * [`skiplist::VcasSkipList`] — a lock-free skip list whose tower pointers are all
 //!   vCAS-versioned (no plain mode): the logarithmic ordered structure behind the
 //!   streaming range-scan engine ([`view::MapSnapshotView::range_iter`]), answering
@@ -18,19 +18,21 @@
 //! * [`queue::MsQueue`] — the Michael–Scott queue, plain and versioned, with atomic scans,
 //!   i-th-element and peek-both-ends queries.
 //! * [`hashmap::VcasHashMap`] — a lock-free open-bucket hash table whose buckets are
-//!   vCAS-versioned Harris lists sharing one camera, giving snapshot-timestamped
-//!   `multi_get` and `snapshot_iter` (plus a plain unversioned mode for the ablation).
+//!   vCAS-versioned Harris lists sharing one camera, so one view reads every bucket at
+//!   one timestamp (plus a plain unversioned mode for the ablation).
 //! * [`baselines`] — comparator structures for the evaluation: `DcBst` (double-collect /
 //!   validate-and-retry range queries, the KST / PNB-BST mechanism), `LockBst` (coarse
 //!   reader-writer locking for range queries, the SnapTree mechanism), `LockHashMap`
 //!   (reader-writer-locked std hash map, the hash-table comparator), and the non-atomic
 //!   query mode available on every structure (the weakly-consistent-iterator baseline).
-//! * [`view`] — **the primary query surface**: reified snapshot views. Every structure
+//! * [`view`] — **the one query surface**: reified snapshot views. Every structure
 //!   implements [`view::SnapshotSource`], whose [`view::MapSnapshotView`]s answer
-//!   arbitrarily many `get` / `range` / `iter` queries at one timestamp, paying for the
-//!   snapshot and EBR pin once per view; [`view::GroupQueryExt`] opens one view per member
-//!   of a [`vcas_core::GroupSnapshot`] at a single shared timestamp (cross-structure
-//!   atomic reads). See `docs/snapshot_views.md`.
+//!   arbitrarily many queries at one timestamp, paying for the snapshot and EBR pin once
+//!   per view. Each view implements `get`, one ordered cursor (`range_iter`) and
+//!   `timestamp`; every other query (`multi_get`, `iter`, `len`, `range`, `successors`,
+//!   `find_if`) is a trait default over them. [`view::GroupQueryExt`] opens one view per
+//!   member of a [`vcas_core::GroupSnapshot`] at a single shared timestamp
+//!   (cross-structure atomic reads). See `docs/snapshot_views.md`.
 //! * [`queries`] — the multi-point query set of the paper's Table 2 (`range`, `succ`,
 //!   `findif`, `multisearch`) executed over views ([`queries::run_query_on_view`],
 //!   [`queries::QueryKind::Composed`] batches), the hash-map analogues (`multiget4/16`,
@@ -49,19 +51,14 @@
 //! [`vcas_core::Mode`]: `Nbbst<Plain>` keeps its pointers in one-word atomics,
 //! `Nbbst<Versioned>` (the default, so plain `Nbbst` names it) in versioned CAS objects.
 //!
-//! All ordered structures implement [`traits::ConcurrentMap`] (point operations) and, where
-//! supported, [`traits::AtomicRangeMap`] (atomic multi-point queries), which is what the
-//! workload harness in `vcas-workload` drives; unordered structures expose their atomic
-//! batched reads through [`traits::SnapshotMap`]. The multi-point methods of both traits
-//! are default methods over [`view::SnapshotSource::snapshot_view`] — one-shot
-//! conveniences around the view API.
+//! Every map implements [`traits::ConcurrentMap`] (point operations),
+//! [`traits::SnapshotMap`] (atomic `multi_get`) and [`traits::AtomicRangeMap`] (atomic
+//! `range` / `successors` / `find_if`), which is what the workload harness in
+//! `vcas-workload` drives. The multi-point methods of both traits are default methods
+//! over [`view::SnapshotSource::snapshot_view`] — one-shot conveniences around the view
+//! API; no structure overrides them.
 
 #![warn(missing_docs)]
-// Satellite of the vcas-analysis lint pass: surface undocumented `unsafe` in local builds.
-// CI's clippy run passes `--force-warn clippy::undocumented_unsafe_blocks` so `-D warnings`
-// cannot escalate these legacy sites; the allowlist ratchet in `crates/analysis` is what
-// forbids growth. vcas-core / vcas-ebr / vcas-sync / vcas-analysis set this to `deny`.
-#![warn(clippy::undocumented_unsafe_blocks)]
 
 /// Test helper: runs `$body` with `$x` bound first to `plain()`, then to `versioned()` —
 /// constructors the calling test module defines. The two structures are different types,
@@ -132,8 +129,10 @@ pub use baselines::{DcBst, LockBst, LockHashMap};
 pub use bst::Nbbst;
 pub use hashmap::VcasHashMap;
 pub use list::HarrisList;
-pub use queries::{run_hash_query, run_query, HashQueryKind, QueryKind, QueryOutcome};
+pub use queries::{
+    run_hash_query_on_view, run_query_on_view, HashQueryKind, QueryKind, QueryOutcome,
+};
 pub use queue::MsQueue;
 pub use skiplist::VcasSkipList;
 pub use traits::{AtomicRangeMap, ConcurrentMap, SnapshotMap};
-pub use view::{BestEffortView, GroupQueryExt, MapSnapshotView, SnapshotSource, StructureGroup};
+pub use view::{GroupQueryExt, MapSnapshotView, SnapshotSource, StructureGroup};

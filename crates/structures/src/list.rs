@@ -20,7 +20,7 @@ use vcas_core::{
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
-use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, Value};
+use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
 use crate::view::{MapSnapshotView, SnapshotSource};
 
 /// Deletion mark stored in the low bit of a node's next pointer.
@@ -66,7 +66,6 @@ pub struct HarrisList<M: Mode = Versioned> {
     /// *resume key + 1* so that the value 0 unambiguously means "fresh sweep, include the
     /// head sentinel" even though 0 is a legal user key.
     reclaim_cursor: AtomicU64,
-    label: &'static str,
 }
 
 impl HarrisList<Plain> {
@@ -97,8 +96,7 @@ impl<M: Mode> HarrisList<M> {
             // node) and is freed directly by the destructor.
             camera.note_nodes_created(1);
         }
-        let label = if M::VERSIONED { "VcasList" } else { "HarrisList" };
-        HarrisList { head: Atomic::new(head), mode, reclaim_cursor: AtomicU64::new(0), label }
+        HarrisList { head: Atomic::new(head), mode, reclaim_cursor: AtomicU64::new(0) }
     }
 
     /// The camera associated with a versioned list.
@@ -269,8 +267,8 @@ impl<M: Mode> HarrisList<M> {
 
     // ----- snapshot queries --------------------------------------------------------------
     //
-    // Every multi-point query runs against a [`HarrisListView`]: one snapshot, one EBR
-    // pin, arbitrarily many reads. The methods below are batch-of-one conveniences.
+    // Every multi-point query runs against a [`HarrisListView`] through the
+    // [`MapSnapshotView`] trait: one snapshot, one EBR pin, arbitrarily many reads.
 
     /// Opens a pinned snapshot view of the list's state right now (the primary multi-point
     /// query surface; see [`crate::view`]). In plain mode the view reads current state.
@@ -286,115 +284,22 @@ impl<M: Mode> HarrisList<M> {
         Ok(HarrisListView::new(self, Some(self.mode.pin_snapshot_at(ts)?)))
     }
 
-    /// Walks the list as of `at` (the current state when `None`), calling `f` for every
-    /// unmarked (live) node, stopping when `f` returns `false`.
-    fn walk(
+    /// The list's one ordered cursor: the live pairs with `lo <= key <= hi` as of
+    /// `handle` (the current state when `None`), read under `guard`. Views use it, and
+    /// so does [`crate::VcasHashMap`], whose buckets all share one camera: a cross-bucket
+    /// query reads every bucket at one handle under one guard.
+    pub(crate) fn cursor<'g>(
         &self,
-        at: Option<SnapshotHandle>,
-        guard: &Guard,
-        mut f: impl FnMut(Key, Value) -> bool,
-    ) {
+        handle: Option<SnapshotHandle>,
+        guard: &'g Guard,
+        lo: Key,
+        hi: Key,
+    ) -> ListRangeIter<'g, M> {
         let head = self.head.load(Ordering::SeqCst, guard);
-        // SAFETY: the head sentinel is never null; `guard` pins the epoch.
-        let mut curr = unsafe { head.deref() }.next.load_at(at, guard).with_tag(0);
-        // SAFETY: `curr` came from a (possibly historical) next version read under
-        // `guard`; snapshot pins keep the versions' nodes retained, and the EBR pin
-        // keeps retired ones allocated.
-        while let Some(node) = unsafe { curr.as_ref() } {
-            let next = node.next.load_at(at, guard);
-            if next.tag() != MARK && !f(node.key, node.value) {
-                return;
-            }
-            curr = next.with_tag(0);
-        }
-    }
-
-    /// Atomic range query: every `(key, value)` with `lo <= key <= hi`.
-    pub fn range_query(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        self.view().range(lo, hi)
-    }
-
-    /// Atomic multi-search: looks up each key in `keys` against one snapshot.
-    pub fn multi_search(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        self.view().multi_get(keys)
-    }
-
-    /// Atomic i-th element query (0-based, in key order).
-    pub fn ith(&self, i: usize) -> Option<(Key, Value)> {
-        self.view().ith(i)
-    }
-
-    /// Atomic successors query: the first `count` keys greater than `key`.
-    pub fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        self.view().successors(key, count)
-    }
-
-    // ----- bucket support (used by `crate::hashmap::VcasHashMap`) ------------------------
-    //
-    // A hash map's buckets all share one camera, so a cross-bucket query takes a *single*
-    // snapshot and reads every bucket at that handle; per-bucket views would instead give
-    // each bucket its own timestamp. `handle == None` reads the current state (the
-    // plain/non-atomic mode). The caller supplies the EBR guard so a whole-table query
-    // pins once, not once per bucket.
-
-    /// Collects every live `(key, value)` pair as of `handle` (or of the current state when
-    /// `handle` is `None`), in key order.
-    pub(crate) fn collect_at(
-        &self,
-        handle: Option<SnapshotHandle>,
-        guard: &Guard,
-    ) -> Vec<(Key, Value)> {
-        let mut out = Vec::new();
-        self.walk(handle, guard, |k, v| {
-            out.push((k, v));
-            true
-        });
-        out
-    }
-
-    /// Looks up `key` as of `handle` (or of the current state when `handle` is `None`).
-    pub(crate) fn get_at(
-        &self,
-        handle: Option<SnapshotHandle>,
-        key: Key,
-        guard: &Guard,
-    ) -> Option<Value> {
-        let mut out = None;
-        self.walk(handle, guard, |k, v| {
-            if k >= key {
-                if k == key {
-                    out = Some(v);
-                }
-                return false;
-            }
-            true
-        });
-        out
-    }
-
-    /// Counts the live keys as of `handle` without materializing them.
-    pub(crate) fn count_at(&self, handle: Option<SnapshotHandle>, guard: &Guard) -> usize {
-        let mut n = 0usize;
-        self.walk(handle, guard, |_, _| {
-            n += 1;
-            true
-        });
-        n
-    }
-
-    /// Atomic full scan of the list.
-    pub fn scan(&self) -> Vec<(Key, Value)> {
-        self.view().scan()
-    }
-
-    /// Number of live keys (counted on one snapshot in versioned mode).
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// Is the list empty?
-    pub fn is_empty(&self) -> bool {
-        self.view().is_empty()
+        // SAFETY: the head sentinel is never null; `guard` pins the epoch for the
+        // cursor's whole lifetime.
+        let first = unsafe { head.deref() }.next.load_at(handle, guard).with_tag(0);
+        ListRangeIter { curr: first, handle, guard, lo, hi }
     }
 
     // ----- incremental version-list collection -------------------------------------------
@@ -500,210 +405,66 @@ impl<'a, M: Mode> HarrisListView<'a, M> {
         let handle = pinned.as_ref().map(PinnedSnapshot::handle);
         HarrisListView { list, _pin: pinned, handle, guard: pin() }
     }
-
-    fn walk(&self, f: impl FnMut(Key, Value) -> bool) {
-        self.list.walk(self.handle, &self.guard, f);
-    }
-
-    /// The value associated with `key` in this view.
-    pub fn get(&self, key: Key) -> Option<Value> {
-        self.list.get_at(self.handle, key, &self.guard)
-    }
-
-    /// Every `(key, value)` pair with `lo <= key <= hi`, ascending.
-    pub fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        let mut out = Vec::new();
-        self.walk(|k, v| {
-            if k > hi {
-                return false;
-            }
-            if k >= lo {
-                out.push((k, v));
-            }
-            true
-        });
-        out
-    }
-
-    /// Looks up every key in `keys` against this view, in one pass over the list.
-    pub fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        let mut sorted: Vec<Key> = keys.to_vec();
-        sorted.sort_unstable();
-        let mut found = std::collections::HashMap::new();
-        let max = sorted.last().copied().unwrap_or(0);
-        self.walk(|k, v| {
-            if sorted.binary_search(&k).is_ok() {
-                found.insert(k, v);
-            }
-            k <= max
-        });
-        keys.iter().map(|k| found.get(k).copied()).collect()
-    }
-
-    /// The i-th element of this view (0-based, in key order).
-    pub fn ith(&self, i: usize) -> Option<(Key, Value)> {
-        let mut seen = 0usize;
-        let mut out = None;
-        self.walk(|k, v| {
-            if seen == i {
-                out = Some((k, v));
-                return false;
-            }
-            seen += 1;
-            true
-        });
-        out
-    }
-
-    /// The first `count` pairs with key strictly greater than `key`, ascending.
-    pub fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        let mut out = Vec::new();
-        self.walk(|k, v| {
-            if k > key {
-                out.push((k, v));
-            }
-            out.len() < count
-        });
-        out
-    }
-
-    /// The first pair in `[lo, hi)` (key order) whose key satisfies `pred`.
-    pub fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        if lo >= hi {
-            return None;
-        }
-        let mut out = None;
-        self.walk(|k, v| {
-            if k >= hi {
-                return false;
-            }
-            if k >= lo && pred(k) {
-                out = Some((k, v));
-                return false;
-            }
-            true
-        });
-        out
-    }
-
-    /// Full scan of the view, ascending.
-    pub fn scan(&self) -> Vec<(Key, Value)> {
-        self.list.collect_at(self.handle, &self.guard)
-    }
-
-    /// Number of keys in this view (counting walk; nothing is materialized).
-    pub fn len(&self) -> usize {
-        self.list.count_at(self.handle, &self.guard)
-    }
-
-    /// Does this view contain no keys?
-    pub fn is_empty(&self) -> bool {
-        let mut any = false;
-        self.walk(|_, _| {
-            any = true;
-            false
-        });
-        !any
-    }
-
-    /// The snapshot timestamp this view reads at (`None` for a current-state view).
-    pub fn timestamp(&self) -> Option<SnapshotHandle> {
-        self.handle
-    }
 }
 
-/// Streaming in-order iterator over a [`HarrisListView`]: a cursor on the view's (frozen
-/// or current) list, one pointer chase per yielded pair. A list has no index, so
-/// positioning at `lo` is `O(position)` — but early-stopping consumers (`find_if`,
-/// `successors().take(c)`) never touch the tail, unlike the collect-everything walk.
-struct ListRangeIter<'v, 'a, M: Mode> {
-    view: &'v HarrisListView<'a, M>,
-    /// The next node to yield: always live in the view with key in range, or null.
-    curr: Shared<'v, Node<M>>,
+/// The list's ordered cursor ([`HarrisList::cursor`]): one pointer chase per node, and
+/// no node is read before the pair ahead of it is taken. A list has no index, so
+/// positioning at `lo` is `O(position)`, but early-stopping consumers (`get`, `find_if`,
+/// `successors`) never touch the tail.
+pub(crate) struct ListRangeIter<'g, M: Mode> {
+    /// The next node to examine, or null.
+    curr: Shared<'g, Node<M>>,
+    handle: Option<SnapshotHandle>,
+    guard: &'g Guard,
+    lo: Key,
     hi: Key,
 }
 
-impl<'v, 'a, M: Mode> ListRangeIter<'v, 'a, M> {
-    fn new(view: &'v HarrisListView<'a, M>, lo: Key, hi: Key) -> ListRangeIter<'v, 'a, M> {
-        let head = view.list.head.load(Ordering::SeqCst, &view.guard);
-        // SAFETY: the head sentinel is never null; the view's guard pins the epoch for
-        // the iterator's whole lifetime.
-        let first = unsafe { head.deref() }.next.load_at(view.handle, &view.guard).with_tag(0);
-        let mut it = ListRangeIter { view, curr: first, hi };
-        it.skip_to_live_geq(lo);
-        it
-    }
-
-    /// Advances `curr` to the first node at-or-after it that is live in the view (next
-    /// pointer unmarked) with key `>= lo`.
-    fn skip_to_live_geq(&mut self, lo: Key) {
-        let view = self.view;
-        // SAFETY: `curr` was read from a next cell (or version) under the view's guard,
-        // whose pin — and snapshot pin, when historical — outlives the iterator.
-        while let Some(node) = unsafe { self.curr.as_ref() } {
-            let next = node.next.load_at(view.handle, &view.guard);
-            if next.tag() != MARK && node.key >= lo {
-                return;
-            }
-            self.curr = next.with_tag(0);
-        }
-    }
-}
-
-impl<M: Mode> Iterator for ListRangeIter<'_, '_, M> {
+impl<M: Mode> Iterator for ListRangeIter<'_, M> {
     type Item = (Key, Value);
 
     fn next(&mut self) -> Option<(Key, Value)> {
-        let view = self.view;
-        // SAFETY: as in `skip_to_live_geq` — the view's guard outlives the iterator.
-        let node = unsafe { self.curr.as_ref() }?;
-        if node.key > self.hi {
-            self.curr = Shared::null();
-            return None;
+        // SAFETY: `curr` was read from a next cell (or version) under `guard`, whose pin —
+        // and the snapshot pin, when historical — outlives the cursor.
+        while let Some(node) = unsafe { self.curr.as_ref() } {
+            if node.key > self.hi {
+                // Key order: every later node (dead ones included) is larger.
+                self.curr = Shared::null();
+                return None;
+            }
+            let next = node.next.load_at(self.handle, self.guard);
+            self.curr = next.with_tag(0);
+            if next.tag() != MARK && node.key >= self.lo {
+                return Some((node.key, node.value));
+            }
         }
-        let item = (node.key, node.value);
-        self.curr = node.next.load_at(view.handle, &view.guard).with_tag(0);
-        self.skip_to_live_geq(0);
-        Some(item)
+        None
     }
 }
 
 impl<M: Mode> MapSnapshotView for HarrisListView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
-        HarrisListView::get(self, key)
-    }
-    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        HarrisListView::multi_get(self, keys)
-    }
-    fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(ListRangeIter::new(self, 0, Key::MAX))
-    }
-    fn len(&self) -> usize {
-        HarrisListView::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        HarrisListView::is_empty(self)
-    }
-    fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        HarrisListView::range(self, lo, hi)
+        self.list.cursor(self.handle, &self.guard, key, key).next().map(|(_, v)| v)
     }
     fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(ListRangeIter::new(self, lo, hi))
-    }
-    fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        HarrisListView::successors(self, key, count)
-    }
-    fn successors_iter(&self, key: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        if key == Key::MAX {
-            return Box::new(std::iter::empty());
-        }
-        Box::new(ListRangeIter::new(self, key + 1, Key::MAX))
-    }
-    fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        HarrisListView::find_if(self, lo, hi, pred)
+        Box::new(self.list.cursor(self.handle, &self.guard, lo, hi))
     }
     fn timestamp(&self) -> Option<SnapshotHandle> {
-        HarrisListView::timestamp(self)
+        self.handle
+    }
+    /// One pass over the list up to the largest key asked for, instead of one walk from
+    /// the head per key.
+    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
+        let Some(&max) = keys.iter().max() else { return Vec::new() };
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        let found: Vec<(Key, Value)> = self
+            .list
+            .cursor(self.handle, &self.guard, sorted[0], max)
+            .filter(|(k, _)| sorted.binary_search(k).is_ok())
+            .collect();
+        let lookup = |k: &Key| found.binary_search_by_key(k, |&(fk, _)| fk).ok();
+        keys.iter().map(|k| lookup(k).map(|i| found[i].1)).collect()
     }
 }
 
@@ -767,11 +528,16 @@ impl<M: Mode> ConcurrentMap for HarrisList<M> {
         HarrisList::get(self, key)
     }
     fn name(&self) -> &'static str {
-        self.label
+        if M::VERSIONED {
+            "VcasList"
+        } else {
+            "HarrisList"
+        }
     }
 }
 
 /// All multi-point queries come from the trait's view-based defaults.
+impl<M: Mode> SnapshotMap for HarrisList<M> {}
 impl<M: Mode> AtomicRangeMap for HarrisList<M> {}
 
 #[cfg(test)]
@@ -788,29 +554,32 @@ mod tests {
     }
 
     /// Layout budget: key, value, counter and one next cell — a three-word managed cell
-    /// when versioned, one word when plain.
+    /// when versioned, one word when plain. The list itself (head, mode, cursor) is
+    /// three words: every hash-map bucket is one.
     #[test]
     fn node_layout_stays_within_budget() {
         let versioned = std::mem::size_of::<Node<Versioned>>();
         assert!(versioned <= 48, "Node<Versioned> is {versioned} B");
         let plain = std::mem::size_of::<Node<Plain>>();
         assert!(plain <= 32, "Node<Plain> is {plain} B");
+        let list = std::mem::size_of::<HarrisList>();
+        assert!(list <= 24, "HarrisList is {list} B");
     }
 
     #[test]
     fn sequential_set_semantics() {
         for_both_modes!(|list| {
-            assert!(list.is_empty());
+            assert!(list.view().is_empty());
             assert!(list.insert(3, 30));
             assert!(list.insert(1, 10));
             assert!(list.insert(2, 20));
             assert!(!list.insert(2, 99));
-            assert_eq!(list.scan(), vec![(1, 10), (2, 20), (3, 30)]);
+            assert_eq!(list.view().range(0, Key::MAX), vec![(1, 10), (2, 20), (3, 30)]);
             assert!(list.remove(2));
             assert!(!list.remove(2));
             assert_eq!(list.get(2), None);
             assert_eq!(list.get(3), Some(30));
-            assert_eq!(list.scan(), vec![(1, 10), (3, 30)]);
+            assert_eq!(list.view().range(0, Key::MAX), vec![(1, 10), (3, 30)]);
         });
     }
 
@@ -820,11 +589,11 @@ mod tests {
             for k in (0..60u64).step_by(3) {
                 list.insert(k, k * 2);
             }
-            assert_eq!(list.range_query(10, 20), vec![(12, 24), (15, 30), (18, 36)]);
-            assert_eq!(list.multi_search(&[9, 10, 12]), vec![Some(18), None, Some(24)]);
-            assert_eq!(list.ith(0), Some((0, 0)));
-            assert_eq!(list.ith(2), Some((6, 12)));
-            assert_eq!(list.ith(1000), None);
+            assert_eq!(list.range(10, 20), vec![(12, 24), (15, 30), (18, 36)]);
+            assert_eq!(list.multi_get(&[9, 10, 12]), vec![Some(18), None, Some(24)]);
+            assert_eq!(list.view().iter().next(), Some((0, 0)));
+            assert_eq!(list.view().iter().nth(2), Some((6, 12)));
+            assert_eq!(list.view().iter().nth(1000), None);
             assert_eq!(list.successors(10, 2), vec![(12, 24), (15, 30)]);
         });
     }
@@ -843,7 +612,8 @@ mod tests {
                     _ => assert_eq!(list.contains(k), model.contains(&k)),
                 }
             }
-            let scanned: Vec<Key> = list.scan().iter().map(|(k, _)| *k).collect();
+            let scanned: Vec<Key> =
+                list.view().range(0, Key::MAX).iter().map(|(k, _)| *k).collect();
             assert_eq!(scanned, model.iter().copied().collect::<Vec<_>>());
         });
     }
@@ -871,7 +641,7 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            let scan: Vec<Key> = list.scan().iter().map(|(k, _)| *k).collect();
+            let scan: Vec<Key> = list.view().range(0, Key::MAX).iter().map(|(k, _)| *k).collect();
             let mut sorted = scan.clone();
             sorted.sort_unstable();
             sorted.dedup();
@@ -915,7 +685,7 @@ mod tests {
         assert!(passes > 1, "budget 8 on a 50-key list must need several slices");
         let after = Collectible::version_stats(&list, &guard);
         assert_eq!(after.max_versions_per_cell, 1, "no pins: one version per cell remains");
-        assert_eq!(list.len(), 50, "collection must not change the abstract state");
+        assert_eq!(list.view().len(), 50, "collection must not change the abstract state");
         assert_eq!(list.get(25), Some(50));
     }
 
@@ -966,7 +736,8 @@ mod tests {
             let list = list.clone();
             std::thread::spawn(move || {
                 for _ in 0..200 {
-                    let keys: Vec<Key> = list.scan().iter().map(|(k, _)| *k).collect();
+                    let keys: Vec<Key> =
+                        list.view().range(0, Key::MAX).iter().map(|(k, _)| *k).collect();
                     let expected: Vec<Key> = (0..keys.len() as u64).collect();
                     assert_eq!(keys, expected, "atomic scan must observe a gap-free prefix");
                 }
@@ -974,6 +745,6 @@ mod tests {
         };
         writer.join().unwrap();
         reader.join().unwrap();
-        assert_eq!(list.len(), 1500);
+        assert_eq!(list.view().len(), 1500);
     }
 }

@@ -1,8 +1,9 @@
-//! The multi-point query set of the paper's Table 2, expressed over any
-//! [`AtomicRangeMap`]. Figure 3 measures the throughput of exactly these queries.
+//! The multi-point query set of the paper's Table 2, expressed over the snapshot view of
+//! any [`AtomicRangeMap`](crate::traits::AtomicRangeMap). Figure 3 measures the
+//! throughput of exactly these queries.
 //!
-//! Execution is *view-anchored*: every runner opens one [`MapSnapshotView`] (or accepts an
-//! already-open one) and issues the whole query against it, so a batch of queries can
+//! Execution is *view-anchored*: every runner takes an open [`MapSnapshotView`] and
+//! issues the whole query against it, so a batch of queries can
 //! share a single snapshot + EBR pin ([`run_query_on_view`], [`QueryKind::Composed`]).
 //!
 //! The ordered runners consume the **streaming** view methods
@@ -13,15 +14,16 @@
 //! short-circuits at the first predicate hit. See `docs/ordered_queries.md` for the
 //! streaming-vs-collect contract.
 //!
-//! Unordered structures get their own query set ([`HashQueryKind`] over any
-//! [`SnapshotMap`]): atomic batched lookups and full-table scans, the hash-map analogues
-//! of Table 2's multisearch and full-scan rows. Finally, [`CrossQueryKind`] reads *two*
-//! structures — e.g. a hash map and a BST sharing one camera — at a single common
-//! timestamp, given two views opened from one [`vcas_core::GroupSnapshot`].
+//! Unordered structures get their own query set ([`HashQueryKind`] over the view of any
+//! [`SnapshotMap`](crate::traits::SnapshotMap)): atomic batched lookups and full-table
+//! scans, the hash-map analogues of Table 2's multisearch and full-scan rows. Finally,
+//! [`CrossQueryKind`] reads *two* structures — e.g. a hash map and a BST sharing one
+//! camera — at a single common timestamp, given two views opened from one
+//! [`vcas_core::GroupSnapshot`].
 
 use vcas_core::{RetentionError, Timestamp};
 
-use crate::traits::{AtomicRangeMap, Key, SnapshotMap, Value};
+use crate::traits::{Key, Value};
 use crate::view::{MapSnapshotView, SnapshotSource};
 
 /// The query kinds of Table 2 with the parameters used in the paper's Figure 3, plus the
@@ -92,18 +94,8 @@ impl QueryOutcome {
     }
 }
 
-/// Runs `kind` against `map` with the paper's Table 2 parameters: opens one snapshot view
-/// and delegates to [`run_query_on_view`].
-pub fn run_query(
-    map: &dyn AtomicRangeMap,
-    kind: QueryKind,
-    start: Key,
-    key_range: Key,
-) -> QueryOutcome {
-    run_query_on_view(map.snapshot_view().as_ref(), kind, start, key_range)
-}
-
-/// Runs `kind` against an already-open `view`, anchored at `start`.
+/// Runs `kind` with the paper's Table 2 parameters against an open `view` (e.g. from
+/// [`SnapshotSource::snapshot_view`]), anchored at `start`.
 ///
 /// `key_range` is the size of the key universe; it bounds the `findif128` scan the same way
 /// the paper's experiments bound it, and spreads `Composed` sub-query anchors.
@@ -193,20 +185,9 @@ impl HashQueryKind {
     }
 }
 
-/// Runs `kind` against `map`: opens one snapshot view and delegates to
-/// [`run_hash_query_on_view`].
-pub fn run_hash_query(
-    map: &dyn SnapshotMap,
-    kind: HashQueryKind,
-    start: Key,
-    key_range: Key,
-) -> QueryOutcome {
-    run_hash_query_on_view(map.snapshot_view().as_ref(), kind, start, key_range)
-}
-
-/// Runs `kind` against an already-open `view`, anchored at `start`; `key_range` is the
-/// size of the key universe, used to spread a multi-get batch across it (so the batch
-/// touches distinct buckets rather than one).
+/// Runs `kind` against an open `view`, anchored at `start`; `key_range` is the size of the
+/// key universe, used to spread a multi-get batch across it (so the batch touches
+/// distinct buckets rather than one).
 pub fn run_hash_query_on_view(
     view: &dyn MapSnapshotView,
     kind: HashQueryKind,
@@ -388,16 +369,16 @@ mod tests {
         for k in 0..1024u64 {
             tree.insert(k, k);
         }
+        let run = |kind, start| run_query_on_view(&tree.view(), kind, start, 1024);
         for kind in QueryKind::all() {
-            let out = run_query(&tree, kind, 100, 1024);
-            assert!(out.observed > 0, "{} found nothing", kind.label());
+            assert!(run(kind, 100).observed > 0, "{} found nothing", kind.label());
         }
         // Spot-check the shapes.
-        assert_eq!(run_query(&tree, QueryKind::Range256, 0, 1024).observed, 257);
-        assert_eq!(run_query(&tree, QueryKind::Succ1, 5, 1024).key_sum, 6);
-        assert_eq!(run_query(&tree, QueryKind::Succ128, 0, 1024).observed, 128);
-        assert_eq!(run_query(&tree, QueryKind::FindIf128, 1, 1024).key_sum, 128);
-        assert_eq!(run_query(&tree, QueryKind::MultiSearch4, 0, 1024).observed, 4);
+        assert_eq!(run(QueryKind::Range256, 0).observed, 257);
+        assert_eq!(run(QueryKind::Succ1, 5).key_sum, 6);
+        assert_eq!(run(QueryKind::Succ128, 0).observed, 128);
+        assert_eq!(run(QueryKind::FindIf128, 1).key_sum, 128);
+        assert_eq!(run(QueryKind::MultiSearch4, 0).observed, 4);
     }
 
     #[test]
@@ -406,7 +387,7 @@ mod tests {
         for k in 0..1024u64 {
             tree.insert(k, k);
         }
-        let composed = run_query(&tree, QueryKind::Composed { n: 10 }, 7, 1024);
+        let composed = run_query_on_view(&tree.view(), QueryKind::Composed { n: 10 }, 7, 1024);
         assert!(composed.observed > 0);
         // Sequentially, the composed run equals its parts run against the same state.
         let view = tree.snapshot_view();
@@ -485,17 +466,17 @@ mod tests {
         for k in 1..=1024u64 {
             map.insert(k, k);
         }
+        let run = |kind, start| run_hash_query_on_view(&map.view(), kind, start, 1024);
         for kind in HashQueryKind::all() {
-            let out = run_hash_query(&map, kind, 100, 1024);
-            assert!(out.observed > 0, "{} found nothing", kind.label());
+            assert!(run(kind, 100).observed > 0, "{} found nothing", kind.label());
         }
         // With every key in [1, 1024] present, each batched lookup hits — including at the
         // anchor edges (start 0 and start == key_range wrap back into the universe).
         for start in [0u64, 1, 7, 1024] {
-            assert_eq!(run_hash_query(&map, HashQueryKind::MultiGet4, start, 1024).observed, 4);
-            assert_eq!(run_hash_query(&map, HashQueryKind::MultiGet16, start, 1024).observed, 16);
+            assert_eq!(run(HashQueryKind::MultiGet4, start).observed, 4);
+            assert_eq!(run(HashQueryKind::MultiGet16, start).observed, 16);
         }
-        assert_eq!(run_hash_query(&map, HashQueryKind::ScanAll, 0, 1024).observed, 1024);
+        assert_eq!(run(HashQueryKind::ScanAll, 0).observed, 1024);
     }
 
     #[test]
@@ -508,14 +489,15 @@ mod tests {
             map.insert(k, k);
         }
         for start in [0u64, 1, 2, 3, 17] {
-            let out = run_hash_query(&map, HashQueryKind::MultiGet16, start, 3);
+            let out = run_hash_query_on_view(&map.view(), HashQueryKind::MultiGet16, start, 3);
             assert_eq!(out.observed, 3, "start={start}: batch must clamp to 3 distinct keys");
             assert_eq!(out.key_sum, 1 + 2 + 3, "start={start}: each key hit exactly once");
         }
         // A universe of one key degenerates to a single lookup.
         let tiny = VcasHashMap::new_versioned_default();
         tiny.insert(1, 42);
-        assert_eq!(run_hash_query(&tiny, HashQueryKind::MultiGet4, 5, 1).observed, 1);
+        let out = run_hash_query_on_view(&tiny.view(), HashQueryKind::MultiGet4, 5, 1);
+        assert_eq!(out.observed, 1);
     }
 
     #[test]

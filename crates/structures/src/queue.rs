@@ -42,7 +42,6 @@ pub struct MsQueue<M: Mode = Versioned> {
     /// never reads this.)
     first: Atomic<Node<M>>,
     mode: M,
-    label: &'static str,
 }
 
 impl MsQueue<Plain> {
@@ -74,7 +73,6 @@ impl<M: Mode> MsQueue<M> {
             head: cell(&mode, dummy),
             tail: cell(&mode, dummy),
             first: Atomic::from_shared(dummy),
-            label: if M::VERSIONED { "VcasQueue" } else { "MSQueue" },
             mode,
         }
     }
@@ -86,7 +84,11 @@ impl<M: Mode> MsQueue<M> {
 
     /// Short name used in benchmark output.
     pub fn name(&self) -> &'static str {
-        self.label
+        if M::VERSIONED {
+            "VcasQueue"
+        } else {
+            "MSQueue"
+        }
     }
 
     /// Appends `value` at the tail of the queue.

@@ -169,13 +169,17 @@ impl VcasSkipList {
             let head = self.head.load(Ordering::SeqCst, guard);
             let mut pred = head;
             for lvl in (0..MAX_HEIGHT).rev() {
+                // SAFETY: `pred` is the never-null head or a node this traversal read
+                // under `guard`; the pin keeps it allocated.
                 let mut curr = unsafe { pred.deref() }.tower[lvl].load(guard).with_tag(0);
+                // SAFETY: `curr` was read (tag stripped) from a tower cell under `guard`.
                 while let Some(c) = unsafe { curr.as_ref() } {
                     let succ = c.tower[lvl].load(guard);
                     if succ.tag() == MARK {
                         // `curr` is deleted at this level: splice it out. The expected
                         // value has tag 0, so this can never re-link after a node that
                         // was itself marked meanwhile — the CAS just fails and we retry.
+                        // SAFETY: `pred` is still pinned by `guard`, as above.
                         if !unsafe { pred.deref() }.tower[lvl].compare_exchange(
                             curr,
                             succ.with_tag(0),
@@ -194,6 +198,7 @@ impl VcasSkipList {
                 preds[lvl] = pred;
                 succs[lvl] = curr;
             }
+            // SAFETY: `succs[0]` is null or a node read under `guard` in this traversal.
             let found = unsafe { succs[0].as_ref() }.is_some_and(|c| c.key == key);
             return found;
         }
@@ -225,10 +230,13 @@ impl VcasSkipList {
                 Owned::new(Node { key, value, tower, refs: AtomicU64::new(1) }).into_shared(&guard);
             self.camera.note_nodes_created(1);
             // The level-0 CAS is the linearization point of the insert.
+            // SAFETY: `preds[0]` came from `find` under `guard`, which keeps it allocated.
             if !unsafe { preds[0].deref() }.tower[0].compare_exchange(succs[0], node, &guard) {
                 // Never published: we still own the node. Dropping it drops its tower
                 // cells, releasing the counted references they held on `succs[..]`.
                 self.camera.note_nodes_dropped(1);
+                // SAFETY: the publish CAS failed, so `node` was never shared and this
+                // thread still owns the allocation exclusively.
                 unsafe { drop(node.into_owned()) };
                 continue;
             }
@@ -253,6 +261,7 @@ impl VcasSkipList {
         succs: &mut [Shared<'g, Node>; MAX_HEIGHT],
         guard: &'g Guard,
     ) {
+        // SAFETY: the caller published `node` under `guard`; the pin keeps it allocated.
         let node_ref = unsafe { node.deref() };
         for lvl in 1..height {
             loop {
@@ -266,9 +275,10 @@ impl VcasSkipList {
                 // reference a retired node (the successor, or our own node once it has
                 // been removed and its last version truncated).
                 let own_ok = own == succ || node_ref.tower[lvl].compare_exchange(own, succ, guard);
-                if own_ok
-                    && unsafe { preds[lvl].deref() }.tower[lvl].compare_exchange(succ, node, guard)
-                {
+                // SAFETY: `preds[lvl]` came from `find` under `guard`, which keeps it
+                // allocated.
+                let pred = unsafe { preds[lvl].deref() };
+                if own_ok && pred.tower[lvl].compare_exchange(succ, node, guard) {
                     break;
                 }
                 // Re-locate and retry this level.
@@ -288,6 +298,8 @@ impl VcasSkipList {
             return false;
         }
         let node = succs[0];
+        // SAFETY: `find` returned `true`, so `succs[0]` is a non-null node it read under
+        // `guard`.
         let n = unsafe { node.deref() };
         // Mark the upper cells top-down (idempotent; racing removers may help).
         for lvl in (1..n.tower.len()).rev() {
@@ -338,7 +350,9 @@ impl VcasSkipList {
         let mut pred = head;
         let mut curr = Shared::null();
         for lvl in (0..MAX_HEIGHT).rev() {
+            // SAFETY: `pred` is the never-null head or a node read under `guard`.
             curr = unsafe { pred.deref() }.tower[lvl].load(&guard).with_tag(0);
+            // SAFETY: `curr` was read (tag stripped) from a tower cell under `guard`.
             while let Some(c) = unsafe { curr.as_ref() } {
                 let succ = c.tower[lvl].load(&guard);
                 if succ.tag() == MARK {
@@ -351,6 +365,7 @@ impl VcasSkipList {
                 }
             }
         }
+        // SAFETY: `curr` is null or a node read under `guard`, which is still held.
         unsafe { curr.as_ref() }.filter(|c| c.key == key).map(|c| c.value)
     }
 
@@ -376,16 +391,6 @@ impl VcasSkipList {
         let handle = pinned.handle();
         Ok(VcasSkipListView { list: self, _pin: pinned, handle, guard: pin() })
     }
-
-    /// Number of keys currently stored (counted on one snapshot).
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// Is the set empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Incremental version-list collection: each bounded pass truncates the tower cells of
@@ -401,6 +406,7 @@ impl Collectible for VcasSkipList {
         // bounded pass resumes; truncation synchronizes inside the cells.
         let start = self.reclaim_cursor.load(Ordering::Relaxed);
         let head = self.head.load(Ordering::SeqCst, guard);
+        // SAFETY: the head sentinel is allocated in the constructor and never null.
         let head_ref = unsafe { head.deref() };
         if start == 0 {
             for cell in &head_ref.tower {
@@ -409,6 +415,7 @@ impl Collectible for VcasSkipList {
             }
         }
         let mut curr = head_ref.tower[0].load(guard).with_tag(0);
+        // SAFETY: `curr` was read (tag stripped) from a level-0 cell under `guard`.
         while let Some(n) = unsafe { curr.as_ref() } {
             let next = n.tower[0].load(guard).with_tag(0);
             // Nodes below the cursor are only routed through, never re-collected —
@@ -435,11 +442,13 @@ impl Collectible for VcasSkipList {
     fn version_stats(&self, guard: &Guard) -> VersionStats {
         let mut stats = VersionStats::default();
         let head = self.head.load(Ordering::SeqCst, guard);
+        // SAFETY: the head sentinel is allocated in the constructor and never null.
         let head_ref = unsafe { head.deref() };
         for cell in &head_ref.tower {
             stats.record_cell(cell.version_count(guard));
         }
         let mut curr = head_ref.tower[0].load(guard).with_tag(0);
+        // SAFETY: `curr` was read (tag stripped) from a level-0 cell under `guard`.
         while let Some(n) = unsafe { curr.as_ref() } {
             for cell in &n.tower {
                 stats.record_cell(cell.version_count(guard));
@@ -465,6 +474,8 @@ impl Drop for VcasSkipList {
         let guard = pin();
         let head = self.head.load(Ordering::SeqCst, &guard);
         self.camera.note_nodes_dropped(1);
+        // SAFETY: `&mut self` is exclusive; the head was allocated by `Atomic::new`, no
+        // version node references it, and it is freed exactly once, here.
         unsafe { drop(Box::from_raw(head.as_raw())) };
     }
 }
@@ -494,9 +505,13 @@ impl VcasSkipListView<'_> {
         let head = self.list.head.load(Ordering::SeqCst, &self.guard);
         let mut way = head;
         for lvl in (1..MAX_HEIGHT).rev() {
+            // SAFETY: `way` is the never-null head or a node read under the view's guard;
+            // the guard and the snapshot pin keep every node a snapshot read returns
+            // allocated for the view's lifetime.
             let mut curr = unsafe { way.deref() }.tower[lvl]
                 .load_snapshot(self.handle, &self.guard)
                 .with_tag(0);
+            // SAFETY: `curr` came from a snapshot read under the view's guard, as above.
             while let Some(c) = unsafe { curr.as_ref() } {
                 if c.key >= lo {
                     break;
@@ -511,8 +526,10 @@ impl VcasSkipListView<'_> {
             }
         }
         // Level 0 is exact: walk the ts-list to the first live key >= lo.
-        let mut curr =
-            unsafe { way.deref() }.tower[0].load_snapshot(self.handle, &self.guard).with_tag(0);
+        // SAFETY: `way` is pinned by the view, as above.
+        let way = unsafe { way.deref() };
+        let mut curr = way.tower[0].load_snapshot(self.handle, &self.guard).with_tag(0);
+        // SAFETY: `curr` came from a snapshot read under the view's guard, as above.
         while let Some(c) = unsafe { curr.as_ref() } {
             let own = c.tower[0].load_snapshot(self.handle, &self.guard);
             if own.tag() != MARK && c.key >= lo {
@@ -521,69 +538,6 @@ impl VcasSkipListView<'_> {
             curr = own.with_tag(0);
         }
         Shared::null()
-    }
-
-    /// The value associated with `key` in this view.
-    pub fn get(&self, key: Key) -> Option<Value> {
-        let node = self.seek(key);
-        unsafe { node.as_ref() }.filter(|c| c.key == key).map(|c| c.value)
-    }
-
-    /// Looks up every key in `keys` against this view.
-    pub fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        keys.iter().map(|&k| self.get(k)).collect()
-    }
-
-    /// Streaming in-order iterator over `lo <= key <= hi`: `O(log n)` positioning, then
-    /// one snapshot pointer chase per yielded pair.
-    pub fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(SkipRangeIter { view: self, curr: self.seek(lo), hi })
-    }
-
-    /// Streaming iterator over every key strictly greater than `key`, ascending.
-    pub fn successors_iter(&self, key: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        if key == Key::MAX {
-            return Box::new(std::iter::empty());
-        }
-        self.range_iter(key + 1, Key::MAX)
-    }
-
-    /// Every `(key, value)` pair with `lo <= key <= hi`, ascending.
-    pub fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        self.range_iter(lo, hi).collect()
-    }
-
-    /// The first `count` pairs with key strictly greater than `key`, ascending.
-    pub fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        self.successors_iter(key).take(count).collect()
-    }
-
-    /// The first pair in `[lo, hi)` (key order) whose key satisfies `pred`.
-    pub fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        if hi == 0 || lo >= hi {
-            return None;
-        }
-        self.range_iter(lo, hi - 1).find(|&(k, _)| pred(k))
-    }
-
-    /// Full scan of the view, ascending.
-    pub fn scan(&self) -> Vec<(Key, Value)> {
-        self.range(0, Key::MAX)
-    }
-
-    /// Number of keys in this view (streaming count; nothing is materialized).
-    pub fn len(&self) -> usize {
-        self.range_iter(0, Key::MAX).count()
-    }
-
-    /// Does this view contain no keys?
-    pub fn is_empty(&self) -> bool {
-        self.range_iter(0, Key::MAX).next().is_none()
-    }
-
-    /// The snapshot timestamp this view reads at.
-    pub fn timestamp(&self) -> SnapshotHandle {
-        self.handle
     }
 }
 
@@ -601,6 +555,8 @@ impl Iterator for SkipRangeIter<'_, '_> {
 
     fn next(&mut self) -> Option<(Key, Value)> {
         let view = self.view;
+        // SAFETY: `curr` came from a snapshot read under the view's guard, which the
+        // iterator's borrow of the view keeps held.
         let c = unsafe { self.curr.as_ref() }?;
         if c.key > self.hi {
             self.curr = Shared::null();
@@ -608,6 +564,7 @@ impl Iterator for SkipRangeIter<'_, '_> {
         }
         let item = (c.key, c.value);
         let mut next = c.tower[0].load_snapshot(view.handle, &view.guard).with_tag(0);
+        // SAFETY: as above, `next` came from a snapshot read under the view's guard.
         while let Some(n) = unsafe { next.as_ref() } {
             let own = n.tower[0].load_snapshot(view.handle, &view.guard);
             if own.tag() != MARK {
@@ -622,34 +579,12 @@ impl Iterator for SkipRangeIter<'_, '_> {
 
 impl MapSnapshotView for VcasSkipListView<'_> {
     fn get(&self, key: Key) -> Option<Value> {
-        VcasSkipListView::get(self, key)
-    }
-    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        VcasSkipListView::multi_get(self, keys)
-    }
-    fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        VcasSkipListView::range_iter(self, 0, Key::MAX)
-    }
-    fn len(&self) -> usize {
-        VcasSkipListView::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        VcasSkipListView::is_empty(self)
-    }
-    fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        VcasSkipListView::range(self, lo, hi)
+        let node = self.seek(key);
+        // SAFETY: `seek` read `node` under the view's guard, which is still held.
+        unsafe { node.as_ref() }.filter(|c| c.key == key).map(|c| c.value)
     }
     fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        VcasSkipListView::range_iter(self, lo, hi)
-    }
-    fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        VcasSkipListView::successors(self, key, count)
-    }
-    fn successors_iter(&self, key: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        VcasSkipListView::successors_iter(self, key)
-    }
-    fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        VcasSkipListView::find_if(self, lo, hi, pred)
+        Box::new(SkipRangeIter { view: self, curr: self.seek(lo), hi })
     }
     fn timestamp(&self) -> Option<SnapshotHandle> {
         Some(self.handle)
@@ -690,11 +625,9 @@ impl ConcurrentMap for VcasSkipList {
 }
 
 /// All multi-point queries come from the trait's view-based defaults, which the view
-/// serves through its native streaming iterators.
-impl AtomicRangeMap for VcasSkipList {}
-
-/// Snapshot-timestamped batched reads (shared with the hash map's query set).
+/// serves through its native streaming cursor.
 impl SnapshotMap for VcasSkipList {}
+impl AtomicRangeMap for VcasSkipList {}
 
 #[cfg(test)]
 mod tests {
@@ -714,13 +647,13 @@ mod tests {
         assert!(sl.remove(3));
         assert!(!sl.remove(3), "double remove must fail");
         assert!(!sl.contains(3));
-        assert_eq!(sl.view().scan(), vec![(5, 50), (8, 80)]);
+        assert_eq!(sl.view().range(0, Key::MAX), vec![(5, 50), (8, 80)]);
     }
 
     #[test]
     fn empty_list_queries() {
         let sl = VcasSkipList::new_versioned_default();
-        assert!(sl.is_empty());
+        assert!(sl.view().is_empty());
         assert_eq!(sl.get(1), None);
         assert!(!sl.remove(1));
         let view = sl.view();
@@ -778,7 +711,7 @@ mod tests {
                 _ => assert_eq!(sl.get(k), model.get(&k).copied()),
             }
         }
-        let scanned = sl.view().scan();
+        let scanned = sl.view().range(0, Key::MAX);
         let expected: Vec<(u64, u64)> = model.into_iter().collect();
         assert_eq!(scanned, expected);
     }
@@ -818,14 +751,14 @@ mod tests {
             sl.insert(k, k);
         }
         let view = sl.view_at(handle.raw()).unwrap();
-        let keys: Vec<Key> = view.scan().iter().map(|(k, _)| *k).collect();
+        let keys: Vec<Key> = view.range(0, Key::MAX).iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (0..50u64).collect::<Vec<_>>());
-        assert_eq!(view.timestamp(), handle);
+        assert_eq!(view.timestamp(), Some(handle));
         assert_eq!(view.len(), 50);
         assert_eq!(camera.pinned_count(), 1);
         drop(view);
         assert_eq!(camera.pinned_count(), 0);
-        let now: Vec<Key> = sl.view().scan().iter().map(|(k, _)| *k).collect();
+        let now: Vec<Key> = sl.view().range(0, Key::MAX).iter().map(|(k, _)| *k).collect();
         assert_eq!(now, (100..150u64).collect::<Vec<_>>());
     }
 
@@ -844,7 +777,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(sl.len(), 2000);
+        assert_eq!(sl.view().len(), 2000);
         for t in 0..4u64 {
             for k in (t * 1000)..(t * 1000 + 500) {
                 assert!(sl.contains(k), "missing key {k}");
@@ -874,7 +807,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let scan = sl.view().scan();
+        let scan = sl.view().range(0, Key::MAX);
         let keys: Vec<Key> = scan.iter().map(|(k, _)| *k).collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
@@ -912,7 +845,7 @@ mod tests {
         };
         writer.join().unwrap();
         reader.join().unwrap();
-        assert_eq!(sl.len(), 3000);
+        assert_eq!(sl.view().len(), 3000);
     }
 
     #[test]
@@ -950,7 +883,7 @@ mod tests {
         assert!(retired > 0);
         let after = Collectible::version_stats(&sl, &guard);
         assert!(after.max_versions_per_cell <= 2, "no pins: version lists must be short");
-        assert_eq!(sl.len(), 100, "collection must not change the abstract state");
+        assert_eq!(sl.view().len(), 100, "collection must not change the abstract state");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Common interfaces implemented by the ordered structures, used by the workload harness.
 //!
 //! Every multi-point query in these traits is a default method that opens one snapshot
-//! view ([`crate::view::SnapshotSource::snapshot_view`]) and delegates to it — the view is
-//! the single implementation of each query; the traits are its batch-of-one convenience
-//! surface. Structures may override a method only to provide a *mechanism* the view cannot
-//! express (the lock- and validation-based baselines do).
+//! view ([`crate::view::SnapshotSource::snapshot_view`]) and delegates to it: the view is
+//! the single implementation of each query, and these traits are its batch-of-one
+//! convenience surface. Structures whose atomicity comes from a lock or from validation
+//! (the baselines) put that mechanism in their view, so no structure overrides these.
 
 use crate::view::SnapshotSource;
 
@@ -28,44 +28,27 @@ pub trait ConcurrentMap: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// A concurrent (not necessarily ordered) map whose multi-point reads are anchored to a
+/// A concurrent (not necessarily ordered) map whose batched reads are anchored to a
 /// single snapshot timestamp: every key examined by one call observes the state as of one
-/// point during the call, with no torn reads.
-///
-/// This is the natural query interface for unordered structures such as the vCAS hash map,
-/// where "range" is meaningless but atomic batched lookups and full-table scans are not.
+/// point during the call, with no torn reads. Full-table scans and counts go through
+/// [`SnapshotSource::snapshot_view`].
 ///
 /// **Baseline escape hatch:** structures constructed in an explicitly *plain* / unversioned
-/// mode (e.g. [`crate::hashmap::VcasHashMap::new_plain`]) implement these methods with
-/// weakly-consistent reads instead — they are the evaluation's non-atomic comparators, and
-/// choosing the plain constructor is the opt-out. Every snapshot-capable constructor
-/// upholds the single-timestamp guarantee.
+/// mode (e.g. [`crate::hashmap::VcasHashMap::new_plain`]) answer with weakly-consistent
+/// reads instead — they are the evaluation's non-atomic comparators, and choosing the
+/// plain constructor is the opt-out. Every snapshot-capable constructor upholds the
+/// single-timestamp guarantee.
 pub trait SnapshotMap: ConcurrentMap + SnapshotSource {
     /// Looks up every key in `keys` against one snapshot (all lookups observe the same
-    /// timestamp).
+    /// timestamp): the paper's `multisearch`.
     fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
         self.snapshot_view().multi_get(keys)
-    }
-
-    /// Iterates over every `(key, value)` pair live at a single snapshot timestamp, in
-    /// unspecified order. The default materializes one view's contents; structures with a
-    /// lazy per-bucket iterator override it.
-    fn snapshot_iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        let view = self.snapshot_view();
-        let pairs: Vec<(Key, Value)> = view.iter().collect();
-        Box::new(pairs.into_iter())
-    }
-
-    /// Number of live keys at a single snapshot timestamp. Counts through one view, so no
-    /// boxed iterator is allocated per call.
-    fn snapshot_len(&self) -> usize {
-        self.snapshot_view().len()
     }
 }
 
 /// A concurrent ordered map that additionally supports *atomic* multi-point queries
 /// (linearizable range queries and friends).
-pub trait AtomicRangeMap: ConcurrentMap + SnapshotSource {
+pub trait AtomicRangeMap: SnapshotMap {
     /// Returns every `(key, value)` pair with `lo <= key <= hi`, atomically: the result is
     /// the content of the range at a single point during the call.
     fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
@@ -73,29 +56,17 @@ pub trait AtomicRangeMap: ConcurrentMap + SnapshotSource {
     }
 
     /// Returns up to `count` `(key, value)` pairs with key strictly greater than `key`, in
-    /// ascending order, atomically.
-    ///
-    /// Short-circuits: the view default pulls exactly `count` items from
-    /// [`crate::view::MapSnapshotView::successors_iter`], so on an ordered view this costs
-    /// `O(log n + count)` — it does **not** materialize the whole tail of the map first.
+    /// ascending order, atomically. On an ordered view this costs `O(log n + count)`: it
+    /// does **not** materialize the tail of the map.
     fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
         self.snapshot_view().successors(key, count)
     }
 
     /// Returns the first `(key, value)` pair in `[lo, hi)` whose key satisfies `pred`,
-    /// atomically.
-    ///
-    /// Short-circuits: the view default streams [`crate::view::MapSnapshotView::range_iter`]
-    /// and stops at the first predicate hit, so `pred` is invoked once per entry *visited*,
-    /// not once per entry in the range. Finding a match at the front of a large range costs
-    /// `O(log n + 1)`, which `tests/ordered_streaming.rs` pins with a probe predicate.
+    /// atomically. Stops at the first predicate hit, so `pred` runs once per entry
+    /// *visited*; `tests/ordered_streaming.rs` pins this with a probe predicate.
     fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
         self.snapshot_view().find_if(lo, hi, pred)
-    }
-
-    /// Looks up every key in `keys` atomically (all lookups observe the same state).
-    fn multi_search(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        self.snapshot_view().multi_get(keys)
     }
 }
 

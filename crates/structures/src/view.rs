@@ -8,7 +8,10 @@
 //! arbitrarily many `get` / `range` / `iter` calls into one atomic multi-point read — and
 //! pay for the snapshot (and its EBR pin) once per view instead of once per query.
 //!
-//! Three kinds of views exist:
+//! Every view, whatever structure it reads, answers the same queries through the one
+//! [`MapSnapshotView`] trait: a view implements `get`, one ordered cursor (`range_iter`)
+//! and `timestamp`, and every other query is a default method over them. Views come in
+//! three kinds:
 //!
 //! * **Pinned views** ([`SnapshotSource::snapshot_view`]) register their timestamp with the
 //!   camera ([`vcas_core::Camera::pin_snapshot`]), so version-list truncation
@@ -21,10 +24,11 @@
 //!   a [`RetentionError`] instead of silently wrong data. Named
 //!   [`vcas_core::Anchor`]s and [`vcas_core::RetentionPolicy`]s decide which timestamps
 //!   stay addressable (see `docs/time_travel.md`).
-//! * **Best-effort views** ([`BestEffortView`], returned by the baseline comparators)
-//!   delegate every call to the structure's current state. Each *individual* call keeps
-//!   whatever atomicity the baseline's mechanism provides (double-collect validation,
-//!   exclusive locking), but two calls on the same view may observe different states.
+//! * **Best-effort views**, handed out by the baseline comparators (`DcBst`, `LockBst`,
+//!   `LockHashMap`) and by plain-mode structures, read the current state. Each
+//!   *individual* call keeps whatever atomicity the baseline's mechanism provides
+//!   (double-collect validation, locking), but two calls on the same view may observe
+//!   different states; their `timestamp` is `None`.
 //!
 //! Time-travel composes: [`SnapshotSource::diff`] reports every key that changed between
 //! two retained timestamps ([`TemporalDiff`]), and [`GroupTimeTravelExt::group_view_at`]
@@ -39,26 +43,29 @@ use vcas_core::{
 };
 
 use crate::diff::{diff_views, TemporalDiff};
-use crate::traits::{AtomicRangeMap, Key, Value};
+use crate::traits::{Key, Value};
 
 /// A read-only view of a map at (ideally) a single snapshot timestamp.
 ///
-/// # Streaming vs. collecting ordered queries
+/// # One query surface
 ///
-/// The primary ordered-query surface is **streaming**: [`MapSnapshotView::range_iter`]
-/// and [`MapSnapshotView::successors_iter`] return lazy in-order iterators that ordered
-/// views (`VcasSkipListView`, `NbbstView`, `HarrisListView`) serve in `O(log n + k)` by
-/// positioning inside the pinned snapshot and yielding one pair per pointer chase —
-/// nothing is materialized, and consumers that stop early (`find_if`, `successors` with a
-/// small `count`) do `O(log n + matches)` work instead of scanning the whole snapshot.
-/// The `Vec`-returning methods ([`MapSnapshotView::range`] etc.) are collecting
-/// conveniences layered on the iterators.
+/// A view implements three methods natively: [`MapSnapshotView::get`] (an
+/// allocation-free point read), [`MapSnapshotView::range_iter`] (its one ordered cursor)
+/// and [`MapSnapshotView::timestamp`]. Every other query — `contains`, `multi_get`,
+/// `iter`, `len`, `range`, `successors`, `find_if` — is a default method over those, so
+/// each structure codes each traversal once. The paper's point: once a snapshot is taken,
+/// a multi-point query is a standard sequential algorithm on it.
 ///
-/// **Unordered fallback:** structures with no ordered traversal (the hash map) inherit
-/// the default bodies, which scan [`MapSnapshotView::iter`], filter, and sort — correct,
-/// but `O(n log n)` and allocating regardless of how little the caller consumes. The
-/// defaults form a tower (`successors`/`find_if` → `successors_iter`/`range_iter` →
-/// `range` → `iter`), so a view overriding any layer upgrades everything above it.
+/// Ordered views (`NbbstView`, `HarrisListView`, `VcasSkipListView`) serve `range_iter`
+/// lazily, positioning inside the pinned snapshot and yielding one pair per pointer
+/// chase, so consumers that stop early (`find_if`, `successors` with a small `count`)
+/// pay for what they consume. Unordered views (the hash maps) serve it by sorting their
+/// `iter` (`sorted_range`), which is `O(n log n)` whatever the caller consumes.
+///
+/// A view overrides a default only where the default would change its cost class: the
+/// hash view streams `iter` bucket by bucket instead of sorting, the list view answers
+/// `multi_get` in one pass, and the lock and double-collect baselines make each batched
+/// read one locked or validated call.
 ///
 /// Every method of one view observes the same timestamp whenever
 /// [`MapSnapshotView::timestamp`] is `Some`; best-effort views return `None` there and
@@ -66,6 +73,14 @@ use crate::traits::{AtomicRangeMap, Key, Value};
 pub trait MapSnapshotView {
     /// The value associated with `key` in this view.
     fn get(&self, key: Key) -> Option<Value>;
+
+    /// Streaming in-order iterator over every pair with `lo <= key <= hi` (empty when
+    /// `lo > hi`): the view's one ordered cursor (see the trait docs).
+    fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_>;
+
+    /// The snapshot timestamp this view is anchored at, or `None` for a best-effort view
+    /// (which reads current state and makes no cross-call guarantee).
+    fn timestamp(&self) -> Option<SnapshotHandle>;
 
     /// Does this view contain `key`?
     fn contains(&self, key: Key) -> bool {
@@ -78,8 +93,10 @@ pub trait MapSnapshotView {
     }
 
     /// Iterates over every `(key, value)` pair live in this view. Ordered structures yield
-    /// ascending key order; unordered structures yield an unspecified order.
-    fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_>;
+    /// ascending key order; unordered structures may yield an unspecified order.
+    fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
+        self.range_iter(0, Key::MAX)
+    }
 
     /// Number of live keys in this view.
     fn len(&self) -> usize {
@@ -88,36 +105,16 @@ pub trait MapSnapshotView {
 
     /// Does this view contain no keys?
     fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.iter().next().is_none()
     }
 
     /// Every `(key, value)` pair with `lo <= key <= hi`, in ascending key order.
-    ///
-    /// Default: the **unordered fallback** — scan [`MapSnapshotView::iter`], filter, and
-    /// sort (`O(n log n)`, fully materialized). Ordered views override this (or serve it
-    /// through their native [`MapSnapshotView::range_iter`]) in `O(log n + k)`.
     fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        let mut out: Vec<(Key, Value)> =
-            self.iter().filter(|(k, _)| (lo..=hi).contains(k)).collect();
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Streaming in-order iterator over every pair with `lo <= key <= hi`: the primary
-    /// ordered-query surface (see the trait docs).
-    ///
-    /// Default: the unordered fallback — materialize [`MapSnapshotView::range`] and
-    /// iterate the sorted `Vec`. Ordered views override this with a lazy cursor that
-    /// positions in `O(log n)` and pays one pointer chase per yielded pair, so consumers
-    /// that stop early stop paying.
-    fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(self.range(lo, hi).into_iter())
+        self.range_iter(lo, hi).collect()
     }
 
     /// Streaming in-order iterator over every pair with key **strictly greater** than
     /// `key` (unbounded above; combine with [`Iterator::take`] for `succ(k, c)`).
-    ///
-    /// Default: delegates to [`MapSnapshotView::range_iter`] over `(key, MAX]`.
     fn successors_iter(&self, key: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
         if key == Key::MAX {
             return Box::new(std::iter::empty());
@@ -126,29 +123,32 @@ pub trait MapSnapshotView {
     }
 
     /// Up to `count` `(key, value)` pairs with key strictly greater than `key`, ascending.
-    ///
-    /// Default: `successors_iter(key).take(count)` — on an ordered view this stops after
-    /// `count` pairs instead of collecting and sorting the whole tail (the pre-redesign
-    /// behavior, now only reachable through the unordered fallback).
+    /// On an ordered view this stops after `count` pairs.
     fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
         self.successors_iter(key).take(count).collect()
     }
 
     /// The first `(key, value)` pair in `[lo, hi)` (key order) whose key satisfies `pred`.
-    ///
-    /// Default: scan [`MapSnapshotView::range_iter`] in key order and stop at the first
-    /// match — on an ordered view a match near `lo` costs `O(log n + 1)`, not a full
-    /// snapshot scan (the pre-redesign short-circuit bug).
+    /// Stops at the first match, so on an ordered view a match near `lo` costs
+    /// `O(log n + 1)`, not a scan of the range.
     fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        if hi == 0 || lo >= hi {
+        if lo >= hi {
             return None;
         }
         self.range_iter(lo, hi - 1).find(|&(k, _)| pred(k))
     }
+}
 
-    /// The snapshot timestamp this view is anchored at, or `None` for a best-effort view
-    /// (which reads current state and makes no cross-call guarantee).
-    fn timestamp(&self) -> Option<SnapshotHandle>;
+/// The ordered cursor of an unordered view: the pairs of `pairs` with `lo <= key <= hi`,
+/// collected and sorted by key (`O(n log n)`, fully materialized).
+pub(crate) fn sorted_range<'a>(
+    pairs: impl Iterator<Item = (Key, Value)>,
+    lo: Key,
+    hi: Key,
+) -> Box<dyn Iterator<Item = (Key, Value)> + 'a> {
+    let mut out: Vec<(Key, Value)> = pairs.filter(|(k, _)| (lo..=hi).contains(k)).collect();
+    out.sort_unstable_by_key(|(k, _)| *k);
+    Box::new(out.into_iter())
 }
 
 /// A structure that can open snapshot views of itself (see module docs).
@@ -243,55 +243,6 @@ impl GroupTimeTravelExt for StructureGroup {
     }
 }
 
-/// The view of a structure with no snapshot mechanism: every call reads the *current*
-/// state through the structure's own (per-call) atomicity mechanism. Returned by the
-/// baseline comparators (`DcBst`, `LockBst`, `LockHashMap`) so harnesses mixing them with
-/// vCAS structures can still talk views everywhere.
-///
-/// Implementation invariant: this type delegates to the [`AtomicRangeMap`] trait methods,
-/// so a structure handing out `BestEffortView`s must provide concrete implementations of
-/// those methods (never the view-based defaults, which would recurse).
-pub struct BestEffortView<'a> {
-    map: &'a dyn AtomicRangeMap,
-}
-
-impl<'a> BestEffortView<'a> {
-    /// Wraps `map`; see the type-level invariant.
-    pub fn new(map: &'a dyn AtomicRangeMap) -> BestEffortView<'a> {
-        BestEffortView { map }
-    }
-}
-
-impl MapSnapshotView for BestEffortView<'_> {
-    fn get(&self, key: Key) -> Option<Value> {
-        self.map.get(key)
-    }
-
-    fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        self.map.multi_search(keys)
-    }
-
-    fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(self.map.range(0, Key::MAX).into_iter())
-    }
-
-    fn range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
-        self.map.range(lo, hi)
-    }
-
-    fn successors(&self, key: Key, count: usize) -> Vec<(Key, Value)> {
-        self.map.successors(key, count)
-    }
-
-    fn find_if(&self, lo: Key, hi: Key, pred: &dyn Fn(Key) -> bool) -> Option<(Key, Value)> {
-        self.map.find_if(lo, hi, pred)
-    }
-
-    fn timestamp(&self) -> Option<SnapshotHandle> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,8 +255,8 @@ mod tests {
 
     #[test]
     fn default_ordered_queries_sort_an_unordered_iter() {
-        // A stub view yielding pairs out of order must still answer ordered queries in key
-        // order through the trait defaults.
+        // A stub view yielding pairs out of order, with the sorting cursor of the
+        // unordered views, must still answer ordered queries in key order.
         struct Stub;
         impl MapSnapshotView for Stub {
             fn get(&self, key: Key) -> Option<Value> {
@@ -313,6 +264,9 @@ mod tests {
             }
             fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
                 Box::new([(5u64, 50u64), (1, 10), (3, 30)].into_iter())
+            }
+            fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
+                sorted_range(self.iter(), lo, hi)
             }
             fn timestamp(&self) -> Option<SnapshotHandle> {
                 None

@@ -580,7 +580,7 @@ pub fn run_reclaim(spec: &WorkloadSpec, scenario: &ReclaimScenario) -> ReclaimRe
     // node that outlived its last version reference (the pre-fix leak); one fewer, a
     // double free.
     let live_nodes_after_quiescence = camera.approx_live_nodes();
-    let expected_nodes = 2 * tree.len() as u64 + 3;
+    let expected_nodes = 2 * tree.view().len() as u64 + 3;
     assert_eq!(
         live_nodes_after_quiescence, expected_nodes,
         "live-node estimate diverged from the surviving tree (seed={:#x})",
@@ -799,7 +799,7 @@ pub fn run_skiplist(spec: &WorkloadSpec, scenario: &SkipListScenario) -> SkipLis
 
     // Exactly the surviving list is live: one node per key plus the head sentinel.
     let live_nodes_after_quiescence = camera.approx_live_nodes();
-    let expected_nodes = list.len() as u64 + 1;
+    let expected_nodes = list.view().len() as u64 + 1;
     assert_eq!(
         live_nodes_after_quiescence, expected_nodes,
         "live-node estimate diverged from the surviving list (seed={:#x})",
@@ -1099,7 +1099,7 @@ pub fn run_timetravel(spec: &WorkloadSpec, scenario: &TimeTravelScenario) -> Tim
         spec.seed
     );
     let live_nodes = camera.approx_live_nodes();
-    let expected_nodes = 2 * tree.len() as u64 + 3;
+    let expected_nodes = 2 * tree.view().len() as u64 + 3;
     assert_eq!(
         live_nodes, expected_nodes,
         "live-node estimate diverged from the surviving tree (seed={:#x})",
@@ -1189,7 +1189,7 @@ mod tests {
         let spec = WorkloadSpec::new(1, 500, Mix::update_heavy());
         let tree = Nbbst::new_versioned_default();
         prefill(&tree, &spec);
-        assert_eq!(tree.len(), 500);
+        assert_eq!(tree.view().len(), 500);
     }
 
     #[test]
@@ -1277,7 +1277,7 @@ mod tests {
         let t = run_hashmap(as_map, &spec, &scenario);
         assert!(t.operations > 0, "no operations (seed={:#x})", spec.seed);
         let key_range = spec.key_range();
-        for (k, _) in map.snapshot_iter() {
+        for (k, _) in map.view().iter() {
             assert!(
                 (1..=key_range).contains(&k),
                 "key {k} outside [1, {key_range}] (seed={:#x})",
@@ -1461,6 +1461,6 @@ mod tests {
         let as_map: Arc<dyn AtomicRangeMap> = tree.clone();
         let t = run_sorted_insert(as_map, 4096, 2);
         assert_eq!(t.operations, 4096);
-        assert_eq!(tree.len(), 4096);
+        assert_eq!(tree.view().len(), 4096);
     }
 }

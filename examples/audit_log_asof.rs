@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use vcas_repro::core::{Camera, ReclaimPolicy, RetentionError};
 use vcas_repro::structures::view::{
-    GroupQueryExt, GroupTimeTravelExt, SnapshotSource, StructureGroup,
+    GroupQueryExt, GroupTimeTravelExt, MapSnapshotView, SnapshotSource, StructureGroup,
 };
 use vcas_repro::structures::{Nbbst, TemporalDiff, VcasHashMap};
 

@@ -1,9 +1,9 @@
 //! A live leaderboard built on the snapshot-capable Harris list (`VcasList`).
 //!
-//! Game servers insert and remove score entries concurrently; the frontend repeatedly asks
-//! for an atomic "top of the table" view using successor queries and i-th element queries.
-//! Because the queries run on snapshots, the rendered leaderboard is always a state the
-//! table actually passed through.
+//! Game servers insert and remove score entries concurrently; the frontend repeatedly opens
+//! a snapshot view and asks it for the top of the table (a successors query) and for the
+//! entry at rank 100. Because both queries read one snapshot, the rendered leaderboard is
+//! always a state the table actually passed through.
 //!
 //! Run with `cargo run --release --example leaderboard_top_k`.
 
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
-use vcas_repro::structures::HarrisList;
+use vcas_repro::structures::{HarrisList, MapSnapshotView};
 
 fn main() {
     // Keys are scores (higher is better); we store `u64::MAX - score` so that ascending key
@@ -43,18 +43,25 @@ fn main() {
     for frame in 0..6 {
         std::thread::sleep(std::time::Duration::from_millis(20));
         // Atomic top-5: one snapshot serves every row of the rendered table.
-        let top = board.successors(0, 5);
+        let view = board.view();
+        let top = view.successors(0, 5);
         println!("frame {frame}: top {} entries", top.len());
         for (rank, (key, player)) in top.iter().enumerate() {
             println!("  #{:<2} player {:>5}  score {}", rank + 1, player, u64::MAX / 2 - key);
         }
-        // The i-th query answers "who is exactly at rank 100?" without scanning the rest.
-        if let Some((key, player)) = board.ith(99) {
+        // "Who is exactly at rank 100?" — the 100th pair of the same snapshot; the walk
+        // stops there instead of scanning the rest.
+        let rank_100 = view.iter().nth(99);
+        if let Some((key, player)) = rank_100 {
             println!("  rank 100: player {player} with score {}", u64::MAX / 2 - key);
+            assert_eq!(top.len(), 5, "a snapshot with 100 entries has a top 5");
         }
     }
 
     stop.store(true, Ordering::Relaxed);
     let submitted: u64 = servers.into_iter().map(|h| h.join().unwrap()).sum();
-    println!("servers submitted {submitted} score updates; board now has {} entries", board.len());
+    println!(
+        "servers submitted {submitted} score updates; board now has {} entries",
+        board.view().len()
+    );
 }

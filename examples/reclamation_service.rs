@@ -27,6 +27,7 @@ use std::sync::Arc;
 
 use vcas_repro::core::reclaim::Collectible;
 use vcas_repro::core::{Camera, ReclaimPolicy};
+use vcas_repro::structures::MapSnapshotView;
 use vcas_repro::structures::{Nbbst, VcasHashMap};
 
 const COUNTERS: u64 = 300;

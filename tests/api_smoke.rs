@@ -5,6 +5,7 @@
 
 use vcas_repro::core::{Camera, VersionedCas};
 use vcas_repro::ebr::pin;
+use vcas_repro::structures::AtomicRangeMap;
 use vcas_repro::structures::Nbbst;
 
 #[test]
@@ -75,12 +76,12 @@ fn structures_layer_composes_with_core_snapshots() {
     for k in 0..100u64 {
         assert!(tree.insert(k, k * 10));
     }
-    let before: Vec<(u64, u64)> = tree.range_query(10, 19);
+    let before: Vec<(u64, u64)> = tree.range(10, 19);
     assert_eq!(before.len(), 10);
     assert!(before.iter().all(|&(k, v)| v == k * 10));
 
     assert!(tree.remove(15));
-    let after = tree.range_query(10, 19);
+    let after = tree.range(10, 19);
     assert_eq!(after.len(), 9);
     assert!(after.iter().all(|&(k, _)| k != 15));
 }

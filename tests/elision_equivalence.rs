@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use vcas_repro::core::Camera;
-use vcas_repro::structures::Nbbst;
+use vcas_repro::structures::{AtomicRangeMap, MapSnapshotView, Nbbst};
 
 /// One sequential step: mutate, or close the current instant with a pinned view.
 #[derive(Debug, Clone)]
@@ -129,13 +129,13 @@ proptest! {
         }
 
         let expected_final: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(tree_on.scan(), expected_final.clone());
-        prop_assert_eq!(tree_off.scan(), expected_final);
+        prop_assert_eq!(tree_on.range(0, u64::MAX), expected_final.clone());
+        prop_assert_eq!(tree_off.range(0, u64::MAX), expected_final);
         for (ts, expected, view_on, view_off) in &pins {
-            prop_assert_eq!(&view_on.scan(), expected);
-            prop_assert_eq!(&view_off.scan(), expected);
-            let at_on = tree_on.view_at(*ts).expect("pin retains ts").scan();
-            let at_off = tree_off.view_at(*ts).expect("pin retains ts").scan();
+            prop_assert_eq!(&view_on.iter().collect::<Vec<_>>(), expected);
+            prop_assert_eq!(&view_off.iter().collect::<Vec<_>>(), expected);
+            let at_on = tree_on.view_at(*ts).expect("pin retains ts").iter().collect::<Vec<_>>();
+            let at_off = tree_off.view_at(*ts).expect("pin retains ts").iter().collect::<Vec<_>>();
             prop_assert_eq!(&at_on, expected);
             prop_assert_eq!(&at_off, expected);
         }
@@ -195,8 +195,8 @@ proptest! {
             apply_writer_ops_to_model(&mut model, 0, &ops_a);
             apply_writer_ops_to_model(&mut model, 100, &ops_b);
             let expected: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-            prop_assert_eq!(tree.scan(), expected);
-            prop_assert_eq!(before.scan(), prefill);
+            prop_assert_eq!(tree.range(0, u64::MAX), expected);
+            prop_assert_eq!(before.iter().collect::<Vec<_>>(), prefill);
             drop(before);
             // One more sweep with no pin outstanding, then the conservation invariant.
             cam.take_snapshot();
@@ -230,7 +230,7 @@ fn fixed_workload_elides_with_identical_observations() {
         }
     }
 
-    assert_eq!(tree_on.scan(), tree_off.scan());
+    assert_eq!(tree_on.range(0, u64::MAX), tree_off.range(0, u64::MAX));
     assert!(cam_on.versions_elided() > 0, "same-timestamp churn must elide");
     assert_eq!(cam_off.versions_elided(), 0);
     assert!(

@@ -12,6 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vcas_repro::core::{Camera, Mode, ReclaimPolicy};
+use vcas_repro::structures::MapSnapshotView;
 use vcas_repro::structures::Nbbst;
 
 /// Counts the requested bytes each thread has allocated and not yet freed.
@@ -73,7 +74,7 @@ fn bytes_per_key<M: Mode>(make: impl FnOnce(&std::sync::Arc<Camera>) -> Nbbst<M>
         assert!(tree.insert(k, k));
     }
     let bytes = LIVE.with(Cell::get) - base;
-    assert_eq!(tree.len(), KEYS as usize);
+    assert_eq!(tree.view().len(), KEYS as usize);
     drop(tree);
     bytes as f64 / KEYS as f64
 }

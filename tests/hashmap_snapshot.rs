@@ -1,4 +1,4 @@
-//! Snapshot-semantics tests for the vCAS hash map: `multi_get` and `snapshot_iter` must
+//! Snapshot-semantics tests for the vCAS hash map: `multi_get` and a view's `iter` must
 //! observe a *single* timestamp — no torn reads — no matter how many writers are mutating
 //! the table concurrently.
 //!
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vcas_repro::core::Camera;
 use vcas_repro::structures::traits::{Key, SnapshotMap, Value};
-use vcas_repro::structures::VcasHashMap;
+use vcas_repro::structures::{MapSnapshotView, VcasHashMap};
 
 const WRITERS: u64 = 2;
 /// Keys owned by writer `w`: `w * STRIDE + 1 ..= w * STRIDE + KEYS_PER_WRITER`.
@@ -86,7 +86,7 @@ fn drive_concurrent_observations(
     }
     done.store(true, Ordering::Relaxed);
     observer.join().unwrap();
-    assert!(map.is_empty(), "writers drained every key they inserted");
+    assert!(map.view().is_empty(), "writers drained every key they inserted");
 }
 
 proptest! {
@@ -100,7 +100,7 @@ proptest! {
         drive_concurrent_observations(buckets, &format!("buckets={buckets}"), |map| {
             // One multi_get spanning every writer's full key set, then split per writer.
             let keys: Vec<Key> = (0..WRITERS).flat_map(writer_keys).collect();
-            let results = map.multi_get(&keys);
+            let results = SnapshotMap::multi_get(map, &keys);
             results
                 .chunks(KEYS_PER_WRITER as usize)
                 .map(|chunk| chunk.iter().map(|r| r.is_some()).collect())
@@ -113,7 +113,7 @@ proptest! {
         let buckets = 1usize << bucket_bits;
         drive_concurrent_observations(buckets, &format!("buckets={buckets}"), |map| {
             let mut visible = vec![vec![false; KEYS_PER_WRITER as usize]; WRITERS as usize];
-            for (k, v) in SnapshotMap::snapshot_iter(map) {
+            for (k, v) in map.view().iter() {
                 let (w, i) = (k / STRIDE, k % STRIDE - 1);
                 assert_eq!(v, k, "value stored with {k} must round-trip");
                 visible[w as usize][i as usize] = true;
@@ -140,11 +140,11 @@ proptest! {
                 _ => prop_assert_eq!(map.get(k), model.get(&k).copied()),
             }
         }
-        // multi_get and snapshot_iter agree with the model (and with each other).
+        // multi_get and the view's iter agree with the model (and with each other).
         let keys: Vec<Key> = (1..48u64).collect();
         let expected: Vec<Option<Value>> = keys.iter().map(|k| model.get(k).copied()).collect();
-        prop_assert_eq!(map.multi_get(&keys), expected);
-        let mut scanned: Vec<(Key, Value)> = SnapshotMap::snapshot_iter(&map).collect();
+        prop_assert_eq!(SnapshotMap::multi_get(&map, &keys), expected);
+        let mut scanned: Vec<(Key, Value)> = map.view().iter().collect();
         scanned.sort_unstable();
         let mut modeled: Vec<(Key, Value)> = model.into_iter().collect();
         modeled.sort_unstable();

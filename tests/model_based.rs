@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use vcas_repro::core::{Camera, Mode, VersionedCas};
 use vcas_repro::ebr::pin;
-use vcas_repro::structures::{HarrisList, MsQueue, Nbbst};
+use vcas_repro::structures::{AtomicRangeMap, HarrisList, MsQueue, Nbbst};
 
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -80,10 +80,10 @@ impl<M: Mode> MapUnderTest for Nbbst<M> {
         Nbbst::get(self, k)
     }
     fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        self.range_query(lo, hi)
+        AtomicRangeMap::range(self, lo, hi)
     }
     fn scan(&self) -> Vec<(u64, u64)> {
-        Nbbst::scan(self)
+        AtomicRangeMap::range(self, 0, u64::MAX)
     }
 }
 
@@ -98,10 +98,10 @@ impl<M: Mode> MapUnderTest for HarrisList<M> {
         HarrisList::get(self, k)
     }
     fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        self.range_query(lo, hi)
+        AtomicRangeMap::range(self, lo, hi)
     }
     fn scan(&self) -> Vec<(u64, u64)> {
-        HarrisList::scan(self)
+        AtomicRangeMap::range(self, 0, u64::MAX)
     }
 }
 

@@ -24,6 +24,7 @@ use proptest::prelude::*;
 use vcas_repro::core::reclaim::Collectible;
 use vcas_repro::core::{Camera, VersionedCas};
 use vcas_repro::structures::traits::ConcurrentMap;
+use vcas_repro::structures::MapSnapshotView;
 use vcas_repro::structures::{HarrisList, Nbbst, VcasHashMap, VcasSkipList};
 
 const WRITERS: u64 = 2;
@@ -176,7 +177,7 @@ fn truncation_retires_unlinked_nodes_while_the_structure_lives() {
     );
     // The live estimate has collapsed to the current list: 32 keys + the sentinel.
     assert_eq!(camera.approx_live_nodes(), 32 + 1);
-    assert_eq!(list.len(), 32);
+    assert_eq!(list.view().len(), 32);
     assert_eq!(list.get(5), Some(10));
     drop(list);
     drain_ebr_settled();

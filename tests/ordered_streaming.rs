@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use vcas_repro::structures::{
-    run_query, AtomicRangeMap, ConcurrentMap, HarrisList, MapSnapshotView, Nbbst, QueryKind,
-    SnapshotSource, VcasSkipList,
+    run_query_on_view, AtomicRangeMap, ConcurrentMap, HarrisList, MapSnapshotView, Nbbst,
+    QueryKind, SnapshotSource, VcasSkipList,
 };
 
 #[derive(Debug, Clone)]
@@ -209,7 +209,7 @@ fn skiplist_range256_and_succ16_see_closed_form_counts() {
     let list = dense_skiplist(n);
     let view = list.view();
     for anchor in 1..=n {
-        let out = run_query(&list, QueryKind::Range256, anchor, n);
+        let out = run_query_on_view(&view, QueryKind::Range256, anchor, n);
         let expected = n.min(anchor.saturating_add(256)) - anchor + 1;
         assert_eq!(out.observed as u64, expected, "range256 at {anchor}: wrong key count");
         let succ16 = view.successors_iter(anchor).take(16).count() as u64;

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use vcas_repro::core::reclaim::Collectible;
 use vcas_repro::core::{Camera, ReclaimPolicy};
+use vcas_repro::structures::MapSnapshotView;
 use vcas_repro::structures::{Nbbst, VcasHashMap};
 use vcas_repro::workload::{run_reclaim, Mix, ReclaimScenario, WorkloadSpec};
 
@@ -113,7 +114,7 @@ fn bst_background_collector_preserves_pinned_reads() {
     }
 
     let view = tree.view();
-    let frozen_scan = view.scan();
+    let frozen_scan = view.iter().collect::<Vec<_>>();
     assert_eq!(frozen_scan.len(), KEYS as usize);
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -137,7 +138,11 @@ fn bst_background_collector_preserves_pinned_reads() {
         .collect();
 
     for round in 0..40 {
-        assert_eq!(view.scan(), frozen_scan, "round {round}: pinned scan changed");
+        assert_eq!(
+            view.iter().collect::<Vec<_>>(),
+            frozen_scan,
+            "round {round}: pinned scan changed"
+        );
     }
     stop.store(true, Ordering::Relaxed);
     for w in writers {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use vcas_repro::core::{Camera, VersionedCas};
 use vcas_repro::ebr::pin;
-use vcas_repro::structures::traits::AtomicRangeMap;
+use vcas_repro::structures::traits::{AtomicRangeMap, SnapshotMap};
 use vcas_repro::structures::{DcBst, HarrisList, LockBst, MsQueue, Nbbst};
 
 /// Writers insert keys in ascending order; an atomic full-range query must always observe a
@@ -83,7 +83,7 @@ fn vcas_bst_multisearch_is_atomic() {
     };
     for _ in 0..2000 {
         for pair in 0..16u64 {
-            let result = tree.multi_search(&[pair * 2, pair * 2 + 1]);
+            let result = tree.multi_get(&[pair * 2, pair * 2 + 1]);
             let low_present = result[0].is_some();
             let high_present = result[1].is_some();
             assert!(
@@ -182,7 +182,7 @@ fn pinned_snapshot_survives_version_collection() {
         assert!(tree.insert(k, k));
     }
     let pinned = camera.pin_snapshot();
-    let before: Vec<u64> = tree.scan().iter().map(|(k, _)| *k).collect();
+    let before: Vec<u64> = tree.range(0, u64::MAX).iter().map(|(k, _)| *k).collect();
 
     for k in 0..500u64 {
         if k % 2 == 0 {
@@ -197,7 +197,7 @@ fn pinned_snapshot_survives_version_collection() {
     // pin predates the deletions, a snapshot query pinned there sees all 500 keys.)
     let guard = pin();
     drop(guard);
-    let now: Vec<u64> = tree.scan().iter().map(|(k, _)| *k).collect();
+    let now: Vec<u64> = tree.range(0, u64::MAX).iter().map(|(k, _)| *k).collect();
     assert_eq!(now.len(), 250);
     assert_eq!(before.len(), 500);
     drop(pinned);

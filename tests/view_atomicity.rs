@@ -10,8 +10,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vcas_repro::core::Camera;
 use vcas_repro::structures::traits::{Key, Value};
-use vcas_repro::structures::view::{GroupQueryExt, SnapshotSource, StructureGroup};
-use vcas_repro::structures::{Nbbst, VcasHashMap};
+use vcas_repro::structures::view::{
+    GroupQueryExt, MapSnapshotView, SnapshotSource, StructureGroup,
+};
+use vcas_repro::structures::{AtomicRangeMap, Nbbst, VcasHashMap};
 
 /// A pinned view's answers never change while two writer threads mutate the tree and
 /// version lists are truncated under it.
@@ -24,7 +26,7 @@ fn pinned_view_answers_are_frozen_under_writers() {
     }
 
     let view = tree.view();
-    let frozen_scan = view.scan();
+    let frozen_scan = view.iter().collect::<Vec<_>>();
     let frozen_range = view.range(100, 199);
     let frozen_gets = view.multi_get(&[0, 57, 399, 1000]);
     assert_eq!(frozen_scan.len(), 400);
@@ -52,7 +54,11 @@ fn pinned_view_answers_are_frozen_under_writers() {
         .collect();
 
     for round in 0..60 {
-        assert_eq!(view.scan(), frozen_scan, "round {round}: scan changed under writers");
+        assert_eq!(
+            view.iter().collect::<Vec<_>>(),
+            frozen_scan,
+            "round {round}: scan changed under writers"
+        );
         assert_eq!(view.range(100, 199), frozen_range, "round {round}: range changed");
         assert_eq!(view.multi_get(&[0, 57, 399, 1000]), frozen_gets, "round {round}");
         assert_eq!(view.len(), 400, "round {round}: len changed");
@@ -66,7 +72,7 @@ fn pinned_view_answers_are_frozen_under_writers() {
         w.join().unwrap();
     }
     // Still frozen after the writers are gone...
-    assert_eq!(view.scan(), frozen_scan);
+    assert_eq!(view.iter().collect::<Vec<_>>(), frozen_scan);
     drop(view);
     assert_eq!(camera.pinned_count(), 0, "dropping the view releases its pin");
 }
@@ -192,13 +198,13 @@ proptest! {
             if op == 0 { tree.insert(k, v); } else { tree.remove(k); }
         }
         // The view still answers with the mid-way state...
-        prop_assert_eq!(view.scan(), at_view.clone());
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), at_view.clone());
         prop_assert_eq!(view.len(), at_view.len());
         for &(k, v) in &at_view {
             prop_assert_eq!(view.get(k), Some(v));
         }
         // ...and a fresh view answers with the current state.
-        let now: Vec<(Key, Value)> = tree.view().scan();
-        prop_assert_eq!(now, tree.scan());
+        let now: Vec<(Key, Value)> = tree.view().iter().collect::<Vec<_>>();
+        prop_assert_eq!(now, tree.range(0, u64::MAX));
     }
 }
