@@ -12,8 +12,8 @@ use vcas_structures::{
     DcBst, HarrisList, LockBst, LockHashMap, MsQueue, Nbbst, VcasHashMap, VcasSkipList,
 };
 use vcas_workload::{
-    run_dedicated, run_hashmap, run_mixed, run_sorted_insert, HashMapScenario, KeySkew, Mix,
-    WorkloadSpec,
+    bucket_count, run_dedicated, run_mixed, run_sorted_insert, KeySkew, Mix, WorkloadSpec,
+    MULTI_GET_BATCH,
 };
 
 /// Sizing and duration knobs (see crate docs for the environment variables).
@@ -71,7 +71,7 @@ fn scalability(cfg: &ExperimentConfig, figure: &str, size: u64, mix: Mix, range_
             let mut spec = WorkloadSpec::new(threads, size, mix);
             spec.duration_ms = cfg.duration_ms;
             spec.range_size = range_size;
-            let tput = run_mixed(fresh, &spec);
+            let tput = run_mixed(fresh.as_ref(), &spec);
             row.push(format!("{:.3}", tput.mops()));
         }
         println!("{}", row.join("\t"));
@@ -116,7 +116,7 @@ fn rqsize_sweep(cfg: &ExperimentConfig, figure: &str, names: &[&str], report_upd
             spec.duration_ms = cfg.duration_ms;
             spec.range_size = rqsize.min(cfg.small_size);
             let half = (num_threads(cfg) / 2).max(1);
-            let result = run_dedicated(fresh, &spec, half, half);
+            let result = run_dedicated(fresh.as_ref(), &spec, half, half);
             let t = if report_updates { result.updates } else { result.range_queries };
             row.push(format!("{:.4}", t.mops()));
         }
@@ -136,16 +136,16 @@ fn fig2i(cfg: &ExperimentConfig) {
     let threads = num_threads(cfg);
     for name in ["VcasBST", "DcBST", "LockBST"] {
         let map = fresh_by_name(name);
-        let t = run_sorted_insert(map, keys, threads);
+        let t = run_sorted_insert(map.as_ref(), keys, threads);
         println!("{name}\t{keys}\t{threads}\t{:.4}", t.mops());
     }
     // The balanced comparator (chromatic tree / VcasCT) is descoped in this reproduction;
     // contrast with a uniform-random insert-only run on the same structure instead, which
     // shows what balance would buy (see docs/benchmarking.md).
-    let map: Arc<dyn AtomicRangeMap> = Arc::new(Nbbst::new_versioned(&Camera::new()));
+    let map: Box<dyn AtomicRangeMap> = Box::new(Nbbst::new_versioned(&Camera::new()));
     let mut spec = WorkloadSpec::new(threads, keys, Mix { insert: 100, delete: 0, range: 0 });
     spec.duration_ms = cfg.duration_ms;
-    let t = run_mixed(map, &spec);
+    let t = run_mixed(map.as_ref(), &spec);
     println!("VcasBST(uniform-insert)\t{keys}\t{threads}\t{:.4}", t.mops());
     println!();
 }
@@ -163,10 +163,10 @@ fn fig2m(cfg: &ExperimentConfig) {
         let mut spec = WorkloadSpec::new(threads, cfg.small_size, mix);
         spec.duration_ms = cfg.duration_ms;
         spec.range_size = rqsize.max(16);
-        let plain: Arc<dyn AtomicRangeMap> = Arc::new(Nbbst::new_plain());
-        let plain_t = run_mixed(plain, &spec).mops();
-        let vcas: Arc<dyn AtomicRangeMap> = Arc::new(Nbbst::new_versioned(&Camera::new()));
-        let vcas_t = run_mixed(vcas, &spec).mops();
+        let plain: Box<dyn AtomicRangeMap> = Box::new(Nbbst::new_plain());
+        let plain_t = run_mixed(plain.as_ref(), &spec).mops();
+        let vcas: Box<dyn AtomicRangeMap> = Box::new(Nbbst::new_versioned(&Camera::new()));
+        let vcas_t = run_mixed(vcas.as_ref(), &spec).mops();
         println!("{label}\t{plain_t:.4}\t{vcas_t:.4}\t{:.4}", vcas_t / plain_t.max(1e-9));
     }
     println!();
@@ -295,16 +295,14 @@ fn timed_query_qps(
 /// throughput against one concurrent updater — VcasHashMap vs the unversioned table
 /// (non-atomic multi-point reads) vs the lock-based baseline.
 fn hashmap_experiment(cfg: &ExperimentConfig) {
-    let scenario = HashMapScenario::default();
     let mix = Mix { insert: 30, delete: 20, range: 10 };
     let size = cfg.small_size;
-    let buckets = scenario.bucket_count(size);
+    let buckets = bucket_count(size);
 
     for skew in [KeySkew::Uniform, KeySkew::Skewed { exponent: 2.0 }] {
         println!(
-            "# hashmap: mix={} size={size} buckets={buckets} batch={} skew={}",
+            "# hashmap: mix={} size={size} buckets={buckets} batch={MULTI_GET_BATCH} skew={}",
             mix.label(),
-            scenario.multi_get_batch,
             skew.label()
         );
         println!("{}", header_row(cfg));
@@ -314,7 +312,7 @@ fn hashmap_experiment(cfg: &ExperimentConfig) {
                 let fresh = fresh_hashmap(name, buckets);
                 let mut spec = WorkloadSpec::new(threads, size, mix).with_skew(skew);
                 spec.duration_ms = cfg.duration_ms;
-                let tput = run_hashmap(fresh, &spec, &scenario);
+                let tput = run_mixed(fresh.as_ref(), &spec);
                 row.push(format!("{:.3}", tput.mops()));
             }
             println!("{}", row.join("\t"));

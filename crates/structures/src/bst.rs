@@ -37,16 +37,13 @@ use vcas_core::{
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
-use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
+use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value, MAX_KEY};
 use crate::view::{MapSnapshotView, SnapshotSource};
 
 /// Sentinel key of the root's left dummy leaf: larger than every user key.
-const INF1: Key = Key::MAX - 1;
+const INF1: Key = MAX_KEY + 1;
 /// Sentinel key of the root and its right dummy leaf: larger than `INF1`.
 const INF2: Key = Key::MAX;
-
-/// Largest key a user may insert.
-pub const MAX_KEY: Key = INF1 - 1;
 
 // State tags packed into the low bits of the `update` word.
 const CLEAN: usize = 0;

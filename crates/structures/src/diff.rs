@@ -8,7 +8,7 @@
 //! bucket order, not key order, so a naive zip would mis-pair keys.
 //!
 //! Because retained snapshots are immutable, a diff between two retained timestamps is a
-//! pure function of `(structure, ts1, ts2)` — cacheable forever (see [`crate::cache`]).
+//! pure function of `(structure, ts1, ts2)`.
 
 use crate::traits::{Key, Value};
 use crate::view::MapSnapshotView;
@@ -37,22 +37,6 @@ impl TemporalDiff {
     /// Did nothing change between the two timestamps?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Wrapping sum of every affected key (the checksum reported through
-    /// [`crate::queries::QueryOutcome`]).
-    pub fn key_sum(&self) -> u64 {
-        let mut sum = 0u64;
-        for (k, _) in &self.inserted {
-            sum = sum.wrapping_add(*k);
-        }
-        for (k, _) in &self.removed {
-            sum = sum.wrapping_add(*k);
-        }
-        for (k, _, _) in &self.changed {
-            sum = sum.wrapping_add(*k);
-        }
-        sum
     }
 }
 
@@ -126,7 +110,6 @@ mod tests {
         assert_eq!(d.changed, vec![(3, 30, 31)]);
         assert_eq!(d.len(), 5);
         assert!(!d.is_empty());
-        assert_eq!(d.key_sum(), 8 + 9 + 1 + 7 + 3);
     }
 
     #[test]
@@ -136,7 +119,6 @@ mod tests {
         let d = diff_views(&a, &b);
         assert!(d.is_empty());
         assert_eq!(d, TemporalDiff::default());
-        assert_eq!(d.key_sum(), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Point operations delegate to the bucket list and keep its lock-freedom and expected
 //! O(1 + load-factor) cost. The table does not resize; choose the bucket count from the
 //! expected size and target load factor via [`VcasHashMap::buckets_for`] (the workload
-//! harness's `hashmap` scenario does exactly that).
+//! harness's `bucket_count` does exactly that).
 
 use std::sync::Arc;
 

@@ -37,15 +37,10 @@
 //!   `findif`, `multisearch`) executed over views ([`queries::run_query_on_view`],
 //!   [`queries::QueryKind::Composed`] batches), the hash-map analogues (`multiget4/16`,
 //!   `scanall`), cross-structure queries ([`queries::CrossQueryKind`]) over two views
-//!   sharing a timestamp, and **temporal queries** ([`queries::TemporalQueryKind`]):
-//!   as-of batches over retained history and diffs between two timestamps.
+//!   sharing a timestamp.
 //! * [`diff`] — temporal diff queries: [`diff::diff_views`] computes the
 //!   inserted/removed/changed key sets between two frozen views of one structure
 //!   ([`view::SnapshotSource::diff`] is the one-call form over two timestamps).
-//! * [`cache`] — [`cache::QueryCache`], a memo table for historical queries. History is
-//!   immutable, so `(structure, timestamp, query)` keys never go stale; the only
-//!   maintenance is retention-driven eviction ([`cache::QueryCache::maintain`]). See
-//!   `docs/time_travel.md`.
 //!
 //! The two modes of the tree, list, queue and hash map are one type parameter,
 //! [`vcas_core::Mode`]: `Nbbst<Plain>` keeps its pointers in one-word atomics,
@@ -79,7 +74,6 @@ macro_rules! for_both_modes {
 
 pub mod baselines;
 pub mod bst;
-pub mod cache;
 pub mod diff;
 pub mod hashmap;
 pub mod list;
@@ -89,9 +83,7 @@ pub mod skiplist;
 pub mod traits;
 pub mod view;
 
-pub use cache::{CacheKey, CachedQuery, QueryCache, SourceId};
 pub use diff::{diff_views, TemporalDiff};
-pub use queries::{run_temporal_query, TemporalQueryKind};
 pub use view::GroupTimeTravelExt;
 
 /// Contention backoff for lock-free retry loops; free on the first attempt.

@@ -21,10 +21,8 @@
 //! camera — at a single common timestamp, given two views opened from one
 //! [`vcas_core::GroupSnapshot`].
 
-use vcas_core::{RetentionError, Timestamp};
-
 use crate::traits::{Key, Value};
-use crate::view::{MapSnapshotView, SnapshotSource};
+use crate::view::MapSnapshotView;
 
 /// The query kinds of Table 2 with the parameters used in the paper's Figure 3, plus the
 /// view-composition query [`QueryKind::Composed`].
@@ -95,7 +93,7 @@ impl QueryOutcome {
 }
 
 /// Runs `kind` with the paper's Table 2 parameters against an open `view` (e.g. from
-/// [`SnapshotSource::snapshot_view`]), anchored at `start`.
+/// [`snapshot_view`](crate::view::SnapshotSource::snapshot_view)), anchored at `start`.
 ///
 /// `key_range` is the size of the key universe; it bounds the `findif128` scan the same way
 /// the paper's experiments bound it, and spreads `Composed` sub-query anchors.
@@ -241,64 +239,6 @@ fn spread_keys(start: Key, key_range: Key, batch: u64) -> Vec<Key> {
         .collect()
 }
 
-/// Time-travel queries: queries whose subject is *history itself* rather than the current
-/// state — answered through the fallible as-of API ([`SnapshotSource::view_at`] /
-/// [`SnapshotSource::diff`]), so missing history surfaces as a [`RetentionError`] instead
-/// of silently reading the wrong state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TemporalQueryKind {
-    /// `asof`: a composed multi-point query batch evaluated at a *historical* timestamp.
-    AsOf,
-    /// `diff`: the inserted/removed/changed key sets between two timestamps.
-    Diff,
-}
-
-impl TemporalQueryKind {
-    /// Every temporal query kind, in reporting order.
-    pub fn all() -> [TemporalQueryKind; 2] {
-        [TemporalQueryKind::AsOf, TemporalQueryKind::Diff]
-    }
-
-    /// The label used in figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TemporalQueryKind::AsOf => "asof",
-            TemporalQueryKind::Diff => "diff",
-        }
-    }
-}
-
-/// Runs a temporal query against `source`'s retained history.
-///
-/// * [`TemporalQueryKind::AsOf`] evaluates a [`QueryKind::Composed`] batch (n = 5, one of
-///   each base kind) on the view as of `ts_old`, ignoring `ts_new`.
-/// * [`TemporalQueryKind::Diff`] diffs the states at `ts_old` and `ts_new`; the outcome
-///   summarizes the changed-key set (`observed` = number of differing keys, `key_sum` =
-///   checksum over them).
-///
-/// Both fail with a [`RetentionError`] when the requested history is not retained —
-/// truncated below the retention watermark, in the future, or the structure keeps no
-/// history at all.
-pub fn run_temporal_query(
-    source: &dyn SnapshotSource,
-    kind: TemporalQueryKind,
-    ts_old: Timestamp,
-    ts_new: Timestamp,
-    start: Key,
-    key_range: Key,
-) -> Result<QueryOutcome, RetentionError> {
-    match kind {
-        TemporalQueryKind::AsOf => {
-            let view = source.view_at(ts_old)?;
-            Ok(run_query_on_view(view.as_ref(), QueryKind::Composed { n: 5 }, start, key_range))
-        }
-        TemporalQueryKind::Diff => {
-            let diff = source.diff(ts_old, ts_new)?;
-            Ok(QueryOutcome { observed: diff.len(), key_sum: diff.key_sum() })
-        }
-    }
-}
-
 /// Cross-structure queries: one query reading **two** structures at a single common
 /// timestamp. The two views must come from the same [`vcas_core::GroupSnapshot`] (or
 /// otherwise be anchored at one shared handle) for the read to be atomic across both.
@@ -416,47 +356,6 @@ mod tests {
         let cross_labels: std::collections::HashSet<_> =
             CrossQueryKind::all().iter().map(|k| k.label()).collect();
         assert_eq!(cross_labels.len(), 2);
-        let temporal_labels: std::collections::HashSet<_> =
-            TemporalQueryKind::all().iter().map(|k| k.label()).collect();
-        assert_eq!(temporal_labels.len(), 2);
-    }
-
-    #[test]
-    fn temporal_queries_read_history_not_the_present() {
-        let camera = Camera::new();
-        let tree = Nbbst::new_versioned(&camera);
-        for k in 1..=64u64 {
-            tree.insert(k, k);
-        }
-        let past = camera.take_snapshot().raw();
-        let _anchor = camera.anchor_at("temporal-test", past).unwrap();
-        for k in 65..=128u64 {
-            tree.insert(k, k);
-        }
-        tree.remove(1);
-        let now = camera.take_snapshot().raw();
-
-        // As-of replays the old state: the composed batch sees key 1 and none past 64.
-        let asof = run_temporal_query(&tree, TemporalQueryKind::AsOf, past, now, 0, 64).unwrap();
-        let frozen = tree.view_at(past).unwrap();
-        let expected = run_query_on_view(&frozen, QueryKind::Composed { n: 5 }, 0, 64);
-        assert_eq!(asof, expected);
-
-        // Diff summarizes exactly the mutations between the two timestamps:
-        // 64 inserts + 1 removal, no value changes.
-        let diff = run_temporal_query(&tree, TemporalQueryKind::Diff, past, now, 0, 128).unwrap();
-        assert_eq!(diff.observed, 65);
-
-        // Missing history is an error, not a guess.
-        assert!(matches!(
-            run_temporal_query(&tree, TemporalQueryKind::AsOf, now + 100, now + 100, 0, 64),
-            Err(RetentionError::InFuture { .. })
-        ));
-        let plain = Nbbst::new_plain();
-        assert!(matches!(
-            run_temporal_query(&plain, TemporalQueryKind::Diff, 0, 1, 0, 64),
-            Err(RetentionError::Unsupported)
-        ));
     }
 
     #[test]

@@ -14,7 +14,17 @@ pub type Key = u64;
 /// Value type stored with each key.
 pub type Value = u64;
 
+/// Largest key every map accepts: `Key::MAX - 2`. The leaf-oriented trees ([`crate::Nbbst`]
+/// and the baselines built on it) keep their two sentinel leaves at `Key::MAX - 1` and
+/// `Key::MAX`.
+pub const MAX_KEY: Key = Key::MAX - 2;
+
 /// A concurrent ordered map / set supporting linearizable point operations.
+///
+/// Keys range over `0..=MAX_KEY`. Keys above [`MAX_KEY`] are outside the trees' domain:
+/// their `insert` panics, while `get`, `contains` and `remove` treat such a key as absent.
+/// The other maps accept every `u64`, so a caller that drives several maps through this
+/// trait keeps its keys at or below `MAX_KEY`.
 pub trait ConcurrentMap: Send + Sync {
     /// Inserts `key` with `value`; returns `false` if the key was already present.
     fn insert(&self, key: Key, value: Value) -> bool;

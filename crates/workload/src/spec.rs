@@ -50,123 +50,20 @@ impl KeySkew {
     }
 }
 
-/// Parameters of the `hashmap` workload scenario: how the table is sized relative to the
-/// spec's `initial_size`, and how large the atomic `multi_get` batches are.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HashMapScenario {
-    /// Target load factor (keys per bucket); the bucket count is
-    /// `initial_size / load_factor` rounded up to a power of two.
-    pub load_factor: f64,
-    /// Number of keys per `multi_get` batch issued in the range-query slot of the mix.
-    pub multi_get_batch: usize,
+/// Keys per bucket the hash-map runs size their tables for (see [`bucket_count`]).
+const LOAD_FACTOR: f64 = 0.75;
+
+/// Keys per atomic `multi_get` batch that a hash map's range slot issues (see
+/// `driver::RangeSlot`).
+pub const MULTI_GET_BATCH: usize = 16;
+
+/// Bucket count for a hash table prefilled to `initial_size` keys at a load factor of
+/// 0.75 keys per bucket: `initial_size / 0.75` rounded up to a power of two.
+pub fn bucket_count(initial_size: u64) -> usize {
+    vcas_structures::VcasHashMap::buckets_for(initial_size.max(1), LOAD_FACTOR)
 }
 
-impl Default for HashMapScenario {
-    fn default() -> Self {
-        HashMapScenario { load_factor: 0.75, multi_get_batch: 16 }
-    }
-}
-
-impl HashMapScenario {
-    /// Bucket count for a table prefilled to `initial_size` keys at this load factor.
-    pub fn bucket_count(&self, initial_size: u64) -> usize {
-        vcas_structures::VcasHashMap::buckets_for(initial_size.max(1), self.load_factor)
-    }
-}
-
-/// Parameters of the `reclaim` workload scenario (see `driver::run_reclaim`): update-heavy
-/// writers hammer a versioned BST that is registered for automatic version-list
-/// reclamation, while one long-pinned reader holds a snapshot open across the whole run.
-/// The driver asserts that the pinned view keeps reading its exact timestamp throughout,
-/// and that per-cell version counts are bounded once the pin drops and collection reaches
-/// quiescence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReclaimScenario {
-    /// How reclamation is driven during the timed window
-    /// ([`vcas_core::ReclaimPolicy::Disabled`] reproduces the leak the subsystem fixes —
-    /// collection then only happens in the driver's final quiescence sweep).
-    pub policy: vcas_core::ReclaimPolicy,
-    /// How many times the pinned reader re-validates its frozen answers during the window.
-    pub reader_checks: u32,
-}
-
-impl Default for ReclaimScenario {
-    fn default() -> Self {
-        ReclaimScenario {
-            policy: vcas_core::ReclaimPolicy::Amortized { every_n_updates: 128, budget: 64 },
-            reader_checks: 8,
-        }
-    }
-}
-
-/// Distribution of range-query widths (number of keys spanned) used by the range slot of
-/// the `skiplist` scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeWidth {
-    /// Every range query spans exactly this many keys.
-    Fixed(u64),
-    /// Widths drawn uniformly from `[min, max]` per query.
-    Uniform {
-        /// Smallest width drawn (clamped to at least 1).
-        min: u64,
-        /// Largest width drawn (clamped to at least `min`).
-        max: u64,
-    },
-}
-
-impl RangeWidth {
-    /// Draws one range width (at least 1) under this distribution.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        match *self {
-            RangeWidth::Fixed(w) => w.max(1),
-            RangeWidth::Uniform { min, max } => {
-                let lo = min.max(1);
-                rng.gen_range(lo..=max.max(lo))
-            }
-        }
-    }
-
-    /// Compact label, e.g. `w64` or `w16-256`.
-    pub fn label(&self) -> String {
-        match self {
-            RangeWidth::Fixed(w) => format!("w{w}"),
-            RangeWidth::Uniform { min, max } => format!("w{min}-{max}"),
-        }
-    }
-}
-
-/// Parameters of the `skiplist` workload scenario (see `driver::run_skiplist`): mixed
-/// writers (the spec's insert/delete/find percentages) hammer a versioned skip list with
-/// automatic reclamation installed, and the mix's **range slot** issues streaming range
-/// scans (`range_iter`) whose widths are drawn from a configurable distribution —
-/// optionally interleaved with full scan-while-update iterations. One long-pinned reader
-/// (the driver thread) freezes a set of range answers at the window's start and
-/// re-validates them throughout; teardown asserts exact node conservation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SkipListScenario {
-    /// How reclamation is driven during the timed window.
-    pub policy: vcas_core::ReclaimPolicy,
-    /// How many times the pinned reader re-validates its frozen range answers.
-    pub reader_checks: u32,
-    /// Distribution the range slot draws each query's width from.
-    pub range_width: RangeWidth,
-    /// Every `scan_every`-th operation of a worker is a full streaming scan of the list
-    /// (scan-while-update); `0` disables full scans.
-    pub scan_every: u64,
-}
-
-impl Default for SkipListScenario {
-    fn default() -> Self {
-        SkipListScenario {
-            policy: vcas_core::ReclaimPolicy::Amortized { every_n_updates: 128, budget: 64 },
-            reader_checks: 8,
-            range_width: RangeWidth::Uniform { min: 16, max: 256 },
-            scan_every: 512,
-        }
-    }
-}
-
-/// Which flavor of time-travel queries the readers of the `timetravel` scenario issue
+/// Which flavor of time-travel queries the reader of the `timetravel` scenario issues
 /// (see `driver::run_timetravel`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeTravelMode {
@@ -178,72 +75,12 @@ pub enum TimeTravelMode {
     /// the diff *reconciles* — applying it to the older anchor's model reproduces the
     /// newer anchor's model exactly.
     Diff,
-    /// Cached as-of queries: readers go through a `QueryCache`, and the driver asserts
-    /// cached answers equal uncached ones and that a positive hit rate was achieved.
-    Cached,
 }
 
 impl TimeTravelMode {
     /// Every mode, in reporting order.
-    pub fn all() -> [TimeTravelMode; 3] {
-        [TimeTravelMode::AsOf, TimeTravelMode::Diff, TimeTravelMode::Cached]
-    }
-
-    /// The label used in figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TimeTravelMode::AsOf => "asof",
-            TimeTravelMode::Diff => "diff",
-            TimeTravelMode::Cached => "cached",
-        }
-    }
-}
-
-/// Parameters of the `timetravel` workload scenario (see `driver::run_timetravel`):
-/// writers advance history on a versioned BST with automatic reclamation installed,
-/// while the driver holds a ladder of named anchors and keeps issuing as-of / diff /
-/// cached queries against them, asserting anchored history stays frozen and is released
-/// (and reclaimed) once the last anchor drops.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeTravelScenario {
-    /// Which query flavor the reader issues each round.
-    pub mode: TimeTravelMode,
-    /// Number of named anchors in the ladder (epochs of retained history).
-    pub anchors: usize,
-    /// How many reader rounds re-validate the anchors during the timed window.
-    pub reader_checks: u32,
-    /// How reclamation is driven during the window; anchors must survive it regardless.
-    pub policy: vcas_core::ReclaimPolicy,
-}
-
-impl Default for TimeTravelScenario {
-    fn default() -> Self {
-        TimeTravelScenario {
-            mode: TimeTravelMode::AsOf,
-            anchors: 4,
-            reader_checks: 4,
-            policy: vcas_core::ReclaimPolicy::Amortized { every_n_updates: 128, budget: 64 },
-        }
-    }
-}
-
-/// Parameters of the `composed` workload scenario: view-driven query execution against a
-/// BST and a hash map sharing one camera (see `driver::run_composed`). Each query thread
-/// repeatedly takes one *group snapshot*, opens one view per structure at the shared
-/// timestamp, and amortizes a batch of queries over those views.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ComposedScenario {
-    /// Number of Table-2 sub-queries run against each opened tree view
-    /// (`QueryKind::Composed { n }`).
-    pub queries_per_view: usize,
-    /// Number of cross-structure queries (hash map + BST at the shared timestamp) run per
-    /// group snapshot.
-    pub cross_per_snapshot: usize,
-}
-
-impl Default for ComposedScenario {
-    fn default() -> Self {
-        ComposedScenario { queries_per_view: 16, cross_per_snapshot: 2 }
+    pub fn all() -> [TimeTravelMode; 2] {
+        [TimeTravelMode::AsOf, TimeTravelMode::Diff]
     }
 }
 
@@ -287,6 +124,33 @@ impl Mix {
     pub fn label(&self) -> String {
         format!("{}i-{}d-{}f-{}rq", self.insert, self.delete, self.find(), self.range)
     }
+
+    /// Draws one operation with this mix's percentages.
+    pub(crate) fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Op {
+        let dice = rng.gen_range(0..100u32);
+        if dice < self.insert {
+            Op::Insert
+        } else if dice < self.insert + self.delete {
+            Op::Delete
+        } else if dice < self.insert + self.delete + self.range {
+            Op::Range
+        } else {
+            Op::Find
+        }
+    }
+}
+
+/// One operation drawn from a [`Mix`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    /// Insert the drawn key.
+    Insert,
+    /// Remove the drawn key.
+    Delete,
+    /// The range slot: a multi-point query anchored at the drawn key.
+    Range,
+    /// Look the drawn key up.
+    Find,
 }
 
 /// Parameters of one timed workload run.
@@ -359,6 +223,23 @@ mod tests {
     }
 
     #[test]
+    fn draws_follow_the_mix() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(DEFAULT_SEED);
+        let mix = Mix { insert: 30, delete: 20, range: 10 };
+        let mut counts = [0u32; 4];
+        for _ in 0..10_000 {
+            counts[mix.draw(&mut rng) as usize] += 1;
+        }
+        // Expected 3000 / 2000 / 1000 / 4000; each within 10% of its share.
+        for (got, want) in counts.into_iter().zip([3000u32, 2000, 1000, 4000]) {
+            assert!(got.abs_diff(want) < want / 10, "{counts:?}");
+        }
+        let updates = Mix { insert: 50, delete: 50, range: 0 };
+        assert!((0..1000).all(|_| matches!(updates.draw(&mut rng), Op::Insert | Op::Delete)));
+    }
+
+    #[test]
     fn seed_is_explicit_and_overridable() {
         let spec = WorkloadSpec::new(1, 100, Mix::lookup_heavy());
         assert_eq!(spec.seed, DEFAULT_SEED);
@@ -393,12 +274,9 @@ mod tests {
 
     #[test]
     fn hashmap_scenario_sizes_the_table() {
-        let s = HashMapScenario::default();
-        assert!((s.load_factor - 0.75).abs() < 1e-9);
         // 1000 keys at load factor 0.75 -> 1334 buckets -> rounded up to 2048.
-        assert_eq!(s.bucket_count(1000), 2048);
-        let packed = HashMapScenario { load_factor: 8.0, multi_get_batch: 4 };
-        assert_eq!(packed.bucket_count(1000), 128);
+        assert_eq!(bucket_count(1000), 2048);
+        assert_eq!(bucket_count(0), 2, "an empty table still gets its buckets");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Differential test of the multi-point query surface: every `AtomicRangeMap` contender
 //! answers `range`, `find_if`, `successors`, `multi_get` and a view's `len` exactly as a
-//! `BTreeMap` does, on edge arguments — `lo > hi`, 0, `Key::MAX - 1`, `Key::MAX`, and a
-//! `count` of 0. The structures are quiescent, so every answer is deterministic.
+//! `BTreeMap` does, on edge arguments — `lo > hi`, 0, `MAX_KEY`, `Key::MAX - 1`,
+//! `Key::MAX`, and a `count` of 0 — with the two largest legal keys stored next to the
+//! tree's sentinels. The structures are quiescent, so every answer is deterministic.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use vcas_repro::structures::traits::{Key, Value};
+use vcas_repro::structures::traits::{Key, Value, MAX_KEY};
 use vcas_repro::structures::{
     AtomicRangeMap, DcBst, HarrisList, LockBst, LockHashMap, Nbbst, VcasHashMap, VcasSkipList,
 };
@@ -26,7 +27,7 @@ fn contenders() -> Vec<(&'static str, Box<dyn AtomicRangeMap>)> {
 }
 
 /// Query arguments at and around the edges of the key space and of the stored keys.
-const EDGES: [Key; 8] = [0, 1, 2, 5, 10, 11, Key::MAX - 1, Key::MAX];
+const EDGES: [Key; 9] = [0, 1, 2, 5, 10, 11, MAX_KEY, Key::MAX - 1, Key::MAX];
 
 fn model_range(model: &BTreeMap<Key, Value>, lo: Key, hi: Key) -> Vec<(Key, Value)> {
     if lo > hi {
@@ -95,12 +96,13 @@ fn every_contender_matches_a_btreemap_on_edge_arguments() {
     for (name, map) in contenders() {
         let mut model = BTreeMap::new();
         assert_matches_model(name, map.as_ref(), &model);
-        for k in 1..=10 {
-            assert!(map.insert(k, k * 10), "{name}: insert({k})");
-            model.insert(k, k * 10);
+        for k in (1..=10).chain([MAX_KEY - 1, MAX_KEY]) {
+            assert!(map.insert(k, k.wrapping_mul(10)), "{name}: insert({k})");
+            model.insert(k, k.wrapping_mul(10));
         }
         assert_matches_model(name, map.as_ref(), &model);
-        // Removes 1, 2, 5 and 10; every other edge is absent (for the tree, a sentinel).
+        // Removes 1, 2, 5, 10 and MAX_KEY; every other edge is absent (for the tree, a
+        // sentinel).
         for k in EDGES {
             assert_eq!(map.remove(k), model.remove(&k).is_some(), "{name}: remove({k})");
         }

@@ -12,7 +12,7 @@ use vcas_repro::core::reclaim::Collectible;
 use vcas_repro::core::{Camera, ReclaimPolicy};
 use vcas_repro::structures::MapSnapshotView;
 use vcas_repro::structures::{Nbbst, VcasHashMap};
-use vcas_repro::workload::{run_reclaim, Mix, ReclaimScenario, WorkloadSpec};
+use vcas_repro::workload::{run_reclaim, Mix, WorkloadSpec};
 
 const KEYS: u64 = 96;
 
@@ -179,7 +179,7 @@ fn reclaim_scenario_holds_for_every_policy() {
     ] {
         let mut spec = WorkloadSpec::new(2, 120, Mix::update_heavy());
         spec.duration_ms = 50;
-        let r = run_reclaim(&spec, &ReclaimScenario { policy, reader_checks: 3 });
+        let r = run_reclaim(&spec, policy);
         assert!(r.updates.operations > 0, "{policy:?}: writers made no progress");
         assert!(r.versions_retired > 0, "{policy:?}: nothing was ever reclaimed");
         assert_eq!(

@@ -220,7 +220,7 @@ fn workload_harness_drives_every_structure() {
         spec.duration_ms = 40;
         spec.range_size = 32;
         let name = map.name();
-        let t = run_mixed(map, &spec);
+        let t = run_mixed(map.as_ref(), &spec);
         assert!(t.operations > 0, "{name} performed no operations");
     }
 }
