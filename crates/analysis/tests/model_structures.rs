@@ -16,7 +16,8 @@
 //! separate reclamation paths):
 //!
 //! * Harris list: `remove`'s logical-delete mark and `insert`'s publish both target the
-//!   same predecessor's `next` word;
+//!   same predecessor's `next` word; the one-bucket hash map runs the same race on a
+//!   bucket, whose head cell takes the remove's unlink CAS;
 //! * EFRB BST: `remove`'s mark on the parent's `update` word races `insert`'s iflag on
 //!   the same word, forcing the flag/mark/unflag helping dance;
 //! * skip list: `insert`'s level-0 publish and `remove`'s level-0 mark race on one
@@ -37,7 +38,7 @@
 use std::sync::Arc;
 
 use vcas_core::{Camera, Mode, VersionedCas};
-use vcas_structures::{HarrisList, Nbbst, VcasSkipList};
+use vcas_structures::{ConcurrentMap, HarrisList, Nbbst, VcasHashMap, VcasSkipList};
 
 use vcas_sync::model::{self, Config, Report};
 
@@ -121,7 +122,9 @@ fn check_elide_neutral(name: &str, report: Report) {
 /// the same predecessor — both CAS node 2's `next` word. In every interleaving both
 /// operations succeed, key 3 survives, and key 2 is gone. Run once per mode: the plain
 /// list retires the unlinked node at the unlink CAS, the versioned one through its counter.
-fn list_mark_vs_insert<M: Mode>(name: &str, make: fn() -> HarrisList<M>) {
+/// The one-bucket hash map runs the same list code on a bucket head cell: keys 2 and 3
+/// share the bucket, and the remove's unlink CAS lands on the head cell.
+fn list_mark_vs_insert<T: ConcurrentMap + 'static>(name: &str, make: fn() -> T) {
     prewarm();
     let report = model::explore(cfg(), move || {
         let list = Arc::new(make());
@@ -150,6 +153,18 @@ fn list_mark_vs_insert_same_predecessor() {
 #[test]
 fn list_mark_vs_insert_same_predecessor_plain() {
     list_mark_vs_insert("list_mark_vs_insert_same_predecessor_plain", HarrisList::new_plain);
+}
+
+#[test]
+fn hashmap_one_bucket_mark_vs_insert() {
+    list_mark_vs_insert("hashmap_one_bucket_mark_vs_insert", || {
+        VcasHashMap::new_versioned(&Camera::new(), 1)
+    });
+}
+
+#[test]
+fn hashmap_one_bucket_mark_vs_insert_plain() {
+    list_mark_vs_insert("hashmap_one_bucket_mark_vs_insert_plain", || VcasHashMap::new_plain(1));
 }
 
 /// EFRB BST: `remove(1)`'s dflag/mark races `insert(2)`'s iflag on the same internal

@@ -411,7 +411,8 @@ impl Camera {
     }
 
     /// Total data-structure nodes freed directly by a structure: a node that lost its
-    /// publication race, or a sentinel freed by the structure's destructor.
+    /// publication race, or a BST or skip-list sentinel freed by the structure's
+    /// destructor.
     pub fn nodes_dropped(&self) -> u64 {
         self.reclaim.nodes_dropped()
     }
@@ -434,7 +435,7 @@ impl Camera {
     }
 
     /// Records `n` data-structure nodes freed directly by a structure (failed publication,
-    /// sentinel teardown; see [`Camera::nodes_dropped`]).
+    /// BST or skip-list sentinel teardown; see [`Camera::nodes_dropped`]).
     pub fn note_nodes_dropped(&self, n: u64) {
         self.reclaim.note_nodes_dropped(n);
     }

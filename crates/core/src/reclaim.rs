@@ -153,19 +153,6 @@ pub enum ReclaimPolicy {
         /// Cells truncated per structure per sweep.
         budget: usize,
     },
-    /// A background [`Collector`] that tunes its own interval: after each sweep it
-    /// compares [`Camera::approx_live_versions`] with the previous sweep's value and
-    /// halves the interval when live versions grew (it is falling behind) or doubles it
-    /// when they shrank (it is winning and can back off), floored at 1ms and capped at
-    /// `max(initial_interval_ms, 1024)`. Services get reclamation that tracks their
-    /// version production rate without hand-tuning `interval_ms`.
-    Adaptive {
-        /// Starting sleep between sweeps, in milliseconds (also the baseline for the
-        /// interval cap).
-        initial_interval_ms: u64,
-        /// Cells truncated per structure per sweep.
-        budget: usize,
-    },
 }
 
 impl ReclaimPolicy {
@@ -187,24 +174,6 @@ impl ReclaimPolicy {
                 camera.set_amortized_reclaim(0, 0);
                 Some(Collector::start(camera.clone(), Duration::from_millis(interval_ms), budget))
             }
-            ReclaimPolicy::Adaptive { initial_interval_ms, budget } => {
-                camera.set_amortized_reclaim(0, 0);
-                Some(Collector::start_adaptive(
-                    camera.clone(),
-                    Duration::from_millis(initial_interval_ms),
-                    budget,
-                ))
-            }
-        }
-    }
-
-    /// Compact label for bench output (`none` / `amortized` / `background` / `adaptive`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReclaimPolicy::Disabled => "none",
-            ReclaimPolicy::Amortized { .. } => "amortized",
-            ReclaimPolicy::Background { .. } => "background",
-            ReclaimPolicy::Adaptive { .. } => "adaptive",
         }
     }
 }
@@ -284,8 +253,9 @@ pub(crate) struct ReclaimState {
     /// Data-structure nodes retired because their version-held reference count hit zero
     /// (see [`crate::versioned_ptr::VersionReferenced`]).
     nodes_retired: AtomicU64,
-    /// Data-structure nodes freed directly by a structure (failed publication, sentinels
-    /// at structure drop) rather than through the reference-count protocol.
+    /// Data-structure nodes freed directly by a structure (failed publication, the BST's
+    /// and the skip list's sentinels at structure drop) rather than through the
+    /// reference-count protocol.
     nodes_dropped: AtomicU64,
 }
 
@@ -612,9 +582,6 @@ impl ReclaimState {
 /// left mid-flight.
 pub struct Collector {
     stop: Arc<AtomicBool>,
-    /// Current sweep interval in milliseconds (constant for [`Collector::start`], tuned
-    /// by the thread for [`Collector::start_adaptive`]); shared for observability.
-    interval_ms: Arc<AtomicU64>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -623,28 +590,12 @@ impl Collector {
     /// structure every `interval` (floored at 1ms — a zero interval would busy-spin the
     /// thread, starving everything else on small machines).
     pub fn start(camera: Arc<Camera>, interval: Duration, budget: usize) -> Collector {
-        Self::spawn(camera, interval, budget, false)
-    }
-
-    /// Spawns a *self-tuning* collector: after each sweep the interval is halved when
-    /// [`Camera::approx_live_versions`] grew since the previous sweep (production is
-    /// outpacing collection) and doubled when it shrank, floored at 1ms and capped at
-    /// `max(initial interval, 1024ms)`. See [`ReclaimPolicy::Adaptive`].
-    pub fn start_adaptive(camera: Arc<Camera>, initial: Duration, budget: usize) -> Collector {
-        Self::spawn(camera, initial, budget, true)
-    }
-
-    fn spawn(camera: Arc<Camera>, interval: Duration, budget: usize, adaptive: bool) -> Collector {
         let interval = interval.max(Duration::from_millis(1));
-        let max_interval_ms = (interval.as_millis() as u64).max(1024);
         let stop = Arc::new(AtomicBool::new(false));
-        let interval_ms = Arc::new(AtomicU64::new(interval.as_millis() as u64));
         let stop_flag = stop.clone();
-        let interval_shared = interval_ms.clone();
         let handle = std::thread::Builder::new()
             .name("vcas-collector".to_string())
             .spawn(move || {
-                let mut last_live = camera.approx_live_versions();
                 // ORDERING: stop-flag — the collector only needs to observe the flag
                 // eventually; `stop()` joins the thread, which synchronizes the exit.
                 while !stop_flag.load(Ordering::Relaxed) {
@@ -655,22 +606,7 @@ impl Collector {
                     // Push the retired version nodes through the epoch machinery so memory
                     // is actually returned, not just unlinked.
                     vcas_ebr::flush();
-                    // ORDERING: diag-counter — the interval cell is a tuning/observability
-                    // value; no other data is published under it.
-                    let mut cur = interval_shared.load(Ordering::Relaxed);
-                    if adaptive {
-                        let live = camera.approx_live_versions();
-                        if live > last_live {
-                            cur = (cur / 2).max(1);
-                        } else if live < last_live {
-                            cur = (cur * 2).min(max_interval_ms);
-                        }
-                        // ORDERING: diag-counter — as above.
-                        interval_shared.store(cur, Ordering::Relaxed);
-                        last_live = live;
-                    }
                     // Sleep in small steps so stop() stays responsive.
-                    let interval = Duration::from_millis(cur);
                     let step = Duration::from_millis(2).min(interval);
                     let mut slept = Duration::ZERO;
                     // ORDERING: stop-flag — as above.
@@ -681,14 +617,7 @@ impl Collector {
                 }
             })
             .expect("failed to spawn vcas-collector thread");
-        Collector { stop, interval_ms, handle: Some(handle) }
-    }
-
-    /// The collector's current sweep interval in milliseconds — constant for
-    /// [`Collector::start`], live-tuned for [`Collector::start_adaptive`].
-    pub fn current_interval_ms(&self) -> u64 {
-        // ORDERING: diag-counter — observability read of the tuned interval.
-        self.interval_ms.load(Ordering::Relaxed)
+        Collector { stop, handle: Some(handle) }
     }
 
     /// Signals the collector thread to exit and joins it.
@@ -1086,48 +1015,6 @@ mod tests {
         collector.stop();
     }
 
-    /// Satellite regression (ROADMAP "Adaptive reclaim policy", first cut): the adaptive
-    /// collector halves its interval while live versions grow across sweeps (it is losing
-    /// ground) and doubles it back once they shrink, floored at 1ms — no hand-tuned
-    /// `interval_ms`.
-    #[test]
-    fn adaptive_collector_tunes_its_interval_to_the_load() {
-        const INITIAL_MS: u64 = 64;
-        let camera = Camera::new();
-        // Many cells + budget 1: each sweep retires at most one cell's list, so under
-        // churn the collector demonstrably falls behind, and after churn stops it has a
-        // long tail of shrinking sweeps during which it backs off.
-        let cells = Arc::new(Cells::new(&camera, 64));
-        camera.register_collectible(&cells);
-        let collector = ReclaimPolicy::Adaptive { initial_interval_ms: INITIAL_MS, budget: 1 }
-            .install(&camera)
-            .expect("adaptive policy starts a collector");
-        assert_eq!(collector.current_interval_ms(), INITIAL_MS);
-
-        // Outpace the collector until it reacts by shrinking the interval.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while collector.current_interval_ms() >= INITIAL_MS {
-            assert!(std::time::Instant::now() < deadline, "interval never shrank under load");
-            let guard = pin();
-            cells.churn(2, &guard);
-        }
-
-        // Load stops; from here live versions only shrink (or hold), so the interval only
-        // grows (or holds) — and the dirty-cell backlog guarantees shrinking sweeps
-        // remain. Wait for at least one doubling past the level observed now.
-        let floor = collector.current_interval_ms();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while collector.current_interval_ms() <= floor {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "interval never backed off after the load stopped (floor {floor}ms)"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(collector.current_interval_ms() >= 1);
-        collector.stop();
-    }
-
     #[test]
     fn counters_track_created_and_retired() {
         let camera = Camera::new();
@@ -1142,16 +1029,5 @@ mod tests {
         let retired = cell.collect_before(camera.min_active(), &guard);
         assert_eq!(retired as u64, camera.versions_retired());
         assert_eq!(camera.approx_live_versions(), 11 - retired as u64);
-    }
-
-    #[test]
-    fn policy_labels_are_stable() {
-        assert_eq!(ReclaimPolicy::Disabled.label(), "none");
-        assert_eq!(ReclaimPolicy::Amortized { every_n_updates: 1, budget: 1 }.label(), "amortized");
-        assert_eq!(ReclaimPolicy::Background { interval_ms: 1, budget: 1 }.label(), "background");
-        assert_eq!(
-            ReclaimPolicy::Adaptive { initial_interval_ms: 1, budget: 1 }.label(),
-            "adaptive"
-        );
     }
 }

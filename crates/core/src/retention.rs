@@ -145,7 +145,7 @@ impl std::error::Error for RetentionError {}
 ///
 /// While any clone of an anchor is alive, every collection pass retains the versions
 /// needed to answer `view_at(anchor.timestamp())` exactly — under any
-/// [`crate::ReclaimPolicy`] (amortized hooks, background collector, adaptive). Dropping
+/// [`crate::ReclaimPolicy`] (amortized hooks or background collector). Dropping
 /// the last clone releases the pin; the next collection pass may then reclaim the
 /// history (subject to the camera's [`RetentionPolicy`] and other pins).
 ///

@@ -2,23 +2,23 @@
 //! pointer-cell [`Mode`]: `VcasHashMap<Versioned>` (the default) is the snapshot-capable
 //! table, `VcasHashMap<Plain>` ([`VcasHashMap::new_plain`]) its unversioned twin.
 //!
-//! The table is a fixed, power-of-two array of buckets; each bucket is a
-//! [`HarrisList`] holding the keys that hash to it. In versioned mode every bucket's
-//! `next` pointers are vCAS objects and **all buckets share one camera**, so a
-//! multi-point query takes a *single* [`Camera::take_snapshot`] and reads every bucket
-//! at that handle: a [`VcasHashMapView`] (and so [`VcasHashMap::multi_get`]) observes
-//! one timestamp across the whole table, exactly as the paper's recipe prescribes
+//! The table is a fixed, power-of-two array of buckets, and a bucket is nothing but the
+//! head cell of a Harris list holding the keys that hash to it: there is no sentinel node
+//! and no per-bucket state. The table holds one mode (so one camera) and one reclaim
+//! cursor, and runs the list's operations ([`crate::list`]) on the bucket's head cell. In
+//! versioned mode the head cells and every `next` pointer are vCAS objects on that one
+//! camera, so a multi-point query takes a *single* [`Camera::take_snapshot`] and reads
+//! every bucket at that handle: a [`VcasHashMapView`] (and so [`VcasHashMap::multi_get`])
+//! observes one timestamp across the whole table, exactly as the paper's recipe prescribes
 //! (version the pointers whose values determine the abstract state, then snapshot the
 //! camera they are registered with).
 //!
-//! Point operations delegate to the bucket list and keep its lock-freedom and expected
-//! O(1 + load-factor) cost. The table does not resize; choose the bucket count from the
-//! expected size and target load factor via [`VcasHashMap::buckets_for`] (the workload
-//! harness's `bucket_count` does exactly that).
+//! Point operations keep the list's lock-freedom and expected O(1 + load-factor) cost.
+//! The table does not resize; choose the bucket count from the expected size and target
+//! load factor via [`VcasHashMap::buckets_for`] (the workload harness's `bucket_count`
+//! does exactly that).
 
 use std::sync::Arc;
-
-use vcas_core::sync::{AtomicUsize, Ordering};
 
 use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
 use vcas_core::{
@@ -26,7 +26,7 @@ use vcas_core::{
 };
 use vcas_ebr::{pin, Guard};
 
-use crate::list::HarrisList;
+use crate::list::{self, NextCell, ReclaimCursor};
 use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
 use crate::view::{sorted_range, MapSnapshotView, SnapshotSource};
 
@@ -37,12 +37,12 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// camera, so multi-point reads are atomic; plain buckets make them *non-atomic* (the
 /// weakly-consistent baseline, like the plain tree's views).
 pub struct VcasHashMap<M: Mode = Versioned> {
-    /// Power-of-two bucket array; `mask == buckets.len() - 1`.
-    buckets: Box<[HarrisList<M>]>,
+    /// Power-of-two array of bucket head cells; `mask == buckets.len() - 1`.
+    buckets: Box<[NextCell<M>]>,
     mask: u64,
     mode: M,
-    /// Resume bucket for incremental version-list collection ([`Collectible`]).
-    reclaim_bucket: AtomicUsize,
+    /// Resume bucket and key for incremental version-list collection ([`Collectible`]).
+    reclaim_cursor: ReclaimCursor,
 }
 
 impl VcasHashMap<Plain> {
@@ -77,8 +77,9 @@ impl VcasHashMap {
 impl<M: Mode> VcasHashMap<M> {
     fn with_mode(mode: M, buckets: usize) -> VcasHashMap<M> {
         let n = buckets.max(1).next_power_of_two();
-        let buckets = (0..n).map(|_| HarrisList::with_mode(mode.clone())).collect();
-        VcasHashMap { buckets, mask: (n - 1) as u64, mode, reclaim_bucket: AtomicUsize::new(0) }
+        let buckets = (0..n).map(|_| list::empty(&mode)).collect();
+        let reclaim_cursor = ReclaimCursor::default();
+        VcasHashMap { buckets, mask: (n - 1) as u64, mode, reclaim_cursor }
     }
 
     /// The camera associated with a versioned table.
@@ -91,7 +92,7 @@ impl<M: Mode> VcasHashMap<M> {
         self.buckets.len()
     }
 
-    fn bucket_of(&self, key: Key) -> &HarrisList<M> {
+    fn bucket_of(&self, key: Key) -> &NextCell<M> {
         // Multiplicative hash, taking high bits so nearby keys spread across buckets.
         let h = key.wrapping_mul(HASH_MUL);
         &self.buckets[((h >> 32) & self.mask) as usize]
@@ -101,17 +102,17 @@ impl<M: Mode> VcasHashMap<M> {
 
     /// Inserts `key` with `value`; returns `false` if the key was already present.
     pub fn insert(&self, key: Key, value: Value) -> bool {
-        self.bucket_of(key).insert(key, value)
+        list::insert(&self.mode, self.bucket_of(key), key, value)
     }
 
     /// Removes `key`; returns `false` if it was not present.
     pub fn remove(&self, key: Key) -> bool {
-        self.bucket_of(key).remove(key)
+        list::remove(&self.mode, self.bucket_of(key), key)
     }
 
     /// Returns the value associated with `key`, if any.
     pub fn get(&self, key: Key) -> Option<Value> {
-        self.bucket_of(key).get(key)
+        list::get::<M>(self.bucket_of(key), key)
     }
 
     /// Does the map currently contain `key`?
@@ -177,7 +178,7 @@ impl<'a, M: Mode> VcasHashMapView<'a, M> {
 impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
         let bucket = self.map.bucket_of(key);
-        bucket.cursor(self.handle, &self.guard, key, key).next().map(|(_, v)| v)
+        list::cursor::<M>(bucket, self.handle, &self.guard, key, key).next().map(|(_, v)| v)
     }
     /// "Ordered query on a hash map" is definitionally a full scan and a sort.
     fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
@@ -190,66 +191,32 @@ impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
     /// through the list cursor on this view's handle and guard: nothing is materialized.
     fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
         let (handle, guard) = (self.handle, &self.guard);
-        Box::new(self.map.buckets.iter().flat_map(move |b| b.cursor(handle, guard, 0, Key::MAX)))
+        let buckets = self.map.buckets.iter();
+        Box::new(buckets.flat_map(move |b| list::cursor::<M>(b, handle, guard, 0, Key::MAX)))
     }
 }
 
-/// Incremental version-list collection: the budget is spread across buckets round-robin,
-/// resuming at the bucket (and, via each bucket list's own cursor, the position inside it)
-/// where the previous bounded pass stopped. Update hooks need no wiring here — the buckets
-/// are [`HarrisList`]s sharing the table's camera, so their update paths already drive
-/// [`Camera::reclaim_tick`]. Data-node reclamation likewise arrives through the buckets:
-/// every bucket node carries a version-held reference count, so truncating a bucket's
-/// version lists retires nodes whose last reference went (counted into the shared
-/// camera's `nodes_retired`), and dropping the table drops the buckets, whose cascades
-/// free every remaining node — see the node-conservation test in `tests/node_reclaim.rs`.
+/// Incremental version-list collection: the budget is spread across the bucket lists in
+/// order, resuming at the bucket and key where the previous bounded pass stopped. Update
+/// hooks need no wiring here — the list operations drive [`Camera::reclaim_tick`] on the
+/// table's camera. Data-node reclamation likewise comes from the lists: every node carries
+/// a version-held reference count, so truncating a bucket's version lists retires nodes
+/// whose last reference went (counted into the camera's `nodes_retired`), and dropping
+/// the table drops the head cells, whose cascades free every remaining node — see the
+/// node-conservation test in `tests/node_reclaim.rs`.
 impl<M: Mode> Collectible for VcasHashMap<M> {
     fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
-        let mut stats = CollectStats::default();
-        if !M::VERSIONED {
-            stats.completed_cycle = true;
-            return stats;
-        }
-        let n = self.buckets.len();
-        let budget = budget.max(1);
-        // Linear sweep: a pass continues from the cursor toward the last bucket; finishing
-        // bucket n-1 completes the cycle and wraps the cursor to 0. (A circular pass could
-        // never report completion with a budget smaller than the table.)
-        // ORDERING: progress-heuristic — the cursor only decides where the next bounded
-        // pass resumes; truncation itself synchronizes inside the bucket cells.
-        let start = self.reclaim_bucket.load(Ordering::Relaxed).min(n - 1);
-        for idx in start..n {
-            if stats.cells_visited >= budget {
-                // ORDERING: progress-heuristic — as above.
-                self.reclaim_bucket.store(idx, Ordering::Relaxed);
-                return stats;
-            }
-            let slice = self.buckets[idx].collect_cells_bounded(
-                min_active,
-                budget - stats.cells_visited,
-                guard,
-            );
-            stats.cells_visited += slice.cells_visited;
-            stats.versions_retired += slice.versions_retired;
-            if !slice.completed_cycle {
-                // Ran out of budget inside this bucket; its own cursor resumes there.
-                // ORDERING: progress-heuristic — as above.
-                self.reclaim_bucket.store(idx, Ordering::Relaxed);
-                return stats;
-            }
-        }
-        // ORDERING: progress-heuristic — as above.
-        self.reclaim_bucket.store(0, Ordering::Relaxed);
-        stats.completed_cycle = true;
-        stats
+        list::collect_bounded::<M>(&self.buckets, &self.reclaim_cursor, min_active, budget, guard)
     }
 
     fn version_stats(&self, guard: &Guard) -> VersionStats {
-        let mut stats = VersionStats::default();
-        for bucket in self.buckets.iter() {
-            stats.merge(bucket.version_stats_walk(guard));
-        }
-        stats
+        list::version_stats::<M>(&self.buckets, guard)
+    }
+}
+
+impl<M: Mode> Drop for VcasHashMap<M> {
+    fn drop(&mut self) {
+        list::free_chains::<M>(&mut self.buckets);
     }
 }
 
@@ -452,7 +419,7 @@ mod tests {
                 }
             }
         }
-        // The map itself has no update code — its buckets' hooks must have ticked.
+        // The map's updates run the list operations on its buckets, whose hooks tick.
         assert!(camera.versions_retired() > 0, "bucket update hooks never collected");
         let guard = pin();
         let stats = Collectible::version_stats(map.as_ref(), &guard);

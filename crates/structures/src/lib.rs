@@ -18,8 +18,8 @@
 //! * [`queue::MsQueue`] — the Michael–Scott queue, plain and versioned, with atomic scans,
 //!   i-th-element and peek-both-ends queries.
 //! * [`hashmap::VcasHashMap`] — a lock-free open-bucket hash table whose buckets are
-//!   vCAS-versioned Harris lists sharing one camera, so one view reads every bucket at
-//!   one timestamp (plus a plain unversioned mode for the ablation).
+//!   Harris-list head cells, vCAS-versioned on one camera, so one view reads every bucket
+//!   at one timestamp (plus a plain unversioned mode for the ablation).
 //! * [`baselines`] — comparator structures for the evaluation: `DcBst` (double-collect /
 //!   validate-and-retry range queries, the KST / PNB-BST mechanism), `LockBst` (coarse
 //!   reader-writer locking for range queries, the SnapTree mechanism), `LockHashMap`

@@ -3,22 +3,28 @@
 //! list, `HarrisList<Versioned>` (the default, [`HarrisList::new_versioned`]) the
 //! snapshot-capable `VcasList`.
 //!
-//! The mutable state of the list is the `next` pointer of each node, which also carries the
-//! deletion mark in its low tag bit; deletes are linearized when the mark is set. Versioning
-//! exactly those pointers therefore captures the full abstract state, and a query that takes
-//! a snapshot and walks the snapshotted list (skipping marked nodes) is an atomic multi-point
-//! query: range queries, multi-searches, i-th element, and full scans (Table 1 rows for the
-//! Harris linked list).
+//! The mutable state of the list is its head cell and the `next` pointer of each node, which
+//! also carries the deletion mark in its low tag bit; deletes are linearized when the mark
+//! is set. Versioning exactly those pointers therefore captures the full abstract state,
+//! and a query that takes a snapshot and walks the snapshotted list (skipping marked nodes)
+//! is an atomic multi-point query: range queries, multi-searches, i-th element, and full
+//! scans (Table 1 rows for the Harris linked list).
+//!
+//! There is no sentinel node: a list *is* its head cell. The operations below take that
+//! cell from the caller, and the predecessor a search returns is a cell too — the head
+//! cell or a node's `next` — so every CAS goes through one kind of reference. The same
+//! functions serve [`HarrisList`], which holds one head cell, and [`crate::VcasHashMap`],
+//! whose buckets are head cells sharing the table's one mode and reclaim cursor.
 
 use std::sync::Arc;
-use vcas_core::sync::{AtomicU64, Ordering};
+use vcas_core::sync::{AtomicU64, AtomicUsize, Ordering};
 
 use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
 use vcas_core::{
     release_node_ref, Camera, CameraAttached, Managed, Mode, PinnedSnapshot, Plain, PointerCell,
     RetentionError, SnapshotHandle, VersionReferenced, Versioned,
 };
-use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
+use vcas_ebr::{pin, Guard, Owned, Shared};
 
 use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
 use crate::view::{MapSnapshotView, SnapshotSource};
@@ -26,7 +32,7 @@ use crate::view::{MapSnapshotView, SnapshotSource};
 /// Deletion mark stored in the low bit of a node's next pointer.
 const MARK: usize = 1;
 
-struct Node<M: Mode> {
+pub(crate) struct Node<M: Mode> {
     key: Key,
     value: Value,
     next: NextCell<M>,
@@ -36,9 +42,10 @@ struct Node<M: Mode> {
     refs: AtomicU64,
 }
 
-/// A next cell: one word in plain mode, a managed (reference-counting) versioned cell in
-/// versioned mode.
-type NextCell<M> = <M as Mode>::Cell<Node<M>, Managed<Node<M>>>;
+/// A head or next cell: one word in plain mode, a managed (reference-counting) versioned
+/// cell in versioned mode. `M` cannot be inferred from a `NextCell<M>` (it is a projection
+/// through the mode), so calls that pass no mode name it: `get::<M>(head, key)`.
+pub(crate) type NextCell<M> = <M as Mode>::Cell<Node<M>, Managed<Node<M>>>;
 
 impl<M: Mode> Node<M> {
     fn new(key: Key, value: Value, next: NextCell<M>) -> Node<M> {
@@ -57,15 +64,310 @@ unsafe impl<M: Mode> VersionReferenced for Node<M> {
     }
 }
 
+// ----- the Harris operations, over a head cell the caller holds ---------------------------
+
+/// An empty list's head cell.
+pub(crate) fn empty<M: Mode>(mode: &M) -> NextCell<M> {
+    mode.cell(Shared::null()).expect("null is live")
+}
+
+/// Finds the first unmarked node with key `>= key` (null if none) and the cell that points
+/// at it — `head` itself or a node's `next` — unlinking any marked nodes on the way
+/// (Harris/Michael search). The node is returned as the pointer the caller CASes against
+/// and, when non-null, as a reference.
+fn search<'g, M: Mode>(
+    head: &'g NextCell<M>,
+    key: Key,
+    guard: &'g Guard,
+) -> (&'g NextCell<M>, Shared<'g, Node<M>>, Option<&'g Node<M>>) {
+    'retry: loop {
+        let mut pred = head;
+        let mut curr = head.load(guard).with_tag(0);
+        loop {
+            // SAFETY: `curr` was read (tag stripped) from a cell under `guard`, so a
+            // non-null `curr` cannot be freed while we hold the pin.
+            let Some(curr_ref) = (unsafe { curr.as_ref() }) else {
+                return (pred, curr, None);
+            };
+            let succ = curr_ref.next.load(guard);
+            if succ.tag() == MARK {
+                // `curr` is logically deleted: splice it out before continuing.
+                if !pred.compare_exchange(curr, succ.with_tag(0), guard) {
+                    continue 'retry;
+                }
+                if !M::VERSIONED {
+                    // SAFETY: we won the unlink CAS, so this thread is the unique
+                    // retirer of `curr`; readers that still see it are pinned.
+                    unsafe { guard.defer_destroy(curr) };
+                }
+                curr = succ.with_tag(0);
+            } else {
+                if curr_ref.key >= key {
+                    return (pred, curr, Some(curr_ref));
+                }
+                pred = &curr_ref.next;
+                curr = succ.with_tag(0);
+            }
+        }
+    }
+}
+
+/// Inserts `key` into the list at `head`; returns `false` if already present.
+pub(crate) fn insert<M: Mode>(mode: &M, head: &NextCell<M>, key: Key, value: Value) -> bool {
+    let guard = pin();
+    let mut attempts = 0u32;
+    loop {
+        crate::backoff(&mut attempts);
+        let (pred, curr, found) = search::<M>(head, key, &guard);
+        if found.is_some_and(|node| node.key == key) {
+            return false;
+        }
+        // `curr` may have been unlinked and retired since `search` read it.
+        let Some(next) = mode.cell(curr) else { continue };
+        let new = Owned::new(Node::new(key, value, next)).into_shared(&guard);
+        if let Some(camera) = mode.camera() {
+            camera.note_nodes_created(1);
+        }
+        if pred.compare_exchange(curr, new, &guard) {
+            if let Some(camera) = mode.camera() {
+                // Published: `pred`'s new head version holds a counted reference, so
+                // the creator reference is handed off (see [`VersionReferenced`]).
+                release_node_ref(new, camera, &guard);
+                camera.reclaim_tick(&guard);
+            }
+            return true;
+        }
+        // Not published: free and retry. (In versioned mode the node's cell still
+        // holds a counted reference to `curr`; dropping the node releases it.)
+        if let Some(camera) = mode.camera() {
+            camera.note_nodes_dropped(1);
+        }
+        // SAFETY: the publish CAS failed, so `new` was never shared — this thread
+        // still exclusively owns the allocation.
+        unsafe { drop(new.into_owned()) };
+    }
+}
+
+/// Removes `key` from the list at `head`; returns `false` if not present.
+pub(crate) fn remove<M: Mode>(mode: &M, head: &NextCell<M>, key: Key) -> bool {
+    let guard = pin();
+    let mut attempts = 0u32;
+    loop {
+        crate::backoff(&mut attempts);
+        let (pred, curr, found) = search::<M>(head, key, &guard);
+        let Some(node) = found.filter(|node| node.key == key) else { return false };
+        let succ = node.next.load(&guard);
+        if succ.tag() == MARK {
+            continue;
+        }
+        // Logical delete: set the mark bit (the operation's linearization point).
+        #[cfg(not(vcas_weaken_mark))]
+        let mark_won = node.next.compare_exchange(succ, succ.with_tag(MARK), &guard);
+        // Deliberate mutation for the model-checker regression in
+        // crates/analysis/tests/model_structures.rs: treat a lost mark CAS as won, so
+        // a concurrent insert into `node.next` can be silently dropped (stock builds
+        // never set the cfg).
+        #[cfg(vcas_weaken_mark)]
+        let mark_won = {
+            let _ = node.next.compare_exchange(succ, succ.with_tag(MARK), &guard);
+            true
+        };
+        if !mark_won {
+            continue;
+        }
+        // Physical unlink (best effort; search() will finish it otherwise).
+        if pred.compare_exchange(curr, succ.with_tag(0), &guard) && !M::VERSIONED {
+            // SAFETY: we marked `curr` and won the unlink CAS, so this thread is its
+            // unique retirer; readers that still see it are pinned.
+            unsafe { guard.defer_destroy(curr) };
+        }
+        if let Some(camera) = mode.camera() {
+            camera.reclaim_tick(&guard);
+        }
+        return true;
+    }
+}
+
+/// The value stored with `key` in the list at `head`, if present.
+pub(crate) fn get<M: Mode>(head: &NextCell<M>, key: Key) -> Option<Value> {
+    cursor::<M>(head, None, &pin(), key, key).next().map(|(_, v)| v)
+}
+
+/// The list's one ordered cursor: the live pairs with `lo <= key <= hi` in the list at
+/// `head` as of `handle` (the current state when `None`), read under `guard`. Views use
+/// it, and so does the hash map, whose buckets all share one camera: a cross-bucket query
+/// reads every bucket at one handle under one guard. A list has no index, so positioning
+/// at `lo` is `O(position)`, but early-stopping consumers (`get`, `find_if`,
+/// `successors`) never touch the tail.
+pub(crate) fn cursor<'g, M: Mode>(
+    head: &NextCell<M>,
+    handle: Option<SnapshotHandle>,
+    guard: &'g Guard,
+    lo: Key,
+    hi: Key,
+) -> impl Iterator<Item = (Key, Value)> + 'g {
+    walk::<M>(head, handle, guard, hi)
+        .filter(move |&(node, marked)| !marked && node.key >= lo)
+        .map(|(node, _)| (node.key, node.value))
+}
+
+/// The nodes of the list at `head` as of `handle`, in key order up to the first key above
+/// `hi`, each with whether it was marked (deleted) at `handle`. Marked nodes are included:
+/// their cells hold versions too.
+fn walk<'g, M: Mode>(
+    head: &NextCell<M>,
+    handle: Option<SnapshotHandle>,
+    guard: &'g Guard,
+    hi: Key,
+) -> Walk<'g, M> {
+    Walk { curr: head.load_at(handle, guard).with_tag(0), handle, guard, hi }
+}
+
+/// See [`walk`]: one pointer chase per node, and no node is read before the one ahead of
+/// it is taken.
+struct Walk<'g, M: Mode> {
+    /// The next node to examine, or null.
+    curr: Shared<'g, Node<M>>,
+    handle: Option<SnapshotHandle>,
+    guard: &'g Guard,
+    hi: Key,
+}
+
+impl<'g, M: Mode> Iterator for Walk<'g, M> {
+    type Item = (&'g Node<M>, bool);
+
+    fn next(&mut self) -> Option<(&'g Node<M>, bool)> {
+        // SAFETY: `curr` was read from a cell (or version) under `guard`, whose pin — and
+        // the snapshot pin, when historical — outlives the walk.
+        let node = unsafe { self.curr.as_ref() }?;
+        if node.key > self.hi {
+            // Key order: every later node (dead ones included) is larger.
+            self.curr = Shared::null();
+            return None;
+        }
+        let next = node.next.load_at(self.handle, self.guard);
+        self.curr = next.with_tag(0);
+        Some((node, next.tag() == MARK))
+    }
+}
+
+/// Where a bounded collection pass resumes: the index of a head cell and, inside that
+/// cell's list, a key stored as *key + 1*, so that 0 unambiguously means "start at the
+/// head cell" even though 0 is a legal user key.
+#[derive(Default)]
+pub(crate) struct ReclaimCursor {
+    head: AtomicUsize,
+    key: AtomicU64,
+}
+
+impl ReclaimCursor {
+    fn save(&self, head: usize, key: u64) {
+        // ORDERING: progress-heuristic — the cursor only decides where the next bounded
+        // pass resumes; truncation synchronizes inside the cells.
+        self.head.store(head, Ordering::Relaxed);
+        // ORDERING: progress-heuristic — as above.
+        self.key.store(key, Ordering::Relaxed);
+    }
+}
+
+/// Bounded, resumable truncation of the lists at `heads` ([`Collectible::collect_bounded`]
+/// for the list and the hash map): walks each *physical* list (marked nodes included) from
+/// `cursor`, truncating up to `budget` cells under `min_active`. Finishing the last head
+/// completes the cycle and rewinds the cursor. (A circular pass could never report
+/// completion with a budget smaller than the table.)
+pub(crate) fn collect_bounded<M: Mode>(
+    heads: &[NextCell<M>],
+    cursor: &ReclaimCursor,
+    min_active: u64,
+    budget: usize,
+    guard: &Guard,
+) -> CollectStats {
+    let mut stats = CollectStats::default();
+    if !M::VERSIONED {
+        stats.completed_cycle = true;
+        return stats;
+    }
+    let budget = budget.max(1);
+    // ORDERING: progress-heuristic — see `ReclaimCursor::save`.
+    let start = cursor.head.load(Ordering::Relaxed).min(heads.len() - 1);
+    // Resume at the first node with key >= `resume - 1` (inclusive, so the node the
+    // previous pass stalled on — and never collected — is picked up now, guaranteeing
+    // forward progress).
+    // ORDERING: progress-heuristic — as above.
+    let mut resume = cursor.key.load(Ordering::Relaxed);
+    for (idx, head) in heads.iter().enumerate().skip(start) {
+        if resume == 0 {
+            if stats.cells_visited >= budget {
+                cursor.save(idx, 0);
+                return stats;
+            }
+            stats.versions_retired += head.collect_before(min_active, guard);
+            stats.cells_visited += 1;
+        }
+        for (node, _) in walk::<M>(head, None, guard, Key::MAX) {
+            if node.key < resume.saturating_sub(1) {
+                continue;
+            }
+            // Stall only on keys that can be re-encoded unambiguously (key + 1 must not
+            // wrap): a u64::MAX node is simply collected past the budget instead,
+            // overshooting by at most the few such nodes.
+            if stats.cells_visited >= budget && node.key < Key::MAX {
+                cursor.save(idx, node.key + 1);
+                return stats;
+            }
+            stats.versions_retired += node.next.collect_before(min_active, guard);
+            stats.cells_visited += 1;
+        }
+        resume = 0;
+    }
+    cursor.save(0, 0);
+    stats.completed_cycle = true;
+    stats
+}
+
+/// Version-list statistics over every cell of the physical lists at `heads`.
+pub(crate) fn version_stats<M: Mode>(heads: &[NextCell<M>], guard: &Guard) -> VersionStats {
+    let mut stats = VersionStats::default();
+    for head in heads {
+        stats.record_cell(head.version_count(guard));
+        for (node, _) in walk::<M>(head, None, guard, Key::MAX) {
+            stats.record_cell(node.next.version_count(guard));
+        }
+    }
+    stats
+}
+
+/// Frees the nodes the head cells of a dropped plain structure still reach; its unlinked
+/// nodes were retired to EBR at their unlink CAS. A versioned structure needs nothing
+/// here: dropping a head cell releases the references its versions hold, and reclamation
+/// cascades through exactly the nodes that thereby become unreferenced (deferred through
+/// EBR; `vcas_ebr::drain` at a quiescent point settles the counters).
+pub(crate) fn free_chains<M: Mode>(heads: &mut [NextCell<M>]) {
+    if M::VERSIONED {
+        return;
+    }
+    let guard = pin();
+    for head in heads.iter() {
+        let mut curr = head.load(&guard).with_tag(0);
+        while !curr.is_null() {
+            // SAFETY: `&mut` access to the head cells means the structure is being
+            // dropped, so every node on the chain is still allocated (unlinked ones were
+            // retired to EBR, not freed), was allocated via `Owned`, and appears on the
+            // chain exactly once.
+            let node = unsafe { Box::from_raw(curr.as_raw()) };
+            curr = node.next.load(&guard).with_tag(0);
+        }
+    }
+}
+
+// ----- the one-bucket case -----------------------------------------------------------------
+
 /// Harris's sorted linked list (see module docs), `VcasList` unless `M` is [`Plain`].
 pub struct HarrisList<M: Mode = Versioned> {
-    /// Sentinel head node; its key is never examined.
-    head: Atomic<Node<M>>,
+    head: NextCell<M>,
     mode: M,
-    /// Resume point for incremental version-list collection ([`Collectible`]), stored as
-    /// *resume key + 1* so that the value 0 unambiguously means "fresh sweep, include the
-    /// head sentinel" even though 0 is a legal user key.
-    reclaim_cursor: AtomicU64,
+    /// Resume point for incremental version-list collection ([`Collectible`]).
+    reclaim_cursor: ReclaimCursor,
 }
 
 impl HarrisList<Plain> {
@@ -88,15 +390,8 @@ impl HarrisList {
 }
 
 impl<M: Mode> HarrisList<M> {
-    /// An empty list of mode `mode` (also how [`crate::VcasHashMap`] builds its buckets).
-    pub(crate) fn with_mode(mode: M) -> HarrisList<M> {
-        let head = Node::new(0, 0, mode.cell(Shared::null()).expect("null is live"));
-        if let Some(camera) = mode.camera() {
-            // The sentinel keeps its creator reference (it is never held by a version
-            // node) and is freed directly by the destructor.
-            camera.note_nodes_created(1);
-        }
-        HarrisList { head: Atomic::new(head), mode, reclaim_cursor: AtomicU64::new(0) }
+    fn with_mode(mode: M) -> HarrisList<M> {
+        HarrisList { head: empty(&mode), mode, reclaim_cursor: ReclaimCursor::default() }
     }
 
     /// The camera associated with a versioned list.
@@ -104,142 +399,14 @@ impl<M: Mode> HarrisList<M> {
         self.mode.camera()
     }
 
-    /// Amortized reclamation hook, called after each successful update (a no-op unless an
-    /// [`vcas_core::ReclaimPolicy::Amortized`] policy is installed on the camera). Covers
-    /// the hash map too: its buckets are `HarrisList`s sharing the table's camera.
-    #[inline]
-    fn after_update(&self, guard: &Guard) {
-        if let Some(camera) = self.mode.camera() {
-            camera.reclaim_tick(guard);
-        }
-    }
-
-    /// Finds the first unmarked node with key `>= key` and its predecessor, unlinking any
-    /// marked nodes encountered on the way (Harris/Michael search).
-    fn search<'g>(&self, key: Key, guard: &'g Guard) -> (Shared<'g, Node<M>>, Shared<'g, Node<M>>) {
-        'retry: loop {
-            let head = self.head.load(Ordering::SeqCst, guard);
-            let mut pred = head;
-            // SAFETY: the head sentinel is allocated in the constructor and never null;
-            // `guard` pins the epoch for the whole traversal.
-            let mut curr = unsafe { pred.deref() }.next.load(guard).with_tag(0);
-            loop {
-                if curr.is_null() {
-                    return (pred, curr);
-                }
-                // SAFETY: `curr` is non-null (checked above) and was read from a next
-                // cell under `guard`, so it cannot be freed while we hold the pin.
-                let curr_ref = unsafe { curr.deref() };
-                let succ = curr_ref.next.load(guard);
-                if succ.tag() == MARK {
-                    // `curr` is logically deleted: splice it out before continuing.
-                    // SAFETY: `pred` is the head sentinel or a node previously
-                    // dereferenced in this traversal; both outlive `guard`'s pin.
-                    let pred_ref = unsafe { pred.deref() };
-                    if !pred_ref.next.compare_exchange(curr, succ.with_tag(0), guard) {
-                        continue 'retry;
-                    }
-                    if !M::VERSIONED {
-                        // SAFETY: we won the unlink CAS, so this thread is the unique
-                        // retirer of `curr`; readers that still see it are pinned.
-                        unsafe { guard.defer_destroy(curr) };
-                    }
-                    curr = succ.with_tag(0);
-                } else {
-                    if curr_ref.key >= key {
-                        return (pred, curr);
-                    }
-                    pred = curr;
-                    curr = succ.with_tag(0);
-                }
-            }
-        }
-    }
-
     /// Inserts `key`; returns `false` if already present.
     pub fn insert(&self, key: Key, value: Value) -> bool {
-        let guard = pin();
-        let mut attempts = 0u32;
-        loop {
-            crate::backoff(&mut attempts);
-            let (pred, curr) = self.search(key, &guard);
-            // SAFETY: non-null is checked first; `curr` came from `search` under `guard`.
-            if !curr.is_null() && unsafe { curr.deref() }.key == key {
-                return false;
-            }
-            // `curr` may have been unlinked and retired since `search` read it.
-            let Some(next) = self.mode.cell(curr) else { continue };
-            let new = Owned::new(Node::new(key, value, next)).into_shared(&guard);
-            if let Some(camera) = self.mode.camera() {
-                camera.note_nodes_created(1);
-            }
-            // SAFETY: `pred` was returned by `search` under `guard` (head sentinel or a
-            // live-at-read node); the pin keeps it allocated.
-            let pred_ref = unsafe { pred.deref() };
-            if pred_ref.next.compare_exchange(curr, new, &guard) {
-                if let Some(camera) = self.mode.camera() {
-                    // Published: `pred`'s new head version holds a counted reference, so
-                    // the creator reference is handed off (see [`VersionReferenced`]).
-                    release_node_ref(new, camera, &guard);
-                }
-                self.after_update(&guard);
-                return true;
-            }
-            // Not published: free and retry. (In versioned mode the node's cell still
-            // holds a counted reference to `curr`; dropping the node releases it.)
-            if let Some(camera) = self.mode.camera() {
-                camera.note_nodes_dropped(1);
-            }
-            // SAFETY: the publish CAS failed, so `new` was never shared — this thread
-            // still exclusively owns the allocation.
-            unsafe { drop(new.into_owned()) };
-        }
+        insert(&self.mode, &self.head, key, value)
     }
 
     /// Removes `key`; returns `false` if not present.
     pub fn remove(&self, key: Key) -> bool {
-        let guard = pin();
-        let mut attempts = 0u32;
-        loop {
-            crate::backoff(&mut attempts);
-            let (pred, curr) = self.search(key, &guard);
-            // SAFETY: non-null is checked first; `curr` came from `search` under `guard`.
-            if curr.is_null() || unsafe { curr.deref() }.key != key {
-                return false;
-            }
-            // SAFETY: as above — non-null, and the pin keeps the node allocated.
-            let curr_ref = unsafe { curr.deref() };
-            let succ = curr_ref.next.load(&guard);
-            if succ.tag() == MARK {
-                continue;
-            }
-            // Logical delete: set the mark bit (the operation's linearization point).
-            #[cfg(not(vcas_weaken_mark))]
-            let mark_won = curr_ref.next.compare_exchange(succ, succ.with_tag(MARK), &guard);
-            // Deliberate mutation for the model-checker regression in
-            // crates/analysis/tests/model_structures.rs: treat a lost mark CAS as won, so
-            // a concurrent insert into `curr.next` can be silently dropped (stock builds
-            // never set the cfg).
-            #[cfg(vcas_weaken_mark)]
-            let mark_won = {
-                let _ = curr_ref.next.compare_exchange(succ, succ.with_tag(MARK), &guard);
-                true
-            };
-            if !mark_won {
-                continue;
-            }
-            // Physical unlink (best effort; search() will finish it otherwise).
-            // SAFETY: `pred` was returned by `search` under `guard`; the pin keeps it
-            // allocated.
-            let pred_ref = unsafe { pred.deref() };
-            if pred_ref.next.compare_exchange(curr, succ.with_tag(0), &guard) && !M::VERSIONED {
-                // SAFETY: we marked `curr` and won the unlink CAS, so this thread is its
-                // unique retirer; readers that still see it are pinned.
-                unsafe { guard.defer_destroy(curr) };
-            }
-            self.after_update(&guard);
-            return true;
-        }
+        remove(&self.mode, &self.head, key)
     }
 
     /// Does the list contain `key`?
@@ -249,20 +416,7 @@ impl<M: Mode> HarrisList<M> {
 
     /// Returns the value stored with `key`, if present.
     pub fn get(&self, key: Key) -> Option<Value> {
-        let guard = pin();
-        let head = self.head.load(Ordering::SeqCst, &guard);
-        // SAFETY: the head sentinel is never null; `guard` pins the epoch.
-        let mut curr = unsafe { head.deref() }.next.load(&guard).with_tag(0);
-        // SAFETY: `curr` was read (tag stripped) from a next cell under `guard`; a
-        // reachable-at-read node is not freed while the pin is held.
-        while let Some(node) = unsafe { curr.as_ref() } {
-            let next = node.next.load(&guard);
-            if node.key >= key {
-                return (node.key == key && next.tag() != MARK).then_some(node.value);
-            }
-            curr = next.with_tag(0);
-        }
-        None
+        get::<M>(&self.head, key)
     }
 
     // ----- snapshot queries --------------------------------------------------------------
@@ -283,107 +437,18 @@ impl<M: Mode> HarrisList<M> {
     pub fn view_at(&self, ts: u64) -> Result<HarrisListView<'_, M>, RetentionError> {
         Ok(HarrisListView::new(self, Some(self.mode.pin_snapshot_at(ts)?)))
     }
-
-    /// The list's one ordered cursor: the live pairs with `lo <= key <= hi` as of
-    /// `handle` (the current state when `None`), read under `guard`. Views use it, and
-    /// so does [`crate::VcasHashMap`], whose buckets all share one camera: a cross-bucket
-    /// query reads every bucket at one handle under one guard.
-    pub(crate) fn cursor<'g>(
-        &self,
-        handle: Option<SnapshotHandle>,
-        guard: &'g Guard,
-        lo: Key,
-        hi: Key,
-    ) -> ListRangeIter<'g, M> {
-        let head = self.head.load(Ordering::SeqCst, guard);
-        // SAFETY: the head sentinel is never null; `guard` pins the epoch for the
-        // cursor's whole lifetime.
-        let first = unsafe { head.deref() }.next.load_at(handle, guard).with_tag(0);
-        ListRangeIter { curr: first, handle, guard, lo, hi }
-    }
-
-    // ----- incremental version-list collection -------------------------------------------
-
-    /// Bounded, resumable truncation of this list's cells: walks the *physical* list
-    /// (marked nodes included — their cells hold versions too) from the resume cursor,
-    /// truncating up to `budget` cells under `min_active`. Shared between the standalone
-    /// [`Collectible`] impl and [`crate::VcasHashMap`], whose buckets drive it round-robin.
-    pub(crate) fn collect_cells_bounded(
-        &self,
-        min_active: u64,
-        budget: usize,
-        guard: &Guard,
-    ) -> CollectStats {
-        let mut stats = CollectStats::default();
-        if !M::VERSIONED {
-            stats.completed_cycle = true;
-            return stats;
-        }
-        // Cursor encoding: 0 = fresh sweep (head sentinel first); k+1 = resume at the
-        // first node with key >= k (inclusive, so the node the previous pass stalled on —
-        // and never collected — is picked up now, guaranteeing forward progress).
-        // ORDERING: progress-heuristic — the cursor only decides where the next
-        // bounded pass resumes; truncation synchronizes inside the cells.
-        let cursor = self.reclaim_cursor.load(Ordering::Relaxed);
-        let budget = budget.max(1);
-        let head = self.head.load(Ordering::SeqCst, guard);
-        // SAFETY: the head sentinel is never null; `guard` pins the epoch.
-        let head_ref = unsafe { head.deref() };
-        if cursor == 0 {
-            // The head sentinel's next cell is a versioned cell like any other.
-            stats.versions_retired += head_ref.next.collect_before(min_active, guard);
-            stats.cells_visited += 1;
-        }
-        let resume_min = cursor.saturating_sub(1);
-        let mut curr = head_ref.next.load(guard).with_tag(0);
-        // SAFETY: `curr` was read (tag stripped) from a next cell under `guard`.
-        while let Some(node) = unsafe { curr.as_ref() } {
-            let next = node.next.load(guard);
-            if node.key >= resume_min {
-                // Stall only on keys that can be re-encoded unambiguously (key + 1 must
-                // not wrap): a u64::MAX node is simply collected past the budget instead,
-                // overshooting by at most the few such nodes.
-                if stats.cells_visited >= budget && node.key < u64::MAX {
-                    // ORDERING: progress-heuristic — as above.
-                    self.reclaim_cursor.store(node.key + 1, Ordering::Relaxed);
-                    return stats;
-                }
-                stats.versions_retired += node.next.collect_before(min_active, guard);
-                stats.cells_visited += 1;
-            }
-            curr = next.with_tag(0);
-        }
-        // ORDERING: progress-heuristic — as above.
-        self.reclaim_cursor.store(0, Ordering::Relaxed);
-        stats.completed_cycle = true;
-        stats
-    }
-
-    /// Version-list statistics over every cell in the physical list (shared with the hash
-    /// map's per-bucket aggregation).
-    pub(crate) fn version_stats_walk(&self, guard: &Guard) -> VersionStats {
-        let mut stats = VersionStats::default();
-        let mut curr = self.head.load(Ordering::SeqCst, guard);
-        // SAFETY: the walk only follows next cells read under `guard` starting at the
-        // never-null sentinel; the pin keeps every visited node allocated.
-        while let Some(node) = unsafe { curr.with_tag(0).as_ref() } {
-            stats.record_cell(node.next.version_count(guard));
-            curr = node.next.load(guard).with_tag(0);
-        }
-        stats
-    }
 }
 
-/// Incremental version-list collection for a standalone list. (Bucket lists inside a
-/// [`crate::VcasHashMap`] are not registered individually — the map registers itself and
-/// spreads the budget across buckets.)
+/// Incremental version-list collection for a standalone list: the one-head case of the
+/// walk the hash map runs over its buckets.
 impl<M: Mode> Collectible for HarrisList<M> {
     fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
-        self.collect_cells_bounded(min_active, budget, guard)
+        let heads = std::slice::from_ref(&self.head);
+        collect_bounded::<M>(heads, &self.reclaim_cursor, min_active, budget, guard)
     }
 
     fn version_stats(&self, guard: &Guard) -> VersionStats {
-        self.version_stats_walk(guard)
+        version_stats::<M>(std::slice::from_ref(&self.head), guard)
     }
 }
 
@@ -405,49 +470,18 @@ impl<'a, M: Mode> HarrisListView<'a, M> {
         let handle = pinned.as_ref().map(PinnedSnapshot::handle);
         HarrisListView { list, _pin: pinned, handle, guard: pin() }
     }
-}
 
-/// The list's ordered cursor ([`HarrisList::cursor`]): one pointer chase per node, and
-/// no node is read before the pair ahead of it is taken. A list has no index, so
-/// positioning at `lo` is `O(position)`, but early-stopping consumers (`get`, `find_if`,
-/// `successors`) never touch the tail.
-pub(crate) struct ListRangeIter<'g, M: Mode> {
-    /// The next node to examine, or null.
-    curr: Shared<'g, Node<M>>,
-    handle: Option<SnapshotHandle>,
-    guard: &'g Guard,
-    lo: Key,
-    hi: Key,
-}
-
-impl<M: Mode> Iterator for ListRangeIter<'_, M> {
-    type Item = (Key, Value);
-
-    fn next(&mut self) -> Option<(Key, Value)> {
-        // SAFETY: `curr` was read from a next cell (or version) under `guard`, whose pin —
-        // and the snapshot pin, when historical — outlives the cursor.
-        while let Some(node) = unsafe { self.curr.as_ref() } {
-            if node.key > self.hi {
-                // Key order: every later node (dead ones included) is larger.
-                self.curr = Shared::null();
-                return None;
-            }
-            let next = node.next.load_at(self.handle, self.guard);
-            self.curr = next.with_tag(0);
-            if next.tag() != MARK && node.key >= self.lo {
-                return Some((node.key, node.value));
-            }
-        }
-        None
+    fn cursor(&self, lo: Key, hi: Key) -> impl Iterator<Item = (Key, Value)> + '_ {
+        cursor::<M>(&self.list.head, self.handle, &self.guard, lo, hi)
     }
 }
 
 impl<M: Mode> MapSnapshotView for HarrisListView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
-        self.list.cursor(self.handle, &self.guard, key, key).next().map(|(_, v)| v)
+        self.cursor(key, key).next().map(|(_, v)| v)
     }
     fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(self.list.cursor(self.handle, &self.guard, lo, hi))
+        Box::new(self.cursor(lo, hi))
     }
     fn timestamp(&self) -> Option<SnapshotHandle> {
         self.handle
@@ -458,11 +492,8 @@ impl<M: Mode> MapSnapshotView for HarrisListView<'_, M> {
         let Some(&max) = keys.iter().max() else { return Vec::new() };
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
-        let found: Vec<(Key, Value)> = self
-            .list
-            .cursor(self.handle, &self.guard, sorted[0], max)
-            .filter(|(k, _)| sorted.binary_search(k).is_ok())
-            .collect();
+        let found: Vec<(Key, Value)> =
+            self.cursor(sorted[0], max).filter(|(k, _)| sorted.binary_search(k).is_ok()).collect();
         let lookup = |k: &Key| found.binary_search_by_key(k, |&(fk, _)| fk).ok();
         keys.iter().map(|k| lookup(k).map(|i| found[i].1)).collect()
     }
@@ -485,32 +516,7 @@ impl<M: Mode> SnapshotSource for HarrisList<M> {
 
 impl<M: Mode> Drop for HarrisList<M> {
     fn drop(&mut self) {
-        let guard = pin();
-        let head = self.head.load(Ordering::SeqCst, &guard);
-        if let Some(camera) = self.mode.camera() {
-            // Versioned: every non-sentinel node is owned by the version-reference
-            // protocol — freeing the sentinel drops its cell, which releases the
-            // references it held, and reclamation cascades through exactly the nodes that
-            // thereby become unreferenced (deferred through EBR; `vcas_ebr::drain` at a
-            // quiescent point settles the counters). Only the sentinel, which no version
-            // node ever pointed at, is freed — and counted — here.
-            camera.note_nodes_dropped(1);
-            // SAFETY: `&mut self` in Drop is exclusive; the sentinel was allocated
-            // by `Owned::new`/`Atomic::new` in the constructor, is never held by any
-            // version node, and is freed exactly here.
-            unsafe { drop(Box::from_raw(head.with_tag(0).as_raw())) };
-        } else {
-            // Plain: unlinked nodes were retired to EBR when unlinked; free the chain the
-            // current list still reaches, sentinel first.
-            let mut curr = head;
-            while !curr.is_null() {
-                // SAFETY: `&mut self` in Drop is exclusive, so every node on the chain is
-                // still allocated (unlinked ones were retired to EBR, not freed), was
-                // allocated via `Owned`/`Box`, and appears on the chain exactly once.
-                let node = unsafe { Box::from_raw(curr.with_tag(0).as_raw()) };
-                curr = node.next.load(&guard);
-            }
-        }
+        free_chains::<M>(std::slice::from_mut(&mut self.head));
     }
 }
 
@@ -554,16 +560,17 @@ mod tests {
     }
 
     /// Layout budget: key, value, counter and one next cell — a three-word managed cell
-    /// when versioned, one word when plain. The list itself (head, mode, cursor) is
-    /// three words: every hash-map bucket is one.
+    /// when versioned, one word when plain. A bucket is its head cell alone, so a
+    /// hash-map bucket is exactly one such cell.
     #[test]
     fn node_layout_stays_within_budget() {
         let versioned = std::mem::size_of::<Node<Versioned>>();
         assert!(versioned <= 48, "Node<Versioned> is {versioned} B");
         let plain = std::mem::size_of::<Node<Plain>>();
         assert!(plain <= 32, "Node<Plain> is {plain} B");
-        let list = std::mem::size_of::<HarrisList>();
-        assert!(list <= 24, "HarrisList is {list} B");
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<NextCell<Versioned>>(), 3 * word);
+        assert_eq!(std::mem::size_of::<NextCell<Plain>>(), word);
     }
 
     #[test]
@@ -674,7 +681,7 @@ mod tests {
         let min_active = camera.min_active();
         let mut passes = 0;
         loop {
-            let s = list.collect_cells_bounded(min_active, 8, &guard);
+            let s = list.collect_bounded(min_active, 8, &guard);
             passes += 1;
             assert!(passes < 1000, "bounded collection must terminate");
             assert!(s.cells_visited <= 8, "slice exceeded its budget");
@@ -710,7 +717,7 @@ mod tests {
         let min_active = camera.min_active();
         let mut passes = 0;
         loop {
-            let s = list.collect_cells_bounded(min_active, 1, &guard);
+            let s = list.collect_bounded(min_active, 1, &guard);
             passes += 1;
             assert!(passes < 100, "budget-1 collection stalled (cursor aliasing on key 0?)");
             if s.completed_cycle {

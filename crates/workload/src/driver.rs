@@ -1073,12 +1073,11 @@ mod tests {
         let _ = run_composed(tree, map, &spec, 0, 0);
     }
 
-    /// The four reclamation policies the scenario tests run under.
-    const POLICIES: [ReclaimPolicy; 4] = [
+    /// The three reclamation policies the scenario tests run under.
+    const POLICIES: [ReclaimPolicy; 3] = [
         ReclaimPolicy::Disabled,
         ReclaimPolicy::Amortized { every_n_updates: 64, budget: 128 },
         ReclaimPolicy::Background { interval_ms: 2, budget: 512 },
-        ReclaimPolicy::Adaptive { initial_interval_ms: 2, budget: 512 },
     ];
 
     #[test]

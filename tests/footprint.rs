@@ -1,4 +1,5 @@
-//! Exact memory footprint of the EFRB tree, versioned and plain.
+//! Exact memory footprint of the EFRB tree, versioned and plain, and of the versioned
+//! hash map.
 //!
 //! This test binary installs its own counting global allocator, so the bytes a
 //! prefill leaves allocated are known exactly (requested sizes, not allocator slack).
@@ -6,14 +7,14 @@
 //! thread with reclamation `Disabled`, the same regime as the benchmark's
 //! `bst-lookup-large` prefill.
 //!
-//! Run: `cargo test --test footprint -- --nocapture` prints both figures.
+//! Run: `cargo test --test footprint -- --nocapture` prints every figure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use vcas_repro::core::{Camera, Mode, ReclaimPolicy};
-use vcas_repro::structures::MapSnapshotView;
-use vcas_repro::structures::Nbbst;
+use vcas_repro::core::{Camera, ReclaimPolicy};
+use vcas_repro::structures::{ConcurrentMap, Nbbst, SnapshotSource, VcasHashMap};
 
 /// Counts the requested bytes each thread has allocated and not yet freed.
 struct Counting;
@@ -58,24 +59,30 @@ const KEYS: u64 = 1 << LOG_KEYS;
 /// descriptors; the plain tree's internal node is 40 B (one-word child cells).
 const VERSIONED_BUDGET: f64 = 172.0;
 
-/// Live bytes per key left by building a tree of either mode with `make` and prefilling
-/// `KEYS` keys.
+/// Requested bytes per key that a versioned hash map at load factor 0.75 (two buckets
+/// per key, as in the benchmark's `hash-mixed`) may hold after the prefill: 167.9 B/key
+/// measured on x86-64 Linux, plus under 5% headroom. Per key that is a 48 B list node and
+/// its 24 B version node, plus two buckets, each a 24 B head cell and its 24 B initial
+/// version node.
+const HASH_MAP_BUDGET: f64 = 170.0;
+
+/// Live bytes per key left by building a map with `make` and prefilling `KEYS` keys.
 /// Keys go in bit-reversed order, which builds a balanced tree (the EFRB tree does not
 /// rebalance; an ascending prefill would make it a list).
-fn bytes_per_key<M: Mode>(make: impl FnOnce(&std::sync::Arc<Camera>) -> Nbbst<M>) -> f64 {
-    // Settle the frees an earlier tree's drop deferred, so none lands in this window.
+fn bytes_per_key<T: ConcurrentMap + SnapshotSource>(make: impl FnOnce(&Arc<Camera>) -> T) -> f64 {
+    // Settle the frees an earlier structure's drop deferred, so none lands in this window.
     assert_eq!(vcas_repro::ebr::drain(), 0, "a quiescent process drains completely");
     let base = LIVE.with(Cell::get);
     let camera = Camera::new();
     assert!(ReclaimPolicy::Disabled.install(&camera).is_none());
-    let tree = make(&camera);
+    let map = make(&camera);
     for i in 0..KEYS {
         let k = i.reverse_bits() >> (64 - LOG_KEYS);
-        assert!(tree.insert(k, k));
+        assert!(map.insert(k, k));
     }
     let bytes = LIVE.with(Cell::get) - base;
-    assert_eq!(tree.view().len(), KEYS as usize);
-    drop(tree);
+    assert_eq!(map.snapshot_view().len(), KEYS as usize);
+    drop(map);
     bytes as f64 / KEYS as f64
 }
 
@@ -83,7 +90,10 @@ fn bytes_per_key<M: Mode>(make: impl FnOnce(&std::sync::Arc<Camera>) -> Nbbst<M>
 fn versioned_tree_stays_within_its_byte_budget_and_twice_the_plain_tree() {
     let versioned = bytes_per_key(Nbbst::new_versioned);
     let plain = bytes_per_key(|_| Nbbst::new_plain());
-    println!("versioned {versioned:.1} B/key, plain {plain:.1} B/key");
+    let hash = bytes_per_key(|camera| {
+        VcasHashMap::new_versioned(camera, VcasHashMap::buckets_for(KEYS, 0.75))
+    });
+    println!("versioned {versioned:.1} B/key, plain {plain:.1} B/key, hash map {hash:.1} B/key");
     assert!(
         versioned <= VERSIONED_BUDGET,
         "versioned tree holds {versioned:.1} B/key, budget {VERSIONED_BUDGET} B/key"
@@ -91,5 +101,9 @@ fn versioned_tree_stays_within_its_byte_budget_and_twice_the_plain_tree() {
     assert!(
         versioned <= 2.0 * plain,
         "versioned tree holds {versioned:.1} B/key, over twice the plain tree's {plain:.1}"
+    );
+    assert!(
+        hash <= HASH_MAP_BUDGET,
+        "versioned hash map holds {hash:.1} B/key, budget {HASH_MAP_BUDGET} B/key"
     );
 }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use vcas_repro::core::Camera;
+use vcas_repro::core::{Camera, ReclaimPolicy};
 use vcas_repro::structures::traits::{Key, SnapshotMap, Value};
 use vcas_repro::structures::{MapSnapshotView, VcasHashMap};
 
@@ -50,7 +50,11 @@ fn drive_concurrent_observations(
     seed_note: &str,
     observe: impl Fn(&VcasHashMap) -> Vec<Vec<bool>> + Send + 'static,
 ) {
-    let map = Arc::new(VcasHashMap::new_versioned(&Camera::new(), buckets));
+    let camera = Camera::new();
+    let map = Arc::new(VcasHashMap::new_versioned(&camera, buckets));
+    // Writers truncate as they go, so snapshot reads race truncation on the bucket cells.
+    camera.register_collectible(&map);
+    ReclaimPolicy::Amortized { every_n_updates: 64, budget: 128 }.install(&camera);
     let done = Arc::new(AtomicBool::new(false));
     let mut writers = Vec::new();
     for w in 0..WRITERS {

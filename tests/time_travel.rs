@@ -37,14 +37,12 @@ fn state_at(source: &dyn SnapshotSource, ts: u64) -> Vec<(u64, u64)> {
 }
 
 /// Anchors hold their timestamp's versions alive — and its answers frozen — under the
-/// amortized, background, and adaptive reclamation drivers, with writers churning the
-/// whole time.
+/// amortized and background reclamation drivers, with writers churning the whole time.
 #[test]
 fn anchors_survive_every_reclamation_policy() {
     for policy in [
         ReclaimPolicy::Amortized { every_n_updates: 64, budget: 128 },
         ReclaimPolicy::Background { interval_ms: 2, budget: 512 },
-        ReclaimPolicy::Adaptive { initial_interval_ms: 2, budget: 512 },
     ] {
         let camera = Camera::new();
         let tree = Arc::new(Nbbst::new_versioned(&camera));
