@@ -11,13 +11,26 @@
 //! concurrent scenario; assertions inside the scenario closure become model violations
 //! carrying a replayable schedule. Budgets come from `Config::from_env` so CI can cap
 //! the search (`VCAS_MODEL_MAX_SCHEDULES`, `VCAS_MODEL_TIME_BUDGET_MS`, ...).
+//!
+//! The two write-time pruning scenarios (a vCAS cutting its own cell below the retention
+//! watermark) have a mutation twin: under `--cfg vcas_weaken_prune`, `Camera::unpin`
+//! raises the watermark to the present and ignores the pins that remain, and both
+//! scenarios must catch the moved pinned read with a schedule that replays:
+//!
+//! ```text
+//! RUSTFLAGS="--cfg vcas_model --cfg vcas_weaken_prune" \
+//!     cargo test -p vcas-analysis --test model -- --test-threads=1
+//! ```
+//!
+//! Under any deliberate weakening the other scenarios only report their outcome: they are
+//! not its designated catcher.
 #![cfg(vcas_model)]
 
 use std::sync::Arc;
 
 use vcas_core::sync::Ordering;
-use vcas_core::{Camera, ManagedPtr, VersionedCas};
-use vcas_sync::model::{self, Config};
+use vcas_core::{Camera, ManagedPtr, RetentionError, VersionedCas};
+use vcas_sync::model::{self, Config, Report};
 
 /// Initializes process-wide singletons (EBR default domain, model panic hook) on the
 /// harness thread, so their one-time setup is not interleaved by the scheduler.
@@ -27,6 +40,34 @@ fn prewarm() {
 
 fn cfg() -> Config {
     Config::from_env()
+}
+
+/// Whether some deliberate weakening is compiled in (the CI mutation leg sets them all
+/// together).
+const MUTATED: bool = cfg!(any(
+    vcas_weaken_publish,
+    vcas_weaken_fence,
+    vcas_weaken_mark,
+    vcas_weaken_elide,
+    vcas_weaken_prune
+));
+
+/// Shared postlude: stock builds must find no violation (and, with `exhaust`, enumerate
+/// to completion); under a weakening this scenario does not target, the outcome is only
+/// reported.
+fn check(name: &str, report: Report, exhaust: bool) {
+    if MUTATED {
+        println!("{name}: ran under a mutation cfg (not this scenario's catcher): {report:?}");
+        return;
+    }
+    report.assert_no_violation(name);
+    println!(
+        "{name}: {} schedule(s), {} pruned, exhausted={}",
+        report.schedules, report.pruned, report.exhausted
+    );
+    if exhaust {
+        assert!(report.exhausted, "{name}: must enumerate to completion: {report:?}");
+    }
 }
 
 /// Paper Algorithm 1, publish/read: a concurrent `vRead` against a `vCAS` observes
@@ -54,12 +95,7 @@ fn vcas_publish_read_race() {
         assert!(writer.join(), "uncontended vCAS(0, 1) must succeed");
         assert_eq!(v.read(&g), 1);
     });
-    report.assert_no_violation("vcas_publish_read_race");
-    println!(
-        "vcas_publish_read_race: {} schedule(s), {} pruned, exhausted={}",
-        report.schedules, report.pruned, report.exhausted
-    );
-    assert!(report.exhausted, "publish/read must enumerate to completion: {report:?}");
+    check("vcas_publish_read_race", report, true);
 }
 
 /// Camera advance vs. snapshot read: a writer updates x then y; any snapshot handle
@@ -91,15 +127,7 @@ fn camera_advance_vs_snapshot_read() {
         );
         writer.join();
     });
-    report.assert_no_violation("camera_advance_vs_snapshot_read");
-    println!(
-        "camera_advance_vs_snapshot_read: {} schedule(s), {} pruned, exhausted={}",
-        report.schedules, report.pruned, report.exhausted
-    );
-    assert!(
-        report.exhausted,
-        "camera-advance/snapshot-read must enumerate to completion: {report:?}"
-    );
+    check("camera_advance_vs_snapshot_read", report, true);
 }
 
 /// A data node under version-held reference counting (`VersionReferenced`).
@@ -163,15 +191,7 @@ fn refcount_creator_handoff_vs_truncation() {
         assert_eq!(refs, 1, "exactly the one version-held reference must remain");
         assert_eq!(cam.nodes_retired(), 1, "the replaced node is retired exactly once");
     });
-    report.assert_no_violation("refcount_creator_handoff_vs_truncation");
-    println!(
-        "refcount_creator_handoff_vs_truncation: {} schedule(s), {} pruned, exhausted={}",
-        report.schedules, report.pruned, report.exhausted
-    );
-    assert!(
-        report.exhausted,
-        "creator-handoff/truncation must enumerate to completion: {report:?}"
-    );
+    check("refcount_creator_handoff_vs_truncation", report, true);
 }
 
 /// Truncation vs. pinned reader: a pinned snapshot's read must return its frozen value
@@ -206,12 +226,7 @@ fn truncation_vs_pinned_reader() {
         assert_eq!(v.read_snapshot(pinned.handle(), &g), 0, "pinned read moved after truncation");
         assert_eq!(v.read(&g), 3, "current value must survive truncation");
     });
-    report.assert_no_violation("truncation_vs_pinned_reader");
-    println!(
-        "truncation_vs_pinned_reader: {} schedule(s), {} pruned, exhausted={}",
-        report.schedules, report.pruned, report.exhausted
-    );
-    assert!(report.exhausted, "truncate/pinned-reader must enumerate to completion: {report:?}");
+    check("truncation_vs_pinned_reader", report, true);
 }
 
 /// Stress mode over the same truncation scenario: seed-randomized schedules, each
@@ -242,9 +257,130 @@ fn truncation_stress_schedules() {
         truncator.join();
         assert_eq!(v.read_snapshot(pinned.handle(), &g), 0);
     });
-    report.assert_no_violation("truncation_stress_schedules");
-    println!(
-        "truncation_stress_schedules: {} schedule(s), {} pruned, exhausted={}",
-        report.schedules, report.pruned, report.exhausted
+    check("truncation_stress_schedules", report, false);
+}
+
+/// Postlude of the write-time pruning scenarios. Stock builds exhaust cleanly. Under
+/// `--cfg vcas_weaken_prune` the scenario must catch the mutation, and the schedule it
+/// reports must replay to the same failure step for step. Under any other weakening the
+/// outcome is only reported.
+fn check_prune(name: &str, report: Report, scenario: fn()) {
+    if cfg!(vcas_weaken_prune) {
+        let caught = report.violation.as_ref().unwrap_or_else(|| {
+            panic!(
+                "{name}: the weakened unpin floor must be caught by the model checker: {report:?}"
+            )
+        });
+        let replayed = model::replay(cfg(), &caught.schedule, scenario);
+        let again = replayed.violation.expect("replaying the caught schedule must fail again");
+        assert_eq!(again.message, caught.message, "{name}: replay reproduced another failure");
+        assert_eq!(again.schedule, caught.schedule, "{name}: replay took other steps");
+        println!(
+            "{name}: mutation caught and replayed: {} (schedule: {:?})",
+            caught.message, caught.schedule
+        );
+    } else {
+        check(name, report, true);
+    }
+}
+
+/// Write-time prune vs. pin registration. Prologue: the cell holds `[1@1, 0@0]`, one pin
+/// sits at 0 and the camera is at 2. One thread releases that last pin, which raises the
+/// watermark to the present, and then publishes 2: a vCAS that prunes its cell. Meanwhile
+/// the main thread pins the past timestamp 1. In every interleaving the past pin either
+/// fails with `Truncated` (it came after the unpin) or reads exactly 1: a pin registered
+/// before the unpin caps the watermark at 1, so the write may cut only below the version
+/// it reads.
+fn prune_vs_pin_registration() {
+    let cam = Camera::new();
+    let cell = Arc::new(VersionedCas::new(0u64, &cam));
+    let g = vcas_ebr::pin();
+    let pinned = cam.pin_snapshot();
+    assert!(cell.compare_and_swap(0, 1, &g));
+    cam.take_snapshot();
+    let writer = {
+        let cell = cell.clone();
+        model::spawn(move || {
+            drop(pinned);
+            let g = vcas_ebr::pin();
+            assert!(cell.compare_and_swap(1, 2, &g));
+        })
+    };
+    match cam.pin_snapshot_at(1) {
+        Ok(past) => {
+            assert_eq!(
+                cell.read_snapshot_checked(past.handle(), &g),
+                Some(1),
+                "a past pin granted before the prune must read its exact value"
+            );
+            writer.join();
+            assert_eq!(cell.read_snapshot_checked(past.handle(), &g), Some(1), "past read moved");
+        }
+        Err(RetentionError::Truncated { .. }) => writer.join(),
+        Err(other) => panic!("unexpected pin_snapshot_at error: {other:?}"),
+    }
+    assert_eq!(cell.read(&g), 2);
+    drop(g);
+    let cell = Arc::try_unwrap(cell).ok().expect("the writer joined");
+    drop(cell);
+    assert_eq!(
+        cam.versions_created(),
+        cam.versions_retired() + cam.versions_dropped(),
+        "slot conservation must hold whatever the prune/pin interleaving"
     );
+}
+
+#[test]
+fn vcas_prune_vs_pin_registration() {
+    prewarm();
+    let report = model::explore(cfg(), prune_vs_pin_registration);
+    check_prune("vcas_prune_vs_pin_registration", report, prune_vs_pin_registration);
+}
+
+/// Write-time prune under an older live pin. Prologue: the cell holds `[1@1, 0@0]`, pins
+/// sit at `t1 = 1` (reading 1) and `t2 = 2`. A writer releases `t2` and publishes 2; the
+/// watermark stays at `t1`, so the write cuts only the version below the one `t1` reads.
+/// The racing read at `t1` must stay frozen at 1 in every interleaving, and the cut must
+/// keep slots conserved.
+fn prune_under_older_pin() {
+    let cam = Camera::new();
+    let cell = Arc::new(VersionedCas::new(0u64, &cam));
+    let g = vcas_ebr::pin();
+    cam.take_snapshot();
+    assert!(cell.compare_and_swap(0, 1, &g));
+    let t1 = cam.pin_snapshot();
+    let t2 = cam.pin_snapshot();
+    let writer = {
+        let cell = cell.clone();
+        model::spawn(move || {
+            drop(t2);
+            let g = vcas_ebr::pin();
+            assert!(cell.compare_and_swap(1, 2, &g));
+        })
+    };
+    assert_eq!(
+        cell.read_snapshot_checked(t1.handle(), &g),
+        Some(1),
+        "a write pruned history the older live pin still reads"
+    );
+    writer.join();
+    assert_eq!(cell.read_snapshot_checked(t1.handle(), &g), Some(1), "pinned read moved");
+    assert_eq!(cell.read(&g), 2);
+    assert_eq!(cam.versions_pruned(), 1, "the write cut the version below the pinned one");
+    drop(g);
+    drop(t1);
+    let cell = Arc::try_unwrap(cell).ok().expect("the writer joined");
+    drop(cell);
+    assert_eq!(
+        cam.versions_created(),
+        cam.versions_retired() + cam.versions_dropped(),
+        "slot conservation must hold under a pruning write and a pin"
+    );
+}
+
+#[test]
+fn vcas_prune_under_older_pin() {
+    prewarm();
+    let report = model::explore(cfg(), prune_under_older_pin);
+    check_prune("vcas_prune_under_older_pin", report, prune_under_older_pin);
 }

@@ -88,7 +88,8 @@ fn check_elide(name: &str, report: Report) {
             "{name}: mutation caught as expected: {} (replay schedule: {:?})",
             v.message, v.schedule
         );
-    } else if cfg!(any(vcas_weaken_publish, vcas_weaken_fence, vcas_weaken_mark)) {
+    } else if cfg!(any(vcas_weaken_publish, vcas_weaken_fence, vcas_weaken_mark, vcas_weaken_prune))
+    {
         // Some *other* deliberate weakening is compiled in (the CI mutation leg sets them
         // together); this scenario is not its designated catcher, so just report.
         println!("{name}: ran under a foreign mutation cfg: {report:?}");
@@ -106,7 +107,13 @@ fn check_elide(name: &str, report: Report) {
 /// weakening is invisible when all competing timestamps are already equal): stock builds
 /// exhaust cleanly; under any deliberate weakening the outcome is only reported.
 fn check_elide_neutral(name: &str, report: Report) {
-    if cfg!(any(vcas_weaken_publish, vcas_weaken_fence, vcas_weaken_mark, vcas_weaken_elide)) {
+    if cfg!(any(
+        vcas_weaken_publish,
+        vcas_weaken_fence,
+        vcas_weaken_mark,
+        vcas_weaken_elide,
+        vcas_weaken_prune
+    )) {
         println!("{name}: ran under a mutation cfg (not this scenario's catcher): {report:?}");
     } else {
         report.assert_no_violation(name);

@@ -37,11 +37,16 @@ pub struct Camera {
     /// Named anchor registry, `(name, timestamp)` per live [`Anchor`] clone — diagnostic
     /// only; the pins that actually hold versions live in `active`.
     anchors: Mutex<Vec<(Arc<str>, u64)>>,
-    /// The installed retention policy; contributes a floor to [`Camera::retention_floor`].
+    /// The installed retention policy (returned by [`Camera::retention`]).
     retention: Mutex<RetentionPolicy>,
-    /// Monotone retention watermark: the highest truncation cut any collection pass has
-    /// enforced. Timestamps below it are permanently unaddressable
-    /// ([`Camera::pin_snapshot_at`] returns [`RetentionError::Truncated`]).
+    /// The installed policy's [`RetentionPolicy::floor`], kept beside it so that
+    /// `Camera::unpin` can compute the watermark without taking a second lock.
+    policy_floor: AtomicU64,
+    /// Monotone retention watermark: the highest cut any collection pass or pin release
+    /// has computed. Never above a live pin; timestamps below it are permanently
+    /// unaddressable ([`Camera::pin_snapshot_at`] returns [`RetentionError::Truncated`]),
+    /// and a vCAS displacing a head stamped at or below it prunes its own cell (see
+    /// [`crate::VersionedCas::compare_and_swap`]).
     oldest_retained: AtomicU64,
     /// Whether same-timestamp version elision is enabled (see
     /// [`crate::VersionedCas::compare_and_swap`]). Defaults to on; the `vcas_no_elide`
@@ -60,6 +65,7 @@ impl Camera {
             reclaim: ReclaimState::new(),
             anchors: Mutex::new(Vec::new()),
             retention: Mutex::new(RetentionPolicy::default()),
+            policy_floor: AtomicU64::new(RetentionPolicy::default().floor()),
             oldest_retained: AtomicU64::new(0),
             elide: AtomicBool::new(!cfg!(vcas_no_elide)),
         })
@@ -186,12 +192,15 @@ impl Camera {
         self.anchors.lock().iter().map(|(n, t)| (n.to_string(), *t)).collect()
     }
 
-    /// Installs a [`RetentionPolicy`]; it takes effect on the next collection pass.
-    /// Loosening a policy (raising its floor) lets the next pass reclaim the newly
+    /// Installs a [`RetentionPolicy`]; it takes effect on the next collection pass or pin
+    /// release. Loosening a policy (raising its floor) lets the next pass reclaim the newly
     /// unprotected history; tightening one cannot resurrect what a past cut already
     /// released ([`Camera::oldest_retained`] is monotone).
     pub fn set_retention(&self, policy: RetentionPolicy) {
-        *self.retention.lock() = policy;
+        let mut retention = self.retention.lock();
+        // ORDERING: policy-floor — a configuration word; see `advance_watermark`.
+        self.policy_floor.store(policy.floor(), Ordering::Relaxed);
+        *retention = policy;
     }
 
     /// The currently installed retention policy.
@@ -200,8 +209,9 @@ impl Camera {
     }
 
     /// The retention watermark: the oldest timestamp still guaranteed exactly readable.
-    /// Advances to every truncation cut a collection pass enforces and never retreats;
-    /// `view_at(ts)` / [`Camera::pin_snapshot_at`] fail with
+    /// Advances to every truncation cut a collection pass enforces, and to the new cut
+    /// whenever a timestamp's last pin is released; never retreats and never passes a
+    /// live pin. `view_at(ts)` / [`Camera::pin_snapshot_at`] fail with
     /// [`RetentionError::Truncated`] below it.
     pub fn oldest_retained(&self) -> u64 {
         self.oldest_retained.load(Ordering::SeqCst)
@@ -215,16 +225,21 @@ impl Camera {
     /// can only extend retention further back, never cut below a live reader.
     pub fn retention_floor(&self) -> u64 {
         let active = self.active.lock();
-        let pin_floor = match active.keys().next() {
-            Some(&ts) => ts,
-            None => self.timestamp.load(Ordering::SeqCst),
-        };
-        let policy_floor = self.retention.lock().floor();
-        let cut = pin_floor.min(policy_floor);
-        // Publish while still holding the registry lock: a `pin_snapshot_at` serialized
-        // after this pass must observe the watermark the pass will enforce.
+        self.advance_watermark(active.keys().next().copied())
+    }
+
+    /// The one computation of the cut, `min(oldest_pin or now, policy floor)`, which it
+    /// publishes as the new watermark (monotone: a cut below the current watermark leaves
+    /// it unchanged). Callers hold the registry lock, so a `pin_snapshot_at` serialized
+    /// after this call observes the watermark, and every pin registered before it is
+    /// `oldest_pin` or above it: the watermark never passes a live pin.
+    fn advance_watermark(&self, oldest_pin: Option<u64>) -> u64 {
+        let pin_floor = oldest_pin.unwrap_or_else(|| self.timestamp.load(Ordering::SeqCst));
+        // ORDERING: policy-floor — a configuration word written under the retention lock;
+        // an install that happens-before this call is seen (coherence), and one racing it
+        // applies from the next call on.
+        let cut = pin_floor.min(self.policy_floor.load(Ordering::Relaxed));
         self.oldest_retained.fetch_max(cut, Ordering::SeqCst);
-        drop(active);
         cut
     }
 
@@ -235,6 +250,10 @@ impl Camera {
         self.active.lock().keys().next().is_some_and(|&first| first <= ts)
     }
 
+    /// Releases one pin on `handle`. When it was the timestamp's last pin the watermark
+    /// advances to the new cut at once, under the same lock, so the next vCAS on any cell
+    /// can prune the history only that pin needed (write-time pruning, see
+    /// `docs/reclamation.md`) without waiting for a collection pass.
     pub(crate) fn unpin(&self, handle: SnapshotHandle) {
         let mut active = self.active.lock();
         match active.get_mut(&handle.raw()) {
@@ -242,6 +261,7 @@ impl Camera {
                 *count -= 1;
                 if *count == 0 {
                     active.remove(&handle.raw());
+                    self.advance_watermark(remaining_pin_floor(&active));
                 }
             }
             // An unpin with no matching registry entry means pin/unpin accounting went
@@ -371,9 +391,10 @@ impl Camera {
     }
 
     /// Total version nodes ever created on this camera: initial versions plus successful
-    /// CASes **that linked a new version**. An elided update (see
-    /// [`Camera::versions_elided`]) reuses the displaced head's slot and is deliberately
-    /// not counted here, so this counter measures real version production.
+    /// CASes **that lengthened a version list**. An elided or pruned update (see
+    /// [`Camera::versions_elided`], [`Camera::versions_pruned`]) reuses the slot of a node
+    /// it freed and is deliberately not counted here, so this counter measures real
+    /// version production.
     pub fn versions_created(&self) -> u64 {
         self.reclaim.created()
     }
@@ -383,6 +404,16 @@ impl Camera {
     /// allocation-free update: `versions_created` does not move for it.
     pub fn versions_elided(&self) -> u64 {
         self.reclaim.elided()
+    }
+
+    /// Total successful CASes that pruned their own cell at publication time: the displaced
+    /// head was stamped at or below the retention watermark, so the vCAS cut the list
+    /// below its newest version at or below it (see
+    /// [`crate::VersionedCas::compare_and_swap`]). Each is a slot transfer like an elision:
+    /// `versions_created` does not move for it, and of the nodes it cut all but one count
+    /// as retired.
+    pub fn versions_pruned(&self) -> u64 {
+        self.reclaim.pruned()
     }
 
     /// Approximate number of live (retained) versions across every versioned CAS object on
@@ -467,6 +498,25 @@ impl Camera {
     pub(crate) fn note_versions_elided(&self, n: u64) {
         self.reclaim.note_elided(n);
     }
+
+    pub(crate) fn note_version_pruned(&self) {
+        self.reclaim.note_pruned();
+    }
+}
+
+/// The oldest pin left after an unpin, which bounds the watermark that unpin publishes.
+#[cfg(not(vcas_weaken_prune))]
+fn remaining_pin_floor(active: &BTreeMap<u64, usize>) -> Option<u64> {
+    active.keys().next().copied()
+}
+/// Mutated (deliberately wrong) unpin floor: ignores the pins that remain, so releasing
+/// one pin raises the watermark to the present and the next vCAS prunes history an older
+/// live pin still reads. Exists solely for the mutation twin in
+/// `crates/analysis/tests/model.rs`, which proves the model checker catches the moved
+/// pinned read (stock builds never set the cfg).
+#[cfg(vcas_weaken_prune)]
+fn remaining_pin_floor(_: &BTreeMap<u64, usize>) -> Option<u64> {
+    None
 }
 
 impl std::fmt::Debug for Camera {
@@ -545,6 +595,34 @@ mod tests {
         }
         assert_eq!(cam.pinned_count(), 0);
         assert_eq!(cam.min_active(), cam.current_timestamp(), "registry fully drained");
+    }
+
+    /// Releasing a timestamp's last pin advances the watermark at once, to the oldest
+    /// remaining pin or, with none left, to the present — capped by the retention policy
+    /// — and `pin_snapshot_at` below it then fails.
+    #[test]
+    fn unpin_advances_the_watermark_to_the_remaining_floor() {
+        let cam = Camera::new();
+        let p0 = cam.pin_snapshot();
+        let p0_dup = cam.pin_snapshot();
+        let _ = cam.take_snapshot();
+        let p1 = cam.pin_snapshot();
+        drop(p0_dup);
+        assert_eq!(cam.oldest_retained(), 0, "a duplicate pin keeps its timestamp live");
+        let p0_ts = p0.handle().raw();
+        drop(p0);
+        assert_eq!(cam.oldest_retained(), p1.handle().raw(), "the remaining pin caps it");
+        assert!(matches!(cam.pin_snapshot_at(p0_ts), Err(RetentionError::Truncated { .. })));
+        drop(p1);
+        assert_eq!(cam.oldest_retained(), cam.current_timestamp(), "no pins: the present");
+
+        let kept = cam.current_timestamp();
+        cam.set_retention(RetentionPolicy::KeepNewerThan(kept));
+        for _ in 0..3 {
+            drop(cam.pin_snapshot());
+        }
+        assert_eq!(cam.oldest_retained(), kept, "the policy floor caps the advance");
+        assert!(cam.pin_snapshot_at(kept).is_ok());
     }
 
     #[test]

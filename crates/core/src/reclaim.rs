@@ -129,8 +129,12 @@ pub trait Collectible: Send + Sync {
 /// How automatic reclamation is driven for one camera (see [`ReclaimPolicy::install`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReclaimPolicy {
-    /// No automatic reclamation: version lists grow until collected manually. This is the
-    /// paper's original regime and the right choice for short-lived runs or ablations.
+    /// No sweeps. Write-time pruning still runs: a vCAS whose displaced version is at or
+    /// below the retention watermark cuts its own cell (see
+    /// [`crate::VersionedCas::compare_and_swap`]), so writes after the pins on a cell's
+    /// history are released bring it back to one or two versions. Only cells not written
+    /// again keep their history until collected manually. The right choice for short-lived
+    /// runs or ablations.
     Disabled,
     /// Amortized hooks: every `every_n_updates` successful updates on the camera, the
     /// updating thread truncates up to `budget` cells of the next registered structure
@@ -233,10 +237,10 @@ pub(crate) struct ReclaimState {
     collecting: AtomicBool,
     /// Initial version nodes created on this camera (one per new cell).
     initial: AtomicU64,
-    /// Versions pushed onto an existing list: successful CASes whose displaced head was
-    /// not elided. The only event that lengthens a version list, so the zero-debt gate in
-    /// [`ReclaimState::next_member`] watches it. `initial + pushed` is
-    /// [`Camera::versions_created`].
+    /// Versions pushed onto an existing list: successful CASes that neither elided their
+    /// displaced head nor pruned their cell. The only event that lengthens a version
+    /// list, so the zero-debt gate in [`ReclaimState::next_member`] watches it.
+    /// `initial + pushed` is [`Camera::versions_created`].
     pushed: AtomicU64,
     /// Version nodes retired through truncation on this camera.
     retired: AtomicU64,
@@ -248,6 +252,10 @@ pub(crate) struct ReclaimState {
     /// [`Camera::versions_elided`]). Elisions are slot swaps: they move neither `created`
     /// nor `retired`/`dropped`, so conservation stays exact without them.
     elided: AtomicU64,
+    /// Successful CASes that pruned their own cell at publication time (see
+    /// [`Camera::versions_pruned`]). Like elisions these are slot transfers: the new head
+    /// takes one freed node's slot and only the rest of the cut suffix counts as retired.
+    pruned: AtomicU64,
     /// Data-structure nodes ever allocated by structures on this camera.
     nodes_created: AtomicU64,
     /// Data-structure nodes retired because their version-held reference count hit zero
@@ -278,6 +286,7 @@ impl ReclaimState {
             retired: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             elided: AtomicU64::new(0),
+            pruned: AtomicU64::new(0),
             nodes_created: AtomicU64::new(0),
             nodes_retired: AtomicU64::new(0),
             nodes_dropped: AtomicU64::new(0),
@@ -370,6 +379,16 @@ impl ReclaimState {
     pub(crate) fn elided(&self) -> u64 {
         // ORDERING: diag-counter — as above.
         self.elided.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn note_pruned(&self) {
+        // ORDERING: diag-counter — as above.
+        self.pruned.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn pruned(&self) -> u64 {
+        // ORDERING: diag-counter — as above.
+        self.pruned.load(Ordering::Relaxed)
     }
 
     pub(crate) fn set_amortized(&self, every_n: u64, budget: usize) {

@@ -221,6 +221,13 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// unlinks the displaced node immediately and recycles it through the pool, so an
     /// update burst between two camera advances keeps the list at one node instead of
     /// growing per CAS (the paper's recommended elision, §4).
+    ///
+    /// When the publication is not elided but the displaced head is stamped at or below
+    /// the camera's retention watermark ([`Camera::oldest_retained`]), the `prune` step
+    /// cuts the cell below its newest version at or below the watermark, at once
+    /// (write-time pruning; see `docs/reclamation.md`). That version is the new head
+    /// itself once the watermark has reached its stamp (every pin released and no snapshot
+    /// taken since), so such a write leaves its cell at one version without any sweep.
     pub fn compare_and_swap(&self, old: T, new: T, guard: &Guard) -> bool {
         let head = self.head.load(Ordering::SeqCst, guard);
         // SAFETY: the head pointer is never null and `guard` pins the epoch.
@@ -250,7 +257,9 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
                 // SAFETY: we just published `new_node`; it is non-null and epoch-protected.
                 let new_ref = unsafe { new_node.deref() };
                 let new_ts = self.init_ts(new_ref);
-                if !self.elide_cas(new_node, new_ts, head, displaced_ts, guard) {
+                if !self.elide_cas(new_node, new_ts, head, displaced_ts, guard)
+                    && !self.prune(displaced_ts, guard)
+                {
                     self.camera.note_version_pushed();
                 }
                 true
@@ -349,6 +358,51 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
             self.camera.note_versions_elided(1);
         }
         elide
+    }
+
+    /// The write-time pruning step of [`VersionedCas::compare_and_swap`], run after a
+    /// publication that displaced a head stamped `displaced_ts` and was not elided: when
+    /// the retention watermark `w` ([`Camera::oldest_retained`]) is at or above
+    /// `displaced_ts`, cut the cell below its newest version stamped `<= w` — the new
+    /// head once `w` reaches its stamp, else the displaced version. Returns `true` when
+    /// the cut freed at least one node.
+    ///
+    /// **Why the cut is safe.** The watermark is monotone and never passes a live pin,
+    /// and [`Camera::pin_snapshot_at`] refuses every timestamp below it, while a fresh pin
+    /// lands at the current time, at or above it. So every pin that exists now or later
+    /// sits at `w` or above and reads the kept version or a newer one; nothing below the
+    /// kept version is readable by any retained timestamp. This is the rule every sweep
+    /// applies, with the published watermark as its floor. The `displaced_ts` test keeps
+    /// the walk to the top of the list (head, then the cut): while an old pin holds `w`
+    /// below the displaced version, the cut would sit deeper and the write skips it. The
+    /// cut is [`VersionedCas::collect_before`]'s, under the same `truncating` gate (a
+    /// contended gate skips it, leaving the suffix to a later cut) and with the same
+    /// deferred recycling. Raw handles are not retention: one older than the watermark
+    /// loses its history here, as it would to a sweep.
+    ///
+    /// Skipped when elision is disabled: that switch restores the one-node-per-CAS
+    /// lifecycle, which also keeps the displaced versions this step would cut.
+    ///
+    /// **Accounting** is a slot transfer like elision: the new head takes the slot of one
+    /// node the cut freed (the pruned publication counts once as `versions_pruned`, not
+    /// as created) and the other freed nodes count as retired, so
+    /// `created == retired + dropped` stays exact. It must not count as a push: a pruned
+    /// publication never lengthens a list, and a push would reopen the reclamation
+    /// drivers' zero-debt gate.
+    fn prune(&self, displaced_ts: u64, guard: &Guard) -> bool {
+        let floor = self.camera.oldest_retained();
+        if floor < displaced_ts || !self.camera.elision_enabled() {
+            return false;
+        }
+        let freed = self.cut_below(floor, guard);
+        if freed == 0 {
+            return false;
+        }
+        self.camera.note_version_pruned();
+        if freed > 1 {
+            self.camera.note_versions_retired(freed as u64 - 1);
+        }
+        true
     }
 
     /// `readSnapshot(ts)`: returns the value this object had when the snapshot identified by
@@ -468,6 +522,17 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// `min_active` should come from [`Camera::min_active`]; versions that a pinned snapshot
     /// may still need are never reclaimed. Returns the number of versions retired.
     pub fn collect_before(&self, min_active: u64, guard: &Guard) -> usize {
+        let retired = self.cut_below(min_active, guard);
+        if retired > 0 {
+            self.camera.note_versions_retired(retired as u64);
+        }
+        retired
+    }
+
+    /// The restructuring walk of [`VersionedCas::collect_before`], shared with the
+    /// write-time `prune` step: unlinks and defers the recycling of every node it frees
+    /// and returns their number, leaving the accounting to the caller.
+    fn cut_below(&self, min_active: u64, guard: &Guard) -> usize {
         // Only one truncation at a time per object; contention here just skips the work.
         // (Serialization also means `nextv` is only ever rewritten by one thread at a time:
         // interior unlinks below race only with readers, which see either the old chain —
@@ -534,9 +599,6 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
             node = older;
         }
         self.truncating.store(false, Ordering::Release);
-        if retired > 0 {
-            self.camera.note_versions_retired(retired as u64);
-        }
         retired
     }
 }
@@ -679,6 +741,87 @@ mod tests {
         cam.set_elision_enabled(true);
         assert!(v.compare_and_swap(10, 11, &g));
         assert_eq!(v.version_count(&g), 11, "re-enabled elision recycles the displaced head");
+    }
+
+    /// Write-time pruning: once the last pin is released, the next publication cuts its
+    /// cell back to one version with no sweep, a raw handle older than the released pin
+    /// leaves retained history, and slot accounting stays exact.
+    #[test]
+    fn publication_after_last_unpin_leaves_one_version() {
+        let cam = Camera::new();
+        let v = VersionedCas::new(0u64, &cam);
+        let g = pin();
+        let raw = cam.take_snapshot();
+        let pinned = cam.pin_snapshot();
+        for i in 0..5u64 {
+            cam.take_snapshot();
+            assert!(v.compare_and_swap(i, i + 1, &g));
+        }
+        assert_eq!(v.version_count(&g), 6, "no pruning while the pin holds the watermark");
+        assert_eq!(v.read_snapshot(pinned.handle(), &g), 0);
+        assert_eq!(cam.versions_pruned(), 0);
+        // Close the instant of the last write, so the next one is not a same-timestamp
+        // elision (which never prunes), then release the only pin.
+        cam.take_snapshot();
+        drop(pinned);
+        assert_eq!(cam.oldest_retained(), cam.current_timestamp(), "unpin advances the watermark");
+        assert!(v.compare_and_swap(5, 6, &g));
+        assert_eq!(v.version_count(&g), 1, "one publication prunes the cell to its head");
+        assert_eq!(cam.versions_pruned(), 1);
+        assert_eq!(cam.versions_retired(), 5, "the other cut nodes count as retired");
+        assert_eq!(v.read_snapshot_checked(raw, &g), None, "raw handles are not retention");
+        assert_eq!(v.read(&g), 6);
+        drop(g);
+        drop(v);
+        assert_eq!(
+            cam.versions_created(),
+            cam.versions_retired() + cam.versions_dropped(),
+            "a pruned publication is a slot transfer"
+        );
+    }
+
+    /// Releasing a newer pin moves the watermark only to the oldest live pin: the
+    /// version that pin reads survives every later publication, and the cell prunes to
+    /// one version only once that pin is released too.
+    #[test]
+    fn older_live_pin_keeps_its_version() {
+        let cam = Camera::new();
+        let v = VersionedCas::new(0u64, &cam);
+        let g = pin();
+        let older = cam.pin_snapshot();
+        assert!(v.compare_and_swap(0, 1, &g));
+        let newer = cam.pin_snapshot();
+        assert!(v.compare_and_swap(1, 2, &g));
+        drop(newer);
+        assert_eq!(cam.oldest_retained(), older.handle().raw(), "the older pin holds the floor");
+        for i in 2..10u64 {
+            cam.take_snapshot();
+            assert!(v.compare_and_swap(i, i + 1, &g));
+            assert_eq!(v.read_snapshot(older.handle(), &g), 0, "the older pin's read is frozen");
+        }
+        assert_eq!(v.versions(&g).last(), Some(&(older.handle().raw(), 0)));
+        assert_eq!(cam.versions_pruned(), 0, "nothing above the older pin is prunable");
+        cam.take_snapshot();
+        drop(older);
+        assert!(v.compare_and_swap(10, 11, &g));
+        assert_eq!(v.version_count(&g), 1);
+        assert_eq!(cam.versions_pruned(), 1);
+    }
+
+    /// With elision disabled the write path never prunes, whatever the watermark says.
+    #[test]
+    fn disabled_elision_never_prunes() {
+        let cam = Camera::new();
+        cam.set_elision_enabled(false);
+        let v = VersionedCas::new(0u64, &cam);
+        let g = pin();
+        drop(cam.pin_snapshot());
+        for i in 0..5u64 {
+            assert!(v.compare_and_swap(i, i + 1, &g));
+        }
+        assert_eq!(cam.oldest_retained(), cam.current_timestamp());
+        assert_eq!(v.version_count(&g), 6);
+        assert_eq!(cam.versions_pruned(), 0);
     }
 
     #[test]

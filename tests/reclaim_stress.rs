@@ -190,3 +190,74 @@ fn reclaim_scenario_holds_for_every_policy() {
         assert!(r.stats_after_drop.max_versions_per_cell <= 2, "{policy:?}");
     }
 }
+
+/// Write-time pruning alone bounds a hash map's version lists: no sweep is installed
+/// (`ReclaimPolicy::Disabled`, nothing registered), and each round pins a view, runs 500
+/// updates under it and drops it. Every write whose displaced version is at or below the
+/// watermark cuts its own cell, so no cell holds more than the pinned-era version plus
+/// the current one; once no pin is left, rewriting every key leaves one version per cell.
+/// The cuts must keep version slots exactly conserved.
+#[test]
+fn hashmap_write_time_pruning_needs_no_sweep() {
+    use rand::{Rng, SeedableRng};
+    let camera = Camera::new();
+    ReclaimPolicy::Disabled.install(&camera);
+    let map = VcasHashMap::new_versioned(&camera, 16);
+    for k in 1..=KEYS {
+        assert!(map.insert(k, k));
+    }
+    let probe: Vec<u64> = (1..=2 * KEYS).collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x9E3);
+    for round in 0..40 {
+        let view = map.view();
+        let frozen = view.multi_get(&probe);
+        for _ in 0..500 {
+            let k = rng.gen_range(1..=2 * KEYS);
+            if rng.gen_bool(0.5) {
+                map.insert(k, k);
+            } else {
+                map.remove(k);
+            }
+        }
+        assert_eq!(view.multi_get(&probe), frozen, "round {round}: pinned reads changed");
+        drop(view);
+        let guard = vcas_repro::ebr::pin();
+        let stats = Collectible::version_stats(&map, &guard);
+        assert!(stats.max_versions_per_cell <= 2, "round {round}: list grew: {stats:?}");
+    }
+    assert!(camera.versions_pruned() > 0, "no publication pruned its cell");
+
+    // No pin is left. Close the instant of the last round's writes (a write stamped in it
+    // would elide, which never prunes), then rewrite every key once: every bucket head
+    // and every surviving node's cell takes a write, and each write prunes its cell.
+    drop(map.view());
+    for k in 1..=2 * KEYS {
+        if map.remove(k) {
+            assert!(map.insert(k, k));
+        } else {
+            assert!(map.insert(k, k));
+            assert!(map.remove(k));
+        }
+    }
+    {
+        let guard = vcas_repro::ebr::pin();
+        let stats = Collectible::version_stats(&map, &guard);
+        assert_eq!(stats.max_versions_per_cell, 1, "writes after the last unpin: {stats:?}");
+    }
+
+    drop(map);
+    let mut pending = vcas_repro::ebr::drain();
+    for _ in 0..2_000 {
+        if pending == 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        pending = vcas_repro::ebr::drain();
+    }
+    assert_eq!(pending, 0, "EBR could not drain (stale pin?)");
+    assert_eq!(
+        camera.versions_created(),
+        camera.versions_retired() + camera.versions_dropped(),
+        "version conservation violated: pruned publications are slot transfers"
+    );
+}
