@@ -22,6 +22,17 @@
 //!     cargo test -p vcas-analysis --test model -- --test-threads=1
 //! ```
 //!
+//! Two scenarios drive the head-word gate of the one-word cell (a publication landing
+//! while a cut holds the gate; an eliding, pruning write racing a cut). Their twin,
+//! `--cfg vcas_weaken_gate`, makes the publication CAS drop the gate bit it observed on a
+//! camera built by `Camera::with_weakened_gate`; the first scenario must catch the
+//! resulting concurrent restructuring with a schedule that replays:
+//!
+//! ```text
+//! RUSTFLAGS="--cfg vcas_model --cfg vcas_weaken_gate" \
+//!     cargo test -p vcas-analysis --test model -- --test-threads=1
+//! ```
+//!
 //! Under any deliberate weakening the other scenarios only report their outcome: they are
 //! not its designated catcher.
 #![cfg(vcas_model)]
@@ -49,7 +60,8 @@ const MUTATED: bool = cfg!(any(
     vcas_weaken_fence,
     vcas_weaken_mark,
     vcas_weaken_elide,
-    vcas_weaken_prune
+    vcas_weaken_prune,
+    vcas_weaken_gate
 ));
 
 /// Shared postlude: stock builds must find no violation (and, with `exhaust`, enumerate
@@ -260,16 +272,14 @@ fn truncation_stress_schedules() {
     check("truncation_stress_schedules", report, false);
 }
 
-/// Postlude of the write-time pruning scenarios. Stock builds exhaust cleanly. Under
-/// `--cfg vcas_weaken_prune` the scenario must catch the mutation, and the schedule it
-/// reports must replay to the same failure step for step. Under any other weakening the
-/// outcome is only reported.
-fn check_prune(name: &str, report: Report, scenario: fn()) {
-    if cfg!(vcas_weaken_prune) {
+/// Postlude of a mutation twin's designated catcher. Stock builds exhaust cleanly. With
+/// the twin compiled in (`mutated`), the scenario must catch the mutation, and the
+/// schedule it reports must replay to the same failure step for step. Under any other
+/// weakening the outcome is only reported.
+fn check_caught(name: &str, report: Report, scenario: fn(), mutated: bool) {
+    if mutated {
         let caught = report.violation.as_ref().unwrap_or_else(|| {
-            panic!(
-                "{name}: the weakened unpin floor must be caught by the model checker: {report:?}"
-            )
+            panic!("{name}: the mutation must be caught by the model checker: {report:?}")
         });
         let replayed = model::replay(cfg(), &caught.schedule, scenario);
         let again = replayed.violation.expect("replaying the caught schedule must fail again");
@@ -334,7 +344,8 @@ fn prune_vs_pin_registration() {
 fn vcas_prune_vs_pin_registration() {
     prewarm();
     let report = model::explore(cfg(), prune_vs_pin_registration);
-    check_prune("vcas_prune_vs_pin_registration", report, prune_vs_pin_registration);
+    let mutated = cfg!(vcas_weaken_prune);
+    check_caught("vcas_prune_vs_pin_registration", report, prune_vs_pin_registration, mutated);
 }
 
 /// Write-time prune under an older live pin. Prologue: the cell holds `[1@1, 0@0]`, pins
@@ -382,5 +393,130 @@ fn prune_under_older_pin() {
 fn vcas_prune_under_older_pin() {
     prewarm();
     let report = model::explore(cfg(), prune_under_older_pin);
-    check_prune("vcas_prune_under_older_pin", report, prune_under_older_pin);
+    let mutated = cfg!(vcas_weaken_prune);
+    check_caught("vcas_prune_under_older_pin", report, prune_under_older_pin, mutated);
+}
+
+/// The camera of the gate scenarios: under `--cfg vcas_weaken_gate`, one whose cells run
+/// the mutation (it is scoped to such cameras; see `Camera::with_weakened_gate`).
+fn gate_camera() -> Arc<Camera> {
+    #[cfg(vcas_weaken_gate)]
+    return Camera::with_weakened_gate();
+    #[cfg(not(vcas_weaken_gate))]
+    Camera::new()
+}
+
+/// Ends a gate scenario: the cell's version list must have one of the `allowed` shapes
+/// (values, newest first), and every node it links must still be counted live (created
+/// minus retired minus dropped) — a node retired while still linked would be freed twice.
+/// On a mismatch the cell is leaked, not destroyed, because destroying it would free a
+/// node whose deferred retirement is still pending; then the scenario fails. Otherwise
+/// the cell is destroyed and slots must be exactly conserved.
+fn settle_gate_scenario(cell: Arc<VersionedCas<u64>>, cam: &Camera, allowed: &[&[u64]]) {
+    let cell = Arc::try_unwrap(cell).ok().expect("every clone joined");
+    let g = vcas_ebr::pin();
+    let values: Vec<u64> = cell.versions(&g).into_iter().map(|(_, v)| v).collect();
+    drop(g);
+    let live = cam.approx_live_versions();
+    if values.len() as u64 != live || !allowed.contains(&values.as_slice()) {
+        std::mem::forget(cell);
+        panic!(
+            "version list {values:?} with {live} live slot(s): a node was retired while \
+             still linked, or the list took a shape no interleaving allows"
+        );
+    }
+    drop(cell);
+    assert_eq!(
+        cam.versions_created(),
+        cam.versions_retired() + cam.versions_dropped(),
+        "slot conservation must hold whatever the publication/cut interleaving"
+    );
+}
+
+/// Publication vs. a cut holding the gate. Prologue: the cell holds `[1@1, 0@0]` and no
+/// pin exists. A cut below the present (`collect_before`) races a same-timestamp vCAS of
+/// 1 to 2. Whenever the publication lands while the cut holds the head word's gate bit,
+/// it must succeed (a vCAS never fails because only the bit moved) and must carry the bit
+/// over, so its elision step finds the gate held and leaves the list to the cut. In every
+/// interleaving the list ends as `[2]`, `[2, 1]` (the cut kept the head it walked from)
+/// or `[2, 0]` (the cut found the elision holding the gate), with no node retired while
+/// linked. Under `--cfg vcas_weaken_gate` the publication drops the bit, the elision
+/// restructures the list beside the cut, and a node the cut retires stays linked.
+fn publish_vs_held_gate() {
+    let cam = gate_camera();
+    let cell = Arc::new(VersionedCas::new(0u64, &cam));
+    {
+        // Elision is off for the prologue write, so the history below the head survives
+        // whatever comparator a build's elision uses.
+        cam.set_elision_enabled(false);
+        let g = vcas_ebr::pin();
+        cam.take_snapshot();
+        assert!(cell.compare_and_swap(0, 1, &g));
+        cam.set_elision_enabled(true);
+    }
+    let floor = cam.min_active();
+    let cutter = {
+        let cell = cell.clone();
+        model::spawn(move || {
+            let g = vcas_ebr::pin();
+            cell.collect_before(floor, &g);
+        })
+    };
+    {
+        let g = vcas_ebr::pin();
+        assert!(cell.compare_and_swap(1, 2, &g), "a vCAS failed while only the gate moved");
+    }
+    cutter.join();
+    settle_gate_scenario(cell, &cam, &[&[2], &[2, 1], &[2, 0]]);
+}
+
+#[test]
+fn vcas_publish_vs_gate_held_by_cut() {
+    prewarm();
+    let report = model::explore(cfg(), publish_vs_held_gate);
+    let mutated = cfg!(vcas_weaken_gate);
+    check_caught("vcas_publish_vs_gate_held_by_cut", report, publish_vs_held_gate, mutated);
+}
+
+/// Elision vs. cut. Prologue: the cell holds `[1@1, 0@0]` and the last pin was released,
+/// so the watermark is at 1. A same-timestamp vCAS of 1 to 2 elides the displaced head
+/// and, finding history below it and the watermark at its stamp, prunes that history
+/// under the gate it took by `CAS(new → new|GATE)`; a cut (`collect_before`) races it
+/// for the same gate. In every interleaving exactly one of them restructures at a time:
+/// the list ends as `[2]` or, when the publication landed while the cut held the gate,
+/// `[2, 1]`, with every slot conserved.
+fn elide_prune_vs_cut() {
+    let cam = gate_camera();
+    let cell = Arc::new(VersionedCas::new(0u64, &cam));
+    {
+        // As in `publish_vs_held_gate`, the prologue write runs with elision off.
+        cam.set_elision_enabled(false);
+        let g = vcas_ebr::pin();
+        let pinned = cam.pin_snapshot();
+        assert!(cell.compare_and_swap(0, 1, &g));
+        drop(pinned);
+        cam.set_elision_enabled(true);
+    }
+    assert_eq!(cam.oldest_retained(), cam.current_timestamp(), "the unpin moved the watermark");
+    let floor = cam.min_active();
+    let cutter = {
+        let cell = cell.clone();
+        model::spawn(move || {
+            let g = vcas_ebr::pin();
+            cell.collect_before(floor, &g);
+        })
+    };
+    {
+        let g = vcas_ebr::pin();
+        assert!(cell.compare_and_swap(1, 2, &g), "a vCAS failed while only the gate moved");
+    }
+    cutter.join();
+    settle_gate_scenario(cell, &cam, &[&[2], &[2, 1]]);
+}
+
+#[test]
+fn vcas_elide_prune_vs_cut() {
+    prewarm();
+    let report = model::explore(cfg(), elide_prune_vs_cut);
+    check("vcas_elide_prune_vs_cut", report, true);
 }

@@ -28,9 +28,9 @@
 //! protocol mutation, see the `vcas_weaken_mark` sites in crates/structures), and the
 //! checker must catch the resulting lost update with a replayable schedule.
 //!
-//! PR 10 adds two scenarios for the *elision* step of `VersionedCas::compare_and_swap`
-//! (the eager same-timestamp unlink): elision racing truncation on the shared
-//! `truncating` gate, and elision racing a pinned reader. Under
+//! Two scenarios drive the *elision* step of `VersionedCell::compare_and_swap` (the eager
+//! same-timestamp unlink): elision racing truncation on the shared gate (the head word's
+//! tag bit), and elision racing a pinned reader. Under
 //! `--cfg vcas_weaken_elide` (elision accepts *any* displaced head, not just
 //! same-timestamp ones) the pinned-reader scenario must catch the erased history.
 #![cfg(vcas_model)]
@@ -88,8 +88,13 @@ fn check_elide(name: &str, report: Report) {
             "{name}: mutation caught as expected: {} (replay schedule: {:?})",
             v.message, v.schedule
         );
-    } else if cfg!(any(vcas_weaken_publish, vcas_weaken_fence, vcas_weaken_mark, vcas_weaken_prune))
-    {
+    } else if cfg!(any(
+        vcas_weaken_publish,
+        vcas_weaken_fence,
+        vcas_weaken_mark,
+        vcas_weaken_prune,
+        vcas_weaken_gate
+    )) {
         // Some *other* deliberate weakening is compiled in (the CI mutation leg sets them
         // together); this scenario is not its designated catcher, so just report.
         println!("{name}: ran under a foreign mutation cfg: {report:?}");
@@ -112,7 +117,8 @@ fn check_elide_neutral(name: &str, report: Report) {
         vcas_weaken_fence,
         vcas_weaken_mark,
         vcas_weaken_elide,
-        vcas_weaken_prune
+        vcas_weaken_prune,
+        vcas_weaken_gate
     )) {
         println!("{name}: ran under a mutation cfg (not this scenario's catcher): {report:?}");
     } else {
@@ -234,7 +240,7 @@ fn skiplist_publish_vs_remove_mark_level0() {
 }
 
 /// Elision vs. truncation: a same-timestamp vCAS (whose elision step wants the
-/// `truncating` gate) races `collect_before` (which holds it). In every interleaving the
+/// head word's gate bit) races `collect_before` (which holds it). In every interleaving the
 /// update wins, the suffix below the cut dies exactly once (by the truncation, by a
 /// skipped-elision-then-lazy-collect, or not yet), and slot conservation holds after the
 /// cell drops — double frees or leaks surface as violated conservation counters.

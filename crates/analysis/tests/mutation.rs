@@ -6,7 +6,7 @@
 //!
 //! * writer: `payload.store(42, Release)`, then publish by CASing `slot` 0 → 1 with
 //!   `PUBLISH_CAS_ORDERING` as the success ordering — exactly the shape of the
-//!   publication CAS in `VersionedCas::compare_and_swap`;
+//!   publication CAS in `VersionedCell::compare_and_swap`;
 //! * reader: `slot.load(Acquire)`; if it observes 1, `payload.load(Acquire)` must be 42.
 //!
 //! With `SeqCst` success ordering the CAS carries the writer's release view, the

@@ -23,7 +23,7 @@ use crate::snapshot::{PinnedSnapshot, SnapshotHandle};
 /// ([`Camera::pin_snapshot`]). Pinned snapshots make version-list truncation possible:
 /// [`Camera::min_active`] is a timestamp below which no pinned reader can ever ask for a
 /// version, so versions older than the newest one at-or-below it may be reclaimed
-/// (see [`crate::VersionedCas::collect_before`]). The registry is only touched by the pinned
+/// (see [`crate::VersionedCell::collect_before`]). The registry is only touched by the pinned
 /// path; the raw `take_snapshot` stays lock-free and constant-time exactly as in the paper.
 pub struct Camera {
     timestamp: AtomicU64,
@@ -46,19 +46,43 @@ pub struct Camera {
     /// has computed. Never above a live pin; timestamps below it are permanently
     /// unaddressable ([`Camera::pin_snapshot_at`] returns [`RetentionError::Truncated`]),
     /// and a vCAS displacing a head stamped at or below it prunes its own cell (see
-    /// [`crate::VersionedCas::compare_and_swap`]).
+    /// [`crate::VersionedCell::compare_and_swap`]).
     oldest_retained: AtomicU64,
     /// Whether same-timestamp version elision is enabled (see
-    /// [`crate::VersionedCas::compare_and_swap`]). Defaults to on; the `vcas_no_elide`
+    /// [`crate::VersionedCell::compare_and_swap`]). Defaults to on; the `vcas_no_elide`
     /// build flag flips the default, and [`Camera::set_elision_enabled`] toggles it at
     /// runtime (used by the elision-equivalence proptest).
     elide: AtomicBool,
+    /// Whether the cells on this camera run the `vcas_weaken_gate` mutation (see
+    /// [`Camera::with_weakened_gate`]).
+    #[cfg(vcas_weaken_gate)]
+    weakened_gate: bool,
 }
 
 impl Camera {
     /// Creates a camera with its counter at zero.
     pub fn new() -> Arc<Camera> {
-        Arc::new(Camera {
+        Arc::new(Camera::unshared())
+    }
+
+    /// A camera whose cells run the `vcas_weaken_gate` mutation: their publication CAS
+    /// drops the gate bit it observed. The mutation is scoped to such cameras because it
+    /// lets two threads restructure one version list at once, which double-retires nodes;
+    /// model builds free them for real, so an unscoped mutation would turn every other
+    /// scenario of the combined mutation run into a double free instead of a report.
+    /// Exists only under the cfg, for the model checks in `crates/analysis/tests/model.rs`.
+    #[cfg(vcas_weaken_gate)]
+    pub fn with_weakened_gate() -> Arc<Camera> {
+        Arc::new(Camera { weakened_gate: true, ..Camera::unshared() })
+    }
+
+    #[cfg(vcas_weaken_gate)]
+    pub(crate) fn gate_weakened(&self) -> bool {
+        self.weakened_gate
+    }
+
+    fn unshared() -> Camera {
+        Camera {
             timestamp: AtomicU64::new(0),
             active: Mutex::new(BTreeMap::new()),
             snapshots_taken: AtomicU64::new(0),
@@ -68,7 +92,9 @@ impl Camera {
             policy_floor: AtomicU64::new(RetentionPolicy::default().floor()),
             oldest_retained: AtomicU64::new(0),
             elide: AtomicBool::new(!cfg!(vcas_no_elide)),
-        })
+            #[cfg(vcas_weaken_gate)]
+            weakened_gate: false,
+        }
     }
 
     /// Whether same-timestamp version elision is currently enabled on this camera.
@@ -376,7 +402,7 @@ impl Camera {
     }
 
     /// Total version nodes retired through truncation on this camera
-    /// ([`crate::VersionedCas::collect_before`]) — a pure signal of the reclamation
+    /// ([`crate::VersionedCell::collect_before`]) — a pure signal of the reclamation
     /// drivers (hooks, collector, manual sweeps); versions freed with their cell are
     /// counted separately ([`Camera::versions_dropped`]).
     pub fn versions_retired(&self) -> u64 {
@@ -409,7 +435,7 @@ impl Camera {
     /// Total successful CASes that pruned their own cell at publication time: the displaced
     /// head was stamped at or below the retention watermark, so the vCAS cut the list
     /// below its newest version at or below it (see
-    /// [`crate::VersionedCas::compare_and_swap`]). Each is a slot transfer like an elision:
+    /// [`crate::VersionedCell::compare_and_swap`]). Each is a slot transfer like an elision:
     /// `versions_created` does not move for it, and of the nodes it cut all but one count
     /// as retired.
     pub fn versions_pruned(&self) -> u64 {

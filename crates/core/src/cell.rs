@@ -6,13 +6,16 @@
 //!
 //! * [`Plain`] — the original structure. The cell is a bare [`Atomic`] (one word); there is
 //!   no camera and no history, and the value hook `H` is ignored.
-//! * [`Versioned`] — the vCAS structure. The cell is a [`VersionedPtr`] on the mode's camera
-//!   (three words), whose versions go through `H` (see [`ValueHook`]).
+//! * [`Versioned`] — the vCAS structure. The cell is a [`PtrCell`] (one word, its version
+//!   list's head), whose versions go through `H` (see [`ValueHook`]).
 //!
-//! Every access a structure makes to a cell is a [`PointerCell`] method, so the mode is
-//! decided once, when the structure is monomorphized, not at each pointer access. Both
-//! modes use `SeqCst` for every cell access, as the structures always have. The trait is
-//! sealed: the structures' safety arguments rely on exactly these two cell behaviours.
+//! Every access a structure makes to a cell is a [`PointerCell`] method that takes the
+//! structure's mode: the versioned cell does not store its camera, it reads it from the
+//! [`Versioned`] mode at each call, so a versioned pointer costs the word a plain one does.
+//! The mode is decided once, when the structure is monomorphized, not at each pointer
+//! access. Both modes use `SeqCst` for every cell access, as the structures always have.
+//! The trait is sealed: the structures' safety arguments rely on exactly these two cell
+//! behaviours.
 
 use std::sync::Arc;
 
@@ -23,80 +26,115 @@ use crate::retention::RetentionError;
 use crate::snapshot::{PinnedSnapshot, SnapshotHandle};
 use crate::sync::Ordering;
 use crate::versioned::ValueHook;
-use crate::versioned_ptr::VersionedPtr;
+use crate::versioned_ptr::PtrCell;
 
-/// A shared pointer cell, as a lock-free structure uses it: load, CAS, and the history
-/// operations, which are no-ops on a plain cell.
-pub trait PointerCell<T>: Send + Sync {
+/// A shared pointer cell of a structure in mode `M`, as a lock-free structure uses it:
+/// load, CAS, and the history operations, which are no-ops on a plain cell. Each takes
+/// the structure's mode, which supplies a versioned cell's camera.
+pub trait PointerCell<T, M>: Send + Sync + Sized {
     /// The current (possibly tagged) pointer.
-    fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, T>;
+    fn load<'g>(&self, mode: &M, guard: &'g Guard) -> Shared<'g, T>;
     /// The pointer as of `at` (a versioned cell's `readSnapshot`), or the current one when
     /// `at` is `None`. A plain cell has no history and always reads the current pointer.
-    fn load_at<'g>(&self, at: Option<SnapshotHandle>, guard: &'g Guard) -> Shared<'g, T>;
+    fn load_at<'g>(&self, mode: &M, at: Option<SnapshotHandle>, guard: &'g Guard) -> Shared<'g, T>;
     /// Replaces `current` with `new` if the cell still holds `current`. A managed
     /// versioned cell also fails when `new` is a retired node (see
     /// [`crate::VersionReferenced`]).
-    fn compare_exchange(&self, current: Shared<'_, T>, new: Shared<'_, T>, guard: &Guard) -> bool;
+    fn compare_exchange(
+        &self,
+        mode: &M,
+        current: Shared<'_, T>,
+        new: Shared<'_, T>,
+        guard: &Guard,
+    ) -> bool;
     /// Truncates versions no snapshot at or above `min_active` can read; returns how many
     /// were retired (always 0 for a plain cell).
-    fn collect_before(&self, min_active: u64, guard: &Guard) -> usize;
+    fn collect_before(&self, mode: &M, min_active: u64, guard: &Guard) -> usize;
     /// Number of retained versions (1 for a plain cell: its current value).
     fn version_count(&self, guard: &Guard) -> usize;
+    /// Destroys the cell of a node being freed, releasing what its versions hold (nothing
+    /// for a plain cell). `camera` is the one the node's structure versions on; a node's
+    /// deferred destructor carries it (see [`crate::VersionReferenced::destroy`]).
+    fn destroy(self, camera: &Arc<Camera>);
 }
 
-impl<T: Send + Sync> PointerCell<T> for Atomic<T> {
+impl<T: Send + Sync> PointerCell<T, Plain> for Atomic<T> {
     #[inline]
-    fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, T> {
+    fn load<'g>(&self, _: &Plain, guard: &'g Guard) -> Shared<'g, T> {
         Atomic::load(self, Ordering::SeqCst, guard)
     }
 
     #[inline]
-    fn load_at<'g>(&self, _: Option<SnapshotHandle>, guard: &'g Guard) -> Shared<'g, T> {
+    fn load_at<'g>(&self, _: &Plain, _: Option<SnapshotHandle>, guard: &'g Guard) -> Shared<'g, T> {
         Atomic::load(self, Ordering::SeqCst, guard)
     }
 
     #[inline]
-    fn compare_exchange(&self, current: Shared<'_, T>, new: Shared<'_, T>, guard: &Guard) -> bool {
+    fn compare_exchange(
+        &self,
+        _: &Plain,
+        current: Shared<'_, T>,
+        new: Shared<'_, T>,
+        guard: &Guard,
+    ) -> bool {
         Atomic::compare_exchange(self, current, new, Ordering::SeqCst, Ordering::SeqCst, guard)
             .is_ok()
     }
 
     #[inline]
-    fn collect_before(&self, _: u64, _: &Guard) -> usize {
+    fn collect_before(&self, _: &Plain, _: u64, _: &Guard) -> usize {
         0
     }
 
     fn version_count(&self, _: &Guard) -> usize {
         1
     }
+
+    #[inline]
+    fn destroy(self, _: &Arc<Camera>) {}
 }
 
-impl<T: Send + Sync + 'static, H: ValueHook<usize>> PointerCell<T> for VersionedPtr<T, H> {
+impl<T: Send + Sync + 'static, H: ValueHook<usize>> PointerCell<T, Versioned> for PtrCell<T, H> {
     #[inline]
-    fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, T> {
-        VersionedPtr::load(self, guard)
+    fn load<'g>(&self, mode: &Versioned, guard: &'g Guard) -> Shared<'g, T> {
+        PtrCell::load(self, &mode.0, guard)
     }
 
     #[inline]
-    fn load_at<'g>(&self, at: Option<SnapshotHandle>, guard: &'g Guard) -> Shared<'g, T> {
+    fn load_at<'g>(
+        &self,
+        mode: &Versioned,
+        at: Option<SnapshotHandle>,
+        guard: &'g Guard,
+    ) -> Shared<'g, T> {
         match at {
-            Some(handle) => self.load_snapshot(handle, guard),
-            None => VersionedPtr::load(self, guard),
+            Some(handle) => self.load_snapshot(&mode.0, handle, guard),
+            None => PtrCell::load(self, &mode.0, guard),
         }
     }
 
     #[inline]
-    fn compare_exchange(&self, current: Shared<'_, T>, new: Shared<'_, T>, guard: &Guard) -> bool {
-        VersionedPtr::compare_exchange(self, current, new, guard)
+    fn compare_exchange(
+        &self,
+        mode: &Versioned,
+        current: Shared<'_, T>,
+        new: Shared<'_, T>,
+        guard: &Guard,
+    ) -> bool {
+        PtrCell::compare_exchange(self, &mode.0, current, new, guard)
     }
 
     #[inline]
-    fn collect_before(&self, min_active: u64, guard: &Guard) -> usize {
-        VersionedPtr::collect_before(self, min_active, guard)
+    fn collect_before(&self, mode: &Versioned, min_active: u64, guard: &Guard) -> usize {
+        PtrCell::collect_before(self, &mode.0, min_active, guard)
     }
 
     fn version_count(&self, guard: &Guard) -> usize {
-        VersionedPtr::version_count(self, guard)
+        PtrCell::version_count(self, guard)
+    }
+
+    fn destroy(self, camera: &Arc<Camera>) {
+        PtrCell::destroy(self, camera)
     }
 }
 
@@ -115,7 +153,7 @@ pub trait Mode: sealed::Sealed + Clone + Send + Sync + 'static {
 
     /// The cell holding a pointer to `T`; `H` sees every version's pointer word in
     /// versioned mode and is ignored in plain mode.
-    type Cell<T: Send + Sync + 'static, H: ValueHook<usize>>: PointerCell<T>;
+    type Cell<T: Send + Sync + 'static, H: ValueHook<usize>>: PointerCell<T, Self>;
 
     /// The camera the cells are associated with (`None` in plain mode).
     fn camera(&self) -> Option<&Arc<Camera>>;
@@ -163,7 +201,8 @@ impl Mode for Plain {
     }
 }
 
-/// Versioned mode: three-word [`VersionedPtr`] cells on one camera (the vCAS structures).
+/// Versioned mode: one-word [`PtrCell`] cells on one camera (the vCAS structures). The
+/// mode holds the camera and hands it to every cell operation.
 #[derive(Clone, Debug)]
 pub struct Versioned(Arc<Camera>);
 
@@ -176,7 +215,7 @@ impl Versioned {
 
 impl Mode for Versioned {
     const VERSIONED: bool = true;
-    type Cell<T: Send + Sync + 'static, H: ValueHook<usize>> = VersionedPtr<T, H>;
+    type Cell<T: Send + Sync + 'static, H: ValueHook<usize>> = PtrCell<T, H>;
 
     #[inline]
     fn camera(&self) -> Option<&Arc<Camera>> {
@@ -187,8 +226,8 @@ impl Mode for Versioned {
     fn cell<T: Send + Sync + 'static, H: ValueHook<usize>>(
         &self,
         init: Shared<'_, T>,
-    ) -> Option<VersionedPtr<T, H>> {
-        VersionedPtr::with_hook(init, &self.0)
+    ) -> Option<PtrCell<T, H>> {
+        PtrCell::with_hook(init, &self.0)
     }
 }
 
@@ -197,12 +236,13 @@ mod tests {
     use super::*;
     use vcas_ebr::{pin, Owned};
 
-    /// The seam's point: a plain cell is one word, a versioned one three.
+    /// The seam's point: a versioned cell is one word, like a plain one — the camera lives
+    /// in the mode, not in the cell.
     #[test]
-    fn plain_cell_is_one_word_and_versioned_three() {
+    fn plain_and_versioned_cells_are_one_word() {
         let word = std::mem::size_of::<usize>();
         assert_eq!(std::mem::size_of::<<Plain as Mode>::Cell<u64, ()>>(), word);
-        assert_eq!(std::mem::size_of::<<Versioned as Mode>::Cell<u64, ()>>(), 3 * word);
+        assert_eq!(std::mem::size_of::<<Versioned as Mode>::Cell<u64, ()>>(), word);
         assert_eq!(std::mem::size_of::<Plain>(), 0);
     }
 
@@ -216,13 +256,13 @@ mod tests {
             let b = Owned::new(2u64).into_shared(&g);
             let cell: M::Cell<u64, ()> = mode.cell(a).expect("an unmanaged cell never refuses");
             let before = mode.camera().map(|c| c.take_snapshot());
-            assert!(cell.compare_exchange(a, b, &g));
-            assert!(!cell.compare_exchange(a, b, &g), "a stale CAS must fail");
-            assert_eq!(cell.load(&g), b);
+            assert!(cell.compare_exchange(&mode, a, b, &g));
+            assert!(!cell.compare_exchange(&mode, a, b, &g), "a stale CAS must fail");
+            assert_eq!(cell.load(&mode, &g), b);
             // SAFETY: `g` is held and the test frees neither node before the read.
-            let seen = unsafe { *cell.load_at(before, &g).deref() };
+            let seen = unsafe { *cell.load_at(&mode, before, &g).deref() };
             let versions = cell.version_count(&g);
-            drop(cell);
+            cell.destroy(&mode.camera().cloned().unwrap_or_else(Camera::new));
             // SAFETY: unmanaged cell — the test owns both nodes and frees each once.
             unsafe {
                 drop(a.into_owned());

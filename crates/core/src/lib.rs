@@ -21,12 +21,15 @@
 //!
 //! On top of the paper's algorithm the crate adds what a reusable library needs:
 //!
-//! * [`VersionedPtr`] — a typed wrapper that versions *pointers* to nodes of a lock-free data
+//! * [`VersionedCell`] — the one-word object itself, which takes its camera from the caller;
+//!   [`VersionedCas`] pairs one with a camera handle for standalone use.
+//! * [`PtrCell`] — a typed cell that versions *pointers* to nodes of a lock-free data
 //!   structure (the way the paper's data-structure applications use vCAS), including tag-bit
-//!   support for Harris-style marking.
+//!   support for Harris-style marking; [`VersionedPtr`] is its standalone form.
 //! * [`Mode`] — the one seam between a structure and its snapshot capability: a structure
 //!   generic over `M: Mode` keeps its pointers in `M::Cell` cells, one-word atomics for
-//!   [`Plain`] and [`VersionedPtr`]s for [`Versioned`] (see [`cell`]).
+//!   [`Plain`] and one-word [`PtrCell`]s for [`Versioned`], whose camera the mode supplies
+//!   (see [`cell`]).
 //! * [`PinnedSnapshot`] and per-camera snapshot registries, so version lists can be truncated
 //!   ([`VersionedCas::collect_before`]) once no pinned snapshot can still need old versions.
 //! * [`reclaim`] — the *automatic* reclamation subsystem: structures register as
@@ -94,9 +97,10 @@ pub use group::{CameraAttached, CameraGroup, GroupRegisterError, GroupSnapshot};
 pub use reclaim::{CollectStats, Collectible, Collector, ReclaimPolicy, VersionStats};
 pub use retention::{Anchor, RetentionError, RetentionPolicy, Timestamp};
 pub use snapshot::{PinnedSnapshot, SnapshotHandle};
-pub use versioned::{ValueHook, VersionedCas};
+pub use versioned::{ValueHook, VersionedCas, VersionedCell};
 pub use versioned_ptr::{
-    acquire_node_ref, release_node_ref, Managed, ManagedPtr, VersionReferenced, VersionedPtr,
+    acquire_node_ref, release_node_ref, Managed, ManagedPtr, PtrCell, VersionReferenced,
+    VersionedPtr,
 };
 pub use vnode::VersionValue;
 

@@ -2,7 +2,7 @@
 //! background collector.
 //!
 //! The paper's snapshot scheme only stays practical if version lists are truncated below the
-//! oldest live snapshot ([`crate::VersionedCas::collect_before`], driven by
+//! oldest live snapshot ([`crate::VersionedCell::collect_before`], driven by
 //! [`Camera::min_active`]). Truncation is a *primitive*, though — something has to call it,
 //! continuously, against every cell of every structure on the camera, or an update-heavy run
 //! leaks memory linearly. This module turns the primitive into a subsystem:
@@ -113,7 +113,7 @@ impl VersionStats {
 /// different slices of the structure; a full sweep is signalled by
 /// [`CollectStats::completed_cycle`]. Calls may run concurrently with updates and with each
 /// other (per-cell truncation is already serialized by
-/// [`crate::VersionedCas::collect_before`]), though drivers normally serialize passes.
+/// [`crate::VersionedCell::collect_before`]), though drivers normally serialize passes.
 ///
 /// [`collect_bounded`]: Collectible::collect_bounded
 pub trait Collectible: Send + Sync {
@@ -131,7 +131,7 @@ pub trait Collectible: Send + Sync {
 pub enum ReclaimPolicy {
     /// No sweeps. Write-time pruning still runs: a vCAS whose displaced version is at or
     /// below the retention watermark cuts its own cell (see
-    /// [`crate::VersionedCas::compare_and_swap`]), so writes after the pins on a cell's
+    /// [`crate::VersionedCell::compare_and_swap`]), so writes after the pins on a cell's
     /// history are released bring it back to one or two versions. Only cells not written
     /// again keep their history until collected manually. The right choice for short-lived
     /// runs or ablations.

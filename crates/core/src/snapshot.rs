@@ -8,7 +8,7 @@ use crate::camera::Camera;
 /// (the integer returned by the paper's `takeSnapshot`).
 ///
 /// Handles are plain integers: copying them is free and they can be shipped between threads.
-/// Passing a handle to [`crate::VersionedCas::read_snapshot`] returns the value that object
+/// Passing a handle to [`crate::VersionedCell::read_snapshot`] returns the value that object
 /// had when the handle was acquired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SnapshotHandle(u64);
@@ -33,7 +33,7 @@ impl From<u64> for SnapshotHandle {
 
 /// A snapshot handle registered with its camera for as long as this value is alive.
 ///
-/// Version-list truncation ([`crate::VersionedCas::collect_before`] driven by
+/// Version-list truncation ([`crate::VersionedCell::collect_before`] driven by
 /// [`Camera::min_active`]) will never reclaim a version that a live `PinnedSnapshot` could
 /// still need. Long-running multi-point queries should therefore use
 /// [`Camera::pin_snapshot`]; short queries in a setting without truncation can use the raw

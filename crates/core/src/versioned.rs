@@ -1,9 +1,17 @@
 //! The versioned CAS object (paper §3.1, Algorithm 1).
+//!
+//! [`VersionedCell`] is the object itself: one word, the head of its version list, as in
+//! the paper. It does not hold its camera; every operation receives it from the caller (a
+//! structure passes the camera of its [`crate::Versioned`] mode), so a structure's
+//! versioned pointers cost what plain ones do. [`VersionedCas`] is the standalone form: a
+//! cell that owns a camera handle and supplies it, for code that versions a few words
+//! rather than a structure's pointers.
 
 use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
-use crate::sync::{AtomicBool, Ordering};
+use crate::sync::Ordering;
 
 use vcas_ebr::{Atomic, Guard, Shared};
 
@@ -13,35 +21,47 @@ use crate::vnode::{VNode, VersionValue};
 use crate::vpool;
 use crate::TBD;
 
-/// A CAS object whose entire history of values can be read through snapshot handles.
+/// Tag bit of the head word: the restructuring gate. Truncation cuts, dead same-timestamp
+/// unlinks and the elision unlink rewrite `nextv` links only while holding it, so at most
+/// one thread restructures a list at a time. Reads mask it; the publication CAS carries
+/// it over to the new head (see [`VersionedCell::compare_and_swap`]). `VNode`s are
+/// 8-aligned, so the bit is free.
+const GATE: usize = 1;
+
+/// A CAS object whose entire history of values can be read through snapshot handles: the
+/// paper's vCAS object, one word wide.
 ///
-/// `VersionedCas<T>` supports the paper's three operations:
+/// `VersionedCell<T>` supports the paper's three operations:
 ///
-/// * [`read`](VersionedCas::read) (`vRead`) — constant time;
-/// * [`compare_and_swap`](VersionedCas::compare_and_swap) (`vCAS`) — constant time;
-/// * [`read_snapshot`](VersionedCas::read_snapshot) — wait-free, taking time proportional to
-///   the number of successful CASes on this object since the snapshot was taken.
+/// * [`read`](VersionedCell::read) (`vRead`) — constant time;
+/// * [`compare_and_swap`](VersionedCell::compare_and_swap) (`vCAS`) — constant time;
+/// * [`read_snapshot`](VersionedCell::read_snapshot) — wait-free, taking time proportional
+///   to the number of successful CASes on this object since the snapshot was taken.
 ///
-/// The object keeps a singly linked *version list*, newest first. The head node's timestamp
-/// may transiently be the `TBD` placeholder; every operation that observes this helps stamp
-/// it (`initTS`) before proceeding, which is what makes "append node + read global timestamp
-/// + record it" appear atomic and gives the linearization points proven in the paper.
+/// Each takes the camera the cell is associated with; passing a different camera to one
+/// cell is a logic error (its timestamps would not be comparable).
+///
+/// The object keeps a singly linked *version list*, newest first, whose head pointer is
+/// the cell's only word. The head node's timestamp may transiently be the `TBD`
+/// placeholder; every operation that observes this helps stamp it (`initTS`) before
+/// proceeding, which is what makes "append node + read global timestamp + record it"
+/// appear atomic and gives the linearization points proven in the paper. The head word's
+/// low bit is the restructuring gate (see `compare_and_swap`).
 ///
 /// **Version lifecycle** (see `docs/reclamation.md`): nodes are born from the per-thread
 /// pool (`vpool`), published by the vCAS, possibly *elided* right after publication when
 /// the camera has not advanced (the paper's recommended same-timestamp optimization — see
-/// [`VersionedCas::compare_and_swap`]), and die back into the pool via truncation, elision,
-/// a lost publication race, or the cell's destructor.
+/// [`VersionedCell::compare_and_swap`]), and die back into the pool via truncation,
+/// elision, a lost publication race, or [`VersionedCell::destroy`].
+///
+/// A cell is torn down by [`VersionedCell::destroy`], which takes the camera: dropping one
+/// without it leaks its versions (debug builds assert).
 ///
 /// `T` must implement [`VersionValue`]: values are small words (integers, packed pointers)
-/// stored in non-generic, poolable nodes. For versioned *pointers* to data-structure nodes
-/// use the typed wrapper [`crate::VersionedPtr`].
-pub struct VersionedCas<T: VersionValue, H: ValueHook<T> = ()> {
+/// stored in non-generic, poolable nodes. Data structures version pointers through the
+/// typed [`crate::PtrCell`].
+pub struct VersionedCell<T: VersionValue, H: ValueHook<T> = ()> {
     head: Atomic<VNode>,
-    camera: Arc<Camera>,
-    /// Serializes version-list restructuring: truncation cuts, dead same-timestamp
-    /// unlinks, and the elision unlink (never touched by reads or by the publication CAS).
-    truncating: AtomicBool,
     /// The value lifecycle hook, a type only: invoked once per version node holding a
     /// value (acquire at creation, release at destruction). This is how managed pointer
     /// cells ([`crate::Managed`]) thread data-node reference counting through the version
@@ -51,7 +71,7 @@ pub struct VersionedCas<T: VersionValue, H: ValueHook<T> = ()> {
 
 /// Per-value lifecycle callbacks of a versioned CAS object, chosen at compile time: the
 /// hook is the cell's second type parameter, so it occupies no space in the cell (a
-/// hooked cell is the same three words as an unhooked one) and its calls are static, not
+/// hooked cell is the same one word as an unhooked one) and its calls are static, not
 /// through function pointers. `()` is the no-op hook of unmanaged cells.
 ///
 /// The contract: `acquire(v)` is called once for every version node about to be created
@@ -60,11 +80,11 @@ pub struct VersionedCas<T: VersionValue, H: ValueHook<T> = ()> {
 /// is created: the construction or vCAS fails and `release` is never called for it.
 /// After an accepted `acquire`, `release(v, camera, guard)` is called exactly once when
 /// that version node is destroyed — by truncation, by elision of a displaced head, by a
-/// failed publication, or by the cell's destructor. Releases triggered by truncation or
+/// failed publication, or by the cell's destruction. Releases triggered by truncation or
 /// elision run under the calling thread's guard, so a release that frees memory must defer
 /// through the guard (epoch-based reclamation), never free immediately.
 pub trait ValueHook<T>: 'static {
-    /// `false` only for a hook whose callbacks do nothing; the cell's destructor then
+    /// `false` only for a hook whose callbacks do nothing; the cell's destruction then
     /// skips pinning the guard it would release values under.
     const ACTIVE: bool = true;
     /// Called when a version node holding the value is about to be created
@@ -87,12 +107,13 @@ impl<T> ValueHook<T> for () {
 
 // SAFETY: the cell owns its version list; all shared access goes through atomics and
 // epoch guards, so it may move between threads (`VersionValue` requires `Send + Sync`).
-unsafe impl<T: VersionValue, H: ValueHook<T>> Send for VersionedCas<T, H> {}
+unsafe impl<T: VersionValue, H: ValueHook<T>> Send for VersionedCell<T, H> {}
 // SAFETY: reads, CASes, truncation and elision are all safe for concurrent callers (list
-// restructuring is self-serializing via `truncating`); `&VersionedCas<T, H>` is shareable.
-unsafe impl<T: VersionValue, H: ValueHook<T>> Sync for VersionedCas<T, H> {}
+// restructuring is self-serializing via the head word's gate bit); `&VersionedCell<T, H>`
+// is shareable.
+unsafe impl<T: VersionValue, H: ValueHook<T>> Sync for VersionedCell<T, H> {}
 
-/// Success ordering of the publication CAS in [`VersionedCas::compare_and_swap`].
+/// Success ordering of the publication CAS in [`VersionedCell::compare_and_swap`].
 ///
 /// The protocol requires `SeqCst`: publishing a version node must be totally ordered with
 /// the camera's timestamp reads so that `initTS` helping sees a frozen head. The
@@ -126,12 +147,12 @@ pub const PUBLISH_FENCE_ORDERING: Ordering = Ordering::Release;
 #[cfg(vcas_weaken_fence)]
 pub const PUBLISH_FENCE_ORDERING: Ordering = Ordering::Acquire;
 
-/// Eligibility check of the `elide_cas` path: a displaced head may be unlinked only when
-/// the new head carries the **same** timestamp — then (and only then) the displaced
-/// version is shadowed for every possible snapshot handle. Timestamp equality is a pure
-/// fact about two immutable stamps, so this check has no TOCTOU window; the structural
-/// race (is the displaced node still linked right below the new head?) is re-validated
-/// under the `truncating` gate inside [`VersionedCas::compare_and_swap`]'s elision step.
+/// Eligibility check of the elision step: a displaced head may be unlinked only when the
+/// new head carries the **same** timestamp — then (and only then) the displaced version is
+/// shadowed for every possible snapshot handle. Timestamp equality is a pure fact about
+/// two immutable stamps, so this check has no TOCTOU window; the structural race (is the
+/// displaced node still linked right below the new head?) is re-validated under the gate
+/// inside [`VersionedCell::compare_and_swap`]'s elision step.
 #[cfg(not(vcas_weaken_elide))]
 #[inline]
 fn elide_match(new_ts: u64, displaced_ts: u64) -> bool {
@@ -149,62 +170,80 @@ fn elide_match(new_ts: u64, displaced_ts: u64) -> bool {
     new_ts >= displaced_ts
 }
 
-impl<T: VersionValue> VersionedCas<T> {
+/// The gate bit a publication CAS installs with its new head: the bit it observed, so a
+/// publication landing while a cut holds the gate leaves the gate held.
+#[cfg(not(vcas_weaken_gate))]
+#[inline]
+fn carried_gate(observed: usize, _camera: &Camera) -> usize {
+    observed & GATE
+}
+/// Mutated (deliberately wrong) publication: on a camera built by
+/// [`Camera::with_weakened_gate`], the new head drops the gate bit it observed, releasing a
+/// gate the publisher never held while a cut is still restructuring below it. Exists
+/// solely for the mutation regression in `crates/analysis/tests/model.rs`, which proves
+/// the model checker catches the concurrent restructuring this allows (stock builds never
+/// set the cfg).
+#[cfg(vcas_weaken_gate)]
+#[inline]
+fn carried_gate(observed: usize, camera: &Camera) -> usize {
+    if camera.gate_weakened() {
+        0
+    } else {
+        observed & GATE
+    }
+}
+
+/// `initTS`: if `node`'s timestamp is still TBD, stamp it with the camera's current
+/// counter value. Any thread may perform this helping step; the CAS guarantees the
+/// timestamp is written at most once. Returns the node's final (stamped) timestamp.
+#[inline]
+fn init_ts(node: &VNode, camera: &Camera) -> u64 {
+    let ts = node.ts.load(Ordering::SeqCst);
+    if ts != TBD {
+        return ts;
+    }
+    let cur = camera.current_timestamp();
+    match node.ts.compare_exchange(TBD, cur, Ordering::SeqCst, Ordering::SeqCst) {
+        Ok(_) => cur,
+        Err(actual) => actual,
+    }
+}
+
+impl<T: VersionValue> VersionedCell<T> {
     /// Creates a versioned CAS object holding `initial`, associated with `camera`.
-    pub fn new(initial: T, camera: &Arc<Camera>) -> Self {
+    pub fn new(initial: T, camera: &Camera) -> Self {
         Self::build(initial, camera)
     }
 }
 
-impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
+impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     /// Creates a versioned CAS object whose values go through the hook `H` (see
     /// [`ValueHook`]). `H::acquire` is invoked for `initial` first; `None` when it refuses
     /// the value.
-    pub(crate) fn with_hook(initial: T, camera: &Arc<Camera>) -> Option<Self> {
+    pub fn with_hook(initial: T, camera: &Camera) -> Option<Self> {
         H::acquire(initial).then(|| Self::build(initial, camera))
     }
 
-    fn build(initial: T, camera: &Arc<Camera>) -> Self {
+    fn build(initial: T, camera: &Camera) -> Self {
         let node = vpool::alloc(VNode::initial(initial.into_word()));
         // Stamp the initial version immediately (constructor runs before any concurrent
         // access, so a plain store of the current timestamp is the paper's initTS).
         node.as_ref().ts.store(camera.current_timestamp(), Ordering::SeqCst);
         camera.note_initial_version();
-        VersionedCas {
-            head: Atomic::from_owned(node),
-            camera: camera.clone(),
-            truncating: AtomicBool::new(false),
-            _hook: PhantomData,
-        }
+        VersionedCell { head: Atomic::from_owned(node), _hook: PhantomData }
     }
 
-    /// The camera this object is associated with.
-    pub fn camera(&self) -> &Arc<Camera> {
-        &self.camera
-    }
-
-    /// `initTS`: if `node`'s timestamp is still TBD, stamp it with the camera's current
-    /// counter value. Any thread may perform this helping step; the CAS guarantees the
-    /// timestamp is written at most once. Returns the node's final (stamped) timestamp.
+    /// The head version, gate bit masked.
     #[inline]
-    fn init_ts(&self, node: &VNode) -> u64 {
-        let ts = node.ts.load(Ordering::SeqCst);
-        if ts != TBD {
-            return ts;
-        }
-        let cur = self.camera.current_timestamp();
-        match node.ts.compare_exchange(TBD, cur, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => cur,
-            Err(actual) => actual,
-        }
+    fn head<'g>(&self, guard: &'g Guard) -> Shared<'g, VNode> {
+        self.head.load(Ordering::SeqCst, guard).with_tag(0)
     }
 
     /// `vRead`: returns the current value. Constant time.
-    pub fn read(&self, guard: &Guard) -> T {
-        let head = self.head.load(Ordering::SeqCst, guard);
+    pub fn read(&self, camera: &Camera, guard: &Guard) -> T {
         // SAFETY: the head pointer is never null and `guard` pins the epoch.
-        let node = unsafe { head.deref() };
-        self.init_ts(node);
+        let node = unsafe { self.head(guard).deref() };
+        init_ts(node, camera);
         T::from_word(node.word)
     }
 
@@ -213,11 +252,18 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// also returns `false`, changing nothing, when the hook refuses `new` (a managed
     /// pointer cell refuses a retired node; see [`crate::VersionReferenced`]).
     ///
+    /// **The gate bit.** The publication CAS expects the head word it read, gate bit
+    /// included, and installs the new head with that same bit: a publication landing while
+    /// a cut holds the gate keeps it held (the cut's release clears the bit on whatever
+    /// head is then current). When the CAS fails because only the bit changed — a cut
+    /// took or released the gate — it retries against the new word, so a vCAS fails only
+    /// when another vCAS changed the value; it never fails spuriously.
+    ///
     /// When the successful publication is stamped with the **same** timestamp as the head
     /// it displaced — i.e. the camera has not advanced since the previous update — the
     /// displaced version is dead on arrival: `read_snapshot` walks newest-first and stops
     /// at the first version with `ts <= handle`, so no handle can ever return a version
-    /// shadowed by a strictly newer one at the same timestamp. The `elide_cas` step then
+    /// shadowed by a strictly newer one at the same timestamp. The elision step then
     /// unlinks the displaced node immediately and recycles it through the pool, so an
     /// update burst between two camera advances keeps the list at one node instead of
     /// growing per CAS (the paper's recommended elision, §4).
@@ -227,12 +273,15 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// cuts the cell below its newest version at or below the watermark, at once
     /// (write-time pruning; see `docs/reclamation.md`). That version is the new head
     /// itself once the watermark has reached its stamp (every pin released and no snapshot
-    /// taken since), so such a write leaves its cell at one version without any sweep.
-    pub fn compare_and_swap(&self, old: T, new: T, guard: &Guard) -> bool {
-        let head = self.head.load(Ordering::SeqCst, guard);
+    /// taken since), so such a write leaves its cell at one version without any sweep. An
+    /// elision that finds history left below the displaced head prunes it the same way,
+    /// under the gate it already holds.
+    pub fn compare_and_swap(&self, camera: &Arc<Camera>, old: T, new: T, guard: &Guard) -> bool {
+        let mut seen = self.head.load(Ordering::SeqCst, guard);
+        let head = seen.with_tag(0);
         // SAFETY: the head pointer is never null and `guard` pins the epoch.
         let head_ref = unsafe { head.deref() };
-        let displaced_ts = self.init_ts(head_ref);
+        let displaced_ts = init_ts(head_ref, camera);
         if head_ref.word != old.into_word() {
             return false;
         }
@@ -246,39 +295,42 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
             return false;
         }
         let new_node = vpool::alloc(VNode::new(new.into_word(), head)).into_shared(guard);
-        match self.head.compare_exchange(
-            head,
-            new_node,
-            PUBLISH_CAS_ORDERING,
-            Ordering::SeqCst,
-            guard,
-        ) {
-            Ok(_) => {
-                // SAFETY: we just published `new_node`; it is non-null and epoch-protected.
-                let new_ref = unsafe { new_node.deref() };
-                let new_ts = self.init_ts(new_ref);
-                if !self.elide_cas(new_node, new_ts, head, displaced_ts, guard)
-                    && !self.prune(displaced_ts, guard)
-                {
-                    self.camera.note_version_pushed();
+        loop {
+            let installed = new_node.with_tag(carried_gate(seen.tag(), camera));
+            match self.head.compare_exchange(
+                seen,
+                installed,
+                PUBLISH_CAS_ORDERING,
+                Ordering::SeqCst,
+                guard,
+            ) {
+                Ok(_) => break,
+                // Only the gate bit moved: the head is still `head`, so retry.
+                Err(err) if err.current.with_tag(0) == head => seen = err.current,
+                Err(_) => {
+                    // SAFETY: the CAS failed, so the node was never published and this
+                    // thread still owns it exclusively; recycle immediately (Algorithm 1
+                    // line 50).
+                    unsafe { vpool::recycle(new_node.as_raw()) };
+                    H::release(new, camera, guard);
+                    // Help the vCAS that beat us stamp its node before we report failure.
+                    // SAFETY: the head pointer is never null and `guard` pins the epoch.
+                    init_ts(unsafe { self.head(guard).deref() }, camera);
+                    return false;
                 }
-                true
-            }
-            Err(err) => {
-                // SAFETY: the CAS failed, so the node was never published and this thread
-                // still owns it exclusively; recycle immediately (Algorithm 1 line 50).
-                unsafe { vpool::recycle(err.new.as_raw()) };
-                H::release(new, &self.camera, guard);
-                // Help the vCAS that beat us stamp its node before we report failure.
-                let current = self.head.load(Ordering::SeqCst, guard);
-                // SAFETY: the head pointer is never null and `guard` pins the epoch.
-                self.init_ts(unsafe { current.deref() });
-                false
             }
         }
+        // SAFETY: we just published `new_node`; it is non-null and epoch-protected.
+        let new_ts = init_ts(unsafe { new_node.deref() }, camera);
+        if !self.elide(camera, new_node, new_ts, head, displaced_ts, guard)
+            && !self.prune(camera, displaced_ts, guard)
+        {
+            camera.note_version_pushed();
+        }
+        true
     }
 
-    /// The elision step of [`VersionedCas::compare_and_swap`]: after `new_node` displaced
+    /// The elision step of [`VersionedCell::compare_and_swap`]: after `new_node` displaced
     /// `displaced` at the head, unlink and recycle `displaced` when both carry the same
     /// timestamp. Returns `true` when the displaced node was elided.
     ///
@@ -293,74 +345,90 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// fact about two immutable stamps; the unlink is then the PR 5 dead same-timestamp
     /// collection performed eagerly, whose safety argument is structural, not temporal.
     ///
-    /// **Structural revalidation under the gate.** Between our publication and acquiring
-    /// the `truncating` gate, a concurrent truncation may already have retired
-    /// `displaced`, or a later vCAS may have displaced *and elided* `new_node` itself
-    /// (leaving `displaced` linked below the newer head — unlinking it from our off-list
-    /// node would orphan nothing but releasing it would double-free). Both are excluded
-    /// by re-checking, under the gate, that `new_node` is still the head *and* that
-    /// `displaced` is still its direct successor; on any mismatch the elision is skipped
-    /// and the lazy collection in [`VersionedCas::collect_before`] reaps the node later.
-    /// ABA on these pointer comparisons is impossible while we hold `guard`: a recycled
-    /// address can only reappear after a grace period our own pin forbids.
+    /// **One RMW takes the gate and revalidates.** The gate is taken by
+    /// `CAS(new_node → new_node|GATE)`, which succeeds only while `new_node` is still the
+    /// head and nobody holds the gate. A later vCAS may have displaced *and elided*
+    /// `new_node` itself (leaving `displaced` linked below the newer head — unlinking it
+    /// from our off-list node would orphan nothing, but releasing it would double-free);
+    /// that CAS then fails and the elision is skipped. Under the gate, a cut that ran
+    /// between our publication and the CAS may already have unlinked `displaced`, so the
+    /// step also checks that `displaced` is still `new_node`'s successor; on any mismatch
+    /// the lazy collection in [`VersionedCell::collect_before`] reaps the node later. ABA
+    /// on these pointer comparisons is impossible while we hold `guard`: a recycled address
+    /// can only reappear after a grace period our own pin forbids.
+    ///
+    /// **Pruning under the same gate.** When history is left below `displaced` and the
+    /// retention watermark has reached `new_ts`, every retained or future snapshot reads
+    /// `new_node` or something newer, so the suffix is cut too before the gate is released
+    /// (the case [`VersionedCell::prune`] handles for publications that do not elide). An
+    /// empty suffix — the steady state of an update burst — costs no extra read.
     ///
     /// **Accounting** is slot-based so `created == retired + dropped` stays exact: an
     /// elided publication transfers the displaced node's "created" identity to the new
     /// head (the pair counts once as `versions_elided`, never again as created), and the
     /// recycled node is counted neither retired nor dropped — every *linked* node still
-    /// dies exactly once.
-    fn elide_cas(
+    /// dies exactly once. Suffix nodes the step cuts count as retired.
+    fn elide(
         &self,
+        camera: &Arc<Camera>,
         new_node: Shared<'_, VNode>,
         new_ts: u64,
         displaced: Shared<'_, VNode>,
         displaced_ts: u64,
         guard: &Guard,
     ) -> bool {
-        if !elide_match(new_ts, displaced_ts) || !self.camera.elision_enabled() {
+        if !elide_match(new_ts, displaced_ts) || !camera.elision_enabled() {
             return false;
         }
-        if self
-            .truncating
-            // ORDERING: elide-gate — failure means "a truncation or another elision is
-            // restructuring the list, skip the optimization"; no data is read under the
+        let gated = new_node.with_tag(GATE);
+        let taken = self.head.compare_exchange(
+            new_node,
+            gated,
+            Ordering::Acquire,
+            // ORDERING: elide-gate — failure means "`new_node` was displaced, or another
+            // thread holds the gate: skip the optimization"; no data is read under the
             // failed CAS, so its load can be relaxed.
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
+            Ordering::Relaxed,
+            guard,
+        );
+        if taken.is_err() {
             return false;
         }
-        // Revalidate the structure under the gate (see the method docs): we may unlink
-        // only if the list still reads `head -> new_node -> displaced`.
-        let still_head = self.head.load(Ordering::SeqCst, guard);
         // SAFETY: `new_node` was published by us and cannot be freed before `guard` drops.
         let new_ref = unsafe { new_node.deref() };
-        let still_next = new_ref.nextv.load(Ordering::SeqCst, guard);
-        let elide =
-            still_head.as_raw() == new_node.as_raw() && still_next.as_raw() == displaced.as_raw();
+        let elide = new_ref.nextv.load(Ordering::SeqCst, guard) == displaced;
+        let mut cut = 0;
         if elide {
             // SAFETY: `displaced` is epoch-protected while `guard` is live (even if a
             // concurrent truncation had unlinked it, which the check above excludes).
             let displaced_ref = unsafe { displaced.deref() };
             let after = displaced_ref.nextv.load(Ordering::SeqCst, guard);
-            new_ref.nextv.store(after, Ordering::SeqCst);
+            if !after.is_null() && camera.oldest_retained() >= new_ts {
+                new_ref.nextv.store(Shared::null(), Ordering::SeqCst);
+                cut = self.retire_suffix(camera, after, guard);
+            } else {
+                new_ref.nextv.store(after, Ordering::SeqCst);
+            }
         }
-        self.truncating.store(false, Ordering::Release);
+        self.release_gate(guard);
         if elide {
             // SAFETY: as above — unlinked under the gate, epoch-protected.
             let displaced_ref = unsafe { displaced.deref() };
-            H::release(T::from_word(displaced_ref.word), &self.camera, guard);
+            H::release(T::from_word(displaced_ref.word), camera, guard);
             let raw = displaced.as_raw();
             // SAFETY: the node was unlinked while we held the gate, so it is retired
             // exactly once; deferring through the guard returns it to the pool only
             // after every in-flight reader's grace period.
             unsafe { guard.defer_unchecked(move || vpool::recycle(raw)) };
-            self.camera.note_versions_elided(1);
+            camera.note_versions_elided(1);
+            if cut > 0 {
+                camera.note_versions_retired(cut as u64);
+            }
         }
         elide
     }
 
-    /// The write-time pruning step of [`VersionedCas::compare_and_swap`], run after a
+    /// The write-time pruning step of [`VersionedCell::compare_and_swap`], run after a
     /// publication that displaced a head stamped `displaced_ts` and was not elided: when
     /// the retention watermark `w` ([`Camera::oldest_retained`]) is at or above
     /// `displaced_ts`, cut the cell below its newest version stamped `<= w` — the new
@@ -375,10 +443,10 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// applies, with the published watermark as its floor. The `displaced_ts` test keeps
     /// the walk to the top of the list (head, then the cut): while an old pin holds `w`
     /// below the displaced version, the cut would sit deeper and the write skips it. The
-    /// cut is [`VersionedCas::collect_before`]'s, under the same `truncating` gate (a
-    /// contended gate skips it, leaving the suffix to a later cut) and with the same
-    /// deferred recycling. Raw handles are not retention: one older than the watermark
-    /// loses its history here, as it would to a sweep.
+    /// cut is [`VersionedCell::collect_before`]'s, under the same gate (a held gate skips
+    /// it, leaving the suffix to a later cut) and with the same deferred recycling. Raw
+    /// handles are not retention: one older than the watermark loses its history here, as
+    /// it would to a sweep.
     ///
     /// Skipped when elision is disabled: that switch restores the one-node-per-CAS
     /// lifecycle, which also keeps the displaced versions this step would cut.
@@ -389,18 +457,18 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// `created == retired + dropped` stays exact. It must not count as a push: a pruned
     /// publication never lengthens a list, and a push would reopen the reclamation
     /// drivers' zero-debt gate.
-    fn prune(&self, displaced_ts: u64, guard: &Guard) -> bool {
-        let floor = self.camera.oldest_retained();
-        if floor < displaced_ts || !self.camera.elision_enabled() {
+    fn prune(&self, camera: &Arc<Camera>, displaced_ts: u64, guard: &Guard) -> bool {
+        let floor = camera.oldest_retained();
+        if floor < displaced_ts || !camera.elision_enabled() {
             return false;
         }
-        let freed = self.cut_below(floor, guard);
+        let freed = self.cut_below(camera, floor, guard);
         if freed == 0 {
             return false;
         }
-        self.camera.note_version_pruned();
+        camera.note_version_pruned();
         if freed > 1 {
-            self.camera.note_versions_retired(freed as u64 - 1);
+            camera.note_versions_retired(freed as u64 - 1);
         }
         true
     }
@@ -414,13 +482,13 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// The paper's precondition is that this object existed before the snapshot was taken
     /// and that no version the snapshot needs has been truncated away (guaranteed when the
     /// handle is *pinned*, [`Camera::pin_snapshot`]). If the precondition is violated —
-    /// a raw, unpinned handle older than a [`VersionedCas::collect_before`] cut, or an
+    /// a raw, unpinned handle older than a [`VersionedCell::collect_before`] cut, or an
     /// object created after the snapshot — this convenience wrapper falls back to the
     /// **oldest retained value**. Callers that need to distinguish the fallback use
-    /// [`VersionedCas::read_snapshot_checked`]; see `docs/snapshot_views.md` for the
+    /// [`VersionedCell::read_snapshot_checked`]; see `docs/snapshot_views.md` for the
     /// raw-vs-pinned handle contract.
-    pub fn read_snapshot(&self, handle: SnapshotHandle, guard: &Guard) -> T {
-        match self.read_snapshot_impl(handle, guard) {
+    pub fn read_snapshot(&self, camera: &Camera, handle: SnapshotHandle, guard: &Guard) -> T {
+        match self.read_snapshot_impl(camera, handle, guard) {
             Ok(exact) => exact,
             Err((oldest_ts, fallback)) => {
                 // The fallback must be unreachable for anchored/pinned timestamps: if a
@@ -432,13 +500,13 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
                 // contract. The conjunction below is exactly "a pinned timestamp lost
                 // retained history": a retention bug.
                 debug_assert!(
-                    !(oldest_ts <= self.camera.oldest_retained()
-                        && self.camera.has_pin_at_or_below(handle.raw())),
+                    !(oldest_ts <= camera.oldest_retained()
+                        && camera.has_pin_at_or_below(handle.raw())),
                     "read_snapshot fallback hit for pinned/anchored handle {} \
                      (oldest retained version ts={}, watermark={})",
                     handle.raw(),
                     oldest_ts,
-                    self.camera.oldest_retained()
+                    camera.oldest_retained()
                 );
                 fallback
             }
@@ -452,20 +520,29 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     ///
     /// With a pinned handle ([`Camera::pin_snapshot`]) on an object that predates it, this
     /// always returns `Some`.
-    pub fn read_snapshot_checked(&self, handle: SnapshotHandle, guard: &Guard) -> Option<T> {
-        self.read_snapshot_impl(handle, guard).ok()
+    pub fn read_snapshot_checked(
+        &self,
+        camera: &Camera,
+        handle: SnapshotHandle,
+        guard: &Guard,
+    ) -> Option<T> {
+        self.read_snapshot_impl(camera, handle, guard).ok()
     }
 
     /// Walks the version list for the newest version with timestamp `<= handle`:
     /// `Ok(value)` if found, `Err((oldest_ts, oldest_retained_value))` if the list
     /// bottoms out first (the pair feeds the anchored-fallback debug assertion in
-    /// [`VersionedCas::read_snapshot`]).
-    fn read_snapshot_impl(&self, handle: SnapshotHandle, guard: &Guard) -> Result<T, (u64, T)> {
+    /// [`VersionedCell::read_snapshot`]).
+    fn read_snapshot_impl(
+        &self,
+        camera: &Camera,
+        handle: SnapshotHandle,
+        guard: &Guard,
+    ) -> Result<T, (u64, T)> {
         let ts = handle.raw();
-        let head = self.head.load(Ordering::SeqCst, guard);
         // SAFETY: the head pointer is never null and `guard` pins the epoch.
-        let mut node = unsafe { head.deref() };
-        self.init_ts(node);
+        let mut node = unsafe { self.head(guard).deref() };
+        init_ts(node, camera);
         loop {
             let node_ts = node.ts.load(Ordering::SeqCst);
             if node_ts <= ts {
@@ -484,7 +561,7 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// first (diagnostic / test helper; not constant time).
     pub fn versions(&self, guard: &Guard) -> Vec<(u64, T)> {
         let mut out = Vec::new();
-        let mut cur = self.head.load(Ordering::SeqCst, guard);
+        let mut cur = self.head(guard);
         // SAFETY: version-list links are epoch-protected while `guard` is live.
         while let Some(node) = unsafe { cur.as_ref() } {
             out.push((node.ts.load(Ordering::SeqCst), T::from_word(node.word)));
@@ -496,7 +573,7 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     /// Number of versions currently in the list (diagnostic / test helper; not constant time).
     pub fn version_count(&self, guard: &Guard) -> usize {
         let mut count = 0;
-        let mut cur = self.head.load(Ordering::SeqCst, guard);
+        let mut cur = self.head(guard);
         // SAFETY: version-list links are epoch-protected while `guard` is live.
         while let Some(node) = unsafe { cur.as_ref() } {
             count += 1;
@@ -515,42 +592,38 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
     ///    shadowed one can never be returned for any handle — collecting it bounds the
     ///    list's length by the number of *distinct* retained timestamps (+1 for the cut
     ///    version), even under a long-lived pin. (The elision step of
-    ///    [`VersionedCas::compare_and_swap`] usually recycles these at publication time;
+    ///    [`VersionedCell::compare_and_swap`] usually recycles these at publication time;
     ///    this lazy walk is the fallback for elisions skipped under gate contention or
     ///    with elision disabled.)
     ///
     /// `min_active` should come from [`Camera::min_active`]; versions that a pinned snapshot
     /// may still need are never reclaimed. Returns the number of versions retired.
-    pub fn collect_before(&self, min_active: u64, guard: &Guard) -> usize {
-        let retired = self.cut_below(min_active, guard);
+    pub fn collect_before(&self, camera: &Arc<Camera>, min_active: u64, guard: &Guard) -> usize {
+        let retired = self.cut_below(camera, min_active, guard);
         if retired > 0 {
-            self.camera.note_versions_retired(retired as u64);
+            camera.note_versions_retired(retired as u64);
         }
         retired
     }
 
-    /// The restructuring walk of [`VersionedCas::collect_before`], shared with the
+    /// The restructuring walk of [`VersionedCell::collect_before`], shared with the
     /// write-time `prune` step: unlinks and defers the recycling of every node it frees
     /// and returns their number, leaving the accounting to the caller.
-    fn cut_below(&self, min_active: u64, guard: &Guard) -> usize {
-        // Only one truncation at a time per object; contention here just skips the work.
+    fn cut_below(&self, camera: &Arc<Camera>, min_active: u64, guard: &Guard) -> usize {
+        // Only one restructuring at a time per object; a held gate just skips the work.
         // (Serialization also means `nextv` is only ever rewritten by one thread at a time:
         // interior unlinks below race only with readers, which see either the old chain —
         // the unlinked node stays intact until its grace period — or the new one.)
-        if self
-            .truncating
-            // ORDERING: truncation-gate — failure means "someone else is truncating,
-            // skip"; no data is read under the failed CAS, so its load can be relaxed.
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
+        // Publications may still push new heads above the one the gate was taken on; the
+        // walk starts there, and they carry the bit (see `compare_and_swap`).
+        let seen = self.head.fetch_or(GATE, Ordering::Acquire, guard);
+        if seen.tag() & GATE != 0 {
             return 0;
         }
         let mut retired = 0;
-        let head = self.head.load(Ordering::SeqCst, guard);
         // SAFETY: the head pointer is never null and `guard` pins the epoch.
-        let mut node = unsafe { head.deref() };
-        self.init_ts(node);
+        let mut node = unsafe { seen.deref() };
+        init_ts(node, camera);
         // Walk toward the newest version with ts <= min_active, unlinking dead
         // same-timestamp intermediates on the way; everything *after* the cut version is
         // invisible to every pinned snapshot and to all future snapshots.
@@ -561,19 +634,7 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
                 // Cut here. Detach the suffix and retire it.
                 if !next.is_null() {
                     node.nextv.store(Shared::null(), Ordering::SeqCst);
-                    let mut cur = next;
-                    // SAFETY: the detached suffix stays epoch-protected under `guard`.
-                    while let Some(n) = unsafe { cur.as_ref() } {
-                        let after = n.nextv.load(Ordering::SeqCst, guard);
-                        H::release(T::from_word(n.word), &self.camera, guard);
-                        let raw = cur.as_raw();
-                        // SAFETY: the suffix was detached above, so no new reader can reach
-                        // `cur`; each suffix node is retired exactly once, and the deferred
-                        // recycle returns it to the pool only after grace.
-                        unsafe { guard.defer_unchecked(move || vpool::recycle(raw)) };
-                        retired += 1;
-                        cur = after;
-                    }
+                    retired += self.retire_suffix(camera, next, guard);
                 }
                 break;
             }
@@ -587,7 +648,7 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
                 // too), so unlink it in place and keep examining `node`'s new successor.
                 let after = older.nextv.load(Ordering::SeqCst, guard);
                 node.nextv.store(after, Ordering::SeqCst);
-                H::release(T::from_word(older.word), &self.camera, guard);
+                H::release(T::from_word(older.word), camera, guard);
                 let raw = next.as_raw();
                 // SAFETY: `older` was just unlinked and restructuring is serialized, so it
                 // is retired exactly once; in-flight readers are epoch-protected, and the
@@ -598,46 +659,155 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
             }
             node = older;
         }
-        self.truncating.store(false, Ordering::Release);
+        self.release_gate(guard);
         retired
     }
-}
 
-impl<T: VersionValue, H: ValueHook<T>> Drop for VersionedCas<T, H> {
-    fn drop(&mut self) {
-        // Exclusive access: walk the version list and recycle every node. The freed
-        // versions count toward the camera's dropped total — without this, every cell
-        // destroyed through node unlinking (list/BST removes) would leave
-        // `approx_live_versions` drifting upward forever.
-        //
-        // A hooked cell releases each freed version's value: this is the link that makes
-        // data-node reclamation cascade — destroying a node's cell drops the version-held
-        // references it was keeping, retiring any child node whose count hits zero. The
-        // releases defer through a fresh guard (this destructor may itself be running as
-        // deferred work; guards nest).
+    /// Retires the detached chain starting at `first`, returning its length. The caller
+    /// holds the gate and has already unlinked the chain.
+    fn retire_suffix(
+        &self,
+        camera: &Arc<Camera>,
+        first: Shared<'_, VNode>,
+        guard: &Guard,
+    ) -> usize {
+        let mut retired = 0;
+        let mut cur = first;
+        // SAFETY: the detached suffix stays epoch-protected under `guard`.
+        while let Some(n) = unsafe { cur.as_ref() } {
+            let after = n.nextv.load(Ordering::SeqCst, guard);
+            H::release(T::from_word(n.word), camera, guard);
+            let raw = cur.as_raw();
+            // SAFETY: the suffix was detached by the caller, so no new reader can reach
+            // `cur`; each suffix node is retired exactly once, and the deferred recycle
+            // returns it to the pool only after grace.
+            unsafe { guard.defer_unchecked(move || vpool::recycle(raw)) };
+            retired += 1;
+            cur = after;
+        }
+        retired
+    }
+
+    /// Releases the gate: clears the bit on whatever head is current (publications made
+    /// while it was held carried it over).
+    #[inline]
+    fn release_gate(&self, guard: &Guard) {
+        self.head.fetch_and(!GATE, Ordering::Release, guard);
+    }
+
+    /// Destroys the cell: recycles every version node and counts them toward the
+    /// camera's dropped total — without this, every cell destroyed through node
+    /// unlinking (list/BST removes) would leave `approx_live_versions` drifting upward
+    /// forever.
+    ///
+    /// A hooked cell releases each freed version's value: this is the link that makes
+    /// data-node reclamation cascade — destroying a node's cell drops the version-held
+    /// references it was keeping, retiring any child node whose count hits zero. The
+    /// releases defer through a fresh guard (this may itself be running as deferred work;
+    /// guards nest). `self` by value is the exclusive access the walk needs.
+    pub fn destroy(self, camera: &Arc<Camera>) {
+        let this = ManuallyDrop::new(self);
         let guard = H::ACTIVE.then(vcas_ebr::pin);
         let mut freed = 0u64;
-        // SAFETY: `&mut self` in `drop` means no concurrent access; the list is walked and
-        // recycled exactly once.
+        // SAFETY: the cell is consumed, so no other thread can reach it; the list is
+        // walked and recycled exactly once.
         unsafe {
-            // ORDERING: drop-exclusive — destructor holds `&mut self`; there is no
+            // ORDERING: drop-exclusive — `destroy` consumes the cell; there is no
             // concurrent observer to order against.
-            let mut cur = self.head.load_unprotected(Ordering::Relaxed);
+            let mut cur = this.head.load_unprotected(Ordering::Relaxed).with_tag(0);
             while !cur.is_null() {
                 let node = cur.deref();
                 // ORDERING: drop-exclusive — see the load above.
                 let next = node.nextv.load_unprotected(Ordering::Relaxed);
                 if let Some(g) = &guard {
-                    H::release(T::from_word(node.word), &self.camera, g);
+                    H::release(T::from_word(node.word), camera, g);
                 }
                 vpool::recycle(cur.as_raw());
                 freed += 1;
                 cur = next;
             }
         }
-        if freed > 0 {
-            self.camera.note_versions_dropped(freed);
+        camera.note_versions_dropped(freed);
+    }
+}
+
+impl<T: VersionValue, H: ValueHook<T>> Drop for VersionedCell<T, H> {
+    fn drop(&mut self) {
+        // The cell owns its versions but not their camera, so only `destroy` can free and
+        // count them; a cell dropped without it leaks its list. (Unwinding may drop cells
+        // that a completed operation would have destroyed; that is not reported.)
+        debug_assert!(std::thread::panicking(), "a versioned cell was dropped without `destroy`");
+    }
+}
+
+/// A standalone versioned CAS object: a [`VersionedCell`] together with the camera it is
+/// associated with, which it passes to every operation. This is the form for code that
+/// versions a few words of its own (see the crate example); a structure keeps one camera
+/// for all its cells and uses [`VersionedCell`] (or the typed [`crate::PtrCell`])
+/// directly. Dropping it destroys the cell.
+pub struct VersionedCas<T: VersionValue, H: ValueHook<T> = ()> {
+    cell: ManuallyDrop<VersionedCell<T, H>>,
+    camera: Arc<Camera>,
+}
+
+impl<T: VersionValue> VersionedCas<T> {
+    /// Creates a versioned CAS object holding `initial`, associated with `camera`.
+    pub fn new(initial: T, camera: &Arc<Camera>) -> Self {
+        VersionedCas {
+            cell: ManuallyDrop::new(VersionedCell::new(initial, camera)),
+            camera: camera.clone(),
         }
+    }
+}
+
+impl<T: VersionValue, H: ValueHook<T>> VersionedCas<T, H> {
+    /// The camera this object is associated with.
+    pub fn camera(&self) -> &Arc<Camera> {
+        &self.camera
+    }
+
+    /// `vRead` ([`VersionedCell::read`]).
+    pub fn read(&self, guard: &Guard) -> T {
+        self.cell.read(&self.camera, guard)
+    }
+
+    /// `vCAS` ([`VersionedCell::compare_and_swap`]).
+    pub fn compare_and_swap(&self, old: T, new: T, guard: &Guard) -> bool {
+        self.cell.compare_and_swap(&self.camera, old, new, guard)
+    }
+
+    /// `readSnapshot` ([`VersionedCell::read_snapshot`]).
+    pub fn read_snapshot(&self, handle: SnapshotHandle, guard: &Guard) -> T {
+        self.cell.read_snapshot(&self.camera, handle, guard)
+    }
+
+    /// `readSnapshot` with a defined out-of-history result
+    /// ([`VersionedCell::read_snapshot_checked`]).
+    pub fn read_snapshot_checked(&self, handle: SnapshotHandle, guard: &Guard) -> Option<T> {
+        self.cell.read_snapshot_checked(&self.camera, handle, guard)
+    }
+
+    /// The retained history, newest first ([`VersionedCell::versions`]).
+    pub fn versions(&self, guard: &Guard) -> Vec<(u64, T)> {
+        self.cell.versions(guard)
+    }
+
+    /// Number of retained versions ([`VersionedCell::version_count`]).
+    pub fn version_count(&self, guard: &Guard) -> usize {
+        self.cell.version_count(guard)
+    }
+
+    /// Truncates the version list below `min_active` ([`VersionedCell::collect_before`]).
+    pub fn collect_before(&self, min_active: u64, guard: &Guard) -> usize {
+        self.cell.collect_before(&self.camera, min_active, guard)
+    }
+}
+
+impl<T: VersionValue, H: ValueHook<T>> Drop for VersionedCas<T, H> {
+    fn drop(&mut self) {
+        // SAFETY: `drop` runs once and the field is not used afterwards.
+        let cell = unsafe { ManuallyDrop::take(&mut self.cell) };
+        cell.destroy(&self.camera);
     }
 }
 
@@ -733,6 +903,8 @@ mod tests {
         cam.set_elision_enabled(false);
         let v = VersionedCas::new(0u64, &cam);
         let g = pin();
+        // The pin holds the watermark below the burst's timestamp, so nothing is pruned.
+        let pinned = cam.pin_snapshot();
         for i in 0..10u64 {
             assert!(v.compare_and_swap(i, i + 1, &g));
         }
@@ -741,6 +913,11 @@ mod tests {
         cam.set_elision_enabled(true);
         assert!(v.compare_and_swap(10, 11, &g));
         assert_eq!(v.version_count(&g), 11, "re-enabled elision recycles the displaced head");
+        // Once the pin is gone, an eliding write also cuts the history below it.
+        drop(pinned);
+        assert!(v.compare_and_swap(11, 12, &g));
+        assert_eq!(v.version_count(&g), 1, "the elision pruned the unreadable suffix");
+        assert_eq!(cam.versions_elided(), 2);
     }
 
     /// Write-time pruning: once the last pin is released, the next publication cuts its
@@ -760,15 +937,15 @@ mod tests {
         assert_eq!(v.version_count(&g), 6, "no pruning while the pin holds the watermark");
         assert_eq!(v.read_snapshot(pinned.handle(), &g), 0);
         assert_eq!(cam.versions_pruned(), 0);
-        // Close the instant of the last write, so the next one is not a same-timestamp
-        // elision (which never prunes), then release the only pin.
-        cam.take_snapshot();
+        // Release the only pin. The next write lands in the instant of the last one, so it
+        // elides the displaced head, and prunes the history below it under the same gate.
         drop(pinned);
         assert_eq!(cam.oldest_retained(), cam.current_timestamp(), "unpin advances the watermark");
         assert!(v.compare_and_swap(5, 6, &g));
         assert_eq!(v.version_count(&g), 1, "one publication prunes the cell to its head");
-        assert_eq!(cam.versions_pruned(), 1);
-        assert_eq!(cam.versions_retired(), 5, "the other cut nodes count as retired");
+        assert_eq!(cam.versions_elided(), 1, "the displaced head was elided");
+        assert_eq!(cam.versions_pruned(), 0, "an elision is the publication's slot transfer");
+        assert_eq!(cam.versions_retired(), 5, "the suffix below it counts as retired");
         assert_eq!(v.read_snapshot_checked(raw, &g), None, "raw handles are not retention");
         assert_eq!(v.read(&g), 6);
         drop(g);
@@ -822,6 +999,27 @@ mod tests {
         assert_eq!(cam.oldest_retained(), cam.current_timestamp());
         assert_eq!(v.version_count(&g), 6);
         assert_eq!(cam.versions_pruned(), 0);
+    }
+
+    /// The gate is the head word's low bit: a publication that lands while a cut holds it
+    /// succeeds (no spurious failure) and keeps it held, readers never see it, and the
+    /// cut's release clears it on the new head.
+    #[test]
+    fn publication_carries_a_held_gate() {
+        let cam = Camera::new();
+        let v = VersionedCas::new(0u64, &cam);
+        let g = pin();
+        let cell = &*v.cell;
+        assert_eq!(cell.head.fetch_or(GATE, Ordering::SeqCst, &g).tag(), 0, "the gate was free");
+        assert!(v.compare_and_swap(0, 1, &g), "a held gate must not fail a vCAS");
+        assert_eq!(cell.head.load(Ordering::SeqCst, &g).tag(), GATE, "the new head carries it");
+        assert_eq!(v.read(&g), 1);
+        assert_eq!(v.version_count(&g), 2, "elision waits for the gate");
+        assert_eq!(v.collect_before(cam.min_active(), &g), 0, "a held gate skips a cut");
+        cell.release_gate(&g);
+        assert_eq!(cell.head.load(Ordering::SeqCst, &g).tag(), 0);
+        assert!(v.collect_before(cam.min_active(), &g) > 0, "the released gate admits a cut");
+        assert_eq!(v.version_count(&g), 1);
     }
 
     #[test]
@@ -1068,7 +1266,7 @@ mod tests {
         let cam = Camera::new();
         let x = Arc::new(VersionedCas::new(0u64, &cam));
         let y = Arc::new(VersionedCas::new(0u64, &cam));
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(crate::sync::AtomicBool::new(false));
 
         let writer = {
             let (x, y, stop) = (x.clone(), y.clone(), stop.clone());

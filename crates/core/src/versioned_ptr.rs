@@ -2,12 +2,14 @@
 //!
 //! The paper converts a CAS-based data structure into a snapshot-capable one by replacing
 //! every shared mutable pointer (child pointers of a BST, `next` pointers of a list or queue)
-//! with a versioned CAS object holding that pointer. [`VersionedPtr`] packages that pattern:
-//! it stores the tagged pointer word of a [`vcas_ebr::Shared`] inside a
-//! [`crate::VersionedCas<usize>`] and exposes a typed, guard-aware API, including the tag
-//! bits that Harris-style lists use as deletion marks.
+//! with a versioned CAS object holding that pointer. [`PtrCell`] packages that pattern: it
+//! stores the tagged pointer word of a [`vcas_ebr::Shared`] in a one-word
+//! [`crate::VersionedCell<usize>`] and exposes a typed, guard-aware API, including the tag
+//! bits that Harris-style lists use as deletion marks. Like the cell, it takes its camera
+//! from the caller; [`VersionedPtr`] is the standalone form that owns a camera handle.
 
 use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 use crate::sync::{fence, AtomicU64, Ordering};
@@ -16,7 +18,7 @@ use vcas_ebr::{Guard, Shared};
 
 use crate::camera::Camera;
 use crate::snapshot::SnapshotHandle;
-use crate::versioned::{ValueHook, VersionedCas};
+use crate::versioned::{ValueHook, VersionedCell};
 
 /// A data-structure node whose lifetime is governed by version-held reference counting.
 ///
@@ -33,12 +35,13 @@ use crate::versioned::{ValueHook, VersionedCas};
 ///   automatically);
 /// * after *successfully publishing* a new node, the creating thread drops the creator
 ///   reference with [`release_node_ref`]; on a failed publication it still owns the node
-///   and frees it directly, exactly as an unversioned structure would.
+///   and frees it directly ([`VersionReferenced::destroy`]), exactly as an unversioned
+///   structure would.
 ///
 /// When the counter hits zero no retained version references the node, so it is retired
 /// to epoch-based reclamation and counted into [`Camera::nodes_retired`]. Destroying the
-/// node drops its own cells, releasing the references *they* held — reclamation cascades
-/// through exactly the nodes that became unreachable, however they became so.
+/// node destroys its own cells, releasing the references *they* held — reclamation
+/// cascades through exactly the nodes that became unreachable, however they became so.
 ///
 /// **Zero is final.** A thread may still hold a pointer to a node whose counter has
 /// reached zero: a pointer read from a head version under a guard stays *dereferenceable*
@@ -46,10 +49,10 @@ use crate::versioned::{ValueHook, VersionedCas};
 /// elided before the thread republishes the pointer, dropping the node's last reference.
 /// A managed cell therefore never increments a zero counter: the reference a new version
 /// would take is refused ([`acquire_node_ref`]), and the vCAS
-/// ([`VersionedPtr::compare_exchange`]) or cell construction
-/// ([`VersionedPtr::with_hook`]) that wanted it fails. Callers
-/// treat that failure like any lost CAS — the pointer they read is stale — and search
-/// again. So the node is retired exactly once and never re-linked after retirement.
+/// ([`PtrCell::compare_exchange`]) or cell construction ([`PtrCell::with_hook`]) that
+/// wanted it fails. Callers treat that failure like any lost CAS — the pointer they read
+/// is stale — and search again. So the node is retired exactly once and never re-linked
+/// after retirement.
 ///
 /// # Safety
 ///
@@ -59,8 +62,24 @@ use crate::versioned::{ValueHook, VersionedCas};
 /// read under a guard, which keeps the node allocated, though not necessarily referenced,
 /// until the guard drops.
 pub unsafe trait VersionReferenced: Sized + Send + Sync + 'static {
+    /// Whether the node holds versioned cells of its own. Their versions reference other
+    /// nodes, so freeing the node must destroy them with the camera; the destructor a
+    /// retirement schedules then carries one camera handle. `false` (the default, for a
+    /// node without cells, such as a tree leaf) frees it without one.
+    const HOLDS_CELLS: bool = false;
+
     /// The node's version-held reference counter.
     fn version_refs(&self) -> &AtomicU64;
+
+    /// Frees a node no thread can reach: one retired through its counter (run as the
+    /// deferred destructor [`release_node_ref`] schedules), or one that was never
+    /// published. A node with cells overrides it to destroy them with `camera`
+    /// ([`PtrCell::destroy`]), which releases the references their versions hold; the
+    /// default just frees the allocation.
+    fn destroy(node: Box<Self>, camera: &Arc<Camera>) {
+        let _ = camera;
+        drop(node);
+    }
 }
 
 /// Drops one reference to `node` (a creator reference after successful publication, or a
@@ -78,10 +97,18 @@ pub fn release_node_ref<N: VersionReferenced>(
     if n.version_refs().fetch_sub(1, Ordering::Release) == 1 {
         fence(Ordering::Acquire);
         camera.note_nodes_retired(1);
-        // SAFETY: the counter hit zero: no retained version references the node, and a
-        // zero counter is never incremented again (`acquire_node_ref` refuses it), so no
+        // The counter hit zero: no retained version references the node, and a zero
+        // counter is never incremented again (`acquire_node_ref` refuses it), so no
         // thread can republish the node and it is retired exactly once.
-        unsafe { guard.defer_destroy(node) };
+        if N::HOLDS_CELLS {
+            let (raw, camera) = (node.as_raw(), camera.clone());
+            // SAFETY: retired exactly once (above); the node was allocated by `Owned`, and
+            // after the grace period nothing reaches it, so the destructor owns it.
+            unsafe { guard.defer_unchecked(move || N::destroy(Box::from_raw(raw), &camera)) };
+        } else {
+            // SAFETY: as above; a node without cells is freed as it is.
+            unsafe { guard.defer_destroy(node) };
+        }
     }
 }
 
@@ -129,90 +156,92 @@ impl<N: VersionReferenced> ValueHook<usize> for Managed<N> {
     }
 }
 
-/// A versioned pointer cell with data-node reference counting (see [`Managed`]).
+/// A managed standalone pointer: a [`VersionedPtr`] whose versions count references to
+/// `N` (see [`Managed`]).
 pub type ManagedPtr<N> = VersionedPtr<N, Managed<N>>;
 
-/// A versioned CAS object holding a (possibly tagged, possibly null) pointer to `N`. The
-/// hook `H` ([`ValueHook`]) sees every version's pointer word: `()` for an unmanaged
-/// cell, [`Managed`] for a reference-counted one. Either way the cell is three words.
-pub struct VersionedPtr<N, H: ValueHook<usize> = ()> {
-    inner: VersionedCas<usize, H>,
+/// A versioned CAS object holding a (possibly tagged, possibly null) pointer to `N`: one
+/// word, the [`VersionedCell`] it wraps. The hook `H` ([`ValueHook`]) sees every version's
+/// pointer word: `()` for an unmanaged cell, [`Managed`] for a reference-counted one. This
+/// is the cell of [`crate::Versioned`] structures; like [`VersionedCell`] it takes the
+/// camera at every operation and is torn down by [`PtrCell::destroy`].
+pub struct PtrCell<N, H: ValueHook<usize> = ()> {
+    inner: VersionedCell<usize, H>,
     _marker: PhantomData<*mut N>,
 }
 
 // SAFETY: the `PhantomData<*mut N>` only tracks variance; the cell itself is an atomic
-// word (see `VersionedCas`), safe to move across threads when `N: Send + Sync`.
-unsafe impl<N: Send + Sync, H: ValueHook<usize>> Send for VersionedPtr<N, H> {}
-// SAFETY: shared access goes through the inner `VersionedCas`, which is `Sync`.
-unsafe impl<N: Send + Sync, H: ValueHook<usize>> Sync for VersionedPtr<N, H> {}
+// word (see `VersionedCell`), safe to move across threads when `N: Send + Sync`.
+unsafe impl<N: Send + Sync, H: ValueHook<usize>> Send for PtrCell<N, H> {}
+// SAFETY: shared access goes through the inner `VersionedCell`, which is `Sync`.
+unsafe impl<N: Send + Sync, H: ValueHook<usize>> Sync for PtrCell<N, H> {}
 
-impl<N: 'static> VersionedPtr<N> {
-    /// Creates a versioned pointer initialized to null.
-    pub fn null(camera: &Arc<Camera>) -> Self {
-        VersionedPtr { inner: VersionedCas::new(0usize, camera), _marker: PhantomData }
-    }
-
-    /// Creates a versioned pointer initialized to an existing shared pointer.
-    pub fn from_shared(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Self {
-        VersionedPtr { inner: VersionedCas::new(initial.into_data(), camera), _marker: PhantomData }
-    }
-}
-
-impl<N: 'static, H: ValueHook<usize>> VersionedPtr<N, H> {
+impl<N: 'static, H: ValueHook<usize>> PtrCell<N, H> {
     /// Creates a cell holding `initial` whose versions go through the hook `H`;
     /// `None` when `H::acquire` refuses `initial` (see [`ValueHook`]).
     ///
-    /// For a managed cell ([`ManagedPtr`]) every retained version holds one counted
-    /// reference to the node it points at (see [`VersionReferenced`]), acquired before the
-    /// version is published and released when it is destroyed — by truncation, failed
-    /// publication, or the cell's drop. The caller must hold an EBR guard (the initial
-    /// reference is counted against `initial`, which the guard keeps allocated). `None`
-    /// then means `initial`'s counter already reached zero: the node is retired, so the
-    /// caller's read is stale and it must search again. A null or freshly allocated
-    /// (unpublished) `initial` never fails.
-    pub fn with_hook(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Option<Self> {
-        let inner = VersionedCas::with_hook(initial.into_data(), camera)?;
-        Some(VersionedPtr { inner, _marker: PhantomData })
+    /// For a managed cell every retained version holds one counted reference to the node
+    /// it points at (see [`VersionReferenced`]), acquired before the version is published
+    /// and released when it is destroyed — by truncation, failed publication, or the cell's
+    /// destruction. The caller must hold an EBR guard (the initial reference is counted
+    /// against `initial`, which the guard keeps allocated). `None` then means `initial`'s
+    /// counter already reached zero: the node is retired, so the caller's read is stale
+    /// and it must search again. A null or freshly allocated (unpublished) `initial` never
+    /// fails.
+    pub fn with_hook(initial: Shared<'_, N>, camera: &Camera) -> Option<Self> {
+        let inner = VersionedCell::with_hook(initial.into_data(), camera)?;
+        Some(PtrCell { inner, _marker: PhantomData })
     }
 
     /// `vRead`: the current tagged pointer. Constant time.
-    pub fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, N> {
+    #[inline]
+    pub fn load<'g>(&self, camera: &Camera, guard: &'g Guard) -> Shared<'g, N> {
         // SAFETY: the stored word was produced by `Shared::into_data` on this cell.
-        unsafe { Shared::from_data(self.inner.read(guard)) }
+        unsafe { Shared::from_data(self.inner.read(camera, guard)) }
     }
 
     /// `readSnapshot`: the tagged pointer this object held when `handle` was acquired.
     ///
     /// Falls back to the oldest retained pointer when the handle's version is out of
-    /// retained history (see [`VersionedCas::read_snapshot`]); use
-    /// [`VersionedPtr::load_snapshot_checked`] to detect that case.
-    pub fn load_snapshot<'g>(&self, handle: SnapshotHandle, guard: &'g Guard) -> Shared<'g, N> {
+    /// retained history (see [`VersionedCell::read_snapshot`]); use
+    /// [`PtrCell::load_snapshot_checked`] to detect that case.
+    #[inline]
+    pub fn load_snapshot<'g>(
+        &self,
+        camera: &Camera,
+        handle: SnapshotHandle,
+        guard: &'g Guard,
+    ) -> Shared<'g, N> {
         // SAFETY: the stored word was produced by `Shared::into_data` on this cell.
-        unsafe { Shared::from_data(self.inner.read_snapshot(handle, guard)) }
+        unsafe { Shared::from_data(self.inner.read_snapshot(camera, handle, guard)) }
     }
 
     /// `readSnapshot` with a defined out-of-history result: `None` when no version at or
     /// below `handle` is retained (raw unpinned handle truncated away, or pointer created
-    /// after the snapshot); see [`VersionedCas::read_snapshot_checked`].
+    /// after the snapshot); see [`VersionedCell::read_snapshot_checked`].
     pub fn load_snapshot_checked<'g>(
         &self,
+        camera: &Camera,
         handle: SnapshotHandle,
         guard: &'g Guard,
     ) -> Option<Shared<'g, N>> {
+        let word = self.inner.read_snapshot_checked(camera, handle, guard)?;
         // SAFETY: the stored word was produced by `Shared::into_data` on this cell.
-        self.inner.read_snapshot_checked(handle, guard).map(|d| unsafe { Shared::from_data(d) })
+        Some(unsafe { Shared::from_data(word) })
     }
 
     /// `vCAS`: atomically replaces `current` with `new` if the object still holds `current`.
-    /// A managed cell ([`ManagedPtr`]) also fails, changing nothing, when `new` is a
-    /// retired node (counter at zero; see [`VersionReferenced`]).
+    /// A managed cell also fails, changing nothing, when `new` is a retired node (counter
+    /// at zero; see [`VersionReferenced`]).
+    #[inline]
     pub fn compare_exchange(
         &self,
+        camera: &Arc<Camera>,
         current: Shared<'_, N>,
         new: Shared<'_, N>,
         guard: &Guard,
     ) -> bool {
-        self.inner.compare_and_swap(current.into_data(), new.into_data(), guard)
+        self.inner.compare_and_swap(camera, current.into_data(), new.into_data(), guard)
     }
 
     /// Number of versions retained for this pointer (diagnostic).
@@ -221,14 +250,95 @@ impl<N: 'static, H: ValueHook<usize>> VersionedPtr<N, H> {
     }
 
     /// Truncates versions strictly older than the newest version with timestamp
-    /// `<= min_active` (see [`VersionedCas::collect_before`]).
+    /// `<= min_active` (see [`VersionedCell::collect_before`]).
+    pub fn collect_before(&self, camera: &Arc<Camera>, min_active: u64, guard: &Guard) -> usize {
+        self.inner.collect_before(camera, min_active, guard)
+    }
+
+    /// Destroys the cell, releasing every version it holds ([`VersionedCell::destroy`]).
+    pub fn destroy(self, camera: &Arc<Camera>) {
+        self.inner.destroy(camera);
+    }
+}
+
+/// A standalone versioned pointer: a [`PtrCell`] together with the camera it is
+/// associated with, which it passes to every operation. Dropping it destroys the cell.
+pub struct VersionedPtr<N, H: ValueHook<usize> = ()> {
+    cell: ManuallyDrop<PtrCell<N, H>>,
+    camera: Arc<Camera>,
+}
+
+impl<N: 'static> VersionedPtr<N> {
+    /// Creates a versioned pointer initialized to null.
+    pub fn null(camera: &Arc<Camera>) -> Self {
+        Self::from_shared(Shared::null(), camera)
+    }
+
+    /// Creates a versioned pointer initialized to an existing shared pointer.
+    pub fn from_shared(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Self {
+        Self::with_hook(initial, camera).expect("an unhooked cell accepts every pointer")
+    }
+}
+
+impl<N: 'static, H: ValueHook<usize>> VersionedPtr<N, H> {
+    /// Creates a pointer holding `initial` whose versions go through the hook `H`; `None`
+    /// when `H::acquire` refuses `initial` ([`PtrCell::with_hook`]).
+    pub fn with_hook(initial: Shared<'_, N>, camera: &Arc<Camera>) -> Option<Self> {
+        let cell = PtrCell::with_hook(initial, camera)?;
+        Some(VersionedPtr { cell: ManuallyDrop::new(cell), camera: camera.clone() })
+    }
+
+    /// `vRead` ([`PtrCell::load`]).
+    pub fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, N> {
+        self.cell.load(&self.camera, guard)
+    }
+
+    /// `readSnapshot` ([`PtrCell::load_snapshot`]).
+    pub fn load_snapshot<'g>(&self, handle: SnapshotHandle, guard: &'g Guard) -> Shared<'g, N> {
+        self.cell.load_snapshot(&self.camera, handle, guard)
+    }
+
+    /// `readSnapshot` with a defined out-of-history result
+    /// ([`PtrCell::load_snapshot_checked`]).
+    pub fn load_snapshot_checked<'g>(
+        &self,
+        handle: SnapshotHandle,
+        guard: &'g Guard,
+    ) -> Option<Shared<'g, N>> {
+        self.cell.load_snapshot_checked(&self.camera, handle, guard)
+    }
+
+    /// `vCAS` ([`PtrCell::compare_exchange`]).
+    pub fn compare_exchange(
+        &self,
+        current: Shared<'_, N>,
+        new: Shared<'_, N>,
+        guard: &Guard,
+    ) -> bool {
+        self.cell.compare_exchange(&self.camera, current, new, guard)
+    }
+
+    /// Number of versions retained for this pointer (diagnostic).
+    pub fn version_count(&self, guard: &Guard) -> usize {
+        self.cell.version_count(guard)
+    }
+
+    /// Truncates versions below `min_active` ([`PtrCell::collect_before`]).
     pub fn collect_before(&self, min_active: u64, guard: &Guard) -> usize {
-        self.inner.collect_before(min_active, guard)
+        self.cell.collect_before(&self.camera, min_active, guard)
     }
 
     /// The camera this pointer is associated with.
     pub fn camera(&self) -> &Arc<Camera> {
-        self.inner.camera()
+        &self.camera
+    }
+}
+
+impl<N, H: ValueHook<usize>> Drop for VersionedPtr<N, H> {
+    fn drop(&mut self) {
+        // SAFETY: `drop` runs once and the field is not used afterwards.
+        let cell = unsafe { ManuallyDrop::take(&mut self.cell) };
+        cell.inner.destroy(&self.camera);
     }
 }
 
@@ -343,12 +453,14 @@ mod tests {
         assert_eq!(cam.nodes_retired(), 2);
     }
 
-    /// The hook is a type, not a field: a managed cell is head, camera and gate — three
-    /// words, the same as an unmanaged one.
+    /// The hook is a type, not a field, and the camera is passed in: a managed cell is its
+    /// head word alone, the same as an unmanaged one. The standalone pointer adds only the
+    /// camera handle it owns.
     #[test]
-    fn managed_cell_is_three_words() {
+    fn managed_cell_is_one_word() {
         let word = std::mem::size_of::<usize>();
-        assert_eq!(std::mem::size_of::<ManagedPtr<Counted>>(), 3 * word);
-        assert_eq!(std::mem::size_of::<VersionedPtr<u64>>(), 3 * word);
+        assert_eq!(std::mem::size_of::<PtrCell<Counted, Managed<Counted>>>(), word);
+        assert_eq!(std::mem::size_of::<PtrCell<u64>>(), word);
+        assert_eq!(std::mem::size_of::<ManagedPtr<Counted>>(), 2 * word);
     }
 }

@@ -8,13 +8,13 @@ use crate::TBD;
 
 /// A value type storable in a version list.
 ///
-/// Version nodes are **non-generic** so that every [`crate::VersionedCas<T>`] — whatever
+/// Version nodes are **non-generic** so that every [`crate::VersionedCell<T>`] — whatever
 /// its `T` — shares one node layout and one per-thread recycling pool (`vcas-core`'s
 /// `vpool`). The cell's typed API converts at the boundary: values are packed into the
 /// node's 64-bit payload word on the way in and unpacked on the way out.
 ///
 /// The conversion must be a bijection on the values actually used (`from_word(into_word(v))
-/// == v`, and word equality must coincide with value equality) — `VersionedCas` compares
+/// == v`, and word equality must coincide with value equality) — `VersionedCell` compares
 /// payload *words* to implement `vCAS`'s expected-value check.
 pub trait VersionValue: Copy + PartialEq + Send + Sync + 'static {
     /// Packs the value into a version node's payload word.
@@ -54,7 +54,7 @@ impl VersionValue for usize {
 /// * `nextv` — the next (older) version. It is written when the node is created and is only
 ///   modified afterwards by version-list restructuring (truncation cuts, dead
 ///   same-timestamp unlinks, and the eager elision unlink), all serialized by the owning
-///   cell's `truncating` gate.
+///   cell's gate (the head word's tag bit).
 pub struct VNode {
     pub(crate) word: u64,
     pub(crate) ts: AtomicU64,

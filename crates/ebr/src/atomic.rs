@@ -345,6 +345,14 @@ impl<T> Atomic<T> {
         Shared { data: prev, _marker: PhantomData }
     }
 
+    /// Atomically ANDs `tag` into the low bits, leaving the pointer unchanged, and returns
+    /// the previous tagged pointer: `fetch_and(!bit, ..)` clears `bit` whatever the
+    /// current pointer is.
+    pub fn fetch_and<'g>(&self, tag: usize, ord: Ordering, _guard: &'g Guard) -> Shared<'g, T> {
+        let prev = self.data.fetch_and(tag | !low_bits::<T>(), ord);
+        Shared { data: prev, _marker: PhantomData }
+    }
+
     /// Loads without a guard.
     ///
     /// # Safety
@@ -451,6 +459,20 @@ mod tests {
         assert_eq!(after.tag(), 1);
         // SAFETY: loaded under `g`; the value is never retired in this test.
         assert_eq!(unsafe { *after.deref() }, 5);
+        // SAFETY: single-threaded teardown; the untagged pointer owns the allocation.
+        unsafe { drop(after.with_tag(0).into_owned()) };
+    }
+
+    #[test]
+    fn fetch_and_clears_only_the_given_bits() {
+        let g = pin();
+        let a: Atomic<u64> = Atomic::new(5);
+        a.fetch_or(3, Ordering::SeqCst, &g);
+        let before = a.fetch_and(!1, Ordering::SeqCst, &g);
+        assert_eq!(before.tag(), 3);
+        let after = a.load(Ordering::SeqCst, &g);
+        assert_eq!(after.tag(), 2);
+        assert_eq!(after.as_raw(), before.as_raw(), "the pointer bits are untouched");
         // SAFETY: single-threaded teardown; the untagged pointer owns the allocation.
         unsafe { drop(after.with_tag(0).into_owned()) };
     }

@@ -83,6 +83,25 @@ pub struct DomainStats {
     pub participants: usize,
 }
 
+/// The global garbage queue, and the buffer [`Domain::collect`] reuses to run a batch.
+#[derive(Default)]
+struct Garbage {
+    queue: Vec<(u64, Deferred)>,
+    /// Empty between batches; keeps the capacity of the last batch's buffer. A `collect`
+    /// nested inside a running destructor finds it taken and starts from an empty one;
+    /// the larger of the two is kept.
+    spare: Vec<Deferred>,
+}
+
+impl Garbage {
+    fn keep_spare(&mut self, buffer: Vec<Deferred>) {
+        debug_assert!(buffer.is_empty());
+        if buffer.capacity() > self.spare.capacity() {
+            self.spare = buffer;
+        }
+    }
+}
+
 /// An epoch-based reclamation domain.
 ///
 /// A domain owns a global epoch counter, a registry of per-thread participants, and a
@@ -93,7 +112,7 @@ pub struct Domain {
     id: u64,
     global_epoch: AtomicU64,
     participants: Mutex<Vec<Arc<Participant>>>,
-    garbage: Mutex<Vec<(u64, Deferred)>>,
+    garbage: Mutex<Garbage>,
     /// Deferral tallies of participants already dropped from the registry; changed only
     /// under the `participants` lock.
     retired_deferred: AtomicU64,
@@ -113,7 +132,7 @@ impl Domain {
             id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed) as u64,
             global_epoch: AtomicU64::new(1),
             participants: Mutex::new(Vec::new()),
-            garbage: Mutex::new(Vec::new()),
+            garbage: Mutex::new(Garbage::default()),
             retired_deferred: AtomicU64::new(0),
             deferred_count: AtomicU64::new(0),
             collected_count: AtomicU64::new(0),
@@ -147,7 +166,7 @@ impl Domain {
         }
         // ORDERING: diag-counter — statistics only, never drives reclamation decisions.
         self.deferred_count.fetch_add(items.len() as u64, Ordering::Relaxed);
-        self.garbage.lock().append(items);
+        self.garbage.lock().queue.append(items);
     }
 
     /// Attempts to advance the global epoch. Succeeds only when every pinned participant has
@@ -191,30 +210,33 @@ impl Domain {
     /// least two epoch advancements.
     pub(crate) fn collect(&self) {
         let epoch = self.global_epoch.load(Ordering::SeqCst);
-        let ready: Vec<Deferred> = {
+        let mut ready = {
             let mut garbage = self.garbage.lock();
-            let mut ready = Vec::new();
+            // The batch is gathered in the spare buffer the previous batch left behind, so
+            // a steady state allocates nothing here.
+            let Garbage { queue, spare } = &mut *garbage;
             let mut i = 0;
-            while i < garbage.len() {
-                if garbage[i].0 + 2 <= epoch {
-                    let (_, d) = garbage.swap_remove(i);
-                    ready.push(d);
+            while i < queue.len() {
+                if queue[i].0 + 2 <= epoch {
+                    spare.push(queue.swap_remove(i).1);
                 } else {
                     i += 1;
                 }
             }
-            ready
-        };
-        if !ready.is_empty() {
-            let n = ready.len() as u64;
-            for d in ready {
-                d.call();
+            if spare.is_empty() {
+                return;
             }
-            // Counted only once the batch has run: a destructor still executing here (and
-            // whatever it defers) must keep `drain` from reporting 0. `Release` orders the
-            // destructors' own deferrals before the count (see `Domain::drain`).
-            self.collected_count.fetch_add(n, Ordering::Release);
+            std::mem::take(spare)
+        };
+        let n = ready.len() as u64;
+        for d in ready.drain(..) {
+            d.call();
         }
+        // Counted only once the batch has run: a destructor still executing here (and
+        // whatever it defers) must keep `drain` from reporting 0. `Release` orders the
+        // destructors' own deferrals before the count (see `Domain::drain`).
+        self.collected_count.fetch_add(n, Ordering::Release);
+        self.garbage.lock().keep_spare(ready);
     }
 
     /// Destructors deferred into this domain by any thread, flushed or not: the live
@@ -301,7 +323,7 @@ impl Domain {
             // ORDERING: diag-counter — statistics only, never drives reclamation decisions.
             deferred: self.deferred_count.load(Ordering::Relaxed),
             collected: self.collected_count.load(Ordering::Acquire),
-            pending: self.garbage.lock().len(),
+            pending: self.garbage.lock().queue.len(),
             participants: self.participants.lock().len(),
         }
     }
@@ -317,7 +339,7 @@ impl Drop for Domain {
     fn drop(&mut self) {
         // Nothing can be pinned in a domain that is being dropped; run all remaining
         // destructors so retired nodes are not leaked.
-        let garbage = std::mem::take(&mut *self.garbage.lock());
+        let garbage = std::mem::take(&mut self.garbage.lock().queue);
         for (_, d) in garbage {
             d.call();
         }

@@ -138,8 +138,19 @@ unsafe impl VersionReferenced for Leaf {
 /// SAFETY: as for [`Leaf`]: `refs` belongs to the version-reference protocol alone, and
 /// only head-version reads are republished.
 unsafe impl<M: Mode> VersionReferenced for Internal<M> {
+    const HOLDS_CELLS: bool = M::VERSIONED;
+
     fn version_refs(&self) -> &AtomicU64 {
         &self.head.refs
+    }
+
+    /// Destroys both child cells with the tree's camera, releasing the references their
+    /// versions hold; the `update` word's descriptor is not the node's to free (see
+    /// [`Head`]).
+    fn destroy(node: Box<Self>, camera: &Arc<Camera>) {
+        let [left, right] = node.children;
+        left.destroy(camera);
+        right.destroy(camera);
     }
 }
 
@@ -164,18 +175,21 @@ impl<M: Mode> Internal<M> {
     }
 
     /// The current child in direction `dir`.
-    fn child<'g>(&self, dir: usize, guard: &'g Guard) -> NodePtr<'g> {
-        NodePtr(self.children[dir].load(guard))
+    #[inline]
+    fn child<'g>(&self, mode: &M, dir: usize, guard: &'g Guard) -> NodePtr<'g> {
+        NodePtr(self.children[dir].load(mode, guard))
     }
 
     /// The child in direction `dir` as of `at` (the current one when `at` is `None`).
+    #[inline]
     fn child_at<'g>(
         &self,
+        mode: &M,
         dir: usize,
         at: Option<SnapshotHandle>,
         guard: &'g Guard,
     ) -> NodePtr<'g> {
-        NodePtr(self.children[dir].load_at(at, guard))
+        NodePtr(self.children[dir].load_at(mode, at, guard))
     }
 }
 
@@ -390,7 +404,7 @@ impl<M: Mode> Nbbst<M> {
             gpupdate = pupdate;
             p = l.internal();
             pupdate = n.update.load(Ordering::SeqCst, guard);
-            l = n.child(dir_for(key, n.key), guard);
+            l = n.child(&self.mode, dir_for(key, n.key), guard);
         }
         SearchResult { gp, p, gpupdate, pupdate, l }
     }
@@ -480,18 +494,25 @@ impl<M: Mode> Nbbst<M> {
                 return true;
             } else {
                 // Our descriptor and subtree were never published; reclaim them
-                // immediately. Order matters in versioned mode: dropping `new_internal`
+                // immediately. Order matters in versioned mode: destroying `new_internal`
                 // releases the counted references its cells held on the two leaves (back
                 // to the creator references we free next).
-                if let Some(camera) = self.mode.camera() {
-                    camera.note_nodes_dropped(3);
-                }
                 // SAFETY: the iflag CAS failed, so `op` and the three nodes were never
                 // reachable by another thread; this thread owns each and frees it once,
                 // each with its own type.
-                unsafe {
+                let internal = unsafe {
                     drop(op.into_owned());
-                    drop(new_internal.into_owned());
+                    Box::from_raw(new_internal.as_raw())
+                };
+                match self.mode.camera() {
+                    Some(camera) => {
+                        camera.note_nodes_dropped(3);
+                        VersionReferenced::destroy(internal, camera);
+                    }
+                    None => drop(internal),
+                }
+                // SAFETY: as above; the leaves are still unpublished and ours alone.
+                unsafe {
                     drop(new_leaf.into_owned());
                     drop(new_sibling.into_owned());
                 }
@@ -585,7 +606,7 @@ impl<M: Mode> Nbbst<M> {
             // SAFETY: loaded under `guard` from the root or a child cell; never null.
             match unsafe { node.get::<M>() } {
                 NodeRef::Leaf(leaf) => return (leaf.key == key).then_some(leaf.value),
-                NodeRef::Internal(n) => node = n.child(dir_for(key, n.key), &guard),
+                NodeRef::Internal(n) => node = n.child(&self.mode, dir_for(key, n.key), &guard),
             }
         }
     }
@@ -718,8 +739,8 @@ impl<M: Mode> Nbbst<M> {
         let p_ref = unsafe { p.deref() };
 
         // The sibling of the removed leaf replaces the parent.
-        let right = p_ref.child(1, guard);
-        let other = if right == l { p_ref.child(0, guard) } else { right };
+        let right = p_ref.child(&self.mode, 1, guard);
+        let other = if right == l { p_ref.child(&self.mode, 0, guard) } else { right };
 
         self.cas_child(gp, NodePtr::from_internal(p), other, guard);
         // dunflag: release the grandparent.
@@ -759,7 +780,7 @@ impl<M: Mode> Nbbst<M> {
         // `guard` (see the callers), so both are non-null and still allocated.
         let (parent_ref, new_key) = unsafe { (parent.deref(), new.key()) };
         let dir = dir_for(new_key, parent_ref.key);
-        parent_ref.children[dir].compare_exchange(old.0, new.0, guard)
+        parent_ref.children[dir].compare_exchange(&self.mode, old.0, new.0, guard)
     }
 
     // ----- multi-point queries ----------------------------------------------------------
@@ -801,8 +822,9 @@ impl<M: Mode> Nbbst<M> {
         fn depth<M: Mode>(view: &NbbstView<'_, M>, node: NodePtr<'_>) -> usize {
             // SAFETY: loaded under `view.guard` from the root or a child cell's view.
             let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { return 0 };
-            let left = depth(view, n.child_at(0, view.handle, &view.guard));
-            let right = depth(view, n.child_at(1, view.handle, &view.guard));
+            let mode = &view.tree.mode;
+            let left = depth(view, n.child_at(mode, 0, view.handle, &view.guard));
+            let right = depth(view, n.child_at(mode, 1, view.handle, &view.guard));
             1 + left.max(right)
         }
         let view = self.view();
@@ -825,8 +847,8 @@ impl<M: Mode> Nbbst<M> {
             // SAFETY: loaded under `guard` from the root or a child cell; never null.
             let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { continue };
             for child in &n.children {
-                retired += child.collect_before(min_active, &guard);
-                stack.push(NodePtr(child.load(&guard)));
+                retired += child.collect_before(&self.mode, min_active, &guard);
+                stack.push(NodePtr(child.load(&self.mode, &guard)));
             }
         }
         retired
@@ -868,12 +890,12 @@ impl<M: Mode> Collectible for Nbbst<M> {
                     // are likewise only routed through, never re-visited — counting them
                     // against the budget would let a pass burn its whole budget on ground
                     // already covered and stall the cursor.
-                    stack.push(Step::Expand(n.child(1, guard)));
+                    stack.push(Step::Expand(n.child(&self.mode, 1, guard)));
                     if n.key >= start {
                         stack.push(Step::Visit(n));
                     }
                     if start < n.key {
-                        stack.push(Step::Expand(n.child(0, guard)));
+                        stack.push(Step::Expand(n.child(&self.mode, 0, guard)));
                     }
                 }
                 Step::Visit(n) => {
@@ -886,7 +908,8 @@ impl<M: Mode> Collectible for Nbbst<M> {
                     // thing here as in the list and hash-map impls); a visit may overshoot
                     // the budget by one cell.
                     for child in &n.children {
-                        stats.versions_retired += child.collect_before(min_active, guard);
+                        stats.versions_retired +=
+                            child.collect_before(&self.mode, min_active, guard);
                         stats.cells_visited += 1;
                     }
                 }
@@ -906,7 +929,7 @@ impl<M: Mode> Collectible for Nbbst<M> {
             let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { continue };
             for child in &n.children {
                 stats.record_cell(child.version_count(guard));
-                stack.push(NodePtr(child.load(guard)));
+                stack.push(NodePtr(child.load(&self.mode, guard)));
             }
         }
         stats
@@ -972,9 +995,9 @@ impl<'v, 'a, M: Mode> NbbstRangeIter<'v, 'a, M> {
             };
             if self.lo < n.key {
                 self.stack.push(node);
-                node = n.child_at(0, view.handle, &view.guard);
+                node = n.child_at(&view.tree.mode, 0, view.handle, &view.guard);
             } else {
-                node = n.child_at(1, view.handle, &view.guard);
+                node = n.child_at(&view.tree.mode, 1, view.handle, &view.guard);
             }
         }
     }
@@ -999,7 +1022,7 @@ impl<M: Mode> Iterator for NbbstRangeIter<'_, '_, M> {
                     }
                 }
                 NodeRef::Internal(n) if self.hi >= n.key => {
-                    self.push_left(n.child_at(1, view.handle, &view.guard));
+                    self.push_left(n.child_at(&view.tree.mode, 1, view.handle, &view.guard));
                 }
                 NodeRef::Internal(_) => {}
             }
@@ -1019,7 +1042,8 @@ impl<M: Mode> MapSnapshotView for NbbstView<'_, M> {
             match unsafe { node.get::<M>() } {
                 NodeRef::Leaf(leaf) => return (leaf.key == key).then_some(leaf.value),
                 NodeRef::Internal(n) => {
-                    node = n.child_at(dir_for(key, n.key), self.handle, &self.guard)
+                    let dir = dir_for(key, n.key);
+                    node = n.child_at(&self.tree.mode, dir, self.handle, &self.guard)
                 }
             }
         }
@@ -1080,21 +1104,22 @@ impl<M: Mode> Drop for Nbbst<M> {
                 if !u.is_null() {
                     info_ptrs.insert(u.with_tag(0).as_raw() as usize);
                 }
-                stack.extend(n.children.iter().map(|c| NodePtr(c.load(&guard))));
+                stack.extend(n.children.iter().map(|c| NodePtr(c.load(&self.mode, &guard))));
             }
         }
 
         if let Some(camera) = self.mode.camera() {
             // Versioned: every node but the root is owned by the version-reference
-            // protocol — freeing the root drops its cells, releasing the references they
-            // held, and reclamation cascades through every node of every retained version
+            // protocol — destroying the root's cells releases the references they held,
+            // and reclamation cascades through every node of every retained version
             // (deferred through EBR, each node freed as its own type by `ChildRefs`;
             // `vcas_ebr::drain` at a quiescent point settles the counters). Only the root,
             // which no version node ever pointed at, is freed — and counted — here.
             camera.note_nodes_dropped(1);
             // SAFETY: `&mut self` — the root was allocated by `Atomic::new`, is
             // referenced by no version node, and is freed exactly once, here.
-            drop(unsafe { root.internal::<M>().into_owned() });
+            let root = unsafe { Box::from_raw(root.internal::<M>().as_raw()) };
+            VersionReferenced::destroy(root, camera);
         } else {
             // Plain: unlinked nodes were retired to EBR when unlinked; free what the
             // current tree still reaches, each as its own type.
@@ -1505,14 +1530,14 @@ mod tests {
 
     /// Layout budget: a field added to either node type fails here, not only in the
     /// benchmark's byte census. A leaf is key, value and counter; an internal node adds
-    /// the `update` word and two child cells instead of the value — three words each when
-    /// versioned, one word each when plain.
+    /// the `update` word and two child cells instead of the value — one word each in
+    /// either mode (the versioned cells' camera is the tree's).
     #[test]
     fn node_layouts_stay_within_budget() {
         use std::mem::size_of;
         assert!(size_of::<Leaf>() <= 24, "Leaf is {} B", size_of::<Leaf>());
         let versioned = size_of::<Internal<Versioned>>();
-        assert!(versioned <= 72, "Internal<Versioned> is {versioned} B");
+        assert!(versioned <= 40, "Internal<Versioned> is {versioned} B");
         let plain = size_of::<Internal<Plain>>();
         assert!(plain <= 40, "Internal<Plain> is {plain} B");
         // The shared prefix sits at offset 0 of both types (what `NodePtr` casts rely on).

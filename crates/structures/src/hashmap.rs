@@ -112,7 +112,7 @@ impl<M: Mode> VcasHashMap<M> {
 
     /// Returns the value associated with `key`, if any.
     pub fn get(&self, key: Key) -> Option<Value> {
-        list::get::<M>(self.bucket_of(key), key)
+        list::get(&self.mode, self.bucket_of(key), key)
     }
 
     /// Does the map currently contain `key`?
@@ -178,7 +178,8 @@ impl<'a, M: Mode> VcasHashMapView<'a, M> {
 impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
         let bucket = self.map.bucket_of(key);
-        list::cursor::<M>(bucket, self.handle, &self.guard, key, key).next().map(|(_, v)| v)
+        let mode = &self.map.mode;
+        list::cursor(mode, bucket, self.handle, &self.guard, key, key).next().map(|(_, v)| v)
     }
     /// "Ordered query on a hash map" is definitionally a full scan and a sort.
     fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
@@ -190,9 +191,9 @@ impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
     /// Streams the buckets in order (key order within a bucket, not globally), each
     /// through the list cursor on this view's handle and guard: nothing is materialized.
     fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        let (handle, guard) = (self.handle, &self.guard);
+        let (mode, handle, guard) = (&self.map.mode, self.handle, &self.guard);
         let buckets = self.map.buckets.iter();
-        Box::new(buckets.flat_map(move |b| list::cursor::<M>(b, handle, guard, 0, Key::MAX)))
+        Box::new(buckets.flat_map(move |b| list::cursor(mode, b, handle, guard, 0, Key::MAX)))
     }
 }
 
@@ -202,21 +203,23 @@ impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
 /// table's camera. Data-node reclamation likewise comes from the lists: every node carries
 /// a version-held reference count, so truncating a bucket's version lists retires nodes
 /// whose last reference went (counted into the camera's `nodes_retired`), and dropping
-/// the table drops the head cells, whose cascades free every remaining node — see the
+/// the table destroys the head cells, whose cascades free every remaining node — see the
 /// node-conservation test in `tests/node_reclaim.rs`.
 impl<M: Mode> Collectible for VcasHashMap<M> {
     fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
-        list::collect_bounded::<M>(&self.buckets, &self.reclaim_cursor, min_active, budget, guard)
+        let (mode, cursor) = (&self.mode, &self.reclaim_cursor);
+        list::collect_bounded(mode, &self.buckets, cursor, min_active, budget, guard)
     }
 
     fn version_stats(&self, guard: &Guard) -> VersionStats {
-        list::version_stats::<M>(&self.buckets, guard)
+        list::version_stats(&self.mode, &self.buckets, guard)
     }
 }
 
 impl<M: Mode> Drop for VcasHashMap<M> {
     fn drop(&mut self) {
-        list::free_chains::<M>(&mut self.buckets);
+        let buckets = std::mem::take(&mut self.buckets);
+        list::destroy(&self.mode, buckets.into_vec());
     }
 }
 

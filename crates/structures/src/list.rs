@@ -16,6 +16,7 @@
 //! functions serve [`HarrisList`], which holds one head cell, and [`crate::VcasHashMap`],
 //! whose buckets are head cells sharing the table's one mode and reclaim cursor.
 
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 use vcas_core::sync::{AtomicU64, AtomicUsize, Ordering};
 
@@ -42,9 +43,8 @@ pub(crate) struct Node<M: Mode> {
     refs: AtomicU64,
 }
 
-/// A head or next cell: one word in plain mode, a managed (reference-counting) versioned
-/// cell in versioned mode. `M` cannot be inferred from a `NextCell<M>` (it is a projection
-/// through the mode), so calls that pass no mode name it: `get::<M>(head, key)`.
+/// A head or next cell: one word in either mode — a plain [`vcas_ebr::Atomic`], or a
+/// managed (reference-counting) versioned cell whose camera the mode supplies.
 pub(crate) type NextCell<M> = <M as Mode>::Cell<Node<M>, Managed<Node<M>>>;
 
 impl<M: Mode> Node<M> {
@@ -59,8 +59,14 @@ impl<M: Mode> Node<M> {
 /// the time it is republished; the managed cell then refuses it, failing the CAS or the
 /// new node's cell construction, and the operation searches again.
 unsafe impl<M: Mode> VersionReferenced for Node<M> {
+    const HOLDS_CELLS: bool = M::VERSIONED;
+
     fn version_refs(&self) -> &AtomicU64 {
         &self.refs
+    }
+
+    fn destroy(node: Box<Self>, camera: &Arc<Camera>) {
+        node.next.destroy(camera);
     }
 }
 
@@ -76,23 +82,24 @@ pub(crate) fn empty<M: Mode>(mode: &M) -> NextCell<M> {
 /// (Harris/Michael search). The node is returned as the pointer the caller CASes against
 /// and, when non-null, as a reference.
 fn search<'g, M: Mode>(
+    mode: &M,
     head: &'g NextCell<M>,
     key: Key,
     guard: &'g Guard,
 ) -> (&'g NextCell<M>, Shared<'g, Node<M>>, Option<&'g Node<M>>) {
     'retry: loop {
         let mut pred = head;
-        let mut curr = head.load(guard).with_tag(0);
+        let mut curr = head.load(mode, guard).with_tag(0);
         loop {
             // SAFETY: `curr` was read (tag stripped) from a cell under `guard`, so a
             // non-null `curr` cannot be freed while we hold the pin.
             let Some(curr_ref) = (unsafe { curr.as_ref() }) else {
                 return (pred, curr, None);
             };
-            let succ = curr_ref.next.load(guard);
+            let succ = curr_ref.next.load(mode, guard);
             if succ.tag() == MARK {
                 // `curr` is logically deleted: splice it out before continuing.
-                if !pred.compare_exchange(curr, succ.with_tag(0), guard) {
+                if !pred.compare_exchange(mode, curr, succ.with_tag(0), guard) {
                     continue 'retry;
                 }
                 if !M::VERSIONED {
@@ -118,7 +125,7 @@ pub(crate) fn insert<M: Mode>(mode: &M, head: &NextCell<M>, key: Key, value: Val
     let mut attempts = 0u32;
     loop {
         crate::backoff(&mut attempts);
-        let (pred, curr, found) = search::<M>(head, key, &guard);
+        let (pred, curr, found) = search(mode, head, key, &guard);
         if found.is_some_and(|node| node.key == key) {
             return false;
         }
@@ -128,7 +135,7 @@ pub(crate) fn insert<M: Mode>(mode: &M, head: &NextCell<M>, key: Key, value: Val
         if let Some(camera) = mode.camera() {
             camera.note_nodes_created(1);
         }
-        if pred.compare_exchange(curr, new, &guard) {
+        if pred.compare_exchange(mode, curr, new, &guard) {
             if let Some(camera) = mode.camera() {
                 // Published: `pred`'s new head version holds a counted reference, so
                 // the creator reference is handed off (see [`VersionReferenced`]).
@@ -138,13 +145,17 @@ pub(crate) fn insert<M: Mode>(mode: &M, head: &NextCell<M>, key: Key, value: Val
             return true;
         }
         // Not published: free and retry. (In versioned mode the node's cell still
-        // holds a counted reference to `curr`; dropping the node releases it.)
-        if let Some(camera) = mode.camera() {
-            camera.note_nodes_dropped(1);
-        }
+        // holds a counted reference to `curr`; destroying the node releases it.)
         // SAFETY: the publish CAS failed, so `new` was never shared — this thread
         // still exclusively owns the allocation.
-        unsafe { drop(new.into_owned()) };
+        let node = unsafe { Box::from_raw(new.as_raw()) };
+        match mode.camera() {
+            Some(camera) => {
+                camera.note_nodes_dropped(1);
+                VersionReferenced::destroy(node, camera);
+            }
+            None => drop(node),
+        }
     }
 }
 
@@ -154,29 +165,29 @@ pub(crate) fn remove<M: Mode>(mode: &M, head: &NextCell<M>, key: Key) -> bool {
     let mut attempts = 0u32;
     loop {
         crate::backoff(&mut attempts);
-        let (pred, curr, found) = search::<M>(head, key, &guard);
+        let (pred, curr, found) = search(mode, head, key, &guard);
         let Some(node) = found.filter(|node| node.key == key) else { return false };
-        let succ = node.next.load(&guard);
+        let succ = node.next.load(mode, &guard);
         if succ.tag() == MARK {
             continue;
         }
         // Logical delete: set the mark bit (the operation's linearization point).
         #[cfg(not(vcas_weaken_mark))]
-        let mark_won = node.next.compare_exchange(succ, succ.with_tag(MARK), &guard);
+        let mark_won = node.next.compare_exchange(mode, succ, succ.with_tag(MARK), &guard);
         // Deliberate mutation for the model-checker regression in
         // crates/analysis/tests/model_structures.rs: treat a lost mark CAS as won, so
         // a concurrent insert into `node.next` can be silently dropped (stock builds
         // never set the cfg).
         #[cfg(vcas_weaken_mark)]
         let mark_won = {
-            let _ = node.next.compare_exchange(succ, succ.with_tag(MARK), &guard);
+            let _ = node.next.compare_exchange(mode, succ, succ.with_tag(MARK), &guard);
             true
         };
         if !mark_won {
             continue;
         }
         // Physical unlink (best effort; search() will finish it otherwise).
-        if pred.compare_exchange(curr, succ.with_tag(0), &guard) && !M::VERSIONED {
+        if pred.compare_exchange(mode, curr, succ.with_tag(0), &guard) && !M::VERSIONED {
             // SAFETY: we marked `curr` and won the unlink CAS, so this thread is its
             // unique retirer; readers that still see it are pinned.
             unsafe { guard.defer_destroy(curr) };
@@ -189,8 +200,8 @@ pub(crate) fn remove<M: Mode>(mode: &M, head: &NextCell<M>, key: Key) -> bool {
 }
 
 /// The value stored with `key` in the list at `head`, if present.
-pub(crate) fn get<M: Mode>(head: &NextCell<M>, key: Key) -> Option<Value> {
-    cursor::<M>(head, None, &pin(), key, key).next().map(|(_, v)| v)
+pub(crate) fn get<M: Mode>(mode: &M, head: &NextCell<M>, key: Key) -> Option<Value> {
+    cursor(mode, head, None, &pin(), key, key).next().map(|(_, v)| v)
 }
 
 /// The list's one ordered cursor: the live pairs with `lo <= key <= hi` in the list at
@@ -200,13 +211,14 @@ pub(crate) fn get<M: Mode>(head: &NextCell<M>, key: Key) -> Option<Value> {
 /// at `lo` is `O(position)`, but early-stopping consumers (`get`, `find_if`,
 /// `successors`) never touch the tail.
 pub(crate) fn cursor<'g, M: Mode>(
+    mode: &'g M,
     head: &NextCell<M>,
     handle: Option<SnapshotHandle>,
     guard: &'g Guard,
     lo: Key,
     hi: Key,
 ) -> impl Iterator<Item = (Key, Value)> + 'g {
-    walk::<M>(head, handle, guard, hi)
+    walk(mode, head, handle, guard, hi)
         .filter(move |&(node, marked)| !marked && node.key >= lo)
         .map(|(node, _)| (node.key, node.value))
 }
@@ -215,12 +227,13 @@ pub(crate) fn cursor<'g, M: Mode>(
 /// `hi`, each with whether it was marked (deleted) at `handle`. Marked nodes are included:
 /// their cells hold versions too.
 fn walk<'g, M: Mode>(
+    mode: &'g M,
     head: &NextCell<M>,
     handle: Option<SnapshotHandle>,
     guard: &'g Guard,
     hi: Key,
 ) -> Walk<'g, M> {
-    Walk { curr: head.load_at(handle, guard).with_tag(0), handle, guard, hi }
+    Walk { curr: head.load_at(mode, handle, guard).with_tag(0), mode, handle, guard, hi }
 }
 
 /// See [`walk`]: one pointer chase per node, and no node is read before the one ahead of
@@ -228,6 +241,7 @@ fn walk<'g, M: Mode>(
 struct Walk<'g, M: Mode> {
     /// The next node to examine, or null.
     curr: Shared<'g, Node<M>>,
+    mode: &'g M,
     handle: Option<SnapshotHandle>,
     guard: &'g Guard,
     hi: Key,
@@ -245,7 +259,7 @@ impl<'g, M: Mode> Iterator for Walk<'g, M> {
             self.curr = Shared::null();
             return None;
         }
-        let next = node.next.load_at(self.handle, self.guard);
+        let next = node.next.load_at(self.mode, self.handle, self.guard);
         self.curr = next.with_tag(0);
         Some((node, next.tag() == MARK))
     }
@@ -276,6 +290,7 @@ impl ReclaimCursor {
 /// completes the cycle and rewinds the cursor. (A circular pass could never report
 /// completion with a budget smaller than the table.)
 pub(crate) fn collect_bounded<M: Mode>(
+    mode: &M,
     heads: &[NextCell<M>],
     cursor: &ReclaimCursor,
     min_active: u64,
@@ -301,10 +316,10 @@ pub(crate) fn collect_bounded<M: Mode>(
                 cursor.save(idx, 0);
                 return stats;
             }
-            stats.versions_retired += head.collect_before(min_active, guard);
+            stats.versions_retired += head.collect_before(mode, min_active, guard);
             stats.cells_visited += 1;
         }
-        for (node, _) in walk::<M>(head, None, guard, Key::MAX) {
+        for (node, _) in walk(mode, head, None, guard, Key::MAX) {
             if node.key < resume.saturating_sub(1) {
                 continue;
             }
@@ -315,7 +330,7 @@ pub(crate) fn collect_bounded<M: Mode>(
                 cursor.save(idx, node.key + 1);
                 return stats;
             }
-            stats.versions_retired += node.next.collect_before(min_active, guard);
+            stats.versions_retired += node.next.collect_before(mode, min_active, guard);
             stats.cells_visited += 1;
         }
         resume = 0;
@@ -326,36 +341,42 @@ pub(crate) fn collect_bounded<M: Mode>(
 }
 
 /// Version-list statistics over every cell of the physical lists at `heads`.
-pub(crate) fn version_stats<M: Mode>(heads: &[NextCell<M>], guard: &Guard) -> VersionStats {
+pub(crate) fn version_stats<M: Mode>(
+    mode: &M,
+    heads: &[NextCell<M>],
+    guard: &Guard,
+) -> VersionStats {
     let mut stats = VersionStats::default();
     for head in heads {
         stats.record_cell(head.version_count(guard));
-        for (node, _) in walk::<M>(head, None, guard, Key::MAX) {
+        for (node, _) in walk(mode, head, None, guard, Key::MAX) {
             stats.record_cell(node.next.version_count(guard));
         }
     }
     stats
 }
 
-/// Frees the nodes the head cells of a dropped plain structure still reach; its unlinked
-/// nodes were retired to EBR at their unlink CAS. A versioned structure needs nothing
-/// here: dropping a head cell releases the references its versions hold, and reclamation
-/// cascades through exactly the nodes that thereby become unreferenced (deferred through
-/// EBR; `vcas_ebr::drain` at a quiescent point settles the counters).
-pub(crate) fn free_chains<M: Mode>(heads: &mut [NextCell<M>]) {
-    if M::VERSIONED {
+/// Tears down a dropped structure's head cells. A plain structure frees the nodes they
+/// still reach; its unlinked nodes were retired to EBR at their unlink CAS. A versioned
+/// one destroys the head cells, which releases the references their versions hold, and
+/// reclamation cascades through exactly the nodes that thereby become unreferenced
+/// (deferred through EBR; `vcas_ebr::drain` at a quiescent point settles the counters).
+pub(crate) fn destroy<M: Mode>(mode: &M, heads: impl IntoIterator<Item = NextCell<M>>) {
+    if let Some(camera) = mode.camera() {
+        for head in heads {
+            head.destroy(camera);
+        }
         return;
     }
     let guard = pin();
-    for head in heads.iter() {
-        let mut curr = head.load(&guard).with_tag(0);
+    for head in heads {
+        let mut curr = head.load(mode, &guard).with_tag(0);
         while !curr.is_null() {
-            // SAFETY: `&mut` access to the head cells means the structure is being
-            // dropped, so every node on the chain is still allocated (unlinked ones were
-            // retired to EBR, not freed), was allocated via `Owned`, and appears on the
-            // chain exactly once.
+            // SAFETY: the head cells were taken from the structure being dropped, so every
+            // node on the chain is still allocated (unlinked ones were retired to EBR, not
+            // freed), was allocated via `Owned`, and appears on the chain exactly once.
             let node = unsafe { Box::from_raw(curr.as_raw()) };
-            curr = node.next.load(&guard).with_tag(0);
+            curr = node.next.load(mode, &guard).with_tag(0);
         }
     }
 }
@@ -364,7 +385,8 @@ pub(crate) fn free_chains<M: Mode>(heads: &mut [NextCell<M>]) {
 
 /// Harris's sorted linked list (see module docs), `VcasList` unless `M` is [`Plain`].
 pub struct HarrisList<M: Mode = Versioned> {
-    head: NextCell<M>,
+    /// Taken by `Drop`, which destroys it with the mode's camera.
+    head: ManuallyDrop<NextCell<M>>,
     mode: M,
     /// Resume point for incremental version-list collection ([`Collectible`]).
     reclaim_cursor: ReclaimCursor,
@@ -391,7 +413,8 @@ impl HarrisList {
 
 impl<M: Mode> HarrisList<M> {
     fn with_mode(mode: M) -> HarrisList<M> {
-        HarrisList { head: empty(&mode), mode, reclaim_cursor: ReclaimCursor::default() }
+        let head = ManuallyDrop::new(empty(&mode));
+        HarrisList { head, mode, reclaim_cursor: ReclaimCursor::default() }
     }
 
     /// The camera associated with a versioned list.
@@ -416,7 +439,7 @@ impl<M: Mode> HarrisList<M> {
 
     /// Returns the value stored with `key`, if present.
     pub fn get(&self, key: Key) -> Option<Value> {
-        get::<M>(&self.head, key)
+        get(&self.mode, &self.head, key)
     }
 
     // ----- snapshot queries --------------------------------------------------------------
@@ -443,12 +466,12 @@ impl<M: Mode> HarrisList<M> {
 /// walk the hash map runs over its buckets.
 impl<M: Mode> Collectible for HarrisList<M> {
     fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
-        let heads = std::slice::from_ref(&self.head);
-        collect_bounded::<M>(heads, &self.reclaim_cursor, min_active, budget, guard)
+        let heads = std::slice::from_ref(&*self.head);
+        collect_bounded(&self.mode, heads, &self.reclaim_cursor, min_active, budget, guard)
     }
 
     fn version_stats(&self, guard: &Guard) -> VersionStats {
-        version_stats::<M>(std::slice::from_ref(&self.head), guard)
+        version_stats(&self.mode, std::slice::from_ref(&*self.head), guard)
     }
 }
 
@@ -472,7 +495,7 @@ impl<'a, M: Mode> HarrisListView<'a, M> {
     }
 
     fn cursor(&self, lo: Key, hi: Key) -> impl Iterator<Item = (Key, Value)> + '_ {
-        cursor::<M>(&self.list.head, self.handle, &self.guard, lo, hi)
+        cursor(&self.list.mode, &self.list.head, self.handle, &self.guard, lo, hi)
     }
 }
 
@@ -516,7 +539,9 @@ impl<M: Mode> SnapshotSource for HarrisList<M> {
 
 impl<M: Mode> Drop for HarrisList<M> {
     fn drop(&mut self) {
-        free_chains::<M>(std::slice::from_mut(&mut self.head));
+        // SAFETY: `drop` runs once and `head` is not used afterwards.
+        let head = unsafe { ManuallyDrop::take(&mut self.head) };
+        destroy(&self.mode, [head]);
     }
 }
 
@@ -559,17 +584,17 @@ mod tests {
         HarrisList::new_versioned_default()
     }
 
-    /// Layout budget: key, value, counter and one next cell — a three-word managed cell
-    /// when versioned, one word when plain. A bucket is its head cell alone, so a
-    /// hash-map bucket is exactly one such cell.
+    /// Layout budget: key, value, counter and one next cell — one word in either mode,
+    /// the camera being the mode's. A bucket is its head cell alone, so a hash-map bucket
+    /// is exactly one such cell.
     #[test]
     fn node_layout_stays_within_budget() {
         let versioned = std::mem::size_of::<Node<Versioned>>();
-        assert!(versioned <= 48, "Node<Versioned> is {versioned} B");
+        assert!(versioned <= 32, "Node<Versioned> is {versioned} B");
         let plain = std::mem::size_of::<Node<Plain>>();
         assert!(plain <= 32, "Node<Plain> is {plain} B");
         let word = std::mem::size_of::<usize>();
-        assert_eq!(std::mem::size_of::<NextCell<Versioned>>(), 3 * word);
+        assert_eq!(std::mem::size_of::<NextCell<Versioned>>(), word);
         assert_eq!(std::mem::size_of::<NextCell<Plain>>(), word);
     }
 

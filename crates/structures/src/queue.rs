@@ -8,6 +8,7 @@
 //! state, so queries such as "the i-th element", "both end points", or a full scan can be
 //! answered atomically while enqueues and dequeues proceed concurrently.
 
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 use vcas_core::sync::Ordering;
@@ -19,23 +20,25 @@ use crate::traits::Value;
 
 struct Node<M: Mode> {
     value: Value,
-    next: QueueCell<M>,
+    /// Taken when the queue drops and frees the node.
+    next: ManuallyDrop<QueueCell<M>>,
 }
 
 /// The queue's cells carry no value hook: versioned mode frees nodes only when the queue
-/// drops.
+/// drops, destroying their cells with the mode's camera.
 type QueueCell<M> = <M as Mode>::Cell<Node<M>, ()>;
 
 /// A cell holding `init`; an unhooked cell never refuses a pointer.
-fn cell<M: Mode>(mode: &M, init: Shared<'_, Node<M>>) -> QueueCell<M> {
-    mode.cell(init).expect("an unhooked cell accepts every pointer")
+fn cell<M: Mode>(mode: &M, init: Shared<'_, Node<M>>) -> ManuallyDrop<QueueCell<M>> {
+    ManuallyDrop::new(mode.cell(init).expect("an unhooked cell accepts every pointer"))
 }
 
 /// The Michael–Scott concurrent FIFO queue (see module docs), `VcasQueue` unless `M` is
 /// [`Plain`].
 pub struct MsQueue<M: Mode = Versioned> {
-    head: QueueCell<M>,
-    tail: QueueCell<M>,
+    /// `head` and `tail` are taken by `Drop`, which destroys them with the mode's camera.
+    head: ManuallyDrop<QueueCell<M>>,
+    tail: ManuallyDrop<QueueCell<M>>,
     /// The construction dummy. A node's `next` is set once, so every node ever enqueued
     /// lies on one `next` chain from here; versioned mode never frees a dequeued node, so
     /// `Drop` frees that whole chain. (Plain mode defers each dequeued dummy instead and
@@ -98,20 +101,20 @@ impl<M: Mode> MsQueue<M> {
             Owned::new(Node { value, next: cell(&self.mode, Shared::null()) }).into_shared(&guard);
         let mut attempts = 0u32;
         loop {
-            let tail = self.tail.load(&guard);
+            let tail = self.tail.load(&self.mode, &guard);
             // SAFETY: `tail` is never null (the dummy node exists from construction) and
             // unlinked nodes are only reclaimed through `guard`-deferred destruction.
             let tail_ref = unsafe { tail.deref() };
-            let next = tail_ref.next.load(&guard);
+            let next = tail_ref.next.load(&self.mode, &guard);
             if !next.is_null() {
                 // Tail is falling behind: help advance it, then retry. No backoff — either
                 // our CAS or a competitor's advanced the tail, so progress was just made.
-                self.tail.compare_exchange(tail, next, &guard);
+                self.tail.compare_exchange(&self.mode, tail, next, &guard);
                 continue;
             }
-            if tail_ref.next.compare_exchange(Shared::null(), new, &guard) {
+            if tail_ref.next.compare_exchange(&self.mode, Shared::null(), new, &guard) {
                 // Linearization point; swing the tail (may be done by a helper instead).
-                self.tail.compare_exchange(tail, new, &guard);
+                self.tail.compare_exchange(&self.mode, tail, new, &guard);
                 return;
             }
             // Lost the link CAS to a concurrent enqueue: back off before retrying.
@@ -124,25 +127,25 @@ impl<M: Mode> MsQueue<M> {
         let guard = pin();
         let mut attempts = 0u32;
         loop {
-            let head = self.head.load(&guard);
-            let tail = self.tail.load(&guard);
+            let head = self.head.load(&self.mode, &guard);
+            let tail = self.tail.load(&self.mode, &guard);
             // SAFETY: `head` is never null (it always points at the dummy) and is
             // epoch-protected while `guard` is live.
             let head_ref = unsafe { head.deref() };
-            let next = head_ref.next.load(&guard);
+            let next = head_ref.next.load(&self.mode, &guard);
             if head == tail {
                 if next.is_null() {
                     return None;
                 }
                 // Tail is falling behind: help. No backoff — the tail just advanced.
-                self.tail.compare_exchange(tail, next, &guard);
+                self.tail.compare_exchange(&self.mode, tail, next, &guard);
                 continue;
             }
             // SAFETY: `head != tail` with the queue's invariant (head trails tail) means
             // `next` is non-null; it stays epoch-protected while `guard` is live.
             let next_ref = unsafe { next.deref() };
             let value = next_ref.value;
-            if self.head.compare_exchange(head, next, &guard) {
+            if self.head.compare_exchange(&self.mode, head, next, &guard) {
                 if !M::VERSIONED {
                     // SAFETY: the CAS unlinked the old dummy exactly once (plain mode
                     // never re-links it); in-flight readers are epoch-protected.
@@ -164,16 +167,16 @@ impl<M: Mode> MsQueue<M> {
 
     fn collect_view(&self, at: Option<SnapshotHandle>, guard: &Guard) -> Vec<Value> {
         // Elements are the nodes after the dummy pointed to by head, in order.
-        let head = self.head.load_at(at, guard);
+        let head = self.head.load_at(&self.mode, at, guard);
         let mut out = Vec::new();
         // SAFETY: every retained head version is non-null (a dummy or former dummy), and
         // versioned mode never frees unlinked nodes while their versions are retained.
-        let mut curr = unsafe { head.deref() }.next.load_at(at, guard);
+        let mut curr = unsafe { head.deref() }.next.load_at(&self.mode, at, guard);
         // SAFETY: snapshot links resolve to nodes kept alive by their version references
         // (or, in plain mode, by `guard`'s epoch protection).
         while let Some(node) = unsafe { curr.as_ref() } {
             out.push(node.value);
-            curr = node.next.load_at(at, guard);
+            curr = node.next.load_at(&self.mode, at, guard);
         }
         out
     }
@@ -189,10 +192,10 @@ impl<M: Mode> MsQueue<M> {
     pub fn ith(&self, i: usize) -> Option<Value> {
         let at = self.view_for_query();
         let guard = pin();
-        let head = self.head.load_at(at, &guard);
+        let head = self.head.load_at(&self.mode, at, &guard);
         // SAFETY: as in `collect_view` — retained head versions are non-null and their
         // nodes outlive the versions pointing at them.
-        let mut curr = unsafe { head.deref() }.next.load_at(at, &guard);
+        let mut curr = unsafe { head.deref() }.next.load_at(&self.mode, at, &guard);
         let mut index = 0usize;
         // SAFETY: as in `collect_view`'s walk.
         while let Some(node) = unsafe { curr.as_ref() } {
@@ -200,7 +203,7 @@ impl<M: Mode> MsQueue<M> {
                 return Some(node.value);
             }
             index += 1;
-            curr = node.next.load_at(at, &guard);
+            curr = node.next.load_at(&self.mode, at, &guard);
         }
         None
     }
@@ -229,11 +232,12 @@ impl<M: Mode> MsQueue<M> {
 impl<M: Mode> Drop for MsQueue<M> {
     fn drop(&mut self) {
         let guard = pin();
+        let mode = &self.mode;
         // Versioned mode frees every node ever enqueued, from `first` (elision has
         // unlinked the head versions naming dequeued dummies, so `head` no longer reaches
         // them). Plain mode deferred each dequeued dummy; only the chain from `head` is left.
         let mut curr = if !M::VERSIONED {
-            self.head.load(&guard)
+            self.head.load(mode, &guard)
         } else {
             self.first.load(Ordering::SeqCst, &guard)
         };
@@ -241,8 +245,21 @@ impl<M: Mode> Drop for MsQueue<M> {
             // SAFETY: `&mut self` in `drop` means no concurrent access; every node on the
             // chain is still allocated (versioned mode frees nodes only here, plain mode
             // only the dummies before `head`) and appears on it exactly once.
-            let node = unsafe { Box::from_raw(curr.as_raw()) };
-            curr = node.next.load(&guard);
+            let mut node = unsafe { Box::from_raw(curr.as_raw()) };
+            curr = node.next.load(mode, &guard);
+            // SAFETY: the node is freed below and its cell is not used again.
+            let next = unsafe { ManuallyDrop::take(&mut node.next) };
+            if let Some(camera) = mode.camera() {
+                next.destroy(camera);
+            }
+        }
+        // SAFETY: `drop` runs once and neither field is used afterwards.
+        let head = unsafe { ManuallyDrop::take(&mut self.head) };
+        // SAFETY: as above.
+        let tail = unsafe { ManuallyDrop::take(&mut self.tail) };
+        if let Some(camera) = mode.camera() {
+            head.destroy(camera);
+            tail.destroy(camera);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! Shavit): every node carries a *tower* of next-pointers, a node is logically deleted by
 //! tagging its next-pointers with a mark bit (top-down, the **level-0 mark is the
 //! linearization point**), and traversals physically snip marked nodes as they pass. The
-//! vCAS twist is the paper's §4 recipe: every tower cell is a versioned [`ManagedPtr`] on one
+//! vCAS twist is the paper's §4 recipe: every tower cell is a versioned [`PtrCell`] on one
 //! shared [`Camera`], so the whole structure is snapshot-able in constant time and a
 //! pinned view answers arbitrarily many ordered queries — `range`, `successors`,
 //! `find_if`, full scans — **in `O(log n + k)`** by descending the tower inside the
@@ -13,7 +13,7 @@
 //!
 //! Reclamation follows PR 5's node-conservation protocol exactly (see
 //! [`VersionReferenced`]): tower cells are created with
-//! [`ManagedPtr::with_hook`], so every retained version holds a counted
+//! [`PtrCell::with_hook`] and the [`Managed`] hook, so every retained version holds a counted
 //! reference to the node it points at; unlink CASes never free nodes directly — a node is
 //! retired when the last version referencing it is truncated. The list registers as a
 //! [`Collectible`] with a bounded, resumable level-0 cursor.
@@ -37,7 +37,7 @@ use vcas_core::sync::{AtomicU64, Ordering};
 
 use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
 use vcas_core::{
-    release_node_ref, Camera, CameraAttached, ManagedPtr, PinnedSnapshot, RetentionError,
+    release_node_ref, Camera, CameraAttached, Managed, PinnedSnapshot, PtrCell, RetentionError,
     SnapshotHandle, VersionReferenced,
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
@@ -58,7 +58,7 @@ pub const MAX_HEIGHT: usize = 20;
 struct Node {
     key: Key,
     value: Value,
-    tower: Vec<ManagedPtr<Node>>,
+    tower: Vec<TowerCell>,
     /// Version-held reference count: one reference per retained version (in any cell)
     /// pointing at this node, plus the creator reference until publication.
     refs: AtomicU64,
@@ -70,10 +70,22 @@ struct Node {
 /// zero) by the time it is republished; the managed cell then refuses it, failing the CAS
 /// or the tower's cell construction, and the operation searches again.
 unsafe impl VersionReferenced for Node {
+    const HOLDS_CELLS: bool = true;
+
     fn version_refs(&self) -> &AtomicU64 {
         &self.refs
     }
+
+    fn destroy(node: Box<Self>, camera: &Arc<Camera>) {
+        for cell in node.tower {
+            cell.destroy(camera);
+        }
+    }
 }
+
+/// A tower cell: one word, versioned on the list's camera, counting references to the
+/// node it points at.
+type TowerCell = PtrCell<Node, Managed<Node>>;
 
 /// The vCAS-versioned lock-free skip list (`VcasSkipList` in benchmark rows).
 ///
@@ -96,7 +108,7 @@ impl VcasSkipList {
     pub fn new_versioned(camera: &Arc<Camera>) -> VcasSkipList {
         let camera = camera.clone();
         let tower = (0..MAX_HEIGHT)
-            .map(|_| ManagedPtr::with_hook(Shared::null(), &camera).expect("null is live"))
+            .map(|_| TowerCell::with_hook(Shared::null(), &camera).expect("null is live"))
             .collect();
         let head = Node { key: 0, value: 0, tower, refs: AtomicU64::new(1) };
         // The head sentinel keeps its creator reference (no version node ever points at
@@ -171,16 +183,18 @@ impl VcasSkipList {
             for lvl in (0..MAX_HEIGHT).rev() {
                 // SAFETY: `pred` is the never-null head or a node this traversal read
                 // under `guard`; the pin keeps it allocated.
-                let mut curr = unsafe { pred.deref() }.tower[lvl].load(guard).with_tag(0);
+                let pred_ref = unsafe { pred.deref() };
+                let mut curr = pred_ref.tower[lvl].load(&self.camera, guard).with_tag(0);
                 // SAFETY: `curr` was read (tag stripped) from a tower cell under `guard`.
                 while let Some(c) = unsafe { curr.as_ref() } {
-                    let succ = c.tower[lvl].load(guard);
+                    let succ = c.tower[lvl].load(&self.camera, guard);
                     if succ.tag() == MARK {
                         // `curr` is deleted at this level: splice it out. The expected
                         // value has tag 0, so this can never re-link after a node that
                         // was itself marked meanwhile — the CAS just fails and we retry.
                         // SAFETY: `pred` is still pinned by `guard`, as above.
                         if !unsafe { pred.deref() }.tower[lvl].compare_exchange(
+                            &self.camera,
                             curr,
                             succ.with_tag(0),
                             guard,
@@ -219,25 +233,36 @@ impl VcasSkipList {
             }
             let height = self.random_height();
             // A successor found by `find` may have been unlinked and retired since; then
-            // the tower cannot reference it (the cells built so far are dropped, releasing
-            // their references) and the search starts over.
-            let Some(tower) =
-                (0..height).map(|lvl| ManagedPtr::with_hook(succs[lvl], &self.camera)).collect()
-            else {
+            // the tower cannot reference it (the cells built so far are destroyed,
+            // releasing their references) and the search starts over.
+            let tower: Vec<TowerCell> = succs[..height]
+                .iter()
+                .map_while(|&succ| TowerCell::with_hook(succ, &self.camera))
+                .collect();
+            if tower.len() < height {
+                for cell in tower {
+                    cell.destroy(&self.camera);
+                }
                 continue;
-            };
+            }
             let node =
                 Owned::new(Node { key, value, tower, refs: AtomicU64::new(1) }).into_shared(&guard);
             self.camera.note_nodes_created(1);
             // The level-0 CAS is the linearization point of the insert.
             // SAFETY: `preds[0]` came from `find` under `guard`, which keeps it allocated.
-            if !unsafe { preds[0].deref() }.tower[0].compare_exchange(succs[0], node, &guard) {
-                // Never published: we still own the node. Dropping it drops its tower
-                // cells, releasing the counted references they held on `succs[..]`.
+            if !unsafe { preds[0].deref() }.tower[0].compare_exchange(
+                &self.camera,
+                succs[0],
+                node,
+                &guard,
+            ) {
+                // Never published: we still own the node. Destroying it destroys its
+                // tower cells, releasing the counted references they held on `succs[..]`.
                 self.camera.note_nodes_dropped(1);
                 // SAFETY: the publish CAS failed, so `node` was never shared and this
                 // thread still owns the allocation exclusively.
-                unsafe { drop(node.into_owned()) };
+                let node = unsafe { Box::from_raw(node.as_raw()) };
+                VersionReferenced::destroy(node, &self.camera);
                 continue;
             }
             // Published: the predecessor's level-0 version now holds a counted
@@ -265,7 +290,7 @@ impl VcasSkipList {
         let node_ref = unsafe { node.deref() };
         for lvl in 1..height {
             loop {
-                let own = node_ref.tower[lvl].load(guard);
+                let own = node_ref.tower[lvl].load(&self.camera, guard);
                 if own.tag() == MARK {
                     return; // concurrently removed: stop linking
                 }
@@ -274,11 +299,12 @@ impl VcasSkipList {
                 // splice. Either CAS fails when its cell moved, and also when it would
                 // reference a retired node (the successor, or our own node once it has
                 // been removed and its last version truncated).
-                let own_ok = own == succ || node_ref.tower[lvl].compare_exchange(own, succ, guard);
+                let own_ok = own == succ
+                    || node_ref.tower[lvl].compare_exchange(&self.camera, own, succ, guard);
                 // SAFETY: `preds[lvl]` came from `find` under `guard`, which keeps it
                 // allocated.
                 let pred = unsafe { preds[lvl].deref() };
-                if own_ok && pred.tower[lvl].compare_exchange(succ, node, guard) {
+                if own_ok && pred.tower[lvl].compare_exchange(&self.camera, succ, node, guard) {
                     break;
                 }
                 // Re-locate and retry this level.
@@ -304,11 +330,11 @@ impl VcasSkipList {
         // Mark the upper cells top-down (idempotent; racing removers may help).
         for lvl in (1..n.tower.len()).rev() {
             loop {
-                let next = n.tower[lvl].load(&guard);
+                let next = n.tower[lvl].load(&self.camera, &guard);
                 if next.tag() == MARK {
                     break;
                 }
-                n.tower[lvl].compare_exchange(next, next.with_tag(MARK), &guard);
+                n.tower[lvl].compare_exchange(&self.camera, next, next.with_tag(MARK), &guard);
             }
         }
         // The level-0 mark CAS is the linearization point of the remove; exactly one
@@ -317,19 +343,21 @@ impl VcasSkipList {
         // no re-`find` is needed because the node's identity is fixed once we hold it.
         let mut attempts = 0u32;
         loop {
-            let next = n.tower[0].load(&guard);
+            let next = n.tower[0].load(&self.camera, &guard);
             if next.tag() == MARK {
                 return false; // another remover linearized first
             }
             #[cfg(not(vcas_weaken_mark))]
-            let mark_won = n.tower[0].compare_exchange(next, next.with_tag(MARK), &guard);
+            let mark_won =
+                n.tower[0].compare_exchange(&self.camera, next, next.with_tag(MARK), &guard);
             // Deliberate mutation for the model-checker regression in
             // crates/analysis/tests/model_structures.rs: treat a lost level-0 mark CAS as
             // won, so a remove racing an insert's level-0 publish into the same cell can
             // report success without ever marking (stock builds never set the cfg).
             #[cfg(vcas_weaken_mark)]
             let mark_won = {
-                let _ = n.tower[0].compare_exchange(next, next.with_tag(MARK), &guard);
+                let _ =
+                    n.tower[0].compare_exchange(&self.camera, next, next.with_tag(MARK), &guard);
                 true
             };
             if mark_won {
@@ -351,10 +379,10 @@ impl VcasSkipList {
         let mut curr = Shared::null();
         for lvl in (0..MAX_HEIGHT).rev() {
             // SAFETY: `pred` is the never-null head or a node read under `guard`.
-            curr = unsafe { pred.deref() }.tower[lvl].load(&guard).with_tag(0);
+            curr = unsafe { pred.deref() }.tower[lvl].load(&self.camera, &guard).with_tag(0);
             // SAFETY: `curr` was read (tag stripped) from a tower cell under `guard`.
             while let Some(c) = unsafe { curr.as_ref() } {
-                let succ = c.tower[lvl].load(&guard);
+                let succ = c.tower[lvl].load(&self.camera, &guard);
                 if succ.tag() == MARK {
                     curr = succ.with_tag(0); // jump over a deleted node
                 } else if c.key < key {
@@ -410,19 +438,19 @@ impl Collectible for VcasSkipList {
         let head_ref = unsafe { head.deref() };
         if start == 0 {
             for cell in &head_ref.tower {
-                stats.versions_retired += cell.collect_before(min_active, guard);
+                stats.versions_retired += cell.collect_before(&self.camera, min_active, guard);
                 stats.cells_visited += 1;
             }
         }
-        let mut curr = head_ref.tower[0].load(guard).with_tag(0);
+        let mut curr = head_ref.tower[0].load(&self.camera, guard).with_tag(0);
         // SAFETY: `curr` was read (tag stripped) from a level-0 cell under `guard`.
         while let Some(n) = unsafe { curr.as_ref() } {
-            let next = n.tower[0].load(guard).with_tag(0);
+            let next = n.tower[0].load(&self.camera, guard).with_tag(0);
             // Nodes below the cursor are only routed through, never re-collected —
             // counting them against the budget would stall the cursor.
             if n.key >= start {
                 for cell in &n.tower {
-                    stats.versions_retired += cell.collect_before(min_active, guard);
+                    stats.versions_retired += cell.collect_before(&self.camera, min_active, guard);
                     stats.cells_visited += 1;
                 }
                 if stats.cells_visited >= budget && n.key < u64::MAX {
@@ -447,7 +475,7 @@ impl Collectible for VcasSkipList {
         for cell in &head_ref.tower {
             stats.record_cell(cell.version_count(guard));
         }
-        let mut curr = head_ref.tower[0].load(guard).with_tag(0);
+        let mut curr = head_ref.tower[0].load(&self.camera, guard).with_tag(0);
         // SAFETY: `curr` was read (tag stripped) from a level-0 cell under `guard`.
         while let Some(n) = unsafe { curr.as_ref() } {
             for cell in &n.tower {
@@ -457,7 +485,7 @@ impl Collectible for VcasSkipList {
             // tower is structural, not a drawn height): a node of height `h` holds `h`
             // versioned cells, so the histogram shows where retained history clusters.
             stats.record_tower_height(n.tower.len());
-            curr = n.tower[0].load(guard).with_tag(0);
+            curr = n.tower[0].load(&self.camera, guard).with_tag(0);
         }
         stats
     }
@@ -466,7 +494,7 @@ impl Collectible for VcasSkipList {
 impl Drop for VcasSkipList {
     fn drop(&mut self) {
         // Exclusive access. Every node but the head is owned by the version-reference
-        // protocol: freeing the head drops its tower cells, releasing the references
+        // protocol: destroying the head's tower cells releases the references
         // their retained versions held, and reclamation cascades through every node of
         // every retained version (deferred through EBR; `vcas_ebr::drain` at a quiescent
         // point settles the counters). Only the head, which no version node ever pointed
@@ -476,7 +504,8 @@ impl Drop for VcasSkipList {
         self.camera.note_nodes_dropped(1);
         // SAFETY: `&mut self` is exclusive; the head was allocated by `Atomic::new`, no
         // version node references it, and it is freed exactly once, here.
-        unsafe { drop(Box::from_raw(head.as_raw())) };
+        let head = unsafe { Box::from_raw(head.as_raw()) };
+        VersionReferenced::destroy(head, &self.camera);
     }
 }
 
@@ -496,7 +525,7 @@ pub struct VcasSkipListView<'a> {
 impl VcasSkipListView<'_> {
     /// Is `node` a member at this view's timestamp (level-0 cell unmarked at `ts`)?
     fn live_at(&self, node: &Node) -> bool {
-        node.tower[0].load_snapshot(self.handle, &self.guard).tag() != MARK
+        node.tower[0].load_snapshot(&self.list.camera, self.handle, &self.guard).tag() != MARK
     }
 
     /// Tower descent at the snapshot: the first node with key `>= lo` that is a member
@@ -509,7 +538,7 @@ impl VcasSkipListView<'_> {
             // the guard and the snapshot pin keep every node a snapshot read returns
             // allocated for the view's lifetime.
             let mut curr = unsafe { way.deref() }.tower[lvl]
-                .load_snapshot(self.handle, &self.guard)
+                .load_snapshot(&self.list.camera, self.handle, &self.guard)
                 .with_tag(0);
             // SAFETY: `curr` came from a snapshot read under the view's guard, as above.
             while let Some(c) = unsafe { curr.as_ref() } {
@@ -522,16 +551,19 @@ impl VcasSkipListView<'_> {
                 if self.live_at(c) {
                     way = curr;
                 }
-                curr = c.tower[lvl].load_snapshot(self.handle, &self.guard).with_tag(0);
+                curr = c.tower[lvl]
+                    .load_snapshot(&self.list.camera, self.handle, &self.guard)
+                    .with_tag(0);
             }
         }
         // Level 0 is exact: walk the ts-list to the first live key >= lo.
         // SAFETY: `way` is pinned by the view, as above.
         let way = unsafe { way.deref() };
-        let mut curr = way.tower[0].load_snapshot(self.handle, &self.guard).with_tag(0);
+        let mut curr =
+            way.tower[0].load_snapshot(&self.list.camera, self.handle, &self.guard).with_tag(0);
         // SAFETY: `curr` came from a snapshot read under the view's guard, as above.
         while let Some(c) = unsafe { curr.as_ref() } {
-            let own = c.tower[0].load_snapshot(self.handle, &self.guard);
+            let own = c.tower[0].load_snapshot(&self.list.camera, self.handle, &self.guard);
             if own.tag() != MARK && c.key >= lo {
                 return curr;
             }
@@ -563,10 +595,11 @@ impl Iterator for SkipRangeIter<'_, '_> {
             return None;
         }
         let item = (c.key, c.value);
-        let mut next = c.tower[0].load_snapshot(view.handle, &view.guard).with_tag(0);
+        let mut next =
+            c.tower[0].load_snapshot(&view.list.camera, view.handle, &view.guard).with_tag(0);
         // SAFETY: as above, `next` came from a snapshot read under the view's guard.
         while let Some(n) = unsafe { next.as_ref() } {
-            let own = n.tower[0].load_snapshot(view.handle, &view.guard);
+            let own = n.tower[0].load_snapshot(&view.list.camera, view.handle, &view.guard);
             if own.tag() != MARK {
                 break;
             }

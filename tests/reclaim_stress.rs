@@ -227,10 +227,9 @@ fn hashmap_write_time_pruning_needs_no_sweep() {
     }
     assert!(camera.versions_pruned() > 0, "no publication pruned its cell");
 
-    // No pin is left. Close the instant of the last round's writes (a write stamped in it
-    // would elide, which never prunes), then rewrite every key once: every bucket head
-    // and every surviving node's cell takes a write, and each write prunes its cell.
-    drop(map.view());
+    // No pin is left. Rewrite every key once: every bucket head and every surviving node's
+    // cell takes a write, and each write prunes its cell — a write stamped in the instant
+    // of the last round's writes elides its displaced head and cuts what is left below it.
     for k in 1..=2 * KEYS {
         if map.remove(k) {
             assert!(map.insert(k, k));
