@@ -9,6 +9,7 @@ use std::path::{Path, PathBuf};
 const PROTOCOL_FILES: &[&str] = &[
     "crates/core/src/versioned.rs",
     "crates/core/src/versioned_ptr.rs",
+    "crates/core/src/vnode.rs",
     "crates/core/src/cell.rs",
     "crates/core/src/camera.rs",
     "crates/core/src/reclaim.rs",

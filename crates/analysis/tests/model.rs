@@ -33,6 +33,18 @@
 //!     cargo test -p vcas-analysis --test model -- --test-threads=1
 //! ```
 //!
+//! Two scenarios drive indirection on need: two installers racing to claim the version
+//! record embedded in one fresh node (its slot), and a pinned reader racing the first
+//! vCAS on a cell whose initial value sits directly in its head word. Their twin,
+//! `--cfg vcas_weaken_slot`, turns the slot's claim CAS into a plain store; the first
+//! scenario must catch the relinked, already released version with a schedule that
+//! replays:
+//!
+//! ```text
+//! RUSTFLAGS="--cfg vcas_model --cfg vcas_weaken_slot" \
+//!     cargo test -p vcas-analysis --test model -- --test-threads=1
+//! ```
+//!
 //! Under any deliberate weakening the other scenarios only report their outcome: they are
 //! not its designated catcher.
 #![cfg(vcas_model)]
@@ -40,7 +52,10 @@
 use std::sync::Arc;
 
 use vcas_core::sync::Ordering;
-use vcas_core::{Camera, ManagedPtr, RetentionError, VersionedCas};
+use vcas_core::{
+    Camera, ManagedPtr, PtrCell, RetentionError, ValueHook, VersionSlot, VersionedCas,
+    VersionedCell,
+};
 use vcas_sync::model::{self, Config, Report};
 
 /// Initializes process-wide singletons (EBR default domain, model panic hook) on the
@@ -61,7 +76,8 @@ const MUTATED: bool = cfg!(any(
     vcas_weaken_mark,
     vcas_weaken_elide,
     vcas_weaken_prune,
-    vcas_weaken_gate
+    vcas_weaken_gate,
+    vcas_weaken_slot
 ));
 
 /// Shared postlude: stock builds must find no violation (and, with `exhaust`, enumerate
@@ -519,4 +535,166 @@ fn vcas_elide_prune_vs_cut() {
     prewarm();
     let report = model::explore(cfg(), elide_prune_vs_cut);
     check("vcas_elide_prune_vs_cut", report, true);
+}
+
+/// A counted node that embeds the record of the version that installs it, as the tree's
+/// internal nodes do.
+struct SlotNode {
+    refs: vcas_core::sync::AtomicU64,
+    slot: VersionSlot,
+}
+
+// SAFETY: `refs` is used exclusively by the version-held refcount protocol, and the
+// scenarios never republish a pointer word read from a snapshot version.
+unsafe impl vcas_core::VersionReferenced for SlotNode {
+    fn version_refs(&self) -> &vcas_core::sync::AtomicU64 {
+        &self.refs
+    }
+}
+
+/// Counted references to [`SlotNode`]s that name each node's slot.
+struct SlotRefs;
+
+impl ValueHook<usize> for SlotRefs {
+    fn acquire(word: usize) -> bool {
+        // SAFETY: `word` came from a `Shared<SlotNode>` the caller's guard protects.
+        vcas_core::acquire_node_ref(unsafe { vcas_ebr::Shared::<'_, SlotNode>::from_data(word) })
+    }
+
+    fn release(word: usize, camera: &Arc<Camera>, guard: &vcas_ebr::Guard) {
+        // SAFETY: the released version held a counted reference, so the node is live.
+        let node = unsafe { vcas_ebr::Shared::<'_, SlotNode>::from_data(word) };
+        vcas_core::release_node_ref(node, camera, guard);
+    }
+
+    fn slot(word: usize) -> Option<std::ptr::NonNull<VersionSlot>> {
+        // SAFETY: asked only for an accepted, unreleased value, whose node is allocated.
+        let node = unsafe { vcas_ebr::Shared::<'_, SlotNode>::from_data(word).as_ref() }?;
+        Some(std::ptr::NonNull::from(&node.slot))
+    }
+}
+
+type SlotCell = PtrCell<SlotNode, SlotRefs>;
+
+fn slot_node() -> vcas_ebr::Owned<SlotNode> {
+    vcas_ebr::Owned::new(SlotNode {
+        refs: vcas_core::sync::AtomicU64::new(1),
+        slot: VersionSlot::new(),
+    })
+}
+
+/// Two installers claim one fresh node's slot. Prologue: a structure cell holds node `a`
+/// directly (no version record) and node `b` is fresh, with an unclaimed slot. Two threads
+/// publish `b` over `a` at once, as EFRB helpers replaying one insert's
+/// `CAS-Child(p, l, new)` do. The camera has not advanced, so the winning publication
+/// elides the direct value below it. In every interleaving exactly one publication lands,
+/// the cell ends holding `[b]` alone with one live version, and both nodes are retired
+/// exactly once when it is destroyed. Under `--cfg vcas_weaken_slot` the claim is a plain
+/// store: a late installer rewrites the `nextv` of the slot the winner already linked and
+/// stripped, relinking `a`'s released version below `b`.
+fn two_installers_claim_one_slot() {
+    let cam = Camera::new();
+    let g = vcas_ebr::pin();
+    let a = slot_node().into_shared(&g);
+    let b = slot_node().into_shared(&g);
+    let cell = Arc::new(SlotCell::fresh(a, &cam).expect("a fresh node is live"));
+    vcas_core::release_node_ref(a, &cam, &g);
+    let (a_word, b_word) = (a.into_data(), b.into_data());
+    let installer = |cell: Arc<SlotCell>, cam: Arc<Camera>| {
+        model::spawn(move || {
+            let g = vcas_ebr::pin();
+            // SAFETY: both nodes are referenced (by the cell, or by `b`'s creator until
+            // the main thread joins), so the words name live nodes.
+            let (a, b) = unsafe {
+                (vcas_ebr::Shared::from_data(a_word), vcas_ebr::Shared::from_data(b_word))
+            };
+            cell.compare_exchange(&cam, a, b, &g)
+        })
+    };
+    let first = installer(cell.clone(), cam.clone());
+    let second = installer(cell.clone(), cam.clone());
+    let wins = [first.join(), second.join()].iter().filter(|&&won| won).count();
+    assert_eq!(wins, 1, "exactly one publication of b must land");
+    vcas_core::release_node_ref(b, &cam, &g);
+    drop(g);
+    let cell = Arc::try_unwrap(cell).ok().expect("every installer joined");
+    let g = vcas_ebr::pin();
+    let (current, count) = (cell.load(&cam, &g).into_data(), cell.version_count(&g));
+    drop(g);
+    let live = cam.approx_live_versions();
+    if current != b_word || count != 1 || live != 1 {
+        // Destroying the cell would release a version a second time; leak it instead.
+        std::mem::forget(cell);
+        panic!(
+            "cell holds {count} version(s) (head is b: {}) with {live} live: a released \
+             version was relinked",
+            current == b_word
+        );
+    }
+    cell.destroy(&cam);
+    assert_eq!(
+        cam.versions_created(),
+        cam.versions_retired() + cam.versions_dropped(),
+        "version conservation must hold whoever claimed the slot"
+    );
+    assert_eq!(cam.nodes_retired(), 2, "each node is retired exactly once");
+}
+
+#[test]
+fn vcas_two_installers_claim_one_slot() {
+    prewarm();
+    let report = model::explore(cfg(), two_installers_claim_one_slot);
+    let mutated = cfg!(vcas_weaken_slot);
+    check_caught(
+        "vcas_two_installers_claim_one_slot",
+        report,
+        two_installers_claim_one_slot,
+        mutated,
+    );
+}
+
+/// Pinned reader vs. the first vCAS on a direct initial value. Prologue: a structure cell
+/// holds 1 directly in its head word, stamped 0 for every reader, and the camera has
+/// advanced past it. A writer publishes 2 — the vCAS that links the direct value below
+/// its new version — while the main thread pins a snapshot and reads the cell through it
+/// twice. Whichever side of the publication the pin lands on, both pinned reads agree,
+/// and a pin taken before the publication reads 1. Once the pin is released, a second
+/// write prunes the direct value, and version slots stay conserved.
+fn pinned_reader_vs_first_vcas_on_direct_value() {
+    let cam = Camera::new();
+    let cell =
+        Arc::new(VersionedCell::<u64>::fresh(1, &cam).expect("an unmanaged cell never refuses"));
+    cam.take_snapshot();
+    let writer = {
+        let (cell, cam) = (cell.clone(), cam.clone());
+        model::spawn(move || {
+            let g = vcas_ebr::pin();
+            assert!(cell.compare_and_swap(&cam, 1, 2, &g), "the only writer's vCAS must land");
+        })
+    };
+    let g = vcas_ebr::pin();
+    let pinned = cam.pin_snapshot();
+    let seen = cell.read_snapshot_checked(&cam, pinned.handle(), &g);
+    assert!(matches!(seen, Some(1) | Some(2)), "pinned read returned {seen:?}");
+    writer.join();
+    assert_eq!(cell.read_snapshot_checked(&cam, pinned.handle(), &g), seen, "pinned read moved");
+    assert_eq!(cell.read(&cam, &g), 2);
+    drop(pinned);
+    assert!(cell.compare_and_swap(&cam, 2, 3, &g));
+    assert_eq!(cell.version_count(&g), 1, "the write after the last unpin prunes the cell");
+    drop(g);
+    let cell = Arc::try_unwrap(cell).ok().expect("the writer joined");
+    cell.destroy(&cam);
+    assert_eq!(
+        cam.versions_created(),
+        cam.versions_retired() + cam.versions_dropped(),
+        "version conservation must hold with a direct initial value"
+    );
+}
+
+#[test]
+fn vcas_pinned_reader_vs_first_vcas_on_direct_value() {
+    prewarm();
+    let report = model::explore(cfg(), pinned_reader_vs_first_vcas_on_direct_value);
+    check("vcas_pinned_reader_vs_first_vcas_on_direct_value", report, true);
 }

@@ -93,7 +93,8 @@ fn check_elide(name: &str, report: Report) {
         vcas_weaken_fence,
         vcas_weaken_mark,
         vcas_weaken_prune,
-        vcas_weaken_gate
+        vcas_weaken_gate,
+        vcas_weaken_slot
     )) {
         // Some *other* deliberate weakening is compiled in (the CI mutation leg sets them
         // together); this scenario is not its designated catcher, so just report.
@@ -118,7 +119,8 @@ fn check_elide_neutral(name: &str, report: Report) {
         vcas_weaken_mark,
         vcas_weaken_elide,
         vcas_weaken_prune,
-        vcas_weaken_gate
+        vcas_weaken_gate,
+        vcas_weaken_slot
     )) {
         println!("{name}: ran under a mutation cfg (not this scenario's catcher): {report:?}");
     } else {

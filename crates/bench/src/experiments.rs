@@ -3,11 +3,10 @@
 use std::sync::Arc;
 
 use vcas_core::Camera;
-use vcas_ebr::pin;
 use vcas_structures::queries::{
     run_hash_query_on_view, run_query_on_view, HashQueryKind, QueryKind,
 };
-use vcas_structures::traits::{AtomicRangeMap, SnapshotMap};
+use vcas_structures::traits::{AtomicRangeMap, ConcurrentMap, SnapshotMap};
 use vcas_structures::{
     DcBst, HarrisList, LockBst, LockHashMap, MsQueue, Nbbst, VcasHashMap, VcasSkipList,
 };
@@ -428,87 +427,49 @@ fn table1(cfg: &ExperimentConfig) {
     println!();
 }
 
+/// §5's cost of indirection, on the tree: single-thread lookups on `Nbbst<Plain>` against
+/// `Nbbst<Versioned>` holding the same keys, inserted in the same shuffled order (the tree
+/// is unbalanced). No snapshot is taken, so the versioned tree pays only what its child
+/// cells cost a read: with indirection on need, a cell holds its child directly or
+/// through the version record embedded in that child, and the gap to the plain tree is
+/// what is left of the paper's "one extra cache miss per access".
 fn ablation(cfg: &ExperimentConfig) {
-    use vcas_core::{DirectVersionedPtr, VersionInfo, VersionedNode, VersionedPtr};
+    use rand::{Rng, SeedableRng};
 
-    println!("# ablation (§5): indirect VersionedCas vs recorded-once direct versioning");
-    println!("variant\tcas_per_sec\tsnapshot_read_per_sec");
-    let iters = 200_000u64.max(cfg.duration_ms * 500);
-
-    struct DirectNode {
-        _payload: u64,
-        version: VersionInfo<DirectNode>,
-    }
-    impl VersionedNode for DirectNode {
-        fn version(&self) -> &VersionInfo<Self> {
-            &self.version
-        }
-    }
-
-    // Indirect.
-    {
-        let camera = Camera::new();
-        let guard = pin();
-        let mut nodes: Vec<vcas_ebr::Shared<'_, u64>> =
-            (0..iters).map(|i| vcas_ebr::Owned::new(i).into_shared(&guard)).collect();
-        let ptr: VersionedPtr<u64> = VersionedPtr::from_shared(nodes[0], &camera);
+    fn lookups_per_sec(tree: &dyn ConcurrentMap, keys: &[u64], ms: u64) -> f64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let deadline = std::time::Duration::from_millis(ms);
         let start = std::time::Instant::now();
-        for i in 1..iters as usize {
-            ptr.compare_exchange(nodes[i - 1], nodes[i], &guard);
-            if i % 64 == 0 {
-                camera.take_snapshot();
+        let mut done = 0u64;
+        while start.elapsed() < deadline {
+            for _ in 0..1024 {
+                let k = keys[rng.gen_range(0..keys.len())];
+                std::hint::black_box(tree.get(k));
             }
+            done += 1024;
         }
-        let cas_rate = (iters - 1) as f64 / start.elapsed().as_secs_f64();
-        let handle = camera.take_snapshot();
-        let start = std::time::Instant::now();
-        let reads = 100_000;
-        for _ in 0..reads {
-            std::hint::black_box(ptr.load_snapshot(handle, &guard));
-        }
-        let read_rate = reads as f64 / start.elapsed().as_secs_f64();
-        println!("indirect(VersionedCas)\t{cas_rate:.0}\t{read_rate:.0}");
-        for n in nodes.drain(..) {
-            // SAFETY: every node was allocated by `Owned::new` above and is freed once,
-            // here. Nothing reads it afterwards: the unmanaged cell's versions keep its
-            // address as a plain word and never dereference it, not even on drop.
-            unsafe { drop(n.into_owned()) };
-        }
+        done as f64 / start.elapsed().as_secs_f64()
     }
 
-    // Direct (recorded-once).
-    {
-        let camera = Camera::new();
-        let guard = pin();
-        let nodes: Vec<vcas_ebr::Shared<'_, DirectNode>> = (0..iters)
-            .map(|i| {
-                vcas_ebr::Owned::new(DirectNode { _payload: i, version: VersionInfo::new() })
-                    .into_shared(&guard)
-            })
-            .collect();
-        let ptr = DirectVersionedPtr::new(nodes[0], &camera);
-        let start = std::time::Instant::now();
-        for i in 1..iters as usize {
-            ptr.compare_exchange(nodes[i - 1], nodes[i], &guard);
-            if i % 64 == 0 {
-                camera.take_snapshot();
-            }
-        }
-        let cas_rate = (iters - 1) as f64 / start.elapsed().as_secs_f64();
-        let handle = camera.take_snapshot();
-        let start = std::time::Instant::now();
-        let reads = 100_000;
-        for _ in 0..reads {
-            std::hint::black_box(ptr.load_snapshot(handle, &guard));
-        }
-        let read_rate = reads as f64 / start.elapsed().as_secs_f64();
-        println!("direct(recorded-once)\t{cas_rate:.0}\t{read_rate:.0}");
-        for n in nodes {
-            // SAFETY: as above — allocated by `Owned::new`, freed once here, and the
-            // direct cell (which has no destructor) never dereferences it again.
-            unsafe { drop(n.into_owned()) };
-        }
+    let size = cfg.large_size;
+    println!("# ablation (§5): lookups on the plain tree vs the versioned tree, {size} keys");
+    println!("variant	lookups_per_sec	versioned_over_plain");
+    // Every even key in [0, 2 * size), inserted in a shuffled order.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let mut keys: Vec<u64> = (0..size).map(|k| 2 * k).collect();
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.gen_range(0..=i));
     }
+    let plain = Nbbst::new_plain();
+    let versioned = Nbbst::new_versioned(&Camera::new());
+    for &k in &keys {
+        plain.insert(k, k);
+        versioned.insert(k, k);
+    }
+    let plain_rate = lookups_per_sec(&plain, &keys, cfg.duration_ms);
+    let versioned_rate = lookups_per_sec(&versioned, &keys, cfg.duration_ms);
+    println!("BST(plain)\t{plain_rate:.0}\t1.000");
+    println!("VcasBST\t{versioned_rate:.0}\t{:.3}", versioned_rate / plain_rate);
     println!();
 }
 

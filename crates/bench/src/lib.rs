@@ -4,7 +4,9 @@
 //! series behind the figures and tables of the paper's evaluation (§7), plus the `hashmap`
 //! scenario added by this reproduction. `<experiment>` is an id from [`EXPERIMENTS`]
 //! (`fig2a`–`fig2k`, `fig2m`, `fig3`, `hashmap`, `table1`, `ablation`) or `all`. Output is
-//! TSV on stdout. These are the multi-thread and plain-vs-versioned runs; the repository
+//! TSV on stdout. These are the multi-thread and plain-vs-versioned runs (`ablation` times
+//! single-thread lookups on the plain tree against the versioned one, the per-access cost
+//! of indirection the paper's §5 is about); the repository
 //! benchmark with an oracle and regression bounds is `perfbench/` (see
 //! `docs/benchmarking.md`, which maps every measurement to where it lives).
 //!

@@ -7,7 +7,11 @@
 //! * [`Plain`] — the original structure. The cell is a bare [`Atomic`] (one word); there is
 //!   no camera and no history, and the value hook `H` is ignored.
 //! * [`Versioned`] — the vCAS structure. The cell is a [`PtrCell`] (one word, its version
-//!   list's head), whose versions go through `H` (see [`ValueHook`]).
+//!   list's head), whose versions go through `H` (see [`ValueHook`]). A cell built by
+//!   [`Mode::cell`] holds its initial value directly in that word until its first vCAS,
+//!   and a node type may embed the record of the version that installs it
+//!   ([`Mode::Slot`]), so a version record is allocated only when a second value must be
+//!   kept (see [`crate::versioned`]).
 //!
 //! Every access a structure makes to a cell is a [`PointerCell`] method that takes the
 //! structure's mode: the versioned cell does not store its camera, it reads it from the
@@ -27,6 +31,7 @@ use crate::snapshot::{PinnedSnapshot, SnapshotHandle};
 use crate::sync::Ordering;
 use crate::versioned::ValueHook;
 use crate::versioned_ptr::PtrCell;
+use crate::vnode::VersionSlot;
 
 /// A shared pointer cell of a structure in mode `M`, as a lock-free structure uses it:
 /// load, CAS, and the history operations, which are no-ops on a plain cell. Each takes
@@ -158,13 +163,24 @@ pub trait Mode: sealed::Sealed + Clone + Send + Sync + 'static {
     /// The camera the cells are associated with (`None` in plain mode).
     fn camera(&self) -> Option<&Arc<Camera>>;
 
-    /// A cell holding `init`. `None` when `H` refuses `init` — a versioned managed cell
+    /// The version record a node embeds for the publication that installs it (see
+    /// [`VersionSlot`]): `()` in plain mode, a [`VersionSlot`] in versioned mode. A node
+    /// type that embeds one names it through its cells' [`ValueHook::slot`], by way of
+    /// [`Mode::version_slot`]; its `Default` is an unclaimed slot.
+    type Slot: Default + Send + Sync + 'static;
+
+    /// A cell of a node that is not yet published (or a structure's own root cell),
+    /// holding `init`. In versioned mode the value sits directly in the cell's head word
+    /// ([`PtrCell::fresh`]). `None` when `H` refuses `init` — a versioned managed cell
     /// never references a retired node (see [`crate::VersionReferenced`]), so the caller's
     /// read is stale. A plain cell never fails.
     fn cell<T: Send + Sync + 'static, H: ValueHook<usize>>(
         &self,
         init: Shared<'_, T>,
     ) -> Option<Self::Cell<T, H>>;
+
+    /// The version record inside `slot` (`None` in plain mode, which keeps none).
+    fn version_slot(slot: &Self::Slot) -> Option<&VersionSlot>;
 
     /// A snapshot of the camera pinned for a view (`None` in plain mode, whose views read
     /// the current state).
@@ -186,6 +202,7 @@ pub struct Plain;
 impl Mode for Plain {
     const VERSIONED: bool = false;
     type Cell<T: Send + Sync + 'static, H: ValueHook<usize>> = Atomic<T>;
+    type Slot = ();
 
     #[inline]
     fn camera(&self) -> Option<&Arc<Camera>> {
@@ -198,6 +215,11 @@ impl Mode for Plain {
         init: Shared<'_, T>,
     ) -> Option<Atomic<T>> {
         Some(Atomic::from_shared(init))
+    }
+
+    #[inline]
+    fn version_slot(_: &()) -> Option<&VersionSlot> {
+        None
     }
 }
 
@@ -216,6 +238,7 @@ impl Versioned {
 impl Mode for Versioned {
     const VERSIONED: bool = true;
     type Cell<T: Send + Sync + 'static, H: ValueHook<usize>> = PtrCell<T, H>;
+    type Slot = VersionSlot;
 
     #[inline]
     fn camera(&self) -> Option<&Arc<Camera>> {
@@ -227,7 +250,12 @@ impl Mode for Versioned {
         &self,
         init: Shared<'_, T>,
     ) -> Option<PtrCell<T, H>> {
-        PtrCell::with_hook(init, &self.0)
+        PtrCell::fresh(init, &self.0)
+    }
+
+    #[inline]
+    fn version_slot(slot: &VersionSlot) -> Option<&VersionSlot> {
+        Some(slot)
     }
 }
 

@@ -13,7 +13,7 @@
 //!   time proportional to the number of successful CASes on the object since the snapshot.
 //!
 //! Internally every versioned CAS object keeps a *version list*: one [`vnode::VNode`] per
-//! successful CAS, each labelled with a timestamp read from the camera. The subtle part —
+//! retained value, each labelled with a timestamp read from the camera. The subtle part —
 //! making "append a node, read the global timestamp, record it in the node" appear atomic —
 //! is solved exactly as in the paper's Algorithm 1, by a `TBD` placeholder timestamp and a
 //! helping `initTS` routine executed by every operation that encounters an unstamped head
@@ -47,8 +47,10 @@
 //!   subsystem into a retention enforcer, [`Camera::pin_snapshot_at`] for pinning
 //!   arbitrary retained timestamps, and the monotone [`Camera::oldest_retained`]
 //!   watermark behind the fallible `view_at(ts)` API (see `docs/time_travel.md`).
-//! * [`direct`] — the paper's §5 "avoiding indirection" optimization for recorded-once data
-//!   structures, storing the timestamp and version link inside the nodes themselves.
+//! * Indirection on need (the paper's §5 "avoiding indirection", generalized): a structure
+//!   cell holds its initial value in its head word, and a node may embed the
+//!   [`VersionSlot`] of the version that installs it, so the extra hop through a pooled
+//!   version node is paid only when a second value must be kept (see [`versioned`]).
 //!
 //! ## Example: atomic multi-point reads over two registers
 //!
@@ -80,7 +82,6 @@ pub use vcas_sync as sync;
 
 pub mod camera;
 pub mod cell;
-pub mod direct;
 pub mod group;
 pub mod reclaim;
 pub mod retention;
@@ -92,7 +93,6 @@ pub(crate) mod vpool;
 
 pub use camera::Camera;
 pub use cell::{Mode, Plain, PointerCell, Versioned};
-pub use direct::{DirectVersionedPtr, VersionInfo, VersionedNode};
 pub use group::{CameraAttached, CameraGroup, GroupRegisterError, GroupSnapshot};
 pub use reclaim::{CollectStats, Collectible, Collector, ReclaimPolicy, VersionStats};
 pub use retention::{Anchor, RetentionError, RetentionPolicy, Timestamp};
@@ -102,7 +102,7 @@ pub use versioned_ptr::{
     acquire_node_ref, release_node_ref, Managed, ManagedPtr, PtrCell, VersionReferenced,
     VersionedPtr,
 };
-pub use vnode::VersionValue;
+pub use vnode::{VersionSlot, VersionValue};
 
 /// The placeholder timestamp stored in a freshly created version node before `initTS` stamps
 /// it with a value read from the camera ("to-be-decided" in the paper).

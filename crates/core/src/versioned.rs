@@ -6,9 +6,31 @@
 //! versioned pointers cost what plain ones do. [`VersionedCas`] is the standalone form: a
 //! cell that owns a camera handle and supplies it, for code that versions a few words
 //! rather than a structure's pointers.
+//!
+//! **Indirection on need.** The paper's general vCAS puts a version node between the
+//! object and its value, one extra cache miss per access (§5). Here a version record
+//! exists only where a value must be kept beside another:
+//!
+//! 1. A structure cell ([`VersionedCell::fresh`], the cell [`crate::Mode::cell`] builds
+//!    for a node that is not yet published) holds its initial value in the head word
+//!    itself, tagged `DIRECT`. A read returns it without a hop, and a snapshot read
+//!    returns it for every handle: a snapshot reaches the cell only through a link stamped
+//!    after the cell was built. The first vCAS links the direct word below its new version
+//!    as the oldest one, stamped 0.
+//! 2. A publication whose new value names a node with an embedded
+//!    [`crate::vnode::VersionSlot`] ([`ValueHook::slot`]) claims that slot and publishes it
+//!    in place of a pooled record, so reading the cell lands in the node the search visits
+//!    next.
+//! 3. Every other version (a relink of a node whose slot is taken, a node type without a
+//!    slot) comes from the per-thread pool (`vpool`).
+//!
+//! Standalone cells ([`VersionedCell::new`]) keep a stamped initial version node: they can
+//! be read under snapshots older than themselves, which
+//! [`VersionedCell::read_snapshot_checked`] reports as `None`.
 
 use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 use crate::sync::Ordering;
@@ -17,7 +39,7 @@ use vcas_ebr::{Atomic, Guard, Shared};
 
 use crate::camera::Camera;
 use crate::snapshot::SnapshotHandle;
-use crate::vnode::{VNode, VersionValue};
+use crate::vnode::{VNode, VersionSlot, VersionValue};
 use crate::vpool;
 use crate::TBD;
 
@@ -27,6 +49,33 @@ use crate::TBD;
 /// it over to the new head (see [`VersionedCell::compare_and_swap`]). `VNode`s are
 /// 8-aligned, so the bit is free.
 const GATE: usize = 1;
+
+/// Tag bit of a link — the head word or a `nextv` — that holds a value in place instead of
+/// pointing at a version node: a structure cell's direct initial value (see the module
+/// docs). The low bits below it belong to the value (a structure's pointer tags), so a
+/// direct word is never masked with [`GATE`], and the gate is never taken on one: a cell
+/// leaves the direct state at its first publication and never returns to it. Structure
+/// nodes are 8-aligned, so the bit is free in their pointer words.
+pub(crate) const DIRECT: usize = 4;
+
+/// Does `link` hold a direct value rather than point at a version node?
+#[inline]
+fn is_direct(link: Shared<'_, VNode>) -> bool {
+    link.into_data() & DIRECT != 0
+}
+
+/// The value word a direct link holds.
+#[inline]
+fn direct_word(link: Shared<'_, VNode>) -> u64 {
+    (link.into_data() & !DIRECT) as u64
+}
+
+/// Is there a version at `link` (a node or a direct value)? A direct null pointer is a
+/// version whose untagged address is zero, so `Shared::is_null` cannot tell.
+#[inline]
+fn is_end(link: Shared<'_, VNode>) -> bool {
+    link.into_data() == 0
+}
 
 /// A CAS object whose entire history of values can be read through snapshot handles: the
 /// paper's vCAS object, one word wide.
@@ -48,11 +97,13 @@ const GATE: usize = 1;
 /// appear atomic and gives the linearization points proven in the paper. The head word's
 /// low bit is the restructuring gate (see `compare_and_swap`).
 ///
-/// **Version lifecycle** (see `docs/reclamation.md`): nodes are born from the per-thread
-/// pool (`vpool`), published by the vCAS, possibly *elided* right after publication when
-/// the camera has not advanced (the paper's recommended same-timestamp optimization — see
-/// [`VersionedCell::compare_and_swap`]), and die back into the pool via truncation,
-/// elision, a lost publication race, or [`VersionedCell::destroy`].
+/// **Version lifecycle** (see `docs/reclamation.md`): a version is a direct value, a
+/// claimed slot, or a node from the per-thread pool (`vpool`; see the module docs). It is
+/// published by the vCAS, possibly *elided* right after publication when the camera has
+/// not advanced (the paper's recommended same-timestamp optimization — see
+/// [`VersionedCell::compare_and_swap`]), and dies by truncation, elision, a lost
+/// publication race, or [`VersionedCell::destroy`]. Only pooled nodes go back to the
+/// pool; a slot stays in its node and a direct value has no record.
 ///
 /// A cell is torn down by [`VersionedCell::destroy`], which takes the camera: dropping one
 /// without it leaks its versions (debug builds assert).
@@ -92,6 +143,14 @@ pub trait ValueHook<T>: 'static {
     fn acquire(value: T) -> bool;
     /// Called when a version node holding the value is destroyed.
     fn release(value: T, camera: &Arc<Camera>, guard: &Guard);
+    /// The version record embedded in the node `value` names, if it has one (see
+    /// [`VersionSlot`]); `None`, the default, for values without one. Called only for a
+    /// value this hook accepted and has not yet released, so the node is still allocated.
+    #[inline]
+    fn slot(value: T) -> Option<NonNull<VersionSlot>> {
+        let _ = value;
+        None
+    }
 }
 
 /// The no-op hook of unmanaged cells: accepts every value, releases nothing.
@@ -209,6 +268,27 @@ fn init_ts(node: &VNode, camera: &Camera) -> u64 {
     }
 }
 
+/// A head word with the gate bit masked; a direct word is returned as stored (its low
+/// bits are the value's).
+#[inline]
+fn unmask(word: Shared<'_, VNode>) -> Shared<'_, VNode> {
+    if is_direct(word) {
+        word
+    } else {
+        word.with_tag(0)
+    }
+}
+
+/// The gate bit of a head word (never set on a direct word).
+#[inline]
+fn gate_of(word: Shared<'_, VNode>) -> usize {
+    if is_direct(word) {
+        0
+    } else {
+        word.tag() & GATE
+    }
+}
+
 impl<T: VersionValue> VersionedCell<T> {
     /// Creates a versioned CAS object holding `initial`, associated with `camera`.
     pub fn new(initial: T, camera: &Camera) -> Self {
@@ -233,24 +313,69 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
         VersionedCell { head: Atomic::from_owned(node), _hook: PhantomData }
     }
 
-    /// The head version, gate bit masked.
-    #[inline]
-    fn head<'g>(&self, guard: &'g Guard) -> Shared<'g, VNode> {
-        self.head.load(Ordering::SeqCst, guard).with_tag(0)
+    /// Creates the cell of a structure node that is not yet published: `initial` sits in
+    /// the head word itself, tagged `DIRECT`, and no version node is allocated (see the
+    /// module docs). `H::acquire` is invoked for `initial` first; `None` when it refuses
+    /// the value. The direct value counts as the cell's initial version.
+    ///
+    /// A snapshot read answers `initial` for every handle until the first vCAS, so the
+    /// cell must be reachable only through links stamped after it was built — true of
+    /// every cell of a node published by a vCAS, and of a structure's own root cells for
+    /// every snapshot taken since the structure was built. Panics when `initial`'s word
+    /// has the `DIRECT` bit set (its low two bits are free for the value's own tags).
+    pub fn fresh(initial: T, camera: &Camera) -> Option<Self> {
+        let word = initial.into_word() as usize;
+        assert_eq!(word & DIRECT, 0, "a direct value must leave the DIRECT tag bit clear");
+        if !H::acquire(initial) {
+            return None;
+        }
+        camera.note_initial_version();
+        // SAFETY: any word is a valid `Shared` value; a direct link is recognized by its
+        // tag and never dereferenced.
+        let link = unsafe { Shared::from_data(word | DIRECT) };
+        Some(VersionedCell { head: Atomic::from_shared(link), _hook: PhantomData })
     }
 
-    /// `vRead`: returns the current value. Constant time.
+    /// The raw head word (tests inspect where the head version lives).
+    #[cfg(test)]
+    pub(crate) fn head_word(&self, guard: &Guard) -> usize {
+        self.head.load(Ordering::SeqCst, guard).into_data()
+    }
+
+    /// The head link: the version node, gate bit masked, or the direct value as stored.
+    #[inline]
+    fn head<'g>(&self, guard: &'g Guard) -> Shared<'g, VNode> {
+        unmask(self.head.load(Ordering::SeqCst, guard))
+    }
+
+    /// `vRead`: returns the current value. Constant time; a direct value needs no hop.
+    #[inline]
     pub fn read(&self, camera: &Camera, guard: &Guard) -> T {
-        // SAFETY: the head pointer is never null and `guard` pins the epoch.
-        let node = unsafe { self.head(guard).deref() };
+        let head = self.head(guard);
+        if is_direct(head) {
+            return T::from_word(direct_word(head));
+        }
+        // SAFETY: a head link that is not direct is a non-null node, and `guard` pins the
+        // epoch.
+        let node = unsafe { head.deref() };
         init_ts(node, camera);
-        T::from_word(node.word)
+        T::from_word(node.word())
     }
 
     /// `vCAS(old, new)`: if the current value equals `old`, replace it with `new` and return
     /// `true`; otherwise return `false`. Constant time. A cell with a value lifecycle hook
     /// also returns `false`, changing nothing, when the hook refuses `new` (a managed
     /// pointer cell refuses a retired node; see [`crate::VersionReferenced`]).
+    ///
+    /// **The version record.** When `new` names a node with an unclaimed
+    /// [`VersionSlot`] ([`ValueHook::slot`]), the publication claims the slot — one CAS
+    /// on its `nextv`, from the unclaimed tag to the displaced head — and publishes it;
+    /// a lost claim (another publication of the same node owns it) or a value without a
+    /// slot takes a pooled node. The claim makes each slot's `nextv` written by one
+    /// publisher only, so racing publications of one node (EFRB helpers replaying
+    /// `CAS-Child(p, l, new)`) cannot rewrite a slot another already linked; the head CAS
+    /// below still decides which publication wins. A direct head is displaced like any
+    /// other version: it becomes the new record's `nextv`, stamped 0.
     ///
     /// **The gate bit.** The publication CAS expects the head word it read, gate bit
     /// included, and installs the new head with that same bit: a publication landing while
@@ -264,9 +389,9 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     /// displaced version is dead on arrival: `read_snapshot` walks newest-first and stops
     /// at the first version with `ts <= handle`, so no handle can ever return a version
     /// shadowed by a strictly newer one at the same timestamp. The elision step then
-    /// unlinks the displaced node immediately and recycles it through the pool, so an
-    /// update burst between two camera advances keeps the list at one node instead of
-    /// growing per CAS (the paper's recommended elision, §4).
+    /// unlinks the displaced version immediately (a pooled node goes back to the pool), so
+    /// an update burst between two camera advances keeps the list at one version instead
+    /// of growing per CAS (the paper's recommended elision, §4).
     ///
     /// When the publication is not elided but the displaced head is stamped at or below
     /// the camera's retention watermark ([`Camera::oldest_retained`]), the `prune` step
@@ -278,11 +403,16 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     /// under the gate it already holds.
     pub fn compare_and_swap(&self, camera: &Arc<Camera>, old: T, new: T, guard: &Guard) -> bool {
         let mut seen = self.head.load(Ordering::SeqCst, guard);
-        let head = seen.with_tag(0);
-        // SAFETY: the head pointer is never null and `guard` pins the epoch.
-        let head_ref = unsafe { head.deref() };
-        let displaced_ts = init_ts(head_ref, camera);
-        if head_ref.word != old.into_word() {
+        let head = unmask(seen);
+        let (current, displaced_ts) = if is_direct(head) {
+            (direct_word(head), 0)
+        } else {
+            // SAFETY: a head link that is not direct is a non-null node, and `guard` pins
+            // the epoch.
+            let head_ref = unsafe { head.deref() };
+            (head_ref.word(), init_ts(head_ref, camera))
+        };
+        if current != old.into_word() {
             return false;
         }
         if new == old {
@@ -294,9 +424,9 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
         if !H::acquire(new) {
             return false;
         }
-        let new_node = vpool::alloc(VNode::new(new.into_word(), head)).into_shared(guard);
+        let new_node = Self::record(new, head, guard);
         loop {
-            let installed = new_node.with_tag(carried_gate(seen.tag(), camera));
+            let installed = new_node.with_tag(carried_gate(gate_of(seen), camera));
             match self.head.compare_exchange(
                 seen,
                 installed,
@@ -306,16 +436,20 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
             ) {
                 Ok(_) => break,
                 // Only the gate bit moved: the head is still `head`, so retry.
-                Err(err) if err.current.with_tag(0) == head => seen = err.current,
+                Err(err) if unmask(err.current) == head => seen = err.current,
                 Err(_) => {
-                    // SAFETY: the CAS failed, so the node was never published and this
-                    // thread still owns it exclusively; recycle immediately (Algorithm 1
-                    // line 50).
-                    unsafe { vpool::recycle(new_node.as_raw()) };
+                    // SAFETY: the CAS failed, so the record was never published: a pooled
+                    // node is still this thread's alone (Algorithm 1 line 50), and the
+                    // value's reference is still held, as `discard` requires.
+                    unsafe { Self::discard(new_node) };
                     H::release(new, camera, guard);
                     // Help the vCAS that beat us stamp its node before we report failure.
-                    // SAFETY: the head pointer is never null and `guard` pins the epoch.
-                    init_ts(unsafe { self.head(guard).deref() }, camera);
+                    let winner = self.head(guard);
+                    if !is_direct(winner) {
+                        // SAFETY: a head link that is not direct is a non-null node, and
+                        // `guard` pins the epoch.
+                        init_ts(unsafe { winner.deref() }, camera);
+                    }
                     return false;
                 }
             }
@@ -330,9 +464,72 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
         true
     }
 
+    /// The version record of a publication of `new` that displaces `head`: the slot of the
+    /// node `new` names when this publication claims it, else a pooled node. The caller
+    /// holds `new`'s reference ([`ValueHook::acquire`]).
+    #[inline]
+    fn record<'g>(new: T, head: Shared<'_, VNode>, guard: &'g Guard) -> Shared<'g, VNode> {
+        let word = new.into_word();
+        if let Some(slot) = H::slot(new) {
+            // SAFETY: the caller holds `new`'s reference, so the node embedding the slot
+            // is allocated (see `ValueHook::slot`).
+            let slot = unsafe { slot.as_ref() };
+            if slot.claim(word, head, guard) {
+                // SAFETY: the slot's record is a `VNode` inside a node `guard` protects.
+                return unsafe { Shared::from_data(&slot.0 as *const VNode as usize) };
+            }
+        }
+        vpool::alloc(VNode::new(word, head)).into_shared(guard)
+    }
+
+    /// Is `node` the slot embedded in the node its own value names, rather than a pooled
+    /// node? Asked while the version still holds its value's reference.
+    #[inline]
+    fn is_slot(node: &VNode) -> bool {
+        H::slot(T::from_word(node.word()))
+            .is_some_and(|slot| std::ptr::eq(slot.as_ptr().cast::<VNode>(), node))
+    }
+
+    /// Gives back the record of a publication that lost its CAS: a pooled node returns to
+    /// the pool at once; a slot stays claimed and unlinked in its node, which frees it.
+    ///
+    /// # Safety
+    /// `record` was never published, and its value's reference is still held.
+    unsafe fn discard(record: Shared<'_, VNode>) {
+        // SAFETY: the caller's record is allocated (pooled and private, or in a node whose
+        // reference the caller holds).
+        if !Self::is_slot(unsafe { record.deref() }) {
+            // SAFETY: an unpublished pooled node is this thread's alone.
+            unsafe { vpool::recycle(record.as_raw()) };
+        }
+    }
+
+    /// Retires the version at `link`, which the caller unlinked (so it retires it exactly
+    /// once): releases its value and hands back its record — a pooled node returns to the
+    /// pool after its grace period, a slot stays in its node, and a direct value has none.
+    fn retire(link: Shared<'_, VNode>, camera: &Arc<Camera>, guard: &Guard) {
+        if is_direct(link) {
+            H::release(T::from_word(direct_word(link)), camera, guard);
+            return;
+        }
+        // SAFETY: an unlinked version stays epoch-protected under `guard`.
+        let node = unsafe { link.deref() };
+        let pooled = !Self::is_slot(node);
+        H::release(T::from_word(node.word()), camera, guard);
+        if pooled {
+            let raw = link.as_raw();
+            // SAFETY: the node was unlinked by the caller and is retired exactly once;
+            // deferring through the guard returns it to the pool only after every
+            // in-flight reader's grace period.
+            unsafe { guard.defer_unchecked(move || vpool::recycle(raw)) };
+        }
+    }
+
     /// The elision step of [`VersionedCell::compare_and_swap`]: after `new_node` displaced
-    /// `displaced` at the head, unlink and recycle `displaced` when both carry the same
-    /// timestamp. Returns `true` when the displaced node was elided.
+    /// `displaced` at the head, unlink and retire `displaced` when both carry the same
+    /// timestamp. Returns `true` when the displaced version was elided. A direct
+    /// `displaced` is stamped 0, so it is elided only by a publication stamped 0 (before
+    /// the camera's first advance).
     ///
     /// **Why this is a separate post-publication step and not an in-place payload CAS:**
     /// replacing the head's payload in place requires "camera still equals the head's
@@ -364,10 +561,10 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     /// empty suffix — the steady state of an update burst — costs no extra read.
     ///
     /// **Accounting** is slot-based so `created == retired + dropped` stays exact: an
-    /// elided publication transfers the displaced node's "created" identity to the new
+    /// elided publication transfers the displaced version's "created" identity to the new
     /// head (the pair counts once as `versions_elided`, never again as created), and the
-    /// recycled node is counted neither retired nor dropped — every *linked* node still
-    /// dies exactly once. Suffix nodes the step cuts count as retired.
+    /// displaced version is counted neither retired nor dropped — every *linked* version
+    /// still dies exactly once. Suffix versions the step cuts count as retired.
     fn elide(
         &self,
         camera: &Arc<Camera>,
@@ -399,27 +596,23 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
         let elide = new_ref.nextv.load(Ordering::SeqCst, guard) == displaced;
         let mut cut = 0;
         if elide {
-            // SAFETY: `displaced` is epoch-protected while `guard` is live (even if a
-            // concurrent truncation had unlinked it, which the check above excludes).
-            let displaced_ref = unsafe { displaced.deref() };
-            let after = displaced_ref.nextv.load(Ordering::SeqCst, guard);
-            if !after.is_null() && camera.oldest_retained() >= new_ts {
+            let after = if is_direct(displaced) {
+                Shared::null()
+            } else {
+                // SAFETY: `displaced` is epoch-protected while `guard` is live (even if a
+                // concurrent truncation had unlinked it, which the check above excludes).
+                unsafe { displaced.deref() }.nextv.load(Ordering::SeqCst, guard)
+            };
+            if !is_end(after) && camera.oldest_retained() >= new_ts {
                 new_ref.nextv.store(Shared::null(), Ordering::SeqCst);
-                cut = self.retire_suffix(camera, after, guard);
+                cut = Self::retire_suffix(camera, after, guard);
             } else {
                 new_ref.nextv.store(after, Ordering::SeqCst);
             }
         }
         self.release_gate(guard);
         if elide {
-            // SAFETY: as above — unlinked under the gate, epoch-protected.
-            let displaced_ref = unsafe { displaced.deref() };
-            H::release(T::from_word(displaced_ref.word), camera, guard);
-            let raw = displaced.as_raw();
-            // SAFETY: the node was unlinked while we held the gate, so it is retired
-            // exactly once; deferring through the guard returns it to the pool only
-            // after every in-flight reader's grace period.
-            unsafe { guard.defer_unchecked(move || vpool::recycle(raw)) };
+            Self::retire(displaced, camera, guard);
             camera.note_versions_elided(1);
             if cut > 0 {
                 camera.note_versions_retired(cut as u64);
@@ -433,7 +626,7 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     /// the retention watermark `w` ([`Camera::oldest_retained`]) is at or above
     /// `displaced_ts`, cut the cell below its newest version stamped `<= w` — the new
     /// head once `w` reaches its stamp, else the displaced version. Returns `true` when
-    /// the cut freed at least one node.
+    /// the cut freed at least one version.
     ///
     /// **Why the cut is safe.** The watermark is monotone and never passes a live pin,
     /// and [`Camera::pin_snapshot_at`] refuses every timestamp below it, while a fresh pin
@@ -452,8 +645,8 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     /// lifecycle, which also keeps the displaced versions this step would cut.
     ///
     /// **Accounting** is a slot transfer like elision: the new head takes the slot of one
-    /// node the cut freed (the pruned publication counts once as `versions_pruned`, not
-    /// as created) and the other freed nodes count as retired, so
+    /// version the cut freed (the pruned publication counts once as `versions_pruned`, not
+    /// as created) and the other freed versions count as retired, so
     /// `created == retired + dropped` stays exact. It must not count as a push: a pruned
     /// publication never lengthens a list, and a push would reopen the reclamation
     /// drivers' zero-debt gate.
@@ -486,7 +679,8 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     /// object created after the snapshot — this convenience wrapper falls back to the
     /// **oldest retained value**. Callers that need to distinguish the fallback use
     /// [`VersionedCell::read_snapshot_checked`]; see `docs/snapshot_views.md` for the
-    /// raw-vs-pinned handle contract.
+    /// raw-vs-pinned handle contract. A direct value (a [`VersionedCell::fresh`] cell's
+    /// initial value) answers every handle that reaches it.
     pub fn read_snapshot(&self, camera: &Camera, handle: SnapshotHandle, guard: &Guard) -> T {
         match self.read_snapshot_impl(camera, handle, guard) {
             Ok(exact) => exact,
@@ -532,7 +726,8 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     /// Walks the version list for the newest version with timestamp `<= handle`:
     /// `Ok(value)` if found, `Err((oldest_ts, oldest_retained_value))` if the list
     /// bottoms out first (the pair feeds the anchored-fallback debug assertion in
-    /// [`VersionedCell::read_snapshot`]).
+    /// [`VersionedCell::read_snapshot`]). A direct value is stamped 0, so a walk that
+    /// reaches one always ends there.
     fn read_snapshot_impl(
         &self,
         camera: &Camera,
@@ -540,45 +735,61 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
         guard: &Guard,
     ) -> Result<T, (u64, T)> {
         let ts = handle.raw();
-        // SAFETY: the head pointer is never null and `guard` pins the epoch.
-        let mut node = unsafe { self.head(guard).deref() };
+        let head = self.head(guard);
+        if is_direct(head) {
+            return Ok(T::from_word(direct_word(head)));
+        }
+        // SAFETY: a head link that is not direct is a non-null node, and `guard` pins the
+        // epoch.
+        let mut node = unsafe { head.deref() };
         init_ts(node, camera);
         loop {
             let node_ts = node.ts.load(Ordering::SeqCst);
             if node_ts <= ts {
-                return Ok(T::from_word(node.word));
+                return Ok(T::from_word(node.word()));
             }
             let next = node.nextv.load(Ordering::SeqCst, guard);
+            if is_direct(next) {
+                return Ok(T::from_word(direct_word(next)));
+            }
             // SAFETY: version-list links are epoch-protected while `guard` is live.
             match unsafe { next.as_ref() } {
                 Some(older) => node = older,
-                None => return Err((node_ts, T::from_word(node.word))),
+                None => return Err((node_ts, T::from_word(node.word()))),
             }
+        }
+    }
+
+    /// Calls `f(ts, word)` for each retained version, newest first; a direct value
+    /// reports stamp 0.
+    fn for_each_version(&self, guard: &Guard, mut f: impl FnMut(u64, u64)) {
+        let mut cur = self.head(guard);
+        while !is_end(cur) {
+            if is_direct(cur) {
+                f(0, direct_word(cur));
+                return;
+            }
+            // SAFETY: version-list links are epoch-protected while `guard` is live.
+            let node = unsafe { cur.deref() };
+            f(node.ts.load(Ordering::SeqCst), node.word());
+            cur = node.nextv.load(Ordering::SeqCst, guard);
         }
     }
 
     /// Returns the retained history of this object as `(timestamp, value)` pairs, newest
-    /// first (diagnostic / test helper; not constant time).
+    /// first (diagnostic / test helper; not constant time). A direct value is reported
+    /// with timestamp 0.
     pub fn versions(&self, guard: &Guard) -> Vec<(u64, T)> {
         let mut out = Vec::new();
-        let mut cur = self.head(guard);
-        // SAFETY: version-list links are epoch-protected while `guard` is live.
-        while let Some(node) = unsafe { cur.as_ref() } {
-            out.push((node.ts.load(Ordering::SeqCst), T::from_word(node.word)));
-            cur = node.nextv.load(Ordering::SeqCst, guard);
-        }
+        self.for_each_version(guard, |ts, word| out.push((ts, T::from_word(word))));
         out
     }
 
-    /// Number of versions currently in the list (diagnostic / test helper; not constant time).
+    /// Number of versions currently in the list, a direct value included (diagnostic /
+    /// test helper; not constant time).
     pub fn version_count(&self, guard: &Guard) -> usize {
         let mut count = 0;
-        let mut cur = self.head(guard);
-        // SAFETY: version-list links are epoch-protected while `guard` is live.
-        while let Some(node) = unsafe { cur.as_ref() } {
-            count += 1;
-            cur = node.nextv.load(Ordering::SeqCst, guard);
-        }
+        self.for_each_version(guard, |_, _| count += 1);
         count
     }
 
@@ -607,9 +818,15 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     }
 
     /// The restructuring walk of [`VersionedCell::collect_before`], shared with the
-    /// write-time `prune` step: unlinks and defers the recycling of every node it frees
-    /// and returns their number, leaving the accounting to the caller.
+    /// write-time `prune` step: unlinks and retires every version it frees and returns
+    /// their number, leaving the accounting to the caller.
     fn cut_below(&self, camera: &Arc<Camera>, min_active: u64, guard: &Guard) -> usize {
+        // A direct head is the cell's only version, so there is nothing to cut. A cell
+        // never returns to the direct state, so a node head seen here stays a node head
+        // and the gate below is taken on a node word.
+        if is_direct(self.head.load(Ordering::SeqCst, guard)) {
+            return 0;
+        }
         // Only one restructuring at a time per object; a held gate just skips the work.
         // (Serialization also means `nextv` is only ever rewritten by one thread at a time:
         // interior unlinks below race only with readers, which see either the old chain —
@@ -621,7 +838,8 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
             return 0;
         }
         let mut retired = 0;
-        // SAFETY: the head pointer is never null and `guard` pins the epoch.
+        // SAFETY: the head was a node (checked above; the state is one-way) and `guard`
+        // pins the epoch.
         let mut node = unsafe { seen.deref() };
         init_ts(node, camera);
         // Walk toward the newest version with ts <= min_active, unlinking dead
@@ -632,10 +850,15 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
             let next = node.nextv.load(Ordering::SeqCst, guard);
             if ts != TBD && ts <= min_active {
                 // Cut here. Detach the suffix and retire it.
-                if !next.is_null() {
+                if !is_end(next) {
                     node.nextv.store(Shared::null(), Ordering::SeqCst);
-                    retired += self.retire_suffix(camera, next, guard);
+                    retired += Self::retire_suffix(camera, next, guard);
                 }
+                break;
+            }
+            // A direct value is the oldest version and is stamped 0, at or below every
+            // cut: it is the version this walk keeps.
+            if is_direct(next) {
                 break;
             }
             // SAFETY: version-list links are epoch-protected while `guard` is live.
@@ -648,12 +871,9 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
                 // too), so unlink it in place and keep examining `node`'s new successor.
                 let after = older.nextv.load(Ordering::SeqCst, guard);
                 node.nextv.store(after, Ordering::SeqCst);
-                H::release(T::from_word(older.word), camera, guard);
-                let raw = next.as_raw();
-                // SAFETY: `older` was just unlinked and restructuring is serialized, so it
-                // is retired exactly once; in-flight readers are epoch-protected, and the
-                // deferred recycle returns it to the pool only after grace.
-                unsafe { guard.defer_unchecked(move || vpool::recycle(raw)) };
+                // `older` was just unlinked and restructuring is serialized, so it is
+                // retired exactly once.
+                Self::retire(next, camera, guard);
                 retired += 1;
                 continue;
             }
@@ -664,24 +884,19 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     }
 
     /// Retires the detached chain starting at `first`, returning its length. The caller
-    /// holds the gate and has already unlinked the chain.
-    fn retire_suffix(
-        &self,
-        camera: &Arc<Camera>,
-        first: Shared<'_, VNode>,
-        guard: &Guard,
-    ) -> usize {
+    /// holds the gate and has already unlinked the chain, so no new reader can reach it
+    /// and each of its versions is retired exactly once.
+    fn retire_suffix(camera: &Arc<Camera>, first: Shared<'_, VNode>, guard: &Guard) -> usize {
         let mut retired = 0;
         let mut cur = first;
-        // SAFETY: the detached suffix stays epoch-protected under `guard`.
-        while let Some(n) = unsafe { cur.as_ref() } {
-            let after = n.nextv.load(Ordering::SeqCst, guard);
-            H::release(T::from_word(n.word), camera, guard);
-            let raw = cur.as_raw();
-            // SAFETY: the suffix was detached by the caller, so no new reader can reach
-            // `cur`; each suffix node is retired exactly once, and the deferred recycle
-            // returns it to the pool only after grace.
-            unsafe { guard.defer_unchecked(move || vpool::recycle(raw)) };
+        while !is_end(cur) {
+            let after = if is_direct(cur) {
+                Shared::null()
+            } else {
+                // SAFETY: the detached suffix stays epoch-protected under `guard`.
+                unsafe { cur.deref() }.nextv.load(Ordering::SeqCst, guard)
+            };
+            Self::retire(cur, camera, guard);
             retired += 1;
             cur = after;
         }
@@ -695,10 +910,10 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
         self.head.fetch_and(!GATE, Ordering::Release, guard);
     }
 
-    /// Destroys the cell: recycles every version node and counts them toward the
-    /// camera's dropped total — without this, every cell destroyed through node
-    /// unlinking (list/BST removes) would leave `approx_live_versions` drifting upward
-    /// forever.
+    /// Destroys the cell: frees every version and counts them toward the camera's dropped
+    /// total — without this, every cell destroyed through node unlinking (list/BST
+    /// removes) would leave `approx_live_versions` drifting upward forever. Pooled nodes
+    /// go back to the pool; a slot stays in its node and a direct value has no record.
     ///
     /// A hooked cell releases each freed version's value: this is the link that makes
     /// data-node reclamation cascade — destroying a node's cell drops the version-held
@@ -710,20 +925,29 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
         let guard = H::ACTIVE.then(vcas_ebr::pin);
         let mut freed = 0u64;
         // SAFETY: the cell is consumed, so no other thread can reach it; the list is
-        // walked and recycled exactly once.
+        // walked and each version freed exactly once.
         unsafe {
             // ORDERING: drop-exclusive — `destroy` consumes the cell; there is no
             // concurrent observer to order against.
-            let mut cur = this.head.load_unprotected(Ordering::Relaxed).with_tag(0);
-            while !cur.is_null() {
+            let mut cur = unmask(this.head.load_unprotected(Ordering::Relaxed));
+            while !is_end(cur) {
+                freed += 1;
+                if is_direct(cur) {
+                    if let Some(g) = &guard {
+                        H::release(T::from_word(direct_word(cur)), camera, g);
+                    }
+                    break;
+                }
                 let node = cur.deref();
                 // ORDERING: drop-exclusive — see the load above.
                 let next = node.nextv.load_unprotected(Ordering::Relaxed);
+                let pooled = !Self::is_slot(node);
                 if let Some(g) = &guard {
-                    H::release(T::from_word(node.word), camera, g);
+                    H::release(T::from_word(node.word()), camera, g);
                 }
-                vpool::recycle(cur.as_raw());
-                freed += 1;
+                if pooled {
+                    vpool::recycle(cur.as_raw());
+                }
                 cur = next;
             }
         }

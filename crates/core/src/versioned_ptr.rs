@@ -193,6 +193,19 @@ impl<N: 'static, H: ValueHook<usize>> PtrCell<N, H> {
         Some(PtrCell { inner, _marker: PhantomData })
     }
 
+    /// Creates the cell of a structure node that is not yet published (or a structure's
+    /// own root cell): `initial` sits directly in the head word and no version node is
+    /// allocated ([`VersionedCell::fresh`]). Acquires through `H` as
+    /// [`PtrCell::with_hook`] does, with the same `None`. A snapshot read answers
+    /// `initial` for every handle until the first vCAS; this is what
+    /// [`crate::Mode::cell`] builds in versioned mode.
+    pub fn fresh(initial: Shared<'_, N>, camera: &Camera) -> Option<Self> {
+        // The direct tag is bit 2 of the pointer word, free only in 8-aligned pointers.
+        const { assert!(std::mem::align_of::<N>() >= 8, "direct cells need 8-aligned nodes") };
+        let inner = VersionedCell::fresh(initial.into_data(), camera)?;
+        Some(PtrCell { inner, _marker: PhantomData })
+    }
+
     /// `vRead`: the current tagged pointer. Constant time.
     #[inline]
     pub fn load<'g>(&self, camera: &Camera, guard: &'g Guard) -> Shared<'g, N> {
@@ -355,6 +368,8 @@ impl<N: 'static, H: ValueHook<usize>> std::fmt::Debug for VersionedPtr<N, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vnode::{VNode, VersionSlot};
+    use std::ptr::NonNull;
     use vcas_ebr::{pin, Owned};
 
     #[test]
@@ -451,6 +466,115 @@ mod tests {
         // Dropping the cell releases the last reference to `b`.
         drop(p);
         assert_eq!(cam.nodes_retired(), 2);
+    }
+
+    /// A cell built for a structure node (through `Mode::cell`) holds its initial value in
+    /// its head word: no version node is allocated. It reads without a hop, answers every
+    /// snapshot (even one older than the cell) with that value, and counts as one version.
+    /// The first vCAS links the direct value below its new version, stamped 0; destroying
+    /// the cell conserves the count.
+    #[test]
+    fn fresh_structure_cell_allocates_no_version_node() {
+        use crate::cell::{Mode, PointerCell, Versioned};
+        let cam = Camera::new();
+        let mode = Versioned::new(&cam);
+        let g = pin();
+        let (a, b) = (Owned::new(1u64).into_shared(&g), Owned::new(2u64).into_shared(&g));
+        let before = cam.take_snapshot();
+        let cell: PtrCell<u64> = mode.cell(a).expect("an unmanaged cell never refuses");
+        let head = cell.inner.head_word(&g);
+        assert_eq!(head, a.into_data() | crate::versioned::DIRECT, "no version node");
+        assert_eq!(cell.load(&cam, &g), a);
+        assert_eq!(cell.load_snapshot_checked(&cam, before, &g), Some(a), "stamped 0");
+        assert_eq!((cell.version_count(&g), cam.versions_created()), (1, 1));
+        let mid = cam.take_snapshot();
+        assert!(PointerCell::compare_exchange(&cell, &mode, a, b, &g));
+        assert_eq!(cell.load_snapshot(&cam, mid, &g), a, "the direct value is the old version");
+        assert_eq!(
+            cell.inner.versions(&g),
+            vec![(cam.current_timestamp(), b.into_data()), (0, a.into_data())]
+        );
+        cell.destroy(&cam);
+        assert_eq!(cam.versions_created(), cam.versions_retired() + cam.versions_dropped());
+        // SAFETY: unmanaged cell — the test owns both nodes and frees each once.
+        unsafe {
+            drop(a.into_owned());
+            drop(b.into_owned());
+        }
+    }
+
+    /// A managed node that embeds the record of the version that installs it.
+    struct Slotted {
+        refs: AtomicU64,
+        slot: VersionSlot,
+    }
+
+    // SAFETY: as for `Counted`.
+    unsafe impl VersionReferenced for Slotted {
+        fn version_refs(&self) -> &AtomicU64 {
+            &self.refs
+        }
+    }
+
+    /// Counted references to `Slotted` nodes, naming each node's slot.
+    struct SlottedRefs;
+
+    impl ValueHook<usize> for SlottedRefs {
+        fn acquire(word: usize) -> bool {
+            <Managed<Slotted> as ValueHook<usize>>::acquire(word)
+        }
+        fn release(word: usize, camera: &Arc<Camera>, guard: &Guard) {
+            <Managed<Slotted> as ValueHook<usize>>::release(word, camera, guard)
+        }
+        fn slot(word: usize) -> Option<NonNull<VersionSlot>> {
+            // SAFETY: asked only for an accepted, unreleased value: the node is allocated.
+            let node = unsafe { Shared::<'_, Slotted>::from_data(word).as_ref() }?;
+            Some(NonNull::from(&node.slot))
+        }
+    }
+
+    /// The first publication of a node claims the version record embedded in it; a second
+    /// publication of the same node (a relink, here into another cell) finds the slot
+    /// taken and uses a pooled node. Cutting the slot's version releases the node's
+    /// reference without handing the slot to the pool, and node and version counts are
+    /// conserved.
+    #[test]
+    fn first_publication_claims_the_slot_and_relinks_use_the_pool() {
+        let cam = Camera::new();
+        let g = pin();
+        let node = || Owned::new(Slotted { refs: AtomicU64::new(1), slot: VersionSlot::new() });
+        let (a, b) = (node().into_shared(&g), node().into_shared(&g));
+        let first = PtrCell::<Slotted, SlottedRefs>::fresh(a, &cam).expect("a is live");
+        let second = PtrCell::<Slotted, SlottedRefs>::fresh(a, &cam).expect("a is live");
+        release_node_ref(a, &cam, &g);
+        cam.take_snapshot();
+        assert!(first.compare_exchange(&cam, a, b, &g));
+        let slot_of = |n: Shared<'_, Slotted>| {
+            // SAFETY: `g` pins the epoch and `n` is referenced by a cell.
+            unsafe { &n.deref().slot.0 as *const VNode as usize }
+        };
+        let head = |c: &PtrCell<Slotted, SlottedRefs>| c.inner.head_word(&g);
+        assert_eq!(head(&first), slot_of(b), "the first publication takes b's slot");
+        assert!(second.compare_exchange(&cam, a, b, &g));
+        assert_ne!(head(&second), slot_of(b), "a relink takes a pooled node");
+        release_node_ref(b, &cam, &g);
+        // The first cell keeps b's slot over a's direct value; a third value displaces the
+        // slot, and a cut releases both without recycling the slot.
+        let c = node().into_shared(&g);
+        cam.take_snapshot();
+        assert!(first.compare_exchange(&cam, b, c, &g));
+        release_node_ref(c, &cam, &g);
+        assert_eq!(first.version_count(&g), 3);
+        drop(g);
+        cam.take_snapshot();
+        let g = pin();
+        assert_eq!(first.collect_before(&cam, cam.min_active(), &g), 2);
+        assert_eq!(first.version_count(&g), 1);
+        drop(g);
+        first.destroy(&cam);
+        second.destroy(&cam);
+        assert_eq!(cam.versions_created(), cam.versions_retired() + cam.versions_dropped());
+        assert_eq!(cam.nodes_retired(), 3, "each node is retired once its last version goes");
     }
 
     /// The hook is a type, not a field, and the camera is passed in: a managed cell is its

@@ -13,7 +13,7 @@
 //!
 //! Reclamation follows PR 5's node-conservation protocol exactly (see
 //! [`VersionReferenced`]): tower cells are created with
-//! [`PtrCell::with_hook`] and the [`Managed`] hook, so every retained version holds a counted
+//! [`PtrCell::fresh`] (the initial successor held directly) and the [`Managed`] hook, so every retained version holds a counted
 //! reference to the node it points at; unlink CASes never free nodes directly — a node is
 //! retired when the last version referencing it is truncated. The list registers as a
 //! [`Collectible`] with a bounded, resumable level-0 cursor.
@@ -108,7 +108,7 @@ impl VcasSkipList {
     pub fn new_versioned(camera: &Arc<Camera>) -> VcasSkipList {
         let camera = camera.clone();
         let tower = (0..MAX_HEIGHT)
-            .map(|_| TowerCell::with_hook(Shared::null(), &camera).expect("null is live"))
+            .map(|_| TowerCell::fresh(Shared::null(), &camera).expect("null is live"))
             .collect();
         let head = Node { key: 0, value: 0, tower, refs: AtomicU64::new(1) };
         // The head sentinel keeps its creator reference (no version node ever points at
@@ -237,7 +237,7 @@ impl VcasSkipList {
             // releasing their references) and the search starts over.
             let tower: Vec<TowerCell> = succs[..height]
                 .iter()
-                .map_while(|&succ| TowerCell::with_hook(succ, &self.camera))
+                .map_while(|&succ| TowerCell::fresh(succ, &self.camera))
                 .collect();
             if tower.len() < height {
                 for cell in tower {

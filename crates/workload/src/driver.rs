@@ -512,6 +512,10 @@ pub struct ReclaimResult {
 /// subsystem fixes: collection then only happens in the final quiescence sweep), while
 /// **one long-pinned reader** (the driver thread) holds a snapshot view open across the
 /// whole timed window.
+/// Before the window, the live keys and 32 residue keys above the writers' key range
+/// are reinstalled across a camera advance, stranding dead history below the pin; the
+/// residue keys' cells are never written by the writers, so their history waits for the
+/// installed driver.
 ///
 /// The driver asserts, panicking with the spec's seed on violation:
 ///
@@ -522,12 +526,20 @@ pub struct ReclaimResult {
 /// * exactly the surviving tree is live (`2·len + 3` nodes), and after the tree drops
 ///   every node and version counter is conserved.
 pub fn run_reclaim(spec: &WorkloadSpec, policy: ReclaimPolicy) -> ReclaimResult {
+    /// Keys above the writers' range whose reinstall strands history only a driver cuts.
+    const RESIDUE_KEYS: u64 = 32;
     let camera = Camera::new();
     let tree = Arc::new(Nbbst::new_versioned(&camera));
     camera.register_collectible(&tree);
-    let collector = policy.install(&camera);
     prefill(tree.as_ref(), spec);
     let key_range = spec.key_range();
+    // Residue keys above the writers' range: cells the writers never write, so the dead
+    // history stranded there below the pin is left for the installed driver alone (a
+    // writer's write-time pruning would otherwise race the driver for it).
+    let residue = key_range + 1..=key_range + RESIDUE_KEYS;
+    for key in residue.clone() {
+        tree.insert(key, key);
+    }
     // Deepen the prefill history across one camera advance: reinstall the live keys at a
     // *new* timestamp (insert is insert-if-absent, so remove first), leaving every touched
     // cell a genuinely dead below-pin version. Elision collapses the same-timestamp bursts
@@ -535,7 +547,7 @@ pub fn run_reclaim(spec: &WorkloadSpec, policy: ReclaimPolicy) -> ReclaimResult 
     // version per cell and the mid-run collectors would have nothing to prove themselves
     // on.
     camera.take_snapshot();
-    for key in 1..=key_range {
+    for key in (1..=key_range).chain(residue) {
         if tree.remove(key) {
             tree.insert(key, key + 1);
         }
@@ -547,6 +559,10 @@ pub fn run_reclaim(spec: &WorkloadSpec, policy: ReclaimPolicy) -> ReclaimResult 
     let probe: Vec<Key> = (0..32).map(|i| i * key_range.max(32) / 32 + 1).collect();
     let frozen_probe = view.multi_get(&probe);
     let frozen_len = view.len();
+    // The policy starts with the pin held: a driver installed earlier would raise the
+    // watermark during the reinstall above, whose own writes would then prune the history
+    // it is meant to find.
+    let collector = policy.install(&camera);
 
     let [updates] = run_pools(
         spec,

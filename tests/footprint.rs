@@ -53,23 +53,25 @@ static ALLOC: Counting = Counting;
 const LOG_KEYS: u32 = 14;
 const KEYS: u64 = 1 << LOG_KEYS;
 
-/// Requested bytes per key that a versioned tree may hold after the prefill: 132.7 B/key
-/// measured on x86-64 Linux (plain tree: 84.3, ratio 1.57), plus under 5% headroom. Per
-/// key that is a 24 B leaf, a 40 B internal node, two 24 B version nodes and a share of
-/// descriptors; a versioned child cell is one word like a plain one, so the internal node
-/// is the plain tree's size.
-const VERSIONED_BUDGET: f64 = 139.0;
+/// Requested bytes per key that a versioned tree may hold after the prefill: 108.7 B/key
+/// measured on x86-64 Linux (plain tree: 84.3, ratio 1.29), plus under 5% headroom. Per
+/// key that is a 24 B leaf, a 64 B internal node (the plain tree's 40 B plus the 24 B
+/// record of the version that installs it) and a share of descriptors. A new node's
+/// child cells hold their children directly, and each insert publishes the new internal
+/// node's own record, so a prefill allocates no pooled version node.
+const VERSIONED_BUDGET: f64 = 114.0;
 
-/// Bound on the versioned tree's bytes per key over the plain tree's: the version nodes
-/// are the whole difference (1.57 measured).
-const VERSIONED_OVER_PLAIN: f64 = 1.65;
+/// Bound on the versioned tree's bytes per key over the plain tree's: the embedded
+/// version records are the whole difference (1.29 measured).
+const VERSIONED_OVER_PLAIN: f64 = 1.35;
 
 /// Requested bytes per key that a versioned hash map at load factor 0.75 (two buckets
-/// per key, as in the benchmark's `hash-mixed`) may hold after the prefill: 119.8 B/key
-/// measured on x86-64 Linux, plus under 5% headroom. Per key that is a 32 B list node and
-/// its 24 B version node, plus two buckets, each an 8 B head cell and its 24 B initial
-/// version node.
-const HASH_MAP_BUDGET: f64 = 125.0;
+/// per key, as in the benchmark's `hash-mixed`) may hold after the prefill: 65.4 B/key
+/// measured on x86-64 Linux, plus under 5% headroom. Per key that is a 32 B list node,
+/// two 8 B buckets that hold their values directly, and 0.7 of a 24 B pooled version
+/// node: the cell an insert changed gets one, while a new list node's own cell starts
+/// direct.
+const HASH_MAP_BUDGET: f64 = 68.0;
 
 /// Live bytes per key left by building a map with `make` and prefilling `KEYS` keys.
 /// Keys go in bit-reversed order, which builds a balanced tree (the EFRB tree does not

@@ -16,20 +16,29 @@ use vcas_repro::workload::{run_reclaim, Mix, WorkloadSpec};
 
 const KEYS: u64 = 96;
 
-/// 2 writers + 1 pinned reader on a hash map under the amortized policy: frozen reads
-/// throughout, bounded version lists after the pin drops.
+/// The keys the concurrent writers churn: disjoint from the prefilled `1..=KEYS`, whose
+/// reinstall across a camera advance strands dead history below the reader's pin. A
+/// writer's own cells get cut by write-time pruning as it writes them, so residue in the
+/// cells writers touch may be gone before a driver looks; residue in the prefill's cells
+/// is left for the reclamation driver alone (only the few cells on the boundary between
+/// the two key ranges are shared).
+const WRITER_KEYS: std::ops::RangeInclusive<u64> = KEYS + 1..=3 * KEYS;
+
+/// 2 writers + 1 pinned reader on a hash map under the amortized policy, installed once
+/// the reader is pinned: frozen reads throughout, bounded version lists after the pin
+/// drops.
 #[test]
 fn hashmap_versions_bounded_after_pin_drops_under_writers() {
     let camera = Camera::new();
     let map = Arc::new(VcasHashMap::new_versioned(&camera, 16));
     camera.register_collectible(&map);
-    ReclaimPolicy::Amortized { every_n_updates: 64, budget: 128 }.install(&camera);
     for k in 1..=KEYS {
         assert!(map.insert(k, k * 3));
     }
     // Reinstall every key across a camera advance: elision collapses the same-timestamp
     // prefill to one version per cell, so without this there would be no dead below-pin
-    // history for the amortized hooks to retire mid-run.
+    // history for the amortized hooks to retire mid-run. The writers below churn other
+    // keys (`WRITER_KEYS`), so most of this history waits for the hooks.
     camera.take_snapshot();
     for k in 1..=KEYS {
         assert!(map.remove(k));
@@ -39,6 +48,9 @@ fn hashmap_versions_bounded_after_pin_drops_under_writers() {
     // The long-pinned reader freezes the full table state.
     let view = map.view();
     let pinned_ts = view.timestamp().expect("versioned map views are pinned");
+    // The hooks start with the pin held: installed earlier, a driver would raise the
+    // watermark during the reinstall, whose own writes would then prune the history.
+    ReclaimPolicy::Amortized { every_n_updates: 64, budget: 128 }.install(&camera);
     let probe: Vec<u64> = (1..=KEYS).collect();
     let frozen = view.multi_get(&probe);
     assert!(frozen.iter().all(|v| v.is_some()));
@@ -52,7 +64,7 @@ fn hashmap_versions_bounded_after_pin_drops_under_writers() {
                 use rand::{Rng, SeedableRng};
                 let mut rng = rand::rngs::StdRng::seed_from_u64(0xBEEF + t);
                 while !stop.load(Ordering::Relaxed) {
-                    let k = rng.gen_range(1..=2 * KEYS);
+                    let k = rng.gen_range(WRITER_KEYS);
                     if rng.gen_bool(0.5) {
                         map.insert(k, k);
                     } else {
@@ -63,9 +75,16 @@ fn hashmap_versions_bounded_after_pin_drops_under_writers() {
         })
         .collect();
 
-    for round in 0..40 {
+    // At least 40 rounds of pinned reads; past them, keep reading (bounded) until the
+    // writers' hooks have had their first slices, which need 64 updates each.
+    let start = std::time::Instant::now();
+    for round in 0.. {
         assert_eq!(view.timestamp(), Some(pinned_ts), "round {round}: timestamp drifted");
         assert_eq!(view.multi_get(&probe), frozen, "round {round}: pinned reads changed");
+        let waited = start.elapsed() > std::time::Duration::from_secs(10);
+        if round >= 40 && (camera.versions_retired() > 0 || waited) {
+            break;
+        }
     }
     stop.store(true, Ordering::Relaxed);
     for w in writers {
@@ -91,22 +110,20 @@ fn hashmap_versions_bounded_after_pin_drops_under_writers() {
 }
 
 /// The same invariants on the BST with a *background* collector running for the whole
-/// window: the collector sweeps concurrently with writers and the pinned reader (while
-/// the pin is held it can only retire history below it, i.e. prefill-era versions), and
-/// stops cleanly before the final sweep.
+/// writer window: the collector sweeps concurrently with writers and the pinned reader
+/// (while the pin is held it can only retire history below it, i.e. prefill-era
+/// versions), and stops cleanly before the final sweep.
 #[test]
 fn bst_background_collector_preserves_pinned_reads() {
     let camera = Camera::new();
     let tree = Arc::new(Nbbst::new_versioned(&camera));
     camera.register_collectible(&tree);
-    let collector = ReclaimPolicy::Background { interval_ms: 1, budget: 512 }
-        .install(&camera)
-        .expect("background policy starts a collector");
     for k in 1..=KEYS {
         assert!(tree.insert(k, k + 100));
     }
-    // As in the hash-map test: strand dead below-pin history that survives elision, so
-    // the background collector has something to retire while the pin is held.
+    // As in the hash-map test: strand dead below-pin history that survives elision, in
+    // cells the writers below do not write, so the background collector has something to
+    // retire while the pin is held.
     camera.take_snapshot();
     for k in 1..=KEYS {
         assert!(tree.remove(k));
@@ -116,6 +133,10 @@ fn bst_background_collector_preserves_pinned_reads() {
     let view = tree.view();
     let frozen_scan = view.iter().collect::<Vec<_>>();
     assert_eq!(frozen_scan.len(), KEYS as usize);
+    // As in the hash-map test, the collector starts with the pin held.
+    let collector = ReclaimPolicy::Background { interval_ms: 1, budget: 512 }
+        .install(&camera)
+        .expect("background policy starts a collector");
 
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..2u64)
@@ -126,7 +147,7 @@ fn bst_background_collector_preserves_pinned_reads() {
                 use rand::{Rng, SeedableRng};
                 let mut rng = rand::rngs::StdRng::seed_from_u64(0xCAFE + t);
                 while !stop.load(Ordering::Relaxed) {
-                    let k = rng.gen_range(1..=2 * KEYS);
+                    let k = rng.gen_range(WRITER_KEYS);
                     if rng.gen_bool(0.5) {
                         tree.insert(k, k);
                     } else {
