@@ -358,7 +358,9 @@ impl Camera {
 
     /// Truncates up to `budget` cells of the *next* registered structure (round-robin)
     /// under the current [`Camera::retention_floor`]. Returns what the slice
-    /// accomplished; a pass already in flight on another thread makes this call a no-op.
+    /// accomplished; a pass already in flight on another thread makes this call a no-op,
+    /// and so does a camera whose cells all hold one version (its count of retained
+    /// history reads 0; see `docs/reclamation.md`, "Amortized hooks").
     pub fn collect_slice(&self, budget: usize, guard: &Guard) -> CollectStats {
         self.reclaim.collect_slice(self.retention_floor(), budget, guard)
     }
@@ -519,6 +521,10 @@ impl Camera {
 
     pub(crate) fn note_versions_dropped(&self, n: u64) {
         self.reclaim.note_dropped(n);
+    }
+
+    pub(crate) fn note_history_dropped(&self, n: u64) {
+        self.reclaim.note_history_dropped(n);
     }
 
     pub(crate) fn note_versions_elided(&self, n: u64) {

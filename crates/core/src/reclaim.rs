@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use vcas_ebr::Guard;
 
-use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
 
 use crate::camera::Camera;
 
@@ -138,7 +138,9 @@ pub enum ReclaimPolicy {
     Disabled,
     /// Amortized hooks: every `every_n_updates` successful updates on the camera, the
     /// updating thread truncates up to `budget` cells of the next registered structure
-    /// (round-robin). Reclamation cost is spread across updaters; no extra threads.
+    /// (round-robin). Reclamation cost is spread across updaters; no extra threads. While
+    /// no cell on the camera holds more than one version, a slice is skipped at the cost
+    /// of three counter reads.
     Amortized {
         /// Successful updates between collection slices (0 behaves like [`Disabled`]).
         ///
@@ -182,49 +184,13 @@ impl ReclaimPolicy {
     }
 }
 
-/// One registered structure plus its cached *version debt* — retained versions over the
-/// one-per-cell baseline, from [`Collectible::version_stats`] — which weights slice
-/// collection toward the structures that actually hold reclaimable history.
-struct RegEntry {
-    /// Stable identity for post-collection debt updates (indices shift as dead entries
-    /// are pruned).
-    id: u64,
-    member: Weak<dyn Collectible>,
-    /// Cached debt, decremented by each slice's retirements and refreshed (bounded) when
-    /// every entry's cache runs dry.
-    debt: u64,
-}
-
-/// The collectible registry: entries with cached debts plus the refresh throttle.
-struct Registry {
-    entries: Vec<RegEntry>,
-    /// Slices to serve round-robin before the next all-entries debt refresh is allowed
-    /// (recomputing debts walks every cell of every structure, so it is rationed to at
-    /// most once per registry-sized run of slices).
-    until_refresh: usize,
-    next_id: u64,
-    /// The zero-debt gate: the [`ReclaimState::pushed`] count read before the last debt
-    /// refresh that measured zero debt on every member. While every cached debt is 0 and
-    /// the count still equals this, no version list can have grown, so slices are
-    /// skipped outright. `None` until such a refresh; `register` clears it.
-    quiet_at: Option<u64>,
-}
-
-impl Registry {
-    fn prune(&mut self) {
-        self.entries.retain(|e| e.member.strong_count() > 0);
-    }
-}
-
 /// Per-camera reclamation state: the collectible registry, the amortized-hook knobs, and
 /// the version counters. Owned by [`Camera`]; every public entry point is a `Camera`
 /// method.
 pub(crate) struct ReclaimState {
-    /// Registered structures (`Weak`: dropping a structure unregisters it) with their
-    /// cached version debts.
-    registry: Mutex<Registry>,
-    /// Round-robin cursor over the registry, used when no cached debt separates the
-    /// members (all idle, or caches drained between refreshes).
+    /// Registered structures (`Weak`: dropping a structure unregisters it).
+    registry: Mutex<Vec<Weak<dyn Collectible>>>,
+    /// Round-robin cursor over the registry.
     cursor: AtomicUsize,
     /// Successful updates observed via [`Camera::reclaim_tick`].
     ticks: AtomicU64,
@@ -238,9 +204,8 @@ pub(crate) struct ReclaimState {
     /// Initial version nodes created on this camera (one per new cell).
     initial: AtomicU64,
     /// Versions pushed onto an existing list: successful CASes that neither elided their
-    /// displaced head nor pruned their cell. The only event that lengthens a version
-    /// list, so the zero-debt gate in [`ReclaimState::next_member`] watches it.
-    /// `initial + pushed` is [`Camera::versions_created`].
+    /// displaced head nor pruned their cell. `initial + pushed` is
+    /// [`Camera::versions_created`].
     pushed: AtomicU64,
     /// Version nodes retired through truncation on this camera.
     retired: AtomicU64,
@@ -248,6 +213,9 @@ pub(crate) struct ReclaimState {
     /// publication, or structure drop) — kept separate from `retired` so the truncation
     /// counter stays a pure signal of the reclamation drivers.
     dropped: AtomicU64,
+    /// The part of `dropped` beyond each destroyed cell's first version: the history the
+    /// cell still held (see [`ReclaimState::history`]).
+    history_dropped: AtomicU64,
     /// Successful CASes whose displaced head was elided at publication time (see
     /// [`Camera::versions_elided`]). Elisions are slot swaps: they move neither `created`
     /// nor `retired`/`dropped`, so conservation stays exact without them.
@@ -270,12 +238,7 @@ pub(crate) struct ReclaimState {
 impl ReclaimState {
     pub(crate) fn new() -> ReclaimState {
         ReclaimState {
-            registry: Mutex::new(Registry {
-                entries: Vec::new(),
-                until_refresh: 0,
-                next_id: 0,
-                quiet_at: None,
-            }),
+            registry: Mutex::new(Vec::new()),
             cursor: AtomicUsize::new(0),
             ticks: AtomicU64::new(0),
             every_n: AtomicU64::new(0),
@@ -285,6 +248,7 @@ impl ReclaimState {
             pushed: AtomicU64::new(0),
             retired: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            history_dropped: AtomicU64::new(0),
             elided: AtomicU64::new(0),
             pruned: AtomicU64::new(0),
             nodes_created: AtomicU64::new(0),
@@ -328,20 +292,9 @@ impl ReclaimState {
         self.initial.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one non-elided publication. Called after the publishing CAS, so the
-    /// `Release` increment carries the new version to any refresh whose `Acquire` read
-    /// of [`ReclaimState::pushed`] counts it (see `push-gate` in
-    /// `docs/memory_orderings.md`).
     pub(crate) fn note_pushed(&self) {
-        // ORDERING: push-gate — `Release` after publication.
-        self.pushed.fetch_add(1, Ordering::Release);
-    }
-
-    /// The push count the zero-debt gate compares; `Acquire` pairs with
-    /// [`ReclaimState::note_pushed`].
-    fn pushed(&self) -> u64 {
-        // ORDERING: push-gate — `Acquire`, pairing with `note_pushed`.
-        self.pushed.load(Ordering::Acquire)
+        // ORDERING: diag-counter — as above.
+        self.pushed.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn note_retired(&self, n: u64) {
@@ -352,6 +305,11 @@ impl ReclaimState {
     pub(crate) fn note_dropped(&self, n: u64) {
         // ORDERING: diag-counter — as above.
         self.dropped.fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_history_dropped(&self, n: u64) {
+        // ORDERING: diag-counter — as above.
+        self.history_dropped.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn created(&self) -> u64 {
@@ -369,6 +327,22 @@ impl ReclaimState {
     pub(crate) fn dropped(&self) -> u64 {
         // ORDERING: diag-counter — as above.
         self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Retained history on this camera: the versions its live cells hold beyond their
+    /// first, `pushed − retired − history_dropped`. A new cell holds one version, a push
+    /// adds one, an elision swaps one for one, a prune or a cut frees what counts as
+    /// retired (a prune's new head takes one freed version's place), and `destroy` takes
+    /// the rest of its cell's list. So the count is exact at quiescent points, and 0
+    /// exactly when every cell on the camera holds one version. A read racing updates may
+    /// be stale; it skips or wastes one slice, and the next tick reads again.
+    fn history(&self) -> u64 {
+        // ORDERING: diag-counter — see the doc comment.
+        let retired = self.retired.load(Ordering::Relaxed);
+        // ORDERING: diag-counter — as above.
+        let gone = retired + self.history_dropped.load(Ordering::Relaxed);
+        // ORDERING: diag-counter — as above.
+        self.pushed.load(Ordering::Relaxed).saturating_sub(gone)
     }
 
     pub(crate) fn note_elided(&self, n: u64) {
@@ -399,21 +373,19 @@ impl ReclaimState {
         self.budget.store(budget, Ordering::Relaxed);
     }
 
-    pub(crate) fn register(&self, member: Weak<dyn Collectible>) {
+    /// The registry, locked, with dropped structures pruned.
+    fn live(&self) -> MutexGuard<'_, Vec<Weak<dyn Collectible>>> {
         let mut registry = self.registry.lock();
-        registry.prune();
-        let id = registry.next_id;
-        registry.next_id += 1;
-        // A fresh structure has no debt yet; clearing the refresh throttle and the
-        // zero-debt gate lets the next all-caches-dry slice re-measure immediately so the
-        // newcomer is weighed in. (Cached debts only ever decay — see `note_slice_result`.)
-        registry.entries.push(RegEntry { id, member, debt: 0 });
-        registry.until_refresh = 0;
-        registry.quiet_at = None;
+        registry.retain(|member| member.strong_count() > 0);
+        registry
+    }
+
+    pub(crate) fn register(&self, member: Weak<dyn Collectible>) {
+        self.live().push(member);
     }
 
     pub(crate) fn registered_count(&self) -> usize {
-        self.registry.lock().entries.iter().filter(|e| e.member.strong_count() > 0).count()
+        self.live().len()
     }
 
     /// Should this tick trigger a collection slice, and with what budget?
@@ -430,118 +402,26 @@ impl ReclaimState {
         (tick % every_n == 0).then(|| self.budget.load(Ordering::Relaxed))
     }
 
-    /// Picks the registered collectible with the largest cached version debt (pruning dead
-    /// entries), so a hot structure is not starved by idle ones taking equal round-robin
-    /// turns. When every cache is dry, debts are refreshed from
-    /// [`Collectible::version_stats`] — at most once per registry-sized run of slices,
-    /// with plain round-robin serving the slices in between.
-    ///
-    /// Returns `None` — no walk, no slice — while the zero-debt gate is closed: the last
-    /// refresh measured zero debt everywhere and no version has been pushed since. Only a
-    /// push lengthens a version list (new cells start with one version), so a structure
-    /// measured at one version per cell stays there until the push count moves.
-    fn next_member(&self, guard: &Guard) -> Option<(Arc<dyn Collectible>, u64)> {
-        // Read before any walk: a push counted here is visible to the walk below.
-        let pushed = self.pushed();
-        // Decide whether a refresh is due under the lock, but run the `version_stats`
-        // walks (O(cells) per structure) outside it: a refresh must not block
-        // register()/members() — and with them a concurrently sweeping collector — for
-        // a whole-registry scan. Passes are serialized by `collecting`, so no second
-        // refresh can interleave.
-        let (next_id, refresh_targets) = {
-            let mut registry = self.registry.lock();
-            registry.prune();
-            if registry.entries.is_empty() {
-                return None;
-            }
-            let targets = if registry.entries.iter().all(|e| e.debt == 0) {
-                if registry.quiet_at == Some(pushed) {
-                    return None;
-                }
-                if registry.until_refresh == 0 {
-                    registry.until_refresh = registry.entries.len();
-                    Some(
-                        registry
-                            .entries
-                            .iter()
-                            .map(|e| (e.id, e.member.clone()))
-                            .collect::<Vec<_>>(),
-                    )
-                } else {
-                    registry.until_refresh -= 1;
-                    None
-                }
-            } else {
-                None
-            };
-            (registry.next_id, targets)
-        };
-        if let Some(targets) = refresh_targets {
-            let debts: Vec<(u64, u64)> = targets
-                .into_iter()
-                .filter_map(|(id, weak)| {
-                    weak.upgrade().map(|member| {
-                        let stats = member.version_stats(guard);
-                        (id, stats.versions.saturating_sub(stats.cells) as u64)
-                    })
-                })
-                .collect();
-            let mut registry = self.registry.lock();
-            for (id, debt) in debts {
-                if let Some(entry) = registry.entries.iter_mut().find(|e| e.id == id) {
-                    entry.debt = debt;
-                }
-            }
-            // Close the gate only if nobody registered during the walk (an unmeasured
-            // newcomer must get its own refresh).
-            if registry.next_id == next_id && registry.entries.iter().all(|e| e.debt == 0) {
-                registry.quiet_at = Some(pushed);
-                return None;
-            }
+    /// The next live member, round-robin, or `None` while [`ReclaimState::history`] reads
+    /// 0: every cell then holds one version, which no cut retires, so a slice costs three
+    /// counter reads and no walk.
+    fn next_member(&self) -> Option<Arc<dyn Collectible>> {
+        if self.history() == 0 {
+            return None;
         }
-        let registry = self.registry.lock();
-        let idx = match registry
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.debt > 0)
-            .max_by_key(|(_, e)| e.debt)
-        {
-            Some((idx, _)) => idx,
-            // Nothing owes anything (or caches are dry): plain round-robin.
-            // ORDERING: progress-heuristic — any interleaving of cursor bumps yields a
-            // valid rotation; fairness, not correctness, is at stake.
-            None => self.cursor.fetch_add(1, Ordering::Relaxed) % registry.entries.len(),
-        };
-        let entry = &registry.entries[idx];
-        entry.member.upgrade().map(|m| (m, entry.id))
-    }
-
-    /// Settles a finished slice against the member's cached debt. The cache must always
-    /// move toward zero, even when the slice retired nothing — debt that is not currently
-    /// reclaimable (history a pinned snapshot still holds, measured before the pin) must
-    /// not keep winning `max_by_key` forever, or every other member starves behind it and
-    /// the all-zero refresh gate never reopens.
-    fn note_slice_result(&self, id: u64, stats: CollectStats) {
-        let mut registry = self.registry.lock();
-        let Some(entry) = registry.entries.iter_mut().find(|e| e.id == id) else { return };
-        if stats.versions_retired > 0 {
-            entry.debt = entry.debt.saturating_sub(stats.versions_retired as u64);
-        } else if stats.completed_cycle {
-            // A full pass over the structure retired nothing: whatever the cache claims,
-            // none of it is reclaimable right now.
-            entry.debt = 0;
-        } else {
-            // A fruitless partial slice: decay by the ground it covered.
-            entry.debt = entry.debt.saturating_sub(stats.cells_visited.max(1) as u64);
+        let registry = self.live();
+        if registry.is_empty() {
+            return None;
         }
+        // ORDERING: progress-heuristic — any interleaving of cursor bumps yields a valid
+        // rotation; fairness, not correctness, is at stake.
+        let idx = self.cursor.fetch_add(1, Ordering::Relaxed) % registry.len();
+        registry[idx].upgrade()
     }
 
     /// Every live registered collectible, in registration order.
     fn members(&self) -> Vec<Arc<dyn Collectible>> {
-        let mut registry = self.registry.lock();
-        registry.prune();
-        registry.entries.iter().filter_map(|e| e.member.upgrade()).collect()
+        self.live().iter().filter_map(Weak::upgrade).collect()
     }
 
     /// Runs `pass` unless another collection pass is already in flight. The in-flight flag
@@ -567,12 +447,8 @@ impl ReclaimState {
         budget: usize,
         guard: &Guard,
     ) -> CollectStats {
-        self.exclusive(|| match self.next_member(guard) {
-            Some((member, id)) => {
-                let stats = member.collect_bounded(min_active, budget, guard);
-                self.note_slice_result(id, stats);
-                stats
-            }
+        self.exclusive(|| match self.next_member() {
+            Some(member) => member.collect_bounded(min_active, budget, guard),
             None => CollectStats { completed_cycle: true, ..CollectStats::default() },
         })
     }
@@ -782,8 +658,8 @@ mod tests {
         (camera, member)
     }
 
-    /// With no version ever pushed, one refresh measures zero debt and closes the gate:
-    /// later slices neither re-walk the structure nor run a bounded pass over it.
+    /// With no version ever pushed, the camera's history count is 0, so no slice walks
+    /// the structure or runs a bounded pass over it.
     #[test]
     fn a_debt_free_structure_is_walked_at_most_once() {
         let (camera, member) = quiet_camera(8);
@@ -791,16 +667,12 @@ mod tests {
         for _ in 0..10_000 {
             camera.reclaim_tick(&guard);
         }
-        assert!(
-            member.walks() <= 1,
-            "{} version_stats walks over a quiet structure",
-            member.walks()
-        );
-        assert_eq!(member.passes(), 0, "bounded passes over a structure measured debt-free");
+        assert_eq!(member.walks(), 0, "version_stats walks over a quiet structure");
+        assert_eq!(member.passes(), 0, "bounded passes over a structure without history");
     }
 
-    /// A push after a quiet refresh reopens the gate: the next slices re-measure, find
-    /// the debt and retire it.
+    /// A push after quiet ticks reopens the gate: the next slices find the history and
+    /// retire it.
     #[test]
     fn a_push_after_a_quiet_refresh_reopens_the_gate() {
         let (camera, member) = quiet_camera(4);
@@ -808,7 +680,6 @@ mod tests {
         for _ in 0..16 {
             camera.reclaim_tick(&guard);
         }
-        assert_eq!(member.walks(), 1, "the gate must be closed before the push");
         let cell = &member.cells.cells[0];
         let pinned = camera.pin_snapshot();
         let cur = cell.read(&guard);
@@ -818,29 +689,37 @@ mod tests {
         for _ in 0..16 {
             camera.reclaim_tick(&guard);
         }
-        assert!(camera.versions_retired() > 0, "the pushed debt was never retired");
+        assert!(camera.versions_retired() > 0, "the pushed history was never retired");
         let stats = member.cells.version_stats(&guard);
         assert!(stats.max_versions_per_cell <= 2, "lists must be truncated, got {stats:?}");
     }
 
-    /// Registering a member reopens the gate even though nothing was pushed: the
-    /// newcomer has never been measured.
+    /// History pushed before a structure registers is swept once it does (the gate reads
+    /// the camera's count, not a measurement of the members), and the gate closes again
+    /// once the sweep has cut every cell to one version.
     #[test]
-    fn registering_a_member_reopens_the_gate() {
-        let (camera, first) = quiet_camera(4);
+    fn history_pushed_before_registration_is_swept_after_it() {
+        let camera = Camera::new();
+        ReclaimPolicy::Amortized { every_n_updates: 1, budget: 64 }.install(&camera);
+        let member = Arc::new(Counted::new(&camera, 4));
         let guard = pin();
+        member.cells.churn(5, &guard);
         for _ in 0..16 {
             camera.reclaim_tick(&guard);
         }
-        assert_eq!(first.walks(), 1, "the gate must be closed before the registration");
-        let created = camera.versions_created();
-        let second = Arc::new(Counted::new(&camera, 4));
-        camera.register_collectible(&second);
+        assert_eq!(member.passes(), 0, "an unregistered structure was swept");
+        camera.register_collectible(&member);
         for _ in 0..16 {
             camera.reclaim_tick(&guard);
         }
-        assert!(second.walks() >= 1, "the newcomer was never measured");
-        assert_eq!(camera.versions_created(), created + 4, "only initial versions were added");
+        assert!(member.passes() > 0, "the history pushed before registration was never swept");
+        assert_eq!(member.cells.version_stats(&guard).max_versions_per_cell, 1);
+        let passes = member.passes();
+        for _ in 0..1_000 {
+            camera.reclaim_tick(&guard);
+        }
+        assert_eq!(member.passes(), passes, "the gate stayed open with no history left");
+        assert_eq!(member.walks(), 0, "the registry walked the structure");
     }
 
     #[test]
@@ -891,39 +770,9 @@ mod tests {
         assert_eq!(cells.version_stats(&guard).max_versions_per_cell, 1);
     }
 
-    /// Satellite regression (ROADMAP "Weighted registry fairness"): slice collection
-    /// weights members by version debt (`version_stats`: cells × versions over the
-    /// one-per-cell baseline), so a hot structure is served immediately instead of
-    /// waiting behind idle structures' empty round-robin turns.
-    #[test]
-    fn weighted_slices_prefer_the_hot_structure_over_an_idle_one() {
-        let camera = Camera::new();
-        let idle = Arc::new(Cells::new(&camera, 8));
-        let hot = Arc::new(Cells::new(&camera, 8));
-        // Idle first: strict round-robin would hand the first slice to it and retire
-        // nothing.
-        camera.register_collectible(&idle);
-        camera.register_collectible(&hot);
-        let guard = pin();
-        hot.churn(20, &guard);
-
-        let s1 = camera.collect_slice(64, &guard);
-        assert!(s1.versions_retired > 0, "first slice starved the hot structure: {s1:?}");
-        assert_eq!(
-            idle.version_stats(&guard).max_versions_per_cell,
-            1,
-            "the idle structure had nothing to collect"
-        );
-        // Follow-up slices drain the hot structure completely.
-        for _ in 0..8 {
-            camera.collect_slice(64, &guard);
-        }
-        assert_eq!(hot.version_stats(&guard).max_versions_per_cell, 1);
-    }
-
-    /// Review regression: cached debt that *cannot currently be retired* (history a pin
-    /// still protects) must decay instead of winning every slice — otherwise the member
-    /// holding it starves everyone else for as long as the pin lives.
+    /// Fairness under a pin: history that *cannot currently be retired* (a pin still
+    /// protects it) keeps the gate open, and the member holding it must not win every
+    /// slice — round-robin serves the member whose history is reclaimable.
     #[test]
     fn unreclaimable_debt_does_not_pin_slice_selection() {
         let camera = Camera::new();
@@ -947,8 +796,7 @@ mod tests {
                 assert!(cell.compare_and_swap(cur, cur + 1, &guard));
             }
         }
-        // Old behavior: `stuck` won every `max_by_key` pick, retired nothing, and its
-        // debt never decayed, so `busy` was never served.
+        // A selector that kept picking `stuck` would retire nothing here.
         let mut retired = 0;
         for _ in 0..8 {
             retired += camera.collect_slice(64, &guard).versions_retired;

@@ -647,9 +647,9 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
     /// **Accounting** is a slot transfer like elision: the new head takes the slot of one
     /// version the cut freed (the pruned publication counts once as `versions_pruned`, not
     /// as created) and the other freed versions count as retired, so
-    /// `created == retired + dropped` stays exact. It must not count as a push: a pruned
-    /// publication never lengthens a list, and a push would reopen the reclamation
-    /// drivers' zero-debt gate.
+    /// `created == retired + dropped` stays exact, and the camera's count of retained
+    /// history, which gates the amortized slices, falls by the `freed - 1` versions the
+    /// list lost.
     fn prune(&self, camera: &Arc<Camera>, displaced_ts: u64, guard: &Guard) -> bool {
         let floor = camera.oldest_retained();
         if floor < displaced_ts || !camera.elision_enabled() {
@@ -912,7 +912,9 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
 
     /// Destroys the cell: frees every version and counts them toward the camera's dropped
     /// total — without this, every cell destroyed through node unlinking (list/BST
-    /// removes) would leave `approx_live_versions` drifting upward forever. Pooled nodes
+    /// removes) would leave `approx_live_versions` drifting upward forever — and the ones
+    /// beyond the first toward its dropped history (the count that gates the amortized
+    /// slices; a one-version cell, the common case, adds nothing to it). Pooled nodes
     /// go back to the pool; a slot stays in its node and a direct value has no record.
     ///
     /// A hooked cell releases each freed version's value: this is the link that makes
@@ -952,6 +954,9 @@ impl<T: VersionValue, H: ValueHook<T>> VersionedCell<T, H> {
             }
         }
         camera.note_versions_dropped(freed);
+        if freed > 1 {
+            camera.note_history_dropped(freed - 1);
+        }
     }
 }
 

@@ -12,17 +12,22 @@
 //! versions_created == versions_retired + versions_dropped
 //! ```
 //!
-//! A second group of tests pins the dead-same-timestamp-intermediate collection: under a
+//! A second group checks the amortized slices' gate, the camera's count of retained
+//! history: once a pin is released and the sweeps have cut every cell to one version, the
+//! count reads 0 and no further slice touches the structure.
+//!
+//! A third group pins the dead-same-timestamp-intermediate collection: under a
 //! long-lived pin, a cell's version-list length is bounded by the number of *distinct*
 //! retained timestamps (+1 for the version at the truncation cut), not by the number of
 //! successful CASes.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use vcas_repro::core::reclaim::Collectible;
-use vcas_repro::core::{Camera, VersionedCas};
+use vcas_repro::core::reclaim::{CollectStats, Collectible, VersionStats};
+use vcas_repro::core::{Camera, ReclaimPolicy, VersionedCas};
+use vcas_repro::ebr::Guard;
 use vcas_repro::structures::traits::ConcurrentMap;
 use vcas_repro::structures::MapSnapshotView;
 use vcas_repro::structures::{HarrisList, Nbbst, VcasHashMap, VcasSkipList};
@@ -183,6 +188,115 @@ fn truncation_retires_unlinked_nodes_while_the_structure_lives() {
     drop(list);
     drain_ebr_settled();
     assert_eq!(camera.approx_live_nodes(), 0);
+}
+
+/// Registers in place of the structure it wraps and counts the `collect_bounded` calls
+/// the reclamation registry makes into it.
+struct CountingSweeps<S> {
+    inner: Arc<S>,
+    passes: AtomicUsize,
+}
+
+impl<S: Collectible> Collectible for CountingSweeps<S> {
+    fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
+        self.passes.fetch_add(1, Ordering::SeqCst);
+        self.inner.collect_bounded(min_active, budget, guard)
+    }
+
+    fn version_stats(&self, guard: &Guard) -> VersionStats {
+        self.inner.version_stats(guard)
+    }
+}
+
+/// Churns `structure` under a pin, deleting keys while it is held so that cells with
+/// history are destroyed with their nodes, releases the pin, writes once more (those
+/// writes prune their cells), and ticks under `Amortized` until every reachable cell
+/// holds one version. Once EBR has run the unlinked nodes' destructors, the camera's
+/// history count must read 0: 10 000 more ticks make no `collect_bounded` call. A count
+/// that missed a retirement or a dropped version would keep the gate open; one that
+/// missed a push would have closed it on stranded history, and the ticks would never
+/// reach one version per cell.
+fn assert_history_gate_is_exact<S>(camera: Arc<Camera>, structure: Arc<S>, label: &str)
+where
+    S: ConcurrentMap + Collectible + Send + Sync + 'static,
+{
+    let counted =
+        Arc::new(CountingSweeps { inner: structure.clone(), passes: AtomicUsize::new(0) });
+    camera.register_collectible(&counted);
+    ReclaimPolicy::Amortized { every_n_updates: 1, budget: 64 }.install(&camera);
+
+    let pinned = camera.pin_snapshot();
+    for round in 0..6u64 {
+        for k in 1..=KEY_SPACE {
+            camera.take_snapshot();
+            if (k + round) % 3 == 0 {
+                structure.remove(k);
+            } else {
+                structure.insert(k, k + round);
+            }
+        }
+    }
+    let busy = {
+        let guard = vcas_repro::ebr::pin();
+        structure.version_stats(&guard)
+    };
+    assert!(busy.versions > busy.cells, "{label}: the churn left no history: {busy:?}");
+    drop(pinned);
+    // Writes after the release prune the cells they touch at publication time.
+    camera.take_snapshot();
+    for k in 1..=KEY_SPACE {
+        if k % 2 == 0 {
+            structure.remove(k);
+        } else {
+            structure.insert(k, k);
+        }
+    }
+
+    let mut settled = false;
+    for _ in 0..10_000 {
+        let guard = vcas_repro::ebr::pin();
+        camera.reclaim_tick(&guard);
+        let stats = structure.version_stats(&guard);
+        if stats.versions == stats.cells {
+            settled = true;
+            break;
+        }
+    }
+    assert!(settled, "{label}: the ticks never cut every cell to one version");
+    assert_eq!(drain_ebr_settled(), 0, "{label}: EBR could not drain (stale pin?)");
+
+    let passes = counted.passes.load(Ordering::SeqCst);
+    assert!(passes > 0, "{label}: no slice ever swept the released history");
+    for _ in 0..10_000 {
+        let guard = vcas_repro::ebr::pin();
+        camera.reclaim_tick(&guard);
+    }
+    assert_eq!(
+        counted.passes.load(Ordering::SeqCst) - passes,
+        0,
+        "{label}: slices kept sweeping a structure with no history left"
+    );
+}
+
+#[test]
+fn nbbst_history_gate_closes_once_released_history_is_swept() {
+    let camera = Camera::new();
+    let tree = Arc::new(Nbbst::new_versioned(&camera));
+    assert_history_gate_is_exact(camera, tree, "Nbbst");
+}
+
+#[test]
+fn vcas_hashmap_history_gate_closes_once_released_history_is_swept() {
+    let camera = Camera::new();
+    let map = Arc::new(VcasHashMap::new_versioned(&camera, 16));
+    assert_history_gate_is_exact(camera, map, "VcasHashMap");
+}
+
+#[test]
+fn vcas_skiplist_history_gate_closes_once_released_history_is_swept() {
+    let camera = Camera::new();
+    let list = Arc::new(VcasSkipList::new_versioned(&camera));
+    assert_history_gate_is_exact(camera, list, "VcasSkipList");
 }
 
 proptest! {
