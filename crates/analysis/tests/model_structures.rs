@@ -37,7 +37,7 @@
 
 use std::sync::Arc;
 
-use vcas_core::{Camera, Mode, VersionedCas};
+use vcas_core::{Camera, Collectible, Mode, VersionedCas};
 use vcas_structures::{ConcurrentMap, HarrisList, Nbbst, VcasHashMap, VcasSkipList};
 
 use vcas_sync::model::{self, Config, Report};
@@ -109,10 +109,11 @@ fn check_elide(name: &str, report: Report) {
     }
 }
 
-/// Postlude for elision scenarios that are *neutral* to every mutation cfg (the elide
-/// weakening is invisible when all competing timestamps are already equal): stock builds
-/// exhaust cleanly; under any deliberate weakening the outcome is only reported.
-fn check_elide_neutral(name: &str, report: Report) {
+/// Postlude for scenarios that are *neutral* to every mutation cfg (no twin targets
+/// them; the elide weakening, for one, is invisible when all competing timestamps are
+/// already equal): stock builds exhaust cleanly; under any deliberate weakening the
+/// outcome is only reported.
+fn check_neutral(name: &str, report: Report) {
     if cfg!(any(
         vcas_weaken_publish,
         vcas_weaken_fence,
@@ -180,6 +181,46 @@ fn hashmap_one_bucket_mark_vs_insert() {
 #[test]
 fn hashmap_one_bucket_mark_vs_insert_plain() {
     list_mark_vs_insert("hashmap_one_bucket_mark_vs_insert_plain", || VcasHashMap::new_plain(1));
+}
+
+/// Truncation racing a structure-level remove: budget-1 `collect_bounded` passes over a
+/// one-bucket hash map run until a cycle completes, while another thread removes key 1.
+/// Its mark lands on node 1's `next` cell, which holds history the sweep cuts, and its
+/// unlink on the head cell, whose cut can drop node 1's last reference. In every
+/// interleaving the remove wins, key 2 survives, and the cycle completes. (Node
+/// conservation after a drain is not checked here: the EBR domain is process-wide, and a
+/// run the checker abandons can leave it unable to drain for every later run.)
+#[test]
+fn hashmap_one_bucket_sweep_vs_remove() {
+    prewarm();
+    let report = model::explore(cfg(), || {
+        let cam = Camera::new();
+        let map = Arc::new(VcasHashMap::new_versioned(&cam, 1));
+        // Single-threaded prologue: node 1's `next` gains a version when 2 links behind
+        // it, and the remove below writes at a later timestamp than both.
+        assert!(map.insert(1, 10));
+        cam.take_snapshot();
+        assert!(map.insert(2, 20));
+        cam.take_snapshot();
+        let floor = cam.min_active();
+        let sweeper = {
+            let map = map.clone();
+            model::spawn(move || {
+                let g = vcas_ebr::pin();
+                let mut passes = 1;
+                while !map.collect_bounded(floor, 1, &g).completed_cycle {
+                    passes += 1;
+                    assert!(passes <= 4, "budget-1 passes over two keys never completed");
+                }
+            })
+        };
+        let removed = map.remove(1);
+        sweeper.join();
+        assert!(removed, "remove(1) had no competing remover and must succeed");
+        assert_eq!(map.get(1), None, "remove(1) reported success but 1 is reachable");
+        assert_eq!(map.get(2), Some(20), "the sweep or the remove lost key 2");
+    });
+    check_neutral("hashmap_one_bucket_sweep_vs_remove", report);
 }
 
 /// EFRB BST: `remove(1)`'s dflag/mark races `insert(2)`'s iflag on the same internal
@@ -293,7 +334,7 @@ fn vcas_elide_vs_truncation_gate() {
             "slot conservation must hold whatever the elide/truncate interleaving"
         );
     });
-    check_elide_neutral("vcas_elide_vs_truncation_gate", report);
+    check_neutral("vcas_elide_vs_truncation_gate", report);
 }
 
 /// Elision vs. a pinned reader: a snapshot pinned *between* two update eras must keep

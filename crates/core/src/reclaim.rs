@@ -7,8 +7,9 @@
 //! continuously, against every cell of every structure on the camera, or an update-heavy run
 //! leaks memory linearly. This module turns the primitive into a subsystem:
 //!
-//! * **[`Collectible`]** — implemented by every vCAS data structure. A collectible can
-//!   truncate a *bounded slice* of its cells' version lists per call
+//! * **[`Collectible`]** — implemented by every vCAS data structure, as one cell visitor
+//!   ([`Collectible::visit_cells`]) over a [`SweepCursor`]. Over it, a collectible
+//!   truncates a *bounded slice* of its cells' version lists per call
 //!   ([`Collectible::collect_bounded`]), resuming where the previous call stopped, so
 //!   reclamation work is incremental and never stalls an update for the whole structure.
 //!   (The registry holds structures, not individual cells: cells live inside nodes whose
@@ -37,6 +38,7 @@ use vcas_ebr::Guard;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
 
 use crate::camera::Camera;
+use crate::cell::{Mode, PointerCell};
 
 /// What one bounded collection call accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,10 +62,6 @@ impl CollectStats {
     }
 }
 
-/// Number of buckets in [`VersionStats::height_histogram`]. Comfortably above the skip
-/// list's maximum tower height (20); the last bucket saturates.
-pub const HEIGHT_BUCKETS: usize = 24;
-
 /// Aggregate version-list statistics of a structure (diagnostic; see
 /// [`Collectible::version_stats`]). Not constant time — walks every live cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,56 +72,178 @@ pub struct VersionStats {
     pub versions: usize,
     /// Largest version list among those cells.
     pub max_versions_per_cell: usize,
-    /// Tower-height histogram: `height_histogram[h]` counts nodes whose pointer tower is
-    /// `h` levels tall (heights `>= HEIGHT_BUCKETS` saturate into the last bucket). Only
-    /// layered structures report it (the skip list — a node of height `h` holds `h`
-    /// versioned cells, so tall towers are where truncation budget should go); flat
-    /// structures leave it zeroed.
-    pub height_histogram: [usize; HEIGHT_BUCKETS],
 }
 
-impl VersionStats {
-    /// Records one cell holding `versions` retained versions.
-    pub fn record_cell(&mut self, versions: usize) {
-        self.cells += 1;
-        self.versions += versions;
-        self.max_versions_per_cell = self.max_versions_per_cell.max(versions);
-    }
+/// What a cell visit does at each cell it reaches ([`Collectible::visit_cells`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellOp {
+    /// Truncate the version list ([`PointerCell::collect_before`]).
+    Cut {
+        /// The oldest timestamp a snapshot may still read ([`Camera::min_active`]).
+        floor: u64,
+    },
+    /// Count the retained versions ([`PointerCell::version_count`]).
+    Count,
+}
 
-    /// Records one node with a pointer tower `height` levels tall (skip-list only; see
-    /// [`VersionStats::height_histogram`]).
-    pub fn record_tower_height(&mut self, height: usize) {
-        self.height_histogram[height.min(HEIGHT_BUCKETS - 1)] += 1;
-    }
+/// What one cell visit accomplished.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Visit {
+    /// Cells reached.
+    pub cells: usize,
+    /// Versions the cells retired ([`CellOp::Cut`]) or hold ([`CellOp::Count`]).
+    pub versions: usize,
+    /// The most versions in one cell, for a count.
+    pub max_versions: usize,
+    /// `true` if the visit reached the end of the structure, not its budget.
+    pub completed_cycle: bool,
+}
 
-    /// Accumulates `other` into `self` (used by composite structures such as the hash map).
-    pub fn merge(&mut self, other: VersionStats) {
-        self.cells += other.cells;
-        self.versions += other.versions;
-        self.max_versions_per_cell = self.max_versions_per_cell.max(other.max_versions_per_cell);
-        for (into, from) in self.height_histogram.iter_mut().zip(other.height_histogram) {
-            *into += from;
+/// Where a structure's next resumable visit starts: a segment (a hash-map bucket; 0 for
+/// a structure with one) and, in it, `key + 1` of the next node, 0 meaning the segment's
+/// head cells (so that 0 stays a legal key).
+#[derive(Debug, Default)]
+pub struct SweepCursor {
+    segment: AtomicUsize,
+    key: AtomicU64,
+}
+
+impl SweepCursor {
+    /// Opens a visit applying `op` to about `budget` cells. A `resume`d visit starts at
+    /// the cursor and leaves it where it stops (at the start once it completes); another
+    /// starts at the start and leaves it alone, so a census does not move bounded passes.
+    pub fn visit(&self, op: CellOp, budget: usize, resume: bool) -> Sweep<'_> {
+        let mut from = (0, 0);
+        if resume {
+            // ORDERING: progress-heuristic — the cursor only decides where the next
+            // bounded pass resumes; truncation synchronizes inside the cells.
+            from.0 = self.segment.load(Ordering::Relaxed);
+            // ORDERING: progress-heuristic — as above.
+            from.1 = u128::from(self.key.load(Ordering::Relaxed));
         }
+        let cursor = resume.then_some(self);
+        Sweep { op, budget: budget.max(1), cursor, from, stop: None, visit: Visit::default() }
+    }
+}
+
+/// One visit in progress. The structure walks its nodes in a fixed order, by segment
+/// and by key within one, and reports each to [`Sweep::node`]. The stopping rule: stop
+/// at the first node boundary at or after `budget` cells (a node keyed `u64::MAX` cannot
+/// be resumed at, so it is visited past the budget).
+pub struct Sweep<'c> {
+    op: CellOp,
+    budget: usize,
+    cursor: Option<&'c SweepCursor>,
+    /// Where the visit starts, as a [`Sweep::place`].
+    from: (usize, u128),
+    /// Where it stopped, in the cursor's encoding.
+    stop: Option<(usize, u64)>,
+    visit: Visit,
+}
+
+impl Sweep<'_> {
+    /// A node's place in the sweep order: segment, then 0 for the head cells or `key + 1`.
+    fn place(segment: usize, key: Option<u64>) -> (usize, u128) {
+        (segment, key.map_or(0, |k| u128::from(k) + 1))
+    }
+
+    /// The first segment the visit reaches.
+    pub fn segment(&self) -> usize {
+        self.from.0
+    }
+
+    /// Did an earlier pass of this cycle cover the node with `key` in `segment`?
+    pub fn passed(&self, segment: usize, key: u64) -> bool {
+        Self::place(segment, Some(key)) < self.from
+    }
+
+    /// Reports the node with `key` in `segment` (`None`: the segment's head cells) and
+    /// applies the visit's [`CellOp`] to its `cells`, unless it was passed. `false` means
+    /// stop and return [`Sweep::finish`]: the budget is spent, or a plain structure, with
+    /// no history, is being cut.
+    pub fn node<'a, T, M: Mode, C: PointerCell<T, M> + 'a>(
+        &mut self,
+        segment: usize,
+        key: Option<u64>,
+        mode: &M,
+        cells: impl IntoIterator<Item = &'a C>,
+        guard: &Guard,
+    ) -> bool {
+        if !M::VERSIONED && self.op != CellOp::Count {
+            return false;
+        }
+        if Self::place(segment, key) < self.from {
+            return true;
+        }
+        if self.stop_at(segment, key) {
+            return false;
+        }
+        for cell in cells {
+            self.record(match self.op {
+                CellOp::Cut { floor } => cell.collect_before(mode, floor, guard),
+                CellOp::Count => cell.version_count(guard),
+            });
+        }
+        true
+    }
+
+    /// The stopping rule: is the budget spent at this node, which can be resumed at?
+    fn stop_at(&mut self, segment: usize, key: Option<u64>) -> bool {
+        let (segment, at) = Self::place(segment, key);
+        if self.visit.cells >= self.budget {
+            self.stop = u64::try_from(at).ok().map(|at| (segment, at));
+        }
+        self.stop.is_some()
+    }
+
+    fn record(&mut self, versions: usize) {
+        self.visit.cells += 1;
+        self.visit.versions += versions;
+        self.visit.max_versions = self.visit.max_versions.max(versions);
+    }
+
+    /// Ends the visit, saving where it stopped (the start, if it completed the cycle).
+    pub fn finish(self) -> Visit {
+        if let Some(cursor) = self.cursor {
+            let (segment, key) = self.stop.unwrap_or_default();
+            // ORDERING: progress-heuristic — see `SweepCursor::visit`.
+            cursor.segment.store(segment, Ordering::Relaxed);
+            // ORDERING: progress-heuristic — as above.
+            cursor.key.store(key, Ordering::Relaxed);
+        }
+        Visit { completed_cycle: self.stop.is_none(), ..self.visit }
     }
 }
 
 /// A structure whose versioned CAS cells can be truncated incrementally.
 ///
-/// Implementors keep an internal cursor so that successive [`collect_bounded`] calls sweep
-/// different slices of the structure; a full sweep is signalled by
-/// [`CollectStats::completed_cycle`]. Calls may run concurrently with updates and with each
-/// other (per-cell truncation is already serialized by
+/// A structure implements one method, [`Collectible::visit_cells`], which walks its
+/// cells through a [`Sweep`] on its own [`SweepCursor`]; the sweep does the per-cell
+/// work, keeps the resume point and applies the stopping rule. Over it, successive
+/// [`Collectible::collect_bounded`] calls sweep different slices of the structure, and
+/// [`Collectible::version_stats`] counts every cell. Calls may run concurrently with
+/// updates and with each other (per-cell truncation is already serialized by
 /// [`crate::VersionedCell::collect_before`]), though drivers normally serialize passes.
-///
-/// [`collect_bounded`]: Collectible::collect_bounded
 pub trait Collectible: Send + Sync {
+    /// Applies `op` to the cells reachable in the current state, through the sweep
+    /// `cursor.visit(op, budget, resume)` ended by [`Sweep::finish`].
+    fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit;
+
     /// Truncates the version lists of up to `budget` cells under `min_active` (from
-    /// [`Camera::min_active`]), resuming after the cell where the previous call stopped.
-    fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats;
+    /// [`Camera::min_active`]), resuming at the node where the previous call stopped.
+    fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
+        let visit = self.visit_cells(CellOp::Cut { floor: min_active }, budget, true, guard);
+        let (cells_visited, versions_retired) = (visit.cells, visit.versions);
+        CollectStats { cells_visited, versions_retired, completed_cycle: visit.completed_cycle }
+    }
 
     /// Walks every cell reachable in the current state and reports version-list sizes
     /// (diagnostic; used by the reclamation stress tests and the workload driver).
-    fn version_stats(&self, guard: &Guard) -> VersionStats;
+    fn version_stats(&self, guard: &Guard) -> VersionStats {
+        let Visit { cells, versions, max_versions, .. } =
+            self.visit_cells(CellOp::Count, usize::MAX, false, guard);
+        VersionStats { cells, versions, max_versions_per_cell: max_versions }
+    }
 }
 
 /// How automatic reclamation is driven for one camera (see [`ReclaimPolicy::install`]).
@@ -557,18 +677,19 @@ mod tests {
     use crate::VersionedCas;
     use vcas_ebr::pin;
 
-    /// A collectible wrapping a handful of standalone cells, with a resumable cursor —
-    /// enough to exercise the registry/policy machinery without a full data structure.
+    /// A collectible wrapping a handful of standalone cells, one node each in one
+    /// segment, keyed by index — enough to exercise the registry/policy machinery without
+    /// a full data structure.
     struct Cells {
         cells: Vec<VersionedCas<u64>>,
-        cursor: AtomicUsize,
+        cursor: SweepCursor,
     }
 
     impl Cells {
         fn new(camera: &Arc<Camera>, n: usize) -> Cells {
             Cells {
                 cells: (0..n as u64).map(|i| VersionedCas::new(i, camera)).collect(),
-                cursor: AtomicUsize::new(0),
+                cursor: SweepCursor::default(),
             }
         }
 
@@ -584,29 +705,21 @@ mod tests {
     }
 
     impl Collectible for Cells {
-        fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
-            let mut stats = CollectStats::default();
-            let start = self.cursor.load(Ordering::SeqCst);
-            let end = (start + budget.max(1)).min(self.cells.len());
-            for cell in &self.cells[start..end] {
-                stats.versions_retired += cell.collect_before(min_active, guard);
-                stats.cells_visited += 1;
+        fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
+            let mut sweep = self.cursor.visit(op, budget, resume);
+            for (key, cell) in (0..).zip(&self.cells) {
+                if sweep.passed(0, key) {
+                    continue;
+                }
+                if sweep.stop_at(0, Some(key)) {
+                    break;
+                }
+                sweep.record(match op {
+                    CellOp::Cut { floor } => cell.collect_before(floor, guard),
+                    CellOp::Count => cell.version_count(guard),
+                });
             }
-            if end == self.cells.len() {
-                self.cursor.store(0, Ordering::SeqCst);
-                stats.completed_cycle = true;
-            } else {
-                self.cursor.store(end, Ordering::SeqCst);
-            }
-            stats
-        }
-
-        fn version_stats(&self, guard: &Guard) -> VersionStats {
-            let mut stats = VersionStats::default();
-            for cell in &self.cells {
-                stats.record_cell(cell.version_count(guard));
-            }
-            stats
+            sweep.finish()
         }
     }
 
@@ -637,6 +750,10 @@ mod tests {
     }
 
     impl Collectible for Counted {
+        fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
+            self.cells.visit_cells(op, budget, resume, guard)
+        }
+
         fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
             self.passes.fetch_add(1, Ordering::SeqCst);
             self.cells.collect_bounded(min_active, budget, guard)
@@ -757,10 +874,10 @@ mod tests {
         cells.churn(5, &guard);
         // Clean only the tail (cells 6..8), then park the cursor back there — the state an
         // amortized driver leaves behind mid-sweep: dirty prefix, clean tail, cursor high.
-        cells.cursor.store(6, Ordering::SeqCst);
+        cells.cursor.key.store(6 + 1, Ordering::SeqCst);
         let tail = cells.collect_bounded(camera.min_active(), 64, &guard);
         assert!(tail.completed_cycle && tail.versions_retired > 0);
-        cells.cursor.store(6, Ordering::SeqCst);
+        cells.cursor.key.store(6 + 1, Ordering::SeqCst);
 
         // The first pass now completes retiring nothing; quiescence must NOT be declared
         // until a fresh cycle has swept the dirty prefix too.

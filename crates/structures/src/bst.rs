@@ -38,7 +38,7 @@ use std::ptr::NonNull;
 use std::sync::Arc;
 use vcas_core::sync::{AtomicU64, Ordering};
 
-use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
+use vcas_core::reclaim::{CellOp, Collectible, SweepCursor, Visit};
 use vcas_core::{
     acquire_node_ref, release_node_ref, Camera, CameraAttached, Mode, PinnedSnapshot, Plain,
     PointerCell, RetentionError, SnapshotHandle, ValueHook, VersionReferenced, VersionSlot,
@@ -343,10 +343,8 @@ impl<M: Mode> ValueHook<usize> for ChildRefs<M> {
 pub struct Nbbst<M: Mode = Versioned> {
     root: Atomic<Internal<M>>,
     mode: M,
-    updates: AtomicU64,
-    /// Resume key for incremental version-list collection ([`Collectible`]): subtrees whose
-    /// keys all fall below it were covered by the previous bounded pass.
-    reclaim_cursor: AtomicU64,
+    /// Where the next bounded collection pass resumes ([`Collectible`]).
+    sweep: SweepCursor,
 }
 
 impl Nbbst<Plain> {
@@ -389,12 +387,7 @@ impl<M: Mode> Nbbst<M> {
             release_node_ref(left_leaf, camera, &guard);
             release_node_ref(right_leaf, camera, &guard);
         }
-        Nbbst {
-            root: Atomic::new(root),
-            mode,
-            updates: AtomicU64::new(0),
-            reclaim_cursor: AtomicU64::new(0),
-        }
+        Nbbst { root: Atomic::new(root), mode, sweep: SweepCursor::default() }
     }
 
     /// The camera associated with a versioned tree (`None` for a plain tree).
@@ -402,19 +395,10 @@ impl<M: Mode> Nbbst<M> {
         self.mode.camera()
     }
 
-    /// Number of successful updates (inserts + removes) applied so far.
-    pub fn update_count(&self) -> u64 {
-        // ORDERING: diag-counter — monitoring only.
-        self.updates.load(Ordering::Relaxed)
-    }
-
-    /// Bookkeeping after a successful insert/remove: count it and give the camera's
-    /// amortized reclamation hook its tick (a no-op unless an
-    /// [`vcas_core::ReclaimPolicy::Amortized`] policy is installed).
+    /// After a successful insert/remove, gives the camera's amortized reclamation hook its
+    /// tick (a no-op unless an [`vcas_core::ReclaimPolicy::Amortized`] policy is installed).
     #[inline]
     fn after_update(&self, guard: &Guard) {
-        // ORDERING: diag-counter — monitoring only.
-        self.updates.fetch_add(1, Ordering::Relaxed);
         if let Some(camera) = self.mode.camera() {
             camera.reclaim_tick(guard);
         }
@@ -868,109 +852,43 @@ impl<M: Mode> Nbbst<M> {
         let view = self.view();
         depth(&view, self.root(&view.guard))
     }
-
-    /// Truncates version lists of every child pointer reachable in the current tree,
-    /// reclaiming versions no pinned snapshot can still need. Returns versions retired.
-    ///
-    /// This is the *unbounded* sweep; automatic reclamation uses the bounded, resumable
-    /// [`Collectible::collect_bounded`] instead (register the tree with
-    /// [`Camera::register_collectible`] and install a [`vcas_core::ReclaimPolicy`]).
-    pub fn collect_versions(&self) -> usize {
-        let Some(camera) = self.mode.camera() else { return 0 };
-        let min_active = camera.retention_floor();
-        let guard = pin();
-        let mut retired = 0;
-        let mut stack = vec![self.root(&guard)];
-        while let Some(node) = stack.pop() {
-            // SAFETY: loaded under `guard` from the root or a child cell; never null.
-            let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { continue };
-            for child in &n.children {
-                retired += child.collect_before(&self.mode, min_active, &guard);
-                stack.push(NodePtr(child.load(&self.mode, &guard)));
-            }
-        }
-        retired
-    }
 }
 
-/// Incremental version-list collection: each bounded pass truncates the child cells of up
-/// to `budget` internal nodes, *in key order*, resuming at the single-key cursor left by
-/// the previous pass. In-order matters: when the budget runs out at a node, every internal
-/// node with a smaller key has already been collected, so "skip left subtrees whose keys
-/// all fall below the cursor" is a sound resume rule. Internal nodes on the search path at
-/// or above the cursor are revisited across passes (their re-truncation is cheap — the
-/// lists are already short), which keeps the resume state one key instead of a traversal
-/// stack over a mutating tree.
+/// The cell visitor walks the internal nodes *in key order*, both child cells each. In
+/// order matters: when a bounded pass stops at a node, every internal node with a smaller
+/// key has been visited, so the next pass skips the left subtrees whose keys all lie
+/// before the cursor. Nodes on the search path to the cursor are routed through, not
+/// revisited, which keeps the resume state one key instead of a traversal stack over a
+/// mutating tree.
 impl<M: Mode> Collectible for Nbbst<M> {
-    fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
+    fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
         enum Step<'g, M: Mode> {
             Expand(NodePtr<'g>),
             Visit(&'g Internal<M>),
         }
-        let mut stats = CollectStats::default();
-        if !M::VERSIONED {
-            stats.completed_cycle = true;
-            return stats;
-        }
-        // ORDERING: progress-heuristic — the cursor only decides where the next
-        // bounded pass resumes; truncation synchronizes inside the cells.
-        let start = self.reclaim_cursor.load(Ordering::Relaxed);
-        let budget = budget.max(1);
+        let mut sweep = self.sweep.visit(op, budget, resume);
         let mut stack = vec![Step::Expand(self.root(guard))];
         while let Some(step) = stack.pop() {
             match step {
                 Step::Expand(node) => {
                     // SAFETY: loaded under `guard` from the root or a child cell; never null.
                     let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { continue };
-                    // In-order: left subtree, the node itself, right subtree. The left
-                    // subtree holds keys < n.key only; skip it when the cursor says a
-                    // previous pass already swept past those keys. Nodes below the cursor
-                    // are likewise only routed through, never re-visited — counting them
-                    // against the budget would let a pass burn its whole budget on ground
-                    // already covered and stall the cursor.
+                    // Left subtree, the node, right subtree. The left one holds keys
+                    // below `n.key` only: skip it once `n.key - 1` was passed.
                     stack.push(Step::Expand(n.child(&self.mode, 1, guard)));
-                    if n.key >= start {
-                        stack.push(Step::Visit(n));
-                    }
-                    if start < n.key {
+                    stack.push(Step::Visit(n));
+                    if !sweep.passed(0, n.key.saturating_sub(1)) {
                         stack.push(Step::Expand(n.child(&self.mode, 0, guard)));
                     }
                 }
                 Step::Visit(n) => {
-                    if stats.cells_visited >= budget {
-                        // ORDERING: progress-heuristic — as above.
-                        self.reclaim_cursor.store(n.key, Ordering::Relaxed);
-                        return stats;
-                    }
-                    // Both child cells count against the budget (one "cell" means the same
-                    // thing here as in the list and hash-map impls); a visit may overshoot
-                    // the budget by one cell.
-                    for child in &n.children {
-                        stats.versions_retired +=
-                            child.collect_before(&self.mode, min_active, guard);
-                        stats.cells_visited += 1;
+                    if !sweep.node(0, Some(n.key), &self.mode, &n.children, guard) {
+                        break;
                     }
                 }
             }
         }
-        // ORDERING: progress-heuristic — as above.
-        self.reclaim_cursor.store(0, Ordering::Relaxed);
-        stats.completed_cycle = true;
-        stats
-    }
-
-    fn version_stats(&self, guard: &Guard) -> VersionStats {
-        let mut stats = VersionStats::default();
-        let mut stack = vec![self.root(guard)];
-        while let Some(node) = stack.pop() {
-            // SAFETY: loaded under `guard` from the root or a child cell; never null.
-            let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { continue };
-            for child in &n.children {
-                stats.record_cell(child.version_count(guard));
-                stack.push(NodePtr(child.load(&self.mode, guard)));
-            }
-        }
-        stats
+        sweep.finish()
     }
 }
 
@@ -1430,7 +1348,9 @@ mod tests {
         for k in 0..200u64 {
             tree.remove(k);
         }
-        let retired = tree.collect_versions();
+        let floor = camera.retention_floor();
+        let retired =
+            Collectible::collect_bounded(&tree, floor, usize::MAX, &pin()).versions_retired;
         assert!(retired > 0, "expected some versions to be reclaimed, got {retired}");
         assert!(tree.view().is_empty());
     }

@@ -4,7 +4,7 @@
 //!
 //! The table is a fixed, power-of-two array of buckets, and a bucket is nothing but the
 //! head cell of a Harris list holding the keys that hash to it: there is no sentinel node
-//! and no per-bucket state. The table holds one mode (so one camera) and one reclaim
+//! and no per-bucket state. The table holds one mode (so one camera) and one sweep
 //! cursor, and runs the list's operations ([`crate::list`]) on the bucket's head cell. In
 //! versioned mode the head cells and every `next` pointer are vCAS objects on that one
 //! camera, so a multi-point query takes a *single* [`Camera::take_snapshot`] and reads
@@ -20,13 +20,13 @@
 
 use std::sync::Arc;
 
-use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
+use vcas_core::reclaim::{CellOp, Collectible, SweepCursor, Visit};
 use vcas_core::{
     Camera, CameraAttached, Mode, PinnedSnapshot, Plain, RetentionError, SnapshotHandle, Versioned,
 };
 use vcas_ebr::{pin, Guard};
 
-use crate::list::{self, NextCell, ReclaimCursor};
+use crate::list::{self, NextCell};
 use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
 use crate::view::{sorted_range, MapSnapshotView, SnapshotSource};
 
@@ -41,8 +41,8 @@ pub struct VcasHashMap<M: Mode = Versioned> {
     buckets: Box<[NextCell<M>]>,
     mask: u64,
     mode: M,
-    /// Resume bucket and key for incremental version-list collection ([`Collectible`]).
-    reclaim_cursor: ReclaimCursor,
+    /// Where the next bounded collection pass resumes: a bucket and a key in it.
+    sweep: SweepCursor,
 }
 
 impl VcasHashMap<Plain> {
@@ -78,8 +78,7 @@ impl<M: Mode> VcasHashMap<M> {
     fn with_mode(mode: M, buckets: usize) -> VcasHashMap<M> {
         let n = buckets.max(1).next_power_of_two();
         let buckets = (0..n).map(|_| list::empty(&mode)).collect();
-        let reclaim_cursor = ReclaimCursor::default();
-        VcasHashMap { buckets, mask: (n - 1) as u64, mode, reclaim_cursor }
+        VcasHashMap { buckets, mask: (n - 1) as u64, mode, sweep: SweepCursor::default() }
     }
 
     /// The camera associated with a versioned table.
@@ -197,22 +196,12 @@ impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
     }
 }
 
-/// Incremental version-list collection: the budget is spread across the bucket lists in
-/// order, resuming at the bucket and key where the previous bounded pass stopped. Update
-/// hooks need no wiring here — the list operations drive [`Camera::reclaim_tick`] on the
-/// table's camera. Data-node reclamation likewise comes from the lists: every node carries
-/// a version-held reference count, so truncating a bucket's version lists retires nodes
-/// whose last reference went (counted into the camera's `nodes_retired`), and dropping
-/// the table destroys the head cells, whose cascades free every remaining node — see the
-/// node-conservation test in `tests/node_reclaim.rs`.
+/// The list's cell visitor, one segment per bucket. Update hooks and data-node
+/// reclamation come from the list operations too (see `tests/node_reclaim.rs`).
 impl<M: Mode> Collectible for VcasHashMap<M> {
-    fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
-        let (mode, cursor) = (&self.mode, &self.reclaim_cursor);
-        list::collect_bounded(mode, &self.buckets, cursor, min_active, budget, guard)
-    }
-
-    fn version_stats(&self, guard: &Guard) -> VersionStats {
-        list::version_stats(&self.mode, &self.buckets, guard)
+    fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
+        let sweep = self.sweep.visit(op, budget, resume);
+        list::visit_cells(&self.mode, &self.buckets, sweep, guard)
     }
 }
 

@@ -14,13 +14,13 @@
 //! cell from the caller, and the predecessor a search returns is a cell too — the head
 //! cell or a node's `next` — so every CAS goes through one kind of reference. The same
 //! functions serve [`HarrisList`], which holds one head cell, and [`crate::VcasHashMap`],
-//! whose buckets are head cells sharing the table's one mode and reclaim cursor.
+//! whose buckets are head cells sharing the table's one mode and sweep cursor.
 
 use std::mem::ManuallyDrop;
 use std::sync::Arc;
-use vcas_core::sync::{AtomicU64, AtomicUsize, Ordering};
+use vcas_core::sync::AtomicU64;
 
-use vcas_core::reclaim::{CollectStats, Collectible, VersionStats};
+use vcas_core::reclaim::{CellOp, Collectible, Sweep, SweepCursor, Visit};
 use vcas_core::{
     release_node_ref, Camera, CameraAttached, Managed, Mode, PinnedSnapshot, Plain, PointerCell,
     RetentionError, SnapshotHandle, VersionReferenced, Versioned,
@@ -265,95 +265,28 @@ impl<'g, M: Mode> Iterator for Walk<'g, M> {
     }
 }
 
-/// Where a bounded collection pass resumes: the index of a head cell and, inside that
-/// cell's list, a key stored as *key + 1*, so that 0 unambiguously means "start at the
-/// head cell" even though 0 is a legal user key.
-#[derive(Default)]
-pub(crate) struct ReclaimCursor {
-    head: AtomicUsize,
-    key: AtomicU64,
-}
-
-impl ReclaimCursor {
-    fn save(&self, head: usize, key: u64) {
-        // ORDERING: progress-heuristic — the cursor only decides where the next bounded
-        // pass resumes; truncation synchronizes inside the cells.
-        self.head.store(head, Ordering::Relaxed);
-        // ORDERING: progress-heuristic — as above.
-        self.key.store(key, Ordering::Relaxed);
-    }
-}
-
-/// Bounded, resumable truncation of the lists at `heads` ([`Collectible::collect_bounded`]
-/// for the list and the hash map): walks each *physical* list (marked nodes included) from
-/// `cursor`, truncating up to `budget` cells under `min_active`. Finishing the last head
-/// completes the cycle and rewinds the cursor. (A circular pass could never report
-/// completion with a budget smaller than the table.)
-pub(crate) fn collect_bounded<M: Mode>(
+/// The cell visitor of the lists at `heads` ([`Collectible::visit_cells`] for the list
+/// and the hash map): one segment per head cell, its *physical* list (marked nodes
+/// included — their history is what truncation releases) in key order. Finishing the
+/// last head completes the cycle; a circular pass could never report completion with a
+/// budget smaller than the table.
+pub(crate) fn visit_cells<M: Mode>(
     mode: &M,
     heads: &[NextCell<M>],
-    cursor: &ReclaimCursor,
-    min_active: u64,
-    budget: usize,
+    mut sweep: Sweep<'_>,
     guard: &Guard,
-) -> CollectStats {
-    let mut stats = CollectStats::default();
-    if !M::VERSIONED {
-        stats.completed_cycle = true;
-        return stats;
-    }
-    let budget = budget.max(1);
-    // ORDERING: progress-heuristic — see `ReclaimCursor::save`.
-    let start = cursor.head.load(Ordering::Relaxed).min(heads.len() - 1);
-    // Resume at the first node with key >= `resume - 1` (inclusive, so the node the
-    // previous pass stalled on — and never collected — is picked up now, guaranteeing
-    // forward progress).
-    // ORDERING: progress-heuristic — as above.
-    let mut resume = cursor.key.load(Ordering::Relaxed);
-    for (idx, head) in heads.iter().enumerate().skip(start) {
-        if resume == 0 {
-            if stats.cells_visited >= budget {
-                cursor.save(idx, 0);
-                return stats;
-            }
-            stats.versions_retired += head.collect_before(mode, min_active, guard);
-            stats.cells_visited += 1;
+) -> Visit {
+    for (idx, head) in heads.iter().enumerate().skip(sweep.segment()) {
+        if !sweep.node(idx, None, mode, [head], guard) {
+            return sweep.finish();
         }
         for (node, _) in walk(mode, head, None, guard, Key::MAX) {
-            if node.key < resume.saturating_sub(1) {
-                continue;
+            if !sweep.node(idx, Some(node.key), mode, [&node.next], guard) {
+                return sweep.finish();
             }
-            // Stall only on keys that can be re-encoded unambiguously (key + 1 must not
-            // wrap): a u64::MAX node is simply collected past the budget instead,
-            // overshooting by at most the few such nodes.
-            if stats.cells_visited >= budget && node.key < Key::MAX {
-                cursor.save(idx, node.key + 1);
-                return stats;
-            }
-            stats.versions_retired += node.next.collect_before(mode, min_active, guard);
-            stats.cells_visited += 1;
-        }
-        resume = 0;
-    }
-    cursor.save(0, 0);
-    stats.completed_cycle = true;
-    stats
-}
-
-/// Version-list statistics over every cell of the physical lists at `heads`.
-pub(crate) fn version_stats<M: Mode>(
-    mode: &M,
-    heads: &[NextCell<M>],
-    guard: &Guard,
-) -> VersionStats {
-    let mut stats = VersionStats::default();
-    for head in heads {
-        stats.record_cell(head.version_count(guard));
-        for (node, _) in walk(mode, head, None, guard, Key::MAX) {
-            stats.record_cell(node.next.version_count(guard));
         }
     }
-    stats
+    sweep.finish()
 }
 
 /// Tears down a dropped structure's head cells. A plain structure frees the nodes they
@@ -388,8 +321,8 @@ pub struct HarrisList<M: Mode = Versioned> {
     /// Taken by `Drop`, which destroys it with the mode's camera.
     head: ManuallyDrop<NextCell<M>>,
     mode: M,
-    /// Resume point for incremental version-list collection ([`Collectible`]).
-    reclaim_cursor: ReclaimCursor,
+    /// Where the next bounded collection pass resumes ([`Collectible`]).
+    sweep: SweepCursor,
 }
 
 impl HarrisList<Plain> {
@@ -414,7 +347,7 @@ impl HarrisList {
 impl<M: Mode> HarrisList<M> {
     fn with_mode(mode: M) -> HarrisList<M> {
         let head = ManuallyDrop::new(empty(&mode));
-        HarrisList { head, mode, reclaim_cursor: ReclaimCursor::default() }
+        HarrisList { head, mode, sweep: SweepCursor::default() }
     }
 
     /// The camera associated with a versioned list.
@@ -462,16 +395,11 @@ impl<M: Mode> HarrisList<M> {
     }
 }
 
-/// Incremental version-list collection for a standalone list: the one-head case of the
-/// walk the hash map runs over its buckets.
+/// The one-head case of the cell visitor the hash map runs over its buckets.
 impl<M: Mode> Collectible for HarrisList<M> {
-    fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
-        let heads = std::slice::from_ref(&*self.head);
-        collect_bounded(&self.mode, heads, &self.reclaim_cursor, min_active, budget, guard)
-    }
-
-    fn version_stats(&self, guard: &Guard) -> VersionStats {
-        version_stats(&self.mode, std::slice::from_ref(&*self.head), guard)
+    fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
+        let sweep = self.sweep.visit(op, budget, resume);
+        visit_cells(&self.mode, std::slice::from_ref(&*self.head), sweep, guard)
     }
 }
 

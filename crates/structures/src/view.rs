@@ -15,8 +15,8 @@
 //!
 //! * **Pinned views** ([`SnapshotSource::snapshot_view`]) register their timestamp with the
 //!   camera ([`vcas_core::Camera::pin_snapshot`]), so version-list truncation
-//!   (`collect_versions`) can never reclaim a version the view may still read. This is the
-//!   default and the only safe choice for long-lived views.
+//!   ([`vcas_core::Collectible::collect_bounded`]) can never reclaim a version the view may
+//!   still read. This is the default and the only safe choice for long-lived views.
 //! * **As-of views** ([`SnapshotSource::view_at`]) open the structure at an **arbitrary
 //!   retained timestamp** — not just one being taken right now. They pin internally
 //!   ([`vcas_core::Camera::pin_snapshot_at`]) and are fallible: a timestamp below the

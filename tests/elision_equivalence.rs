@@ -8,7 +8,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use vcas_repro::core::Camera;
+use vcas_repro::core::{Camera, Collectible};
+use vcas_repro::ebr::pin;
 use vcas_repro::structures::{AtomicRangeMap, MapSnapshotView, Nbbst};
 
 /// One sequential step: mutate, or close the current instant with a pinned view.
@@ -186,7 +187,8 @@ proptest! {
                     // fresh timestamps and old ones become collectable) and sweep.
                     for _ in 0..8 {
                         cam.take_snapshot();
-                        tree.collect_versions();
+                        let guard = pin();
+                        tree.collect_bounded(cam.retention_floor(), usize::MAX, &guard);
                         std::thread::yield_now();
                     }
                 });
@@ -200,7 +202,7 @@ proptest! {
             drop(before);
             // One more sweep with no pin outstanding, then the conservation invariant.
             cam.take_snapshot();
-            tree.collect_versions();
+            tree.collect_bounded(cam.retention_floor(), usize::MAX, &pin());
             drop(tree);
         }
         prop_assert_eq!(cam_off.versions_elided(), 0);

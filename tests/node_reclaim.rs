@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use vcas_repro::core::reclaim::{CollectStats, Collectible, VersionStats};
-use vcas_repro::core::{Camera, ReclaimPolicy, VersionedCas};
+use vcas_repro::core::reclaim::{CellOp, CollectStats, Collectible, Visit};
+use vcas_repro::core::{Camera, CameraAttached, ReclaimPolicy, VersionedCas};
 use vcas_repro::ebr::Guard;
 use vcas_repro::structures::traits::ConcurrentMap;
 use vcas_repro::structures::MapSnapshotView;
@@ -198,13 +198,13 @@ struct CountingSweeps<S> {
 }
 
 impl<S: Collectible> Collectible for CountingSweeps<S> {
+    fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
+        self.inner.visit_cells(op, budget, resume, guard)
+    }
+
     fn collect_bounded(&self, min_active: u64, budget: usize, guard: &Guard) -> CollectStats {
         self.passes.fetch_add(1, Ordering::SeqCst);
         self.inner.collect_bounded(min_active, budget, guard)
-    }
-
-    fn version_stats(&self, guard: &Guard) -> VersionStats {
-        self.inner.version_stats(guard)
     }
 }
 
@@ -297,6 +297,68 @@ fn vcas_skiplist_history_gate_closes_once_released_history_is_swept() {
     let camera = Camera::new();
     let list = Arc::new(VcasSkipList::new_versioned(&camera));
     assert_history_gate_is_exact(camera, list, "VcasSkipList");
+}
+
+/// Runs budget-1 bounded passes from a fresh cycle until one completes, calling
+/// `version_stats` between passes when `census` is set. Returns the passes and the cells
+/// they visited.
+fn budget_one_cycle<S: Collectible>(structure: &S, floor: u64, census: bool) -> (usize, usize) {
+    let guard = vcas_repro::ebr::pin();
+    let (mut passes, mut cells) = (0, 0);
+    loop {
+        let pass = structure.collect_bounded(floor, 1, &guard);
+        passes += 1;
+        cells += pass.cells_visited;
+        assert!(passes < 100_000, "budget-1 passes never completed a cycle");
+        if pass.completed_cycle {
+            return (passes, cells);
+        }
+        if census {
+            structure.version_stats(&guard);
+        }
+    }
+}
+
+/// Conformance of one `Collectible` cell visitor: after churn under snapshots, budget-1
+/// passes complete a cycle that reaches every cell the census counts and cuts each to one
+/// version; a census between passes does not move the cursor, so a second cycle takes as
+/// many passes; and a plain structure, which holds no history, completes in one pass.
+fn assert_visitor_conforms<S: ConcurrentMap + Collectible + CameraAttached>(structure: S) {
+    let versioned = structure.attached_camera().is_some();
+    let camera = structure.attached_camera().cloned().unwrap_or_else(Camera::new);
+    for round in 0..4u64 {
+        for k in 1..=KEY_SPACE {
+            camera.take_snapshot();
+            if (k + round) % 3 == 0 {
+                structure.remove(k);
+            } else {
+                structure.insert(k, k + round);
+            }
+        }
+    }
+    let census = structure.version_stats(&vcas_repro::ebr::pin());
+    assert!(!versioned || census.max_versions_per_cell > 1, "churn left no history");
+    let (passes, cells) = budget_one_cycle(&structure, camera.min_active(), false);
+    let after = structure.version_stats(&vcas_repro::ebr::pin());
+    assert_eq!(after.max_versions_per_cell, 1, "a completed cycle must cut every cell");
+    if versioned {
+        assert!(cells >= census.cells, "the cycle visited {cells} of {} cells", census.cells);
+    } else {
+        assert_eq!(passes, 1, "a plain structure must complete in one pass");
+    }
+    let (passes_with_census, _) = budget_one_cycle(&structure, camera.min_active(), true);
+    assert_eq!(passes_with_census, passes, "a census between passes moved the cursor");
+}
+
+#[test]
+fn every_collectible_visitor_conforms() {
+    assert_visitor_conforms(Nbbst::new_versioned_default());
+    assert_visitor_conforms(HarrisList::new_versioned_default());
+    assert_visitor_conforms(VcasHashMap::new_versioned(&Camera::new(), 16));
+    assert_visitor_conforms(VcasSkipList::new_versioned_default());
+    assert_visitor_conforms(Nbbst::new_plain());
+    assert_visitor_conforms(HarrisList::new_plain());
+    assert_visitor_conforms(VcasHashMap::new_plain(16));
 }
 
 proptest! {

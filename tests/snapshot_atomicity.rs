@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use vcas_repro::core::{Camera, VersionedCas};
+use vcas_repro::core::{Camera, Collectible, VersionedCas};
 use vcas_repro::ebr::pin;
 use vcas_repro::structures::traits::{AtomicRangeMap, SnapshotMap};
 use vcas_repro::structures::{DcBst, HarrisList, LockBst, MsQueue, Nbbst};
@@ -189,7 +189,8 @@ fn pinned_snapshot_survives_version_collection() {
             tree.remove(k);
         }
     }
-    let retired = tree.collect_versions();
+    let floor = camera.retention_floor();
+    let retired = Collectible::collect_bounded(&tree, floor, usize::MAX, &pin()).versions_retired;
     assert!(retired > 0, "expected version-list truncation to reclaim something");
 
     // The state as of the pinned handle must be unchanged. (We re-run the atomic scan through

@@ -8,7 +8,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use vcas_repro::core::Camera;
+use vcas_repro::core::{Camera, Collectible};
+use vcas_repro::ebr::pin;
 use vcas_repro::structures::traits::{Key, Value};
 use vcas_repro::structures::view::{
     GroupQueryExt, MapSnapshotView, SnapshotSource, StructureGroup,
@@ -64,7 +65,7 @@ fn pinned_view_answers_are_frozen_under_writers() {
         assert_eq!(view.len(), 400, "round {round}: len changed");
         // Truncate version lists mid-flight: the pin must protect every version the view
         // still needs.
-        tree.collect_versions();
+        tree.collect_bounded(camera.retention_floor(), usize::MAX, &pin());
     }
 
     stop.store(true, Ordering::Relaxed);
