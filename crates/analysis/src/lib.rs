@@ -12,7 +12,8 @@
 //! 2. **ORDERING ledger** — every `Ordering::Relaxed` in the protocol-critical modules
 //!    (`vcas-core::{versioned, versioned_ptr, camera, reclaim}` and all of `vcas-ebr`)
 //!    carries an `// ORDERING: <label>` justification whose label appears (backticked)
-//!    in `docs/memory_orderings.md`.
+//!    in `docs/memory_orderings.md`. A module on that list that does not exist is itself
+//!    a finding, so the list cannot name deleted files.
 //! 3. **Facade enforcement** — `vcas-core` and `vcas-ebr` never name `std::sync::atomic`
 //!    or `parking_lot` directly; all synchronization goes through `vcas_sync` so the
 //!    `--cfg vcas_model` checker's interception is complete.

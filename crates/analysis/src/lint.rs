@@ -6,6 +6,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Files in which every `Ordering::Relaxed` must carry an `// ORDERING:` justification.
+/// Each must exist: a listed file that is missing is a `scan` finding, so the list cannot
+/// go stale unnoticed.
 const PROTOCOL_FILES: &[&str] = &[
     "crates/core/src/versioned.rs",
     "crates/core/src/versioned_ptr.rs",
@@ -18,7 +20,6 @@ const PROTOCOL_FILES: &[&str] = &[
     "crates/structures/src/skiplist.rs",
     "crates/structures/src/hashmap.rs",
     "crates/structures/src/queue.rs",
-    "crates/structures/src/cache.rs",
 ];
 const PROTOCOL_PREFIX: &str = "crates/ebr/src/";
 
@@ -161,6 +162,13 @@ pub fn analyze(root: &Path) -> Result<LintReport, String> {
     let mut relaxed_sites = 0usize;
     let mut labels_used: BTreeSet<String> = BTreeSet::new();
 
+    for missing in missing_protocol_files(&files) {
+        findings.push(Finding {
+            rule: "scan",
+            message: format!("{missing}: listed in PROTOCOL_FILES but not found"),
+        });
+    }
+
     for rel in &files {
         let source = match std::fs::read_to_string(root.join(rel)) {
             Ok(s) => s,
@@ -266,6 +274,11 @@ pub fn analyze(root: &Path) -> Result<LintReport, String> {
         labels_used: labels_used.into_iter().collect(),
         findings,
     })
+}
+
+/// The entries of [`PROTOCOL_FILES`] that are not among the scanned `files`.
+fn missing_protocol_files(files: &[String]) -> Vec<&'static str> {
+    PROTOCOL_FILES.iter().copied().filter(|p| !files.iter().any(|f| f == p)).collect()
 }
 
 fn is_protocol_file(rel: &str) -> bool {
@@ -397,6 +410,14 @@ mod tests {
     fn blank_line_breaks_the_comment_block() {
         let lines = classify("// SAFETY: stale\n\nunsafe { a() };");
         assert!(!documented(&lines, 2, &["SAFETY:"]));
+    }
+
+    #[test]
+    fn a_listed_protocol_file_that_is_missing_is_reported() {
+        let mut files: Vec<String> = PROTOCOL_FILES.iter().map(|p| p.to_string()).collect();
+        assert!(missing_protocol_files(&files).is_empty());
+        let gone = files.remove(3);
+        assert_eq!(missing_protocol_files(&files), vec![gone.as_str()]);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * EFRB BST: `remove`'s mark on the parent's `update` word races `insert`'s iflag on
 //!   the same word, forcing the flag/mark/unflag helping dance;
 //! * skip list: `insert`'s level-0 publish and `remove`'s level-0 mark race on one
-//!   tower cell.
+//!   tower cell; and two removes of adjacent keys race a mark against an unlink splice
+//!   on one tower cell.
 //!
 //! Stock builds must DFS-exhaust every interleaving cleanly. Under
 //! `--cfg vcas_weaken_mark` each structure treats a *lost* mark CAS as won (a deliberate
@@ -38,7 +39,9 @@
 use std::sync::Arc;
 
 use vcas_core::{Camera, Collectible, Mode, VersionedCas};
-use vcas_structures::{ConcurrentMap, HarrisList, Nbbst, VcasHashMap, VcasSkipList};
+use vcas_structures::{
+    ConcurrentMap, HarrisList, MapSnapshotView, Nbbst, VcasHashMap, VcasSkipList,
+};
 
 use vcas_sync::model::{self, Config, Report};
 
@@ -280,6 +283,34 @@ fn skiplist_publish_vs_remove_mark_level0() {
         assert_eq!(sl.get(2), None, "remove(2) reported success but 2 is reachable");
     });
     check("skiplist_publish_vs_remove_mark_level0", report);
+}
+
+/// Skip list: `remove(1)` races `remove(2)` on adjacent nodes. `remove(2)`'s unlink
+/// splices at node 1's level-0 cell while `remove(1)` marks that cell, so a splice can
+/// lose to the mark — the lost-splice path on which `find` restarts its descent from the
+/// top, since a marked cell would fail every retry in place. In every interleaving both
+/// removes succeed and only key 3 remains.
+#[test]
+fn skiplist_adjacent_removes() {
+    prewarm();
+    let report = model::explore(cfg(), || {
+        let sl = Arc::new(VcasSkipList::new_versioned_default());
+        // Single-threaded prologue: three adjacent nodes.
+        for k in 1..=3 {
+            assert!(sl.insert(k, k * 10));
+        }
+        let remover = {
+            let sl = sl.clone();
+            model::spawn(move || sl.remove(1))
+        };
+        let removed_2 = sl.remove(2);
+        let removed_1 = remover.join();
+        assert!(removed_1, "remove(1) had no competing remover and must succeed");
+        assert!(removed_2, "remove(2) had no competing remover and must succeed");
+        assert_eq!(sl.get(3), Some(30), "key 3 was lost by the racing removes");
+        assert_eq!(sl.view().range(0, u64::MAX), vec![(3, 30)], "a removed key is reachable");
+    });
+    check("skiplist_adjacent_removes", report);
 }
 
 /// Elision vs. truncation: a same-timestamp vCAS (whose elision step wants the

@@ -196,12 +196,20 @@ impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
     }
 }
 
-/// The list's cell visitor, one segment per bucket. Update hooks and data-node
-/// reclamation come from the list operations too (see `tests/node_reclaim.rs`).
+/// The list's cell visitor, one segment per bucket ([`list::visit_segment`]). Finishing
+/// the last bucket completes the cycle; a circular pass could never report completion
+/// with a budget smaller than the table. Update hooks and data-node reclamation come from
+/// the list operations too (see `tests/node_reclaim.rs`).
 impl<M: Mode> Collectible for VcasHashMap<M> {
     fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
-        let sweep = self.sweep.visit(op, budget, resume);
-        list::visit_cells(&self.mode, &self.buckets, sweep, guard)
+        let mut sweep = self.sweep.visit(op, budget, resume);
+        for (idx, head) in self.buckets.iter().enumerate().skip(sweep.segment()) {
+            if !list::visit_segment(&self.mode, idx, std::slice::from_ref(head), &mut sweep, guard)
+            {
+                break;
+            }
+        }
+        sweep.finish()
     }
 }
 

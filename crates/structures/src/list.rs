@@ -11,10 +11,12 @@
 //! scans (Table 1 rows for the Harris linked list).
 //!
 //! There is no sentinel node: a list *is* its head cell. The operations below take that
-//! cell from the caller, and the predecessor a search returns is a cell too — the head
+//! cell from the caller, and the predecessor a search returns holds a cell too — the head
 //! cell or a node's `next` — so every CAS goes through one kind of reference. The same
-//! functions serve [`HarrisList`], which holds one head cell, and [`crate::VcasHashMap`],
-//! whose buckets are head cells sharing the table's one mode and sweep cursor.
+//! functions serve [`HarrisList`], which holds one head cell, [`crate::VcasHashMap`],
+//! whose buckets are head cells sharing the table's one mode and sweep cursor, and
+//! [`crate::VcasSkipList`], whose head is a tower of head cells and each of whose levels
+//! is a Harris list over the nodes' cells at that level ([`ListNode`]).
 
 use std::mem::ManuallyDrop;
 use std::sync::Arc;
@@ -31,7 +33,26 @@ use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
 use crate::view::{MapSnapshotView, SnapshotSource};
 
 /// Deletion mark stored in the low bit of a node's next pointer.
-const MARK: usize = 1;
+pub(crate) const MARK: usize = 1;
+
+/// A node the Harris operations run on: a key, a value and its cells, one per level it
+/// can be linked at — a list node has one, a skip-list node a tower. A cell at a level
+/// points at the node's successor at that level, and its mark deletes the node there.
+///
+/// A node on several levels implements this for [`Versioned`] only: the plain-mode
+/// retirement at a won unlink CAS ([`search`]) is sound only for a node on one list.
+pub(crate) trait ListNode<M: Mode>:
+    VersionReferenced + Send + Sync + Sized + 'static
+{
+    fn key(&self) -> Key;
+    fn value(&self) -> Value;
+    /// The node's cells, level 0 first.
+    fn tower(&self) -> &[NextCell<M, Self>];
+}
+
+/// A head or next cell: one word in either mode — a plain [`vcas_ebr::Atomic`], or a
+/// managed (reference-counting) versioned cell whose camera the mode supplies.
+pub(crate) type NextCell<M, N = Node<M>> = <M as Mode>::Cell<N, Managed<N>>;
 
 pub(crate) struct Node<M: Mode> {
     key: Key,
@@ -43,13 +64,15 @@ pub(crate) struct Node<M: Mode> {
     refs: AtomicU64,
 }
 
-/// A head or next cell: one word in either mode — a plain [`vcas_ebr::Atomic`], or a
-/// managed (reference-counting) versioned cell whose camera the mode supplies.
-pub(crate) type NextCell<M> = <M as Mode>::Cell<Node<M>, Managed<Node<M>>>;
-
-impl<M: Mode> Node<M> {
-    fn new(key: Key, value: Value, next: NextCell<M>) -> Node<M> {
-        Node { key, value, next, refs: AtomicU64::new(1) }
+impl<M: Mode> ListNode<M> for Node<M> {
+    fn key(&self) -> Key {
+        self.key
+    }
+    fn value(&self) -> Value {
+        self.value
+    }
+    fn tower(&self) -> &[NextCell<M>] {
+        std::slice::from_ref(&self.next)
     }
 }
 
@@ -70,133 +93,165 @@ unsafe impl<M: Mode> VersionReferenced for Node<M> {
     }
 }
 
-// ----- the Harris operations, over a head cell the caller holds ---------------------------
+// ----- the Harris operations, over cells the caller holds -----------------------------------
 
 /// An empty list's head cell.
-pub(crate) fn empty<M: Mode>(mode: &M) -> NextCell<M> {
+pub(crate) fn empty<M: Mode, N: ListNode<M>>(mode: &M) -> NextCell<M, N> {
     mode.cell(Shared::null()).expect("null is live")
 }
 
-/// Finds the first unmarked node with key `>= key` (null if none) and the cell that points
-/// at it — `head` itself or a node's `next` — unlinking any marked nodes on the way
-/// (Harris/Michael search). The node is returned as the pointer the caller CASes against
-/// and, when non-null, as a reference.
-fn search<'g, M: Mode>(
+/// Where a key belongs on one level: `pred`, whose cell at that level points at the
+/// position (the search's start tower or the tower of a node before it); `curr`, the
+/// first unmarked node with a key at or above it (null if none); and `curr` as a node.
+pub(crate) type Position<'g, M, N> = (&'g [NextCell<M, N>], Shared<'g, N>, Option<&'g N>);
+
+/// Harris's search on `level`, from `start[level]`: finds the [`Position`] of `key`,
+/// splicing out the marked nodes on the way. `Err` when a splice CAS lost — its
+/// predecessor cell changed, or is marked for good — and the caller decides where to
+/// search again: a list from its head cell, which is never marked; a skip list from the
+/// top of its head tower, since a marked tower cell would fail every retry.
+pub(crate) fn search<'g, M: Mode, N: ListNode<M>>(
     mode: &M,
-    head: &'g NextCell<M>,
+    start: &'g [NextCell<M, N>],
+    level: usize,
     key: Key,
     guard: &'g Guard,
-) -> (&'g NextCell<M>, Shared<'g, Node<M>>, Option<&'g Node<M>>) {
-    'retry: loop {
-        let mut pred = head;
-        let mut curr = head.load(mode, guard).with_tag(0);
-        loop {
-            // SAFETY: `curr` was read (tag stripped) from a cell under `guard`, so a
-            // non-null `curr` cannot be freed while we hold the pin.
-            let Some(curr_ref) = (unsafe { curr.as_ref() }) else {
-                return (pred, curr, None);
-            };
-            let succ = curr_ref.next.load(mode, guard);
-            if succ.tag() == MARK {
-                // `curr` is logically deleted: splice it out before continuing.
-                if !pred.compare_exchange(mode, curr, succ.with_tag(0), guard) {
-                    continue 'retry;
-                }
-                if !M::VERSIONED {
-                    // SAFETY: we won the unlink CAS, so this thread is the unique
-                    // retirer of `curr`; readers that still see it are pinned.
-                    unsafe { guard.defer_destroy(curr) };
-                }
-                curr = succ.with_tag(0);
-            } else {
-                if curr_ref.key >= key {
-                    return (pred, curr, Some(curr_ref));
-                }
-                pred = &curr_ref.next;
-                curr = succ.with_tag(0);
+) -> Result<Position<'g, M, N>, ()> {
+    let mut pred = start;
+    let mut curr = start[level].load(mode, guard).with_tag(0);
+    loop {
+        // SAFETY: `curr` was read (tag stripped) from a cell under `guard`, so a non-null
+        // `curr` cannot be freed while we hold the pin.
+        let Some(curr_ref) = (unsafe { curr.as_ref() }) else {
+            return Ok((pred, curr, None));
+        };
+        let succ = curr_ref.tower()[level].load(mode, guard);
+        if succ.tag() == MARK {
+            // `curr` is logically deleted: splice it out before continuing.
+            if !pred[level].compare_exchange(mode, curr, succ.with_tag(0), guard) {
+                return Err(());
             }
+            if !M::VERSIONED {
+                // SAFETY: we won the unlink CAS, so this thread is the unique retirer of
+                // `curr` (a plain node is on one list); readers that still see it are
+                // pinned.
+                unsafe { guard.defer_destroy(curr) };
+            }
+        } else if curr_ref.key() >= key {
+            return Ok((pred, curr, Some(curr_ref)));
+        } else {
+            pred = curr_ref.tower();
+        }
+        curr = succ.with_tag(0);
+    }
+}
+
+/// Publishes `node` at `pred` in place of `curr` — an insert's linearization point — and
+/// hands the creator reference to the version that now points at it. When the CAS loses,
+/// the node was never shared and is destroyed, releasing what its cells hold; `None`
+/// tells the caller to search again.
+pub(crate) fn publish<'g, M: Mode, N: ListNode<M>>(
+    mode: &M,
+    pred: &NextCell<M, N>,
+    curr: Shared<'_, N>,
+    node: N,
+    guard: &'g Guard,
+) -> Option<Shared<'g, N>> {
+    let new = Owned::new(node).into_shared(guard);
+    if let Some(camera) = mode.camera() {
+        camera.note_nodes_created(1);
+    }
+    if pred.compare_exchange(mode, curr, new, guard) {
+        if let Some(camera) = mode.camera() {
+            // Published: `pred`'s new head version holds a counted reference, so the
+            // creator reference is handed off (see [`VersionReferenced`]).
+            release_node_ref(new, camera, guard);
+        }
+        return Some(new);
+    }
+    // SAFETY: the publish CAS failed, so `new` was never shared — this thread still
+    // exclusively owns the allocation.
+    let node = unsafe { Box::from_raw(new.as_raw()) };
+    match mode.camera() {
+        Some(camera) => {
+            camera.note_nodes_dropped(1);
+            VersionReferenced::destroy(node, camera);
+        }
+        None => drop(node),
+    }
+    None
+}
+
+/// Marks `node` deleted at `level`, retrying on the same node while its cell changes
+/// under the CAS. `Some` with the successor it marked when this call set the mark (at
+/// level 0, the remove's linearization point); `None` when the cell was already marked.
+pub(crate) fn mark<'g, M: Mode, N: ListNode<M>>(
+    mode: &M,
+    node: &'g N,
+    level: usize,
+    guard: &'g Guard,
+) -> Option<Shared<'g, N>> {
+    let cell = &node.tower()[level];
+    let mut attempts = 0u32;
+    loop {
+        crate::backoff(&mut attempts);
+        let succ = cell.load(mode, guard);
+        if succ.tag() == MARK {
+            return None;
+        }
+        let won = cell.compare_exchange(mode, succ, succ.with_tag(MARK), guard);
+        // `vcas_weaken_mark` is a deliberate mutation for the model-checker regression in
+        // crates/analysis/tests/model_structures.rs: a lost mark CAS counts as won, so a
+        // concurrent insert or unlink at `node`'s cell can be silently undone (stock
+        // builds never set the cfg).
+        if won || cfg!(vcas_weaken_mark) {
+            return Some(succ);
         }
     }
 }
 
 /// Inserts `key` into the list at `head`; returns `false` if already present.
 pub(crate) fn insert<M: Mode>(mode: &M, head: &NextCell<M>, key: Key, value: Value) -> bool {
-    let guard = pin();
+    let (guard, head) = (pin(), std::slice::from_ref(head));
     let mut attempts = 0u32;
     loop {
         crate::backoff(&mut attempts);
-        let (pred, curr, found) = search(mode, head, key, &guard);
+        let Ok((pred, curr, found)) = search(mode, head, 0, key, &guard) else { continue };
         if found.is_some_and(|node| node.key == key) {
             return false;
         }
         // `curr` may have been unlinked and retired since `search` read it.
         let Some(next) = mode.cell(curr) else { continue };
-        let new = Owned::new(Node::new(key, value, next)).into_shared(&guard);
-        if let Some(camera) = mode.camera() {
-            camera.note_nodes_created(1);
-        }
-        if pred.compare_exchange(mode, curr, new, &guard) {
+        let node = Node { key, value, next, refs: AtomicU64::new(1) };
+        if publish(mode, &pred[0], curr, node, &guard).is_some() {
             if let Some(camera) = mode.camera() {
-                // Published: `pred`'s new head version holds a counted reference, so
-                // the creator reference is handed off (see [`VersionReferenced`]).
-                release_node_ref(new, camera, &guard);
                 camera.reclaim_tick(&guard);
             }
             return true;
-        }
-        // Not published: free and retry. (In versioned mode the node's cell still
-        // holds a counted reference to `curr`; destroying the node releases it.)
-        // SAFETY: the publish CAS failed, so `new` was never shared — this thread
-        // still exclusively owns the allocation.
-        let node = unsafe { Box::from_raw(new.as_raw()) };
-        match mode.camera() {
-            Some(camera) => {
-                camera.note_nodes_dropped(1);
-                VersionReferenced::destroy(node, camera);
-            }
-            None => drop(node),
         }
     }
 }
 
 /// Removes `key` from the list at `head`; returns `false` if not present.
 pub(crate) fn remove<M: Mode>(mode: &M, head: &NextCell<M>, key: Key) -> bool {
-    let guard = pin();
-    let mut attempts = 0u32;
-    loop {
-        crate::backoff(&mut attempts);
-        let (pred, curr, found) = search(mode, head, key, &guard);
-        let Some(node) = found.filter(|node| node.key == key) else { return false };
-        let succ = node.next.load(mode, &guard);
-        if succ.tag() == MARK {
-            continue;
+    let (guard, head) = (pin(), std::slice::from_ref(head));
+    let (pred, curr, found) = loop {
+        if let Ok(at) = search(mode, head, 0, key, &guard) {
+            break at;
         }
-        // Logical delete: set the mark bit (the operation's linearization point).
-        #[cfg(not(vcas_weaken_mark))]
-        let mark_won = node.next.compare_exchange(mode, succ, succ.with_tag(MARK), &guard);
-        // Deliberate mutation for the model-checker regression in
-        // crates/analysis/tests/model_structures.rs: treat a lost mark CAS as won, so
-        // a concurrent insert into `node.next` can be silently dropped (stock builds
-        // never set the cfg).
-        #[cfg(vcas_weaken_mark)]
-        let mark_won = {
-            let _ = node.next.compare_exchange(mode, succ, succ.with_tag(MARK), &guard);
-            true
-        };
-        if !mark_won {
-            continue;
-        }
-        // Physical unlink (best effort; search() will finish it otherwise).
-        if pred.compare_exchange(mode, curr, succ.with_tag(0), &guard) && !M::VERSIONED {
-            // SAFETY: we marked `curr` and won the unlink CAS, so this thread is its
-            // unique retirer; readers that still see it are pinned.
-            unsafe { guard.defer_destroy(curr) };
-        }
-        if let Some(camera) = mode.camera() {
-            camera.reclaim_tick(&guard);
-        }
-        return true;
+    };
+    let Some(node) = found.filter(|node| node.key == key) else { return false };
+    let Some(succ) = mark(mode, node, 0, &guard) else { return false };
+    // Physical unlink (best effort; search() will finish it otherwise).
+    if pred[0].compare_exchange(mode, curr, succ.with_tag(0), &guard) && !M::VERSIONED {
+        // SAFETY: we marked `curr` and won the unlink CAS, so this thread is its unique
+        // retirer; readers that still see it are pinned.
+        unsafe { guard.defer_destroy(curr) };
     }
+    if let Some(camera) = mode.camera() {
+        camera.reclaim_tick(&guard);
+    }
+    true
 }
 
 /// The value stored with `key` in the list at `head`, if present.
@@ -204,97 +259,74 @@ pub(crate) fn get<M: Mode>(mode: &M, head: &NextCell<M>, key: Key) -> Option<Val
     cursor(mode, head, None, &pin(), key, key).next().map(|(_, v)| v)
 }
 
-/// The list's one ordered cursor: the live pairs with `lo <= key <= hi` in the list at
-/// `head` as of `handle` (the current state when `None`), read under `guard`. Views use
-/// it, and so does the hash map, whose buckets all share one camera: a cross-bucket query
-/// reads every bucket at one handle under one guard. A list has no index, so positioning
-/// at `lo` is `O(position)`, but early-stopping consumers (`get`, `find_if`,
-/// `successors`) never touch the tail.
-pub(crate) fn cursor<'g, M: Mode>(
+/// The one ordered cursor: the live pairs with `lo <= key <= hi` on the level-0 list from
+/// `start` as of `handle` (the current state when `None`), read under `guard`. Views use
+/// it, the hash map, whose buckets all share one camera, reads every bucket at one handle
+/// under one guard, and the skip list starts it at the level-0 cell its descent reached.
+/// From a list's head, positioning at `lo` is `O(position)`, but early-stopping consumers
+/// (`get`, `find_if`, `successors`) never touch the tail.
+pub(crate) fn cursor<'g, M: Mode, N: ListNode<M>>(
     mode: &'g M,
-    head: &NextCell<M>,
+    start: &NextCell<M, N>,
     handle: Option<SnapshotHandle>,
     guard: &'g Guard,
     lo: Key,
     hi: Key,
 ) -> impl Iterator<Item = (Key, Value)> + 'g {
-    walk(mode, head, handle, guard, hi)
-        .filter(move |&(node, marked)| !marked && node.key >= lo)
-        .map(|(node, _)| (node.key, node.value))
+    walk(mode, start, handle, guard, hi)
+        .filter(move |&(node, marked)| !marked && node.key() >= lo)
+        .map(|(node, _)| (node.key(), node.value()))
 }
 
-/// The nodes of the list at `head` as of `handle`, in key order up to the first key above
-/// `hi`, each with whether it was marked (deleted) at `handle`. Marked nodes are included:
-/// their cells hold versions too.
-fn walk<'g, M: Mode>(
+/// The nodes of the level-0 list from `start` as of `handle`, in key order up to the
+/// first key above `hi`, each with whether it was marked (deleted) at `handle`. Marked
+/// nodes are included: their cells hold versions too. One pointer chase per node, and no
+/// node is read before the one ahead of it is taken.
+fn walk<'g, M: Mode, N: ListNode<M>>(
     mode: &'g M,
-    head: &NextCell<M>,
+    start: &NextCell<M, N>,
     handle: Option<SnapshotHandle>,
     guard: &'g Guard,
     hi: Key,
-) -> Walk<'g, M> {
-    Walk { curr: head.load_at(mode, handle, guard).with_tag(0), mode, handle, guard, hi }
-}
-
-/// See [`walk`]: one pointer chase per node, and no node is read before the one ahead of
-/// it is taken.
-struct Walk<'g, M: Mode> {
-    /// The next node to examine, or null.
-    curr: Shared<'g, Node<M>>,
-    mode: &'g M,
-    handle: Option<SnapshotHandle>,
-    guard: &'g Guard,
-    hi: Key,
-}
-
-impl<'g, M: Mode> Iterator for Walk<'g, M> {
-    type Item = (&'g Node<M>, bool);
-
-    fn next(&mut self) -> Option<(&'g Node<M>, bool)> {
+) -> impl Iterator<Item = (&'g N, bool)> + 'g {
+    let mut curr = start.load_at(mode, handle, guard).with_tag(0);
+    std::iter::from_fn(move || {
         // SAFETY: `curr` was read from a cell (or version) under `guard`, whose pin — and
-        // the snapshot pin, when historical — outlives the walk.
-        let node = unsafe { self.curr.as_ref() }?;
-        if node.key > self.hi {
-            // Key order: every later node (dead ones included) is larger.
-            self.curr = Shared::null();
-            return None;
-        }
-        let next = node.next.load_at(self.mode, self.handle, self.guard);
-        self.curr = next.with_tag(0);
+        // the snapshot pin, when historical — outlives the walk. Key order: every node
+        // after one above `hi` (dead ones included) is larger.
+        let node = unsafe { curr.as_ref() }.filter(|node| node.key() <= hi)?;
+        let next = node.tower()[0].load_at(mode, handle, guard);
+        curr = next.with_tag(0);
         Some((node, next.tag() == MARK))
-    }
+    })
 }
 
-/// The cell visitor of the lists at `heads` ([`Collectible::visit_cells`] for the list
-/// and the hash map): one segment per head cell, its *physical* list (marked nodes
-/// included — their history is what truncation releases) in key order. Finishing the
-/// last head completes the cycle; a circular pass could never report completion with a
-/// budget smaller than the table.
-pub(crate) fn visit_cells<M: Mode>(
+/// Reports segment `segment` of a cell visit: the head cells `head`, then each node of the
+/// *physical* level-0 list from `head[0]` (marked nodes included — their history is what
+/// truncation releases) in key order, its whole tower at once. `false` when the sweep
+/// stopped.
+pub(crate) fn visit_segment<M: Mode, N: ListNode<M>>(
     mode: &M,
-    heads: &[NextCell<M>],
-    mut sweep: Sweep<'_>,
+    segment: usize,
+    head: &[NextCell<M, N>],
+    sweep: &mut Sweep<'_>,
     guard: &Guard,
-) -> Visit {
-    for (idx, head) in heads.iter().enumerate().skip(sweep.segment()) {
-        if !sweep.node(idx, None, mode, [head], guard) {
-            return sweep.finish();
-        }
-        for (node, _) in walk(mode, head, None, guard, Key::MAX) {
-            if !sweep.node(idx, Some(node.key), mode, [&node.next], guard) {
-                return sweep.finish();
-            }
-        }
-    }
-    sweep.finish()
+) -> bool {
+    sweep.node(segment, None, mode, head, guard)
+        && walk(mode, &head[0], None, guard, Key::MAX)
+            .all(|(node, _)| sweep.node(segment, Some(node.key()), mode, node.tower(), guard))
 }
 
-/// Tears down a dropped structure's head cells. A plain structure frees the nodes they
-/// still reach; its unlinked nodes were retired to EBR at their unlink CAS. A versioned
-/// one destroys the head cells, which releases the references their versions hold, and
-/// reclamation cascades through exactly the nodes that thereby become unreferenced
-/// (deferred through EBR; `vcas_ebr::drain` at a quiescent point settles the counters).
-pub(crate) fn destroy<M: Mode>(mode: &M, heads: impl IntoIterator<Item = NextCell<M>>) {
+/// Tears down a dropped structure's head cells. A plain structure (its nodes on one list
+/// each) frees the nodes they still reach; its unlinked nodes were retired to EBR at their
+/// unlink CAS. A versioned one destroys the head cells, which releases the references
+/// their versions hold, and reclamation cascades through exactly the nodes that thereby
+/// become unreferenced (deferred through EBR; `vcas_ebr::drain` at a quiescent point
+/// settles the counters).
+pub(crate) fn destroy<M: Mode, N: ListNode<M>>(
+    mode: &M,
+    heads: impl IntoIterator<Item = NextCell<M, N>>,
+) {
     if let Some(camera) = mode.camera() {
         for head in heads {
             head.destroy(camera);
@@ -309,7 +341,7 @@ pub(crate) fn destroy<M: Mode>(mode: &M, heads: impl IntoIterator<Item = NextCel
             // node on the chain is still allocated (unlinked ones were retired to EBR, not
             // freed), was allocated via `Owned`, and appears on the chain exactly once.
             let node = unsafe { Box::from_raw(curr.as_raw()) };
-            curr = node.next.load(mode, &guard).with_tag(0);
+            curr = node.tower()[0].load(mode, &guard).with_tag(0);
         }
     }
 }
@@ -375,11 +407,6 @@ impl<M: Mode> HarrisList<M> {
         get(&self.mode, &self.head, key)
     }
 
-    // ----- snapshot queries --------------------------------------------------------------
-    //
-    // Every multi-point query runs against a [`HarrisListView`] through the
-    // [`MapSnapshotView`] trait: one snapshot, one EBR pin, arbitrarily many reads.
-
     /// Opens a pinned snapshot view of the list's state right now (the primary multi-point
     /// query surface; see [`crate::view`]). In plain mode the view reads current state.
     pub fn view(&self) -> HarrisListView<'_, M> {
@@ -395,11 +422,12 @@ impl<M: Mode> HarrisList<M> {
     }
 }
 
-/// The one-head case of the cell visitor the hash map runs over its buckets.
+/// One segment: the head cell, then the physical list ([`visit_segment`]).
 impl<M: Mode> Collectible for HarrisList<M> {
     fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
-        let sweep = self.sweep.visit(op, budget, resume);
-        visit_cells(&self.mode, std::slice::from_ref(&*self.head), sweep, guard)
+        let mut sweep = self.sweep.visit(op, budget, resume);
+        visit_segment(&self.mode, 0, std::slice::from_ref(&*self.head), &mut sweep, guard);
+        sweep.finish()
     }
 }
 

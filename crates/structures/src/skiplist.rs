@@ -1,54 +1,49 @@
 //! A lock-free skip list whose tower pointers are vCAS-versioned: the ordered structure
 //! the streaming range-scan engine is built on.
 //!
-//! The point-operation skeleton is the classic lock-free skip list (Fraser / Herlihy &
-//! Shavit): every node carries a *tower* of next-pointers, a node is logically deleted by
-//! tagging its next-pointers with a mark bit (top-down, the **level-0 mark is the
-//! linearization point**), and traversals physically snip marked nodes as they pass. The
-//! vCAS twist is the paper's §4 recipe: every tower cell is a versioned [`PtrCell`] on one
-//! shared [`Camera`], so the whole structure is snapshot-able in constant time and a
-//! pinned view answers arbitrarily many ordered queries — `range`, `successors`,
-//! `find_if`, full scans — **in `O(log n + k)`** by descending the tower inside the
-//! snapshot instead of materializing and sorting the whole set.
+//! Level 0 is a Harris list and each upper level indexes it (Fraser's skip list). Every
+//! level runs on the list's Harris operations ([`crate::list`], through [`ListNode`]): the
+//! search that splices out marked nodes, the mark, the publication and the cursor. What
+//! is the skip list's own is the tower: random heights, the descent through the upper
+//! levels, linking a published node into them, and marking them top-down before level 0,
+//! whose mark is a remove's **linearization point** as the level-0 publication is an
+//! insert's. The head is a tower of [`MAX_HEIGHT`] head cells, as a list is its head cell.
 //!
-//! Reclamation follows PR 5's node-conservation protocol exactly (see
-//! [`VersionReferenced`]): tower cells are created with
-//! [`PtrCell::fresh`] (the initial successor held directly) and the [`Managed`] hook, so every retained version holds a counted
-//! reference to the node it points at; unlink CASes never free nodes directly — a node is
-//! retired when the last version referencing it is truncated. The list registers as a
-//! [`Collectible`] with a bounded, resumable level-0 cursor.
+//! The vCAS twist is the paper's §4 recipe: every tower cell is a versioned, managed cell
+//! on one [`Camera`], so a pinned view answers ordered queries — `range`, `successors`,
+//! `find_if`, full scans — **in `O(log n + k)`** by descending the towers inside the
+//! snapshot, and a node is retired when the last version referencing it is truncated
+//! ([`VersionReferenced`]). There is no `Plain` mode: a plain node unlinked at level 0 may
+//! still be reachable from the upper levels, so it cannot be retired at that unlink the way
+//! a plain list node is.
 //!
 //! # Snapshot descent soundness
 //!
-//! A snapshot traversal reads every cell with `load_snapshot(handle)`. At level 0 this is
-//! exact: the pointers at timestamp `ts` form precisely the list as of `ts`, and a node is
-//! a member iff its own level-0 cell was unmarked at `ts`. Upper levels are used **only to
-//! position** the level-0 walk, and one rule keeps that sound: a node may be adopted as a
-//! descent *waypoint* only if it is a member at `ts` (its level-0 cell at `ts` is
-//! unmarked). A node that was dead at `ts` may still be walked *through* at an upper level
-//! (its frozen pointers are genuine `ts`-time pointers, and keys strictly increase along
-//! them, so the walk terminates), but descending *from* it would be wrong: a dead node's
-//! frozen next-pointer can skip members inserted between its unlink time and `ts`. Every
-//! adopted waypoint is live at `ts`, so its pointers at `ts` are the true successors and
-//! the final level-0 walk starts on the real `ts`-list.
+//! At level 0 a read at timestamp `ts` is exact: the pointers at `ts` form the list as of
+//! `ts`, and a node is a member iff its level-0 cell was unmarked at `ts`. Upper levels
+//! only **position** the level-0 cursor, and one rule keeps that sound: a node is adopted
+//! as a descent *waypoint* only if it is a member at `ts`. A node dead at `ts` may be
+//! walked *through* at an upper level (its frozen pointers are genuine `ts`-time pointers
+//! and keys strictly increase along them), but descending *from* it could skip members
+//! inserted between its unlink and `ts`. Reads of the current state descend by the same
+//! rule.
 
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 use vcas_core::sync::{AtomicU64, Ordering};
 
 use vcas_core::reclaim::{CellOp, Collectible, SweepCursor, Visit};
 use vcas_core::{
-    release_node_ref, Camera, CameraAttached, Managed, Mode, PinnedSnapshot, PtrCell,
-    RetentionError, SnapshotHandle, VersionReferenced, Versioned,
+    Camera, CameraAttached, Mode, PinnedSnapshot, PointerCell, RetentionError, SnapshotHandle,
+    VersionReferenced, Versioned,
 };
-use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
+use vcas_ebr::{pin, Guard, Shared};
 
+use crate::list::{self, ListNode, NextCell, MARK};
 use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
 use crate::view::{MapSnapshotView, SnapshotSource};
 
-/// Mark bit on a tower cell: the *owning* node is logically deleted at that level.
-const MARK: usize = 1;
-
-/// Tallest tower a node may have (head always has this height). 2^20 keys keep the
+/// Tallest tower a node may have (the head tower has this height). 2^20 keys keep the
 /// expected search path logarithmic at every size the harness uses.
 pub const MAX_HEIGHT: usize = 20;
 
@@ -62,6 +57,24 @@ struct Node {
     /// Version-held reference count: one reference per retained version (in any cell)
     /// pointing at this node, plus the creator reference until publication.
     refs: AtomicU64,
+}
+
+/// A tower cell: one word, versioned on the list's camera, counting references to the
+/// node it points at.
+type TowerCell = NextCell<Versioned, Node>;
+
+/// Versioned only (see the module docs): no plain-mode list operation reaches a skip-list
+/// node.
+impl ListNode<Versioned> for Node {
+    fn key(&self) -> Key {
+        self.key
+    }
+    fn value(&self) -> Value {
+        self.value
+    }
+    fn tower(&self) -> &[TowerCell] {
+        &self.tower
+    }
 }
 
 /// SAFETY: `refs` is touched only by the version-reference protocol, and the list only
@@ -83,17 +96,18 @@ unsafe impl VersionReferenced for Node {
     }
 }
 
-/// A tower cell: one word, versioned on the list's camera, counting references to the
-/// node it points at.
-type TowerCell = PtrCell<Node, Managed<Node>>;
+/// Where a key belongs on every level, as [`VcasSkipList::find`] fills it: the last tower
+/// before the key (the head tower or a node's, whose cell at that level is the
+/// predecessor cell) and the first node at or after it.
+type Path<'g> = [(&'g [TowerCell], Shared<'g, Node>); MAX_HEIGHT];
 
 /// The vCAS-versioned lock-free skip list (`VcasSkipList` in benchmark rows).
 ///
-/// Unlike [`crate::bst::Nbbst`] and [`crate::list::HarrisList`] there is no plain mode:
-/// the skip list exists to exercise the versioned ordered-query path, so every instance
-/// is attached to a camera from birth.
+/// Unlike [`crate::bst::Nbbst`] and [`crate::list::HarrisList`] there is no plain mode
+/// (see the module docs): every instance is attached to a camera from birth.
 pub struct VcasSkipList {
-    head: Atomic<Node>,
+    /// The head tower: level `lvl`'s list starts at `head[lvl]`. Taken by `Drop`.
+    head: ManuallyDrop<[TowerCell; MAX_HEIGHT]>,
     /// The camera every tower cell is versioned on, as the mode the cells take.
     mode: Versioned,
     /// Where the next bounded collection pass resumes ([`Collectible`]).
@@ -105,16 +119,10 @@ pub struct VcasSkipList {
 impl VcasSkipList {
     /// Creates a skip list whose tower cells are versioned CAS objects on `camera`.
     pub fn new_versioned(camera: &Arc<Camera>) -> VcasSkipList {
-        let tower = (0..MAX_HEIGHT)
-            .map(|_| TowerCell::fresh(Shared::null(), camera).expect("null is live"))
-            .collect();
-        let head = Node { key: 0, value: 0, tower, refs: AtomicU64::new(1) };
-        // The head sentinel keeps its creator reference (no version node ever points at
-        // it); the destructor frees — and counts — it directly.
-        camera.note_nodes_created(1);
+        let mode = Versioned::new(camera);
         VcasSkipList {
-            head: Atomic::new(head),
-            mode: Versioned::new(camera),
+            head: ManuallyDrop::new(std::array::from_fn(|_| list::empty(&mode))),
+            mode,
             sweep: SweepCursor::default(),
             height_seed: AtomicU64::new(0x5EED_CAFE_F00D_D00D),
         }
@@ -143,114 +151,52 @@ impl VcasSkipList {
         ((z.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
     }
 
-    // ----- search ---------------------------------------------------------------------
-
-    /// The lock-free skip list's `find`: fills `preds[lvl]`/`succs[lvl]` with the last
-    /// node before `key` and the first node at-or-after it on every level, snipping
-    /// marked nodes along the way (restarting from the head when a snip CAS fails).
-    /// Returns `true` iff an unmarked node with `key` was found (it is `succs[0]`).
-    ///
-    /// Snips never free nodes: the replaced version keeps its counted reference to the
-    /// unlinked node until version-list truncation releases it ([`VersionReferenced`]).
-    fn find<'g>(
-        &self,
-        key: Key,
-        preds: &mut [Shared<'g, Node>; MAX_HEIGHT],
-        succs: &mut [Shared<'g, Node>; MAX_HEIGHT],
-        guard: &'g Guard,
-    ) -> bool {
-        'retry: loop {
-            let head = self.head.load(Ordering::SeqCst, guard);
-            let mut pred = head;
+    /// The skip list's `find`: one list [`list::search`] per level, top-down, each from
+    /// the tower the level above ended at, filling `path`. A lost splice restarts the
+    /// descent from the head: the cell it failed on may be a marked tower cell, which a
+    /// search from it would fail on forever. Returns the node holding `key`, if any (it
+    /// is `path[0].1`).
+    fn find<'g>(&'g self, key: Key, path: &mut Path<'g>, guard: &'g Guard) -> Option<&'g Node> {
+        'descend: loop {
+            let mut pred: &[TowerCell] = &*self.head;
             for lvl in (0..MAX_HEIGHT).rev() {
-                // SAFETY: `pred` is the never-null head or a node this traversal read
-                // under `guard`; the pin keeps it allocated.
-                let pred_ref = unsafe { pred.deref() };
-                let mut curr = pred_ref.tower[lvl].load(self.camera(), guard).with_tag(0);
-                // SAFETY: `curr` was read (tag stripped) from a tower cell under `guard`.
-                while let Some(c) = unsafe { curr.as_ref() } {
-                    let succ = c.tower[lvl].load(self.camera(), guard);
-                    if succ.tag() == MARK {
-                        // `curr` is deleted at this level: splice it out. The expected
-                        // value has tag 0, so this can never re-link after a node that
-                        // was itself marked meanwhile — the CAS just fails and we retry.
-                        // SAFETY: `pred` is still pinned by `guard`, as above.
-                        if !unsafe { pred.deref() }.tower[lvl].compare_exchange(
-                            self.camera(),
-                            curr,
-                            succ.with_tag(0),
-                            guard,
-                        ) {
-                            continue 'retry;
-                        }
-                        curr = succ.with_tag(0);
-                    } else if c.key < key {
-                        pred = curr;
-                        curr = succ;
-                    } else {
-                        break;
-                    }
+                let Ok((at, curr, found)) = list::search(&self.mode, pred, lvl, key, guard) else {
+                    continue 'descend;
+                };
+                (pred, path[lvl]) = (at, (at, curr));
+                if lvl == 0 {
+                    return found.filter(|node| node.key == key);
                 }
-                preds[lvl] = pred;
-                succs[lvl] = curr;
             }
-            // SAFETY: `succs[0]` is null or a node read under `guard` in this traversal.
-            let found = unsafe { succs[0].as_ref() }.is_some_and(|c| c.key == key);
-            return found;
         }
     }
-
-    // ----- point operations ------------------------------------------------------------
 
     /// Inserts `key`; returns `false` if already present.
     pub fn insert(&self, key: Key, value: Value) -> bool {
         let guard = pin();
-        let mut preds = [Shared::null(); MAX_HEIGHT];
-        let mut succs = [Shared::null(); MAX_HEIGHT];
+        let mut path = [(&self.head[..], Shared::null()); MAX_HEIGHT];
         let mut attempts = 0u32;
         loop {
             crate::backoff(&mut attempts);
-            if self.find(key, &mut preds, &mut succs, &guard) {
+            if self.find(key, &mut path, &guard).is_some() {
                 return false;
             }
             let height = self.random_height();
             // A successor found by `find` may have been unlinked and retired since; then
             // the tower cannot reference it (the cells built so far are destroyed,
             // releasing their references) and the search starts over.
-            let tower: Vec<TowerCell> = succs[..height]
-                .iter()
-                .map_while(|&succ| TowerCell::fresh(succ, self.camera()))
-                .collect();
+            let tower: Vec<TowerCell> =
+                path[..height].iter().map_while(|&(_, succ)| self.mode.cell(succ)).collect();
             if tower.len() < height {
-                for cell in tower {
-                    cell.destroy(self.camera());
-                }
+                list::destroy(&self.mode, tower);
                 continue;
             }
-            let node =
-                Owned::new(Node { key, value, tower, refs: AtomicU64::new(1) }).into_shared(&guard);
-            self.camera().note_nodes_created(1);
-            // The level-0 CAS is the linearization point of the insert.
-            // SAFETY: `preds[0]` came from `find` under `guard`, which keeps it allocated.
-            if !unsafe { preds[0].deref() }.tower[0].compare_exchange(
-                self.camera(),
-                succs[0],
-                node,
-                &guard,
-            ) {
-                // Never published: we still own the node. Destroying it destroys its
-                // tower cells, releasing the counted references they held on `succs[..]`.
-                self.camera().note_nodes_dropped(1);
-                // SAFETY: the publish CAS failed, so `node` was never shared and this
-                // thread still owns the allocation exclusively.
-                let node = unsafe { Box::from_raw(node.as_raw()) };
-                VersionReferenced::destroy(node, self.camera());
+            let (pred, succ) = path[0];
+            let node = Node { key, value, tower, refs: AtomicU64::new(1) };
+            let Some(node) = list::publish(&self.mode, &pred[0], succ, node, &guard) else {
                 continue;
-            }
-            // Published: the predecessor's level-0 version now holds a counted
-            // reference, so the creator reference is handed off.
-            release_node_ref(node, self.camera(), &guard);
-            self.link_upper(node, height, key, &mut preds, &mut succs, &guard);
+            };
+            self.link_upper(node, height, key, &mut path, &guard);
             self.camera().reclaim_tick(&guard);
             return true;
         }
@@ -260,37 +206,40 @@ impl VcasSkipList {
     /// upper links are an optimization, membership lives at level 0) if the node is
     /// removed while we work.
     fn link_upper<'g>(
-        &self,
+        &'g self,
         node: Shared<'g, Node>,
         height: usize,
         key: Key,
-        preds: &mut [Shared<'g, Node>; MAX_HEIGHT],
-        succs: &mut [Shared<'g, Node>; MAX_HEIGHT],
+        path: &mut Path<'g>,
         guard: &'g Guard,
     ) {
         // SAFETY: the caller published `node` under `guard`; the pin keeps it allocated.
         let node_ref = unsafe { node.deref() };
         for lvl in 1..height {
+            let own_cell = &node_ref.tower[lvl];
             loop {
-                let own = node_ref.tower[lvl].load(self.camera(), guard);
+                let own = own_cell.load(self.camera(), guard);
                 if own.tag() == MARK {
                     return; // concurrently removed: stop linking
                 }
-                let succ = succs[lvl];
+                let (pred, succ) = path[lvl];
                 // Point our own cell at the current successor before splicing in, then
                 // splice. Either CAS fails when its cell moved, and also when it would
                 // reference a retired node (the successor, or our own node once it has
                 // been removed and its last version truncated).
-                let own_ok = own == succ
-                    || node_ref.tower[lvl].compare_exchange(self.camera(), own, succ, guard);
-                // SAFETY: `preds[lvl]` came from `find` under `guard`, which keeps it
-                // allocated.
-                let pred = unsafe { preds[lvl].deref() };
-                if own_ok && pred.tower[lvl].compare_exchange(self.camera(), succ, node, guard) {
+                let own_ok =
+                    own == succ || own_cell.compare_exchange(self.camera(), own, succ, guard);
+                if own_ok && pred[lvl].compare_exchange(self.camera(), succ, node, guard) {
+                    if own_cell.load(self.camera(), guard).tag() == MARK {
+                        // A remove marked this level before the splice landed, and its
+                        // unlinking `find` may already be past: unlink the node here.
+                        self.find(key, path, guard);
+                        return;
+                    }
                     break;
                 }
                 // Re-locate and retry this level.
-                if !self.find(key, preds, succs, guard) || succs[0] != node {
+                if self.find(key, path, guard).is_none() || path[0].1 != node {
                     return; // removed (or replaced by a new node with our key)
                 }
             }
@@ -300,83 +249,25 @@ impl VcasSkipList {
     /// Removes `key`; returns `false` if not present.
     pub fn remove(&self, key: Key) -> bool {
         let guard = pin();
-        let mut preds = [Shared::null(); MAX_HEIGHT];
-        let mut succs = [Shared::null(); MAX_HEIGHT];
-        if !self.find(key, &mut preds, &mut succs, &guard) {
-            return false;
+        let mut path = [(&self.head[..], Shared::null()); MAX_HEIGHT];
+        let Some(node) = self.find(key, &mut path, &guard) else { return false };
+        // Mark the upper cells top-down (racing removers may help), then level 0: exactly
+        // one remover sets that mark, the remove's linearization point.
+        for lvl in (1..node.tower.len()).rev() {
+            list::mark(&self.mode, node, lvl, &guard);
         }
-        let node = succs[0];
-        // SAFETY: `find` returned `true`, so `succs[0]` is a non-null node it read under
-        // `guard`.
-        let n = unsafe { node.deref() };
-        // Mark the upper cells top-down (idempotent; racing removers may help).
-        for lvl in (1..n.tower.len()).rev() {
-            loop {
-                let next = n.tower[lvl].load(self.camera(), &guard);
-                if next.tag() == MARK {
-                    break;
-                }
-                n.tower[lvl].compare_exchange(self.camera(), next, next.with_tag(MARK), &guard);
-            }
+        if list::mark(&self.mode, node, 0, &guard).is_none() {
+            return false; // another remover linearized first
         }
-        // The level-0 mark CAS is the linearization point of the remove; exactly one
-        // remover wins it. A failed CAS means the cell changed under us (a successor
-        // came or went, or a racing mark landed) — reload and retry on the same node;
-        // no re-`find` is needed because the node's identity is fixed once we hold it.
-        let mut attempts = 0u32;
-        loop {
-            let next = n.tower[0].load(self.camera(), &guard);
-            if next.tag() == MARK {
-                return false; // another remover linearized first
-            }
-            #[cfg(not(vcas_weaken_mark))]
-            let mark_won =
-                n.tower[0].compare_exchange(self.camera(), next, next.with_tag(MARK), &guard);
-            // Deliberate mutation for the model-checker regression in
-            // crates/analysis/tests/model_structures.rs: treat a lost level-0 mark CAS as
-            // won, so a remove racing an insert's level-0 publish into the same cell can
-            // report success without ever marking (stock builds never set the cfg).
-            #[cfg(vcas_weaken_mark)]
-            let mark_won = {
-                let _ =
-                    n.tower[0].compare_exchange(self.camera(), next, next.with_tag(MARK), &guard);
-                true
-            };
-            if mark_won {
-                // Physically unlink (best effort; any traversal finishes the job).
-                self.find(key, &mut preds, &mut succs, &guard);
-                self.camera().reclaim_tick(&guard);
-                return true;
-            }
-            crate::backoff(&mut attempts);
-        }
+        // Physically unlink: `find` splices the node out of every level on its path.
+        self.find(key, &mut path, &guard);
+        self.camera().reclaim_tick(&guard);
+        true
     }
 
-    /// Returns the value associated with `key` in the current state (read-only: never
-    /// snips, like Herlihy & Shavit's wait-free `contains`).
+    /// The value stored with `key` in the current state (read-only: never splices).
     pub fn get(&self, key: Key) -> Option<Value> {
-        let guard = pin();
-        let head = self.head.load(Ordering::SeqCst, &guard);
-        let mut pred = head;
-        let mut curr = Shared::null();
-        for lvl in (0..MAX_HEIGHT).rev() {
-            // SAFETY: `pred` is the never-null head or a node read under `guard`.
-            curr = unsafe { pred.deref() }.tower[lvl].load(self.camera(), &guard).with_tag(0);
-            // SAFETY: `curr` was read (tag stripped) from a tower cell under `guard`.
-            while let Some(c) = unsafe { curr.as_ref() } {
-                let succ = c.tower[lvl].load(self.camera(), &guard);
-                if succ.tag() == MARK {
-                    curr = succ.with_tag(0); // jump over a deleted node
-                } else if c.key < key {
-                    pred = curr;
-                    curr = succ;
-                } else {
-                    break;
-                }
-            }
-        }
-        // SAFETY: `curr` is null or a node read under `guard`, which is still held.
-        unsafe { curr.as_ref() }.filter(|c| c.key == key).map(|c| c.value)
+        self.range(key, key, None, &pin()).next().map(|(_, v)| v)
     }
 
     /// Does the current state contain `key`?
@@ -384,63 +275,76 @@ impl VcasSkipList {
         self.get(key).is_some()
     }
 
-    // ----- snapshot views ---------------------------------------------------------------
+    /// The level-0 cell to start the list cursor at for keys `>= lo`, as of `handle` (the
+    /// current state when `None`): a descent through the upper levels that adopts only
+    /// waypoints live at `handle` (see the module docs).
+    fn seek<'g>(
+        &'g self,
+        lo: Key,
+        handle: Option<SnapshotHandle>,
+        guard: &'g Guard,
+    ) -> &'g TowerCell {
+        let mut way: &[TowerCell] = &*self.head;
+        for lvl in (1..MAX_HEIGHT).rev() {
+            let mut curr = way[lvl].load_at(&self.mode, handle, guard).with_tag(0);
+            // SAFETY: `curr` was read (tag stripped) under `guard`; the guard, and the
+            // snapshot pin when `handle` is set, keep every node such a read returns
+            // allocated for `'g`.
+            while let Some(c) = unsafe { curr.as_ref() } {
+                if c.key >= lo {
+                    break;
+                }
+                if c.tower[0].load_at(&self.mode, handle, guard).tag() != MARK {
+                    way = &c.tower;
+                }
+                curr = c.tower[lvl].load_at(&self.mode, handle, guard).with_tag(0);
+            }
+        }
+        &way[0]
+    }
+
+    /// The live pairs with `lo <= key <= hi` as of `handle`: [`Self::seek`], then the list
+    /// cursor on level 0.
+    fn range<'g>(
+        &'g self,
+        lo: Key,
+        hi: Key,
+        handle: Option<SnapshotHandle>,
+        guard: &'g Guard,
+    ) -> impl Iterator<Item = (Key, Value)> + 'g {
+        list::cursor(&self.mode, self.seek(lo, handle, guard), handle, guard, lo, hi)
+    }
 
     /// Opens a pinned snapshot view of the list's state right now (the primary
     /// multi-point query surface; see [`crate::view`]).
     pub fn view(&self) -> VcasSkipListView<'_> {
-        let pinned = self.camera().pin_snapshot();
-        let handle = pinned.handle();
-        VcasSkipListView { list: self, _pin: pinned, handle, guard: pin() }
+        VcasSkipListView::new(self, self.camera().pin_snapshot())
     }
 
     /// Opens a view of the list **as of** timestamp `ts` — any retained timestamp. Fails
     /// with the same [`RetentionError`] semantics as every other versioned structure.
     pub fn view_at(&self, ts: u64) -> Result<VcasSkipListView<'_>, RetentionError> {
-        let pinned = self.camera().pin_snapshot_at(ts)?;
-        let handle = pinned.handle();
-        Ok(VcasSkipListView { list: self, _pin: pinned, handle, guard: pin() })
+        Ok(VcasSkipListView::new(self, self.camera().pin_snapshot_at(ts)?))
     }
 }
 
-/// The cell visitor walks the *physical* level-0 list (marked nodes included — their
-/// history is exactly what truncation releases) in key order, a whole tower per node, so
-/// a bounded pass may overshoot its budget by up to `MAX_HEIGHT - 1` cells; in exchange
-/// the resume state is a single key. The head's tower goes first.
+/// The cell visitor walks the head tower, then the *physical* level-0 list (marked nodes
+/// included — their history is exactly what truncation releases) in key order, a whole
+/// tower per node, so a bounded pass may overshoot its budget by up to `MAX_HEIGHT - 1`
+/// cells; in exchange the resume state is a single key.
 impl Collectible for VcasSkipList {
     fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
         let mut sweep = self.sweep.visit(op, budget, resume);
-        // SAFETY: the head sentinel is allocated in the constructor and never null.
-        let head = unsafe { self.head.load(Ordering::SeqCst, guard).deref() };
-        let mut key = None;
-        let mut node = Some(head);
-        while let Some(n) = node {
-            if !sweep.node(0, key, &self.mode, &n.tower, guard) {
-                break;
-            }
-            // SAFETY: read (tag stripped) from a level-0 cell under `guard`.
-            node = unsafe { n.tower[0].load(self.camera(), guard).with_tag(0).as_ref() };
-            key = node.map(|n| n.key);
-        }
+        list::visit_segment(&self.mode, 0, &*self.head, &mut sweep, guard);
         sweep.finish()
     }
 }
 
 impl Drop for VcasSkipList {
     fn drop(&mut self) {
-        // Exclusive access. Every node but the head is owned by the version-reference
-        // protocol: destroying the head's tower cells releases the references
-        // their retained versions held, and reclamation cascades through every node of
-        // every retained version (deferred through EBR; `vcas_ebr::drain` at a quiescent
-        // point settles the counters). Only the head, which no version node ever pointed
-        // at, is freed — and counted — here.
-        let guard = pin();
-        let head = self.head.load(Ordering::SeqCst, &guard);
-        self.camera().note_nodes_dropped(1);
-        // SAFETY: `&mut self` is exclusive; the head was allocated by `Atomic::new`, no
-        // version node references it, and it is freed exactly once, here.
-        let head = unsafe { Box::from_raw(head.as_raw()) };
-        VersionReferenced::destroy(head, self.camera());
+        // SAFETY: `drop` runs once and `head` is not used afterwards.
+        let head = unsafe { ManuallyDrop::take(&mut self.head) };
+        list::destroy(&self.mode, head);
     }
 }
 
@@ -457,102 +361,19 @@ pub struct VcasSkipListView<'a> {
     guard: Guard,
 }
 
-impl VcasSkipListView<'_> {
-    /// Is `node` a member at this view's timestamp (level-0 cell unmarked at `ts`)?
-    fn live_at(&self, node: &Node) -> bool {
-        node.tower[0].load_snapshot(self.list.camera(), self.handle, &self.guard).tag() != MARK
-    }
-
-    /// Tower descent at the snapshot: the first node with key `>= lo` that is a member
-    /// at this view's timestamp (see the module docs for the waypoint rule).
-    fn seek(&self, lo: Key) -> Shared<'_, Node> {
-        let head = self.list.head.load(Ordering::SeqCst, &self.guard);
-        let mut way = head;
-        for lvl in (1..MAX_HEIGHT).rev() {
-            // SAFETY: `way` is the never-null head or a node read under the view's guard;
-            // the guard and the snapshot pin keep every node a snapshot read returns
-            // allocated for the view's lifetime.
-            let mut curr = unsafe { way.deref() }.tower[lvl]
-                .load_snapshot(self.list.camera(), self.handle, &self.guard)
-                .with_tag(0);
-            // SAFETY: `curr` came from a snapshot read under the view's guard, as above.
-            while let Some(c) = unsafe { curr.as_ref() } {
-                if c.key >= lo {
-                    break;
-                }
-                // Adopt live nodes as waypoints; walk *through* nodes dead at ts (their
-                // frozen pointers are still ts-time pointers, but descending from them
-                // could skip members inserted after their unlink).
-                if self.live_at(c) {
-                    way = curr;
-                }
-                curr = c.tower[lvl]
-                    .load_snapshot(self.list.camera(), self.handle, &self.guard)
-                    .with_tag(0);
-            }
-        }
-        // Level 0 is exact: walk the ts-list to the first live key >= lo.
-        // SAFETY: `way` is pinned by the view, as above.
-        let way = unsafe { way.deref() };
-        let mut curr =
-            way.tower[0].load_snapshot(self.list.camera(), self.handle, &self.guard).with_tag(0);
-        // SAFETY: `curr` came from a snapshot read under the view's guard, as above.
-        while let Some(c) = unsafe { curr.as_ref() } {
-            let own = c.tower[0].load_snapshot(self.list.camera(), self.handle, &self.guard);
-            if own.tag() != MARK && c.key >= lo {
-                return curr;
-            }
-            curr = own.with_tag(0);
-        }
-        Shared::null()
-    }
-}
-
-/// Streaming range iterator over a pinned skip-list view. `curr` is always a node that is
-/// live at the view's timestamp (or null); advancing chases level-0 snapshot pointers,
-/// skipping nodes dead at the timestamp.
-struct SkipRangeIter<'v, 'a> {
-    view: &'v VcasSkipListView<'a>,
-    curr: Shared<'v, Node>,
-    hi: Key,
-}
-
-impl Iterator for SkipRangeIter<'_, '_> {
-    type Item = (Key, Value);
-
-    fn next(&mut self) -> Option<(Key, Value)> {
-        let view = self.view;
-        // SAFETY: `curr` came from a snapshot read under the view's guard, which the
-        // iterator's borrow of the view keeps held.
-        let c = unsafe { self.curr.as_ref() }?;
-        if c.key > self.hi {
-            self.curr = Shared::null();
-            return None;
-        }
-        let item = (c.key, c.value);
-        let mut next =
-            c.tower[0].load_snapshot(view.list.camera(), view.handle, &view.guard).with_tag(0);
-        // SAFETY: as above, `next` came from a snapshot read under the view's guard.
-        while let Some(n) = unsafe { next.as_ref() } {
-            let own = n.tower[0].load_snapshot(view.list.camera(), view.handle, &view.guard);
-            if own.tag() != MARK {
-                break;
-            }
-            next = own.with_tag(0);
-        }
-        self.curr = next;
-        Some(item)
+impl<'a> VcasSkipListView<'a> {
+    fn new(list: &'a VcasSkipList, pinned: PinnedSnapshot) -> VcasSkipListView<'a> {
+        let handle = pinned.handle();
+        VcasSkipListView { list, _pin: pinned, handle, guard: pin() }
     }
 }
 
 impl MapSnapshotView for VcasSkipListView<'_> {
     fn get(&self, key: Key) -> Option<Value> {
-        let node = self.seek(key);
-        // SAFETY: `seek` read `node` under the view's guard, which is still held.
-        unsafe { node.as_ref() }.filter(|c| c.key == key).map(|c| c.value)
+        self.list.range(key, key, Some(self.handle), &self.guard).next().map(|(_, v)| v)
     }
     fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(SkipRangeIter { view: self, curr: self.seek(lo), hi })
+        Box::new(self.list.range(lo, hi, Some(self.handle), &self.guard))
     }
     fn timestamp(&self) -> Option<SnapshotHandle> {
         Some(self.handle)

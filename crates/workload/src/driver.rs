@@ -45,8 +45,9 @@ const UPDATES: Mix = Mix { insert: 50, delete: 50, range: 0 };
 /// Nodes per key and fixed nodes of a quiescent leaf-oriented BST: a leaf and an internal
 /// node per key, plus the root and its two dummy leaves.
 const BST_NODES: (u64, u64) = (2, 3);
-/// Nodes per key and fixed nodes of a quiescent skip list: one per key plus the head.
-const SKIPLIST_NODES: (u64, u64) = (1, 1);
+/// Nodes per key and fixed nodes of a quiescent skip list: one per key (the head is a tower
+/// of cells, not a node).
+const SKIPLIST_NODES: (u64, u64) = (1, 0);
 
 /// Result of a timed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -646,7 +647,7 @@ pub struct SkipListResult {
 ///   iterator, no matter how the writers churn (scan-while-update frozenness);
 /// * every streamed scan yields keys in strictly ascending order within its window;
 /// * after the pin drops, collection reaches quiescence, version lists collapse to at
-///   most 2 versions, exactly the surviving list is live (`len + 1` nodes), and on
+///   most 2 versions, exactly the surviving list is live (`len` nodes), and on
 ///   structure drop the node counters conserve (`created == retired + dropped`).
 pub fn run_skiplist(spec: &WorkloadSpec, policy: ReclaimPolicy) -> SkipListResult {
     let camera = Camera::new();

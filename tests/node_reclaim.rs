@@ -57,6 +57,19 @@ fn assert_node_conservation<S>(camera: Arc<Camera>, structure: Arc<S>, label: &s
 where
     S: ConcurrentMap + Collectible + Send + Sync + 'static,
 {
+    assert_node_conservation_with(camera, structure, label, |_| {});
+}
+
+/// [`assert_node_conservation`], running `at_quiescence` on the structure once the
+/// quiescence sweep has completed and EBR has drained, before the drop.
+fn assert_node_conservation_with<S>(
+    camera: Arc<Camera>,
+    structure: Arc<S>,
+    label: &str,
+    at_quiescence: impl FnOnce(&S),
+) where
+    S: ConcurrentMap + Collectible + Send + Sync + 'static,
+{
     camera.register_collectible(&structure);
     let stop = Arc::new(AtomicBool::new(false));
     let mut writers = Vec::new();
@@ -99,6 +112,8 @@ where
         let sweep = camera.collect_to_quiescence(1 << 20, 64, &guard);
         assert!(sweep.completed_cycle, "{label}: truncation never reached quiescence");
     }
+    assert_eq!(drain_ebr_settled(), 0, "{label}: EBR could not drain at quiescence");
+    at_quiescence(&structure);
 
     drop(structure);
     let pending = drain_ebr_settled();
@@ -146,7 +161,11 @@ fn vcas_hashmap_conserves_nodes_under_churn_truncation_and_drop() {
 fn vcas_skiplist_conserves_nodes_under_churn_truncation_and_drop() {
     let camera = Camera::new();
     let list = Arc::new(VcasSkipList::new_versioned(&camera));
-    assert_node_conservation(camera, list, "VcasSkipList");
+    let live = camera.clone();
+    // No sentinel: at quiescence the live nodes are exactly the keys.
+    assert_node_conservation_with(camera, list, "VcasSkipList", |list| {
+        assert_eq!(live.approx_live_nodes(), list.view().len() as u64);
+    });
 }
 
 /// The structural half of the tentpole's second leak: with a pin holding `min_active`
