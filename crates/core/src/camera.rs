@@ -8,8 +8,7 @@ use vcas_ebr::Guard;
 use crate::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::reclaim::{CollectStats, Collectible, ReclaimState};
-use crate::retention::{Anchor, RetentionError, RetentionPolicy};
-use crate::snapshot::{PinnedSnapshot, SnapshotHandle};
+use crate::snapshot::{PinnedSnapshot, RetentionError, SnapshotHandle, Timestamp};
 
 /// A camera object (paper §3, Algorithm 1 lines 1–7).
 ///
@@ -20,11 +19,14 @@ use crate::snapshot::{PinnedSnapshot, SnapshotHandle};
 /// there is nothing left to do.
 ///
 /// Beyond the paper's interface the camera also keeps a small registry of *pinned* snapshots
-/// ([`Camera::pin_snapshot`]). Pinned snapshots make version-list truncation possible:
-/// [`Camera::min_active`] is a timestamp below which no pinned reader can ever ask for a
-/// version, so versions older than the newest one at-or-below it may be reclaimed
-/// (see [`crate::VersionedCell::collect_before`]). The registry is only touched by the pinned
-/// path; the raw `take_snapshot` stays lock-free and constant-time exactly as in the paper.
+/// ([`Camera::pin_snapshot`]). Pinned snapshots make version-list truncation possible: every
+/// cut is `min(oldest pin, policy floor)`, computed under the registry lock by
+/// [`Camera::retention_floor`] (every collection slice and pass) and by the release of a
+/// timestamp's last pin, which publish it as the watermark ([`Camera::oldest_retained`]);
+/// versions older than the newest one at-or-below the cut may be reclaimed (see
+/// [`crate::VersionedCell::collect_before`]). So the registry lock is taken by pins,
+/// unpins and collection; the raw `take_snapshot` stays lock-free and constant-time exactly
+/// as in the paper.
 pub struct Camera {
     timestamp: AtomicU64,
     /// Reference counts of active pinned snapshot handles, keyed by handle value.
@@ -34,13 +36,9 @@ pub struct Camera {
     /// Automatic version-list reclamation: the collectible registry, amortized-hook knobs,
     /// and version counters (see [`crate::reclaim`]).
     reclaim: ReclaimState,
-    /// Named anchor registry, `(name, timestamp)` per live [`Anchor`] clone — diagnostic
-    /// only; the pins that actually hold versions live in `active`.
-    anchors: Mutex<Vec<(Arc<str>, u64)>>,
-    /// The installed retention policy (returned by [`Camera::retention`]).
-    retention: Mutex<RetentionPolicy>,
-    /// The installed policy's [`RetentionPolicy::floor`], kept beside it so that
-    /// `Camera::unpin` can compute the watermark without taking a second lock.
+    /// The timestamp below which history may be truncated regardless of pins, set by
+    /// [`Camera::keep_newer_than`]: `u64::MAX` (the default) leaves the cut to pins alone,
+    /// `0` keeps everything.
     policy_floor: AtomicU64,
     /// Monotone retention watermark: the highest cut any collection pass or pin release
     /// has computed. Never above a live pin; timestamps below it are permanently
@@ -87,9 +85,7 @@ impl Camera {
             active: Mutex::new(BTreeMap::new()),
             snapshots_taken: AtomicU64::new(0),
             reclaim: ReclaimState::new(),
-            anchors: Mutex::new(Vec::new()),
-            retention: Mutex::new(RetentionPolicy::default()),
-            policy_floor: AtomicU64::new(RetentionPolicy::default().floor()),
+            policy_floor: AtomicU64::new(u64::MAX),
             oldest_retained: AtomicU64::new(0),
             elide: AtomicBool::new(!cfg!(vcas_no_elide)),
             #[cfg(vcas_weaken_gate)]
@@ -176,22 +172,8 @@ impl Camera {
         Ok(PinnedSnapshot::new(self.clone(), SnapshotHandle::from_raw(ts)))
     }
 
-    /// Creates a **named persistent anchor** at the present: pins a fresh snapshot and
-    /// registers it under `name`. The anchored timestamp stays exactly readable
-    /// (`view_at`, `read_snapshot`) until the last clone of the returned [`Anchor`]
-    /// drops, regardless of reclamation policy.
-    pub fn anchor(self: &Arc<Self>, name: &str) -> Anchor {
-        Anchor::new(name, self.pin_snapshot())
-    }
-
-    /// Creates a named anchor at an arbitrary retained timestamp
-    /// (see [`Camera::pin_snapshot_at`] for the addressability rules).
-    pub fn anchor_at(self: &Arc<Self>, name: &str, ts: u64) -> Result<Anchor, RetentionError> {
-        Ok(Anchor::new(name, self.pin_snapshot_at(ts)?))
-    }
-
-    /// Re-pins an already-pinned handle (`Anchor::clone`): bumps the active count at the
-    /// same timestamp, so clones are independently droppable.
+    /// Re-pins an already-pinned handle (`PinnedSnapshot::clone`): bumps the active count
+    /// at the same timestamp, so clones are independently droppable.
     pub(crate) fn repin(self: &Arc<Self>, handle: SnapshotHandle) -> PinnedSnapshot {
         let mut active = self.active.lock();
         let count = active.entry(handle.raw()).or_insert(0);
@@ -201,37 +183,16 @@ impl Camera {
         PinnedSnapshot::new(self.clone(), handle)
     }
 
-    pub(crate) fn register_anchor(&self, name: &Arc<str>, ts: u64) {
-        self.anchors.lock().push((name.clone(), ts));
-    }
-
-    pub(crate) fn deregister_anchor(&self, name: &str, ts: u64) {
-        let mut anchors = self.anchors.lock();
-        if let Some(i) = anchors.iter().position(|(n, t)| &**n == name && *t == ts) {
-            anchors.swap_remove(i);
-        }
-    }
-
-    /// The currently live named anchors as `(name, timestamp)` pairs (diagnostic; one
-    /// entry per live [`Anchor`] clone, in no particular order).
-    pub fn anchors(&self) -> Vec<(String, u64)> {
-        self.anchors.lock().iter().map(|(n, t)| (n.to_string(), *t)).collect()
-    }
-
-    /// Installs a [`RetentionPolicy`]; it takes effect on the next collection pass or pin
-    /// release. Loosening a policy (raising its floor) lets the next pass reclaim the newly
-    /// unprotected history; tightening one cannot resurrect what a past cut already
+    /// Sets the policy floor: collection passes and pin releases keep every version needed
+    /// to answer `view_at(t)` for all `t >= ts`, even with no pin at `ts`. `0` keeps every
+    /// version ever written; `u64::MAX`, the default, leaves the cut to pins alone; to keep
+    /// what either of two floors keeps, pass their minimum. Takes effect on the next
+    /// collection pass or pin release. Raising the floor lets the next pass reclaim the
+    /// newly unprotected history; lowering it cannot resurrect what a past cut already
     /// released ([`Camera::oldest_retained`] is monotone).
-    pub fn set_retention(&self, policy: RetentionPolicy) {
-        let mut retention = self.retention.lock();
+    pub fn keep_newer_than(&self, ts: Timestamp) {
         // ORDERING: policy-floor — a configuration word; see `advance_watermark`.
-        self.policy_floor.store(policy.floor(), Ordering::Relaxed);
-        *retention = policy;
-    }
-
-    /// The currently installed retention policy.
-    pub fn retention(&self) -> RetentionPolicy {
-        self.retention.lock().clone()
+        self.policy_floor.store(ts, Ordering::Relaxed);
     }
 
     /// The retention watermark: the oldest timestamp still guaranteed exactly readable.
@@ -246,9 +207,9 @@ impl Camera {
     /// Computes the truncation cut collection passes enforce — the oldest timestamp that
     /// must stay exactly readable — and advances the retention watermark to it.
     ///
-    /// The cut is `min(oldest live pin or anchor, retention-policy floor)`: pins and
-    /// anchors always hold their timestamp alive, and the installed [`RetentionPolicy`]
-    /// can only extend retention further back, never cut below a live reader.
+    /// The cut is `min(oldest live pin, policy floor)`: pins always hold their timestamp
+    /// alive, and the floor set by [`Camera::keep_newer_than`] can only extend retention
+    /// further back, never cut below a live reader.
     pub fn retention_floor(&self) -> u64 {
         let active = self.active.lock();
         self.advance_watermark(active.keys().next().copied())
@@ -261,17 +222,16 @@ impl Camera {
     /// `oldest_pin` or above it: the watermark never passes a live pin.
     fn advance_watermark(&self, oldest_pin: Option<u64>) -> u64 {
         let pin_floor = oldest_pin.unwrap_or_else(|| self.timestamp.load(Ordering::SeqCst));
-        // ORDERING: policy-floor — a configuration word written under the retention lock;
-        // an install that happens-before this call is seen (coherence), and one racing it
-        // applies from the next call on.
+        // ORDERING: policy-floor — a configuration word stored by `keep_newer_than` under
+        // no lock; a store that happens-before this call is seen (coherence), and one
+        // racing it applies from the next call on.
         let cut = pin_floor.min(self.policy_floor.load(Ordering::Relaxed));
         self.oldest_retained.fetch_max(cut, Ordering::SeqCst);
         cut
     }
 
-    /// Whether any live pin (or anchor) sits at or below `ts` — used by the
-    /// `read_snapshot` debug assertion that an anchored read never hits the
-    /// oldest-retained fallback.
+    /// Whether any live pin sits at or below `ts` — used by the `read_snapshot` debug
+    /// assertion that a pinned read never hits the oldest-retained fallback.
     pub(crate) fn has_pin_at_or_below(&self, ts: u64) -> bool {
         self.active.lock().keys().next().is_some_and(|&first| first <= ts)
     }
@@ -630,7 +590,7 @@ mod tests {
     }
 
     /// Releasing a timestamp's last pin advances the watermark at once, to the oldest
-    /// remaining pin or, with none left, to the present — capped by the retention policy
+    /// remaining pin or, with none left, to the present — capped by the policy floor
     /// — and `pin_snapshot_at` below it then fails.
     #[test]
     fn unpin_advances_the_watermark_to_the_remaining_floor() {
@@ -649,12 +609,35 @@ mod tests {
         assert_eq!(cam.oldest_retained(), cam.current_timestamp(), "no pins: the present");
 
         let kept = cam.current_timestamp();
-        cam.set_retention(RetentionPolicy::KeepNewerThan(kept));
+        cam.keep_newer_than(kept);
         for _ in 0..3 {
             drop(cam.pin_snapshot());
         }
         assert_eq!(cam.oldest_retained(), kept, "the policy floor caps the advance");
         assert!(cam.pin_snapshot_at(kept).is_ok());
+    }
+
+    /// The policy floor is one timestamp: `0` keeps everything, and `u64::MAX` (the
+    /// default) hands the cut back to the pins.
+    #[test]
+    fn keep_newer_than_sets_the_floor_of_the_cut() {
+        let cam = Camera::new();
+        cam.keep_newer_than(0);
+        for _ in 0..5 {
+            let _ = cam.take_snapshot();
+        }
+        let pin = cam.pin_snapshot();
+        let _ = cam.take_snapshot();
+        assert_eq!(cam.retention_floor(), 0, "floor 0 keeps everything");
+        drop(pin);
+        assert_eq!(cam.retention_floor(), 0, "even with no pins left");
+        assert_eq!(cam.oldest_retained(), 0);
+        assert!(cam.pin_snapshot_at(1).is_ok(), "every past timestamp stays addressable");
+        cam.keep_newer_than(u64::MAX);
+        assert_eq!(cam.retention_floor(), cam.current_timestamp(), "pins-only cut restored");
+        let pin = cam.pin_snapshot();
+        let _ = cam.take_snapshot();
+        assert_eq!(cam.retention_floor(), pin.handle().raw());
     }
 
     #[test]

@@ -26,8 +26,7 @@ use std::sync::Arc;
 use vcas_ebr::{Atomic, Guard, Shared};
 
 use crate::camera::Camera;
-use crate::retention::RetentionError;
-use crate::snapshot::{PinnedSnapshot, SnapshotHandle};
+use crate::snapshot::{PinnedSnapshot, RetentionError, SnapshotHandle};
 use crate::sync::Ordering;
 use crate::versioned::ValueHook;
 use crate::versioned_ptr::PtrCell;

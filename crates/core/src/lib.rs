@@ -37,16 +37,13 @@
 //!   either from the structures' own update paths (amortized hooks) or from a background
 //!   [`Collector`] thread, with progress counters surfaced through [`Camera`]
 //!   (see `docs/reclamation.md`).
-//! * [`CameraGroup`] — a camera plus the structures registered on it; one
-//!   [`CameraGroup::snapshot`] pins a single timestamp under which *every* member can be
-//!   queried, the substrate for cross-structure atomic reads (the data-structure layer turns
-//!   a [`GroupSnapshot`] into per-member query views), and [`CameraGroup::snapshot_at`]
-//!   opens the same thing at any *retained* past timestamp.
-//! * [`retention`] — the time-travel MVCC surface: named persistent [`Anchor`]s
-//!   ([`Camera::anchor`]), composable [`RetentionPolicy`]s that turn the reclamation
-//!   subsystem into a retention enforcer, [`Camera::pin_snapshot_at`] for pinning
-//!   arbitrary retained timestamps, and the monotone [`Camera::oldest_retained`]
-//!   watermark behind the fallible `view_at(ts)` API (see `docs/time_travel.md`).
+//! * Time travel over the same registry: [`Camera::pin_snapshot_at`] pins an arbitrary
+//!   *retained* timestamp, a [`PinnedSnapshot`] clone shares custody of its instant,
+//!   [`Camera::keep_newer_than`] sets the one policy floor that keeps unpinned history,
+//!   and the monotone [`Camera::oldest_retained`] watermark backs the fallible
+//!   `view_at(ts)` API (see `docs/time_travel.md`). One pin is also the whole of a
+//!   cross-structure atomic read: the structure layer opens one view per structure at
+//!   its timestamp.
 //! * Indirection on need (the paper's §5 "avoiding indirection", generalized): a structure
 //!   cell holds its initial value in its head word, and a node may embed the
 //!   [`VersionSlot`] of the version that installs it, so the extra hop through a pooled
@@ -82,9 +79,7 @@ pub use vcas_sync as sync;
 
 pub mod camera;
 pub mod cell;
-pub mod group;
 pub mod reclaim;
-pub mod retention;
 pub mod snapshot;
 pub mod versioned;
 pub mod versioned_ptr;
@@ -93,10 +88,8 @@ pub(crate) mod vpool;
 
 pub use camera::Camera;
 pub use cell::{Mode, Plain, PointerCell, Versioned};
-pub use group::{CameraAttached, CameraGroup, GroupRegisterError, GroupSnapshot};
 pub use reclaim::{CollectStats, Collectible, Collector, ReclaimPolicy, VersionStats};
-pub use retention::{Anchor, RetentionError, RetentionPolicy, Timestamp};
-pub use snapshot::{PinnedSnapshot, SnapshotHandle};
+pub use snapshot::{PinnedSnapshot, RetentionError, SnapshotHandle, Timestamp};
 pub use versioned::{ValueHook, VersionedCas, VersionedCell};
 pub use versioned_ptr::{
     acquire_node_ref, release_node_ref, Managed, ManagedPtr, PtrCell, VersionReferenced,

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use vcas_core::{Camera, CameraAttached, Plain, RetentionError, SnapshotHandle};
+use vcas_core::{Camera, Plain, RetentionError, SnapshotHandle};
 
 use crate::bst::Nbbst;
 use crate::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap, Value};
@@ -112,17 +112,14 @@ impl MapSnapshotView for DcBstView<'_> {
     }
 }
 
-impl CameraAttached for DcBst {
-    fn attached_camera(&self) -> Option<&Arc<Camera>> {
-        None
-    }
-}
-
 /// Best-effort views: each call revalidates via double collect, but two calls on one view
 /// may observe different states. `view_at` is honestly unsupported — the tree keeps no
 /// history, so no past timestamp can be answered (it used to silently return current
 /// state).
 impl SnapshotSource for DcBst {
+    fn camera(&self) -> Option<&Arc<Camera>> {
+        None
+    }
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(DcBstView(self))
     }
@@ -202,15 +199,12 @@ impl MapSnapshotView for LockBstView<'_> {
     }
 }
 
-impl CameraAttached for LockBst {
-    fn attached_camera(&self) -> Option<&Arc<Camera>> {
-        None
-    }
-}
-
 /// Best-effort views: each call takes the lock exclusively, but two calls on one view may
 /// observe different states. `view_at` is honestly unsupported — no history is kept.
 impl SnapshotSource for LockBst {
+    fn camera(&self) -> Option<&Arc<Camera>> {
+        None
+    }
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(LockBstView(self))
     }
@@ -267,16 +261,13 @@ impl ConcurrentMap for LockHashMap {
     }
 }
 
-impl CameraAttached for LockHashMap {
-    fn attached_camera(&self) -> Option<&Arc<Camera>> {
-        None
-    }
-}
-
 /// Best-effort views: each call holds the read lock for its own duration only, so two
 /// calls on one view may observe different states. `view_at` is honestly unsupported —
 /// no history is kept.
 impl SnapshotSource for LockHashMap {
+    fn camera(&self) -> Option<&Arc<Camera>> {
+        None
+    }
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(LockHashMapView(self))
     }

@@ -40,9 +40,8 @@ use vcas_core::sync::{AtomicU64, Ordering};
 
 use vcas_core::reclaim::{CellOp, Collectible, SweepCursor, Visit};
 use vcas_core::{
-    acquire_node_ref, release_node_ref, Camera, CameraAttached, Mode, PinnedSnapshot, Plain,
-    PointerCell, RetentionError, SnapshotHandle, ValueHook, VersionReferenced, VersionSlot,
-    Versioned,
+    acquire_node_ref, release_node_ref, Camera, Mode, PinnedSnapshot, Plain, PointerCell,
+    RetentionError, SnapshotHandle, ValueHook, VersionReferenced, VersionSlot, Versioned,
 };
 use vcas_ebr::{pin, Atomic, Guard, Owned, Shared};
 
@@ -388,11 +387,6 @@ impl<M: Mode> Nbbst<M> {
             release_node_ref(right_leaf, camera, &guard);
         }
         Nbbst { root: Atomic::new(root), mode, sweep: SweepCursor::default() }
-    }
-
-    /// The camera associated with a versioned tree (`None` for a plain tree).
-    pub fn camera(&self) -> Option<&Arc<Camera>> {
-        self.mode.camera()
     }
 
     /// After a successful insert/remove, gives the camera's amortized reclamation hook its
@@ -845,8 +839,8 @@ impl<M: Mode> Nbbst<M> {
             // SAFETY: loaded under `view.guard` from the root or a child cell's view.
             let NodeRef::Internal(n) = (unsafe { node.get::<M>() }) else { return 0 };
             let mode = &view.tree.mode;
-            let left = depth(view, n.child_at(mode, 0, view.handle, &view.guard));
-            let right = depth(view, n.child_at(mode, 1, view.handle, &view.guard));
+            let left = depth(view, n.child_at(mode, 0, view.handle(), &view.guard));
+            let right = depth(view, n.child_at(mode, 1, view.handle(), &view.guard));
             1 + left.max(right)
         }
         let view = self.view();
@@ -898,17 +892,19 @@ impl<M: Mode> Collectible for Nbbst<M> {
 pub struct NbbstView<'a, M: Mode = Versioned> {
     tree: &'a Nbbst<M>,
     /// Keeps the snapshot registered with the camera so version-list truncation cannot
-    /// reclaim versions this view may read.
-    _pin: Option<PinnedSnapshot>,
-    /// The snapshot the view reads at (`None`: the current state, in plain mode).
-    handle: Option<SnapshotHandle>,
+    /// reclaim versions this view may read (`None`: the current state, in plain mode).
+    snapshot: Option<PinnedSnapshot>,
     guard: Guard,
 }
 
 impl<'a, M: Mode> NbbstView<'a, M> {
-    fn new(tree: &'a Nbbst<M>, pinned: Option<PinnedSnapshot>) -> NbbstView<'a, M> {
-        let handle = pinned.as_ref().map(PinnedSnapshot::handle);
-        NbbstView { tree, _pin: pinned, handle, guard: pin() }
+    fn new(tree: &'a Nbbst<M>, snapshot: Option<PinnedSnapshot>) -> NbbstView<'a, M> {
+        NbbstView { tree, snapshot, guard: pin() }
+    }
+
+    /// The snapshot the view reads at (`None`: the current state, in plain mode).
+    fn handle(&self) -> Option<SnapshotHandle> {
+        self.snapshot.as_ref().map(PinnedSnapshot::handle)
     }
 
     /// Every `(key, value)` pair with `lo <= key <= hi`, ascending. Kept for the
@@ -951,9 +947,9 @@ impl<'v, 'a, M: Mode> NbbstRangeIter<'v, 'a, M> {
             };
             if self.lo < n.key {
                 self.stack.push(node);
-                node = n.child_at(&view.tree.mode, 0, view.handle, &view.guard);
+                node = n.child_at(&view.tree.mode, 0, view.handle(), &view.guard);
             } else {
-                node = n.child_at(&view.tree.mode, 1, view.handle, &view.guard);
+                node = n.child_at(&view.tree.mode, 1, view.handle(), &view.guard);
             }
         }
     }
@@ -978,7 +974,7 @@ impl<M: Mode> Iterator for NbbstRangeIter<'_, '_, M> {
                     }
                 }
                 NodeRef::Internal(n) if self.hi >= n.key => {
-                    self.push_left(n.child_at(&view.tree.mode, 1, view.handle, &view.guard));
+                    self.push_left(n.child_at(&view.tree.mode, 1, view.handle(), &view.guard));
                 }
                 NodeRef::Internal(_) => {}
             }
@@ -992,14 +988,14 @@ impl<M: Mode> MapSnapshotView for NbbstView<'_, M> {
         if key > MAX_KEY {
             return None; // a sentinel, never a user key
         }
-        let mut node = self.tree.root(&self.guard);
+        let (handle, mut node) = (self.handle(), self.tree.root(&self.guard));
         loop {
             // SAFETY: loaded under `self.guard` from the root or a child cell's view.
             match unsafe { node.get::<M>() } {
                 NodeRef::Leaf(leaf) => return (leaf.key == key).then_some(leaf.value),
                 NodeRef::Internal(n) => {
                     let dir = dir_for(key, n.key);
-                    node = n.child_at(&self.tree.mode, dir, self.handle, &self.guard)
+                    node = n.child_at(&self.tree.mode, dir, handle, &self.guard)
                 }
             }
         }
@@ -1008,17 +1004,14 @@ impl<M: Mode> MapSnapshotView for NbbstView<'_, M> {
         Box::new(NbbstRangeIter::new(self, lo, hi))
     }
     fn timestamp(&self) -> Option<SnapshotHandle> {
-        self.handle
-    }
-}
-
-impl<M: Mode> CameraAttached for Nbbst<M> {
-    fn attached_camera(&self) -> Option<&Arc<Camera>> {
-        self.camera()
+        self.handle()
     }
 }
 
 impl<M: Mode> SnapshotSource for Nbbst<M> {
+    fn camera(&self) -> Option<&Arc<Camera>> {
+        self.mode.camera()
+    }
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(self.view())
     }

@@ -21,9 +21,7 @@
 use std::sync::Arc;
 
 use vcas_core::reclaim::{CellOp, Collectible, SweepCursor, Visit};
-use vcas_core::{
-    Camera, CameraAttached, Mode, PinnedSnapshot, Plain, RetentionError, SnapshotHandle, Versioned,
-};
+use vcas_core::{Camera, Mode, PinnedSnapshot, Plain, RetentionError, SnapshotHandle, Versioned};
 use vcas_ebr::{pin, Guard};
 
 use crate::list::{self, NextCell};
@@ -79,11 +77,6 @@ impl<M: Mode> VcasHashMap<M> {
         let n = buckets.max(1).next_power_of_two();
         let buckets = (0..n).map(|_| list::empty(&mode)).collect();
         VcasHashMap { buckets, mask: (n - 1) as u64, mode, sweep: SweepCursor::default() }
-    }
-
-    /// The camera associated with a versioned table.
-    pub fn camera(&self) -> Option<&Arc<Camera>> {
-        self.mode.camera()
     }
 
     /// Number of buckets (always a power of two).
@@ -161,16 +154,19 @@ impl<M: Mode> VcasHashMap<M> {
 pub struct VcasHashMapView<'a, M: Mode = Versioned> {
     map: &'a VcasHashMap<M>,
     /// Keeps the snapshot registered with the camera so version-list truncation cannot
-    /// reclaim versions this view may read.
-    _pin: Option<PinnedSnapshot>,
-    handle: Option<SnapshotHandle>,
+    /// reclaim versions this view may read (`None`: the current state, in plain mode).
+    snapshot: Option<PinnedSnapshot>,
     guard: Guard,
 }
 
 impl<'a, M: Mode> VcasHashMapView<'a, M> {
-    fn new(map: &'a VcasHashMap<M>, pinned: Option<PinnedSnapshot>) -> VcasHashMapView<'a, M> {
-        let handle = pinned.as_ref().map(PinnedSnapshot::handle);
-        VcasHashMapView { map, _pin: pinned, handle, guard: pin() }
+    fn new(map: &'a VcasHashMap<M>, snapshot: Option<PinnedSnapshot>) -> VcasHashMapView<'a, M> {
+        VcasHashMapView { map, snapshot, guard: pin() }
+    }
+
+    /// The snapshot the view reads at (`None`: the current state, in plain mode).
+    fn handle(&self) -> Option<SnapshotHandle> {
+        self.snapshot.as_ref().map(PinnedSnapshot::handle)
     }
 }
 
@@ -178,25 +174,25 @@ impl<M: Mode> MapSnapshotView for VcasHashMapView<'_, M> {
     fn get(&self, key: Key) -> Option<Value> {
         let bucket = self.map.bucket_of(key);
         let mode = &self.map.mode;
-        list::cursor(mode, bucket, self.handle, &self.guard, key, key).next().map(|(_, v)| v)
+        list::cursor(mode, bucket, self.handle(), &self.guard, key, key).next().map(|(_, v)| v)
     }
     /// "Ordered query on a hash map" is definitionally a full scan and a sort.
     fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
         sorted_range(self.iter(), lo, hi)
     }
     fn timestamp(&self) -> Option<SnapshotHandle> {
-        self.handle
+        self.handle()
     }
     /// Streams the buckets in order (key order within a bucket, not globally), each
     /// through the list cursor on this view's handle and guard: nothing is materialized.
     fn iter(&self) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        let (mode, handle, guard) = (&self.map.mode, self.handle, &self.guard);
+        let (mode, handle, guard) = (&self.map.mode, self.handle(), &self.guard);
         let buckets = self.map.buckets.iter();
         Box::new(buckets.flat_map(move |b| list::cursor(mode, b, handle, guard, 0, Key::MAX)))
     }
 }
 
-/// The list's cell visitor, one segment per bucket ([`list::visit_segment`]). Finishing
+/// The list's cell visitor, one segment per bucket (`list::visit_segment`). Finishing
 /// the last bucket completes the cycle; a circular pass could never report completion
 /// with a budget smaller than the table. Update hooks and data-node reclamation come from
 /// the list operations too (see `tests/node_reclaim.rs`).
@@ -220,13 +216,10 @@ impl<M: Mode> Drop for VcasHashMap<M> {
     }
 }
 
-impl<M: Mode> CameraAttached for VcasHashMap<M> {
-    fn attached_camera(&self) -> Option<&Arc<Camera>> {
-        self.camera()
-    }
-}
-
 impl<M: Mode> SnapshotSource for VcasHashMap<M> {
+    fn camera(&self) -> Option<&Arc<Camera>> {
+        self.mode.camera()
+    }
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(self.view())
     }

@@ -30,9 +30,10 @@
 //!   arbitrarily many queries at one timestamp, paying for the snapshot and EBR pin once
 //!   per view. Each view implements `get`, one ordered cursor (`range_iter`) and
 //!   `timestamp`; every other query (`multi_get`, `iter`, `len`, `range`, `successors`,
-//!   `find_if`) is a trait default over them. [`view::GroupQueryExt`] opens one view per
-//!   member of a [`vcas_core::GroupSnapshot`] at a single shared timestamp
-//!   (cross-structure atomic reads). See `docs/snapshot_views.md`.
+//!   `find_if`) is a trait default over them. [`view::SnapshotSource::view_in`] opens a
+//!   view at a caller's [`vcas_core::PinnedSnapshot`], so one pin and one `view_in` per
+//!   structure on its camera read them all at a single timestamp (cross-structure atomic
+//!   reads). See `docs/snapshot_views.md`.
 //! * [`queries`] — the multi-point query set of the paper's Table 2 (`range`, `succ`,
 //!   `findif`, `multisearch`) executed over views ([`queries::run_query_on_view`],
 //!   [`queries::QueryKind::Composed`] batches), the hash-map analogues (`multiget4/16`,
@@ -84,7 +85,6 @@ pub mod traits;
 pub mod view;
 
 pub use diff::{diff_views, TemporalDiff};
-pub use view::GroupTimeTravelExt;
 
 /// Contention backoff for lock-free retry loops; free on the first attempt.
 ///
@@ -127,4 +127,4 @@ pub use queries::{
 pub use queue::MsQueue;
 pub use skiplist::VcasSkipList;
 pub use traits::{AtomicRangeMap, ConcurrentMap, SnapshotMap};
-pub use view::{GroupQueryExt, MapSnapshotView, SnapshotSource, StructureGroup};
+pub use view::{MapSnapshotView, SnapshotSource};

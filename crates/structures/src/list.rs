@@ -16,7 +16,7 @@
 //! functions serve [`HarrisList`], which holds one head cell, [`crate::VcasHashMap`],
 //! whose buckets are head cells sharing the table's one mode and sweep cursor, and
 //! [`crate::VcasSkipList`], whose head is a tower of head cells and each of whose levels
-//! is a Harris list over the nodes' cells at that level ([`ListNode`]).
+//! is a Harris list over the nodes' cells at that level (`ListNode`).
 
 use std::mem::ManuallyDrop;
 use std::sync::Arc;
@@ -24,8 +24,8 @@ use vcas_core::sync::AtomicU64;
 
 use vcas_core::reclaim::{CellOp, Collectible, Sweep, SweepCursor, Visit};
 use vcas_core::{
-    release_node_ref, Camera, CameraAttached, Managed, Mode, PinnedSnapshot, Plain, PointerCell,
-    RetentionError, SnapshotHandle, VersionReferenced, Versioned,
+    release_node_ref, Camera, Managed, Mode, PinnedSnapshot, Plain, PointerCell, RetentionError,
+    SnapshotHandle, VersionReferenced, Versioned,
 };
 use vcas_ebr::{pin, Guard, Owned, Shared};
 
@@ -382,11 +382,6 @@ impl<M: Mode> HarrisList<M> {
         HarrisList { head, mode, sweep: SweepCursor::default() }
     }
 
-    /// The camera associated with a versioned list.
-    pub fn camera(&self) -> Option<&Arc<Camera>> {
-        self.mode.camera()
-    }
-
     /// Inserts `key`; returns `false` if already present.
     pub fn insert(&self, key: Key, value: Value) -> bool {
         insert(&self.mode, &self.head, key, value)
@@ -422,7 +417,7 @@ impl<M: Mode> HarrisList<M> {
     }
 }
 
-/// One segment: the head cell, then the physical list ([`visit_segment`]).
+/// One segment: the head cell, then the physical list (`visit_segment`).
 impl<M: Mode> Collectible for HarrisList<M> {
     fn visit_cells(&self, op: CellOp, budget: usize, resume: bool, guard: &Guard) -> Visit {
         let mut sweep = self.sweep.visit(op, budget, resume);
@@ -437,21 +432,23 @@ impl<M: Mode> Collectible for HarrisList<M> {
 pub struct HarrisListView<'a, M: Mode = Versioned> {
     list: &'a HarrisList<M>,
     /// Keeps the snapshot registered with the camera so version-list truncation cannot
-    /// reclaim versions this view may read.
-    _pin: Option<PinnedSnapshot>,
-    /// The snapshot the view reads at (`None`: the current state, in plain mode).
-    handle: Option<SnapshotHandle>,
+    /// reclaim versions this view may read (`None`: the current state, in plain mode).
+    snapshot: Option<PinnedSnapshot>,
     guard: Guard,
 }
 
 impl<'a, M: Mode> HarrisListView<'a, M> {
-    fn new(list: &'a HarrisList<M>, pinned: Option<PinnedSnapshot>) -> HarrisListView<'a, M> {
-        let handle = pinned.as_ref().map(PinnedSnapshot::handle);
-        HarrisListView { list, _pin: pinned, handle, guard: pin() }
+    fn new(list: &'a HarrisList<M>, snapshot: Option<PinnedSnapshot>) -> HarrisListView<'a, M> {
+        HarrisListView { list, snapshot, guard: pin() }
+    }
+
+    /// The snapshot the view reads at (`None`: the current state, in plain mode).
+    fn handle(&self) -> Option<SnapshotHandle> {
+        self.snapshot.as_ref().map(PinnedSnapshot::handle)
     }
 
     fn cursor(&self, lo: Key, hi: Key) -> impl Iterator<Item = (Key, Value)> + '_ {
-        cursor(&self.list.mode, &self.list.head, self.handle, &self.guard, lo, hi)
+        cursor(&self.list.mode, &self.list.head, self.handle(), &self.guard, lo, hi)
     }
 }
 
@@ -463,7 +460,7 @@ impl<M: Mode> MapSnapshotView for HarrisListView<'_, M> {
         Box::new(self.cursor(lo, hi))
     }
     fn timestamp(&self) -> Option<SnapshotHandle> {
-        self.handle
+        self.handle()
     }
     /// One pass over the list up to the largest key asked for, instead of one walk from
     /// the head per key.
@@ -478,13 +475,10 @@ impl<M: Mode> MapSnapshotView for HarrisListView<'_, M> {
     }
 }
 
-impl<M: Mode> CameraAttached for HarrisList<M> {
-    fn attached_camera(&self) -> Option<&Arc<Camera>> {
-        self.camera()
-    }
-}
-
 impl<M: Mode> SnapshotSource for HarrisList<M> {
+    fn camera(&self) -> Option<&Arc<Camera>> {
+        self.mode.camera()
+    }
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(self.view())
     }

@@ -18,8 +18,8 @@
 //! [`SnapshotMap`](crate::traits::SnapshotMap)): atomic batched lookups and full-table
 //! scans, the hash-map analogues of Table 2's multisearch and full-scan rows. Finally,
 //! [`CrossQueryKind`] reads *two* structures — e.g. a hash map and a BST sharing one
-//! camera — at a single common timestamp, given two views opened from one
-//! [`vcas_core::GroupSnapshot`].
+//! camera — at a single common timestamp, given two views opened in one
+//! [`vcas_core::PinnedSnapshot`] with [`view_in`](crate::view::SnapshotSource::view_in).
 
 use crate::traits::{Key, Value};
 use crate::view::MapSnapshotView;
@@ -240,7 +240,7 @@ fn spread_keys(start: Key, key_range: Key, batch: u64) -> Vec<Key> {
 }
 
 /// Cross-structure queries: one query reading **two** structures at a single common
-/// timestamp. The two views must come from the same [`vcas_core::GroupSnapshot`] (or
+/// timestamp. The two views must be opened in the same [`vcas_core::PinnedSnapshot`] (or
 /// otherwise be anchored at one shared handle) for the read to be atomic across both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrossQueryKind {
@@ -299,8 +299,7 @@ mod tests {
     use super::*;
     use crate::bst::Nbbst;
     use crate::hashmap::VcasHashMap;
-    use crate::view::{GroupQueryExt, SnapshotSource, StructureGroup};
-    use std::sync::Arc;
+    use crate::view::SnapshotSource;
     use vcas_core::Camera;
 
     #[test]
@@ -423,8 +422,8 @@ mod tests {
     #[test]
     fn cross_queries_read_two_structures_at_one_timestamp() {
         let camera = Camera::new();
-        let tree = Arc::new(Nbbst::new_versioned(&camera));
-        let map = Arc::new(VcasHashMap::new_versioned(&camera, 16));
+        let tree = Nbbst::new_versioned(&camera);
+        let map = VcasHashMap::new_versioned(&camera, 16);
         for k in 1..=64u64 {
             if k % 2 == 0 {
                 tree.insert(k, k);
@@ -432,11 +431,8 @@ mod tests {
                 map.insert(k, k);
             }
         }
-        let mut group: StructureGroup = StructureGroup::new(camera);
-        let map_idx = group.register(map.clone() as Arc<dyn SnapshotSource>).unwrap();
-        let tree_idx = group.register(tree.clone() as Arc<dyn SnapshotSource>).unwrap();
-        let snap = group.snapshot();
-        let (map_view, tree_view) = (snap.view_of(map_idx), snap.view_of(tree_idx));
+        let pin = camera.pin_snapshot();
+        let (map_view, tree_view) = (map.view_in(&pin).unwrap(), tree.view_in(&pin).unwrap());
         assert_eq!(map_view.timestamp(), tree_view.timestamp());
 
         let scan =

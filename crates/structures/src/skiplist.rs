@@ -2,7 +2,7 @@
 //! the streaming range-scan engine is built on.
 //!
 //! Level 0 is a Harris list and each upper level indexes it (Fraser's skip list). Every
-//! level runs on the list's Harris operations ([`crate::list`], through [`ListNode`]): the
+//! level runs on the list's Harris operations ([`crate::list`], through `ListNode`): the
 //! search that splices out marked nodes, the mark, the publication and the cursor. What
 //! is the skip list's own is the tower: random heights, the descent through the upper
 //! levels, linking a published node into them, and marking them top-down before level 0,
@@ -34,8 +34,8 @@ use vcas_core::sync::{AtomicU64, Ordering};
 
 use vcas_core::reclaim::{CellOp, Collectible, SweepCursor, Visit};
 use vcas_core::{
-    Camera, CameraAttached, Mode, PinnedSnapshot, PointerCell, RetentionError, SnapshotHandle,
-    VersionReferenced, Versioned,
+    Camera, Mode, PinnedSnapshot, PointerCell, RetentionError, SnapshotHandle, VersionReferenced,
+    Versioned,
 };
 use vcas_ebr::{pin, Guard, Shared};
 
@@ -356,37 +356,33 @@ pub struct VcasSkipListView<'a> {
     list: &'a VcasSkipList,
     /// Keeps the snapshot registered with the camera so version-list truncation cannot
     /// reclaim versions this view may read.
-    _pin: PinnedSnapshot,
-    handle: SnapshotHandle,
+    snapshot: PinnedSnapshot,
     guard: Guard,
 }
 
 impl<'a> VcasSkipListView<'a> {
-    fn new(list: &'a VcasSkipList, pinned: PinnedSnapshot) -> VcasSkipListView<'a> {
-        let handle = pinned.handle();
-        VcasSkipListView { list, _pin: pinned, handle, guard: pin() }
+    fn new(list: &'a VcasSkipList, snapshot: PinnedSnapshot) -> VcasSkipListView<'a> {
+        VcasSkipListView { list, snapshot, guard: pin() }
     }
 }
 
 impl MapSnapshotView for VcasSkipListView<'_> {
     fn get(&self, key: Key) -> Option<Value> {
-        self.list.range(key, key, Some(self.handle), &self.guard).next().map(|(_, v)| v)
+        let handle = Some(self.snapshot.handle());
+        self.list.range(key, key, handle, &self.guard).next().map(|(_, v)| v)
     }
     fn range_iter(&self, lo: Key, hi: Key) -> Box<dyn Iterator<Item = (Key, Value)> + '_> {
-        Box::new(self.list.range(lo, hi, Some(self.handle), &self.guard))
+        Box::new(self.list.range(lo, hi, Some(self.snapshot.handle()), &self.guard))
     }
     fn timestamp(&self) -> Option<SnapshotHandle> {
-        Some(self.handle)
-    }
-}
-
-impl CameraAttached for VcasSkipList {
-    fn attached_camera(&self) -> Option<&Arc<Camera>> {
-        Some(self.camera())
+        Some(self.snapshot.handle())
     }
 }
 
 impl SnapshotSource for VcasSkipList {
+    fn camera(&self) -> Option<&Arc<Camera>> {
+        Some(VcasSkipList::camera(self))
+    }
     fn snapshot_view(&self) -> Box<dyn MapSnapshotView + '_> {
         Box::new(self.view())
     }

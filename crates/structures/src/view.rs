@@ -21,9 +21,9 @@
 //!   retained timestamp** — not just one being taken right now. They pin internally
 //!   ([`vcas_core::Camera::pin_snapshot_at`]) and are fallible: a timestamp below the
 //!   retention watermark, in the future, or addressed to a history-less structure yields
-//!   a [`RetentionError`] instead of silently wrong data. Named
-//!   [`vcas_core::Anchor`]s and [`vcas_core::RetentionPolicy`]s decide which timestamps
-//!   stay addressable (see `docs/time_travel.md`).
+//!   a [`RetentionError`] instead of silently wrong data. Held
+//!   [`PinnedSnapshot`]s and the floor set by [`vcas_core::Camera::keep_newer_than`]
+//!   decide which timestamps stay addressable (see `docs/time_travel.md`).
 //! * **Best-effort views**, handed out by the baseline comparators (`DcBst`, `LockBst`,
 //!   `LockHashMap`) and by plain-mode structures, read the current state. Each
 //!   *individual* call keeps whatever atomicity the baseline's mechanism provides
@@ -31,16 +31,17 @@
 //!   different states; their `timestamp` is `None`.
 //!
 //! Time-travel composes: [`SnapshotSource::diff`] reports every key that changed between
-//! two retained timestamps ([`TemporalDiff`]), and [`GroupTimeTravelExt::group_view_at`]
-//! pins a whole [`StructureGroup`] at one retained past timestamp for cross-structure
-//! as-of reads.
+//! two retained timestamps ([`TemporalDiff`]), and [`SnapshotSource::view_in`] opens a
+//! view at a caller's [`PinnedSnapshot`]: a cross-structure atomic read (now or as of a
+//! retained past timestamp) is one pin, then one `view_in` per structure sharing its
+//! camera.
 //!
 //! See `docs/snapshot_views.md` for the lifetime rules and the cross-structure consistency
 //! story.
 
-use vcas_core::{
-    CameraAttached, CameraGroup, GroupSnapshot, RetentionError, SnapshotHandle, Timestamp,
-};
+use std::sync::Arc;
+
+use vcas_core::{Camera, PinnedSnapshot, RetentionError, SnapshotHandle, Timestamp};
 
 use crate::diff::{diff_views, TemporalDiff};
 use crate::traits::{Key, Value};
@@ -154,9 +155,12 @@ pub(crate) fn sorted_range<'a>(
 /// A structure that can open snapshot views of itself (see module docs).
 ///
 /// Object-safe, like the other structure traits, so the workload harness can hold
-/// heterogeneous sources; the supertrait lets a [`CameraGroup`] validate that every
-/// versioned member shares its camera.
-pub trait SnapshotSource: CameraAttached {
+/// heterogeneous sources.
+pub trait SnapshotSource: Send + Sync {
+    /// The camera this structure's versioned CAS objects are associated with, or `None`
+    /// for a structure that keeps no history (plain mode, the baselines).
+    fn camera(&self) -> Option<&Arc<Camera>>;
+
     /// Opens a *pinned* view of the structure's state right now. Valid until dropped, even
     /// across version-list truncation; drop it promptly anyway — while alive it also holds
     /// an EBR pin, delaying memory reclamation.
@@ -168,12 +172,33 @@ pub trait SnapshotSource: CameraAttached {
     /// under concurrent truncation.
     ///
     /// Fails with [`RetentionError::Truncated`] when `ts` is below the camera's retention
-    /// watermark (keep an [`vcas_core::Anchor`] or a [`vcas_core::RetentionPolicy`] to
-    /// keep timestamps addressable), [`RetentionError::InFuture`] when `ts` has not
-    /// happened yet, and [`RetentionError::Unsupported`] on structures that keep no
-    /// version history (plain-mode structures, the lock-based baselines) — which
-    /// previously returned silently-wrong best-effort data from this method.
+    /// watermark (hold a [`PinnedSnapshot`] or lower the floor with
+    /// [`vcas_core::Camera::keep_newer_than`] to keep timestamps addressable),
+    /// [`RetentionError::InFuture`] when `ts` has not happened yet, and
+    /// [`RetentionError::Unsupported`] on structures that keep no version history
+    /// (plain-mode structures, the lock-based baselines) — which previously returned
+    /// silently-wrong best-effort data from this method.
     fn view_at(&self, ts: Timestamp) -> Result<Box<dyn MapSnapshotView + '_>, RetentionError>;
+
+    /// Opens a view at `pin`'s timestamp: the cross-structure atomic read is one pin on a
+    /// shared camera, then one `view_in` per structure, and every such view observes the
+    /// same instant. The view takes its own pin, so it may outlive `pin`.
+    ///
+    /// Fails with [`RetentionError::ForeignCamera`] when `pin` was taken on another camera
+    /// (its timestamp names no instant of this structure's history), and with
+    /// [`RetentionError::Unsupported`] on a structure that keeps no history, as
+    /// [`SnapshotSource::view_at`] does.
+    fn view_in(
+        &self,
+        pin: &PinnedSnapshot,
+    ) -> Result<Box<dyn MapSnapshotView + '_>, RetentionError> {
+        match self.camera() {
+            Some(camera) if !Arc::ptr_eq(camera, pin.camera()) => {
+                Err(RetentionError::ForeignCamera)
+            }
+            _ => self.view_at(pin.handle().raw()),
+        }
+    }
 
     /// Every key inserted, removed, or changed between `ts1` and `ts2` (order
     /// irrelevant — the endpoints are normalized). Opens one as-of view per endpoint and
@@ -186,71 +211,51 @@ pub trait SnapshotSource: CameraAttached {
     }
 }
 
-/// A [`CameraGroup`] over heterogeneous map structures — the usual way to set up
-/// cross-structure atomic reads (see [`GroupQueryExt`]).
-pub type StructureGroup = CameraGroup<dyn SnapshotSource>;
-
-/// Per-member views of a [`GroupSnapshot`]: every view is anchored at the snapshot's one
-/// shared timestamp, so reads across *different structures* are mutually consistent.
-///
-/// The returned views borrow the snapshot, so they cannot outlive its pin.
-pub trait GroupQueryExt {
-    /// Opens the `index`-th member's view at the group's shared timestamp. Members with
-    /// no version history (plain-mode structures, baselines) fall back to a best-effort
-    /// current-state view, keeping heterogeneous groups usable.
-    fn view_of(&self, index: usize) -> Box<dyn MapSnapshotView + '_>;
-
-    /// Opens one view per member, in registration order, all at the shared timestamp.
-    fn views(&self) -> Vec<Box<dyn MapSnapshotView + '_>>;
-}
-
-impl GroupQueryExt for GroupSnapshot<dyn SnapshotSource> {
-    fn view_of(&self, index: usize) -> Box<dyn MapSnapshotView + '_> {
-        match self.member(index).view_at(self.handle().raw()) {
-            Ok(view) => view,
-            // History-less members are read best-effort, exactly as before the fallible
-            // redesign — the group's one shared timestamp cannot cover them anyway.
-            Err(RetentionError::Unsupported) => self.member(index).snapshot_view(),
-            // The group's own pin keeps its timestamp retained, and a pinned handle is
-            // always strictly in the past (take_snapshot advances the counter past it).
-            Err(e) => unreachable!("group timestamp must stay addressable: {e}"),
-        }
-    }
-
-    fn views(&self) -> Vec<Box<dyn MapSnapshotView + '_>> {
-        (0..self.len()).map(|i| self.view_of(i)).collect()
-    }
-}
-
-/// As-of reads over a whole [`StructureGroup`]: the cross-structure time-travel surface.
-pub trait GroupTimeTravelExt {
-    /// Pins a group snapshot at **retained timestamp** `ts` (see
-    /// [`vcas_core::Camera::pin_snapshot_at`] for the addressability rules), then open
-    /// per-member views with [`GroupQueryExt::view_of`] — every member is read as of the
-    /// same past instant.
-    fn group_view_at(
-        &self,
-        ts: Timestamp,
-    ) -> Result<GroupSnapshot<dyn SnapshotSource>, RetentionError>;
-}
-
-impl GroupTimeTravelExt for StructureGroup {
-    fn group_view_at(
-        &self,
-        ts: Timestamp,
-    ) -> Result<GroupSnapshot<dyn SnapshotSource>, RetentionError> {
-        self.snapshot_at(ts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bst::Nbbst;
+    use crate::hashmap::VcasHashMap;
 
     #[test]
     fn view_traits_are_object_safe() {
         fn _takes_view(_: &dyn MapSnapshotView) {}
         fn _takes_source(_: &dyn SnapshotSource) {}
+    }
+
+    #[test]
+    fn view_in_rejects_a_pin_from_another_camera() {
+        let tree = Nbbst::new_versioned_default();
+        let foreign = Camera::new().pin_snapshot();
+        let err = tree.view_in(&foreign).map(|_| ()).unwrap_err();
+        assert_eq!(err, RetentionError::ForeignCamera);
+        assert!(err.to_string().contains("different camera"));
+        assert_eq!(tree.camera().unwrap().pinned_count(), 0, "a refused view pins nothing");
+    }
+
+    /// One pin, one `view_in` per structure: every view reports the pin's timestamp, and
+    /// dropping everything releases every pin the read took.
+    #[test]
+    fn views_in_one_pin_share_its_timestamp() {
+        let camera = Camera::new();
+        let tree = Arc::new(Nbbst::new_versioned(&camera));
+        let map = Arc::new(VcasHashMap::new_versioned(&camera, 16));
+        tree.insert(1, 10);
+        map.insert(2, 20);
+        let sources: [Arc<dyn SnapshotSource>; 2] = [tree.clone(), map.clone()];
+
+        let pin = camera.pin_snapshot();
+        tree.insert(3, 30);
+        let views: Vec<_> = sources.iter().map(|s| s.view_in(&pin).unwrap()).collect();
+        assert_eq!(views[0].timestamp(), Some(pin.handle()));
+        assert_eq!(views[1].timestamp(), Some(pin.handle()));
+        assert_eq!(views[0].get(3), None, "a write after the pin is not in its views");
+        assert_eq!(views[1].get(2), Some(20));
+        assert_eq!(camera.pinned_count(), 3, "each view holds its own pin");
+        drop(pin);
+        assert_eq!(views[0].get(1), Some(10), "views outlive the pin they were opened in");
+        drop(views);
+        assert_eq!(camera.pinned_count(), 0);
     }
 
     #[test]

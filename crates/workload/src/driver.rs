@@ -4,7 +4,7 @@
 //! its worker pools (thread count, seed offset, one op closure each) and hands them to
 //! `run_pools`, which spawns, times, stops and joins the workers. Runs on a registered,
 //! versioned structure end in `settle`, which checks that history and nodes are
-//! reclaimed exactly once the run's pins and anchors are gone.
+//! reclaimed exactly once the run's pins are gone.
 
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
@@ -19,25 +19,25 @@ use vcas_core::reclaim::{Collectible, VersionStats};
 use vcas_core::{Camera, ReclaimPolicy, RetentionError};
 use vcas_structures::queries::{run_cross_query, run_query_on_view, CrossQueryKind, QueryKind};
 use vcas_structures::traits::{AtomicRangeMap, ConcurrentMap, Key, SnapshotMap};
-use vcas_structures::view::{GroupQueryExt, MapSnapshotView, SnapshotSource, StructureGroup};
+use vcas_structures::view::{MapSnapshotView, SnapshotSource};
 use vcas_structures::{Nbbst, VcasHashMap, VcasSkipList};
 
 use crate::spec::{Mix, Op, TimeTravelMode, WorkloadSpec, MULTI_GET_BATCH};
 
-/// Times the driver thread re-validates a run's pinned view or anchors, in equal slices
-/// of the window.
+/// Times the driver thread re-validates a run's pinned view or past instants, in equal
+/// slices of the window.
 const READER_CHECKS: u32 = 4;
-/// Named anchors [`run_timetravel`] holds across its window.
-const ANCHORS: usize = 4;
+/// Pinned past instants [`run_timetravel`] holds across its window.
+const EPOCHS: usize = 4;
 /// Widths (keys spanned) that [`run_skiplist`]'s range slot draws from, uniformly.
 const RANGE_WIDTH: RangeInclusive<u64> = 16..=256;
 /// One in `SCAN_EVERY` operations of a [`run_skiplist`] worker is a full streaming scan.
 const SCAN_EVERY: u64 = 512;
 /// Table-2 sub-queries [`run_composed`] runs on each tree view.
 const QUERIES_PER_VIEW: usize = 16;
-/// Cross-structure queries [`run_composed`] runs per group snapshot.
+/// Cross-structure queries [`run_composed`] runs per shared pin.
 const CROSS_PER_SNAPSHOT: usize = 2;
-/// The reclamation policy [`run_timetravel`] installs; its anchors must survive it.
+/// The reclamation policy [`run_timetravel`] installs; its pins must survive it.
 const TIME_TRAVEL_POLICY: ReclaimPolicy =
     ReclaimPolicy::Amortized { every_n_updates: 128, budget: 64 };
 /// The mix of every pool that only writes: 50% inserts, 50% deletes.
@@ -300,8 +300,8 @@ pub struct ComposedResult {
     /// Throughput of the query threads, counted in *individual* queries (each composed
     /// sub-query and each cross-structure query is one operation).
     pub queries: Throughput,
-    /// Number of group snapshots taken — i.e. how many view batches the query throughput
-    /// was amortized over.
+    /// Number of shared pins taken — i.e. how many view batches the query throughput was
+    /// amortized over.
     pub snapshots: u64,
 }
 
@@ -309,8 +309,8 @@ pub struct ComposedResult {
 /// [`VcasHashMap`] that share one camera, under concurrent updaters.
 ///
 /// `update_threads` threads perform 50% inserts / 50% deletes, alternating between the
-/// two structures; `query_threads` threads repeatedly take **one group snapshot**
-/// ([`StructureGroup::snapshot`]), open one view per structure at the shared timestamp,
+/// two structures; `query_threads` threads repeatedly take **one pin** on the shared
+/// camera, open one view per structure in it ([`SnapshotSource::view_in`]),
 /// and run 16 Table-2 sub-queries on the tree view ([`QueryKind::Composed`]) plus 2
 /// cross-structure queries ([`CrossQueryKind`]) over both views — so the snapshot and EBR
 /// pin are amortized over the whole batch.
@@ -324,13 +324,10 @@ pub fn run_composed(
     query_threads: usize,
 ) -> ComposedResult {
     let camera = tree.camera().expect("composed scenario needs a versioned BST").clone();
-    let mut group: StructureGroup = StructureGroup::new(camera);
-    let tree_idx = group
-        .register(tree.clone() as Arc<dyn SnapshotSource>)
-        .expect("tree must share the group camera");
-    let map_idx = group
-        .register(map.clone() as Arc<dyn SnapshotSource>)
-        .expect("composed scenario needs tree and hash map on one camera");
+    assert!(
+        map.camera().is_some_and(|c| Arc::ptr_eq(c, &camera)),
+        "composed scenario needs tree and hash map on one camera"
+    );
 
     // Prefill each structure to half the target size (distinct seeds so the two halves
     // draw different key sets).
@@ -351,9 +348,9 @@ pub fn run_composed(
     let snapshots = AtomicU64::new(0);
     let query = |rng: &mut StdRng| {
         let anchor = rng.gen_range(1..=key_range);
-        let snap = group.snapshot();
-        let tree_view = snap.view_of(tree_idx);
-        let map_view = snap.view_of(map_idx);
+        let pin = camera.pin_snapshot();
+        let tree_view = tree.view_in(&pin).expect("a pinned timestamp stays addressable");
+        let map_view = map.view_in(&pin).expect("a pinned timestamp stays addressable");
         std::hint::black_box(run_query_on_view(
             tree_view.as_ref(),
             QueryKind::Composed { n: QUERIES_PER_VIEW },
@@ -398,7 +395,7 @@ struct Settled {
 }
 
 /// The teardown of every run on a versioned structure registered with `camera`, once the
-/// caller has dropped its pins, anchors and background collector. Asserts, panicking with
+/// caller has dropped its pins and background collector. Asserts, panicking with
 /// the spec's seed:
 ///
 /// * a quiescence sweep completes and the EBR domain drains exactly;
@@ -745,27 +742,28 @@ pub struct TimeTravelResult {
     /// Individual temporal queries the reader issued (as-of revalidations or diffs,
     /// depending on the mode).
     pub queries: u64,
-    /// [`Camera::approx_live_versions`] at the end of the window, while every anchor was
-    /// still held — the cost of retention.
-    pub retained_versions_while_anchored: u64,
-    /// [`Camera::approx_live_versions`] after the last anchor dropped and collection
-    /// reached quiescence — the proof that dropping anchors releases their history.
+    /// [`Camera::approx_live_versions`] at the end of the window, while every past instant
+    /// was still pinned — the cost of retention.
+    pub retained_versions_while_pinned: u64,
+    /// [`Camera::approx_live_versions`] after the last pin dropped and collection reached
+    /// quiescence — the proof that dropping pins releases their history.
     pub retained_versions_after_release: u64,
 }
 
 /// Runs the `timetravel` scenario: `spec.threads` update-heavy writers advance history on
 /// a versioned [`Nbbst`] with amortized reclamation installed, while the driver holds a
-/// ladder of 4 **named anchors** — each taken after a burst of churn, each with its full
-/// state captured as a model — and re-validates them in every slice of the window.
+/// ladder of 4 **pinned instants** ([`vcas_core::PinnedSnapshot`]) — each taken after a
+/// burst of churn, each with its full state captured as a model — and re-validates them
+/// in every slice of the window.
 ///
 /// Per [`TimeTravelMode`], each reader round asserts (panicking with the spec's seed):
 ///
-/// * `AsOf` — `view_at(anchor_ts)` replays each anchor's model exactly, forever;
-/// * `Diff` — `diff(ts_i, ts_j)` over each adjacent anchor pair *reconciles*: applying
+/// * `AsOf` — `view_at(ts)` replays each pinned instant's model exactly, forever;
+/// * `Diff` — `diff(ts_i, ts_j)` over each adjacent pinned pair *reconciles*: applying
 ///   the diff to the older model reproduces the newer model.
 ///
-/// After the window the driver drops every anchor, sweeps to quiescence, and asserts the
-/// anchored timestamps are now truncated (`view_at` fails), releasing them did not grow
+/// After the window the driver drops every pin, sweeps to quiescence, and asserts the
+/// pinned timestamps are now truncated (`view_at` fails), releasing them did not grow
 /// history, and the node-conservation invariants of [`run_reclaim`] hold.
 pub fn run_timetravel(spec: &WorkloadSpec, mode: TimeTravelMode) -> TimeTravelResult {
     let camera = Camera::new();
@@ -775,12 +773,12 @@ pub fn run_timetravel(spec: &WorkloadSpec, mode: TimeTravelMode) -> TimeTravelRe
     prefill(tree.as_ref(), spec);
     let key_range = spec.key_range();
 
-    // Build the anchor ladder: churn, anchor, capture the model — repeatedly. Each model
-    // is the full frozen state at its anchor's timestamp.
+    // Build the ladder of pins: churn, pin, capture the model — repeatedly. Each model is
+    // the full frozen state at its pin's timestamp.
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x7A1E_7A1E);
-    let mut anchors = Vec::new();
+    let mut pins = Vec::new();
     let mut models: Vec<BTreeMap<Key, u64>> = Vec::new();
-    for epoch in 0..ANCHORS {
+    for epoch in 0..EPOCHS {
         for _ in 0..256 {
             let key = rng.gen_range(1..=key_range);
             if rng.gen_bool(0.5) {
@@ -789,47 +787,44 @@ pub fn run_timetravel(spec: &WorkloadSpec, mode: TimeTravelMode) -> TimeTravelRe
                 tree.remove(key);
             }
         }
-        let anchor = camera.anchor(&format!("epoch-{epoch}"));
-        let view = tree.view_at(anchor.timestamp()).unwrap_or_else(|e| {
-            panic!("anchored ts must be addressable: {e} (seed={:#x})", spec.seed)
+        let pin = camera.pin_snapshot();
+        let view = tree.view_at(pin.handle().raw()).unwrap_or_else(|e| {
+            panic!("pinned ts must be addressable: {e} (seed={:#x})", spec.seed)
         });
         models.push(view.iter().collect());
-        anchors.push(anchor);
+        pins.push(pin);
     }
+    let timestamps: Vec<u64> = pins.iter().map(|p| p.handle().raw()).collect();
 
-    // The reader: re-validate every anchor each round while the writers churn.
+    // The reader: re-validate every pinned instant each round while the writers churn.
     let mut queries = 0u64;
     let [updates] = run_pools(
         spec,
         [Pool { threads: spec.threads.max(1), seed_offset: 0, op: &update_op(&*tree, spec) }],
         |check| match mode {
             TimeTravelMode::AsOf => {
-                for (anchor, model) in anchors.iter().zip(&models) {
-                    let view = tree.view_at(anchor.timestamp()).unwrap_or_else(|e| {
+                for (epoch, (&ts, model)) in timestamps.iter().zip(&models).enumerate() {
+                    let view = tree.view_at(ts).unwrap_or_else(|e| {
                         panic!(
-                            "check {check}: anchor {:?} lost its history: {e} (seed={:#x})",
-                            anchor.name(),
+                            "check {check}: epoch {epoch} lost its history: {e} (seed={:#x})",
                             spec.seed
                         )
                     });
                     let replay: BTreeMap<Key, u64> = view.iter().collect();
                     assert_eq!(
-                        &replay,
-                        model,
-                        "check {check}: anchored as-of answer drifted under writers \
-                     (anchor {:?}, seed={:#x})",
-                        anchor.name(),
+                        &replay, model,
+                        "check {check}: pinned as-of answer drifted under writers \
+                     (epoch {epoch}, seed={:#x})",
                         spec.seed
                     );
                     queries += 1;
                 }
             }
             TimeTravelMode::Diff => {
-                for (pair, models) in anchors.windows(2).zip(models.windows(2)) {
-                    let d =
-                        tree.diff(pair[0].timestamp(), pair[1].timestamp()).unwrap_or_else(|e| {
-                            panic!("check {check}: diff lost history: {e} (seed={:#x})", spec.seed)
-                        });
+                for (pair, models) in timestamps.windows(2).zip(models.windows(2)) {
+                    let d = tree.diff(pair[0], pair[1]).unwrap_or_else(|e| {
+                        panic!("check {check}: diff lost history: {e} (seed={:#x})", spec.seed)
+                    });
                     // Reconciliation: old model + diff = new model, key for key.
                     let mut patched = models[0].clone();
                     for (k, old) in &d.removed {
@@ -859,7 +854,7 @@ pub fn run_timetravel(spec: &WorkloadSpec, mode: TimeTravelMode) -> TimeTravelRe
                     }
                     assert_eq!(
                         patched, models[1],
-                        "check {check}: diff between anchors does not reconcile (seed={:#x})",
+                        "check {check}: diff between pins does not reconcile (seed={:#x})",
                         spec.seed
                     );
                     queries += 1;
@@ -867,31 +862,30 @@ pub fn run_timetravel(spec: &WorkloadSpec, mode: TimeTravelMode) -> TimeTravelRe
             }
         },
     );
-    let retained_versions_while_anchored = camera.approx_live_versions();
+    let retained_versions_while_pinned = camera.approx_live_versions();
 
-    // Release the history: every anchor drops, the background collector (if any) stops,
-    // and the quiescence sweep must reclaim everything the anchors were holding.
-    let oldest_anchor_ts = anchors[0].timestamp();
-    drop(anchors);
+    // Release the history: every pin drops, the background collector (if any) stops, and
+    // the quiescence sweep must reclaim everything the pins were holding.
+    drop(pins);
     drop(collector);
     let settled = settle(&camera, tree, BST_NODES, spec, |tree| {
-        // The anchored past is gone: the watermark moved past it, so as-of now *fails*
+        // The pinned past is gone: the watermark moved past it, so as-of now *fails*
         // instead of answering from thin air.
         assert!(
-            matches!(tree.view_at(oldest_anchor_ts), Err(RetentionError::Truncated { .. })),
-            "dropped anchor's timestamp still addressable after quiescence (seed={:#x})",
+            matches!(tree.view_at(timestamps[0]), Err(RetentionError::Truncated { .. })),
+            "dropped pin's timestamp still addressable after quiescence (seed={:#x})",
             spec.seed
         );
     });
     assert!(
-        settled.live_versions <= retained_versions_while_anchored,
-        "releasing anchors grew history (seed={:#x})",
+        settled.live_versions <= retained_versions_while_pinned,
+        "releasing pins grew history (seed={:#x})",
         spec.seed
     );
     TimeTravelResult {
         updates,
         queries,
-        retained_versions_while_anchored,
+        retained_versions_while_pinned,
         retained_versions_after_release: settled.live_versions,
     }
 }
@@ -1073,7 +1067,7 @@ mod tests {
         let r = run_composed(tree, map, &spec, 1, 1);
         assert!(r.updates.operations > 0, "no updates completed (seed={:#x})", spec.seed);
         assert!(r.queries.operations > 0, "no queries completed (seed={:#x})", spec.seed);
-        assert!(r.snapshots > 0, "no group snapshots taken (seed={:#x})", spec.seed);
+        assert!(r.snapshots > 0, "no shared pins taken (seed={:#x})", spec.seed);
         // Each snapshot amortizes the whole batch of queries.
         let batch = (QUERIES_PER_VIEW + CROSS_PER_SNAPSHOT) as u64;
         assert_eq!(r.queries.operations, r.snapshots * batch, "seed={:#x}", spec.seed);
@@ -1194,19 +1188,19 @@ mod tests {
         for mode in TimeTravelMode::all() {
             let mut spec = WorkloadSpec::new(2, 150, Mix::update_heavy());
             spec.duration_ms = 60;
-            // run_timetravel asserts the frozen-anchor, diff-reconciliation,
+            // run_timetravel asserts the frozen-pin, diff-reconciliation,
             // history-release, and node-conservation invariants itself.
             let r = run_timetravel(&spec, mode);
             assert!(r.updates.operations > 0, "{mode:?}: no updates (seed={:#x})", spec.seed);
-            // Every check visits every anchor (as-of) or every adjacent pair (diff).
+            // Every check visits every pinned instant (as-of) or every adjacent pair (diff).
             let per_check = match mode {
-                TimeTravelMode::AsOf => ANCHORS,
-                TimeTravelMode::Diff => ANCHORS - 1,
+                TimeTravelMode::AsOf => EPOCHS,
+                TimeTravelMode::Diff => EPOCHS - 1,
             };
             assert_eq!(r.queries, u64::from(READER_CHECKS) * per_check as u64, "{mode:?}");
             assert!(
-                r.retained_versions_after_release <= r.retained_versions_while_anchored,
-                "{mode:?}: releasing anchors grew history (seed={:#x})",
+                r.retained_versions_after_release <= r.retained_versions_while_pinned,
+                "{mode:?}: releasing pins grew history (seed={:#x})",
                 spec.seed
             );
         }

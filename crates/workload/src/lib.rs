@@ -20,19 +20,19 @@
 //! * the sorted-insertion workload of Fig. 2i ([`run_sorted_insert`]), where threads grab
 //!   chunks of an ascending key sequence from a global work queue;
 //! * the `composed` scenario ([`run_composed`]): view-driven query execution against a
-//!   BST and a hash map sharing one camera — each query thread takes one group snapshot,
-//!   opens one view per structure at the shared timestamp, and amortizes a batch of
-//!   Table-2 and cross-structure queries over it;
+//!   BST and a hash map sharing one camera — each query thread takes one pin on the
+//!   camera, opens one view per structure in it, and amortizes a batch of Table-2 and
+//!   cross-structure queries over it;
 //! * three scenarios on a versioned structure with automatic reclamation installed
 //!   ([`vcas_core::ReclaimPolicy`]) and the driver thread as a long-pinned reader that
 //!   re-validates its frozen answers across the window. [`run_reclaim`] churns a BST
 //!   under the given policy; [`run_skiplist`] drives a
 //!   [`vcas_structures::VcasSkipList`] whose range slot issues **streaming** range scans,
-//!   plus scan-while-update full iterations; [`run_timetravel`] holds a ladder of named
-//!   [`vcas_core::Anchor`]s and issues as-of or temporal-diff queries against them
-//!   ([`TimeTravelMode`]). Each ends by asserting that, once the pins and anchors drop,
-//!   version lists collapse, exactly the surviving structure is live, and every node and
-//!   version is conserved (`created == retired + dropped`) after the structure drops.
+//!   plus scan-while-update full iterations; [`run_timetravel`] holds a ladder of
+//!   [`vcas_core::PinnedSnapshot`]s on past instants and issues as-of or temporal-diff
+//!   queries against them ([`TimeTravelMode`]). Each ends by asserting that, once the pins
+//!   drop, version lists collapse, exactly the surviving structure is live, and every node
+//!   and version is conserved (`created == retired + dropped`) after the structure drops.
 //!
 //! Throughput is reported in operations per second ([`Throughput`]). All randomness
 //! derives from [`WorkloadSpec::seed`] (default [`spec::DEFAULT_SEED`]), so runs are

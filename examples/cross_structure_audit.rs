@@ -8,10 +8,10 @@
 //!
 //! An auditor must count pallets without stopping the forklifts. Reading the two
 //! structures with two separate snapshots could double-count a pallet (seen in cold, then
-//! again in hot after it moved) or lose arbitrarily many. One [`CameraGroup`] snapshot
-//! gives a view of *each* structure at a *single shared timestamp*, so the audit can only
-//! miss the (bounded) pallets physically in flight at that instant, and can never
-//! double-count.
+//! again in hot after it moved) or lose arbitrarily many. One pin on the shared camera,
+//! then one [`SnapshotSource::view_in`] per structure, gives a view of *each* structure at
+//! a *single shared timestamp*, so the audit can only miss the (bounded) pallets
+//! physically in flight at that instant, and can never double-count.
 //!
 //! Run with `cargo run --example cross_structure_audit`.
 
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use vcas_repro::core::Camera;
-use vcas_repro::structures::view::{GroupQueryExt, SnapshotSource, StructureGroup};
+use vcas_repro::structures::view::SnapshotSource;
 use vcas_repro::structures::{Nbbst, VcasHashMap};
 
 const PALLETS: u64 = 500;
@@ -34,11 +34,6 @@ fn main() {
     for id in 0..PALLETS {
         cold.insert(id, 100 + id);
     }
-
-    // One group = the camera plus both structures; snapshots cover them jointly.
-    let mut group: StructureGroup = StructureGroup::new(camera);
-    let hot_idx = group.register(hot.clone() as Arc<dyn SnapshotSource>).unwrap();
-    let cold_idx = group.register(cold.clone() as Arc<dyn SnapshotSource>).unwrap();
 
     // Forklift `f` owns pallets with `id % FORKLIFTS == f` and shuttles them between the
     // floors; ownership is disjoint, so at most FORKLIFTS pallets are in flight at once.
@@ -69,15 +64,15 @@ fn main() {
         })
         .collect();
 
-    // The audits: each takes ONE group snapshot and reads both floors through it.
+    // The audits: each takes ONE pin on the shared camera and reads both floors in it.
     for audit in 0..8 {
-        let snap = group.snapshot();
-        let hot_view = snap.view_of(hot_idx);
-        let cold_view = snap.view_of(cold_idx);
+        let snap = camera.pin_snapshot();
+        let hot_view = hot.view_in(&snap).unwrap();
+        let cold_view = cold.view_in(&snap).unwrap();
         assert_eq!(
             hot_view.timestamp(),
             cold_view.timestamp(),
-            "group views must share one timestamp"
+            "views in one pin must share one timestamp"
         );
 
         let on_floor = hot_view.len();
@@ -105,12 +100,12 @@ fn main() {
     stop.store(true, Ordering::Relaxed);
     let total_moves: u64 = forklifts.into_iter().map(|h| h.join().unwrap()).sum();
 
-    // With the forklifts parked, a final group snapshot accounts for every pallet.
-    let snap = group.snapshot();
-    let final_total = snap.view_of(hot_idx).len() + snap.view_of(cold_idx).len();
+    // With the forklifts parked, a final shared pin accounts for every pallet.
+    let snap = camera.pin_snapshot();
+    let final_total = hot.view_in(&snap).unwrap().len() + cold.view_in(&snap).unwrap().len();
     assert_eq!(final_total as u64, PALLETS, "every pallet accounted for once movement stops");
     println!(
         "final: {PALLETS} pallets accounted for after {total_moves} moves across {} snapshots",
-        group.camera().snapshots_taken()
+        camera.snapshots_taken()
     );
 }

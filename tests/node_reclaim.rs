@@ -26,11 +26,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use vcas_repro::core::reclaim::{CellOp, CollectStats, Collectible, Visit};
-use vcas_repro::core::{Camera, CameraAttached, ReclaimPolicy, VersionedCas};
+use vcas_repro::core::{Camera, ReclaimPolicy, VersionedCas};
 use vcas_repro::ebr::Guard;
 use vcas_repro::structures::traits::ConcurrentMap;
-use vcas_repro::structures::MapSnapshotView;
 use vcas_repro::structures::{HarrisList, Nbbst, VcasHashMap, VcasSkipList};
+use vcas_repro::structures::{MapSnapshotView, SnapshotSource};
 
 const WRITERS: u64 = 2;
 const OPS_PER_WRITER: u64 = 4_000;
@@ -342,9 +342,9 @@ fn budget_one_cycle<S: Collectible>(structure: &S, floor: u64, census: bool) -> 
 /// passes complete a cycle that reaches every cell the census counts and cuts each to one
 /// version; a census between passes does not move the cursor, so a second cycle takes as
 /// many passes; and a plain structure, which holds no history, completes in one pass.
-fn assert_visitor_conforms<S: ConcurrentMap + Collectible + CameraAttached>(structure: S) {
-    let versioned = structure.attached_camera().is_some();
-    let camera = structure.attached_camera().cloned().unwrap_or_else(Camera::new);
+fn assert_visitor_conforms<S: ConcurrentMap + Collectible + SnapshotSource>(structure: S) {
+    let versioned = structure.camera().is_some();
+    let camera = structure.camera().cloned().unwrap_or_else(Camera::new);
     for round in 0..4u64 {
         for k in 1..=KEY_SPACE {
             camera.take_snapshot();

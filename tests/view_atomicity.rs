@@ -1,7 +1,7 @@
 //! View-atomicity tests for the reified snapshot API: a long-lived pinned view must be
 //! *frozen* — every answer it gives is the state at its timestamp, no matter how much the
-//! structure mutates (or truncates version lists) afterwards — and two views opened from
-//! one `CameraGroup` snapshot must observe a single common timestamp across *different*
+//! structure mutates (or truncates version lists) afterwards — and two views opened in
+//! one pin (`view_in`) must observe a single common timestamp across *different*
 //! structures (the cross-structure conservation property).
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -11,9 +11,7 @@ use proptest::prelude::*;
 use vcas_repro::core::{Camera, Collectible};
 use vcas_repro::ebr::pin;
 use vcas_repro::structures::traits::{Key, Value};
-use vcas_repro::structures::view::{
-    GroupQueryExt, MapSnapshotView, SnapshotSource, StructureGroup,
-};
+use vcas_repro::structures::view::{MapSnapshotView, SnapshotSource};
 use vcas_repro::structures::{AtomicRangeMap, Nbbst, VcasHashMap};
 
 /// A pinned view's answers never change while two writer threads mutate the tree and
@@ -81,14 +79,14 @@ fn pinned_view_answers_are_frozen_under_writers() {
 const TOKENS: u64 = 64;
 const MOVERS: u64 = 2;
 
-/// Two views from one `CameraGroup::snapshot()` agree on a cross-structure invariant:
+/// Two views opened in one pin agree on a cross-structure invariant:
 /// tokens moved between a hash map and a BST sharing the camera are conserved.
 ///
 /// Each mover thread owns the tokens `t mod MOVERS` and repeatedly moves them between the
 /// "hot" hash map and the "cold" BST (remove from one, insert into the other), so at any
 /// single timestamp a token is in at most one structure and at most `MOVERS` tokens are in
 /// flight. A reader mixing two timestamps (e.g. two separately taken snapshots) would see
-/// double-counted or over-lost tokens; the group snapshot must never.
+/// double-counted or over-lost tokens; the shared pin must never.
 #[test]
 fn group_views_conserve_tokens_across_structures() {
     let camera = Camera::new();
@@ -97,10 +95,6 @@ fn group_views_conserve_tokens_across_structures() {
     for token in 0..TOKENS {
         assert!(hot.insert(token, token + 1_000));
     }
-
-    let mut group: StructureGroup = StructureGroup::new(camera.clone());
-    let hot_idx = group.register(hot.clone() as Arc<dyn SnapshotSource>).unwrap();
-    let cold_idx = group.register(cold.clone() as Arc<dyn SnapshotSource>).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
     let movers: Vec<_> = (0..MOVERS)
@@ -126,13 +120,13 @@ fn group_views_conserve_tokens_across_structures() {
         .collect();
 
     for round in 0..300 {
-        let snap = group.snapshot();
-        let hot_view = snap.view_of(hot_idx);
-        let cold_view = snap.view_of(cold_idx);
+        let snap = camera.pin_snapshot();
+        let hot_view = hot.view_in(&snap).unwrap();
+        let cold_view = cold.view_in(&snap).unwrap();
         assert_eq!(
             hot_view.timestamp(),
             cold_view.timestamp(),
-            "round {round}: group views must share one timestamp"
+            "round {round}: views in one pin must share one timestamp"
         );
         assert_eq!(hot_view.timestamp(), Some(snap.handle()));
 
@@ -167,7 +161,7 @@ fn group_views_conserve_tokens_across_structures() {
     for m in movers {
         m.join().unwrap();
     }
-    assert_eq!(camera.pinned_count(), 0, "group snapshots release their pins");
+    assert_eq!(camera.pinned_count(), 0, "shared pins and their views release their pins");
 }
 
 proptest! {
